@@ -1,19 +1,17 @@
 //! Machine-readable perf snapshot for CI: runs the fast benchmark suite
 //! with wall-clock timing and writes `BENCH_PR2.json` (the template /
 //! incremental-engine scenarios of PR 2, kept as the regression guard),
-//! `BENCH_PR3.json` (the PR 3 large-graph scaling story: parallel vs
-//! serial numeric refactorization and reach-based sparse vs dense
-//! triangular solves on rmat1024 / rmat2048 / a DIMACS-roundtripped grid)
+//! `BENCH_PR3.json` (the large-graph scaling story: numeric
+//! refactorization and reach-based sparse vs dense triangular solves on
+//! rmat1024 / rmat2048 / a DIMACS-roundtripped grid)
 //! `BENCH_PR4.json` (the PR 4 ordering subsystem: fill, factor,
 //! refactor and rank-1 solve times under Natural / MinDegree / AMD /
-//! AMD+BTF — extended in PR 6 with NestedDissection and the AmdBtfNd
-//! hybrid — plus the BTF block structure), `BENCH_PR5.json` (facade
+//! AMD+BTF, plus the BTF block structure), `BENCH_PR5.json` (facade
 //! overhead), `BENCH_PR6.json` (the KLU-style solve-time off-diagonal
 //! restructure: block-aware sparse rank-1 solves vs dense, and the
 //! rmat128 multi-block numeric-replay tax) and `BENCH_PR7.json` (the
-//! supernodal blocked kernels vs the scalar replay, `f64` vs the
-//! `F32Refined` storage precision, the detected supernode structure and
-//! the mixed-precision 1e-9 accuracy gate) and `BENCH_PR8.json` (the
+//! supernodal blocked kernels vs the scalar replay and the detected
+//! supernode structure) and `BENCH_PR8.json` (the
 //! concurrent sharded plan cache: fingerprint-first hit latency vs the
 //! old full-key-rebuild path, warm-hit throughput at 1/2/4 threads and
 //! an eviction-pressure sweep with the cache counters) and
@@ -52,7 +50,7 @@ use ohmflow_bench::{
 use ohmflow_circuit::DcSolver;
 use ohmflow_graph::generators;
 use ohmflow_linalg::{
-    ColumnOrdering, LuWorkspace, RefactorStrategy, SparseLu, SparseLuOptions, SparseSolveWorkspace,
+    ColumnOrdering, LuWorkspace, SparseLu, SparseLuOptions, SparseSolveWorkspace,
 };
 
 fn main() {
@@ -210,8 +208,8 @@ fn main() {
     trajectory_report();
 }
 
-/// The PR 3 large-graph scaling section: numeric refactorization
-/// (serial vs level-scheduled parallel) and rank-1 triangular solves
+/// The large-graph scaling section: numeric refactorization and
+/// rank-1 triangular solves
 /// (dense vs reach-based sparse halves) on the real substrate MNA
 /// matrices of rmat1024, rmat2048 and a DIMACS-roundtripped 40×40 grid,
 /// plus an end-to-end frozen-DC session flip loop on the DIMACS instance.
@@ -236,10 +234,10 @@ fn pr3_report() {
         let (m, base_lu) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
         let m = &m;
         println!(
-            "{name}: {} unknowns, {} nnz, {} elimination levels",
+            "{name}: {} unknowns, {} nnz, {} diagonal blocks",
             m.cols(),
             m.nnz(),
-            base_lu.symbolic().level_count()
+            base_lu.symbolic().block_count()
         );
 
         // Full symbolic + numeric factorization: the phase the
@@ -249,23 +247,12 @@ fn pr3_report() {
             median_ns(3, || SparseLu::factor(m).expect("factor")),
         );
 
-        // Numeric-only refactorization, serial vs level-scheduled
-        // parallel on every available core.
+        // Numeric-only refactorization (the serial replay).
         let mut ws = LuWorkspace::new();
         let mut lu = base_lu.clone();
         push(
             format!("{name}/refactor_serial"),
-            median_ns(5, || {
-                lu.refactor_with_strategy(m, &mut ws, RefactorStrategy::Serial)
-                    .expect("serial refactor")
-            }),
-        );
-        push(
-            format!("{name}/refactor_parallel"),
-            median_ns(5, || {
-                lu.refactor_with_strategy(m, &mut ws, RefactorStrategy::Parallel { threads: cores })
-                    .expect("parallel refactor")
-            }),
+            median_ns(5, || lu.refactor_with(m, &mut ws).expect("refactor")),
         );
 
         // Rank-1 triangular solves over a sample of the substrate's real
@@ -385,10 +372,6 @@ fn pr3_report() {
             .unwrap_or(0.0)
     };
     let ratio = |a: f64, b: f64| if b > 0.0 { a / b } else { 0.0 };
-    let par_speedup_2048 = ratio(
-        get(&entries, "rmat2048/refactor_serial"),
-        get(&entries, "rmat2048/refactor_parallel"),
-    );
     let sparse_speedup_grid = ratio(
         get(&entries, "dimacs_grid40/rank1_triangular_solve_dense"),
         get(&entries, "dimacs_grid40/rank1_triangular_solve_sparse"),
@@ -401,7 +384,6 @@ fn pr3_report() {
         get(&entries, "dimacs_grid40/rank1_triangular_solve_dense"),
         get(&entries, "dimacs_grid40/rank1_push_path_sparse"),
     );
-    println!("parallel refactor speedup (rmat2048, {cores} cores): {par_speedup_2048:.2}x");
     println!("sparse rank1 solve speedup (dimacs_grid40): {sparse_speedup_grid:.2}x");
     println!("sparse rank1 solve speedup (rmat2048): {sparse_speedup_2048:.2}x");
     println!("shipped push-path speedup (dimacs_grid40): {push_speedup_grid:.2}x");
@@ -413,9 +395,6 @@ fn pr3_report() {
         json.push_str(&format!("    \"{name}\": {ns:.0}{comma}\n"));
     }
     json.push_str("  },\n  \"speedups\": {\n");
-    json.push_str(&format!(
-        "    \"refactor_parallel_vs_serial_rmat2048\": {par_speedup_2048:.3},\n"
-    ));
     json.push_str(&format!(
         "    \"rank1_sparse_vs_dense_solve_dimacs_grid40\": {sparse_speedup_grid:.3},\n"
     ));
@@ -435,9 +414,8 @@ fn pr3_report() {
 
 /// The PR 4 ordering-subsystem section: fill (`nnz(L+U+A_off)`),
 /// symbolic+numeric factor time, serial numeric refactor time and the
-/// rank-1 sparse solve under Natural / MinDegree / AMD / AMD+BTF — and,
-/// since PR 6, NestedDissection and the AmdBtfNd hybrid — on the three
-/// reference substrates, plus the BTF block structure — the tracked
+/// rank-1 sparse solve under Natural / MinDegree / AMD / AMD+BTF on the
+/// three reference substrates, plus the BTF block structure — the tracked
 /// numbers behind the R-MAT dense-tail fix.
 ///
 /// Natural order on an R-MAT expander is a dense-tail stress test (~10.5M
@@ -461,8 +439,6 @@ fn pr4_report() {
         ("min_degree", ColumnOrdering::MinDegree),
         ("amd", ColumnOrdering::Amd),
         ("amd_btf", ColumnOrdering::AmdBtf),
-        ("nd", ColumnOrdering::NestedDissection),
-        ("amd_btf_nd", ColumnOrdering::AmdBtfNd),
     ];
     for (name, g) in [
         ("rmat1024", fig10_instance(1024, false, 1)),
@@ -470,9 +446,9 @@ fn pr4_report() {
         ("dimacs_grid40", dimacs_grid_instance(40, 50, 7)),
     ] {
         let sc = bench_substrate(&g);
-        // One stamp per instance; the returned default (AmdBtfNd since
-        // PR 6) factor is reused as that ordering's measured cell below
-        // instead of being factored again.
+        // One stamp per instance; the returned default (AmdBtf) factor is
+        // reused as that ordering's measured cell below instead of being
+        // factored again.
         let (m, btf_lu) = DcSolver::new()
             .lu_options(SparseLuOptions::default())
             .stamp(sc.circuit())
@@ -541,10 +517,7 @@ fn pr4_report() {
             push(
                 &mut entries,
                 format!("{name}/{label}/refactor_serial"),
-                median_ns(reps, || {
-                    rlu.refactor_with_strategy(m, &mut ws, RefactorStrategy::Serial)
-                        .expect("refactor")
-                }),
+                median_ns(reps, || rlu.refactor_with(m, &mut ws).expect("refactor")),
             );
 
             // Rank-1 sparse solve over real diode RHS pairs (the PR 3
@@ -746,7 +719,7 @@ fn pr5_report() {
 
 /// The PR 6 section: the KLU-style restructure. Two tracked stories:
 ///
-/// * rmat2048 rank-1 solves under the production factor (AmdBtfNd,
+/// * rmat2048 rank-1 solves under the production factor (AmdBtf,
 ///   multi-block, off-diagonal entries applied at solve time): the
 ///   block-aware seed-queue sparse solve vs one full dense `solve_into`.
 ///   Before PR 6 the cross-block U closure densified the backward reach
@@ -825,10 +798,7 @@ fn pr6_report() {
         for (label, mut lu) in [("multiblock", lu_blk), ("amd", lu_amd)] {
             push(
                 format!("rmat128/refactor_serial_{label}"),
-                median_ns(15, || {
-                    lu.refactor_with_strategy(&m, &mut ws, RefactorStrategy::Serial)
-                        .expect("refactor")
-                }),
+                median_ns(15, || lu.refactor_with(&m, &mut ws).expect("refactor")),
             );
         }
     }
@@ -873,21 +843,15 @@ fn pr6_report() {
     println!("wrote {out}");
 }
 
-/// The PR 7 supernodal / mixed-precision section: numeric refactorization
-/// under the scalar per-column replay vs the supernodal blocked kernels
-/// (same pivot sequence — a pure kernel comparison), and the `f64` vs
-/// `F32Refined` storage precisions, on the three substrate MNA matrices.
-/// Every case also reports the detected supernode structure and checks
-/// the mixed-precision accuracy gate (refined `f32` solve within 1e-9 of
-/// the `f64` solve) so a conditioning regression fails loudly here before
-/// it fails in CI.
+/// The supernodal-kernel section: numeric refactorization under the scalar
+/// per-column replay vs the supernodal blocked kernels (same pivot
+/// sequence — a pure kernel comparison) on the three substrate MNA
+/// matrices, plus the bare and refined triangular solves and the detected
+/// supernode structure.
 fn pr7_report() {
-    use ohmflow_linalg::{vecops, Precision};
-
-    println!("--- PR7 supernodal kernels + mixed precision ---");
+    println!("--- PR7 supernodal kernels ---");
     let mut entries: Vec<(String, f64)> = Vec::new();
     let mut speedups: Vec<(String, f64)> = Vec::new();
-    let mut gates: Vec<(String, f64)> = Vec::new();
     let mut structure: Vec<String> = Vec::new();
 
     let substrates: Vec<(&str, ohmflow_graph::FlowNetwork)> = vec![
@@ -927,14 +891,13 @@ fn pr7_report() {
         };
         let mut ws = LuWorkspace::new();
 
-        // Factorization (pivoting cold path — always f64 pivot search).
+        // Factorization (pivoting cold path).
         push(
             format!("{name}/factor_f64"),
             median_ns(3, || SparseLu::factor(&m).expect("factor")),
         );
 
-        // Numeric replay: scalar oracle vs blocked kernels, then the
-        // blocked kernels on the narrow factor. All serial, same pivots.
+        // Numeric replay: scalar oracle vs blocked kernels, same pivots.
         let scalar_opts = SparseLuOptions {
             supernodal: false,
             ..SparseLuOptions::default()
@@ -942,7 +905,7 @@ fn pr7_report() {
         let mut lu_scalar = SparseLu::factor_with(&m, &scalar_opts).expect("scalar factor");
         let t_scalar = median_ns(7, || {
             lu_scalar
-                .refactor_with_strategy(&m, &mut ws, RefactorStrategy::Serial)
+                .refactor_with(&m, &mut ws)
                 .expect("scalar refactor")
         });
         push(format!("{name}/refactor_scalar_f64"), t_scalar);
@@ -950,27 +913,13 @@ fn pr7_report() {
         let mut lu_sn = lu.clone();
         let t_sn = median_ns(7, || {
             lu_sn
-                .refactor_with_strategy(&m, &mut ws, RefactorStrategy::Serial)
+                .refactor_with(&m, &mut ws)
                 .expect("supernodal refactor")
         });
         push(format!("{name}/refactor_supernodal_f64"), t_sn);
 
-        let f32_opts = SparseLuOptions {
-            precision: Precision::F32Refined,
-            ..SparseLuOptions::default()
-        };
-        let mut lu_f32 = SparseLu::factor_with(&m, &f32_opts).expect("f32 factor");
-        let t_sn32 = median_ns(7, || {
-            lu_f32
-                .refactor_with_strategy(&m, &mut ws, RefactorStrategy::Serial)
-                .expect("f32 refactor")
-        });
-        push(format!("{name}/refactor_supernodal_f32"), t_sn32);
-
-        // Triangular solves: bare f64, then the refined solves both
-        // precisions ship in production (the DC layer always polishes
-        // with at least one residual-correction step; the narrow factor
-        // loops until it has bought its digits back).
+        // Triangular solves: bare, then refined with one
+        // residual-correction step (what the DC layer ships).
         let b = vec![1.0; m.cols()];
         let (mut work, mut x64) = (Vec::new(), Vec::new());
         let t_solve64 = median_ns(7, || {
@@ -984,45 +933,9 @@ fn pr7_report() {
                 .expect("refined f64 solve")
         });
         push(format!("{name}/solve_refined_f64"), t_solve64r);
-        let mut x32 = Vec::new();
-        let t_solve32 = median_ns(7, || {
-            lu_f32
-                .solve_refined_with(&m, &b, &mut ws, &mut x32)
-                .expect("refined f32 solve")
-        });
-        push(format!("{name}/solve_refined_f32"), t_solve32);
-
-        // The 1e-9 accuracy gate the mixed-precision path must hold
-        // against the f64 pipeline's answer. (The *bare* f64 solve is the
-        // wrong baseline: on these stamps its own error is ~1e-8 — the
-        // refined f32 solve carries a smaller residual than it does.)
-        let err = x32
-            .iter()
-            .zip(&x64r)
-            .map(|(a, b)| vecops::rel_diff(*a, *b))
-            .fold(0.0f64, f64::max);
-        println!("{name}: refined f32 vs refined f64 solve rel diff {err:.3e}");
-        assert!(
-            err < 1e-9,
-            "{name}: mixed-precision accuracy gate failed: {err:.3e}"
-        );
-        gates.push((format!("{name}/f32_vs_f64_refined_solve_rel_diff"), err));
-
-        // Headline ratios: blocked vs scalar kernels at equal precision,
-        // and the full mixed pipeline (refactor + solve) against the
-        // scalar f64 pipeline (the pre-PR default) and against the
-        // supernodal f64 pipeline (precision in isolation).
         speedups.push((
             format!("supernodal_vs_scalar_refactor_{name}"),
             t_scalar / t_sn,
-        ));
-        speedups.push((
-            format!("f32_pipeline_vs_f64_scalar_pipeline_{name}"),
-            (t_scalar + t_solve64r) / (t_sn32 + t_solve32),
-        ));
-        speedups.push((
-            format!("f32_pipeline_vs_f64_supernodal_pipeline_{name}"),
-            (t_sn + t_solve64r) / (t_sn32 + t_solve32),
         ));
     }
     for (k, v) in &speedups {
@@ -1037,12 +950,7 @@ fn pr7_report() {
     }
     json.push_str("  },\n  \"supernodes\": {\n");
     json.push_str(&structure.join(",\n"));
-    json.push_str("\n  },\n  \"accuracy\": {\n");
-    for (i, (name, err)) in gates.iter().enumerate() {
-        let comma = if i + 1 < gates.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {err:.3e}{comma}\n"));
-    }
-    json.push_str("  },\n  \"speedups\": {\n");
+    json.push_str("\n  },\n  \"speedups\": {\n");
     for (i, (name, v)) in speedups.iter().enumerate() {
         let comma = if i + 1 < speedups.len() { "," } else { "" };
         json.push_str(&format!("    \"{name}\": {v:.3}{comma}\n"));
@@ -1076,7 +984,6 @@ fn pr8_report() {
     use std::hint::black_box;
 
     use ohmflow::TemplateKey;
-    use ohmflow_circuit::Precision;
 
     println!("--- PR8 concurrent plan cache ---");
     let mut entries: Vec<(String, f64)> = Vec::new();
@@ -1089,7 +996,7 @@ fn pr8_report() {
     // the fingerprint-first rewrite (BENCH_PR5.json, `plan_cache_hit`).
     const PR5_RECORDED_HIT_NS: [(&str, f64); 2] = [("rmat1024", 56502.0), ("rmat2048", 107744.0)];
 
-    let (ordering, precision) = (ColumnOrdering::default(), Precision::default());
+    let ordering = ColumnOrdering::default();
     let mut speedups: Vec<(String, f64)> = Vec::new();
     for (name, g) in [
         ("rmat1024", fig10_instance(1024, false, 1)),
@@ -1116,10 +1023,10 @@ fn pr8_report() {
             black_box(h.finish())
         });
         let key_rebuild = median_ns(9, || {
-            black_box(TemplateKey::with_lu(black_box(&g), ordering, precision))
+            black_box(TemplateKey::with_ordering(black_box(&g), ordering))
         });
         let fingerprint = median_ns(9, || {
-            black_box(TemplateKey::fingerprint(black_box(&g), ordering, precision))
+            black_box(TemplateKey::fingerprint(black_box(&g), ordering))
         });
         let hit = median_ns(9, || solver.plan(&g).expect("plan").cache_hit());
         push(format!("{name}/siphash_rehash_baseline"), rehash);

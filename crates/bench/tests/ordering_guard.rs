@@ -7,20 +7,19 @@
 //! supervariable merging or the BTF block decomposition shows up here as a
 //! fill jump long before anyone reads `BENCH_PR4.json`.
 //!
-//! PR 6 adds two more tripwires: a nested-dissection ceiling on the
-//! rmat2048 irreducible core (the top-level bisection must produce no
-//! subtree anywhere near the full problem, and the hybrid `AmdBtfNd`
-//! default must not cost fill over plain `AmdBtf`), and an rmat128
-//! numeric-replay check that the KLU-style solve-time `A_off` layout
-//! really removed the ~15–20 % off-diagonal-U closure tax multi-block
-//! refactorization used to pay relative to a single-block AMD factor.
+//! Two more tripwires ride along: the exact `AmdBtf` fill of the small
+//! ideal-build substrates a cold request builds (grid, bipartite, layered
+//! and R-MAT shapes), and an rmat128 numeric-replay check that the
+//! KLU-style solve-time `A_off` layout really removed the ~15–20 %
+//! off-diagonal-U closure tax multi-block refactorization used to pay
+//! relative to a single-block AMD factor.
 
+use ohmflow::builder;
+use ohmflow::solver::facade::SolveOptions;
 use ohmflow_bench::{bench_substrate, fig10_instance, median_ns};
 use ohmflow_circuit::DcSolver;
-use ohmflow_linalg::{
-    nested_dissection_split, ColumnOrdering, LuWorkspace, RefactorStrategy, SparseLu,
-    SparseLuOptions,
-};
+use ohmflow_graph::generators;
+use ohmflow_linalg::{ColumnOrdering, LuWorkspace, SparseLu, SparseLuOptions};
 
 /// Recorded AMD fill on this fixture: 267,318 (plain AMD) / 212,458
 /// (AMD+BTF, off-diagonal block entries held raw since PR 6 instead of
@@ -82,52 +81,49 @@ fn amd_fill_on_rmat1024_stays_below_recorded_ceiling() {
     assert!(lu_btf.symbolic().largest_block() < lu_btf.symbolic().dim());
 }
 
-/// PR 6 nested-dissection ceilings on the rmat2048 irreducible core.
-///
-/// The raw top-level bisection (no quality gate — `nested_dissection_split`
-/// reports exactly what the recursion would commit to) must break the
-/// problem: region growing to `n/2` plus the `n/5` balance floor bound the
-/// largest side structurally, so no subtree of the top-level separator
-/// tree may approach the full 26.4k-unknown problem. And the hybrid
-/// `AmdBtfNd` default must do no harm: its fill stays within 5 % of the
-/// plain `AmdBtf` fill it falls back to when the separator gate trips
-/// (recorded: identical, the R-MAT core has no `4√n` cuts).
+/// Exact `AmdBtf` fill (`nnz(L+U+A_off)`) of the ideal-build substrates
+/// of the cold-request shapes: a 16×16 grid, a 96×96 degree-3 bipartite
+/// graph, an 8×8 layered graph and an rmat256 instance. AMD and the BTF
+/// decomposition are deterministic, so any change to either moves these
+/// counts; an intended change re-records them here.
 #[test]
-fn nd_ceilings_hold_on_rmat2048() {
-    let g = fig10_instance(2048, false, 1);
-    let sc = bench_substrate(&g);
-    let (m, lu_hybrid) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
-
-    let split = nested_dissection_split(&m);
-    let n = m.cols();
-    assert_eq!(
-        split.part_a.len() + split.part_b.len() + split.separator.len(),
-        n,
-        "top-level split must partition all {n} unknowns"
-    );
-    let largest = split
-        .part_a
-        .len()
-        .max(split.part_b.len())
-        .max(split.separator.len());
-    assert!(
-        largest < 26_400,
-        "largest top-level ND subtree {largest} of {n} unknowns is not a real split"
-    );
-
-    // Default stamp is AmdBtfNd since PR 6; factor the AmdBtf baseline
-    // explicitly for the do-no-harm fill comparison.
-    let opts = SparseLuOptions {
-        ordering: ColumnOrdering::AmdBtf,
-        ..Default::default()
-    };
-    let lu_btf = SparseLu::factor_with(&m, &opts).expect("amd+btf factor");
-    assert!(
-        lu_hybrid.factor_nnz() * 100 <= lu_btf.factor_nnz() * 105,
-        "AmdBtfNd fill {} exceeds 1.05x AmdBtf fill {}",
-        lu_hybrid.factor_nnz(),
-        lu_btf.factor_nnz()
-    );
+fn amd_btf_fill_on_cold_ingest_shapes_is_pinned() {
+    const PINNED: [(&str, usize); 4] = [
+        ("grid16", 20_721),
+        ("bipartite96", 8_518),
+        ("layered8", 9_356),
+        ("rmat256", 28_608),
+    ];
+    let opts = SolveOptions::ideal();
+    let graphs = [
+        generators::grid(16, 16, 100, 1).expect("grid"),
+        generators::bipartite(96, 96, 3, 1).expect("bipartite"),
+        generators::layered(8, 8, 100, 1).expect("layered"),
+        fig10_instance(256, false, 1),
+    ];
+    for ((name, pinned), g) in PINNED.into_iter().zip(graphs) {
+        let sc = builder::build(&g, &opts.params, &opts.build).expect("ideal substrate");
+        let (m, lu) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
+        assert_eq!(
+            lu.symbolic().col_order(),
+            SparseLu::factor_with(
+                &m,
+                &SparseLuOptions {
+                    ordering: ColumnOrdering::AmdBtf,
+                    ..Default::default()
+                }
+            )
+            .expect("amd+btf factor")
+            .symbolic()
+            .col_order(),
+            "{name}: the default ordering is AmdBtf"
+        );
+        assert_eq!(
+            lu.factor_nnz(),
+            pinned,
+            "{name}: AmdBtf fill moved from the pinned count"
+        );
+    }
 }
 
 /// PR 6 numeric-replay check: multi-block refactorization must no longer
@@ -147,13 +143,13 @@ fn nd_ceilings_hold_on_rmat2048() {
 fn multiblock_replay_on_rmat128_has_no_closure_tax() {
     let g = fig10_instance(128, false, 1);
     let sc = bench_substrate(&g);
-    let (m, lu_hybrid) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
+    let (m, lu_blk) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
     assert!(
-        lu_hybrid.symbolic().block_count() > 1,
+        lu_blk.symbolic().block_count() > 1,
         "fixture must decompose for the replay comparison to mean anything"
     );
     assert!(
-        lu_hybrid.symbolic().off_nnz() > 0,
+        lu_blk.symbolic().off_nnz() > 0,
         "fixture must have cross-block entries"
     );
 
@@ -169,7 +165,7 @@ fn multiblock_replay_on_rmat128_has_no_closure_tax() {
     let nrhs = m.cols();
     let b: Vec<f64> = (0..nrhs).map(|i| (i % 13) as f64 - 6.0).collect();
     let (mut work, mut x_blk, mut x_amd) = (Vec::new(), Vec::new(), Vec::new());
-    lu_hybrid
+    lu_blk
         .solve_into(&b, &mut work, &mut x_blk)
         .expect("multi-block solve");
     lu_amd
@@ -183,17 +179,13 @@ fn multiblock_replay_on_rmat128_has_no_closure_tax() {
     }
 
     let mut ws = LuWorkspace::new();
-    let mut lu_hybrid = lu_hybrid;
+    let mut lu_blk = lu_blk;
     let mut lu_amd = lu_amd;
-    let mut replay = |lu: &mut SparseLu| {
-        median_ns(15, || {
-            lu.refactor_with_strategy(&m, &mut ws, RefactorStrategy::Serial)
-                .expect("refactor")
-        })
-    };
-    replay(&mut lu_hybrid); // warm caches + workspace before either timing
+    let mut replay =
+        |lu: &mut SparseLu| median_ns(15, || lu.refactor_with(&m, &mut ws).expect("refactor"));
+    replay(&mut lu_blk); // warm caches + workspace before either timing
     replay(&mut lu_amd);
-    let t_blk = replay(&mut lu_hybrid);
+    let t_blk = replay(&mut lu_blk);
     let t_amd = replay(&mut lu_amd);
     assert!(
         t_blk <= t_amd * 1.15,

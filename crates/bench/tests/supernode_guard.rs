@@ -20,7 +20,7 @@ use std::sync::Mutex;
 
 use ohmflow_bench::{bench_substrate, dimacs_grid_instance, fig10_instance, median_ns};
 use ohmflow_circuit::DcSolver;
-use ohmflow_linalg::{LuWorkspace, RefactorStrategy, SparseLu, SparseLuOptions};
+use ohmflow_linalg::{LuWorkspace, SparseLu, SparseLuOptions};
 
 /// The harness runs both tests as concurrent threads; on a small machine
 /// the structure test's factorizations would pollute the timing loop, so
@@ -52,7 +52,7 @@ fn supernodal_refactor_never_loses_to_scalar_on_rmat1024() {
     let mut lu_sn = lu.clone();
     let t_sn = median_ns(7, || {
         lu_sn
-            .refactor_with_strategy(&m, &mut ws, RefactorStrategy::Serial)
+            .refactor_with(&m, &mut ws)
             .expect("supernodal refactor")
     });
     let scalar_opts = SparseLuOptions {
@@ -62,7 +62,7 @@ fn supernodal_refactor_never_loses_to_scalar_on_rmat1024() {
     let mut lu_scalar = SparseLu::factor_with(&m, &scalar_opts).expect("scalar factor");
     let t_scalar = median_ns(7, || {
         lu_scalar
-            .refactor_with_strategy(&m, &mut ws, RefactorStrategy::Serial)
+            .refactor_with(&m, &mut ws)
             .expect("scalar refactor")
     });
     assert!(

@@ -2,10 +2,7 @@ use std::borrow::{Borrow, BorrowMut};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ohmflow_linalg::{
-    vecops, CscMatrix, LowRankUpdate, LuWorkspace, Precision, RankOneTermRef, RefactorStrategy,
-    SparseLu, SymbolicLu,
-};
+use ohmflow_linalg::{CscMatrix, LowRankUpdate, LuWorkspace, RankOneTermRef, SparseLu, SymbolicLu};
 
 use crate::LuOptions;
 
@@ -256,21 +253,12 @@ pub(crate) fn run_dc(req: &DcRequest<'_>) -> Result<(DcSolution, SolveReport), C
     // result, this is what makes the template and cold paths — which
     // factor *different but electrically equivalent* systems — agree to
     // the conditioning floor instead of the (much looser)
-    // raw-factorization error. An `F64` factor keeps the historical
-    // single unconditional step; an `F32Refined` factor loops — each
-    // step recovers the digits the narrow factor lacks, and the f64
-    // residual drives the error to the same 1e-9 gates — stopping when
-    // the residual is at the noise floor or no longer shrinking.
+    // raw-factorization error.
     let mut refinements = 0usize;
     if let Some((cached_states, lu, m)) = &cache {
         if *cached_states == states {
             let b = mna::stamp_rhs(ckt, &st, &states, t, StampMode::Dc, None, req.pre_step);
-            let max_steps = match lu.symbolic().precision() {
-                Precision::F64 => 1,
-                Precision::F32Refined => 6,
-            };
-            let (mut work, mut r, mut dx) = (Vec::new(), Vec::new(), Vec::new());
-            refinements = mna::refine_f64(lu, m, &b, &mut x, &mut work, &mut r, &mut dx, max_steps);
+            refinements = usize::from(mna::refine_once(lu, m, &b, &mut x));
         }
     }
     let report = SolveReport {
@@ -315,11 +303,9 @@ pub struct SolveReport {
     /// Whether the solve rode a template's shared symbolic plan.
     pub templated: bool,
     /// Iterative-refinement steps applied after the linear solves: 1 for
-    /// the standard `F64` post-solve polish, higher when an
-    /// [`Precision::F32Refined`] factor loops the residual correction to
-    /// reach f64 accuracy, 0 when no refinement ran (cold cache). A jump
-    /// in this count is the observable symptom of a conditioning
-    /// regression under reduced precision.
+    /// the post-solve polish of an operating-point solve, 0 when no
+    /// refinement ran (cold cache); a session counts one per
+    /// Woodbury-corrected solve.
     pub refinements: usize,
     /// Per-phase wall-clock attribution (sessions with
     /// [`DcSolver::phase_timing`] enabled only).
@@ -366,13 +352,12 @@ pub struct SolveReport {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DcSolver {
     lu: LuOptions,
-    refactor: RefactorStrategy,
     phase_timing: bool,
 }
 
 impl DcSolver {
     /// A solver with the default factorization options (AMD + BTF
-    /// ordering, `Auto` refactor scheduling, phase timing off).
+    /// ordering, phase timing off).
     pub fn new() -> Self {
         Self::default()
     }
@@ -384,13 +369,6 @@ impl DcSolver {
     /// never a caller's divergent copy.
     pub fn lu_options(mut self, opts: LuOptions) -> Self {
         self.lu = opts;
-        self
-    }
-
-    /// Overrides how numeric refactorizations schedule their column
-    /// replay (sessions created by this solver inherit it).
-    pub fn refactor_strategy(mut self, strategy: RefactorStrategy) -> Self {
-        self.refactor = strategy;
         self
     }
 
@@ -420,7 +398,6 @@ impl DcSolver {
     /// ordering that produced it).
     pub fn plan_from(&self, tpl: Arc<DcTemplate>) -> DcPlan {
         DcPlan {
-            refactor: self.refactor,
             phase_timing: self.phase_timing,
             tpl,
         }
@@ -494,8 +471,7 @@ impl DcSolver {
         &self,
         ckt: &'c Circuit,
     ) -> Result<FrozenDcSession<&'c Circuit>, CircuitError> {
-        FrozenDcSession::construct(ckt, None, self.lu)
-            .map(|s| s.tuned(self.refactor, self.phase_timing))
+        FrozenDcSession::construct(ckt, None, self.lu).map(|s| s.tuned(self.phase_timing))
     }
 
     /// [`DcSolver::session`] seeded from an existing [`DcTemplate`]
@@ -513,7 +489,7 @@ impl DcSolver {
         tpl: &DcTemplate,
     ) -> Result<FrozenDcSession<&'c Circuit>, CircuitError> {
         FrozenDcSession::construct(ckt, Some(tpl), *tpl.lu_options())
-            .map(|s| s.tuned(self.refactor, self.phase_timing))
+            .map(|s| s.tuned(self.phase_timing))
     }
 
     /// [`DcSolver::session_from`] generalized over circuit ownership:
@@ -532,7 +508,7 @@ impl DcSolver {
         tpl: &DcTemplate,
     ) -> Result<FrozenDcSession<C>, CircuitError> {
         FrozenDcSession::construct(host, Some(tpl), *tpl.lu_options())
-            .map(|s| s.tuned(self.refactor, self.phase_timing))
+            .map(|s| s.tuned(self.phase_timing))
     }
 
     /// Stamps `ckt`'s initial-state DC MNA matrix and factors it under
@@ -561,7 +537,6 @@ impl DcSolver {
 /// or session pays only numeric work against the shared symbolic plan.
 #[derive(Debug, Clone)]
 pub struct DcPlan {
-    refactor: RefactorStrategy,
     phase_timing: bool,
     tpl: Arc<DcTemplate>,
 }
@@ -660,7 +635,7 @@ impl DcPlan {
         ckt: &'c Circuit,
     ) -> Result<FrozenDcSession<&'c Circuit>, CircuitError> {
         FrozenDcSession::construct(ckt, Some(&self.tpl), *self.tpl.lu_options())
-            .map(|s| s.tuned(self.refactor, self.phase_timing))
+            .map(|s| s.tuned(self.phase_timing))
     }
 }
 
@@ -747,7 +722,7 @@ pub struct FrozenDcStats {
 /// Wall-clock nanoseconds a [`FrozenDcSession`] spent per linear-algebra
 /// phase of its solve loop — the attribution that makes a transient
 /// regression diagnosable: a slower `stamp` points at element iteration, a
-/// slower `refactor` at the numeric replay or its scheduling, `solve` at
+/// slower `refactor` at the numeric replay, `solve` at
 /// the triangular solves, `woodbury` at the rank-1 update bookkeeping.
 /// Read through [`FrozenDcSession::phase_times`]; the `engine_profile`
 /// bench bin prints the breakdown.
@@ -858,8 +833,6 @@ pub struct FrozenDcSession<C = Circuit> {
     /// Factorization options for fallback fresh factorizations (rebases
     /// whose pattern moved or whose frozen pivots died).
     lu_opts: LuOptions,
-    /// How rebases schedule their numeric column replay.
-    refactor: RefactorStrategy,
     /// Whether this session started from a template's shared symbolic plan
     /// (surfaced through [`FrozenDcSession::report`]).
     templated: bool,
@@ -938,11 +911,10 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         }
     }
 
-    /// Applies facade-level tuning (refactor scheduling + phase timing) in
-    /// one hop — how [`DcSolver::session`] / [`DcPlan::session`] thread
-    /// their configuration through.
-    pub(crate) fn tuned(mut self, refactor: RefactorStrategy, phase_timing: bool) -> Self {
-        self.refactor = refactor;
+    /// Applies facade-level tuning (phase timing) — how
+    /// [`DcSolver::session`] / [`DcPlan::session`] thread their
+    /// configuration through.
+    pub(crate) fn tuned(mut self, phase_timing: bool) -> Self {
         self.phase_timing = phase_timing;
         self
     }
@@ -990,7 +962,6 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             last_diode_on: Vec::new(),
             poisoned: false,
             lu_opts,
-            refactor: RefactorStrategy::default(),
             templated: false,
             defer_consolidation: false,
             rhs: Vec::with_capacity(n),
@@ -1035,14 +1006,6 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
     /// callers (`engine_profile`, `bench_report`) opt in.
     pub fn with_phase_timing(mut self) -> Self {
         self.phase_timing = true;
-        self
-    }
-
-    /// Overrides how rebases schedule their numeric column replay
-    /// (`Auto` by default). [`DcSolver::refactor_strategy`] threads this
-    /// through the facade.
-    pub fn with_refactor_strategy(mut self, strategy: RefactorStrategy) -> Self {
-        self.refactor = strategy;
         self
     }
 
@@ -1254,12 +1217,8 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             self.phases.solve_ns += t0.elapsed().as_nanos() as u64;
         }
         if self.update.is_empty() {
-            // No Woodbury terms outstanding: an `F64` factor's bare solve
-            // is already at the conditioning floor, but an `F32Refined`
-            // factor needs the f64 residual loop to buy its digits back.
-            if self.lu.symbolic().precision() == Precision::F32Refined {
-                self.refine_base()?;
-            }
+            // No Woodbury terms outstanding: the bare solve is already at
+            // the conditioning floor.
             return Ok(());
         }
         let t0 = self.clock();
@@ -1287,66 +1246,6 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         if let Some(t0) = t0 {
             self.phases.woodbury_ns += t0.elapsed().as_nanos() as u64;
         }
-        if self.lu.symbolic().precision() == Precision::F32Refined {
-            // The single Woodbury-corrected step above assumed an
-            // f64-accurate base solve; under a narrow factor, keep
-            // iterating the same corrected residual cycle.
-            let t0 = self.clock();
-            let bnorm = vecops::norm_inf(&self.rhs);
-            let mut prev = f64::INFINITY;
-            for _ in 0..4 {
-                self.base_csc.mul_vec_into(&self.x, &mut self.resid);
-                self.update.accumulate_matvec(&self.x, &mut self.resid);
-                for (r, b) in self.resid.iter_mut().zip(&self.rhs) {
-                    *r = b - *r;
-                }
-                let rnorm = vecops::norm_inf(&self.resid);
-                if rnorm <= f64::EPSILON * (1.0 + bnorm) || rnorm >= 0.5 * prev {
-                    break;
-                }
-                prev = rnorm;
-                self.lu
-                    .solve_into(&self.resid, &mut self.work, &mut self.dx)?;
-                self.update.correct(&self.lu, &mut self.dx)?;
-                for (x, d) in self.x.iter_mut().zip(&self.dx) {
-                    *x += d;
-                }
-                self.refinements += 1;
-            }
-            if let Some(t0) = t0 {
-                self.phases.solve_ns += t0.elapsed().as_nanos() as u64;
-            }
-        }
-        Ok(())
-    }
-
-    /// The `F32Refined` residual-correction loop against the base factor
-    /// (no Woodbury terms): f64 residuals against the exact stamped
-    /// matrix recover full double accuracy from the narrow factor, with
-    /// the same stopping rule as the operating-point path — noise floor
-    /// or stagnation.
-    fn refine_base(&mut self) -> Result<(), CircuitError> {
-        let t0 = self.clock();
-        let bnorm = vecops::norm_inf(&self.rhs);
-        let mut prev = f64::INFINITY;
-        for _ in 0..5 {
-            self.base_csc.mul_vec_into(&self.x, &mut self.resid);
-            for (r, b) in self.resid.iter_mut().zip(&self.rhs) {
-                *r = b - *r;
-            }
-            let rnorm = vecops::norm_inf(&self.resid);
-            if rnorm <= f64::EPSILON * (1.0 + bnorm) || rnorm >= 0.5 * prev {
-                break;
-            }
-            prev = rnorm;
-            self.lu
-                .solve_into(&self.resid, &mut self.work, &mut self.dx)?;
-            vecops::axpy(1.0, &self.dx, &mut self.x);
-            self.refinements += 1;
-        }
-        if let Some(t0) = t0 {
-            self.phases.solve_ns += t0.elapsed().as_nanos() as u64;
-        }
         Ok(())
     }
 
@@ -1360,15 +1259,8 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         if let Some(t0) = t0 {
             self.phases.stamp_ns += t0.elapsed().as_nanos() as u64;
         }
-        // The session's configured replay strategy (`Auto` by default: on
-        // systems past the parallel threshold it schedules the elimination
-        // levels across rayon workers).
         let t0 = self.clock();
-        if self
-            .lu
-            .refactor_with_strategy(&m, &mut self.lu_ws, self.refactor)
-            .is_ok()
-        {
+        if self.lu.refactor_with(&m, &mut self.lu_ws).is_ok() {
             self.stats.refactorizations += 1;
         } else {
             self.lu = SparseLu::factor_with(&m, &self.lu_opts)?;

@@ -573,46 +573,22 @@ pub(crate) fn max_state_iters(ckt: &Circuit) -> usize {
     200 + 4 * ckt.diode_count()
 }
 
-/// f64 iterative refinement of `x` against the stamped system `m x = b`:
-/// recompute the residual in f64, solve the correction through `lu`, and
-/// apply it, up to `max_steps` times. Stops at the f64 noise floor
-/// (residual at machine epsilon relative to `b`) or when the residual
-/// stops shrinking — the limiting accuracy of refining with f64
-/// residuals, whatever the factor's storage precision. Returns the number
-/// of correction steps applied. A failed correction solve simply stops
-/// the loop: `x` is never worse than the input.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn refine_f64(
-    lu: &SparseLu,
-    m: &CscMatrix,
-    b: &[f64],
-    x: &mut [f64],
-    work: &mut Vec<f64>,
-    r: &mut Vec<f64>,
-    dx: &mut Vec<f64>,
-    max_steps: usize,
-) -> usize {
-    use ohmflow_linalg::vecops;
-    let bnorm = vecops::norm_inf(b);
-    let mut prev = f64::INFINITY;
-    let mut steps = 0;
-    for _ in 0..max_steps {
-        m.mul_vec_into(x, r);
-        for (ri, bi) in r.iter_mut().zip(b) {
-            *ri = bi - *ri;
-        }
-        let rnorm = vecops::norm_inf(r);
-        if steps > 0 && (rnorm <= f64::EPSILON * (1.0 + bnorm) || rnorm >= 0.5 * prev) {
-            break;
-        }
-        prev = rnorm;
-        if lu.solve_into(r, work, dx).is_err() {
-            break;
-        }
-        vecops::axpy(1.0, dx, x);
-        steps += 1;
+/// One step of iterative refinement of `x` against the stamped system
+/// `m x = b`: recompute the residual, solve the correction through `lu` and
+/// apply it. Returns whether the correction was applied; a failed
+/// correction solve leaves `x` untouched.
+pub(crate) fn refine_once(lu: &SparseLu, m: &CscMatrix, b: &[f64], x: &mut [f64]) -> bool {
+    let mut r = Vec::new();
+    m.mul_vec_into(x, &mut r);
+    for (ri, bi) in r.iter_mut().zip(b) {
+        *ri = bi - *ri;
     }
-    steps
+    let (mut work, mut dx) = (Vec::new(), Vec::new());
+    if lu.solve_into(&r, &mut work, &mut dx).is_err() {
+        return false;
+    }
+    ohmflow_linalg::vecops::axpy(1.0, &dx, x);
+    true
 }
 
 /// Solves the PWL system at one instant: iterate (factor, solve, restate)
@@ -644,10 +620,6 @@ pub(crate) fn solve_pwl(
     let mut b = Vec::new();
     let mut work = Vec::new();
     let mut lu_ws = ohmflow_linalg::LuWorkspace::new();
-    // Residual/correction scratch for the narrow-factor refinement below
-    // (left empty — never touched — under `Precision::F64`).
-    let mut resid = Vec::new();
-    let mut dx = Vec::new();
     for iter in 0..max_iters {
         // Escalate the switching band late in the iteration: flips that
         // only fight over nanovolt boundaries are physically meaningless.
@@ -675,19 +647,11 @@ pub(crate) fn solve_pwl(
             };
             *factor_cache = Some((states.clone(), lu, m));
         }
-        let (_, lu, m) = factor_cache
+        let (_, lu, _) = factor_cache
             .as_ref()
             .expect("invariant: factor cache is populated before reuse");
         stamp_rhs_into(&mut b, ckt, st, states, time, mode, history, dc_pre_step);
         lu.solve_into(&b, &mut work, &mut x)?;
-        if lu.symbolic().precision() == ohmflow_linalg::Precision::F32Refined {
-            // The device-state decisions below compare voltages against
-            // switching thresholds; a bare narrow-factor solve leaves
-            // ~1e-7 relative error in them, enough to flip a marginal
-            // device differently than the f64 path and converge to a
-            // different (or no) fixed point. Refine to f64 quality first.
-            refine_f64(lu, m, &b, &mut x, &mut work, &mut resid, &mut dx, 4);
-        }
         let (new_states, changes) = next_states_banded(ckt, st, states, &x, band);
         if changes == 0 {
             return Ok((x, iter + 1));

@@ -119,11 +119,6 @@ pub struct BuildOptions {
     /// template key, so caches never mix symbolic plans built under
     /// different orderings. Defaults to AMD + block-triangular form.
     pub lu_ordering: ohmflow_circuit::ColumnOrdering,
-    /// Numeric precision of those factorizations' stored values. Folded
-    /// into the topology template key alongside the ordering, so a cached
-    /// f32 plan is never handed to an f64 solve (or vice versa). Defaults
-    /// to full [`ohmflow_circuit::Precision::F64`].
-    pub lu_precision: ohmflow_circuit::Precision,
 }
 
 impl BuildOptions {
@@ -138,7 +133,6 @@ impl BuildOptions {
             nic_margin: Some(0.0),
             constraint_leak: 0.0,
             lu_ordering: ohmflow_circuit::ColumnOrdering::default(),
-            lu_precision: ohmflow_circuit::Precision::default(),
         }
     }
 
@@ -156,7 +150,6 @@ impl BuildOptions {
             nic_margin: Some(0.0),
             constraint_leak: 0.0,
             lu_ordering: ohmflow_circuit::ColumnOrdering::default(),
-            lu_precision: ohmflow_circuit::Precision::default(),
         }
     }
 
@@ -165,7 +158,6 @@ impl BuildOptions {
     pub fn lu_options(&self) -> ohmflow_circuit::LuOptions {
         ohmflow_circuit::LuOptions {
             ordering: self.lu_ordering,
-            precision: self.lu_precision,
             ..Default::default()
         }
     }

@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use ohmflow_circuit::{
     Circuit, ColumnOrdering, DcTemplate, ElementId, FrozenDcPhases, FrozenDcSession, FrozenDcStats,
-    LuOptions, NodeId, RefactorStrategy, SolveReport,
+    LuOptions, NodeId, SolveReport,
 };
 use ohmflow_graph::FlowNetwork;
 use rayon::prelude::*;
@@ -54,8 +54,7 @@ use super::{
 
 /// The one consolidated configuration of the staged solver, absorbing what
 /// used to be spread over `AnalogConfig`, `BuildOptions::lu_ordering`,
-/// `LuOptions`, `RelaxationEngine`, `RefactorStrategy` and the session
-/// phase-timing toggle.
+/// `LuOptions`, `RelaxationEngine` and the session phase-timing toggle.
 ///
 /// **Option precedence:** [`SolveOptions::lu`] is the single source of
 /// truth for factorization options. On [`MaxFlowSolver::new`] the options
@@ -78,8 +77,6 @@ pub struct SolveOptions {
     /// Factorization options (column ordering, pivoting thresholds) for
     /// every LU in the stack — plans, sessions, cold fallbacks.
     pub lu: LuOptions,
-    /// How numeric refactorizations schedule their column replay.
-    pub refactor: RefactorStrategy,
     /// Per-phase wall-clock attribution on sessions (off by default:
     /// clock reads tax small systems).
     pub phase_timing: bool,
@@ -109,8 +106,8 @@ impl SolveOptions {
     }
 
     /// Lifts a legacy [`AnalogConfig`] into the consolidated options
-    /// (factorization options derived from the build's ordering, default
-    /// refactor scheduling, phase timing off).
+    /// (factorization options derived from the build's ordering, phase
+    /// timing off).
     pub fn from_config(config: AnalogConfig) -> Self {
         SolveOptions {
             lu: config.build.lu_options(),
@@ -119,7 +116,6 @@ impl SolveOptions {
             mode: config.mode,
             settle_fraction: config.settle_fraction,
             engine: config.engine,
-            refactor: RefactorStrategy::default(),
             phase_timing: false,
             plan_cache_bytes: DEFAULT_CAPACITY_BYTES,
         }
@@ -132,16 +128,6 @@ impl SolveOptions {
         self
     }
 
-    /// Sets the numeric precision of the stored factor values (through
-    /// [`SolveOptions::lu`], the single source of truth).
-    /// [`Precision::F32Refined`](ohmflow_circuit::Precision) halves the
-    /// factor's memory traffic and relies on the DC layer's f64
-    /// iterative refinement to recover full accuracy.
-    pub fn with_precision(mut self, precision: ohmflow_circuit::Precision) -> Self {
-        self.lu.precision = precision;
-        self
-    }
-
     /// Sets the simulation mode.
     pub fn with_mode(mut self, mode: SolveMode) -> Self {
         self.mode = mode;
@@ -151,12 +137,6 @@ impl SolveOptions {
     /// Sets the relaxation-transient backend.
     pub fn with_engine(mut self, engine: RelaxationEngine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Sets the numeric-refactorization scheduling.
-    pub fn with_refactor_strategy(mut self, strategy: RefactorStrategy) -> Self {
-        self.refactor = strategy;
         self
     }
 
@@ -176,14 +156,11 @@ impl SolveOptions {
     }
 
     /// The options with the precedence rule applied: `build.lu_ordering`
-    /// and `build.lu_precision` are overwritten with `lu.ordering` /
-    /// `lu.precision`, so the build/template layer can never disagree
-    /// with the factorization layer about the ordering or the stored
-    /// scalar.
+    /// is overwritten with `lu.ordering`, so the build/template layer can
+    /// never disagree with the factorization layer about the ordering.
     pub fn normalized(&self) -> Self {
         let mut n = self.clone();
         n.build.lu_ordering = n.lu.ordering;
-        n.build.lu_precision = n.lu.precision;
         n
     }
 
@@ -201,7 +178,6 @@ impl SolveOptions {
             },
             SolverTuning {
                 lu: Some(self.lu),
-                refactor: self.refactor,
                 phase_timing: self.phase_timing,
                 plan_cache_bytes: Some(self.plan_cache_bytes),
             },
@@ -394,7 +370,7 @@ impl MaxFlowSolver {
         // The full-MNA ablation has no templated path at all.
         let full_mna = matches!(engine.config().mode, SolveMode::TransientFullMna { .. });
         let build_opts = engine.effective_build_options();
-        let (ordering, precision) = (build_opts.lu_ordering, build_opts.lu_precision);
+        let ordering = build_opts.lu_ordering;
 
         // Graph grouping: fingerprint every graph member in one streaming
         // pass each (no intermediate edge Vec), count topologies, then
@@ -409,9 +385,7 @@ impl MaxFlowSolver {
         let fps: Vec<Option<u64>> = problems
             .iter()
             .map(|p| match p {
-                Problem::Graph(g) if !full_mna => {
-                    Some(TemplateKey::fingerprint(g, ordering, precision))
-                }
+                Problem::Graph(g) if !full_mna => Some(TemplateKey::fingerprint(g, ordering)),
                 _ => None,
             })
             .collect();

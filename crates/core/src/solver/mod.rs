@@ -20,8 +20,8 @@ use std::sync::Arc;
 
 use ohmflow_circuit::{
     solve_frozen_dc, Circuit, CircuitError, DcSolver, DcTemplate, ElementId, FrozenDcCache,
-    FrozenDcSession, LuOptions, NodeId, RefactorStrategy, SolveReport, TransientAnalysis,
-    TransientOptions, Waveform, WaveformSet,
+    FrozenDcSession, LuOptions, NodeId, SolveReport, TransientAnalysis, TransientOptions, Waveform,
+    WaveformSet,
 };
 use ohmflow_graph::FlowNetwork;
 
@@ -193,9 +193,6 @@ pub(crate) struct SolverTuning {
     /// sets `Some` so [`facade::SolveOptions::lu`] is the single source of
     /// truth.
     pub lu: Option<LuOptions>,
-    /// Numeric-refactorization scheduling for every session the engine
-    /// creates.
-    pub refactor: RefactorStrategy,
     /// Per-phase wall-clock attribution on engine-created sessions.
     pub phase_timing: bool,
     /// Plan-cache byte capacity (`None` = [`DEFAULT_CAPACITY_BYTES`]).
@@ -299,11 +296,10 @@ impl AnalogMaxFlow {
     }
 
     /// The circuit-level staged solver configured exactly as this engine:
-    /// same factorization options, refactor scheduling and phase timing.
+    /// same factorization options and phase timing.
     fn dc_solver(&self) -> DcSolver {
         DcSolver::new()
             .lu_options(self.effective_lu_options())
-            .refactor_strategy(self.tuning.refactor)
             .phase_timing(self.tuning.phase_timing)
     }
 
@@ -348,24 +344,23 @@ impl AnalogMaxFlow {
         g: &FlowNetwork,
     ) -> Result<(Arc<SubstrateTemplate>, bool), AnalogError> {
         let build_opts = self.effective_build_options();
-        let (ordering, precision) = (build_opts.lu_ordering, build_opts.lu_precision);
+        let ordering = build_opts.lu_ordering;
         // The hot path: one streaming fingerprint pass over the graph, one
         // sharded probe verified against the full stored key. Cold paths
         // run single-flight outside the shard lock; the full effective
         // factorization options (pivoting thresholds included) flow into
         // the template so the plan path can never factor under different
         // options than the cold path.
-        let fingerprint = TemplateKey::fingerprint(g, ordering, precision);
-        self.cache
-            .get_or_build(fingerprint, g, ordering, precision, || {
-                SubstrateTemplate::with_lu_options(
-                    g,
-                    &self.config.params,
-                    &build_opts,
-                    self.effective_lu_options(),
-                )
-                .map(Arc::new)
-            })
+        let fingerprint = TemplateKey::fingerprint(g, ordering);
+        self.cache.get_or_build(fingerprint, g, ordering, || {
+            SubstrateTemplate::with_lu_options(
+                g,
+                &self.config.params,
+                &build_opts,
+                self.effective_lu_options(),
+            )
+            .map(Arc::new)
+        })
     }
 
     /// Aggregate plan-cache counters (hits/misses/evictions + residency) —
@@ -431,9 +426,9 @@ impl AnalogMaxFlow {
     /// probe: never builds, never waits on an in-flight cold path.
     pub(crate) fn cached_template_for(&self, g: &FlowNetwork) -> Option<Arc<SubstrateTemplate>> {
         let build_opts = self.effective_build_options();
-        let (ordering, precision) = (build_opts.lu_ordering, build_opts.lu_precision);
-        let fingerprint = TemplateKey::fingerprint(g, ordering, precision);
-        self.cache.peek(fingerprint, g, ordering, precision)
+        let ordering = build_opts.lu_ordering;
+        let fingerprint = TemplateKey::fingerprint(g, ordering);
+        self.cache.peek(fingerprint, g, ordering)
     }
 
     /// Simulates one template instantiation in the configured mode — the
@@ -577,7 +572,7 @@ impl AnalogMaxFlow {
                 // paying only a numeric-only refactorization instead of
                 // structure + ordering + symbolic analysis. The staged
                 // circuit facade threads the configured factorization
-                // options, refactor scheduling and phase timing through.
+                // options and phase timing through.
                 let dcs = self.dc_solver();
                 let session = match shared.or(sc.dc_template().map(|t| &**t)) {
                     Some(tpl) => dcs.session_from(sc.circuit(), tpl),

@@ -234,7 +234,7 @@ impl PlanCache {
         &self.shards[(fingerprint >> 60) as usize & (SHARD_COUNT - 1)]
     }
 
-    /// The plan for `g` under the given factorization identity, plus
+    /// The plan for `g` under the given column ordering, plus
     /// whether it was served from the cache. `build` runs the symbolic
     /// cold path at most once per topology across all concurrent callers
     /// (single flight); its failure is returned to the caller that ran it
@@ -244,7 +244,6 @@ impl PlanCache {
         fingerprint: u64,
         g: &FlowNetwork,
         ordering: ohmflow_circuit::ColumnOrdering,
-        precision: ohmflow_circuit::Precision,
         build: impl FnOnce() -> Result<Arc<SubstrateTemplate>, AnalogError>,
     ) -> Result<(Arc<SubstrateTemplate>, bool), AnalogError> {
         let probe = {
@@ -255,16 +254,17 @@ impl PlanCache {
             shard.tick += 1;
             let tick = shard.tick;
             let bucket = shard.buckets.entry(fingerprint).or_default();
-            let found = bucket
-                .iter_mut()
-                .find(|e| e.key.verifies(g, ordering, precision))
-                .map(|e| match &mut e.slot {
-                    Slot::Ready { tpl, last_used, .. } => {
-                        *last_used = tick;
-                        Probe::Hit(Arc::clone(tpl))
-                    }
-                    Slot::Building(gate) => Probe::Wait(Arc::clone(gate)),
-                });
+            let found =
+                bucket
+                    .iter_mut()
+                    .find(|e| e.key.verifies(g, ordering))
+                    .map(|e| match &mut e.slot {
+                        Slot::Ready { tpl, last_used, .. } => {
+                            *last_used = tick;
+                            Probe::Hit(Arc::clone(tpl))
+                        }
+                        Slot::Building(gate) => Probe::Wait(Arc::clone(gate)),
+                    });
             match found {
                 Some(p) => p,
                 None => {
@@ -273,7 +273,7 @@ impl PlanCache {
                     // can verify against it.
                     let gate = Arc::new(Gate::new());
                     bucket.push(Entry {
-                        key: TemplateKey::with_lu(g, ordering, precision),
+                        key: TemplateKey::with_ordering(g, ordering),
                         slot: Slot::Building(Arc::clone(&gate)),
                     });
                     Probe::Build(gate)
@@ -358,7 +358,6 @@ impl PlanCache {
         fingerprint: u64,
         g: &FlowNetwork,
         ordering: ohmflow_circuit::ColumnOrdering,
-        precision: ohmflow_circuit::Precision,
     ) -> Option<Arc<SubstrateTemplate>> {
         let mut shard = self
             .shard(fingerprint)
@@ -369,7 +368,7 @@ impl PlanCache {
         let hit = shard.buckets.get_mut(&fingerprint).and_then(|bucket| {
             bucket
                 .iter_mut()
-                .find(|e| e.key.verifies(g, ordering, precision))
+                .find(|e| e.key.verifies(g, ordering))
                 .and_then(|e| match &mut e.slot {
                     Slot::Ready { tpl, last_used, .. } => {
                         *last_used = tick;
@@ -470,7 +469,7 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
-    use ohmflow_circuit::{ColumnOrdering, Precision};
+    use ohmflow_circuit::ColumnOrdering;
     use ohmflow_graph::generators;
 
     use super::*;
@@ -489,10 +488,6 @@ mod tests {
         generators::path(&caps).expect("path graph")
     }
 
-    fn lu_identity() -> (ColumnOrdering, Precision) {
-        (ColumnOrdering::default(), Precision::default())
-    }
-
     fn build_template(g: &FlowNetwork) -> Result<Arc<SubstrateTemplate>, AnalogError> {
         let (params, opts) = params_and_opts();
         SubstrateTemplate::with_lu_options(g, &params, &opts, opts.lu_options()).map(Arc::new)
@@ -502,9 +497,9 @@ mod tests {
         cache: &PlanCache,
         g: &FlowNetwork,
     ) -> Result<(Arc<SubstrateTemplate>, bool), AnalogError> {
-        let (ordering, precision) = lu_identity();
-        let fp = TemplateKey::fingerprint(g, ordering, precision);
-        cache.get_or_build(fp, g, ordering, precision, || build_template(g))
+        let ordering = ColumnOrdering::default();
+        let fp = TemplateKey::fingerprint(g, ordering);
+        cache.get_or_build(fp, g, ordering, || build_template(g))
     }
 
     /// Mutation-kill: desync a shard's resident-byte counter and assert
@@ -516,8 +511,8 @@ mod tests {
         lookup(&cache, &g).expect("plan");
         cache.audit().expect("pristine cache audits clean");
 
-        let (ordering, precision) = lu_identity();
-        let fp = TemplateKey::fingerprint(&g, ordering, precision);
+        let ordering = ColumnOrdering::default();
+        let fp = TemplateKey::fingerprint(&g, ordering);
         cache.shard(fp).lock().expect("shard").bytes += 1;
         let err = cache.audit().expect_err("desync must be caught");
         assert_eq!(err.invariant, "byte-accounting");
@@ -532,8 +527,8 @@ mod tests {
         let g = path_graph(6);
         lookup(&cache, &g).expect("plan");
 
-        let (ordering, precision) = lu_identity();
-        let fp = TemplateKey::fingerprint(&g, ordering, precision);
+        let ordering = ColumnOrdering::default();
+        let fp = TemplateKey::fingerprint(&g, ordering);
         let home = (fp >> 60) as usize & (SHARD_COUNT - 1);
         let wrong = (home + 1) % SHARD_COUNT;
         let (bucket, bytes) = {
@@ -560,8 +555,8 @@ mod tests {
         let g = Arc::new(path_graph(7));
         let builds = Arc::new(AtomicUsize::new(0));
         let barrier = Arc::new(Barrier::new(THREADS));
-        let (ordering, precision) = lu_identity();
-        let fp = TemplateKey::fingerprint(&g, ordering, precision);
+        let ordering = ColumnOrdering::default();
+        let fp = TemplateKey::fingerprint(&g, ordering);
 
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {
@@ -574,7 +569,7 @@ mod tests {
                 std::thread::spawn(move || {
                     barrier.wait();
                     cache
-                        .get_or_build(fp, &g, ordering, precision, || {
+                        .get_or_build(fp, &g, ordering, || {
                             builds.fetch_add(1, Ordering::SeqCst);
                             // Widen the race window so every other thread
                             // reaches the gate while the build is in flight.
@@ -712,9 +707,9 @@ mod tests {
     fn failed_build_leaves_no_residue() {
         let cache = PlanCache::new(DEFAULT_CAPACITY_BYTES);
         let g = path_graph(5);
-        let (ordering, precision) = lu_identity();
-        let fp = TemplateKey::fingerprint(&g, ordering, precision);
-        let err = cache.get_or_build(fp, &g, ordering, precision, || {
+        let ordering = ColumnOrdering::default();
+        let fp = TemplateKey::fingerprint(&g, ordering);
+        let err = cache.get_or_build(fp, &g, ordering, || {
             Err(AnalogError::InvalidConfig {
                 what: "synthetic build failure".to_owned(),
             })

@@ -92,7 +92,7 @@ impl StreamHasher {
     }
 }
 
-/// `Hasher` so `#[derive(Hash)]` types (orderings, precisions) can fold
+/// `Hasher` so `#[derive(Hash)]` types (orderings) can fold
 /// themselves into a fingerprint; the hot per-edge loop calls
 /// [`StreamHasher::mix`] directly and never routes through this trait.
 impl std::hash::Hasher for StreamHasher {
@@ -159,11 +159,6 @@ pub struct TemplateKey {
     /// under the ordering that produced it, so caches must never hand a
     /// min-degree-era template to an AMD+BTF solve (or vice versa).
     ordering: ohmflow_circuit::ColumnOrdering,
-    /// The numeric precision of the template's stored factor values. Part
-    /// of the identity for the same reason: an f32 value-array plan primed
-    /// into an f64 solve (or vice versa) would silently change every
-    /// cached refactorization's accuracy.
-    precision: ohmflow_circuit::Precision,
 }
 
 impl TemplateKey {
@@ -173,50 +168,31 @@ impl TemplateKey {
     }
 
     /// The key of `g` under an explicit column ordering (what
-    /// [`BuildOptions::lu_ordering`](crate::builder::BuildOptions) selects)
-    /// and the default (f64) precision.
+    /// [`BuildOptions::lu_ordering`](crate::builder::BuildOptions) selects).
     pub fn with_ordering(g: &FlowNetwork, ordering: ohmflow_circuit::ColumnOrdering) -> Self {
-        Self::with_lu(g, ordering, ohmflow_circuit::Precision::default())
-    }
-
-    /// The key of `g` under an explicit column ordering and numeric
-    /// precision (what
-    /// [`BuildOptions::lu_ordering`](crate::builder::BuildOptions) and
-    /// [`BuildOptions::lu_precision`](crate::builder::BuildOptions)
-    /// select).
-    pub fn with_lu(
-        g: &FlowNetwork,
-        ordering: ohmflow_circuit::ColumnOrdering,
-        precision: ohmflow_circuit::Precision,
-    ) -> Self {
         let edges: Vec<u64> = g.edges().iter().map(pack_edge).collect();
         TemplateKey {
-            hash: Self::fingerprint(g, ordering, precision),
+            hash: Self::fingerprint(g, ordering),
             vertices: g.vertex_count(),
             source: g.source(),
             sink: g.sink(),
             edges,
             ordering,
-            precision,
         }
     }
 
-    /// The topology fingerprint of `g` under the given factorization
-    /// identity, computed in **one streaming pass** over the graph: no
+    /// The topology fingerprint of `g` under the given column ordering,
+    /// computed in **one streaming pass** over the graph: no
     /// intermediate edge `Vec`, no per-edge `Hash` dispatch — one
     /// multiply–rotate mix per edge (see `StreamHasher`). Equal to the
-    /// cached hash of [`TemplateKey::with_lu`] on the same inputs by
+    /// cached hash of [`TemplateKey::with_ordering`] on the same inputs by
     /// construction, so a cache can probe on the fingerprint alone and
     /// fall back to the full key only on a match.
     ///
     /// Collisions between *different* topologies are possible (64-bit
     /// hash) and harmless: every consumer verifies a fingerprint match
     /// against the stored [`TemplateKey`] before serving a plan.
-    pub fn fingerprint(
-        g: &FlowNetwork,
-        ordering: ohmflow_circuit::ColumnOrdering,
-        precision: ohmflow_circuit::Precision,
-    ) -> u64 {
+    pub fn fingerprint(g: &FlowNetwork, ordering: ohmflow_circuit::ColumnOrdering) -> u64 {
         use std::hash::Hash as _;
         let mut h = StreamHasher::new();
         h.mix(g.vertex_count() as u64);
@@ -247,7 +223,6 @@ impl TemplateKey {
             h.mix(lane);
         }
         ordering.hash(&mut h);
-        precision.hash(&mut h);
         h.finish()
     }
 
@@ -303,16 +278,11 @@ impl TemplateKey {
     }
 
     /// Full verification of a fingerprint match: the key serves `g` under
-    /// exactly this factorization identity (ordering + precision) and
-    /// topology. Rules out both fingerprint collisions between topologies
-    /// and collisions between factorization identities of one topology.
-    pub fn verifies(
-        &self,
-        g: &FlowNetwork,
-        ordering: ohmflow_circuit::ColumnOrdering,
-        precision: ohmflow_circuit::Precision,
-    ) -> bool {
-        self.ordering == ordering && self.precision == precision && self.matches_graph(g)
+    /// exactly this column ordering and topology. Rules out both
+    /// fingerprint collisions between topologies and collisions between
+    /// orderings of one topology.
+    pub fn verifies(&self, g: &FlowNetwork, ordering: ohmflow_circuit::ColumnOrdering) -> bool {
+        self.ordering == ordering && self.matches_graph(g)
     }
 }
 
@@ -417,12 +387,11 @@ impl SubstrateTemplate {
     ) -> Result<Self, AnalogError> {
         let mut opts = *opts;
         opts.lu_ordering = lu.ordering;
-        opts.lu_precision = lu.precision;
         let (skeleton, level_sources) = build_with_layout(g, params, &opts, LevelLayout::PerEdge)?;
         let dc =
             Arc::new(DcTemplate::with_options(skeleton.circuit(), lu).map_err(AnalogError::from)?);
         Ok(SubstrateTemplate {
-            key: TemplateKey::with_lu(g, lu.ordering, lu.precision),
+            key: TemplateKey::with_ordering(g, lu.ordering),
             params: params.clone(),
             opts,
             skeleton,
@@ -478,8 +447,8 @@ impl SubstrateTemplate {
         g: &FlowNetwork,
         mapping: CapacityMapping,
     ) -> Result<SubstrateCircuit, AnalogError> {
-        // Allocation-free topology verification (the key's ordering and
-        // precision already equal the template's own build options by
+        // Allocation-free topology verification (the key's ordering
+        // already equals the template's own build options by
         // construction, so only the graph shape needs checking).
         if !self.key.matches_graph(g) {
             return Err(AnalogError::InvalidConfig {
@@ -603,7 +572,7 @@ mod tests {
 
     #[test]
     fn fingerprint_agrees_with_key_hash() {
-        use ohmflow_circuit::{ColumnOrdering, Precision};
+        use ohmflow_circuit::ColumnOrdering;
         // The streaming one-pass fingerprint must equal the cached hash of
         // the full key on the same inputs — the property that lets the
         // plan cache probe on the fingerprint alone.
@@ -613,32 +582,29 @@ mod tests {
             generators::layered(3, 2, 5, 1).unwrap(),
         ] {
             for ordering in [ColumnOrdering::default(), ColumnOrdering::Amd] {
-                for precision in [Precision::F64, Precision::F32Refined] {
-                    let key = TemplateKey::with_lu(&g, ordering, precision);
-                    assert_eq!(
-                        key.fingerprint_value(),
-                        TemplateKey::fingerprint(&g, ordering, precision)
-                    );
-                }
+                let key = TemplateKey::with_ordering(&g, ordering);
+                assert_eq!(
+                    key.fingerprint_value(),
+                    TemplateKey::fingerprint(&g, ordering)
+                );
             }
         }
     }
 
     #[test]
     fn key_verification_discriminates_topology_and_lu_identity() {
-        use ohmflow_circuit::{ColumnOrdering, Precision};
+        use ohmflow_circuit::ColumnOrdering;
         let g = generators::fig5a();
         let key = TemplateKey::of(&g);
-        let (ordering, precision) = (ColumnOrdering::default(), Precision::default());
-        assert!(key.verifies(&g, ordering, precision));
+        let ordering = ColumnOrdering::default();
+        assert!(key.verifies(&g, ordering));
         // Capacities are free; topology is not.
         assert!(key.matches_graph(&g.scaled_capacities(3).unwrap()));
         assert!(!key.matches_graph(&generators::path(&[5, 2, 9]).unwrap()));
         // Same topology under a different factorization identity must not
         // verify (a fingerprint collision across orderings would
         // otherwise serve a foreign symbolic plan).
-        assert!(!key.verifies(&g, ColumnOrdering::MinDegree, precision));
-        assert!(!key.verifies(&g, ordering, Precision::F32Refined));
+        assert!(!key.verifies(&g, ColumnOrdering::MinDegree));
         // One edge reversed: same counts, different identity.
         let mut rev = ohmflow_graph::FlowNetwork::new(5, 0, 4).unwrap();
         for (i, e) in g.edges().iter().enumerate() {

@@ -3,61 +3,6 @@ use std::ops::{Index, IndexMut};
 
 use crate::LinalgError;
 
-/// Numeric scalar of an LU factorization's value arrays: `f64` (the
-/// default) or `f32` (the mixed-precision storage behind
-/// [`Precision::F32Refined`](crate::Precision)).
-///
-/// The symbolic plan, all index structures and every public solve
-/// interface stay `f64`/`usize`; only the stored factor values and the
-/// refactorization arithmetic are generic. Conversions are explicit so the
-/// `f64` instantiation compiles to the identity and the hot kernels keep
-/// their exact historical arithmetic.
-pub trait LuScalar:
-    Copy
-    + PartialEq
-    + Send
-    + Sync
-    + std::fmt::Debug
-    + std::ops::Add<Output = Self>
-    + std::ops::Sub<Output = Self>
-    + std::ops::Mul<Output = Self>
-    + std::ops::Div<Output = Self>
-    + std::ops::AddAssign
-    + std::ops::SubAssign
-    + 'static
-{
-    /// The additive identity.
-    const ZERO: Self;
-    /// Rounds an `f64` into this scalar (identity for `f64`).
-    fn from_f64(v: f64) -> Self;
-    /// Widens this scalar to `f64` (identity for `f64`).
-    fn to_f64(self) -> f64;
-}
-
-impl LuScalar for f64 {
-    const ZERO: Self = 0.0;
-    #[inline(always)]
-    fn from_f64(v: f64) -> Self {
-        v
-    }
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        self
-    }
-}
-
-impl LuScalar for f32 {
-    const ZERO: Self = 0.0;
-    #[inline(always)]
-    fn from_f64(v: f64) -> Self {
-        v as f32
-    }
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
-}
-
 /// Width of the unrolled accumulator lanes of the dense micro-kernels:
 /// four independent partial sums per stream, which is what LLVM needs to
 /// autovectorize a reduction (a single serial accumulator carries a
@@ -69,9 +14,9 @@ const LANES: usize = 4;
 /// `LANES`-wide chunks with independent accumulators; the remainder is
 /// folded in serially.
 #[inline]
-pub(crate) fn dot_lanes<S: LuScalar>(a: &[S], b: &[S]) -> S {
+pub(crate) fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    let mut acc = [S::ZERO; LANES];
+    let mut acc = [0.0f64; LANES];
     let mut ca = a.chunks_exact(LANES);
     let mut cb = b.chunks_exact(LANES);
     for (xa, xb) in (&mut ca).zip(&mut cb) {
@@ -96,13 +41,13 @@ pub(crate) fn dot_lanes<S: LuScalar>(a: &[S], b: &[S]) -> S {
 /// processed in pairs so each `coef` load feeds two accumulator sets; the
 /// inner loops are fixed-`LANES` chunks that autovectorize.
 #[inline]
-pub(crate) fn panel_rank_update<S: LuScalar>(
-    panel: &[S],
+pub(crate) fn panel_rank_update(
+    panel: &[f64],
     w: usize,
     t0: usize,
     rows: &[usize],
-    coef: &[S],
-    x: &mut [S],
+    coef: &[f64],
+    x: &mut [f64],
 ) {
     let c = &coef[t0..w];
     let span = w - t0;
@@ -110,8 +55,8 @@ pub(crate) fn panel_rank_update<S: LuScalar>(
     while i + 1 < rows.len() {
         let p0 = &panel[i * w + t0..i * w + t0 + span];
         let p1 = &panel[(i + 1) * w + t0..(i + 1) * w + t0 + span];
-        let mut a0 = [S::ZERO; LANES];
-        let mut a1 = [S::ZERO; LANES];
+        let mut a0 = [0.0f64; LANES];
+        let mut a1 = [0.0f64; LANES];
         let mut c0 = p0.chunks_exact(LANES);
         let mut c1 = p1.chunks_exact(LANES);
         let mut cc = c.chunks_exact(LANES);
@@ -147,37 +92,16 @@ pub(crate) fn panel_rank_update<S: LuScalar>(
 /// by source step (`diag[t*w + i] = L[pivot_row(k0+i), k0+t]`, explicit
 /// zeros where the pattern is absent).
 #[inline]
-pub(crate) fn trsv_unit_lower<S: LuScalar>(diag: &[S], w: usize, t0: usize, c: &mut [S]) {
+pub(crate) fn trsv_unit_lower(diag: &[f64], w: usize, t0: usize, c: &mut [f64]) {
     for t in t0..w {
         let ct = c[t];
-        if ct != S::ZERO {
+        if ct != 0.0 {
             let col = &diag[t * w..t * w + w];
             for t2 in t + 1..w {
                 c[t2] -= ct * col[t2];
             }
         }
     }
-}
-
-/// `f64`-accumulating dot product over a stored-`S` panel row — the solve
-/// phase's inner loop: substitution arithmetic stays `f64` (accuracy costs
-/// nothing there) while streaming the narrower stored values.
-#[inline]
-pub(crate) fn dot_lanes_f64<S: LuScalar>(a: &[S], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f64; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for l in 0..LANES {
-            acc[l] += xa[l].to_f64() * xb[l];
-        }
-    }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        s += x.to_f64() * *y;
-    }
-    s
 }
 
 /// A dense, row-major, `f64` matrix.

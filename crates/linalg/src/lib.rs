@@ -12,25 +12,20 @@
 //!   compressed storage,
 //! * [`SparseLu`], a left-looking Gilbert–Peierls LU with partial pivoting,
 //!   ordered by default through a block-triangular permutation (maximum
-//!   transversal + Tarjan SCC, [`block_triangular_form`]) with a hybrid
-//!   per-block ordering — nested dissection
-//!   ([`nested_dissection_ordering`]) on large diagonal blocks, a true
-//!   quotient-graph approximate minimum degree ([`amd_ordering`]) on small
-//!   ones ([`amd_btf_nd_ordering`]). Each diagonal block factors
+//!   transversal + Tarjan SCC, [`block_triangular_form`]) with a true
+//!   quotient-graph approximate minimum degree ([`amd_ordering`]) on every
+//!   diagonal block ([`amd_btf_ordering`]). Each diagonal block factors
 //!   independently, KLU-style: cross-block entries are kept as raw matrix
 //!   values applied during substitution rather than folded into `U`.
-//!   Alongside sits a KLU-style numeric-only
-//!   [`SparseLu::refactor`] path reusing the ordering, symbolic
-//!   pattern and pivot sequence for value-only matrix changes. The
-//!   factorization is split into an immutable, `Arc`-shared [`SymbolicLu`]
-//!   elimination plan and per-thread numeric values ([`NumericLu`]), so
-//!   same-topology batch members factor concurrently against one symbolic
-//!   analysis ([`SymbolicLu::numeric`]). The symbolic plan carries the
-//!   elimination tree and its level schedule, so a single numeric
-//!   refactorization can also run *internally* parallel
-//!   ([`RefactorStrategy`]), and [`SparseLu::solve_sparse_into`] performs
-//!   Gilbert–Peierls reach-based triangular solves that touch only the
-//!   factor columns a sparse right-hand side can influence,
+//!   Alongside sits a KLU-style numeric-only [`SparseLu::refactor`] path
+//!   reusing the ordering, symbolic pattern and pivot sequence for
+//!   value-only matrix changes. The factorization is split into an
+//!   immutable, `Arc`-shared [`SymbolicLu`] elimination plan and per-thread
+//!   numeric values ([`NumericLu`]), so same-topology batch members factor
+//!   concurrently against one symbolic analysis ([`SymbolicLu::numeric`]),
+//!   and [`SparseLu::solve_sparse_into`] performs Gilbert–Peierls
+//!   reach-based triangular solves that touch only the factor columns a
+//!   sparse right-hand side can influence,
 //! * [`LowRankUpdate`] — Sherman–Morrison–Woodbury rank-k solve updates, so
 //!   a 1–2 entry conductance change (a clamp-diode toggle) updates an
 //!   existing factorization instead of discarding it,
@@ -57,7 +52,7 @@
 //! [`ohmflow-circuit`]: https://example.com/ohmflow
 
 #![deny(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 mod dense;
 mod error;
@@ -69,18 +64,17 @@ mod supernode;
 pub mod vecops;
 pub mod verify;
 
-pub use dense::{DenseLu, DenseMatrix, LuScalar};
+pub use dense::{DenseLu, DenseMatrix};
 pub use error::LinalgError;
 pub use lowrank::{LowRankUpdate, RankOneTermRef};
 pub use ordering::{
-    amd_btf_nd_ordering, amd_btf_ordering, amd_ordering, block_triangular_form,
-    maximum_transversal, min_degree_ordering, nested_dissection_ordering, nested_dissection_split,
-    reverse_cuthill_mckee, BlockOrdering, BtfStructure, NdSplit, ND_BLOCK_CUTOFF,
+    amd_btf_ordering, amd_ordering, block_triangular_form, maximum_transversal,
+    min_degree_ordering, reverse_cuthill_mckee, BlockOrdering, BtfStructure,
 };
 pub use sparse::{CscMatrix, CsrMatrix, TripletMatrix};
 pub use sparse_lu::{
-    ColumnOrdering, LuWorkspace, NumericLu, Precision, RefactorStrategy, SparseLu, SparseLuOptions,
-    SparseSolveWorkspace, SymbolicLu,
+    ColumnOrdering, LuWorkspace, NumericLu, SparseLu, SparseLuOptions, SparseSolveWorkspace,
+    SymbolicLu,
 };
 pub use supernode::SupernodeStats;
 pub use verify::AuditError;

@@ -87,9 +87,9 @@ pub struct LowRankUpdate {
 
 /// System size below which a pushed term's `z = A⁻¹u` is computed through
 /// a plain dense solve: the reach machinery's constant costs (workspace
-/// reset, DFS, sort) exceed the whole solve on tiny systems. A deliberate
-/// twin of — but not a reference to — the parallel-refactor scheduling
-/// threshold: the two knobs tune unrelated trade-offs.
+/// reset, DFS, sort) exceed the whole solve on tiny systems. Equal to, but
+/// independent of, the supernode-solve threshold in `sparse_lu`: the two
+/// constants tune unrelated trade-offs.
 const DENSE_PUSH_THRESHOLD: usize = 512;
 
 impl LowRankUpdate {

@@ -95,7 +95,7 @@ pub fn amd_ordering(a: &CscMatrix) -> Vec<usize> {
 }
 
 /// [`amd_ordering`] on a pre-built symmetrized adjacency.
-pub(crate) fn amd_from_adjacency(adj: &AdjacencyCsr) -> Vec<usize> {
+fn amd_from_adjacency(adj: &AdjacencyCsr) -> Vec<usize> {
     let n = adj.len();
     if n == 0 {
         return Vec::new();

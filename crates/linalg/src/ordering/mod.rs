@@ -21,16 +21,8 @@
 //!   blocks, and each block is then ordered independently by AMD
 //!   ([`amd_btf_ordering`]). The factorization of a block-triangular
 //!   permutation never fills below a diagonal block, so every block
-//!   factors as if it were its own (much smaller) matrix.
-//! * [`nd`] — nested dissection: recursive bisection with vertex
-//!   separators numbered last, AMD on the leaf subdomains
-//!   ([`nested_dissection_ordering`]). Separators are what keep the
-//!   sparse triangular-solve reaches local on an *irreducible* block that
-//!   BTF cannot split further; [`amd_btf_nd_ordering`] therefore runs
-//!   both ND and AMD on every diagonal BTF block of at least
-//!   [`ND_BLOCK_CUTOFF`] unknowns and keeps whichever the exact
-//!   no-pivoting fill count ([`fill`]) says is cheaper (AMD on the small
-//!   ones) — the production default.
+//!   factors as if it were its own (much smaller) matrix. This is the
+//!   production default.
 //!
 //! All three layers share one flat-CSR symmetrized adjacency
 //! ([`AdjacencyCsr`]): offsets plus a single index buffer, built with two
@@ -40,13 +32,10 @@
 mod amd;
 mod btf;
 mod classic;
-mod fill;
-mod nd;
 
 pub use amd::amd_ordering;
 pub use btf::{block_triangular_form, maximum_transversal, BtfStructure};
 pub use classic::{min_degree_ordering, reverse_cuthill_mckee};
-pub use nd::{nested_dissection_ordering, nested_dissection_split, NdSplit};
 
 use crate::CscMatrix;
 
@@ -173,12 +162,6 @@ impl BlockOrdering {
     }
 }
 
-/// Smallest diagonal BTF block [`amd_btf_nd_ordering`] hands to nested
-/// dissection instead of AMD. Below ~2k unknowns the reach-locality payoff
-/// of separators no longer covers the bisection cost, and AMD's fill is as
-/// good or better.
-pub const ND_BLOCK_CUTOFF: usize = 2048;
-
 /// Block-triangular form with per-block AMD.
 ///
 /// A maximum transversal matches every column to a structurally nonzero
@@ -192,89 +175,13 @@ pub const ND_BLOCK_CUTOFF: usize = 2048;
 /// block-triangular form; they fall back to a single block ordered by
 /// plain AMD, and the factorization reports the singularity numerically
 /// exactly as before.
-///
-/// This was the production default through PR 5; [`amd_btf_nd_ordering`]
-/// (the same decomposition with nested dissection on large blocks) now
-/// holds that role, and this ordering is kept as the pure-AMD baseline the
-/// hybrid's fill is guarded against.
 pub fn amd_btf_ordering(a: &CscMatrix) -> BlockOrdering {
-    btf_ordering_impl(a, usize::MAX)
-}
-
-/// The production default ordering: block-triangular form with a hybrid
-/// per-block ordering — on diagonal blocks of at least
-/// [`ND_BLOCK_CUTOFF`] unknowns, nested dissection
-/// ([`nested_dissection_ordering`]) and AMD are both computed and the one
-/// with the smaller *counted* no-pivoting fill is kept (ND needs a ≥ 10 %
-/// win); smaller blocks go straight to AMD.
-///
-/// BTF isolates what it can; on separable irreducible cores ND's
-/// separators bound every Gilbert–Peierls solve reach to one side of a
-/// bisection, where AMD's local ordering lets reaches funnel through the
-/// whole core — and where no good separators exist (R-MAT expander
-/// cores) the measured selection keeps AMD, so the hybrid never pays for
-/// dissection that does not help. Fallback behavior for structurally
-/// singular matrices mirrors [`amd_btf_ordering`] (single block, ordered
-/// by the same size rule).
-pub fn amd_btf_nd_ordering(a: &CscMatrix) -> BlockOrdering {
-    btf_ordering_impl(a, ND_BLOCK_CUTOFF)
-}
-
-/// Margin a nested-dissection candidate must beat AMD's counted fill by
-/// (numerator / denominator of the allowed fraction) before a block adopts
-/// it: threshold partial pivoting at numeric time can amplify a marginal
-/// symbolic win into a real loss, so only a clear win switches orderings.
-const ND_ADOPT_NUM: usize = 9;
-const ND_ADOPT_DEN: usize = 10;
-
-/// The hybrid per-block ordering for a large (≥ [`ND_BLOCK_CUTOFF`])
-/// diagonal block: fill-measured selection between AMD and nested
-/// dissection.
-///
-/// Separator-width heuristics are not enough to predict whether
-/// dissection pays — the DIMACS-grid substrate's irreducible block has
-/// textbook `O(√n)` separators and still factors 3× worse under ND than
-/// under AMD (auxiliary branch-equation chains give its elimination a
-/// structure the one-sided bisection orders poorly). So the hybrid
-/// *counts* instead of guessing: both candidate orderings are run through
-/// the exact no-pivoting fill count ([`fill::symbolic_fill`]), and ND is
-/// adopted only when its fill is at least 10 % below AMD's
-/// ([`ND_ADOPT_NUM`]/[`ND_ADOPT_DEN`]), with the count aborted early the
-/// moment a candidate exceeds its budget. Expander-like blocks
-/// short-circuit for free: ND's internal separator-quality gate already
-/// returns AMD's own permutation for them.
-fn hybrid_block_ordering(a: &CscMatrix) -> Vec<usize> {
-    let adj = AdjacencyCsr::build(a);
-    let amd_p = amd::amd_from_adjacency(&adj);
-    let nd_p = nd::nd_from_adjacency(&adj);
-    if nd_p == amd_p {
-        return amd_p;
-    }
-    let Some(amd_fill) = fill::symbolic_fill(&adj, &amd_p, usize::MAX) else {
-        return amd_p;
-    };
-    let budget = amd_fill / ND_ADOPT_DEN * ND_ADOPT_NUM;
-    match fill::symbolic_fill(&adj, &nd_p, budget) {
-        Some(_) => nd_p,
-        None => amd_p,
-    }
-}
-
-/// Shared BTF ordering construction: blocks of at least `nd_cutoff`
-/// columns are ordered by the fill-measured AMD/ND hybrid
-/// ([`hybrid_block_ordering`]), smaller ones by AMD (`usize::MAX`
-/// disables ND entirely).
-fn btf_ordering_impl(a: &CscMatrix, nd_cutoff: usize) -> BlockOrdering {
     let n = a.cols();
     if n == 0 {
         return BlockOrdering::single_block(Vec::new());
     }
     let Some(btf) = block_triangular_form(a) else {
-        return BlockOrdering::single_block(if n >= nd_cutoff {
-            hybrid_block_ordering(a)
-        } else {
-            amd_ordering(a)
-        });
+        return BlockOrdering::single_block(amd_ordering(a));
     };
     let mut perm = Vec::with_capacity(n);
     let mut diag_rows = Vec::with_capacity(n);
@@ -312,12 +219,7 @@ fn btf_ordering_impl(a: &CscMatrix, nd_cutoff: usize) -> BlockOrdering {
                     }
                 }
             }
-            let local_csc = t_local.to_csc();
-            let local_perm = if cols.len() >= nd_cutoff {
-                hybrid_block_ordering(&local_csc)
-            } else {
-                amd_ordering(&local_csc)
-            };
+            let local_perm = amd_ordering(&t_local.to_csc());
             perm.extend(local_perm.iter().map(|&lc| cols[lc]));
         }
     }
@@ -441,81 +343,6 @@ mod tests {
         assert_eq!(b.block_ptr, vec![0, 3]);
         // Fallback prefers the diagonal, as the plain orderings do.
         assert_eq!(b.diag_rows, b.perm);
-    }
-
-    #[test]
-    fn amd_btf_nd_shares_block_structure_with_amd_btf() {
-        // The hybrid only changes the ordering *within* blocks: the block
-        // decomposition (and thus block_ptr) must be identical, and the
-        // matched pivot rows must still anchor every step.
-        let mut lcg = 0x2545F4914F6CDD1Du64;
-        let mut next = |m: usize| {
-            lcg = lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((lcg >> 33) as usize) % m
-        };
-        for _ in 0..15 {
-            let n = 2 + next(40);
-            let mut t = TripletMatrix::new(n, n);
-            for i in 0..n {
-                t.push(i, i, 1.0);
-            }
-            for _ in 0..next(3 * n + 1) {
-                t.push(next(n), next(n), 1.0);
-            }
-            let a = t.to_csc();
-            let plain = amd_btf_ordering(&a);
-            let hybrid = amd_btf_nd_ordering(&a);
-            assert!(is_permutation(&hybrid.perm, n));
-            assert_eq!(plain.block_ptr, hybrid.block_ptr);
-        }
-    }
-
-    #[test]
-    fn hybrid_never_loses_to_amd_btf_on_a_big_separable_block() {
-        // A 48x48 grid Laplacian is one SCC of 2304 unknowns — above
-        // ND_BLOCK_CUTOFF, so the hybrid runs the fill-measured AMD/ND
-        // selection on it. Whatever it picks must not cost fill over the
-        // pure-AMD baseline (the do-no-harm contract; 5 % pivoting slack).
-        use crate::{ColumnOrdering, SparseLu, SparseLuOptions};
-        let side = 48;
-        let n = side * side;
-        assert!(n >= ND_BLOCK_CUTOFF);
-        let mut t = TripletMatrix::new(n, n);
-        let id = |r: usize, c: usize| r * side + c;
-        for r in 0..side {
-            for c in 0..side {
-                let me = id(r, c);
-                t.push(me, me, 4.0);
-                if r + 1 < side {
-                    t.push(me, id(r + 1, c), -1.0);
-                    t.push(id(r + 1, c), me, -1.0);
-                }
-                if c + 1 < side {
-                    t.push(me, id(r, c + 1), -1.0);
-                    t.push(id(r, c + 1), me, -1.0);
-                }
-            }
-        }
-        let a = t.to_csc();
-        let fill = |ordering| {
-            SparseLu::factor_with(
-                &a,
-                &SparseLuOptions {
-                    ordering,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-            .factor_nnz()
-        };
-        let baseline = fill(ColumnOrdering::AmdBtf);
-        let hybrid = fill(ColumnOrdering::AmdBtfNd);
-        assert!(
-            hybrid * 100 <= baseline * 105,
-            "hybrid fill {hybrid} vs AMD+BTF baseline {baseline}"
-        );
     }
 
     #[test]

@@ -23,38 +23,22 @@
 
 use std::sync::Arc;
 
-use crate::dense::{dot_lanes_f64, panel_rank_update, trsv_unit_lower, LuScalar};
+use crate::dense::{dot_lanes, panel_rank_update, trsv_unit_lower};
 use crate::ordering::{
-    amd_btf_nd_ordering, amd_btf_ordering, amd_ordering, min_degree_ordering,
-    nested_dissection_ordering, reverse_cuthill_mckee, BlockOrdering,
+    amd_btf_ordering, amd_ordering, min_degree_ordering, reverse_cuthill_mckee, BlockOrdering,
 };
 use crate::supernode::{SupernodePlan, SupernodeStats, SymbolicView, MAX_SN_WIDTH, NO_SLOT};
 use crate::{CscMatrix, LinalgError};
 
 pub(crate) const NO_PIVOT: usize = usize::MAX;
 
-/// Numeric precision of a factorization's stored values.
-///
-/// The symbolic analysis, the pivot sequence and every solve interface stay
-/// `f64`; the choice only affects the factor value arrays and the
-/// refactorization arithmetic. [`Precision::F32Refined`] halves the factor
-/// memory traffic — the dominant cost of a numeric replay — and relies on
-/// `f64` iterative refinement (the residual is always computed against the
-/// original `f64` matrix) to recover full accuracy; see
-/// [`SparseLu::solve_refined`] and the DC layer's refinement loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Precision {
-    /// Full double precision (the default; bit-identical to the historical
-    /// behaviour).
-    #[default]
-    F64,
-    /// Store factor values in `f32` and replay refactorizations in `f32`
-    /// arithmetic; callers are expected to recover `f64`-level accuracy
-    /// through iterative refinement against the original matrix. Unsafe
-    /// without refinement whenever the system's conditioning eats the
-    /// ~7 significant digits `f32` carries — see DESIGN.md.
-    F32Refined,
-}
+/// Smallest system whose dense solves ([`SparseLu::solve_into`],
+/// [`SparseLu::solve_multi_into`]) run through the supernode panels.
+/// Smaller systems keep the scalar substitution: its updates land in
+/// exactly the per-entry order the sparse-RHS solves replicate, preserving
+/// their bit-identical contract, and a panel gather would not pay for
+/// itself there anyway.
+const SN_SOLVE_MIN_DIM: usize = 512;
 
 /// Sorts `keys` ascending, applying the same permutation to `vals`: an
 /// index permutation is `sort_unstable`d by key, then applied to both
@@ -116,101 +100,37 @@ fn sort_paired_insertion(keys: &mut [usize], vals: &mut [f64]) {
     }
 }
 
-/// How [`SparseLu::refactor_with_strategy`] schedules the numeric column
-/// replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefactorStrategy {
-    /// Level-scheduled parallel replay when the system has at least
-    /// [`SparseLu::PAR_COL_THRESHOLD`] columns, more than one rayon worker
-    /// thread is available, and the caller is not itself running inside a
-    /// rayon worker (batch fan-outs already saturate the machine one
-    /// matrix per worker; nesting a second layer would oversubscribe).
-    /// Serial otherwise.
-    #[default]
-    Auto,
-    /// Always the serial replay (the reference path).
-    Serial,
-    /// Level-scheduled parallel replay on exactly `threads` workers,
-    /// regardless of system size — the test/bench override.
-    Parallel {
-        /// Worker count (values `<= 1` degenerate to the serial path).
-        threads: usize,
-    },
-}
-
-/// Raw pointers to a factor's `L`/`U`/off-diagonal value arrays, handed to
-/// concurrent refactorization workers.
-///
-/// SAFETY: sharing is sound because the level schedule partitions writes
-/// (each pivot step owns disjoint `l_vals`/`u_vals`/`off_vals` ranges and
-/// is claimed by exactly one worker through an atomic cursor) and orders
-/// reads (a step only reads `L` columns of strictly lower levels,
-/// separated by a [`std::sync::Barrier`], which gives the happens-before
-/// edge; off-diagonal values are never read during a refactorization).
-struct FactorValuePtrs<S> {
-    l: *mut S,
-    u: *mut S,
-    off: *mut S,
-    /// Dense supernode panel storage (empty when no plan is active). A
-    /// supernode's panel region is written only by the worker that owns
-    /// that supernode, so the same disjointness argument applies.
-    panels: *mut S,
-}
-
-// SAFETY: `*mut S` is not `Sync` by default because unsynchronized shared
-// writes through aliasing pointers are UB. Sharing `&FactorValuePtrs`
-// across refactor workers is nevertheless sound because the accesses never
-// alias or race (see the struct docs above): the level schedule partitions
-// writes and the barriers order cross-level reads. The `S: Send` bound is
-// required — workers write `S` values into arrays owned (and later read)
-// by the coordinating thread, which is exactly a cross-thread transfer of
-// `S`. No `&S` is ever shared between threads through these pointers, so
-// `S: Sync` is not needed (in practice `S` is `f32`/`f64` and has both).
-unsafe impl<S: Send> Sync for FactorValuePtrs<S> {}
-
 /// Shared prologue of the scalar and blocked replay steps: zeroes the
 /// workspace over step `k`'s factorized pattern (and its off-diagonal
 /// slots) and scatters `a`'s column into it.
-///
-/// # Safety
-///
-/// Same contract as [`refactor_step`].
-#[allow(clippy::too_many_arguments)]
-#[inline]
-unsafe fn scatter_step_column<S: LuScalar>(
+fn scatter_step_column(
     sym: &SymbolicLu,
     a: &CscMatrix,
     k: usize,
-    x: &mut [S],
-    stamp: &mut [usize],
-    off_stamp: &mut [usize],
-    off_slot: &mut [usize],
-    ptrs: &FactorValuePtrs<S>,
+    ws: &mut LuWorkspace,
+    va: &mut ValueArrays,
 ) -> Result<(), LinalgError> {
     let col = sym.q[k];
-    let (ulo, uhi) = (sym.u_ptr[k], sym.u_ptr[k + 1]);
-    let (llo, lhi) = (sym.l_ptr[k], sym.l_ptr[k + 1]);
-    // Precondition spot-checks of the raw-pointer contract: the step's
-    // value ranges must lie inside the arrays `ptrs` points to.
-    debug_assert!(ulo < uhi && uhi <= sym.u_rows.len());
-    debug_assert!(llo <= lhi && lhi <= sym.l_rows.len());
-    debug_assert!(sym.off_ptr[k + 1] <= sym.off_rows.len());
-    debug_assert!(x.len() == sym.n && stamp.len() == sym.n);
-    debug_assert!(off_stamp.len() == sym.n && off_slot.len() == sym.n);
+    let LuWorkspace {
+        x,
+        stamp,
+        off_stamp,
+        off_slot,
+        ..
+    } = ws;
 
     // Zero the workspace over the column's factorized pattern.
-    for idx in ulo..uhi - 1 {
-        let r = sym.row_perm[sym.u_rows[idx]];
+    for &s in sym.u_column_steps(k) {
+        let r = sym.row_perm[s];
         stamp[r] = k;
-        x[r] = S::ZERO;
+        x[r] = 0.0;
     }
     let pivot_row = sym.row_perm[k];
     stamp[pivot_row] = k;
-    x[pivot_row] = S::ZERO;
-    for idx in llo..lhi {
-        let r = sym.l_rows[idx];
+    x[pivot_row] = 0.0;
+    for &r in sym.l_column_rows(k) {
         stamp[r] = k;
-        x[r] = S::ZERO;
+        x[r] = 0.0;
     }
     // Zero the step's off-diagonal slots (rows of earlier blocks, kept as
     // raw values applied at solve time — disjoint from the in-pattern
@@ -219,20 +139,16 @@ unsafe fn scatter_step_column<S: LuScalar>(
         let r = sym.off_rows[idx];
         off_stamp[r] = k;
         off_slot[r] = idx;
-        // SAFETY: `idx` lies in this step's exclusive off range (caller
-        // contract a).
-        unsafe { *ptrs.off.add(idx) = S::ZERO };
+        va.off[idx] = 0.0;
     }
 
     // Scatter the new values; anything outside the pattern means the
     // symbolic factorization no longer applies.
     for (r, v) in a.col(col) {
         if stamp[r] == k {
-            x[r] += S::from_f64(v);
+            x[r] += v;
         } else if off_stamp[r] == k {
-            // SAFETY: `off_slot[r]` was set above to an index in this
-            // step's exclusive off range.
-            unsafe { *ptrs.off.add(off_slot[r]) += S::from_f64(v) };
+            va.off[off_slot[r]] += v;
         } else {
             return Err(LinalgError::PatternChanged {
                 column: col,
@@ -243,35 +159,57 @@ unsafe fn scatter_step_column<S: LuScalar>(
     Ok(())
 }
 
-/// Shared epilogue of the replay steps: frozen-pivot check (always against
-/// `f64` thresholds, so the `f32` path applies the same singularity test)
-/// and the step's final `U`-pivot / `L` writes.
-///
-/// # Safety
-///
-/// Same contract as [`refactor_step`].
+/// Applies stored `U` entry `idx` of step `k` as one scalar update:
+/// finalizes `U(s, k)` from the workspace and subtracts `U(s, k) · L(:, s)`
+/// from it. `L(:, s)` must already be final.
 #[inline]
-unsafe fn finish_step_column<S: LuScalar>(
+fn scalar_update(
+    sym: &SymbolicLu,
+    idx: usize,
+    k: usize,
+    ws: &mut LuWorkspace,
+    va: &mut ValueArrays,
+) {
+    let s = sym.u_rows[idx];
+    // Stamp-generation freshness: the dependency's pivot row was stamped
+    // for *this* step by the scatter prologue — a stale stamp means the
+    // stored closure is not closed under the updates and the subtraction
+    // below would corrupt a neighbouring column.
+    debug_assert_eq!(ws.stamp[sym.row_perm[s]], k);
+    let xval = ws.x[sym.row_perm[s]];
+    va.u[idx] = xval;
+    if xval != 0.0 {
+        let (lo, hi) = (sym.l_ptr[s], sym.l_ptr[s + 1]);
+        for (&r, &lv) in sym.l_rows[lo..hi].iter().zip(&va.l[lo..hi]) {
+            debug_assert_eq!(ws.stamp[r], k);
+            ws.x[r] -= xval * lv;
+        }
+    }
+}
+
+/// Shared epilogue of the replay steps: frozen-pivot check and the step's
+/// final `U`-pivot / `L` writes.
+fn finish_step_column(
     sym: &SymbolicLu,
     k: usize,
-    x: &mut [S],
-    ptrs: &FactorValuePtrs<S>,
+    x: &[f64],
+    va: &mut ValueArrays,
 ) -> Result<(), LinalgError> {
     let (llo, lhi) = (sym.l_ptr[k], sym.l_ptr[k + 1]);
-    let pivot_row = sym.row_perm[k];
-    let pivot_val = x[pivot_row];
-    let pv = pivot_val.to_f64();
-    let mut col_max = pv.abs();
-    for idx in llo..lhi {
-        col_max = col_max.max(x[sym.l_rows[idx]].to_f64().abs());
+    let pivot_val = x[sym.row_perm[k]];
+    let mut col_max = pivot_val.abs();
+    for &r in &sym.l_rows[llo..lhi] {
+        col_max = col_max.max(x[r].abs());
     }
-    if !pv.is_finite() || pv.abs() <= sym.zero_tol || pv.abs() < 1e-10 * col_max {
+    if !pivot_val.is_finite()
+        || pivot_val.abs() <= sym.zero_tol
+        || pivot_val.abs() < 1e-10 * col_max
+    {
         return Err(LinalgError::Singular { column: sym.q[k] });
     }
-    // SAFETY: this step's exclusive U/L ranges (caller contract a).
-    unsafe { *ptrs.u.add(sym.u_ptr[k + 1] - 1) = pivot_val };
-    for idx in llo..lhi {
-        unsafe { *ptrs.l.add(idx) = x[sym.l_rows[idx]] / pivot_val };
+    va.u[sym.u_ptr[k + 1] - 1] = pivot_val;
+    for (lv, &r) in va.l[llo..lhi].iter_mut().zip(&sym.l_rows[llo..lhi]) {
+        *lv = x[r] / pivot_val;
     }
     Ok(())
 }
@@ -281,105 +219,55 @@ unsafe fn finish_step_column<S: LuScalar>(
 /// step's off-diagonal slots (rows pivoted in earlier blocks), applies the
 /// updates of every off-diagonal step in `U(:, k)` in ascending
 /// (topological) order, checks the frozen pivot and writes this step's `U`
-/// and `L` value segments. The arithmetic is identical for every
-/// scheduling, which is why the serial and parallel refactorizations agree
-/// bit-for-bit.
-///
-/// # Safety
-///
-/// `ptrs` must point to value arrays of `sym.l_rows.len()` /
-/// `sym.u_rows.len()` / `sym.off_rows.len()` elements. The caller must
-/// guarantee that (a) no other thread concurrently accesses step `k`'s
-/// `L`/`U`/off value ranges, and (b) the `L` values of every dependency
-/// step in `U(:, k)` were fully written before this call, with a
-/// happens-before edge (program order serially, a level barrier in
-/// parallel) making those writes visible.
-#[allow(clippy::too_many_arguments)]
-unsafe fn refactor_step<S: LuScalar>(
+/// and `L` value segments. Every dependency step must be replayed already.
+fn refactor_step(
     sym: &SymbolicLu,
     a: &CscMatrix,
     k: usize,
-    x: &mut [S],
-    stamp: &mut [usize],
-    off_stamp: &mut [usize],
-    off_slot: &mut [usize],
-    ptrs: &FactorValuePtrs<S>,
+    ws: &mut LuWorkspace,
+    va: &mut ValueArrays,
 ) -> Result<(), LinalgError> {
-    let (ulo, uhi) = (sym.u_ptr[k], sym.u_ptr[k + 1]);
-    let (l_vals, u_vals) = (ptrs.l, ptrs.u);
-    // SAFETY: forwarded caller contract.
-    unsafe { scatter_step_column(sym, a, k, x, stamp, off_stamp, off_slot, ptrs)? };
-
-    // Replay the numeric update. U entries are stored in ascending
-    // pivot-step order, which is a topological order of the dependencies
-    // (L column `s` only touches rows pivoted after `s`), so x[row_perm[s]]
-    // is final when step `s` is applied.
-    for idx in ulo..uhi - 1 {
-        let s = sym.u_rows[idx];
-        // Stamp-generation freshness: the dependency's pivot row was
-        // stamped for *this* step by the scatter prologue — a stale stamp
-        // means the stored closure is not closed under the updates and
-        // the subtraction below would corrupt a neighbouring column.
-        debug_assert_eq!(stamp[sym.row_perm[s]], k);
-        let xval = x[sym.row_perm[s]];
-        // SAFETY: `idx` lies in this step's exclusive U range (caller
-        // contract a); dependency L values are final (contract b).
-        unsafe { *u_vals.add(idx) = xval };
-        if xval != S::ZERO {
-            for j in sym.l_ptr[s]..sym.l_ptr[s + 1] {
-                debug_assert_eq!(stamp[sym.l_rows[j]], k);
-                // SAFETY: see above — `j` indexes a completed dependency.
-                x[sym.l_rows[j]] -= xval * unsafe { *l_vals.add(j) };
-            }
-        }
+    scatter_step_column(sym, a, k, ws, va)?;
+    // U entries are stored in ascending pivot-step order, which is a
+    // topological order of the dependencies (L column `s` only touches
+    // rows pivoted after `s`), so x[row_perm[s]] is final when step `s` is
+    // applied.
+    for idx in sym.u_ptr[k]..sym.u_ptr[k + 1] - 1 {
+        scalar_update(sym, idx, k, ws, va);
     }
-
-    // SAFETY: forwarded caller contract.
-    unsafe { finish_step_column(sym, k, x, ptrs) }
+    finish_step_column(sym, k, &ws.x, va)
 }
 
 /// Blocked replay of pivot step `k`, a member of a multi-column supernode:
-/// same contract and same pivot sequence as [`refactor_step`], but the
-/// external updates are grouped by *source supernode* and applied through
-/// the dense panel kernels — one local `U`-coefficient finalize
-/// ([`trsv_unit_lower`]) plus one rank-`w` body update
-/// ([`panel_rank_update`]) per source supernode, instead of one indexed
-/// scatter per stored entry. Within-supernode sources (earlier members of
-/// `k`'s own supernode) replay scalar — they are at most `w - 1` entries
-/// and keeping them scalar sidesteps partial-panel bookkeeping. The
-/// column's final values are mirrored into its supernode panel slots, so
-/// after the supernode's last member the panel region is complete.
+/// same pivot sequence as [`refactor_step`], but the external updates are
+/// grouped by *source supernode* and applied through the dense panel
+/// kernels — one local `U`-coefficient finalize ([`trsv_unit_lower`]) plus
+/// one rank-`w` body update ([`panel_rank_update`]) per source supernode,
+/// instead of one indexed scatter per stored entry. Within-supernode
+/// sources (earlier members of `k`'s own supernode) replay scalar — they
+/// are at most `w - 1` entries and keeping them scalar sidesteps
+/// partial-panel bookkeeping. The column's final values are mirrored into
+/// its supernode panel slots, so after the supernode's last member the
+/// panel region is complete.
 ///
 /// The only arithmetic difference to the scalar step is the body update's
 /// lane-reassociated dot products, which is why the supernodal replay
 /// agrees with the scalar oracle to roundoff (≤1e-12 relative, proptested)
 /// rather than bit-for-bit.
 ///
-/// # Safety
-///
-/// As [`refactor_step`], plus: `ptrs.panels` must point to
-/// `plan.panel_len` elements; the caller must zero the supernode's panel
-/// region before its first member column, guarantee exclusive access to
-/// that region (contract a extends to it), and the panel regions of every
-/// dependency supernode must be fully written (contract b extends to
-/// them).
-#[allow(clippy::too_many_arguments)]
-unsafe fn refactor_step_blocked<S: LuScalar>(
+/// The supernode's panel region must be zeroed before its first member,
+/// and the panel regions of every source supernode must be complete.
+fn refactor_step_blocked(
     sym: &SymbolicLu,
     plan: &SupernodePlan,
     a: &CscMatrix,
     k: usize,
-    x: &mut [S],
-    stamp: &mut [usize],
-    off_stamp: &mut [usize],
-    off_slot: &mut [usize],
-    ptrs: &FactorValuePtrs<S>,
+    ws: &mut LuWorkspace,
+    va: &mut ValueArrays,
 ) -> Result<(), LinalgError> {
     let (ulo, uhi) = (sym.u_ptr[k], sym.u_ptr[k + 1]);
-    let (l_vals, u_vals) = (ptrs.l, ptrs.u);
     let own_sn = plan.sn_of_step[k];
-    // SAFETY: forwarded caller contract.
-    unsafe { scatter_step_column(sym, a, k, x, stamp, off_stamp, off_slot, ptrs)? };
+    scatter_step_column(sym, a, k, ws, va)?;
 
     // External updates grouped by source supernode. Entries of one source
     // supernode are consecutive (steps ascending) and — because the stored
@@ -396,19 +284,8 @@ unsafe fn refactor_step_blocked<S: LuScalar>(
         if w == 1 || sn == own_sn {
             // Scalar path: singleton source, or an earlier member of this
             // column's own supernode (its L column is already final — the
-            // members replay in order within one work unit).
-            debug_assert_eq!(stamp[sym.row_perm[s]], k);
-            let xval = x[sym.row_perm[s]];
-            // SAFETY: exclusive U range (contract a); dependency L final
-            // (contract b / member order).
-            unsafe { *u_vals.add(idx) = xval };
-            if xval != S::ZERO {
-                for j in sym.l_ptr[s]..sym.l_ptr[s + 1] {
-                    debug_assert_eq!(stamp[sym.l_rows[j]], k);
-                    // SAFETY: see above.
-                    x[sym.l_rows[j]] -= xval * unsafe { *l_vals.add(j) };
-                }
-            }
+            // members replay in order).
+            scalar_update(sym, idx, k, ws, va);
             idx += 1;
             continue;
         }
@@ -417,370 +294,41 @@ unsafe fn refactor_step_blocked<S: LuScalar>(
         debug_assert!(idx + run < uhi && sym.u_rows[idx + run - 1] == s1 - 1);
         let pbase = plan.panel_ptr[sn];
         let r_cnt = plan.row_ptr[sn + 1] - plan.row_ptr[sn];
-        // SAFETY: the source supernode's panel region is fully written
-        // (extended contract b) and read-only here.
-        let ldiag =
-            unsafe { std::slice::from_raw_parts(ptrs.panels.add(pbase + r_cnt * w), w * w) };
+        let ldiag = &va.panels[pbase + r_cnt * w..pbase + (r_cnt + w) * w];
         // Local U coefficients: pre-finalization values gathered from the
         // workspace, then the within-supernode unit-lower solve applied
         // densely. Absent leading entries stay exactly zero and contribute
         // nothing.
-        let mut coef = [S::ZERO; MAX_SN_WIDTH];
-        for t in t0..w {
-            coef[t] = x[sym.row_perm[s0 + t]];
+        let mut coef = [0.0f64; MAX_SN_WIDTH];
+        for (c, &r) in coef[t0..w].iter_mut().zip(&sym.row_perm[s..s1]) {
+            *c = ws.x[r];
         }
         trsv_unit_lower(ldiag, w, t0, &mut coef[..w]);
-        for (j, t) in (t0..w).enumerate() {
-            // SAFETY: exclusive U range (contract a).
-            unsafe { *u_vals.add(idx + j) = coef[t] };
-        }
+        va.u[idx..idx + run].copy_from_slice(&coef[t0..w]);
         // Rank-`run` dense body update: every body row of the source
         // supernode gets one fused dot-product subtraction. Rows outside
         // this column's pattern only ever receive exact-zero products
         // (padding is stored as 0.0), leaving their stale workspace
         // entries untouched.
-        let rows = plan.body_rows(sn);
-        // SAFETY: as `ldiag` above.
-        let body = unsafe { std::slice::from_raw_parts(ptrs.panels.add(pbase), r_cnt * w) };
-        panel_rank_update(body, w, t0, rows, &coef[..w], x);
+        let body = &va.panels[pbase..pbase + r_cnt * w];
+        panel_rank_update(body, w, t0, plan.body_rows(sn), &coef[..w], &mut ws.x);
         idx += run;
     }
 
-    // SAFETY: forwarded caller contract.
-    unsafe { finish_step_column(sym, k, x, ptrs)? };
+    finish_step_column(sym, k, &ws.x, va)?;
 
     // Mirror the column's final values into its supernode panel slots
     // (body + ldiag from L, udiag incl. pivot from U).
     for i in sym.l_ptr[k]..sym.l_ptr[k + 1] {
         let slot = plan.l_slot[i];
-        debug_assert_ne!(slot, NO_SLOT);
-        debug_assert!(slot < plan.panel_len);
-        // SAFETY: own panel region, exclusive (extended contract a).
-        unsafe { *ptrs.panels.add(slot) = *l_vals.add(i) };
+        debug_assert!(slot != NO_SLOT && slot < plan.panel_len);
+        va.panels[slot] = va.l[i];
     }
     for i in ulo..uhi {
         let slot = plan.u_slot[i];
         if slot != NO_SLOT {
-            debug_assert!(slot < plan.panel_len);
-            // SAFETY: own panel region, exclusive (extended contract a).
-            unsafe { *ptrs.panels.add(slot) = *u_vals.add(i) };
+            va.panels[slot] = va.u[i];
         }
-    }
-    Ok(())
-}
-
-/// Replays one whole supernode — the work unit of the supernodal replay
-/// (serial loop or one parallel claim): zeroes the panel region (so padded
-/// cells are exact zeros) and runs the member columns in order, blocked
-/// for multi-column supernodes, scalar for singletons.
-///
-/// # Safety
-///
-/// As [`refactor_step_blocked`], with contract (a) covering the
-/// supernode's entire step range and panel region, and contract (b)
-/// covering every *external* dependency supernode (the level schedule in
-/// [`SupernodePlan::level_sns`] guarantees external sources finish in
-/// strictly earlier levels).
-#[allow(clippy::too_many_arguments)]
-unsafe fn refactor_supernode<S: LuScalar>(
-    sym: &SymbolicLu,
-    plan: &SupernodePlan,
-    a: &CscMatrix,
-    sn: usize,
-    x: &mut [S],
-    stamp: &mut [usize],
-    off_stamp: &mut [usize],
-    off_slot: &mut [usize],
-    ptrs: &FactorValuePtrs<S>,
-) -> Result<(), LinalgError> {
-    let (k0, k1) = (plan.sn_ptr[sn], plan.sn_ptr[sn + 1]);
-    if k1 - k0 > 1 {
-        let (plo, phi) = (plan.panel_ptr[sn], plan.panel_ptr[sn + 1]);
-        // SAFETY: own panel region, exclusive (contract a). All-zero bytes
-        // are 0.0 for both f32 and f64.
-        unsafe { std::ptr::write_bytes(ptrs.panels.add(plo), 0, phi - plo) };
-        for k in k0..k1 {
-            // SAFETY: forwarded caller contract.
-            unsafe { refactor_step_blocked(sym, plan, a, k, x, stamp, off_stamp, off_slot, ptrs)? };
-        }
-    } else {
-        // SAFETY: forwarded caller contract.
-        unsafe { refactor_step(sym, a, k0, x, stamp, off_stamp, off_slot, ptrs)? };
-    }
-    Ok(())
-}
-
-/// Routes a numeric replay to the supernodal or per-column path (per the
-/// symbolic plan) and to the serial or level-parallel schedule (per
-/// `threads`), generic over the stored scalar.
-fn refactor_dispatch<S: WsScalar>(
-    sym: &Arc<SymbolicLu>,
-    va: &mut ValueArrays<S>,
-    a: &CscMatrix,
-    ws: &mut LuWorkspace,
-    threads: usize,
-) -> Result<(), LinalgError> {
-    match sym.blocked_plan() {
-        Some(plan) => {
-            // Panels go stale the moment replay starts writing; only a
-            // fully successful supernodal pass leaves them coherent with
-            // the column arrays again.
-            va.panels_valid = false;
-            if threads <= 1 {
-                refactor_sn_serial(sym, plan, va, a, ws)?;
-            } else {
-                refactor_sn_parallel(sym, plan, va, a, ws, threads)?;
-            }
-            va.panels_valid = true;
-            Ok(())
-        }
-        None => {
-            if threads <= 1 {
-                refactor_serial_vals(sym, va, a, ws)
-            } else {
-                refactor_parallel_vals(sym, va, a, ws, threads)
-            }
-        }
-    }
-}
-
-/// Serial per-column numeric replay in pivot-step order (the reference
-/// path, used when supernode detection is disabled or finds no blocks).
-fn refactor_serial_vals<S: WsScalar>(
-    sym: &SymbolicLu,
-    va: &mut ValueArrays<S>,
-    a: &CscMatrix,
-    ws: &mut LuWorkspace,
-) -> Result<(), LinalgError> {
-    ws.reset::<S>(sym.n);
-    let ptrs = va.ptrs();
-    let (x, stamp, off_stamp, off_slot) = S::ws_parts(ws);
-    for k in 0..sym.n {
-        // SAFETY: single-threaded — exclusive access to the value
-        // arrays, and step order means every dependency is complete.
-        unsafe { refactor_step(sym, a, k, x, stamp, off_stamp, off_slot, &ptrs)? };
-    }
-    Ok(())
-}
-
-/// Serial supernodal numeric replay: supernodes in order, each replayed
-/// with the blocked kernels of [`refactor_supernode`].
-fn refactor_sn_serial<S: WsScalar>(
-    sym: &SymbolicLu,
-    plan: &SupernodePlan,
-    va: &mut ValueArrays<S>,
-    a: &CscMatrix,
-    ws: &mut LuWorkspace,
-) -> Result<(), LinalgError> {
-    ws.reset::<S>(sym.n);
-    let ptrs = va.ptrs();
-    let (x, stamp, off_stamp, off_slot) = S::ws_parts(ws);
-    for sn in 0..plan.count() {
-        // SAFETY: single-threaded — exclusive access to the value arrays
-        // and panels, and supernode order is a valid elimination order.
-        unsafe { refactor_supernode(sym, plan, a, sn, x, stamp, off_stamp, off_slot, &ptrs)? };
-    }
-    Ok(())
-}
-
-/// Level-scheduled parallel per-column replay: the wide leaf-ward levels
-/// of the elimination schedule are distributed over `threads` workers
-/// (columns claimed through per-level atomic cursors, a barrier
-/// between levels), and the narrow root-ward tail — where coordination
-/// would cost more than the work — replays serially on the caller.
-fn refactor_parallel_vals<S: WsScalar>(
-    sym: &SymbolicLu,
-    va: &mut ValueArrays<S>,
-    a: &CscMatrix,
-    ws: &mut LuWorkspace,
-    threads: usize,
-) -> Result<(), LinalgError> {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Barrier, Mutex};
-
-    let n = sym.n;
-    ws.reset::<S>(n);
-    // Parallel prefix: levels wide enough to amortize the per-level
-    // barrier. Widths are (near-)monotone decreasing for elimination
-    // schedules — leaves are plentiful, roots are not — so stopping at
-    // the first narrow level captures essentially all parallel work
-    // while bounding the number of barriers.
-    let min_width = (2 * threads).max(8);
-    let ex = sym.extras();
-    let par_levels = (0..sym.level_count())
-        .take_while(|&l| sym.level_steps(l).len() >= min_width)
-        .count();
-    let ptrs = va.ptrs();
-    if par_levels > 0 {
-        while ws.workers.len() < threads {
-            ws.workers.push(Mutex::new(WorkerScratch::default()));
-        }
-        let cursors: Vec<AtomicUsize> = (0..par_levels).map(|_| AtomicUsize::new(0)).collect();
-        let barrier = Barrier::new(threads);
-        let failed = AtomicBool::new(false);
-        let first_err: Mutex<Option<LinalgError>> = Mutex::new(None);
-        let (ptrs_ref, workers) = (&ptrs, &ws.workers);
-        rayon::broadcast(threads, |tid| {
-            // Uncontended by construction: slot `tid` belongs to this
-            // worker alone.
-            let mut scratch = workers[tid]
-                .lock()
-                .expect("invariant: worker-scratch lock is never poisoned");
-            let (x, stamp, off_stamp, off_slot) = S::worker_parts(&mut scratch);
-            x.clear();
-            x.resize(n, S::ZERO);
-            stamp.clear();
-            stamp.resize(n, usize::MAX);
-            off_stamp.clear();
-            off_stamp.resize(n, usize::MAX);
-            off_slot.clear();
-            off_slot.resize(n, 0);
-            for (lev, cursor) in cursors.iter().enumerate() {
-                if !failed.load(Ordering::Acquire) {
-                    let (lo, hi) = (ex.level_ptr[lev], ex.level_ptr[lev + 1]);
-                    loop {
-                        let i = lo + cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= hi {
-                            break;
-                        }
-                        let k = ex.level_cols[i];
-                        // SAFETY: the cursor hands each step to exactly
-                        // one worker (disjoint value ranges), and every
-                        // dependency lives in a lower level, finished
-                        // before the previous barrier.
-                        let res = unsafe {
-                            refactor_step(sym, a, k, x, stamp, off_stamp, off_slot, ptrs_ref)
-                        };
-                        if let Err(e) = res {
-                            first_err
-                                .lock()
-                                .expect("invariant: refactor error-slot lock is never poisoned")
-                                .get_or_insert(e);
-                            failed.store(true, Ordering::Release);
-                            break;
-                        }
-                    }
-                }
-                // Level barrier: the next level reads these L columns.
-                // Reached unconditionally so every worker counts the
-                // same number of waits even after a failure.
-                barrier.wait();
-            }
-        });
-        if let Some(e) = first_err
-            .into_inner()
-            .expect("invariant: refactor error-slot lock is never poisoned")
-        {
-            return Err(e);
-        }
-    }
-    // Serial tail in level order — a valid elimination order, since a
-    // level only reads strictly lower levels.
-    let (x, stamp, off_stamp, off_slot) = S::ws_parts(ws);
-    for &k in &ex.level_cols[ex.level_ptr[par_levels]..] {
-        // SAFETY: the broadcast above has joined (its writes are
-        // visible) and this thread is now the only one touching the
-        // factor.
-        unsafe { refactor_step(sym, a, k, x, stamp, off_stamp, off_slot, &ptrs)? };
-    }
-    Ok(())
-}
-
-/// Level-scheduled parallel supernodal replay: identical coordination
-/// shape to [`refactor_parallel_vals`], but the unit of work claimed from
-/// each level cursor is a whole supernode (replayed blocked), fanning the
-/// PR 3 level schedule out over panels instead of single columns.
-fn refactor_sn_parallel<S: WsScalar>(
-    sym: &SymbolicLu,
-    plan: &SupernodePlan,
-    va: &mut ValueArrays<S>,
-    a: &CscMatrix,
-    ws: &mut LuWorkspace,
-    threads: usize,
-) -> Result<(), LinalgError> {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Barrier, Mutex};
-
-    let n = sym.n;
-    ws.reset::<S>(n);
-    let min_width = (2 * threads).max(8);
-    let par_levels = (0..plan.level_count())
-        .take_while(|&l| {
-            let (lo, hi) = (plan.level_ptr[l], plan.level_ptr[l + 1]);
-            hi - lo >= min_width
-        })
-        .count();
-    let ptrs = va.ptrs();
-    if par_levels > 0 {
-        while ws.workers.len() < threads {
-            ws.workers.push(Mutex::new(WorkerScratch::default()));
-        }
-        let cursors: Vec<AtomicUsize> = (0..par_levels).map(|_| AtomicUsize::new(0)).collect();
-        let barrier = Barrier::new(threads);
-        let failed = AtomicBool::new(false);
-        let first_err: Mutex<Option<LinalgError>> = Mutex::new(None);
-        let (ptrs_ref, workers) = (&ptrs, &ws.workers);
-        rayon::broadcast(threads, |tid| {
-            let mut scratch = workers[tid]
-                .lock()
-                .expect("invariant: worker-scratch lock is never poisoned");
-            let (x, stamp, off_stamp, off_slot) = S::worker_parts(&mut scratch);
-            x.clear();
-            x.resize(n, S::ZERO);
-            stamp.clear();
-            stamp.resize(n, usize::MAX);
-            off_stamp.clear();
-            off_stamp.resize(n, usize::MAX);
-            off_slot.clear();
-            off_slot.resize(n, 0);
-            for (lev, cursor) in cursors.iter().enumerate() {
-                if !failed.load(Ordering::Acquire) {
-                    let (lo, hi) = (plan.level_ptr[lev], plan.level_ptr[lev + 1]);
-                    loop {
-                        let i = lo + cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= hi {
-                            break;
-                        }
-                        let sn = plan.level_sns[i];
-                        // SAFETY: the cursor hands each supernode (its
-                        // value and panel ranges are disjoint from every
-                        // other supernode's) to exactly one worker, and
-                        // every external dependency supernode lives in a
-                        // lower level, finished before the previous
-                        // barrier.
-                        let res = unsafe {
-                            refactor_supernode(
-                                sym, plan, a, sn, x, stamp, off_stamp, off_slot, ptrs_ref,
-                            )
-                        };
-                        if let Err(e) = res {
-                            first_err
-                                .lock()
-                                .expect("invariant: refactor error-slot lock is never poisoned")
-                                .get_or_insert(e);
-                            failed.store(true, Ordering::Release);
-                            break;
-                        }
-                    }
-                }
-                barrier.wait();
-            }
-        });
-        if let Some(e) = first_err
-            .into_inner()
-            .expect("invariant: refactor error-slot lock is never poisoned")
-        {
-            return Err(e);
-        }
-    }
-    // Serial tail in level order — a valid elimination order, since a
-    // level only reads strictly lower levels.
-    let (x, stamp, off_stamp, off_slot) = S::ws_parts(ws);
-    for &sn in &plan.level_sns[plan.level_ptr[par_levels]..] {
-        // SAFETY: the broadcast above has joined (its writes are
-        // visible) and this thread is now the only one touching the
-        // factor.
-        unsafe { refactor_supernode(sym, plan, a, sn, x, stamp, off_stamp, off_slot, &ptrs)? };
     }
     Ok(())
 }
@@ -800,28 +348,13 @@ pub enum ColumnOrdering {
     /// element absorption, approximate external degrees) — see
     /// [`amd_ordering`](crate::amd_ordering).
     Amd,
-    /// Block-triangular form (maximum transversal + Tarjan SCC) with an
-    /// independent AMD ordering per diagonal block. The factorization
-    /// never fills below a diagonal block, each block factors as its own
-    /// matrix, and the elimination-level schedule parallelizes across
-    /// uncoupled blocks for free. See
-    /// [`amd_btf_ordering`](crate::amd_btf_ordering). The default through
-    /// PR 5, kept as the pure-AMD baseline for fill comparisons against
-    /// [`ColumnOrdering::AmdBtfNd`].
-    AmdBtf,
-    /// Nested dissection on the whole symmetrized pattern: recursive
-    /// bisection with vertex separators numbered last, AMD on leaf
-    /// subdomains. See
-    /// [`nested_dissection_ordering`](crate::nested_dissection_ordering).
-    NestedDissection,
-    /// The default: block-triangular form with a hybrid per-block
-    /// ordering — nested dissection on diagonal blocks of at least
-    /// [`ND_BLOCK_CUTOFF`](crate::ND_BLOCK_CUTOFF) unknowns, AMD on the
-    /// rest. Separators keep the sparse triangular-solve reaches local
-    /// inside irreducible cores that BTF cannot split. See
-    /// [`amd_btf_nd_ordering`](crate::amd_btf_nd_ordering).
+    /// The default: block-triangular form (maximum transversal + Tarjan
+    /// SCC) with an independent AMD ordering per diagonal block. The
+    /// factorization never fills below a diagonal block and each block
+    /// factors as its own matrix. See
+    /// [`amd_btf_ordering`](crate::amd_btf_ordering).
     #[default]
-    AmdBtfNd,
+    AmdBtf,
 }
 
 /// Options controlling [`SparseLu::factor_with`].
@@ -837,8 +370,6 @@ pub struct SparseLuOptions {
     /// Entries with magnitude at or below this are treated as numerically
     /// zero when selecting pivots.
     pub zero_tolerance: f64,
-    /// Numeric precision of the stored factor values (see [`Precision`]).
-    pub precision: Precision,
     /// Detect supernodes after the symbolic analysis and run the blocked
     /// numeric kernels (dense panel updates, supernode-aware triangular
     /// solves) wherever multi-column supernodes exist. Disabling this keeps
@@ -859,7 +390,6 @@ impl Default for SparseLuOptions {
             ordering: ColumnOrdering::default(),
             pivot_threshold: 0.1,
             zero_tolerance: 0.0,
-            precision: Precision::default(),
             supernodal: true,
             amalgamation: 4,
         }
@@ -867,19 +397,19 @@ impl Default for SparseLuOptions {
 }
 
 /// Reusable scratch for the numeric factorization replay
-/// ([`SparseLu::refactor_with`]): an `n`-sized workspace vector and a stamp
-/// array. Hot loops (a template fanning out numeric refactorizations per
-/// batch member, a session refactoring every few hundred time steps) keep
-/// one per thread so the replay allocates nothing.
-#[derive(Debug, Default)]
+/// ([`SparseLu::refactor_with`]) and the refined solves
+/// ([`SparseLu::solve_refined_with`]). Hot loops (a template fanning out
+/// numeric refactorizations per batch member, a session refactoring every
+/// few hundred time steps) keep one per thread so the replay allocates
+/// nothing.
+#[derive(Debug, Clone, Default)]
 pub struct LuWorkspace {
+    /// Dense column workspace of the replay, indexed by original row.
     x: Vec<f64>,
-    /// `f32` twin of `x` for [`Precision::F32Refined`] replays (empty
-    /// until one runs).
-    x32: Vec<f32>,
+    /// Per-row step stamp marking the replayed column's pattern.
     stamp: Vec<usize>,
     /// Stamp/slot pair routing scattered matrix entries into the step's
-    /// off-diagonal (cross-block) value slots; see `refactor_step`.
+    /// off-diagonal (cross-block) value slots; see `scatter_step_column`.
     off_stamp: Vec<usize>,
     off_slot: Vec<usize>,
     /// Pooled buffers of [`SparseLu::solve_refined_with`] (solve scratch,
@@ -887,88 +417,6 @@ pub struct LuWorkspace {
     rwork: Vec<f64>,
     resid: Vec<f64>,
     corr: Vec<f64>,
-    /// Per-worker scratch of the parallel replay, lazily grown to the
-    /// worker count on first parallel refactor and reused afterwards, so
-    /// repeated parallel replays allocate nothing either. Behind mutexes
-    /// only so the broadcast closure can hand each worker its slot; every
-    /// lock is uncontended (slot `tid` is touched by worker `tid` alone).
-    workers: Vec<std::sync::Mutex<WorkerScratch>>,
-}
-
-/// One parallel-replay worker's private scratch; see
-/// [`LuWorkspace::workers`].
-#[derive(Debug, Default)]
-struct WorkerScratch {
-    x: Vec<f64>,
-    x32: Vec<f32>,
-    stamp: Vec<usize>,
-    off_stamp: Vec<usize>,
-    off_slot: Vec<usize>,
-}
-
-/// Workspace scratch borrowed for one replay: the scalar-typed value
-/// vector plus the three stamp/slot arrays.
-type ScratchParts<'a, S> = (
-    &'a mut Vec<S>,
-    &'a mut Vec<usize>,
-    &'a mut Vec<usize>,
-    &'a mut Vec<usize>,
-);
-
-/// Scalar-selected access to the right workspace vector (`x` vs `x32`), so
-/// the replay paths stay generic over [`Precision`] without duplicating
-/// the workspace plumbing. Returned as one split-borrow tuple
-/// (`x`, `stamp`, `off_stamp`, `off_slot`) so callers can hold the value
-/// vector and the stamps simultaneously.
-trait WsScalar: LuScalar {
-    fn ws_parts(ws: &mut LuWorkspace) -> ScratchParts<'_, Self>;
-    fn worker_parts(w: &mut WorkerScratch) -> ScratchParts<'_, Self>;
-}
-
-impl WsScalar for f64 {
-    fn ws_parts(ws: &mut LuWorkspace) -> ScratchParts<'_, Self> {
-        (
-            &mut ws.x,
-            &mut ws.stamp,
-            &mut ws.off_stamp,
-            &mut ws.off_slot,
-        )
-    }
-    fn worker_parts(w: &mut WorkerScratch) -> ScratchParts<'_, Self> {
-        (&mut w.x, &mut w.stamp, &mut w.off_stamp, &mut w.off_slot)
-    }
-}
-
-impl WsScalar for f32 {
-    fn ws_parts(ws: &mut LuWorkspace) -> ScratchParts<'_, Self> {
-        (
-            &mut ws.x32,
-            &mut ws.stamp,
-            &mut ws.off_stamp,
-            &mut ws.off_slot,
-        )
-    }
-    fn worker_parts(w: &mut WorkerScratch) -> ScratchParts<'_, Self> {
-        (&mut w.x32, &mut w.stamp, &mut w.off_stamp, &mut w.off_slot)
-    }
-}
-
-impl Clone for LuWorkspace {
-    fn clone(&self) -> Self {
-        // Worker scratch is transient per-refactor state; a clone starts
-        // with an empty pool.
-        LuWorkspace {
-            x: self.x.clone(),
-            x32: self.x32.clone(),
-            stamp: self.stamp.clone(),
-            off_stamp: self.off_stamp.clone(),
-            off_slot: self.off_slot.clone(),
-            rwork: Vec::new(),
-            resid: Vec::new(),
-            corr: Vec::new(),
-            workers: Vec::new(),
-        }
-    }
 }
 
 impl LuWorkspace {
@@ -977,16 +425,15 @@ impl LuWorkspace {
         Self::default()
     }
 
-    fn reset<S: WsScalar>(&mut self, n: usize) {
-        let (x, stamp, off_stamp, off_slot) = S::ws_parts(self);
-        x.clear();
-        x.resize(n, S::ZERO);
-        stamp.clear();
-        stamp.resize(n, usize::MAX);
-        off_stamp.clear();
-        off_stamp.resize(n, usize::MAX);
-        off_slot.clear();
-        off_slot.resize(n, 0);
+    fn reset(&mut self, n: usize) {
+        self.x.clear();
+        self.x.resize(n, 0.0);
+        self.stamp.clear();
+        self.stamp.resize(n, usize::MAX);
+        self.off_stamp.clear();
+        self.off_stamp.resize(n, usize::MAX);
+        self.off_slot.clear();
+        self.off_slot.resize(n, 0);
     }
 }
 
@@ -1099,9 +546,9 @@ pub struct SymbolicLu {
     pub(crate) u_ptr: Vec<usize>,
     pub(crate) u_rows: Vec<usize>,
     /// Diagonal-block boundaries in pivot-step space: block `t` owns steps
-    /// `block_ptr[t]..block_ptr[t + 1]`. Under the BTF orderings
-    /// ([`ColumnOrdering::AmdBtf`] / [`ColumnOrdering::AmdBtfNd`]) these
-    /// are the strongly connected components of the matched pattern (block
+    /// `block_ptr[t]..block_ptr[t + 1]`. Under the BTF ordering
+    /// ([`ColumnOrdering::AmdBtf`]) these are the strongly connected
+    /// components of the matched pattern (block
     /// upper triangular: entries below a diagonal block are structurally
     /// zero); every other ordering records the trivial single block. Each
     /// block factors **independently** — neither `L` nor `U` crosses a
@@ -1117,18 +564,13 @@ pub struct SymbolicLu {
     /// factorizations.
     pub(crate) off_ptr: Vec<usize>,
     pub(crate) off_rows: Vec<usize>,
-    /// Scheduling/reach structures derived from the pattern, built lazily
-    /// on first use (parallel refactorization or sparse-RHS solves) so a
-    /// plain factor + serial-refactor + dense-solve workflow pays nothing
-    /// for them.
+    /// Reach structures derived from the pattern, built lazily on first
+    /// use (sparse-RHS solves) so a plain factor + refactor + dense-solve
+    /// workflow pays nothing for them.
     pub(crate) extras: std::sync::OnceLock<SymbolicExtras>,
     /// Pivot zero-tolerance carried from the factorization options so every
     /// numeric replay applies the same singularity test.
     pub(crate) zero_tol: f64,
-    /// Numeric precision every factor over this plan stores its values in
-    /// (carried from the factorization options; part of the plan because
-    /// sibling factors built via [`SymbolicLu::numeric`] must match).
-    pub(crate) precision: Precision,
     /// Whether supernode detection is enabled (carried from the options).
     pub(crate) supernodal: bool,
     /// Relaxed-amalgamation knob (carried from the options).
@@ -1138,7 +580,7 @@ pub struct SymbolicLu {
     pub(crate) sn_plan: std::sync::OnceLock<Option<SupernodePlan>>,
 }
 
-/// Derived symbolic structures for the parallel and sparse-RHS paths; see
+/// Derived symbolic structures for the sparse-RHS solves; see
 /// [`SymbolicLu::extras`].
 #[derive(Debug)]
 pub(crate) struct SymbolicExtras {
@@ -1158,19 +600,6 @@ pub(crate) struct SymbolicExtras {
     pub(crate) ut_ptr: Vec<usize>,
     pub(crate) ut_steps: Vec<usize>,
     pub(crate) ut_vals_idx: Vec<usize>,
-    /// Elimination-tree parent per pivot step (`NO_PIVOT` for roots):
-    /// `etree[s]` is the *first* later step whose column update reads step
-    /// `s`'s `L` column, i.e. `min { k > s : U(s, k) ≠ 0 structurally }`.
-    pub(crate) etree: Vec<usize>,
-    /// Dependency level of each step: `0` for columns with no off-diagonal
-    /// `U` entries (elimination-tree leaves), otherwise one more than the
-    /// deepest step the column's replay reads. Steps of equal level are
-    /// mutually independent, which is what the parallel refactorization
-    /// schedules on.
-    pub(crate) level_ptr: Vec<usize>,
-    /// Steps grouped by level (ascending step order within each level):
-    /// level `l` is `level_cols[level_ptr[l]..level_ptr[l + 1]]`.
-    pub(crate) level_cols: Vec<usize>,
 }
 
 impl SymbolicLu {
@@ -1263,36 +692,6 @@ impl SymbolicLu {
         self.pinv[row]
     }
 
-    /// Elimination-tree parent of pivot step `step`, or `None` for a root:
-    /// the first later step whose numeric replay reads this step's `L`
-    /// column.
-    pub fn etree_parent(&self, step: usize) -> Option<usize> {
-        match self.extras().etree[step] {
-            NO_PIVOT => None,
-            p => Some(p),
-        }
-    }
-
-    /// Number of dependency levels in the elimination schedule (the
-    /// critical-path length of a refactorization; `n` independent columns
-    /// give 1, a dense chain gives `n`).
-    pub fn level_count(&self) -> usize {
-        self.extras().level_ptr.len() - 1
-    }
-
-    /// The pivot steps of dependency level `level`, ascending. Steps within
-    /// one level never read each other's factor columns, so a numeric
-    /// replay may run them in any order — or concurrently.
-    pub fn level_steps(&self, level: usize) -> &[usize] {
-        let ex = self.extras();
-        &ex.level_cols[ex.level_ptr[level]..ex.level_ptr[level + 1]]
-    }
-
-    /// Numeric precision of every factor built over this plan.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
     /// Supernode statistics of this plan, or `None` when supernode
     /// detection is disabled ([`SparseLuOptions::supernodal`] = false).
     /// Built lazily with the plan itself.
@@ -1339,7 +738,6 @@ impl SymbolicLu {
     pub(crate) fn extras(&self) -> &SymbolicExtras {
         self.extras.get_or_init(|| {
             let n = self.n;
-            let (etree, level_ptr, level_cols) = Self::build_schedule(n, &self.u_ptr, &self.u_rows);
             let (ut_ptr, ut_steps, ut_vals_idx) =
                 Self::build_u_transpose(n, &self.u_ptr, &self.u_rows);
             let mut qinv = vec![0usize; n];
@@ -1353,52 +751,8 @@ impl SymbolicLu {
                 ut_ptr,
                 ut_steps,
                 ut_vals_idx,
-                etree,
-                level_ptr,
-                level_cols,
             }
         })
-    }
-
-    /// Builds the elimination tree and the level schedule from the stored
-    /// `U` pattern. Column `k`'s replay reads the `L` column of every
-    /// off-diagonal step in `U(:, k)`, so that set is exactly the
-    /// dependency list; the level of `k` is one past the deepest
-    /// dependency, and the tree parent of `s` is its first dependent.
-    fn build_schedule(
-        n: usize,
-        u_ptr: &[usize],
-        u_rows: &[usize],
-    ) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
-        let mut etree = vec![NO_PIVOT; n];
-        let mut level = vec![0usize; n];
-        let mut max_level = 0usize;
-        for k in 0..n {
-            let mut lv = 0usize;
-            for &s in &u_rows[u_ptr[k]..u_ptr[k + 1] - 1] {
-                if etree[s] == NO_PIVOT {
-                    etree[s] = k;
-                }
-                lv = lv.max(level[s] + 1);
-            }
-            level[k] = lv;
-            max_level = max_level.max(lv);
-        }
-        let n_levels = if n == 0 { 0 } else { max_level + 1 };
-        let mut level_ptr = vec![0usize; n_levels + 1];
-        for &lv in &level {
-            level_ptr[lv + 1] += 1;
-        }
-        for l in 0..n_levels {
-            level_ptr[l + 1] += level_ptr[l];
-        }
-        let mut cursor = level_ptr.clone();
-        let mut level_cols = vec![0usize; n];
-        for (k, &lv) in level.iter().enumerate() {
-            level_cols[cursor[lv]] = k;
-            cursor[lv] += 1;
-        }
-        (etree, level_ptr, level_cols)
     }
 
     /// Builds the transposed off-diagonal `U` structure: for each step,
@@ -1447,54 +801,41 @@ impl SymbolicLu {
     /// the new values.
     pub fn numeric(sym: &Arc<SymbolicLu>, a: &CscMatrix) -> Result<SparseLu, LinalgError> {
         let panel_len = sym.blocked_plan().map_or(0, |p| p.panel_len);
-        let vals = match sym.precision {
-            Precision::F64 => FactorValues::F64(ValueArrays::zeroed(sym, panel_len)),
-            Precision::F32Refined => FactorValues::F32(ValueArrays::zeroed(sym, panel_len)),
-        };
         let mut lu = SparseLu {
             sym: Arc::clone(sym),
-            vals,
+            vals: ValueArrays::zeroed(sym, panel_len),
         };
         lu.refactor(a)?;
         Ok(lu)
     }
 }
 
-/// Numeric value storage of a factor, generic over the stored scalar: the
-/// `L` / `U` / cross-block arrays mirroring the symbolic pattern, plus the
-/// dense supernode panel storage of the blocked kernels.
+/// Numeric value storage of a factor: the `L` / `U` / cross-block arrays
+/// mirroring the symbolic pattern, plus the dense supernode panel storage
+/// of the blocked kernels.
 #[derive(Debug, Clone)]
-struct ValueArrays<S> {
-    l: Vec<S>,
-    u: Vec<S>,
-    off: Vec<S>,
+struct ValueArrays {
+    l: Vec<f64>,
+    u: Vec<f64>,
+    off: Vec<f64>,
     /// Dense supernode panels, `[body | ldiag | udiag]` per multi-column
     /// supernode (see [`SupernodePlan`]); empty when no plan is active.
-    panels: Vec<S>,
+    panels: Vec<f64>,
     /// Whether `panels` currently mirrors `l`/`u` — set by the panel-aware
-    /// paths (factor fill, supernodal replay), cleared if a scalar-only
-    /// replay ever overwrites the factor, so the supernode-aware solves
-    /// never read stale panels.
+    /// paths (factor fill, supernodal replay), cleared while a replay is
+    /// rewriting the factor, so the supernode-aware solves never read
+    /// stale panels.
     panels_valid: bool,
 }
 
-impl<S: LuScalar> ValueArrays<S> {
+impl ValueArrays {
     fn zeroed(sym: &SymbolicLu, panel_len: usize) -> Self {
         ValueArrays {
-            l: vec![S::ZERO; sym.l_rows.len()],
-            u: vec![S::ZERO; sym.u_rows.len()],
-            off: vec![S::ZERO; sym.off_rows.len()],
-            panels: vec![S::ZERO; panel_len],
+            l: vec![0.0; sym.l_rows.len()],
+            u: vec![0.0; sym.u_rows.len()],
+            off: vec![0.0; sym.off_rows.len()],
+            panels: vec![0.0; panel_len],
             panels_valid: false,
-        }
-    }
-
-    fn ptrs(&mut self) -> FactorValuePtrs<S> {
-        FactorValuePtrs {
-            l: self.l.as_mut_ptr(),
-            u: self.u.as_mut_ptr(),
-            off: self.off.as_mut_ptr(),
-            panels: self.panels.as_mut_ptr(),
         }
     }
 
@@ -1504,7 +845,7 @@ impl<S: LuScalar> ValueArrays<S> {
     /// supernodal replay maintains panels incrementally instead.
     fn fill_panels(&mut self, plan: &SupernodePlan) {
         self.panels.clear();
-        self.panels.resize(plan.panel_len, S::ZERO);
+        self.panels.resize(plan.panel_len, 0.0);
         for (idx, &slot) in plan.l_slot.iter().enumerate() {
             if slot != NO_SLOT {
                 self.panels[slot] = self.l[idx];
@@ -1517,35 +858,6 @@ impl<S: LuScalar> ValueArrays<S> {
         }
         self.panels_valid = true;
     }
-}
-
-/// The precision-dispatched numeric storage of a [`SparseLu`].
-#[derive(Debug, Clone)]
-enum FactorValues {
-    F64(ValueArrays<f64>),
-    F32(ValueArrays<f32>),
-}
-
-/// Dispatches into precision-generic code with `$va` bound to the active
-/// [`ValueArrays`] — the single point where the stored scalar type is
-/// erased, so the hot paths stay monomorphic.
-macro_rules! with_vals {
-    ($lu:expr, $va:ident => $e:expr) => {
-        match &$lu.vals {
-            FactorValues::F64($va) => $e,
-            FactorValues::F32($va) => $e,
-        }
-    };
-}
-
-/// Mutable twin of [`with_vals!`].
-macro_rules! with_vals_mut {
-    ($lu:expr, $va:ident => $e:expr) => {
-        match &mut $lu.vals {
-            FactorValues::F64($va) => $e,
-            FactorValues::F32($va) => $e,
-        }
-    };
 }
 
 /// Per-thread numeric half of the factorization: the `L`/`U` values over a
@@ -1580,16 +892,11 @@ pub type NumericLu = SparseLu;
 pub struct SparseLu {
     sym: Arc<SymbolicLu>,
     /// Numeric values (`L`, `U`, raw cross-block entries, supernode
-    /// panels), stored at the plan's [`Precision`].
-    vals: FactorValues,
+    /// panels).
+    vals: ValueArrays,
 }
 
 impl SparseLu {
-    /// Minimum system size for [`RefactorStrategy::Auto`] to choose the
-    /// parallel replay. Below this, per-column work is so small that
-    /// thread coordination costs more than the whole serial pass.
-    pub const PAR_COL_THRESHOLD: usize = 512;
-
     /// Maximum number of right-hand-side lanes a single
     /// [`SparseLu::solve_multi_into`] traversal carries. Eight doubles per
     /// row keep the lane block inside one cache line, and the supernode
@@ -1634,11 +941,7 @@ impl SparseLu {
             ColumnOrdering::MinDegree => BlockOrdering::single_block(min_degree_ordering(a)),
             ColumnOrdering::Rcm => BlockOrdering::single_block(reverse_cuthill_mckee(a)),
             ColumnOrdering::Amd => BlockOrdering::single_block(amd_ordering(a)),
-            ColumnOrdering::NestedDissection => {
-                BlockOrdering::single_block(nested_dissection_ordering(a))
-            }
             ColumnOrdering::AmdBtf => amd_btf_ordering(a),
-            ColumnOrdering::AmdBtfNd => amd_btf_nd_ordering(a),
         };
 
         let mut pinv = vec![NO_PIVOT; n]; // original row -> pivot step
@@ -1847,7 +1150,6 @@ impl SparseLu {
             off_rows,
             extras: std::sync::OnceLock::new(),
             zero_tol: opts.zero_tolerance,
-            precision: opts.precision,
             supernodal: opts.supernodal,
             relax: opts.amalgamation,
             sn_plan: std::sync::OnceLock::new(),
@@ -1862,20 +1164,7 @@ impl SparseLu {
         if let Some(plan) = sym.blocked_plan() {
             va.fill_panels(plan);
         }
-        let vals = match opts.precision {
-            Precision::F64 => FactorValues::F64(va),
-            // Downconvert once, after the full-precision pivoting
-            // elimination: the pivot *choice* is always made in f64, the
-            // narrower storage only affects replays and solves.
-            Precision::F32Refined => FactorValues::F32(ValueArrays {
-                l: va.l.iter().map(|&v| v as f32).collect(),
-                u: va.u.iter().map(|&v| v as f32).collect(),
-                off: va.off.iter().map(|&v| v as f32).collect(),
-                panels: va.panels.iter().map(|&v| v as f32).collect(),
-                panels_valid: va.panels_valid,
-            }),
-        };
-        let lu = SparseLu { sym, vals };
+        let lu = SparseLu { sym, vals: va };
         crate::verify::debug_auto_audit!(lu.audit());
         Ok(lu)
     }
@@ -1913,13 +1202,8 @@ impl SparseLu {
     /// [`crate::AuditError`].
     pub fn audit_values(&self) -> Result<(), crate::AuditError> {
         let sym = &self.sym;
-        let (l_len, u_len, off_len, panels_len, panels_valid) = with_vals!(self, va => (
-            va.l.len(),
-            va.u.len(),
-            va.off.len(),
-            va.panels.len(),
-            va.panels_valid,
-        ));
+        let va = &self.vals;
+        let (l_len, u_len, off_len) = (va.l.len(), va.u.len(), va.off.len());
         if l_len != sym.l_rows.len() || u_len != sym.u_rows.len() || off_len != sym.off_rows.len() {
             return Err(crate::AuditError::new(
                 "SparseLu",
@@ -1933,11 +1217,14 @@ impl SparseLu {
             ));
         }
         let plan_len = sym.blocked_plan().map_or(0, |p| p.panel_len);
-        if panels_valid && panels_len != plan_len {
+        if va.panels_valid && va.panels.len() != plan_len {
             return Err(crate::AuditError::new(
                 "SparseLu",
                 "panels-coherent",
-                format!("valid panels hold {panels_len} cells, plan expects {plan_len}"),
+                format!(
+                    "valid panels hold {} cells, plan expects {plan_len}",
+                    va.panels.len()
+                ),
             ));
         }
         Ok(())
@@ -1974,11 +1261,9 @@ impl SparseLu {
 
     /// [`SparseLu::refactor`] with caller-provided scratch, so repeated
     /// numeric replays (per-step rebases, template fan-outs) allocate
-    /// nothing — the workspace also pools the per-worker scratch of the
-    /// parallel path, which only a small per-call scheduling vector (one
-    /// cursor per parallel level) escapes. Uses [`RefactorStrategy::Auto`]
-    /// scheduling: large systems replay their elimination levels in
-    /// parallel when worker threads are available.
+    /// nothing. Columns replay serially in pivot-step order — supernode by
+    /// supernode through the blocked kernels when the plan amalgamates,
+    /// column by column otherwise.
     ///
     /// # Errors
     ///
@@ -1988,51 +1273,47 @@ impl SparseLu {
         a: &CscMatrix,
         ws: &mut LuWorkspace,
     ) -> Result<(), LinalgError> {
-        self.refactor_with_strategy(a, ws, RefactorStrategy::Auto)
-    }
-
-    /// [`SparseLu::refactor_with`] with explicit scheduling control. The
-    /// serial and parallel paths run the identical per-column arithmetic
-    /// (`refactor_step`) against the same frozen ordering, pattern and
-    /// pivot sequence, so their results are bit-for-bit equal — the
-    /// strategy only chooses how the independent columns of each
-    /// elimination level are distributed.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SparseLu::refactor`]. On error (from any worker) the
-    /// factor values are partially overwritten and must not be used.
-    pub fn refactor_with_strategy(
-        &mut self,
-        a: &CscMatrix,
-        ws: &mut LuWorkspace,
-        strategy: RefactorStrategy,
-    ) -> Result<(), LinalgError> {
         if a.rows() != a.cols() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),
                 cols: a.cols(),
             });
         }
-        if a.cols() != self.sym.n {
+        let sym = &self.sym;
+        if a.cols() != sym.n {
             return Err(LinalgError::DimensionMismatch {
-                expected: self.sym.n,
+                expected: sym.n,
                 found: a.cols(),
             });
         }
-        let threads = match strategy {
-            RefactorStrategy::Serial => 1,
-            RefactorStrategy::Parallel { threads } => threads.max(1),
-            RefactorStrategy::Auto => {
-                if self.sym.n >= Self::PAR_COL_THRESHOLD && !rayon::in_worker() {
-                    rayon::current_num_threads()
-                } else {
-                    1
+        let va = &mut self.vals;
+        ws.reset(sym.n);
+        match sym.blocked_plan() {
+            Some(plan) => {
+                // Panels go stale the moment replay starts writing; only a
+                // fully successful supernodal pass leaves them coherent with
+                // the column arrays again.
+                va.panels_valid = false;
+                for sn in 0..plan.count() {
+                    let (k0, k1) = (plan.sn_ptr[sn], plan.sn_ptr[sn + 1]);
+                    if k1 - k0 == 1 {
+                        refactor_step(sym, a, k0, ws, va)?;
+                        continue;
+                    }
+                    // Padded panel cells must read as exact zeros.
+                    va.panels[plan.panel_ptr[sn]..plan.panel_ptr[sn + 1]].fill(0.0);
+                    for k in k0..k1 {
+                        refactor_step_blocked(sym, plan, a, k, ws, va)?;
+                    }
+                }
+                va.panels_valid = true;
+            }
+            None => {
+                for k in 0..sym.n {
+                    refactor_step(sym, a, k, ws, va)?;
                 }
             }
-        };
-        let sym = Arc::clone(&self.sym);
-        with_vals_mut!(self, va => refactor_dispatch(&sym, va, a, ws, threads))?;
+        }
         crate::verify::debug_auto_audit!(self.audit_values());
         Ok(())
     }
@@ -2053,7 +1334,9 @@ impl SparseLu {
     /// Solves `A x = b` into caller-provided buffers: on success `out`
     /// holds the solution. Both buffers are resized as needed, so hot loops
     /// (a transient simulation solving thousands of time steps) reuse their
-    /// allocations.
+    /// allocations. The forward/backward substitutions run through the
+    /// dense supernode panels when a blocked plan is active, the panels
+    /// mirror the factor, and the system is large enough to pay for it.
     ///
     /// # Errors
     ///
@@ -2064,22 +1347,7 @@ impl SparseLu {
         work: &mut Vec<f64>,
         out: &mut Vec<f64>,
     ) -> Result<(), LinalgError> {
-        with_vals!(self, va => self.solve_into_vals(va, b, work, out))
-    }
-
-    /// Precision-generic body of [`SparseLu::solve_into`]. Arithmetic is
-    /// always f64 — stored values are widened on load (an identity for
-    /// f64 factors, so the historical solve is reproduced bit for bit) —
-    /// and the forward/backward substitutions go through the dense
-    /// supernode panels when a blocked plan is active, the panels mirror
-    /// the factor, and the system is large enough to pay for it.
-    fn solve_into_vals<S: LuScalar>(
-        &self,
-        va: &ValueArrays<S>,
-        b: &[f64],
-        work: &mut Vec<f64>,
-        out: &mut Vec<f64>,
-    ) -> Result<(), LinalgError> {
+        let va = &self.vals;
         let sym = &self.sym;
         if b.len() != sym.n {
             return Err(LinalgError::DimensionMismatch {
@@ -2087,11 +1355,7 @@ impl SparseLu {
                 found: b.len(),
             });
         }
-        // Small systems keep the scalar path: its updates land in exactly
-        // the per-entry order the sparse-RHS solves replicate, preserving
-        // their bit-identical contract, and the panel gather wouldn't pay
-        // for itself anyway.
-        let plan = if va.panels_valid && sym.n >= Self::PAR_COL_THRESHOLD {
+        let plan = if va.panels_valid && sym.n >= SN_SOLVE_MIN_DIM {
             sym.blocked_plan()
         } else {
             None
@@ -2121,7 +1385,7 @@ impl SparseLu {
                         out[step] = zk;
                         if zk != 0.0 {
                             for idx in sym.l_ptr[step]..sym.l_ptr[step + 1] {
-                                work[sym.l_rows[idx]] -= zk * va.l[idx].to_f64();
+                                work[sym.l_rows[idx]] -= zk * va.l[idx];
                             }
                         }
                     }
@@ -2129,11 +1393,11 @@ impl SparseLu {
                     // steps, diagonal last.
                     for step in (lo..hi).rev() {
                         let (ulo, uhi) = (sym.u_ptr[step], sym.u_ptr[step + 1]);
-                        let yk = out[step] / va.u[uhi - 1].to_f64();
+                        let yk = out[step] / va.u[uhi - 1];
                         out[step] = yk;
                         if yk != 0.0 {
                             for idx in ulo..(uhi - 1) {
-                                out[sym.u_rows[idx]] -= yk * va.u[idx].to_f64();
+                                out[sym.u_rows[idx]] -= yk * va.u[idx];
                             }
                         }
                     }
@@ -2144,7 +1408,7 @@ impl SparseLu {
             for (step, &yk) in out.iter().enumerate().take(hi).skip(lo) {
                 if yk != 0.0 {
                     for idx in sym.off_ptr[step]..sym.off_ptr[step + 1] {
-                        work[sym.off_rows[idx]] -= va.off[idx].to_f64() * yk;
+                        work[sym.off_rows[idx]] -= va.off[idx] * yk;
                     }
                 }
             }
@@ -2162,9 +1426,9 @@ impl SparseLu {
     /// solve their `w × w` unit-lower diagonal into a local dense vector
     /// and push it through the body panel with lane dot products — one
     /// contiguous read per body row instead of `w` strided scatters.
-    fn block_forward_sn<S: LuScalar>(
+    fn block_forward_sn(
         &self,
-        va: &ValueArrays<S>,
+        va: &ValueArrays,
         plan: &SupernodePlan,
         lo: usize,
         hi: usize,
@@ -2181,7 +1445,7 @@ impl SparseLu {
                 out[k0] = zk;
                 if zk != 0.0 {
                     for idx in sym.l_ptr[k0]..sym.l_ptr[k0 + 1] {
-                        work[sym.l_rows[idx]] -= zk * va.l[idx].to_f64();
+                        work[sym.l_rows[idx]] -= zk * va.l[idx];
                     }
                 }
                 continue;
@@ -2198,13 +1462,13 @@ impl SparseLu {
             for t in 0..w {
                 let mut zk = work[sym.row_perm[k0 + t]];
                 for (j, &zj) in z.iter().enumerate().take(t) {
-                    zk -= zj * ldiag[j * w + t].to_f64();
+                    zk -= zj * ldiag[j * w + t];
                 }
                 z[t] = zk;
                 out[k0 + t] = zk;
             }
             for (i, &r) in rows.iter().enumerate() {
-                work[r] -= dot_lanes_f64(&body[i * w..(i + 1) * w], &z[..w]);
+                work[r] -= dot_lanes(&body[i * w..(i + 1) * w], &z[..w]);
             }
         }
     }
@@ -2214,9 +1478,9 @@ impl SparseLu {
     /// through the dense `udiag` panel (descending members, contiguous
     /// column reads) and fire only the external prefix of each stored `U`
     /// column per entry.
-    fn block_backward_sn<S: LuScalar>(
+    fn block_backward_sn(
         &self,
-        va: &ValueArrays<S>,
+        va: &ValueArrays,
         plan: &SupernodePlan,
         lo: usize,
         hi: usize,
@@ -2229,11 +1493,11 @@ impl SparseLu {
             let w = k1 - k0;
             if w == 1 {
                 let (ulo, uhi) = (sym.u_ptr[k0], sym.u_ptr[k0 + 1]);
-                let yk = out[k0] / va.u[uhi - 1].to_f64();
+                let yk = out[k0] / va.u[uhi - 1];
                 out[k0] = yk;
                 if yk != 0.0 {
                     for idx in ulo..(uhi - 1) {
-                        out[sym.u_rows[idx]] -= yk * va.u[idx].to_f64();
+                        out[sym.u_rows[idx]] -= yk * va.u[idx];
                     }
                 }
                 continue;
@@ -2243,13 +1507,13 @@ impl SparseLu {
             let udiag = &va.panels[pbase + (r_cnt + w) * w..pbase + (r_cnt + 2 * w) * w];
             for t in (0..w).rev() {
                 let k = k0 + t;
-                let yk = out[k] / udiag[t * w + t].to_f64();
+                let yk = out[k] / udiag[t * w + t];
                 out[k] = yk;
                 if yk != 0.0 {
                     // Within-supernode targets through the dense panel
                     // column (absent entries are exact zeros) ...
                     for i in 0..t {
-                        out[k0 + i] -= yk * udiag[t * w + i].to_f64();
+                        out[k0 + i] -= yk * udiag[t * w + i];
                     }
                     // ... and the external prefix of the stored column
                     // (entries ascending; the own-supernode tail sits just
@@ -2260,7 +1524,7 @@ impl SparseLu {
                         ehi -= 1;
                     }
                     for idx in ulo..ehi {
-                        out[sym.u_rows[idx]] -= yk * va.u[idx].to_f64();
+                        out[sym.u_rows[idx]] -= yk * va.u[idx];
                     }
                 }
             }
@@ -2290,13 +1554,13 @@ impl SparseLu {
         match k {
             // A single lane is exactly the single-RHS layout.
             1 => self.solve_into(b, work, out),
-            2 => with_vals!(self, va => self.solve_multi_into_vals::<_, 2>(va, b, work, out)),
-            3 => with_vals!(self, va => self.solve_multi_into_vals::<_, 3>(va, b, work, out)),
-            4 => with_vals!(self, va => self.solve_multi_into_vals::<_, 4>(va, b, work, out)),
-            5 => with_vals!(self, va => self.solve_multi_into_vals::<_, 5>(va, b, work, out)),
-            6 => with_vals!(self, va => self.solve_multi_into_vals::<_, 6>(va, b, work, out)),
-            7 => with_vals!(self, va => self.solve_multi_into_vals::<_, 7>(va, b, work, out)),
-            8 => with_vals!(self, va => self.solve_multi_into_vals::<_, 8>(va, b, work, out)),
+            2 => self.solve_lanes::<2>(b, work, out),
+            3 => self.solve_lanes::<3>(b, work, out),
+            4 => self.solve_lanes::<4>(b, work, out),
+            5 => self.solve_lanes::<5>(b, work, out),
+            6 => self.solve_lanes::<6>(b, work, out),
+            7 => self.solve_lanes::<7>(b, work, out),
+            8 => self.solve_lanes::<8>(b, work, out),
             _ => Err(LinalgError::DimensionMismatch {
                 expected: Self::MAX_SOLVE_LANES,
                 found: k,
@@ -2305,17 +1569,17 @@ impl SparseLu {
     }
 
     /// Lane-count-monomorphized body of [`SparseLu::solve_multi_into`]:
-    /// the exact structure of [`SparseLu::solve_into_vals`] with every
+    /// the exact structure of [`SparseLu::solve_into`] with every
     /// scalar replaced by a `[f64; K]` lane block, so each factor value is
     /// loaded once and broadcast across the lanes. Monomorphizing over `K`
     /// lets the compiler fully unroll the lane loops.
-    fn solve_multi_into_vals<S: LuScalar, const K: usize>(
+    fn solve_lanes<const K: usize>(
         &self,
-        va: &ValueArrays<S>,
         b: &[f64],
         work: &mut Vec<f64>,
         out: &mut Vec<f64>,
     ) -> Result<(), LinalgError> {
+        let va = &self.vals;
         let sym = &self.sym;
         if b.len() != sym.n * K {
             return Err(LinalgError::DimensionMismatch {
@@ -2323,7 +1587,7 @@ impl SparseLu {
                 found: b.len(),
             });
         }
-        let plan = if va.panels_valid && sym.n >= Self::PAR_COL_THRESHOLD {
+        let plan = if va.panels_valid && sym.n >= SN_SOLVE_MIN_DIM {
             sym.blocked_plan()
         } else {
             None
@@ -2337,8 +1601,8 @@ impl SparseLu {
             let (lo, hi) = (bp[t], bp[t + 1]);
             match plan {
                 Some(plan) => {
-                    self.block_forward_sn_multi::<S, K>(va, plan, lo, hi, work, out);
-                    self.block_backward_sn_multi::<S, K>(va, plan, lo, hi, out);
+                    self.block_forward_sn_multi::<K>(va, plan, lo, hi, work, out);
+                    self.block_backward_sn_multi::<K>(va, plan, lo, hi, out);
                 }
                 None => {
                     for step in lo..hi {
@@ -2348,7 +1612,7 @@ impl SparseLu {
                         out[step * K..step * K + K].copy_from_slice(&zk);
                         if zk.iter().any(|&z| z != 0.0) {
                             for idx in sym.l_ptr[step]..sym.l_ptr[step + 1] {
-                                let lv = va.l[idx].to_f64();
+                                let lv = va.l[idx];
                                 let r = sym.l_rows[idx] * K;
                                 for (l, &z) in zk.iter().enumerate() {
                                     work[r + l] -= z * lv;
@@ -2358,7 +1622,7 @@ impl SparseLu {
                     }
                     for step in (lo..hi).rev() {
                         let (ulo, uhi) = (sym.u_ptr[step], sym.u_ptr[step + 1]);
-                        let d = va.u[uhi - 1].to_f64();
+                        let d = va.u[uhi - 1];
                         let mut yk = [0.0f64; K];
                         for (l, y) in yk.iter_mut().enumerate() {
                             *y = out[step * K + l] / d;
@@ -2366,7 +1630,7 @@ impl SparseLu {
                         out[step * K..step * K + K].copy_from_slice(&yk);
                         if yk.iter().any(|&y| y != 0.0) {
                             for idx in ulo..(uhi - 1) {
-                                let uv = va.u[idx].to_f64();
+                                let uv = va.u[idx];
                                 let r = sym.u_rows[idx] * K;
                                 for (l, &y) in yk.iter().enumerate() {
                                     out[r + l] -= y * uv;
@@ -2382,7 +1646,7 @@ impl SparseLu {
                 yk.copy_from_slice(&out[step * K..step * K + K]);
                 if yk.iter().any(|&v| v != 0.0) {
                     for idx in sym.off_ptr[step]..sym.off_ptr[step + 1] {
-                        let ov = va.off[idx].to_f64();
+                        let ov = va.off[idx];
                         let r = sym.off_rows[idx] * K;
                         for (l, &y) in yk.iter().enumerate() {
                             work[r + l] -= ov * y;
@@ -2403,9 +1667,9 @@ impl SparseLu {
     /// Multi-lane twin of [`SparseLu::block_forward_sn`]: the supernode
     /// diagonal solve and the body-panel push each read a panel cell once
     /// and apply it to all `K` lanes of the local `z` block.
-    fn block_forward_sn_multi<S: LuScalar, const K: usize>(
+    fn block_forward_sn_multi<const K: usize>(
         &self,
-        va: &ValueArrays<S>,
+        va: &ValueArrays,
         plan: &SupernodePlan,
         lo: usize,
         hi: usize,
@@ -2424,7 +1688,7 @@ impl SparseLu {
                 out[k0 * K..k0 * K + K].copy_from_slice(&zk);
                 if zk.iter().any(|&z| z != 0.0) {
                     for idx in sym.l_ptr[k0]..sym.l_ptr[k0 + 1] {
-                        let lv = va.l[idx].to_f64();
+                        let lv = va.l[idx];
                         let r = sym.l_rows[idx] * K;
                         for (l, &z) in zk.iter().enumerate() {
                             work[r + l] -= z * lv;
@@ -2444,7 +1708,7 @@ impl SparseLu {
                 let mut zk = [0.0f64; K];
                 zk.copy_from_slice(&work[rp..rp + K]);
                 for (j, zj) in z.iter().enumerate().take(t) {
-                    let c = ldiag[j * w + t].to_f64();
+                    let c = ldiag[j * w + t];
                     if c != 0.0 {
                         for (l, &zv) in zj.iter().enumerate() {
                             zk[l] -= zv * c;
@@ -2458,7 +1722,7 @@ impl SparseLu {
                 let arow = &body[i * w..(i + 1) * w];
                 let mut acc = [0.0f64; K];
                 for (j, aj) in arow.iter().enumerate() {
-                    let av = aj.to_f64();
+                    let av = aj;
                     for (l, a) in acc.iter_mut().enumerate() {
                         *a += av * z[j][l];
                     }
@@ -2474,9 +1738,9 @@ impl SparseLu {
     /// Multi-lane twin of [`SparseLu::block_backward_sn`]: descending
     /// members resolve within-supernode coupling through the dense `udiag`
     /// panel, firing each external `U` entry once across all `K` lanes.
-    fn block_backward_sn_multi<S: LuScalar, const K: usize>(
+    fn block_backward_sn_multi<const K: usize>(
         &self,
-        va: &ValueArrays<S>,
+        va: &ValueArrays,
         plan: &SupernodePlan,
         lo: usize,
         hi: usize,
@@ -2489,7 +1753,7 @@ impl SparseLu {
             let w = k1 - k0;
             if w == 1 {
                 let (ulo, uhi) = (sym.u_ptr[k0], sym.u_ptr[k0 + 1]);
-                let d = va.u[uhi - 1].to_f64();
+                let d = va.u[uhi - 1];
                 let mut yk = [0.0f64; K];
                 for (l, y) in yk.iter_mut().enumerate() {
                     *y = out[k0 * K + l] / d;
@@ -2497,7 +1761,7 @@ impl SparseLu {
                 out[k0 * K..k0 * K + K].copy_from_slice(&yk);
                 if yk.iter().any(|&y| y != 0.0) {
                     for idx in ulo..(uhi - 1) {
-                        let uv = va.u[idx].to_f64();
+                        let uv = va.u[idx];
                         let r = sym.u_rows[idx] * K;
                         for (l, &y) in yk.iter().enumerate() {
                             out[r + l] -= y * uv;
@@ -2511,7 +1775,7 @@ impl SparseLu {
             let udiag = &va.panels[pbase + (r_cnt + w) * w..pbase + (r_cnt + 2 * w) * w];
             for t in (0..w).rev() {
                 let k = k0 + t;
-                let d = udiag[t * w + t].to_f64();
+                let d = udiag[t * w + t];
                 let mut yk = [0.0f64; K];
                 for (l, y) in yk.iter_mut().enumerate() {
                     *y = out[k * K + l] / d;
@@ -2519,7 +1783,7 @@ impl SparseLu {
                 out[k * K..k * K + K].copy_from_slice(&yk);
                 if yk.iter().any(|&y| y != 0.0) {
                     for i in 0..t {
-                        let c = udiag[t * w + i].to_f64();
+                        let c = udiag[t * w + i];
                         if c != 0.0 {
                             let rb = (k0 + i) * K;
                             for (l, &y) in yk.iter().enumerate() {
@@ -2533,7 +1797,7 @@ impl SparseLu {
                         ehi -= 1;
                     }
                     for idx in ulo..ehi {
-                        let uv = va.u[idx].to_f64();
+                        let uv = va.u[idx];
                         let r = sym.u_rows[idx] * K;
                         for (l, &y) in yk.iter().enumerate() {
                             out[r + l] -= y * uv;
@@ -2550,12 +1814,12 @@ impl SparseLu {
     /// substitution over exactly those steps. Afterwards `ws.lreach` holds
     /// the reach in ascending (topological) step order and `ws.xs` the
     /// forward solution `z = L⁻¹ P b` on it.
-    fn forward_sparse_phase<S: LuScalar>(
+    fn forward_sparse_phase(
         &self,
-        va: &ValueArrays<S>,
         b: &[(usize, f64)],
         ws: &mut SparseSolveWorkspace,
     ) -> Result<(), LinalgError> {
+        let va = &self.vals;
         let sym = &self.sym;
         let n = sym.n;
         for &(r, _) in b {
@@ -2602,7 +1866,7 @@ impl SparseLu {
             if zk != 0.0 {
                 let (lo, hi) = (sym.l_ptr[s], sym.l_ptr[s + 1]);
                 for (&t, &lv) in l_steps[lo..hi].iter().zip(&va.l[lo..hi]) {
-                    ws.xs[t] -= zk * lv.to_f64();
+                    ws.xs[t] -= zk * lv;
                 }
             }
         }
@@ -2634,7 +1898,7 @@ impl SparseLu {
         ws: &mut SparseSolveWorkspace,
         out: &mut Vec<(usize, f64)>,
     ) -> Result<(), LinalgError> {
-        with_vals!(self, va => self.forward_sparse_phase(va, b, ws))?;
+        self.forward_sparse_phase(b, ws)?;
         out.clear();
         out.extend(ws.lreach.iter().map(|&s| (s, ws.xs[s])));
         Ok(())
@@ -2664,18 +1928,7 @@ impl SparseLu {
         ws: &mut SparseSolveWorkspace,
         out: &mut Vec<(usize, f64)>,
     ) -> Result<(), LinalgError> {
-        with_vals!(self, va => self.transposed_backward_sparse_vals(va, v, ws, out))
-    }
-
-    /// Precision-generic body of
-    /// [`SparseLu::transposed_backward_sparse_into`].
-    fn transposed_backward_sparse_vals<S: LuScalar>(
-        &self,
-        va: &ValueArrays<S>,
-        v: &[(usize, f64)],
-        ws: &mut SparseSolveWorkspace,
-        out: &mut Vec<(usize, f64)>,
-    ) -> Result<(), LinalgError> {
+        let va = &self.vals;
         let sym = &self.sym;
         let n = sym.n;
         for &(r, _) in v {
@@ -2721,11 +1974,11 @@ impl SparseLu {
         // exactly the within-reach edges; the gather form would walk the
         // full (late, huge) U columns of every reach step instead.
         for &s in &ws.lreach {
-            let gk = ws.xs[s] / va.u[sym.u_ptr[s + 1] - 1].to_f64();
+            let gk = ws.xs[s] / va.u[sym.u_ptr[s + 1] - 1];
             ws.xs[s] = gk;
             if gk != 0.0 {
                 for idx in ex.ut_ptr[s]..ex.ut_ptr[s + 1] {
-                    ws.xs[ex.ut_steps[idx]] -= va.u[ex.ut_vals_idx[idx]].to_f64() * gk;
+                    ws.xs[ex.ut_steps[idx]] -= va.u[ex.ut_vals_idx[idx]] * gk;
                 }
             }
         }
@@ -2756,17 +2009,7 @@ impl SparseLu {
         work: &mut Vec<f64>,
         out: &mut Vec<f64>,
     ) -> Result<(), LinalgError> {
-        with_vals!(self, va => self.backward_dense_from_steps_vals(va, s, work, out))
-    }
-
-    /// Precision-generic body of [`SparseLu::backward_dense_from_steps`].
-    fn backward_dense_from_steps_vals<S: LuScalar>(
-        &self,
-        va: &ValueArrays<S>,
-        s: &[(usize, f64)],
-        work: &mut Vec<f64>,
-        out: &mut Vec<f64>,
-    ) -> Result<(), LinalgError> {
+        let va = &self.vals;
         let sym = &self.sym;
         let n = sym.n;
         for &(step, _) in s {
@@ -2784,11 +2027,11 @@ impl SparseLu {
         }
         for step in (0..n).rev() {
             let (lo, hi) = (sym.u_ptr[step], sym.u_ptr[step + 1]);
-            let yk = work[step] / va.u[hi - 1].to_f64();
+            let yk = work[step] / va.u[hi - 1];
             work[step] = yk;
             if yk != 0.0 {
                 for idx in lo..(hi - 1) {
-                    work[sym.u_rows[idx]] -= yk * va.u[idx].to_f64();
+                    work[sym.u_rows[idx]] -= yk * va.u[idx];
                 }
             }
         }
@@ -2828,23 +2071,13 @@ impl SparseLu {
         ws: &mut SparseSolveWorkspace,
         out: &mut Vec<f64>,
     ) -> Result<(), LinalgError> {
-        with_vals!(self, va => self.solve_sparse_into_vals(va, b, ws, out))
-    }
-
-    /// Precision-generic body of [`SparseLu::solve_sparse_into`].
-    fn solve_sparse_into_vals<S: LuScalar>(
-        &self,
-        va: &ValueArrays<S>,
-        b: &[(usize, f64)],
-        ws: &mut SparseSolveWorkspace,
-        out: &mut Vec<f64>,
-    ) -> Result<(), LinalgError> {
+        let va = &self.vals;
         let sym = &self.sym;
         let n = sym.n;
         if sym.block_count() > 1 {
-            return self.solve_sparse_multiblock(va, b, ws, out);
+            return self.solve_sparse_multiblock(b, ws, out);
         }
-        self.forward_sparse_phase(va, b, ws)?;
+        self.forward_sparse_phase(b, ws)?;
         let l_mark = ws.epoch; // visited in the L phase
         let u_mark = ws.epoch + 1; // explored in the U phase
 
@@ -2880,11 +2113,11 @@ impl SparseLu {
         // Numeric backward solve over the combined reach.
         for &t in &ws.ureach {
             let (lo, hi) = (sym.u_ptr[t], sym.u_ptr[t + 1]);
-            let yk = ws.xs[t] / va.u[hi - 1].to_f64();
+            let yk = ws.xs[t] / va.u[hi - 1];
             ws.xs[t] = yk;
             if yk != 0.0 {
                 for idx in lo..hi - 1 {
-                    ws.xs[sym.u_rows[idx]] -= yk * va.u[idx].to_f64();
+                    ws.xs[sym.u_rows[idx]] -= yk * va.u[idx];
                 }
             }
         }
@@ -2920,13 +2153,13 @@ impl SparseLu {
     /// dense scans perform exactly the updates the dense path performs,
     /// so the bail-out never changes a bit of the result — only which
     /// bookkeeping computes it.
-    fn solve_sparse_multiblock<S: LuScalar>(
+    fn solve_sparse_multiblock(
         &self,
-        va: &ValueArrays<S>,
         b: &[(usize, f64)],
         ws: &mut SparseSolveWorkspace,
         out: &mut Vec<f64>,
     ) -> Result<(), LinalgError> {
+        let va = &self.vals;
         let sym = &self.sym;
         let n = sym.n;
         for &(r, _) in b {
@@ -3000,7 +2233,7 @@ impl SparseLu {
                     if zk != 0.0 {
                         let (lo, hi) = (sym.l_ptr[s], sym.l_ptr[s + 1]);
                         for (&t2, &lv) in l_steps[lo..hi].iter().zip(&va.l[lo..hi]) {
-                            ws.xs[t2] -= zk * lv.to_f64();
+                            ws.xs[t2] -= zk * lv;
                         }
                     }
                 }
@@ -3080,18 +2313,18 @@ impl SparseLu {
                         if zk != 0.0 {
                             let (lo, hi) = (sym.l_ptr[s], sym.l_ptr[s + 1]);
                             for (&t2, &lv) in l_steps[lo..hi].iter().zip(&va.l[lo..hi]) {
-                                ws.xs[t2] -= zk * lv.to_f64();
+                                ws.xs[t2] -= zk * lv;
                             }
                         }
                     }
                 }
                 for s in (block_lo..block_hi).rev() {
                     let (lo, hi) = (sym.u_ptr[s], sym.u_ptr[s + 1]);
-                    let yk = ws.xs[s] / va.u[hi - 1].to_f64();
+                    let yk = ws.xs[s] / va.u[hi - 1];
                     ws.xs[s] = yk;
                     if yk != 0.0 {
                         for idx in lo..hi - 1 {
-                            ws.xs[sym.u_rows[idx]] -= yk * va.u[idx].to_f64();
+                            ws.xs[sym.u_rows[idx]] -= yk * va.u[idx];
                         }
                     }
                 }
@@ -3107,7 +2340,7 @@ impl SparseLu {
                                 ws.xs[s2] = 0.0;
                                 ws.seeds.push(s2);
                             }
-                            ws.xs[s2] -= va.off[idx].to_f64() * yk;
+                            ws.xs[s2] -= va.off[idx] * yk;
                         }
                     }
                 }
@@ -3118,11 +2351,11 @@ impl SparseLu {
             // Numeric backward solve over the block's combined reach.
             for &s in &ws.ureach {
                 let (lo, hi) = (sym.u_ptr[s], sym.u_ptr[s + 1]);
-                let yk = ws.xs[s] / va.u[hi - 1].to_f64();
+                let yk = ws.xs[s] / va.u[hi - 1];
                 ws.xs[s] = yk;
                 if yk != 0.0 {
                     for idx in lo..hi - 1 {
-                        ws.xs[sym.u_rows[idx]] -= yk * va.u[idx].to_f64();
+                        ws.xs[sym.u_rows[idx]] -= yk * va.u[idx];
                     }
                 }
             }
@@ -3143,7 +2376,7 @@ impl SparseLu {
                             ws.xs[s2] = 0.0;
                             ws.seeds.push(s2);
                         }
-                        ws.xs[s2] -= va.off[idx].to_f64() * yk;
+                        ws.xs[s2] -= va.off[idx] * yk;
                     }
                 }
             }
@@ -3151,13 +2384,9 @@ impl SparseLu {
         Ok(())
     }
 
-    /// Solves `A x = b`, then applies iterative refinement using the
-    /// original matrix `a` to reduce the residual: one step under an
-    /// [`Precision::F64`] factor (the historical post-solve polish), up to
-    /// six under [`Precision::F32Refined`] — a single step is not enough to
-    /// buy back the digits a narrow factor lacks on ill-conditioned
-    /// systems, so the loop runs until the residual hits the f64 noise
-    /// floor or stops shrinking.
+    /// Solves `A x = b`, then applies one step of iterative refinement
+    /// against the original matrix `a`: the residual `b - A x` is solved
+    /// through the factor and the correction added to `x`.
     ///
     /// # Errors
     ///
@@ -3185,32 +2414,12 @@ impl SparseLu {
         out: &mut Vec<f64>,
     ) -> Result<(), LinalgError> {
         self.solve_into(b, &mut ws.rwork, out)?;
-        let max_steps = match self.sym.precision() {
-            Precision::F64 => 1,
-            Precision::F32Refined => 6,
-        };
-        let bnorm = crate::vecops::norm_inf(b);
-        let mut prev = f64::INFINITY;
-        for step in 0..max_steps {
-            a.mul_vec_into(out, &mut ws.resid);
-            for (ri, bi) in ws.resid.iter_mut().zip(b) {
-                *ri = bi - *ri;
-            }
-            let rnorm = crate::vecops::norm_inf(&ws.resid);
-            if step > 0 && (rnorm <= f64::EPSILON * (1.0 + bnorm) || rnorm >= 0.5 * prev) {
-                break;
-            }
-            prev = rnorm;
-            // Swap the residual in as the RHS of the correction solve: the
-            // borrow rules forbid solving from `ws.resid` into `ws.corr`
-            // while both live in `ws`, and a swap is free.
-            let mut resid = std::mem::take(&mut ws.resid);
-            let solved = self.solve_into(&resid, &mut ws.rwork, &mut ws.corr);
-            resid.clear();
-            ws.resid = resid;
-            solved?;
-            crate::vecops::axpy(1.0, &ws.corr, out);
+        a.mul_vec_into(out, &mut ws.resid);
+        for (ri, bi) in ws.resid.iter_mut().zip(b) {
+            *ri = bi - *ri;
         }
+        self.solve_into(&ws.resid, &mut ws.rwork, &mut ws.corr)?;
+        crate::vecops::axpy(1.0, &ws.corr, out);
         Ok(())
     }
 
@@ -3223,7 +2432,7 @@ impl SparseLu {
     /// off-diagonal values (a fill-in / storage metric comparable across
     /// orderings).
     pub fn factor_nnz(&self) -> usize {
-        with_vals!(self, va => va.l.len() + va.u.len() + va.off.len())
+        self.vals.l.len() + self.vals.u.len() + self.vals.off.len()
     }
 }
 
@@ -3677,170 +2886,6 @@ mod tests {
     }
 
     #[test]
-    fn etree_and_level_schedule_are_consistent() {
-        let lu = SparseLu::factor(&grid_laplacian(9).to_csc()).unwrap();
-        let sym = lu.symbolic();
-        let n = sym.dim();
-        // Levels partition the steps, dependencies live in strictly lower
-        // levels, and the etree parent is a dependent of its child.
-        let mut level_of = vec![usize::MAX; n];
-        let mut seen = 0usize;
-        for l in 0..sym.level_count() {
-            for &k in sym.level_steps(l) {
-                assert_eq!(level_of[k], usize::MAX, "step {k} scheduled twice");
-                level_of[k] = l;
-                seen += 1;
-            }
-        }
-        assert_eq!(seen, n);
-        let mut roots = 0usize;
-        for s in 0..n {
-            match sym.etree_parent(s) {
-                Some(p) => {
-                    assert!(p > s, "parent {p} not after child {s}");
-                    assert!(level_of[p] > level_of[s], "parent not deeper");
-                }
-                None => roots += 1,
-            }
-        }
-        assert!(roots >= 1, "the last step is always a root");
-        // A grid has plenty of independent leaf columns: real parallelism.
-        assert!(sym.level_steps(0).len() > 4);
-        assert!(sym.level_count() > 1);
-    }
-
-    #[test]
-    fn parallel_refactor_matches_serial_bitwise() {
-        let side = 12;
-        let a1 = grid_laplacian(side).to_csc();
-        // Same pattern, shifted values.
-        let mut t2 = grid_laplacian(side);
-        for i in 0..side * side {
-            t2.push(i, i, 0.25 + (i % 7) as f64 * 0.125);
-        }
-        let a2 = t2.to_csc();
-        let base = SparseLu::factor(&a1).unwrap();
-        let mut ws = LuWorkspace::new();
-        let b: Vec<f64> = (0..a1.cols()).map(|i| (i as f64 * 0.13).sin()).collect();
-        let mut serial = base.clone();
-        serial
-            .refactor_with_strategy(&a2, &mut ws, RefactorStrategy::Serial)
-            .unwrap();
-        let x_serial = serial.solve(&b).unwrap();
-        for threads in [2usize, 3, 5] {
-            let mut par = base.clone();
-            par.refactor_with_strategy(&a2, &mut ws, RefactorStrategy::Parallel { threads })
-                .unwrap();
-            let x_par = par.solve(&b).unwrap();
-            // Identical per-column arithmetic => bit-identical factors.
-            assert_eq!(x_par, x_serial, "threads {threads}");
-        }
-    }
-
-    /// The aliasing argument behind `unsafe impl Sync for FactorValuePtrs`:
-    /// two OS threads refactor *sibling* numeric factors over one shared
-    /// `Arc<SymbolicLu>`, each internally level-parallel — so two worker
-    /// pools traverse the same symbolic arrays while writing disjoint
-    /// value arrays through raw pointers, concurrently. Under
-    /// Miri-visible aliasing (a write crossing factor boundaries, or a
-    /// read of another thread's in-progress level) the bit-exact match
-    /// against the serial oracle would fail.
-    #[test]
-    fn concurrent_sibling_refactors_share_one_symbolic_plan() {
-        let side = 12;
-        let a1 = grid_laplacian(side).to_csc();
-        let base = SparseLu::factor(&a1).unwrap();
-        let shifted = |bump: f64| {
-            let mut t = grid_laplacian(side);
-            for i in 0..side * side {
-                t.push(i, i, bump + (i % 5) as f64 * 0.0625);
-            }
-            t.to_csc()
-        };
-        let mats: Vec<CscMatrix> = vec![shifted(0.25), shifted(0.75)];
-        let b: Vec<f64> = (0..a1.cols()).map(|i| (i as f64 * 0.29).cos()).collect();
-
-        // Serial oracles, one per value set.
-        let oracles: Vec<Vec<f64>> = mats
-            .iter()
-            .map(|a| {
-                let mut lu = base.clone();
-                let mut ws = LuWorkspace::new();
-                lu.refactor_with_strategy(a, &mut ws, RefactorStrategy::Serial)
-                    .unwrap();
-                lu.solve(&b).unwrap()
-            })
-            .collect();
-
-        let results: Vec<Vec<f64>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = mats
-                .iter()
-                .map(|a| {
-                    let mut lu = base.clone();
-                    let b = &b;
-                    scope.spawn(move || {
-                        let mut ws = LuWorkspace::new();
-                        lu.refactor_with_strategy(
-                            a,
-                            &mut ws,
-                            RefactorStrategy::Parallel { threads: 2 },
-                        )
-                        .unwrap();
-                        lu.audit().unwrap();
-                        lu.solve(b).unwrap()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(results, oracles);
-    }
-
-    #[test]
-    fn parallel_refactor_detects_collapsed_pivot() {
-        let side = 8;
-        let a1 = grid_laplacian(side).to_csc();
-        let base = SparseLu::factor(&a1).unwrap();
-        // Scale everything to zero: every frozen pivot collapses.
-        let mut t2 = TripletMatrix::new(a1.rows(), a1.cols());
-        for c in 0..a1.cols() {
-            for (r, _) in a1.col(c) {
-                t2.push(r, c, 0.0);
-            }
-        }
-        let a2 = t2.to_csc();
-        let mut ws = LuWorkspace::new();
-        let mut par = base.clone();
-        assert!(matches!(
-            par.refactor_with_strategy(&a2, &mut ws, RefactorStrategy::Parallel { threads: 3 }),
-            Err(LinalgError::Singular { .. })
-        ));
-    }
-
-    #[test]
-    fn parallel_refactor_rejects_new_pattern() {
-        let mut t = TripletMatrix::new(600, 600);
-        for i in 0..600 {
-            t.push(i, i, 2.0 + i as f64 * 1e-3);
-        }
-        for i in 0..599 {
-            t.push(i, i + 1, -0.5);
-            t.push(i + 1, i, -0.5);
-        }
-        let mut lu = SparseLu::factor(&t.to_csc()).unwrap();
-        t.push(0, 599, 1.0);
-        let mut ws = LuWorkspace::new();
-        assert!(matches!(
-            lu.refactor_with_strategy(
-                &t.to_csc(),
-                &mut ws,
-                RefactorStrategy::Parallel { threads: 4 }
-            ),
-            Err(LinalgError::PatternChanged { .. })
-        ));
-    }
-
-    #[test]
     fn solve_sparse_matches_dense_solve_exactly() {
         let side = 10;
         let n = side * side;
@@ -3975,44 +3020,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_strategy_is_correct_across_the_threshold() {
-        // Banded systems just below and above PAR_COL_THRESHOLD: Auto must
-        // agree with Serial bit-for-bit wherever it lands.
-        for n in [
-            SparseLu::PAR_COL_THRESHOLD - 1,
-            SparseLu::PAR_COL_THRESHOLD,
-            SparseLu::PAR_COL_THRESHOLD + 3,
-        ] {
-            let band = |scale: f64| {
-                let mut t = TripletMatrix::new(n, n);
-                for i in 0..n {
-                    t.push(i, i, 3.0 + scale * (i % 5) as f64);
-                    if i + 1 < n {
-                        t.push(i, i + 1, -1.0);
-                        t.push(i + 1, i, -0.5 * scale);
-                    }
-                    if i + 7 < n {
-                        t.push(i + 7, i, 0.25);
-                    }
-                }
-                t.to_csc()
-            };
-            let base = SparseLu::factor(&band(1.0)).unwrap();
-            let a2 = band(1.5);
-            let mut ws = LuWorkspace::new();
-            let mut auto = base.clone();
-            auto.refactor_with_strategy(&a2, &mut ws, RefactorStrategy::Auto)
-                .unwrap();
-            let mut serial = base.clone();
-            serial
-                .refactor_with_strategy(&a2, &mut ws, RefactorStrategy::Serial)
-                .unwrap();
-            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
-            assert_eq!(auto.solve(&b).unwrap(), serial.solve(&b).unwrap(), "n {n}");
-        }
-    }
-
-    #[test]
     fn dimension_mismatch_on_solve() {
         let mut t = TripletMatrix::new(2, 2);
         t.push(0, 0, 1.0);
@@ -4131,13 +3138,5 @@ mod tests {
         for (xi, ri) in x.iter().zip(&x_ref) {
             assert!((xi - ri).abs() < 1e-12, "{xi} vs {ri}");
         }
-        // The parallel replay hits the off scatter from worker scratch;
-        // it must agree bitwise with the serial replay.
-        let mut lu_par = base.clone();
-        lu_par
-            .refactor_with_strategy(&a2, &mut ws, RefactorStrategy::Parallel { threads: 3 })
-            .unwrap();
-        let x_par = lu_par.solve(&b).unwrap();
-        assert_eq!(x, x_par);
     }
 }

@@ -86,9 +86,8 @@ pub(crate) struct SymbolicView<'a> {
 }
 
 /// The supernode partition of a symbolic plan plus everything the blocked
-/// numeric kernels need precomputed: panel regions, body-row lists, the
-/// `L`/`U`-index → panel-slot gather maps and a supernode-level dependency
-/// schedule for the parallel replay.
+/// numeric kernels need precomputed: panel regions, body-row lists and the
+/// `L`/`U`-index → panel-slot gather maps.
 #[derive(Debug)]
 pub(crate) struct SupernodePlan {
     /// Supernode `s` owns pivot steps `sn_ptr[s]..sn_ptr[s + 1]`.
@@ -111,12 +110,6 @@ pub(crate) struct SupernodePlan {
     pub(crate) u_slot: Vec<usize>,
     /// Total panel storage (value-array length).
     pub(crate) panel_len: usize,
-    /// Supernode dependency levels: level `l` holds
-    /// `level_sns[level_ptr[l]..level_ptr[l + 1]]`; supernodes of one level
-    /// never read each other's columns, so the parallel replay fans each
-    /// level over its workers with a barrier between levels.
-    pub(crate) level_ptr: Vec<usize>,
-    pub(crate) level_sns: Vec<usize>,
     pub(crate) stats: SupernodeStats,
 }
 
@@ -230,40 +223,6 @@ impl SupernodePlan {
             stats.mean_width = stats.covered_steps as f64 / stats.multi as f64;
         }
 
-        // Supernode-level dependency schedule: a supernode's level is one
-        // past the deepest *external* supernode any member column reads
-        // (within-supernode dependencies are satisfied by the member order
-        // inside one work unit).
-        let mut level = vec![0usize; n_sn];
-        let mut max_level = 0usize;
-        for s in 0..n_sn {
-            let mut lv = 0usize;
-            for k in sn_ptr[s]..sn_ptr[s + 1] {
-                for &dep in &sym.u_rows[sym.u_ptr[k]..sym.u_ptr[k + 1] - 1] {
-                    let ds = sn_of_step[dep];
-                    if ds != s {
-                        lv = lv.max(level[ds] + 1);
-                    }
-                }
-            }
-            level[s] = lv;
-            max_level = max_level.max(lv);
-        }
-        let n_levels = if n_sn == 0 { 0 } else { max_level + 1 };
-        let mut level_ptr = vec![0usize; n_levels + 1];
-        for &lv in &level {
-            level_ptr[lv + 1] += 1;
-        }
-        for l in 0..n_levels {
-            level_ptr[l + 1] += level_ptr[l];
-        }
-        let mut cursor = level_ptr.clone();
-        let mut level_sns = vec![0usize; n_sn];
-        for (s, &lv) in level.iter().enumerate() {
-            level_sns[cursor[lv]] = s;
-            cursor[lv] += 1;
-        }
-
         SupernodePlan {
             sn_ptr,
             sn_of_step,
@@ -273,8 +232,6 @@ impl SupernodePlan {
             l_slot,
             u_slot,
             panel_len,
-            level_ptr,
-            level_sns,
             stats,
         }
     }
@@ -287,10 +244,5 @@ impl SupernodePlan {
     /// Body rows of supernode `s` (original row ids).
     pub(crate) fn body_rows(&self, s: usize) -> &[usize] {
         &self.rows[self.row_ptr[s]..self.row_ptr[s + 1]]
-    }
-
-    /// Number of supernode dependency levels.
-    pub(crate) fn level_count(&self) -> usize {
-        self.level_ptr.len() - 1
     }
 }

@@ -1,8 +1,8 @@
 //! Structural invariant auditor for the factorization stack.
 //!
 //! Nine PRs of ordering, supernode, and low-rank machinery have stacked up
-//! implicit structural invariants — block confinement of `L`/`U`, level
-//! schedule completeness, panel slot-map bijectivity — that, until this
+//! implicit structural invariants — block confinement of `L`/`U`,
+//! transposed-`U` agreement, panel slot-map bijectivity — that, until this
 //! module, were only enforced indirectly by end-to-end proptests. KLU-style
 //! sparse-LU practice treats factor-structure validation as a first-class
 //! debugging tool: ordering and refactorization bugs corrupt *silently*
@@ -24,7 +24,7 @@
 //!
 //! The mutation-kill tests at the bottom of this module seed deliberate
 //! corruptions — swapped permutation entries, an `L` row moved across a
-//! block boundary, a dropped level-schedule step, a broken supernode slot
+//! block boundary, a desynced transposed `U`, a broken supernode slot
 //! map — and assert each is caught under the *right* invariant name. An
 //! auditor that passes corrupt structures is worse than none.
 
@@ -32,7 +32,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::lowrank::LowRankUpdate;
-use crate::sparse_lu::{SymbolicLu, NO_PIVOT};
+use crate::sparse_lu::SymbolicLu;
 use crate::supernode::{SupernodePlan, MAX_SN_WIDTH, NO_SLOT};
 
 /// A violated structural invariant: which structure, which named
@@ -139,9 +139,8 @@ fn check_csr_ptr(
 impl SymbolicLu {
     /// Audits every structural invariant of the elimination plan: the
     /// permutations, the CSR layout, BTF block confinement of `L`/`U`,
-    /// cross-block entries reaching only earlier blocks, elimination-tree
-    /// parent ordering, level-schedule completeness, and transposed-U
-    /// agreement. Forces the lazy scheduling structures.
+    /// cross-block entries reaching only earlier blocks, and transposed-U
+    /// agreement. Forces the lazy reach structures.
     ///
     /// # Errors
     ///
@@ -242,73 +241,15 @@ impl SymbolicLu {
             }
         }
 
-        self.audit_schedule()?;
-        Ok(())
+        self.audit_transposed_u()
     }
 
-    /// The scheduling-structure half of [`SymbolicLu::audit`]: elimination
-    /// tree, level schedule and transposed-U agreement (forces the lazy
-    /// extras).
-    fn audit_schedule(&self) -> Result<(), AuditError> {
+    /// The reach-structure half of [`SymbolicLu::audit`]: transposed-U
+    /// agreement (forces the lazy extras).
+    fn audit_transposed_u(&self) -> Result<(), AuditError> {
         const S: &str = "SymbolicLu";
         let n = self.n;
         let ex = self.extras();
-
-        // Elimination-tree parents are strictly later than their children
-        // and really are dependents (the child appears in the parent's U
-        // column).
-        for s in 0..n {
-            match ex.etree[s] {
-                NO_PIVOT => {}
-                p if p <= s || p >= n => {
-                    return Err(fail(S, "etree-parent-later", format!("etree[{s}] = {p}")));
-                }
-                p => {
-                    let deps = &self.u_rows[self.u_ptr[p]..self.u_ptr[p + 1] - 1];
-                    if deps.binary_search(&s).is_err() {
-                        return Err(fail(
-                            S,
-                            "etree-parent-later",
-                            format!("etree[{s}] = {p} is not a dependent"),
-                        ));
-                    }
-                }
-            }
-        }
-
-        // Level schedule: every step exactly once, and each step's level
-        // is exactly one past its deepest dependency.
-        check_csr_ptr(S, &ex.level_ptr, ex.level_cols.len(), "level_ptr")?;
-        if is_permutation(&ex.level_cols, n).is_err() {
-            return Err(fail(
-                S,
-                "level-schedule-coverage",
-                format!("level_cols covers {} of {n} steps", ex.level_cols.len()),
-            ));
-        }
-        let mut level_of = vec![0usize; n];
-        for lev in 0..ex.level_ptr.len() - 1 {
-            for &k in &ex.level_cols[ex.level_ptr[lev]..ex.level_ptr[lev + 1]] {
-                level_of[k] = lev;
-            }
-        }
-        for k in 0..n {
-            let want = self.u_rows[self.u_ptr[k]..self.u_ptr[k + 1] - 1]
-                .iter()
-                .map(|&s| level_of[s] + 1)
-                .max()
-                .unwrap_or(0);
-            if level_of[k] != want {
-                return Err(fail(
-                    S,
-                    "level-schedule-coverage",
-                    format!(
-                        "step {k}: level {} != 1 + deepest dependency {want}",
-                        level_of[k]
-                    ),
-                ));
-            }
-        }
 
         // Transposed-U agreement: the scatter-form structure must encode
         // exactly the stored U, entry for entry.
@@ -347,8 +288,8 @@ impl SymbolicLu {
 
     /// Audits the supernode plan (when detection is enabled): partition
     /// integrity, width cap, block confinement, panel layout, slot-map
-    /// bijectivity, contained-pattern property and level-schedule
-    /// acyclicity. A no-op when supernode detection is disabled.
+    /// bijectivity and contained-pattern property. A no-op when supernode
+    /// detection is disabled.
     ///
     /// # Errors
     ///
@@ -515,42 +456,6 @@ pub(crate) fn audit_supernode_plan(
         }
     }
 
-    // Supernode level schedule: complete and acyclic — every external
-    // dependency lives in a strictly earlier level.
-    check_csr_ptr(S, &plan.level_ptr, plan.level_sns.len(), "level_ptr")?;
-    if is_permutation(&plan.level_sns, count).is_err() {
-        return Err(fail(
-            S,
-            "sn-level-acyclic",
-            format!(
-                "level_sns covers {} of {count} supernodes",
-                plan.level_sns.len()
-            ),
-        ));
-    }
-    let mut level_of = vec![0usize; count];
-    for lev in 0..plan.level_ptr.len() - 1 {
-        for &s in &plan.level_sns[plan.level_ptr[lev]..plan.level_ptr[lev + 1]] {
-            level_of[s] = lev;
-        }
-    }
-    for s in 0..count {
-        for k in plan.sn_ptr[s]..plan.sn_ptr[s + 1] {
-            for &dep in sym.u_column_steps(k) {
-                let ds = plan.sn_of_step[dep];
-                if ds != s && level_of[ds] >= level_of[s] {
-                    return Err(fail(
-                        S,
-                        "sn-level-acyclic",
-                        format!(
-                            "supernode {s} (level {}) depends on {ds} (level {})",
-                            level_of[s], level_of[ds]
-                        ),
-                    ));
-                }
-            }
-        }
-    }
     Ok(())
 }
 
@@ -748,26 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn mutation_etree_self_parent() {
-        let err = corrupted_sym(8, |sym| {
-            let _ = sym.extras();
-            sym.extras.get_mut().expect("extras forced").etree[0] = 0;
-        });
-        assert_eq!(err.invariant, "etree-parent-later");
-    }
-
-    #[test]
-    fn mutation_dropped_level_schedule_step() {
-        let err = corrupted_sym(8, |sym| {
-            let _ = sym.extras();
-            let ex = sym.extras.get_mut().expect("extras forced");
-            ex.level_cols.pop();
-            *ex.level_ptr.last_mut().expect("nonempty") -= 1;
-        });
-        assert_eq!(err.invariant, "level-schedule-coverage");
-    }
-
-    #[test]
     fn mutation_transposed_u_desync() {
         let err = corrupted_sym(8, |sym| {
             let _ = sym.extras();
@@ -858,22 +743,6 @@ mod tests {
             plan.l_slot[lo] = crate::supernode::NO_SLOT;
         });
         assert_eq!(err.invariant, "sn-slot-bijective");
-    }
-
-    #[test]
-    fn mutation_supernode_level_schedule_truncated() {
-        let err = corrupted_sn(8, |sym| {
-            let _ = sym.supernode_plan_raw();
-            let plan = sym
-                .sn_plan
-                .get_mut()
-                .expect("plan forced")
-                .as_mut()
-                .expect("enabled");
-            plan.level_sns.pop();
-            *plan.level_ptr.last_mut().expect("nonempty") -= 1;
-        });
-        assert_eq!(err.invariant, "sn-level-acyclic");
     }
 
     /// A base factor plus one accumulated rank-1 term, ready to corrupt.

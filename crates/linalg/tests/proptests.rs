@@ -181,93 +181,6 @@ fn same_pattern_variant(csc: &ohmflow_linalg::CscMatrix) -> ohmflow_linalg::CscM
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The level-scheduled parallel refactorization runs the identical
-    /// per-column arithmetic as the serial replay, so across random
-    /// systems and thread counts the two must agree to 1e-12 (they are in
-    /// fact bit-identical) and reuse the same column ordering and pivot
-    /// permutation.
-    #[test]
-    fn parallel_refactor_matches_serial(
-        (t, b) in arb_system(32),
-        threads in 2..5usize,
-    ) {
-        use ohmflow_linalg::{LuWorkspace, RefactorStrategy};
-        let csc = t.to_csc();
-        let base = SparseLu::factor(&csc).unwrap();
-        let csc2 = same_pattern_variant(&csc);
-        let mut ws = LuWorkspace::new();
-
-        let mut serial = base.clone();
-        serial.refactor_with_strategy(&csc2, &mut ws, RefactorStrategy::Serial).unwrap();
-        let mut par = base.clone();
-        par.refactor_with_strategy(&csc2, &mut ws, RefactorStrategy::Parallel { threads }).unwrap();
-
-        // Same elimination plan: identical column ordering and pivot rows.
-        prop_assert_eq!(serial.symbolic().col_order(), par.symbolic().col_order());
-        prop_assert_eq!(serial.symbolic().pivot_rows(), par.symbolic().pivot_rows());
-
-        let xs = serial.solve(&b).unwrap();
-        let xp = par.solve(&b).unwrap();
-        for (a, r) in xp.iter().zip(&xs) {
-            prop_assert!((a - r).abs() < 1e-12 * r.abs().max(1.0), "threads {threads}: {a} vs {r}");
-        }
-    }
-}
-
-proptest! {
-    // Each case factors ~500-column systems; keep the count modest.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// `RefactorStrategy::Auto` must be correct on both sides of the
-    /// serial-fallback threshold (`SparseLu::PAR_COL_THRESHOLD`): banded
-    /// systems straddling the boundary, random values, verified against
-    /// the always-serial path.
-    #[test]
-    fn auto_refactor_agrees_across_threshold_boundary(
-        offset in 0..4usize,
-        seed in any::<u64>(),
-    ) {
-        use ohmflow_linalg::{LuWorkspace, RefactorStrategy};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let n = SparseLu::PAR_COL_THRESHOLD - 2 + offset;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let band = |rng: &mut StdRng| {
-            let mut t = TripletMatrix::new(n, n);
-            for i in 0..n {
-                let mut row_sum = 0.0;
-                for d in [1usize, 5, 19] {
-                    if i + d < n {
-                        let v: f64 = rng.gen_range(-0.8..0.8);
-                        t.push(i, i + d, v);
-                        t.push(i + d, i, -v * 0.5);
-                        row_sum += v.abs().max(v.abs() * 0.5);
-                    }
-                }
-                t.push(i, i, 2.0 * row_sum + rng.gen_range(1.0..2.0));
-            }
-            t.to_csc()
-        };
-        let a1 = band(&mut rng);
-        let a2 = band(&mut rng);
-        let base = SparseLu::factor(&a1).unwrap();
-        let mut ws = LuWorkspace::new();
-        let mut auto_lu = base.clone();
-        auto_lu.refactor_with_strategy(&a2, &mut ws, RefactorStrategy::Auto).unwrap();
-        let mut serial = base.clone();
-        serial.refactor_with_strategy(&a2, &mut ws, RefactorStrategy::Serial).unwrap();
-        let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin()).collect();
-        let xa = auto_lu.solve(&b).unwrap();
-        let xs = serial.solve(&b).unwrap();
-        for (a, r) in xa.iter().zip(&xs) {
-            prop_assert!((a - r).abs() < 1e-12 * r.abs().max(1.0), "n {n}: {a} vs {r}");
-        }
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Reach-based sparse-RHS solves must match the dense solve exactly on
@@ -383,15 +296,12 @@ fn arb_pattern(max_n: usize) -> impl Strategy<Value = TripletMatrix> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// AMD, AMD+BTF, nested dissection and the AMD+BTF+ND hybrid must
-    /// produce valid permutations on arbitrary patterns — random,
+    /// AMD and AMD+BTF must produce valid permutations on arbitrary patterns — random,
     /// disconnected, structurally singular — and the BTF block pointers
     /// must partition the steps.
     #[test]
     fn amd_and_btf_orderings_are_valid_permutations(t in arb_pattern(40)) {
-        use ohmflow_linalg::{
-            amd_btf_nd_ordering, amd_btf_ordering, amd_ordering, nested_dissection_ordering,
-        };
+        use ohmflow_linalg::{amd_btf_ordering, amd_ordering};
         let csc = t.to_csc();
         let n = csc.cols();
 
@@ -408,49 +318,13 @@ proptest! {
         };
         let amd = amd_ordering(&csc);
         prop_assert!(is_perm(&amd), "AMD not a permutation: {:?}", amd);
-        let nd = nested_dissection_ordering(&csc);
-        prop_assert!(is_perm(&nd), "ND not a permutation: {:?}", nd);
 
-        for block in [amd_btf_ordering(&csc), amd_btf_nd_ordering(&csc)] {
-            prop_assert!(is_perm(&block.perm), "block ordering not a permutation: {:?}", block.perm);
-            prop_assert_eq!(block.diag_rows.len(), n);
-            prop_assert_eq!(*block.block_ptr.first().unwrap(), 0);
-            prop_assert_eq!(*block.block_ptr.last().unwrap(), n);
-            prop_assert!(block.block_ptr.windows(2).all(|w| w[0] < w[1]));
-        }
-    }
-
-    /// The top-level nested-dissection split must partition the vertices,
-    /// and the separator must actually separate: no symmetrized-pattern
-    /// entry may couple `part_a` and `part_b` directly.
-    #[test]
-    fn nd_split_separates_on_arbitrary_patterns(t in arb_pattern(60)) {
-        use ohmflow_linalg::nested_dissection_split;
-        let csc = t.to_csc();
-        let n = csc.cols();
-        let split = nested_dissection_split(&csc);
-        prop_assert_eq!(
-            split.part_a.len() + split.part_b.len() + split.separator.len(),
-            n
-        );
-        let mut claimed = vec![0u8; n];
-        for (tag, set) in [(1u8, &split.part_a), (2, &split.part_b), (3, &split.separator)] {
-            for &v in set {
-                prop_assert!(v < n && claimed[v] == 0, "vertex {} claimed twice", v);
-                claimed[v] = tag;
-            }
-        }
-        // Symmetrized adjacency: checking both column directions covers
-        // entries of either triangle.
-        for c in 0..n {
-            for (r, _) in csc.col(c) {
-                let (a, b) = (claimed[r], claimed[c]);
-                prop_assert!(
-                    !((a == 1 && b == 2) || (a == 2 && b == 1)),
-                    "entry ({}, {}) couples the two parts", r, c
-                );
-            }
-        }
+        let block = amd_btf_ordering(&csc);
+        prop_assert!(is_perm(&block.perm), "block ordering not a permutation: {:?}", block.perm);
+        prop_assert_eq!(block.diag_rows.len(), n);
+        prop_assert_eq!(*block.block_ptr.first().unwrap(), 0);
+        prop_assert_eq!(*block.block_ptr.last().unwrap(), n);
+        prop_assert!(block.block_ptr.windows(2).all(|w| w[0] < w[1]));
     }
 }
 
@@ -475,8 +349,6 @@ proptest! {
             ColumnOrdering::Rcm,
             ColumnOrdering::Amd,
             ColumnOrdering::AmdBtf,
-            ColumnOrdering::NestedDissection,
-            ColumnOrdering::AmdBtfNd,
         ] {
             let opts = SparseLuOptions { ordering, ..Default::default() };
             let x = SparseLu::factor_with(&csc, &opts).unwrap().solve(&b).unwrap();
@@ -497,41 +369,39 @@ proptest! {
     #[test]
     fn btf_factor_never_crosses_block_boundaries((t, _b) in arb_system(28)) {
         let csc = t.to_csc();
-        for ordering in [ColumnOrdering::AmdBtf, ColumnOrdering::AmdBtfNd] {
-            let opts = SparseLuOptions { ordering, ..Default::default() };
-            let mut lu = SparseLu::factor_with(&csc, &opts).unwrap();
-            lu.refactor(&same_pattern_variant(&csc)).unwrap();
-            let sym = lu.symbolic();
-            let n = sym.dim();
+        let opts = SparseLuOptions { ordering: ColumnOrdering::AmdBtf, ..Default::default() };
+        let mut lu = SparseLu::factor_with(&csc, &opts).unwrap();
+        lu.refactor(&same_pattern_variant(&csc)).unwrap();
+        let sym = lu.symbolic();
+        let n = sym.dim();
 
-            // Step -> block index.
-            let mut block_of = vec![0usize; n];
-            for t_blk in 0..sym.block_count() {
-                for s in sym.block_range(t_blk) {
-                    block_of[s] = t_blk;
-                }
+        // Step -> block index.
+        let mut block_of = vec![0usize; n];
+        for t_blk in 0..sym.block_count() {
+            for s in sym.block_range(t_blk) {
+                block_of[s] = t_blk;
             }
-            for k in 0..n {
-                for &row in sym.l_column_rows(k) {
-                    let step = sym.pivot_step_of_row(row);
-                    prop_assert_eq!(
-                        block_of[step], block_of[k],
-                        "L entry of step {} (row {}, step {}) crosses blocks", k, row, step
-                    );
-                }
-                for &s in sym.u_column_steps(k) {
-                    prop_assert_eq!(
-                        block_of[s], block_of[k],
-                        "U entry of step {} escapes to block {}", k, block_of[s]
-                    );
-                }
-                for &row in sym.off_column_rows(k) {
-                    let step = sym.pivot_step_of_row(row);
-                    prop_assert!(
-                        block_of[step] < block_of[k],
-                        "off entry of step {} (row {}) not in an earlier block", k, row
-                    );
-                }
+        }
+        for k in 0..n {
+            for &row in sym.l_column_rows(k) {
+                let step = sym.pivot_step_of_row(row);
+                prop_assert_eq!(
+                    block_of[step], block_of[k],
+                    "L entry of step {} (row {}, step {}) crosses blocks", k, row, step
+                );
+            }
+            for &s in sym.u_column_steps(k) {
+                prop_assert_eq!(
+                    block_of[s], block_of[k],
+                    "U entry of step {} escapes to block {}", k, block_of[s]
+                );
+            }
+            for &row in sym.off_column_rows(k) {
+                let step = sym.pivot_step_of_row(row);
+                prop_assert!(
+                    block_of[step] < block_of[k],
+                    "off entry of step {} (row {}) not in an earlier block", k, row
+                );
             }
         }
     }
@@ -641,27 +511,6 @@ proptest! {
                     "knob {i}: {a} vs {r}"
                 );
             }
-        }
-    }
-
-    /// `Precision::F32Refined` stores the factor in f32 but solves still
-    /// run in f64 against the downconverted values; one refined solve
-    /// ([`SparseLu::solve_refined`]) must land within 1e-9 of the full
-    /// f64 factorization on well-conditioned systems.
-    #[test]
-    fn f32_refined_solve_matches_f64((t, b) in arb_dense_tail_system()) {
-        use ohmflow_linalg::Precision;
-        let csc = t.to_csc();
-        let f64_lu = SparseLu::factor(&csc).unwrap();
-        let x64 = f64_lu.solve(&b).unwrap();
-        let opts = SparseLuOptions {
-            precision: Precision::F32Refined,
-            ..SparseLuOptions::default()
-        };
-        let f32_lu = SparseLu::factor_with(&csc, &opts).unwrap();
-        let x32 = f32_lu.solve_refined(&csc, &b).unwrap();
-        for (a, r) in x32.iter().zip(&x64) {
-            prop_assert!((a - r).abs() < 1e-9 * r.abs().max(1.0), "{a} vs {r}");
         }
     }
 }

@@ -330,54 +330,3 @@ fn amd_btf_plan_never_falls_back_to_another_ordering() {
         fb_report.block_count
     );
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Mixed precision is transparent at the DC level: an
-    /// `F32Refined`-configured solver (f32 factor values, f64 iterative
-    /// refinement) must land within 1e-9 of the full-f64 solver on the
-    /// same circuits — the accuracy gate the refinement loop exists to
-    /// meet.
-    #[test]
-    fn f32_refined_solve_matches_f64_within_1e9(seed in any::<u64>()) {
-        use ohmflow_circuit::Precision;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = random_graph(&mut rng);
-        let f64_solver = MaxFlowSolver::new(SolveOptions::ideal());
-        let f32_solver = MaxFlowSolver::new(
-            SolveOptions::ideal().with_precision(Precision::F32Refined),
-        );
-        let a = f64_solver.solve_fresh(&g).expect("f64 solve");
-        let b = f32_solver.solve_fresh(&g).expect("f32refined solve");
-        let tol = |r: f64| 1e-9 * r.abs().max(1.0);
-        prop_assert!(
-            (a.value - b.value).abs() < tol(a.value),
-            "flow value {} vs {}", b.value, a.value
-        );
-        for (e, (x, y)) in b.edge_flows.iter().zip(&a.edge_flows).enumerate() {
-            prop_assert!((x - y).abs() < tol(*y), "edge {e} flow {x} vs {y}");
-        }
-    }
-}
-
-/// Precision is part of a template's identity: two keys differing only in
-/// [`Precision`] must be distinct, so an `F32Refined` solver can never be
-/// handed a cached f64 template (or vice versa) for the same topology.
-#[test]
-fn template_key_separates_precisions() {
-    use ohmflow::TemplateKey;
-    use ohmflow_circuit::Precision;
-    let g = generators::fig15a(12);
-    let f64_key = TemplateKey::with_lu(&g, ColumnOrdering::AmdBtf, Precision::F64);
-    let f32_key = TemplateKey::with_lu(&g, ColumnOrdering::AmdBtf, Precision::F32Refined);
-    assert_ne!(
-        f64_key, f32_key,
-        "keys differing only in precision must not collide"
-    );
-    assert_eq!(
-        f64_key,
-        TemplateKey::with_lu(&g, ColumnOrdering::AmdBtf, Precision::F64),
-        "identical inputs must reproduce the same key"
-    );
-}

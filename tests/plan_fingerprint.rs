@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 
 use ohmflow::solver::facade::{MaxFlowSolver, SolveOptions};
 use ohmflow::TemplateKey;
-use ohmflow_circuit::{ColumnOrdering, Precision};
+use ohmflow_circuit::ColumnOrdering;
 use ohmflow_graph::FlowNetwork;
 
 /// A random connected flow network: source→sink spine plus random chords.
@@ -88,18 +88,18 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = random_graph(&mut rng);
-        let (ordering, precision) = (ColumnOrdering::default(), Precision::default());
+        let ordering = ColumnOrdering::default();
         if let Some(m) = mutate(&g, which as usize, i as usize) {
-            let fp_g = TemplateKey::fingerprint(&g, ordering, precision);
-            let fp_m = TemplateKey::fingerprint(&m, ordering, precision);
+            let fp_g = TemplateKey::fingerprint(&g, ordering);
+            let fp_m = TemplateKey::fingerprint(&m, ordering);
             prop_assert_ne!(
                 fp_g, fp_m,
                 "single-edge mutation collided the streaming fingerprint"
             );
 
-            let key = TemplateKey::with_lu(&g, ordering, precision);
+            let key = TemplateKey::with_ordering(&g, ordering);
             prop_assert_eq!(key.fingerprint_value(), fp_g, "key hash IS the fingerprint");
-            prop_assert!(key.verifies(&g, ordering, precision));
+            prop_assert!(key.verifies(&g, ordering));
             prop_assert!(!key.matches_graph(&m), "verification must refuse the mutation");
         }
     }
