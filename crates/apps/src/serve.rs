@@ -325,6 +325,9 @@ pub fn spawn(addr: &str, config: ServeConfig) -> std::io::Result<ServerHandle> {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
+                // Frames are small request/response pairs: Nagle would
+                // hold each answer for the client's delayed ACK.
+                let _ = stream.set_nodelay(true);
                 let queue = Arc::clone(&queue);
                 let sessions = Arc::clone(&sessions);
                 // Session frames solve on the connection thread (they are
@@ -569,7 +572,9 @@ pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame as a single write: a separate length
+/// write would leave the payload waiting on the peer's delayed ACK under
+/// Nagle's algorithm.
 ///
 /// # Errors
 ///
@@ -581,9 +586,21 @@ pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<(
             "frame exceeds the payload limit",
         ));
     }
-    stream.write_all(&(payload.len() as u32).to_le_bytes())?;
-    stream.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    stream.write_all(&frame)?;
     stream.flush()
+}
+
+/// One client round trip: disables Nagle on `stream` (idempotent), sends
+/// `payload` as a frame and reads the answer frame.
+fn round_trip(stream: &mut TcpStream, payload: &[u8]) -> Result<Vec<u8>, String> {
+    stream.set_nodelay(true).map_err(|e| e.to_string())?;
+    write_frame(stream, payload).map_err(|e| e.to_string())?;
+    read_frame(stream)
+        .map_err(|e| e.to_string())?
+        .ok_or_else(|| "connection closed before response".to_owned())
 }
 
 /// Builds a request payload from an already-encoded graph body.
@@ -821,10 +838,7 @@ pub fn open_session(
     graph_tag: u8,
     graph_bytes: &[u8],
 ) -> Result<DeltaResponse, String> {
-    write_frame(stream, &encode_open_session(graph_tag, graph_bytes)).map_err(|e| e.to_string())?;
-    let payload = read_frame(stream)
-        .map_err(|e| e.to_string())?
-        .ok_or_else(|| "connection closed before response".to_owned())?;
+    let payload = round_trip(stream, &encode_open_session(graph_tag, graph_bytes))?;
     decode_delta_response(&payload)
 }
 
@@ -840,10 +854,7 @@ pub fn apply_deltas(
     session_id: u64,
     deltas: &[GraphDelta],
 ) -> Result<DeltaResponse, String> {
-    write_frame(stream, &encode_apply_deltas(session_id, deltas)).map_err(|e| e.to_string())?;
-    let payload = read_frame(stream)
-        .map_err(|e| e.to_string())?
-        .ok_or_else(|| "connection closed before response".to_owned())?;
+    let payload = round_trip(stream, &encode_apply_deltas(session_id, deltas))?;
     decode_delta_response(&payload)
 }
 
@@ -853,10 +864,7 @@ pub fn apply_deltas(
 ///
 /// `Err(String)` for transport failures and unknown session ids.
 pub fn close_session(stream: &mut TcpStream, session_id: u64) -> Result<u64, String> {
-    write_frame(stream, &encode_close_session(session_id)).map_err(|e| e.to_string())?;
-    let payload = read_frame(stream)
-        .map_err(|e| e.to_string())?
-        .ok_or_else(|| "connection closed before response".to_owned())?;
+    let payload = round_trip(stream, &encode_close_session(session_id))?;
     let (&status, body) = payload
         .split_first()
         .ok_or_else(|| "empty response payload".to_owned())?;
@@ -880,9 +888,43 @@ pub fn request(
     tag: u8,
     graph_bytes: &[u8],
 ) -> Result<SolveResponse, String> {
-    write_frame(stream, &encode_request(tag, graph_bytes)).map_err(|e| e.to_string())?;
-    let payload = read_frame(stream)
-        .map_err(|e| e.to_string())?
-        .ok_or_else(|| "connection closed before response".to_owned())?;
+    let payload = round_trip(stream, &encode_request(tag, graph_bytes))?;
     decode_response(&payload)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `Write` that counts the calls it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, b"hello").unwrap();
+        assert_eq!(w.writes, 1);
+        write_frame(&mut w, b"").unwrap();
+        assert_eq!(w.writes, 2);
+        let mut r = w.bytes.as_slice();
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b"hello"[..]));
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b""[..]));
+        assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
 }

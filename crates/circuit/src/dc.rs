@@ -10,7 +10,10 @@ use crate::circuit::Circuit;
 use crate::element::Element;
 use crate::error::CircuitError;
 use crate::ids::{ElementId, NodeId};
-use crate::mna::{self, DeviceState, MnaStructure, Solution, StampMode};
+use crate::mna::{
+    self, DeviceState, FactorCache, MnaStructure, Solution, StampMode, StampedMatrix,
+    StateIteration,
+};
 
 /// One owned rank-1 term `(u, v)` staged for a batched Woodbury push
 /// (the borrowed shape is [`RankOneTermRef`]).
@@ -45,6 +48,10 @@ pub struct DcTemplate {
     /// order: the structural fingerprint a candidate circuit must match.
     branch_shape: Vec<bool>,
     lu: SparseLu,
+    /// The initial-state matrix with its slot map: every solve and
+    /// session seeded from the template restamps a clone of it, sharing
+    /// the map.
+    base: StampedMatrix,
     /// The factorization options (column ordering, pivoting thresholds)
     /// the template's symbolic plan was built under — reused by every
     /// fallback fresh factorization so a template never silently mixes
@@ -81,12 +88,13 @@ impl DcTemplate {
             .iter()
             .map(Element::has_branch_current)
             .collect();
-        let m = mna::stamp_matrix(ckt, &st, &states, StampMode::Dc).to_csc();
-        let lu = SparseLu::factor_with(&m, &lu_opts)?;
+        let base = StampedMatrix::mapped(ckt, &st, &states, StampMode::Dc);
+        let lu = SparseLu::factor_with(base.matrix(), &lu_opts)?;
         Ok(DcTemplate {
             st,
             branch_shape,
             lu,
+            base,
             lu_opts,
             n_nodes: ckt.node_count(),
         })
@@ -133,19 +141,21 @@ impl DcTemplate {
 
     /// Numeric-only factorization of `ckt`'s initial-state matrix against
     /// the template's symbolic plan, with a fresh pivoting factorization as
-    /// fallback. Returns the factor, the stamped matrix and whether the
-    /// fast path was taken.
+    /// fallback. The matrix is written through the template's slot map.
+    /// Returns the factor, the stamped matrix and whether the fast path was
+    /// taken.
     fn numeric_for(
         &self,
         ckt: &Circuit,
         states: &[DeviceState],
-    ) -> Result<(SparseLu, CscMatrix, bool), CircuitError> {
-        let m = mna::stamp_matrix(ckt, &self.st, states, StampMode::Dc).to_csc();
+    ) -> Result<(SparseLu, StampedMatrix, bool), CircuitError> {
+        let mut m = self.base.clone();
+        m.restamp(ckt, &self.st, states, StampMode::Dc);
         let mut lu = self.lu.clone();
-        if lu.refactor(&m).is_ok() {
+        if lu.refactor(m.matrix()).is_ok() {
             Ok((lu, m, true))
         } else {
-            let lu = SparseLu::factor_with(&m, &self.lu_opts)?;
+            let lu = SparseLu::factor_with(m.matrix(), &self.lu_opts)?;
             Ok((lu, m, false))
         }
     }
@@ -193,7 +203,11 @@ pub(crate) fn run_dc(req: &DcRequest<'_>) -> Result<(DcSolution, SolveReport), C
             let cache = tpl
                 .numeric_for(ckt, &initial)
                 .ok()
-                .map(|(lu, m, _)| (initial.clone(), lu, m));
+                .map(|(lu, stamped, _)| FactorCache {
+                    states: initial.clone(),
+                    lu,
+                    stamped,
+                });
             templated = cache.is_some();
             (tpl.st.clone(), cache)
         }
@@ -218,8 +232,7 @@ pub(crate) fn run_dc(req: &DcRequest<'_>) -> Result<(DcSolution, SolveReport), C
         Some(tpl) => *tpl.lu_options(),
         None => req.lu_opts,
     };
-    let solve = |states: &mut Vec<DeviceState>,
-                 cache: &mut Option<(Vec<DeviceState>, SparseLu, CscMatrix)>| {
+    let solve = |states: &mut Vec<DeviceState>, cache: &mut Option<FactorCache>| {
         mna::solve_pwl(
             ckt,
             &st,
@@ -232,7 +245,7 @@ pub(crate) fn run_dc(req: &DcRequest<'_>) -> Result<(DcSolution, SolveReport), C
             cache,
         )
     };
-    let (mut x, iterations) = match solve(&mut states, &mut cache) {
+    let (mut x, outcome) = match solve(&mut states, &mut cache) {
         Ok(out) => out,
         Err(CircuitError::StateIterationDiverged { .. } | CircuitError::SingularSystem { .. })
             if warm_used =>
@@ -255,18 +268,27 @@ pub(crate) fn run_dc(req: &DcRequest<'_>) -> Result<(DcSolution, SolveReport), C
     // the conditioning floor instead of the (much looser)
     // raw-factorization error.
     let mut refinements = 0usize;
-    if let Some((cached_states, lu, m)) = &cache {
-        if *cached_states == states {
-            let b = mna::stamp_rhs(ckt, &st, &states, t, StampMode::Dc, None, req.pre_step);
-            refinements = usize::from(mna::refine_once(lu, m, &b, &mut x));
+    if let Some(c) = &cache {
+        if c.states == states {
+            let mut b = Vec::new();
+            mna::stamp_rhs_into(
+                &mut b,
+                ckt,
+                &st,
+                &states,
+                t,
+                StampMode::Dc,
+                None,
+                req.pre_step,
+            );
+            refinements = usize::from(mna::refine_once(&c.lu, c.stamped.matrix(), &b, &mut x));
         }
     }
     let report = SolveReport {
-        iterations,
-        factor_nnz: cache.as_ref().map_or(0, |(_, lu, _)| lu.factor_nnz()),
-        block_count: cache
-            .as_ref()
-            .map_or(0, |(_, lu, _)| lu.symbolic().block_count()),
+        iterations: outcome.solves,
+        cycle_break: outcome.cycle_break,
+        factor_nnz: cache.as_ref().map_or(0, |c| c.lu.factor_nnz()),
+        block_count: cache.as_ref().map_or(0, |c| c.lu.symbolic().block_count()),
         templated,
         refinements,
         phases: None,
@@ -295,6 +317,11 @@ pub struct SolveReport {
     /// State iterations (operating-point solve) or frozen-state solves
     /// performed (session).
     pub iterations: usize,
+    /// The state iteration at which the complementarity iteration first
+    /// revisited an assignment, which starts its anti-cycling regime
+    /// early; `None` when no assignment repeated. A session reports its
+    /// last [`FrozenDcSession::solve_operating_point`].
+    pub cycle_break: Option<usize>,
     /// `nnz(L) + nnz(U)` of the factorization behind the answer.
     pub factor_nnz: usize,
     /// Diagonal blocks of the block-triangular form (1 when the ordering
@@ -514,9 +541,6 @@ impl DcSolver {
     /// Stamps `ckt`'s initial-state DC MNA matrix and factors it under
     /// this solver's options, returning both — the bench/diagnostic entry
     /// point for working with the raw linear system of a real circuit.
-    /// Deliberately *not* stored inside [`DcTemplate`]: templates are
-    /// long-lived, and keeping a second copy of the matrix alive measurably
-    /// perturbs allocator locality for every later stamp.
     ///
     /// # Errors
     ///
@@ -687,7 +711,8 @@ pub fn solve_frozen_dc(
         .as_ref()
         .expect("invariant: factor cache is populated before reuse")
         .lu;
-    let b = mna::stamp_rhs(ckt, &st, &states, time, StampMode::Dc, None, false);
+    let mut b = Vec::new();
+    mna::stamp_rhs_into(&mut b, ckt, &st, &states, time, StampMode::Dc, None, false);
     let x = lu.solve(&b)?;
     Ok(DcSolution {
         inner: Solution::new(x, st),
@@ -805,8 +830,9 @@ pub struct FrozenDcSession<C = Circuit> {
     /// Current logical device states (diodes track the last `solve`).
     states: Vec<DeviceState>,
     lu: SparseLu,
-    /// The matrix `lu` factors (kept for iterative-refinement residuals).
-    base_csc: CscMatrix,
+    /// The matrix `lu` factors (kept for iterative-refinement residuals),
+    /// restamped in place by rebases.
+    base: StampedMatrix,
     update: LowRankUpdate,
     /// Rank budget before the session rebases onto a refactorization.
     max_rank: usize,
@@ -852,6 +878,8 @@ pub struct FrozenDcSession<C = Circuit> {
     /// Iterative-refinement steps applied so far (surfaced through
     /// [`FrozenDcSession::report`]).
     refinements: usize,
+    /// First-repeat iteration of the last operating-point solve.
+    cycle_break: Option<usize>,
     stats: FrozenDcStats,
     /// Phase timing is opt-in ([`FrozenDcSession::with_phase_timing`]):
     /// clock reads cost tens of nanoseconds, which is real money on small
@@ -900,8 +928,8 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             }
             None => {
                 let st = MnaStructure::new(c);
-                let m = mna::stamp_matrix(c, &st, &states, StampMode::Dc).to_csc();
-                let lu = SparseLu::factor_with(&m, &lu_opts)?;
+                let m = StampedMatrix::new(c, &st, &states, StampMode::Dc);
+                let lu = SparseLu::factor_with(m.matrix(), &lu_opts)?;
                 let stats = FrozenDcStats {
                     full_factorizations: 1,
                     ..FrozenDcStats::default()
@@ -923,7 +951,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         ckt: C,
         st: MnaStructure,
         states: Vec<DeviceState>,
-        base_csc: CscMatrix,
+        base: StampedMatrix,
         lu: SparseLu,
         lu_opts: LuOptions,
         stats: FrozenDcStats,
@@ -952,7 +980,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             diode_elems,
             states,
             lu,
-            base_csc,
+            base,
             update: LowRankUpdate::new(n),
             max_rank: Self::DEFAULT_MAX_RANK,
             solves_since_rebase: 0,
@@ -971,6 +999,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             dx: Vec::with_capacity(n),
             lu_ws: LuWorkspace::new(),
             refinements: 0,
+            cycle_break: None,
             stats,
             phase_timing: false,
             phases: FrozenDcPhases::default(),
@@ -1223,7 +1252,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         }
         let t0 = self.clock();
         self.update.correct(&self.lu, &mut self.x)?;
-        self.base_csc.mul_vec_into(&self.x, &mut self.resid);
+        self.base.matrix().mul_vec_into(&self.x, &mut self.resid);
         self.update.accumulate_matvec(&self.x, &mut self.resid);
         for (r, b) in self.resid.iter_mut().zip(&self.rhs) {
             *r = b - *r;
@@ -1249,27 +1278,31 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         Ok(())
     }
 
-    /// Re-stamps the matrix for the current states and replaces the base
-    /// factorization: numeric-only refactorization when the pattern still
-    /// fits, fresh pivoting factorization otherwise.
+    /// Re-stamps the matrix for the current states (in place while the
+    /// pattern holds) and replaces the base factorization: numeric-only
+    /// refactorization when the pattern still fits, fresh pivoting
+    /// factorization otherwise.
     fn rebase(&mut self) -> Result<(), CircuitError> {
         let t0 = self.clock();
-        let m =
-            mna::stamp_matrix(self.ckt.borrow(), &self.st, &self.states, StampMode::Dc).to_csc();
+        self.base
+            .restamp(self.ckt.borrow(), &self.st, &self.states, StampMode::Dc);
         if let Some(t0) = t0 {
             self.phases.stamp_ns += t0.elapsed().as_nanos() as u64;
         }
         let t0 = self.clock();
-        if self.lu.refactor_with(&m, &mut self.lu_ws).is_ok() {
+        if self
+            .lu
+            .refactor_with(self.base.matrix(), &mut self.lu_ws)
+            .is_ok()
+        {
             self.stats.refactorizations += 1;
         } else {
-            self.lu = SparseLu::factor_with(&m, &self.lu_opts)?;
+            self.lu = SparseLu::factor_with(self.base.matrix(), &self.lu_opts)?;
             self.stats.full_factorizations += 1;
         }
         if let Some(t0) = t0 {
             self.phases.refactor_ns += t0.elapsed().as_nanos() as u64;
         }
-        self.base_csc = m;
         self.update.clear();
         self.solves_since_rebase = 0;
         Ok(())
@@ -1312,13 +1345,16 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
     /// batched Woodbury rank-k updates against the standing
     /// factorization, and only non-diode state changes (op-amp rail
     /// moves, which reshape matrix values beyond a symmetric conductance
-    /// bump) force a rebase. Returns the number of state iterations.
+    /// bump) force a rebase. Returns the number of state iterations; the
+    /// first-repeat iteration is [`SolveReport::cycle_break`] of
+    /// [`FrozenDcSession::report`].
     ///
-    /// Mirrors the cold path's convergence policy exactly: the switching
-    /// band escalates (1e-9 → 1e-6 → 1e-3) through the iteration budget,
-    /// late iterations flip only the single most-violated device to break
-    /// multi-device cycles, and a final widest-band consistency check
-    /// accepts physically-negligible boundary violations.
+    /// Runs the cold path's convergence policy itself (one shared
+    /// implementation): the switching band escalates (1e-9 → 1e-6 →
+    /// 1e-3) from the first repeated assignment or half the budget, late
+    /// iterations flip only the single most-violated device, and a final
+    /// widest-band consistency check accepts physically-negligible
+    /// boundary violations.
     ///
     /// # Errors
     ///
@@ -1327,88 +1363,37 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
     /// [`CircuitError::StateIterationDiverged`] if no consistent state
     /// assignment is found within the iteration budget.
     pub fn solve_operating_point(&mut self, time: f64) -> Result<usize, CircuitError> {
-        let max_iters = mna::max_state_iters(self.ckt.borrow());
-        let mut diode_on: Vec<bool> = self
-            .diode_elems
-            .iter()
-            .map(|&idx| self.states[idx] == DeviceState::On)
-            .collect();
-        for iter in 0..max_iters {
-            let band = if iter < max_iters / 2 {
-                1e-9
-            } else if iter < 3 * max_iters / 4 {
-                1e-6
-            } else {
-                1e-3
-            };
+        let mut states = self.states.clone();
+        let mut it = StateIteration::new(self.ckt.borrow(), &states, time);
+        let mut diode_on = Vec::with_capacity(self.diode_elems.len());
+        self.cycle_break = None;
+        loop {
+            // Op-amp rail moves reshape matrix values beyond a rank-1
+            // conductance bump: restamp and refactor, and drop the cached
+            // operating point. Diode flips ride `solve`.
+            let mut rails_moved = false;
+            for (i, (cur, &want)) in self.states.iter_mut().zip(&states).enumerate() {
+                if *cur != want && self.diode_elems.binary_search(&i).is_err() {
+                    *cur = want;
+                    rails_moved = true;
+                }
+            }
+            if rails_moved {
+                self.last_solve_time = None;
+                self.rebase()?;
+            }
+            diode_on.clear();
+            diode_on.extend(
+                self.diode_elems
+                    .iter()
+                    .map(|&i| states[i] == DeviceState::On),
+            );
             self.solve(time, &diode_on)?;
-            let (new_states, changes) =
-                mna::next_states_banded(self.ckt.borrow(), &self.st, &self.states, &self.x, band);
-            if changes == 0 {
-                return Ok(iter + 1);
+            let done = it.advance(self.ckt.borrow(), &mut states, &self.x)?;
+            self.cycle_break = it.cycle_break;
+            if done {
+                return Ok(it.solves);
             }
-            if iter > max_iters / 2 {
-                // Late in the iteration, flip only the single
-                // most-violated device to break multi-device cycles.
-                let volt = |node: NodeId| match node.unknown() {
-                    Some(u) => self.x[u],
-                    None => 0.0,
-                };
-                let mut best: Option<(usize, f64)> = None;
-                for (i, (old, new)) in self.states.iter().zip(&new_states).enumerate() {
-                    if old != new {
-                        let violation = match &self.ckt.borrow().elements()[i] {
-                            Element::Diode {
-                                anode,
-                                cathode,
-                                model,
-                            } => (volt(*anode) - volt(*cathode) - model.v_on).abs(),
-                            _ => f64::MAX, // op-amp saturation flips take priority
-                        };
-                        if best.is_none_or(|(_, v)| violation > v) {
-                            best = Some((i, violation));
-                        }
-                    }
-                }
-                if let Some((i, _)) = best {
-                    match self.diode_elems.binary_search(&i) {
-                        Ok(di) => diode_on[di] = new_states[i] == DeviceState::On,
-                        Err(_) => {
-                            self.states[i] = new_states[i];
-                            self.last_solve_time = None;
-                            self.rebase()?;
-                        }
-                    }
-                }
-            } else {
-                let mut non_diode_change = false;
-                for (di, &idx) in self.diode_elems.iter().enumerate() {
-                    diode_on[di] = new_states[idx] == DeviceState::On;
-                }
-                for (i, (old, new)) in self.states.iter_mut().zip(&new_states).enumerate() {
-                    if *old != *new && self.diode_elems.binary_search(&i).is_err() {
-                        *old = *new;
-                        non_diode_change = true;
-                    }
-                }
-                if non_diode_change {
-                    // Op-amp rail moves reshape matrix values beyond a
-                    // rank-1 conductance bump: restamp and refactor, and
-                    // drop the cached operating point.
-                    self.last_solve_time = None;
-                    self.rebase()?;
-                }
-            }
-        }
-        let (_, changes) =
-            mna::next_states_banded(self.ckt.borrow(), &self.st, &self.states, &self.x, 1e-3);
-        if changes == 0 {
-            Ok(max_iters)
-        } else {
-            Err(CircuitError::StateIterationDiverged {
-                time,
-                iterations: max_iters,
-            })
         }
     }
 
@@ -1466,6 +1451,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             block_count: self.lu.symbolic().block_count(),
             templated: self.templated,
             refinements: self.refinements,
+            cycle_break: self.cycle_break,
             phases: self.phase_timing.then_some(self.phases),
         }
     }
@@ -1490,19 +1476,6 @@ impl<C: BorrowMut<Circuit>> FrozenDcSession<C> {
         &mut self.ckt
     }
 
-    /// Updates one source's value in the owned circuit — the
-    /// capacity-restamp fast path for streaming delta sessions. Source
-    /// values are never stamped into the matrix (they only shape the RHS
-    /// assembled fresh each solve), so this requires **no** numeric or
-    /// symbolic work: the very next solve sees the new value at full
-    /// accuracy against the standing factorization.
-    ///
-    /// The session's quiescent horizon ([`DcTemplate`] docs) is extended
-    /// conservatively to cover the new value's settling time, and the
-    /// cached operating point is dropped.
-    ///
-    /// # Errors
-    ///
     /// Changes resistor values in the owned circuit and absorbs all the
     /// matrix deltas as **one batched rank-k Woodbury update** against
     /// the standing factorization — the delta sessions' edge

@@ -9,6 +9,9 @@
 //! states to a consistent fixed point, which is exact for PWL models (no
 //! Newton damping heuristics required).
 
+use std::collections::hash_map::Entry;
+use std::sync::Arc;
+
 use ohmflow_linalg::{CscMatrix, SparseLu, TripletMatrix};
 
 use crate::circuit::Circuit;
@@ -39,7 +42,7 @@ pub enum DeviceState {
 
 /// How reactive elements are treated during stamping.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum StampMode {
+pub enum StampMode {
     /// DC operating point: capacitors open, op-amp poles ignored.
     Dc,
     /// Backward-Euler companion models with step `h`.
@@ -162,66 +165,69 @@ pub(crate) fn initial_states(ckt: &Circuit) -> Vec<DeviceState> {
         .collect()
 }
 
-/// Stamps the MNA matrix for the given states and mode.
-pub(crate) fn stamp_matrix(
+/// Receives the contributions of one stamping walk: `add(row, col, v)`
+/// for every matrix entry whose row and column are both unknowns.
+struct Sink<F: FnMut(usize, usize, f64)>(F);
+
+impl<F: FnMut(usize, usize, f64)> Sink<F> {
+    fn add(&mut self, r: Option<usize>, c: Option<usize>, v: f64) {
+        if let (Some(r), Some(c)) = (r, c) {
+            (self.0)(r, c, v);
+        }
+    }
+
+    fn conductance(&mut self, a: NodeId, b: NodeId, g: f64) {
+        let (ua, ub) = (a.unknown(), b.unknown());
+        self.add(ua, ua, g);
+        self.add(ub, ub, g);
+        self.add(ua, ub, -g);
+        self.add(ub, ua, -g);
+    }
+}
+
+/// The one stamping walk: calls `push(row, col, value)` for every matrix
+/// contribution of `ckt` under `states` and `mode`, in element order.
+/// [`stamp_matrix`] collects the calls into triplets; [`StampedMatrix`]
+/// maps them onto a compressed pattern and replays them in place.
+fn for_each_stamp(
     ckt: &Circuit,
     st: &MnaStructure,
     states: &[DeviceState],
     mode: StampMode,
-) -> TripletMatrix {
-    let n = st.n_unknowns;
-    let mut m = TripletMatrix::with_capacity(n, n, 4 * ckt.element_count() + n);
-
-    let add = |m: &mut TripletMatrix, r: Option<usize>, c: Option<usize>, v: f64| {
-        if let (Some(r), Some(c)) = (r, c) {
-            m.push(r, c, v);
-        }
-    };
-    let conductance_stamp = |m: &mut TripletMatrix, a: NodeId, b: NodeId, g: f64| {
-        let (ua, ub) = (a.unknown(), b.unknown());
-        if let Some(ua) = ua {
-            m.push(ua, ua, g);
-        }
-        if let Some(ub) = ub {
-            m.push(ub, ub, g);
-        }
-        if let (Some(ua), Some(ub)) = (ua, ub) {
-            m.push(ua, ub, -g);
-            m.push(ub, ua, -g);
-        }
-    };
-
+    push: impl FnMut(usize, usize, f64),
+) {
+    let mut m = Sink(push);
     for (idx, e) in ckt.elements().iter().enumerate() {
         let ib = st.branch[idx];
         match e {
             Element::Resistor { a, b, resistance } => {
-                conductance_stamp(&mut m, *a, *b, 1.0 / resistance);
+                m.conductance(*a, *b, 1.0 / resistance);
             }
             Element::Memristor { a, b, .. } => {
                 let r = e
                     .memristance()
                     .expect("invariant: memristor elements carry a memristance");
-                conductance_stamp(&mut m, *a, *b, 1.0 / r);
+                m.conductance(*a, *b, 1.0 / r);
             }
             Element::Capacitor { a, b, capacitance } => match mode {
                 StampMode::Dc => {
                     // Open in DC; a tiny conductance keeps otherwise
                     // capacitor-only nodes from floating.
-                    conductance_stamp(&mut m, *a, *b, 1e-15);
+                    m.conductance(*a, *b, 1e-15);
                 }
                 StampMode::BackwardEuler { h } => {
-                    conductance_stamp(&mut m, *a, *b, capacitance / h);
+                    m.conductance(*a, *b, capacitance / h);
                 }
                 StampMode::Trapezoidal { h } => {
-                    conductance_stamp(&mut m, *a, *b, 2.0 * capacitance / h);
+                    m.conductance(*a, *b, 2.0 * capacitance / h);
                 }
             },
             Element::VoltageSource { pos, neg, .. } => {
                 let ib = ib.expect("invariant: vsource rows were assigned a branch");
-                add(&mut m, pos.unknown(), Some(ib), 1.0);
-                add(&mut m, neg.unknown(), Some(ib), -1.0);
-                add(&mut m, Some(ib), pos.unknown(), 1.0);
-                add(&mut m, Some(ib), neg.unknown(), -1.0);
+                m.add(pos.unknown(), Some(ib), 1.0);
+                m.add(neg.unknown(), Some(ib), -1.0);
+                m.add(Some(ib), pos.unknown(), 1.0);
+                m.add(Some(ib), neg.unknown(), -1.0);
             }
             Element::CurrentSource { .. } => {
                 // RHS only.
@@ -234,12 +240,12 @@ pub(crate) fn stamp_matrix(
                 gain,
             } => {
                 let ib = ib.expect("invariant: vcvs rows were assigned a branch");
-                add(&mut m, out_pos.unknown(), Some(ib), 1.0);
-                add(&mut m, out_neg.unknown(), Some(ib), -1.0);
-                add(&mut m, Some(ib), out_pos.unknown(), 1.0);
-                add(&mut m, Some(ib), out_neg.unknown(), -1.0);
-                add(&mut m, Some(ib), ctrl_pos.unknown(), -gain);
-                add(&mut m, Some(ib), ctrl_neg.unknown(), *gain);
+                m.add(out_pos.unknown(), Some(ib), 1.0);
+                m.add(out_neg.unknown(), Some(ib), -1.0);
+                m.add(Some(ib), out_pos.unknown(), 1.0);
+                m.add(Some(ib), out_neg.unknown(), -1.0);
+                m.add(Some(ib), ctrl_pos.unknown(), -gain);
+                m.add(Some(ib), ctrl_neg.unknown(), *gain);
             }
             Element::Diode {
                 anode,
@@ -250,28 +256,28 @@ pub(crate) fn stamp_matrix(
                     DeviceState::On => 1.0 / model.r_on,
                     _ => 1.0 / model.r_off,
                 };
-                conductance_stamp(&mut m, *anode, *cathode, g);
+                m.conductance(*anode, *cathode, g);
             }
             Element::NegativeResistorDyn { a, magnitude, tau } => {
                 let ib = ib.expect("invariant: dynamic negative resistors were assigned a branch");
                 // KCL: branch current leaves node a.
-                add(&mut m, a.unknown(), Some(ib), 1.0);
+                m.add(a.unknown(), Some(ib), 1.0);
                 // Branch equation: DC  i + V/Rm = 0;
                 // BE  (1 + τ/h) i + V/Rm = (τ/h) i_prev;
                 // TRAP (0.5 + τ/h) i + 0.5 V/Rm = (τ/h − 0.5) i_prev − 0.5 V_prev/Rm.
                 let g = 1.0 / magnitude;
                 match mode {
                     StampMode::Dc => {
-                        add(&mut m, Some(ib), Some(ib), 1.0);
-                        add(&mut m, Some(ib), a.unknown(), g);
+                        m.add(Some(ib), Some(ib), 1.0);
+                        m.add(Some(ib), a.unknown(), g);
                     }
                     StampMode::BackwardEuler { h } => {
-                        add(&mut m, Some(ib), Some(ib), 1.0 + tau / h);
-                        add(&mut m, Some(ib), a.unknown(), g);
+                        m.add(Some(ib), Some(ib), 1.0 + tau / h);
+                        m.add(Some(ib), a.unknown(), g);
                     }
                     StampMode::Trapezoidal { h } => {
-                        add(&mut m, Some(ib), Some(ib), 0.5 + tau / h);
-                        add(&mut m, Some(ib), a.unknown(), 0.5 * g);
+                        m.add(Some(ib), Some(ib), 0.5 + tau / h);
+                        m.add(Some(ib), a.unknown(), 0.5 * g);
                     }
                 }
             }
@@ -283,11 +289,11 @@ pub(crate) fn stamp_matrix(
             } => {
                 let ib = ib.expect("invariant: opamp rows were assigned a branch");
                 // Output behaves as a grounded voltage source carrying ib.
-                add(&mut m, out.unknown(), Some(ib), 1.0);
+                m.add(out.unknown(), Some(ib), 1.0);
                 match states[idx] {
                     DeviceState::SatHigh | DeviceState::SatLow => {
                         // v_out = rail (RHS carries the rail value).
-                        add(&mut m, Some(ib), out.unknown(), 1.0);
+                        m.add(Some(ib), out.unknown(), 1.0);
                     }
                     _ => {
                         // Linear region.
@@ -302,36 +308,123 @@ pub(crate) fn stamp_matrix(
                                 (0.5 + toh, 0.5 * model.gain)
                             }
                         };
-                        add(&mut m, Some(ib), out.unknown(), c_out);
-                        add(&mut m, Some(ib), inp.unknown(), -c_vd);
-                        add(&mut m, Some(ib), inn.unknown(), c_vd);
+                        m.add(Some(ib), out.unknown(), c_out);
+                        m.add(Some(ib), inp.unknown(), -c_vd);
+                        m.add(Some(ib), inn.unknown(), c_vd);
                         if model.r_out > 0.0 {
-                            add(&mut m, Some(ib), Some(ib), model.r_out);
+                            m.add(Some(ib), Some(ib), model.r_out);
                         }
                     }
                 }
             }
         }
     }
-    m
 }
 
-/// Stamps the RHS vector for the given states, time and mode.
-pub(crate) fn stamp_rhs(
+/// Stamps the MNA matrix for the given states and mode (the full path:
+/// triplets, compressed by the caller).
+pub fn stamp_matrix(
     ckt: &Circuit,
     st: &MnaStructure,
     states: &[DeviceState],
-    time: f64,
     mode: StampMode,
-    history: Option<&History>,
-    dc_pre_step: bool,
-) -> Vec<f64> {
-    let mut b = Vec::new();
-    stamp_rhs_into(&mut b, ckt, st, states, time, mode, history, dc_pre_step);
-    b
+) -> TripletMatrix {
+    let n = st.n_unknowns;
+    let mut m = TripletMatrix::with_capacity(n, n, 4 * ckt.element_count() + n);
+    for_each_stamp(ckt, st, states, mode, |r, c, v| m.push(r, c, v));
+    m
 }
 
-/// [`stamp_rhs`] into a caller-provided buffer, reusing its allocation.
+/// A stamped MNA matrix, plus (once built) its slot map: the value slot of
+/// each contribution of the stamping walk, in push order. Diode flips and
+/// value edits keep the push sequence, so [`StampedMatrix::restamp`] can
+/// rewrite the values in place; op-amp rail moves change it, and the
+/// restamp falls back to a full stamp that maps the new pattern. Clones
+/// share the map.
+#[derive(Debug, Clone)]
+pub struct StampedMatrix {
+    matrix: CscMatrix,
+    slots: Option<Arc<[usize]>>,
+}
+
+impl StampedMatrix {
+    /// A full stamp with no slot map: one-shot solves never restamp, so
+    /// the map is built lazily by the first [`StampedMatrix::restamp`].
+    pub fn new(ckt: &Circuit, st: &MnaStructure, states: &[DeviceState], mode: StampMode) -> Self {
+        StampedMatrix {
+            matrix: stamp_matrix(ckt, st, states, mode).to_csc(),
+            slots: None,
+        }
+    }
+
+    /// A full stamp with its slot map.
+    pub(crate) fn mapped(
+        ckt: &Circuit,
+        st: &MnaStructure,
+        states: &[DeviceState],
+        mode: StampMode,
+    ) -> Self {
+        let matrix = stamp_matrix(ckt, st, states, mode).to_csc();
+        let (cp, ri) = (matrix.col_ptr(), matrix.row_idx());
+        let mut slots = Vec::with_capacity(ri.len());
+        for_each_stamp(ckt, st, states, mode, |r, c, _| {
+            let at = ri[cp[c]..cp[c + 1]]
+                .binary_search(&r)
+                .expect("invariant: every stamped entry is in its own compressed pattern");
+            slots.push(cp[c] + at);
+        });
+        StampedMatrix {
+            matrix,
+            slots: Some(slots.into()),
+        }
+    }
+
+    /// Re-stamps for `states`. With a map and an unchanged push sequence
+    /// the values are rewritten in place (no triplets, no sort, no
+    /// allocation) and this returns `true`. The result is bitwise equal to
+    /// `stamp_matrix(..).to_csc()`: every slot starts at `-0.0`, the
+    /// additive identity that keeps the first contribution's bits, and
+    /// contributions accumulate in push order, the order in which `to_csc`
+    /// merges duplicates. Otherwise it stamps the full way, maps the new
+    /// pattern for the next call and returns `false`.
+    pub fn restamp(
+        &mut self,
+        ckt: &Circuit,
+        st: &MnaStructure,
+        states: &[DeviceState],
+        mode: StampMode,
+    ) -> bool {
+        let in_place = self.slots.as_ref().is_some_and(|slots| {
+            let (cp, ri, values) = self.matrix.pattern_values_mut();
+            values.fill(-0.0);
+            let (mut k, mut same) = (0, true);
+            for_each_stamp(ckt, st, states, mode, |r, c, v| {
+                // A slot names one (row, col) position, so matching every
+                // push against its recorded slot proves the sequences equal.
+                match slots.get(k) {
+                    Some(&s) if same && (cp[c]..cp[c + 1]).contains(&s) && ri[s] == r => {
+                        values[s] += v;
+                    }
+                    _ => same = false,
+                }
+                k += 1;
+            });
+            same && k == slots.len()
+        });
+        if !in_place {
+            *self = Self::mapped(ckt, st, states, mode);
+        }
+        in_place
+    }
+
+    /// The stamped matrix.
+    pub fn matrix(&self) -> &CscMatrix {
+        &self.matrix
+    }
+}
+
+/// Stamps the RHS vector for the given states, time and mode into a
+/// caller-provided buffer, reusing its allocation.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn stamp_rhs_into(
     b: &mut Vec<f64>,
@@ -471,26 +564,24 @@ pub(crate) fn stamp_rhs_into(
     }
 }
 
-/// Computes the consistent next state of every stateful device from a
-/// candidate solution. Returns `(new_states, n_changes)`.
-/// Computes consistent next states with an explicit switching band:
-/// candidate flips whose
-/// boundary violation is within `band` volts are suppressed. Late in a
-/// cycling complementarity iteration the band is escalated — near the
-/// boundary both states are physically equivalent (zero diode current).
-pub(crate) fn next_states_banded(
+/// Writes into `flips`, in element order, every stateful device whose
+/// consistent state under the candidate solution `x` differs from
+/// `states`, with that state. Candidate diode flips whose boundary
+/// violation is within `band` volts are suppressed; [`StateIteration`]
+/// widens the band in its anti-cycling regime, since near the boundary
+/// both states are physically equivalent (zero diode current).
+fn wanted_flips(
     ckt: &Circuit,
-    st: &MnaStructure,
     states: &[DeviceState],
     x: &[f64],
     band: f64,
-) -> (Vec<DeviceState>, usize) {
+    flips: &mut Vec<(usize, DeviceState)>,
+) {
     let volt = |node: NodeId| match node.unknown() {
         Some(u) => x[u],
         None => 0.0,
     };
-    let mut result = states.to_vec();
-    let mut changes = 0;
+    flips.clear();
     for (idx, e) in ckt.elements().iter().enumerate() {
         match e {
             Element::Diode {
@@ -511,9 +602,8 @@ pub(crate) fn next_states_banded(
                 } else {
                     DeviceState::Off
                 };
-                if new != result[idx] {
-                    result[idx] = new;
-                    changes += 1;
+                if new != states[idx] {
+                    flips.push((idx, new));
                 }
             }
             Element::OpAmp {
@@ -554,16 +644,186 @@ pub(crate) fn next_states_banded(
                         }
                     }
                 };
-                if new != result[idx] {
-                    result[idx] = new;
-                    changes += 1;
+                if new != states[idx] {
+                    flips.push((idx, new));
                 }
             }
             _ => {}
         }
-        let _ = st;
     }
-    (result, changes)
+}
+
+/// Element `i`'s term of a state assignment's 64-bit fingerprint (a
+/// splitmix64 hash of `(i, s)`). The fingerprint XORs every stateful
+/// element's term, so a flip updates it in O(1); a collision only starts
+/// the anti-cycling regime early.
+fn state_key(i: usize, s: DeviceState) -> u64 {
+    let mut z = (i as u64 * 8 + s as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The flip with the largest boundary violation under solution `x`, the
+/// first on ties; op-amp saturation moves rank above every diode.
+fn most_violated(
+    ckt: &Circuit,
+    flips: &[(usize, DeviceState)],
+    x: &[f64],
+) -> Option<(usize, DeviceState)> {
+    let volt = |node: NodeId| match node.unknown() {
+        Some(u) => x[u],
+        None => 0.0,
+    };
+    let mut best: Option<((usize, DeviceState), f64)> = None;
+    for &(i, s) in flips {
+        let violation = match &ckt.elements()[i] {
+            Element::Diode {
+                anode,
+                cathode,
+                model,
+            } => (volt(*anode) - volt(*cathode) - model.v_on).abs(),
+            _ => f64::MAX,
+        };
+        if best.is_none_or(|(_, v)| violation > v) {
+            best = Some(((i, s), violation));
+        }
+    }
+    best.map(|(flip, _)| flip)
+}
+
+/// The one complementarity (PWL state) iteration policy. Its callers (the
+/// cold [`solve_pwl`] and the incremental frozen-state session) solve the
+/// assignment they hold with every device frozen and hand the solution to
+/// [`StateIteration::advance`], which moves the devices to the states the
+/// solution asks for, until nothing moves.
+///
+/// The budget is [`max_state_iters`]. Until half of it, flips within
+/// 1e-9 V of a boundary are suppressed and every wanted flip is applied.
+/// From half the budget the anti-cycling regime runs: the band widens to
+/// 1e-6 V, only the single most-violated device flips per iteration, and
+/// a quarter-budget later the band widens to 1e-3 V. If the budget runs
+/// out, the answer is accepted when the final assignment (the last solved
+/// one plus its last flip) is consistent with the last solution within
+/// the widest band.
+///
+/// Before half the budget each assignment is fingerprinted before it is
+/// solved. Those iterations are a deterministic map of the assignment, so
+/// the first repeat means the iteration has entered a cycle it cannot
+/// leave until half the budget. It then skips ahead: it takes the cycle
+/// member it would hold at half the budget (replaying the recorded flips)
+/// and starts the anti-cycling regime from it at once. A repeat therefore
+/// saves the cycling solves without changing the assignments the regime
+/// sees, or which answers are accepted.
+#[derive(Debug)]
+pub(crate) struct StateIteration {
+    /// Frozen-state solves so far.
+    pub solves: usize,
+    /// The iteration at which an assignment first repeated, if one has.
+    pub cycle_break: Option<usize>,
+    max_iters: usize,
+    iter: usize,
+    time: f64,
+    /// Fingerprint of the assignment to solve next.
+    hash: u64,
+    /// First iteration of each fingerprint.
+    seen: std::collections::HashMap<u64, usize>,
+    /// The flips each iteration before the regime applied.
+    trail: Vec<Vec<(usize, DeviceState)>>,
+    flips: Vec<(usize, DeviceState)>,
+}
+
+impl StateIteration {
+    /// Starts the iteration from `states` (solve them first).
+    pub(crate) fn new(ckt: &Circuit, states: &[DeviceState], time: f64) -> Self {
+        let hash = states
+            .iter()
+            .enumerate()
+            .filter(|(_, &s)| s != DeviceState::Stateless)
+            .fold(0, |h, (i, &s)| h ^ state_key(i, s));
+        StateIteration {
+            solves: 0,
+            cycle_break: None,
+            max_iters: max_state_iters(ckt),
+            iter: 0,
+            time,
+            hash,
+            seen: [(hash, 0)].into(),
+            trail: Vec::new(),
+            flips: Vec::new(),
+        }
+    }
+
+    /// Takes the solution `x` of `states`. Returns `Ok(true)` when the
+    /// iteration is done (`states` is the answer), or `Ok(false)` after
+    /// moving `states` to the next assignment to solve.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::StateIterationDiverged`] when the budget runs out
+    /// without an acceptable assignment.
+    pub(crate) fn advance(
+        &mut self,
+        ckt: &Circuit,
+        states: &mut [DeviceState],
+        x: &[f64],
+    ) -> Result<bool, CircuitError> {
+        let half = self.max_iters / 2;
+        let band = if self.iter < half {
+            1e-9
+        } else if self.iter < 3 * self.max_iters / 4 {
+            1e-6
+        } else {
+            1e-3
+        };
+        self.solves += 1;
+        wanted_flips(ckt, states, x, band, &mut self.flips);
+        if self.flips.is_empty() {
+            return Ok(true);
+        }
+        if self.iter > half {
+            if let Some((i, s)) = most_violated(ckt, &self.flips, x) {
+                states[i] = s;
+            }
+        } else {
+            for &(i, s) in &self.flips {
+                self.hash ^= state_key(i, states[i]) ^ state_key(i, s);
+                states[i] = s;
+            }
+            if self.cycle_break.is_none() {
+                self.trail.push(self.flips.clone());
+            }
+        }
+        self.iter += 1;
+        if self.iter == self.max_iters {
+            wanted_flips(ckt, states, x, 1e-3, &mut self.flips);
+            return if self.flips.is_empty() {
+                Ok(true)
+            } else {
+                Err(CircuitError::StateIterationDiverged {
+                    time: self.time,
+                    iterations: self.max_iters,
+                })
+            };
+        }
+        if self.iter < half && self.cycle_break.is_none() {
+            match self.seen.entry(self.hash) {
+                Entry::Vacant(v) => {
+                    v.insert(self.iter);
+                }
+                Entry::Occupied(o) => {
+                    let first = *o.get();
+                    let ahead = (half - first) % (self.iter - first);
+                    for &(i, s) in self.trail[first..first + ahead].iter().flatten() {
+                        states[i] = s;
+                    }
+                    self.cycle_break = Some(self.iter);
+                    self.iter = half;
+                }
+            }
+        }
+        Ok(false)
+    }
 }
 
 /// Maximum state-iteration count before declaring divergence. Scales with
@@ -591,15 +851,27 @@ pub(crate) fn refine_once(lu: &SparseLu, m: &CscMatrix, b: &[f64], x: &mut [f64]
     true
 }
 
-/// Solves the PWL system at one instant: iterate (factor, solve, restate)
-/// until the state assignment is a fixed point. Returns the solution
-/// vector together with the number of state iterations it took — the
-/// `iterations` field of the facade's `SolveReport`.
+/// The factorization of one state assignment's stamp, carried between
+/// [`solve_pwl`] calls: an unchanged assignment reuses it outright, a
+/// changed one restamps in place and refactors numerically, and callers
+/// compute refinement residuals against the stamped matrix.
+#[derive(Debug)]
+pub(crate) struct FactorCache {
+    /// The assignment `lu` and `stamped` belong to.
+    pub states: Vec<DeviceState>,
+    pub lu: SparseLu,
+    pub stamped: StampedMatrix,
+}
+
+/// Solves the PWL system at one instant: the [`StateIteration`] over
+/// frozen-state solves through `factor_cache`. Returns the solution vector
+/// and the finished iteration (its `solves` and `cycle_break` feed the
+/// facade's `SolveReport`).
 ///
-/// `factor_cache` carries `(states, matrix-lu, stamped matrix)` between
-/// calls so an unchanged state assignment reuses the previous
-/// factorization, and callers can compute residuals (iterative refinement)
-/// against the already-stamped matrix instead of re-stamping it.
+/// `factor_cache` carries the factorization between calls so an
+/// unchanged state assignment reuses it, and callers can compute
+/// residuals (iterative refinement) against the already-stamped matrix
+/// instead of re-stamping it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_pwl(
     ckt: &Circuit,
@@ -610,91 +882,44 @@ pub(crate) fn solve_pwl(
     history: Option<&History>,
     dc_pre_step: bool,
     lu_opts: &crate::LuOptions,
-    factor_cache: &mut Option<(Vec<DeviceState>, SparseLu, CscMatrix)>,
-) -> Result<(Vec<f64>, usize), CircuitError> {
-    let max_iters = max_state_iters(ckt);
-    let mut x = Vec::new();
-    // RHS and triangular-solve scratch reused across state iterations (and,
-    // via the caller's buffers, across transient time steps): the fixed
-    // point loop allocates only when a state flip forces a re-stamp.
-    let mut b = Vec::new();
-    let mut work = Vec::new();
+    factor_cache: &mut Option<FactorCache>,
+) -> Result<(Vec<f64>, StateIteration), CircuitError> {
+    let mut it = StateIteration::new(ckt, states, time);
+    // RHS and triangular-solve scratch reused across state iterations.
+    let (mut b, mut work, mut x) = (Vec::new(), Vec::new(), Vec::new());
     let mut lu_ws = ohmflow_linalg::LuWorkspace::new();
-    for iter in 0..max_iters {
-        // Escalate the switching band late in the iteration: flips that
-        // only fight over nanovolt boundaries are physically meaningless.
-        let band = if iter < max_iters / 2 {
-            1e-9
-        } else if iter < 3 * max_iters / 4 {
-            1e-6
-        } else {
-            1e-3
-        };
-        let lu_ok = matches!(factor_cache, Some((s, _, _)) if s == states);
-        if !lu_ok {
-            let m = stamp_matrix(ckt, st, states, mode).to_csc();
+    loop {
+        let cache = match factor_cache.take() {
+            Some(c) if c.states == *states => c,
             // A state flip only changes matrix *values* (a diode swaps
-            // conductance, an op-amp rail swaps a couple of coefficients),
-            // so try the numeric-only refactorization against the cached
-            // symbolic pattern first and fall back to a fresh pivoting
-            // factorization when the pattern moved or a frozen pivot died.
-            let reused = factor_cache
-                .take()
-                .and_then(|(_, mut lu, _)| lu.refactor_with(&m, &mut lu_ws).is_ok().then_some(lu));
-            let lu = match reused {
-                Some(lu) => lu,
-                None => SparseLu::factor_with(&m, lu_opts)?,
-            };
-            *factor_cache = Some((states.clone(), lu, m));
-        }
-        let (_, lu, _) = factor_cache
-            .as_ref()
-            .expect("invariant: factor cache is populated before reuse");
-        stamp_rhs_into(&mut b, ckt, st, states, time, mode, history, dc_pre_step);
-        lu.solve_into(&b, &mut work, &mut x)?;
-        let (new_states, changes) = next_states_banded(ckt, st, states, &x, band);
-        if changes == 0 {
-            return Ok((x, iter + 1));
-        }
-        // Late in the iteration, flip only the single most-violated device
-        // to break multi-device cycles.
-        if iter > max_iters / 2 {
-            let volt = |node: crate::ids::NodeId| match node.unknown() {
-                Some(u) => x[u],
-                None => 0.0,
-            };
-            let mut best: Option<(usize, f64)> = None;
-            for (i, (old, new)) in states.iter().zip(&new_states).enumerate() {
-                if old != new {
-                    let violation = match &ckt.elements()[i] {
-                        Element::Diode {
-                            anode,
-                            cathode,
-                            model,
-                        } => (volt(*anode) - volt(*cathode) - model.v_on).abs(),
-                        _ => f64::MAX, // op-amp saturation flips take priority
-                    };
-                    if best.is_none_or(|(_, v)| violation > v) {
-                        best = Some((i, violation));
-                    }
+            // conductance, an op-amp rail swaps a couple of
+            // coefficients), so restamp in place and try the numeric-only
+            // refactorization against the cached symbolic pattern first;
+            // fall back to a fresh pivoting factorization when the pattern
+            // moved or a frozen pivot died.
+            Some(mut c) => {
+                c.stamped.restamp(ckt, st, states, mode);
+                if c.lu.refactor_with(c.stamped.matrix(), &mut lu_ws).is_err() {
+                    c.lu = SparseLu::factor_with(c.stamped.matrix(), lu_opts)?;
+                }
+                c.states.clone_from(states);
+                c
+            }
+            None => {
+                let stamped = StampedMatrix::new(ckt, st, states, mode);
+                let lu = SparseLu::factor_with(stamped.matrix(), lu_opts)?;
+                FactorCache {
+                    states: states.clone(),
+                    lu,
+                    stamped,
                 }
             }
-            if let Some((i, _)) = best {
-                states[i] = new_states[i];
-            }
-        } else {
-            *states = new_states;
+        };
+        let lu = &factor_cache.insert(cache).lu;
+        stamp_rhs_into(&mut b, ckt, st, states, time, mode, history, dc_pre_step);
+        lu.solve_into(&b, &mut work, &mut x)?;
+        if it.advance(ckt, states, &x)? {
+            return Ok((x, it));
         }
-    }
-    // One final consistency check with the widest band: accept if the last
-    // solve was consistent up to physically-negligible boundary violations.
-    let (_, changes) = next_states_banded(ckt, st, states, &x, 1e-3);
-    if changes == 0 {
-        Ok((x, max_iters))
-    } else {
-        Err(CircuitError::StateIterationDiverged {
-            time,
-            iterations: max_iters,
-        })
     }
 }

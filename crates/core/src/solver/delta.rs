@@ -154,6 +154,12 @@ pub struct DeltaReport {
     pub consolidated: bool,
     /// Complementarity (clamp-state) iterations the solve took.
     pub state_iterations: usize,
+    /// Operating-point solves of the batch whose state iteration broke a
+    /// cycle (revisited an assignment; see
+    /// [`SolveReport::cycle_break`]). A batch runs one such solve, so this
+    /// is 0 or 1; summed over batches it counts the cycling solves of a
+    /// stream.
+    pub cycle_breaks: usize,
 }
 
 /// One session edge: endpoints, last-set capacity, liveness, and where
@@ -426,6 +432,7 @@ impl DeltaSession {
             replanned,
             consolidated,
             state_iterations,
+            cycle_breaks: usize::from(self.dc.report().cycle_break.is_some()),
         })
     }
 

@@ -87,7 +87,8 @@ impl TripletMatrix {
         compress(self.rows, self.cols, &self.entries, /*by_row=*/ true).into_csr()
     }
 
-    /// Compresses into column-major [`CscMatrix`].
+    /// Compresses into column-major [`CscMatrix`]. Duplicates are summed
+    /// in push order: `((v1 + v2) + v3) + ...`.
     pub fn to_csc(&self) -> CscMatrix {
         compress(self.cols, self.rows, &self.entries, /*by_row=*/ false).into_csc()
     }
@@ -146,7 +147,9 @@ fn compress(
                 .copied()
                 .zip(tmp_val[counts[o]..counts[o + 1]].iter().copied()),
         );
-        seg.sort_unstable_by_key(|&(i, _)| i);
+        // Stable: the counting sort kept push order, so duplicates merge
+        // in the order they were pushed (in-place restampers replay it).
+        seg.sort_by_key(|&(i, _)| i);
         let mut last: Option<usize> = None;
         for &(i, v) in seg.iter() {
             if last == Some(i) {
@@ -293,6 +296,12 @@ impl CscMatrix {
     /// Stored values aligned with [`CscMatrix::row_idx`].
     pub fn values(&self) -> &[f64] {
         &self.values
+    }
+
+    /// `(col_ptr, row_idx, values)` with the values mutable: rewrite a
+    /// matrix's numbers in place while its pattern stays fixed.
+    pub fn pattern_values_mut(&mut self) -> (&[usize], &[usize], &mut [f64]) {
+        (&self.col_ptr, &self.row_idx, &mut self.values)
     }
 
     /// Iterator over `(row, value)` pairs of one column.

@@ -728,3 +728,41 @@ fn multi_rhs_multiblock_btf_matches_single() {
         .collect();
     assert_multi_matches_single(&lu, &cols);
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `to_csc` sums duplicates in push order, bit for bit: in-place
+    /// restampers that replay the pushes onto the compressed pattern rely
+    /// on it. Few distinct positions and many pushes put long runs of
+    /// duplicates in each column, past any small-slice sorting shortcut.
+    #[test]
+    fn to_csc_sums_duplicates_in_push_order(
+        n in 1usize..6,
+        pushes in proptest::collection::vec((0usize..6, 0usize..6, -1e3..1e3f64), 1..200),
+    ) {
+        let mut t = TripletMatrix::new(n, n);
+        // Column-major running sums, accumulated in push order.
+        let mut expected: Vec<Vec<Option<f64>>> = vec![vec![None; n]; n];
+        for &(r, c, v) in &pushes {
+            let (r, c) = (r % n, c % n);
+            t.push(r, c, v);
+            let e = &mut expected[c][r];
+            *e = Some(e.map_or(v, |s| s + v));
+        }
+        let csc = t.to_csc();
+        for (c, col) in expected.iter().enumerate() {
+            let stored: Vec<(usize, f64)> = csc.col(c).collect();
+            let want: Vec<(usize, f64)> = col
+                .iter()
+                .enumerate()
+                .filter_map(|(r, e)| e.map(|v| (r, v)))
+                .collect();
+            prop_assert_eq!(stored.len(), want.len());
+            for ((ri, vi), (rj, vj)) in stored.into_iter().zip(want) {
+                prop_assert_eq!(ri, rj);
+                prop_assert_eq!(vi.to_bits(), vj.to_bits(), "column {} row {}", c, ri);
+            }
+        }
+    }
+}

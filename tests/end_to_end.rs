@@ -53,6 +53,20 @@ fn analog_matches_oracle_on_rmat_sweep() {
 }
 
 #[test]
+fn cycling_rmat_instance_breaks_its_cycle_early() {
+    // Under `ideal()` this instance's clamp-state iteration revisits an
+    // assignment at iteration 12. Before first-repeat detection it cycled
+    // until half its budget and took 563 iterations.
+    let g = RmatConfig::sparse(32, 10).generate().unwrap();
+    let sol = MaxFlowSolver::new(SolveOptions::ideal()).solve(&g).unwrap();
+    assert!(sol.report.cycle_break.is_some(), "{:?}", sol.report);
+    assert!(sol.report.iterations <= 100, "{:?}", sol.report);
+    let exact = push_relabel(&g, PushRelabelVariant::HighestLabel).value as f64;
+    let rel = (sol.value - exact).abs() / exact.max(1.0);
+    assert!(rel < 0.01, "{} vs {exact}", sol.value);
+}
+
+#[test]
 fn quantized_error_stays_within_paper_envelope() {
     // §5.1 reports ≤ 8 % relative error with N = 20 levels.
     let mut worst = 0.0f64;
