@@ -1,5 +1,5 @@
 //! The `ohmflow-serve` multi-tenant serving tier: a length-prefixed TCP
-//! protocol over the staged [`MaxFlowSolver`] facade.
+//! protocol over the staged [`MaxFlowSolver`].
 //!
 //! # Wire protocol
 //!
@@ -78,8 +78,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use ohmflow::solver::facade::{MaxFlowSolver, Problem, SolveOptions};
-use ohmflow::{AnalogSolution, DeltaBatch, DeltaReport, DeltaSession, GraphDelta};
+use ohmflow::{
+    AnalogSolution, DeltaBatch, DeltaReport, DeltaSession, GraphDelta, MaxFlowSolver, Problem,
+    SolveOptions,
+};
 use ohmflow_graph::{binfmt, dimacs, FlowNetwork};
 
 /// Request tag: DIMACS max-flow text.

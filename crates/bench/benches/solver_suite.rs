@@ -1,12 +1,11 @@
 //! Criterion bench across the solver suite: the three CPU algorithms, the
 //! analog substrate's quasi-static solve (the simulated-hardware cost, not
-//! the hardware's own convergence time), the relaxation-transient engines
-//! (incremental frozen-DC session vs. the full-refactor reference — the
-//! headline hot path), and batch-parallel throughput.
+//! the hardware's own convergence time), the relaxation transient on the
+//! incremental frozen-DC session (the headline hot path), and
+//! batch-parallel throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ohmflow::builder::CapacityMapping;
-use ohmflow::solver::RelaxationEngine;
 use ohmflow::{MaxFlowSolver, Problem, SolveOptions};
 use ohmflow_bench::fig10_instance;
 use ohmflow_graph::generators;
@@ -30,28 +29,21 @@ fn bench_solvers(c: &mut Criterion) {
     group.finish();
 }
 
-/// The §5 hot path: the relaxation transient, incremental engine vs. the
-/// seed's full-refactor path (the acceptance target is ≥ 5× on
-/// fig15a(100)).
-fn bench_relaxation_engines(c: &mut Criterion) {
+/// The §5 hot path: the relaxation transient on the incremental
+/// frozen-DC session.
+fn bench_relaxation_transient(c: &mut Criterion) {
     let mut group = c.benchmark_group("relaxation_transient");
     group.sample_size(10);
+    let mut cfg = SolveOptions::evaluation(10e9);
+    cfg.build.capacity_mapping = CapacityMapping::Exact;
+    let solver = MaxFlowSolver::new(cfg);
     for (graph_label, g) in [
         ("fig15a100", generators::fig15a(100)),
         ("fig5a", generators::fig5a()),
     ] {
-        for (engine_label, engine) in [
-            ("incremental", RelaxationEngine::Incremental),
-            ("full_refactor", RelaxationEngine::FullRefactor),
-        ] {
-            let mut cfg = SolveOptions::evaluation(10e9);
-            cfg.build.capacity_mapping = CapacityMapping::Exact;
-            cfg.engine = engine;
-            let solver = MaxFlowSolver::new(cfg);
-            group.bench_function(format!("{graph_label}/{engine_label}"), |b| {
-                b.iter(|| solver.solve_fresh(&g).expect("solve").value)
-            });
-        }
+        group.bench_function(format!("{graph_label}/incremental"), |b| {
+            b.iter(|| solver.solve_fresh(&g).expect("solve").value)
+        });
     }
     group.finish();
 }
@@ -87,7 +79,7 @@ fn bench_solve_batch(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_solvers,
-    bench_relaxation_engines,
+    bench_relaxation_transient,
     bench_solve_batch
 );
 criterion_main!(benches);

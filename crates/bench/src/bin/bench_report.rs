@@ -41,13 +41,12 @@
 //! `bench_report pr8` / `pr9` run just that section and re-merge.
 
 use ohmflow::builder::CapacityMapping;
-use ohmflow::solver::RelaxationEngine;
 use ohmflow::{MaxFlowSolver, SolveOptions, SubstrateTemplate};
 use ohmflow_bench::{
     bench_substrate, dimacs_grid_instance, diode_unknown_pairs, fig10_instance, median_ns,
     time_push_relabel,
 };
-use ohmflow_circuit::DcSolver;
+use ohmflow_circuit::{DcSolver, LuOptions};
 use ohmflow_graph::generators;
 use ohmflow_linalg::{
     ColumnOrdering, LuWorkspace, SparseLu, SparseLuOptions, SparseSolveWorkspace,
@@ -98,7 +97,7 @@ fn main() {
 
     // Template creation + value-only instantiation, in isolation.
     let t_template = median_ns(5, || {
-        SubstrateTemplate::new(&g, &cfg.params, &cfg.build).expect("template")
+        SubstrateTemplate::new(&g, &cfg.params, &cfg.build, LuOptions::default()).expect("template")
     });
     let plan = solver.plan(&g).expect("plan");
     let t_inst = median_ns(5, || plan.instance(&g).expect("instance"));
@@ -116,19 +115,13 @@ fn main() {
     push("session_rmat128/cold", s_cold);
     push("session_rmat128/from_template", s_tpl);
 
-    // --- Relaxation-transient engines (PR 1's headline path). ---
+    // --- Relaxation transient (the §5 headline path). ---
     let g15 = generators::fig15a(100);
-    for (label, engine) in [
-        ("incremental", RelaxationEngine::Incremental),
-        ("full_refactor", RelaxationEngine::FullRefactor),
-    ] {
-        let mut tcfg = SolveOptions::evaluation(10e9);
-        tcfg.build.capacity_mapping = CapacityMapping::Exact;
-        tcfg.engine = engine;
-        let tsolver = MaxFlowSolver::new(tcfg);
-        let ns = median_ns(5, || tsolver.solve_fresh(&g15).expect("solve").value);
-        push(&format!("transient_fig15a100/{label}"), ns);
-    }
+    let mut tcfg = SolveOptions::evaluation(10e9);
+    tcfg.build.capacity_mapping = CapacityMapping::Exact;
+    let tsolver = MaxFlowSolver::new(tcfg);
+    let ns = median_ns(5, || tsolver.solve_fresh(&g15).expect("solve").value);
+    push("transient_fig15a100/incremental", ns);
 
     // --- Batch throughput: same-topology fan-out vs sequential. ---
     let batch: Vec<_> = (1..=6)
@@ -162,16 +155,11 @@ fn main() {
         "quasi_static_rmat128/cold_build_solve",
         "quasi_static_rmat128/template_reuse_solve",
     );
-    let engine_speedup = speedup(
-        "transient_fig15a100/full_refactor",
-        "transient_fig15a100/incremental",
-    );
     let batch_speedup = speedup(
         "batch6_rmat128/sequential_cold",
         "batch6_rmat128/solve_batch_templated",
     );
     println!("template reuse speedup : {template_speedup:.2}x");
-    println!("incremental engine speedup : {engine_speedup:.2}x");
     println!("batch speedup : {batch_speedup:.2}x");
 
     // Hand-rolled JSON (no serde in the offline vendor set).
@@ -184,9 +172,6 @@ fn main() {
     json.push_str("  },\n  \"speedups\": {\n");
     json.push_str(&format!(
         "    \"template_reuse_vs_cold\": {template_speedup:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"incremental_vs_full_refactor\": {engine_speedup:.3},\n"
     ));
     json.push_str(&format!(
         "    \"batch_vs_sequential\": {batch_speedup:.3}\n"

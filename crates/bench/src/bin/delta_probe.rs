@@ -6,8 +6,8 @@
 
 use std::time::Instant;
 
-use ohmflow::solver::facade::{MaxFlowSolver, SolveOptions};
 use ohmflow::DeltaBatch;
+use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow_bench::{bench_substrate, diode_unknown_pairs, fig10_instance};
 
 fn probe_push(n: usize) {

@@ -1,16 +1,16 @@
 //! Microprofile of the incremental frozen-DC engine: where a relaxation
-//! time step spends its nanoseconds, and the session's effort counters.
+//! time step spends its nanoseconds, the session's effort counters, and
+//! the end-to-end transient solve it serves.
 //!
 //! Run with: `cargo run --release -p ohmflow-bench --bin engine_profile`
 
 use std::time::Instant;
 
 use ohmflow::builder::{build, BuildOptions, CapacityMapping, Drive, NegativeResistorImpl};
-use ohmflow::solver::RelaxationEngine;
 use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow::{SubstrateParams, SubstrateTemplate};
 use ohmflow_bench::median_ns;
-use ohmflow_circuit::DcSolver;
+use ohmflow_circuit::{DcSolver, LuOptions};
 use ohmflow_graph::generators;
 
 fn main() {
@@ -42,9 +42,9 @@ fn main() {
     let t_cold = median_ns(9, || dcs.session(ckt).expect("session"));
     let t_numeric = median_ns(9, || dc_plan.session(ckt).expect("session"));
     let t_tpl = median_ns(5, || {
-        SubstrateTemplate::new(&g, &params, &bo).expect("template")
+        SubstrateTemplate::new(&g, &params, &bo, LuOptions::default()).expect("template")
     });
-    let sub_tpl = SubstrateTemplate::new(&g, &params, &bo).expect("template");
+    let sub_tpl = SubstrateTemplate::new(&g, &params, &bo, LuOptions::default()).expect("template");
     let t_inst = median_ns(9, || sub_tpl.instantiate(&g).expect("instantiate"));
     println!("--- cold-path phases ---");
     println!("substrate build                 : {t_build:>10.0} ns");
@@ -122,22 +122,16 @@ fn main() {
         sym.dim(),
     );
 
-    // End-to-end engine comparison.
-    for (label, engine) in [
-        ("incremental", RelaxationEngine::Incremental),
-        ("full_refactor", RelaxationEngine::FullRefactor),
-    ] {
-        let mut cfg = SolveOptions::evaluation(10e9);
-        cfg.build.capacity_mapping = CapacityMapping::Exact;
-        cfg.engine = engine;
-        let solver = MaxFlowSolver::new(cfg);
-        let reps = 50;
-        let t0 = Instant::now();
-        let mut value = 0.0;
-        for _ in 0..reps {
-            value = solver.solve_fresh(&g).expect("solve").value;
-        }
-        let per = t0.elapsed().as_micros() as f64 / reps as f64;
-        println!("{label:<14} : {per:>8.1} µs/solve  (value {value:.3})");
+    // End-to-end transient solve.
+    let mut cfg = SolveOptions::evaluation(10e9);
+    cfg.build.capacity_mapping = CapacityMapping::Exact;
+    let solver = MaxFlowSolver::new(cfg);
+    let reps = 50;
+    let t0 = Instant::now();
+    let mut value = 0.0;
+    for _ in 0..reps {
+        value = solver.solve_fresh(&g).expect("solve").value;
     }
+    let per = t0.elapsed().as_micros() as f64 / reps as f64;
+    println!("transient solve : {per:>8.1} µs/solve  (value {value:.3})");
 }

@@ -78,7 +78,7 @@ fn main() {
         let sols = solver.solve_many(graphs.iter().map(Problem::from));
         // The quasi-static complementarity iteration can fail on the odd
         // random instance (spurious all-clamped states, see
-        // `MaxFlowSolver::solve_built`); a sweep reports over the seeds
+        // `SolveMode::QuasiStatic`); a sweep reports over the seeds
         // that solve.
         let errs: Vec<f64> = graphs
             .iter()

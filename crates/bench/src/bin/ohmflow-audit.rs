@@ -18,8 +18,8 @@
 
 use std::process::ExitCode;
 
-use ohmflow::solver::facade::{MaxFlowSolver, SolveOptions};
 use ohmflow::solver::{DeltaBatch, DeltaSession};
+use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow_bench::{dimacs_grid_instance, fig10_instance};
 use ohmflow_graph::FlowNetwork;
 
@@ -60,7 +60,6 @@ fn audit_substrate(name: &str, g: &FlowNetwork) -> Result<(), String> {
         .audit()
         .map_err(|e| format!("{name}: post-solve audit: {e}"))?;
     solver
-        .engine()
         .audit_plan_cache()
         .map_err(|e| format!("{name}: plan-cache audit: {e}"))?;
 

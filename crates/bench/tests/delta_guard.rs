@@ -17,8 +17,8 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use ohmflow::solver::facade::{MaxFlowSolver, SolveOptions};
 use ohmflow::DeltaBatch;
+use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow_bench::{bench_substrate, diode_unknown_pairs, fig10_instance, median_ns};
 use ohmflow_circuit::DcSolver;
 use ohmflow_graph::FlowNetwork;

@@ -15,7 +15,7 @@
 //! relative to a single-block AMD factor.
 
 use ohmflow::builder;
-use ohmflow::solver::facade::SolveOptions;
+use ohmflow::SolveOptions;
 use ohmflow_bench::{bench_substrate, fig10_instance, median_ns};
 use ohmflow_circuit::DcSolver;
 use ohmflow_graph::generators;

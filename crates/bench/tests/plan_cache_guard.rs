@@ -19,7 +19,7 @@
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
-use ohmflow::solver::facade::{MaxFlowSolver, SolveOptions};
+use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow_bench::{fig10_instance, median_ns};
 
 /// The harness runs both tests as concurrent threads; the contention

@@ -664,10 +664,10 @@ impl DcPlan {
 }
 
 /// Solves a DC operating point with *frozen* diode conduction states —
-/// no complementarity iteration. Used by the quasi-static relaxation model
-/// of the `ohmflow` core crate, where diode switching is governed by the
-/// (op-amp-lagged) relaxed node voltages rather than the instantaneous
-/// equilibrium.
+/// no complementarity iteration — rebuilding the MNA structure and
+/// refactoring from scratch whenever the state vector changes. This is
+/// the test reference for [`FrozenDcSession`], the incremental engine the
+/// `ohmflow` relaxation transient runs on; no production path calls it.
 ///
 /// `diode_on` is indexed by [`Circuit::diode_ids`] order. Time-varying
 /// sources are evaluated at `time`.

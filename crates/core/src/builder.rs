@@ -114,11 +114,6 @@ pub struct BuildOptions {
     /// cost of an `O(ε)` constraint softening that adds to the solution
     /// error. `0.0` disables the leak (quasi-static solves don't need it).
     pub constraint_leak: f64,
-    /// Column ordering for every LU factorization derived from this build
-    /// (templates, sessions, cold DC solves). Folded into the topology
-    /// template key, so caches never mix symbolic plans built under
-    /// different orderings. Defaults to AMD + block-triangular form.
-    pub lu_ordering: ohmflow_circuit::ColumnOrdering,
 }
 
 impl BuildOptions {
@@ -132,7 +127,6 @@ impl BuildOptions {
             drive: Drive::Dc,
             nic_margin: Some(0.0),
             constraint_leak: 0.0,
-            lu_ordering: ohmflow_circuit::ColumnOrdering::default(),
         }
     }
 
@@ -149,16 +143,6 @@ impl BuildOptions {
             drive: Drive::Step,
             nic_margin: Some(0.0),
             constraint_leak: 0.0,
-            lu_ordering: ohmflow_circuit::ColumnOrdering::default(),
-        }
-    }
-
-    /// The [`ohmflow_circuit::LuOptions`] this build implies: the chosen
-    /// ordering over otherwise-default factorization parameters.
-    pub fn lu_options(&self) -> ohmflow_circuit::LuOptions {
-        ohmflow_circuit::LuOptions {
-            ordering: self.lu_ordering,
-            ..Default::default()
         }
     }
 }

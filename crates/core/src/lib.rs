@@ -14,11 +14,11 @@
 //! * [`params`] — Table 1 design parameters,
 //! * [`quantize`] — §4.1 voltage-level quantization,
 //! * [`builder`] — direct-mapped graph → circuit construction (§2),
-//! * [`solver`] — the solve engine and its **staged public facade**
-//!   ([`MaxFlowSolver`]): one [`SolveOptions`] → [`Plan`] (topology-keyed
+//! * [`solver`] — one solver type built from one options type:
+//!   [`SolveOptions`] → [`MaxFlowSolver`] → [`Plan`] (topology-keyed
 //!   symbolic work, cached) → [`Instance`] (value-only re-instantiation)
-//!   → solve / [`Session`] (incremental frozen-DC work); `solve_many`
-//!   batches with automatic same-topology grouping,
+//!   → solve; `solve_many` batches with automatic same-topology grouping,
+//!   and [`DeltaSession`] absorbs streaming graph edits,
 //! * [`template`] — topology-keyed [`SubstrateTemplate`]s: the cold path
 //!   (build, MNA structure, ordering, symbolic LU) amortized across every
 //!   same-topology solve, with value-only instantiation,
@@ -72,11 +72,8 @@ pub mod tuning;
 
 pub use error::AnalogError;
 pub use params::SubstrateParams;
-pub use solver::facade::{
-    Instance, MaxFlowSolver, Plan, PlanReport, Problem, Session, SolveOptions,
-};
 pub use solver::{
-    AnalogConfig, AnalogMaxFlow, AnalogSolution, DeltaBatch, DeltaReport, DeltaSession, GraphDelta,
-    PlanCacheStats, RelaxationEngine, SolveMode,
+    AnalogSolution, DeltaBatch, DeltaReport, DeltaSession, GraphDelta, Instance, MaxFlowSolver,
+    Plan, PlanCacheStats, PlanReport, Problem, SolveMode, SolveOptions,
 };
 pub use template::{SubstrateTemplate, TemplateKey};

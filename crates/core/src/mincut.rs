@@ -211,7 +211,7 @@ impl DualMeshArchitecture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::facade::{MaxFlowSolver, SolveOptions};
+    use crate::solver::{MaxFlowSolver, SolveOptions};
     use ohmflow_graph::generators;
     use ohmflow_graph::rmat::RmatConfig;
     use ohmflow_maxflow::min_cut;

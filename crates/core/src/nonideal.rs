@@ -106,7 +106,7 @@ pub fn finite_gain_reff(r_target: f64, r0: f64, gain: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::builder::{build, BuildOptions};
-    use crate::solver::facade::{MaxFlowSolver, Problem, SolveOptions};
+    use crate::solver::{MaxFlowSolver, Problem, SolveOptions};
     use crate::SubstrateParams;
     use ohmflow_graph::generators;
     use ohmflow_maxflow::edmonds_karp;
@@ -119,7 +119,7 @@ mod tests {
         // trade-off the ablation bench quantifies. The relaxation transient
         // is used because mismatch-softened constraints can trap the
         // quasi-static complementarity iteration in a spurious all-clamped
-        // state (see `AnalogMaxFlow::solve_built`).
+        // state (see `SolveMode::QuasiStatic`).
         let mut cfg = SolveOptions::ideal();
         cfg.params.v_flow = 8.0;
         // Fixed window: heavily perturbed circuits can ring in a small

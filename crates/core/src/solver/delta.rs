@@ -35,7 +35,7 @@
 //!   revive for free) until they outnumber a quarter of the live edges,
 //!   then the next re-key compacts them out of the universe.
 //!
-//! Re-keying goes through the engine's sharded plan cache, so a session
+//! Re-keying goes through the solver's sharded plan cache, so a session
 //! that oscillates between a handful of topologies re-plans each of them
 //! exactly once.
 
@@ -49,7 +49,7 @@ use crate::quantize::{ExactScaling, Quantizer};
 use crate::template::SubstrateTemplate;
 use crate::AnalogError;
 
-use super::AnalogMaxFlow;
+use super::MaxFlowSolver;
 
 /// One streaming change to the session's graph. Edge ids are **session
 /// ids**: stable for the lifetime of the session (they survive re-keys
@@ -177,13 +177,10 @@ struct SessionEdge {
 
 /// A live analog substrate absorbing streaming graph deltas — see the
 /// module docs for the delta taxonomy and consolidation policy. Opened
-/// through [`MaxFlowSolver::delta_session`](crate::solver::facade::MaxFlowSolver::delta_session).
+/// through [`MaxFlowSolver::delta_session`].
 #[derive(Debug)]
 pub struct DeltaSession {
-    engine: AnalogMaxFlow,
-    mapping: CapacityMapping,
-    v_dd: f64,
-    v_on: f64,
+    solver: MaxFlowSolver,
     vertices: usize,
     source: usize,
     sink: usize,
@@ -202,8 +199,6 @@ pub struct DeltaSession {
     /// Per-universe-edge clamp voltages (readout metadata mirror).
     clamp_volts: Vec<f64>,
     tpl: Arc<SubstrateTemplate>,
-    /// Removed-but-still-stamped edges (the structural debt).
-    removed_debt: usize,
     /// Monotone pseudo-time fed to the DC solves.
     clock: f64,
     replans: u64,
@@ -222,14 +217,8 @@ const CONSOLIDATION_FILL_FACTOR: f64 = 4.0;
 const SESSION_MAX_RANK: usize = 64;
 
 impl DeltaSession {
-    /// Opens a session on `g` (used by
-    /// [`MaxFlowSolver::delta_session`](crate::solver::facade::MaxFlowSolver::delta_session)).
-    pub(crate) fn open(engine: AnalogMaxFlow, g: &FlowNetwork) -> Result<Self, AnalogError> {
-        let build = engine.effective_build_options();
-        let params = engine.config().params.clone();
-        let mapping = build.capacity_mapping;
-        let v_dd = params.v_dd;
-        let v_on = params.diode.v_on;
+    /// Opens a session on `g` (used by [`MaxFlowSolver::delta_session`]).
+    pub(crate) fn open(solver: MaxFlowSolver, g: &FlowNetwork) -> Result<Self, AnalogError> {
         let c_max = (g.max_capacity() as f64).max(1.0);
         let edges: Vec<SessionEdge> = g
             .edges()
@@ -243,10 +232,7 @@ impl DeltaSession {
             })
             .collect();
         let parts = rekey(
-            &engine,
-            mapping,
-            v_dd,
-            v_on,
+            &solver,
             c_max,
             g.vertex_count(),
             g.source(),
@@ -255,9 +241,6 @@ impl DeltaSession {
             true,
         )?;
         Ok(DeltaSession {
-            mapping,
-            v_dd,
-            v_on,
             vertices: g.vertex_count(),
             source: g.source(),
             sink: g.sink(),
@@ -267,11 +250,10 @@ impl DeltaSession {
             level_sources: parts.level_sources,
             clamp_volts: parts.clamp_volts,
             tpl: parts.tpl,
-            removed_debt: 0,
             clock: 0.0,
             replans: 0,
             consolidations: 0,
-            engine,
+            solver,
         })
     }
 
@@ -313,7 +295,6 @@ impl DeltaSession {
                     // [`clamp_volts_for`]); `flipped` runs the surgery.
                     touched.push(edge);
                     if retunable {
-                        self.removed_debt += 1;
                         flipped.push(edge);
                     } else {
                         // Op-amp star magnitudes live inside subcircuits the
@@ -330,7 +311,6 @@ impl DeltaSession {
                         Some(id) => {
                             self.edges[id].live = true;
                             self.edges[id].capacity = capacity;
-                            self.removed_debt -= 1;
                             touched.push(id);
                             flipped.push(id);
                             new_edge_ids.push(id);
@@ -365,9 +345,16 @@ impl DeltaSession {
         let scale_changed = new_c_max != self.c_max;
         self.c_max = new_c_max;
 
-        // Route the staged state onto the cheapest mechanism.
+        // Route the staged state onto the cheapest mechanism. The
+        // structural debt is the removed edges whose widgets are still
+        // stamped in the universe.
         let live = self.edges.iter().filter(|e| e.live).count();
-        let compact = force_compact || self.removed_debt > 16.max(live / 4);
+        let debt = self
+            .edges
+            .iter()
+            .filter(|e| !e.live && e.slot.is_some())
+            .count();
+        let compact = force_compact || debt > 16.max(live / 4);
         let replanned = structural || compact;
         if replanned {
             self.rebuild(!compact)?;
@@ -450,7 +437,7 @@ impl DeltaSession {
     /// [`ohmflow_linalg::AuditError`].
     pub fn audit(&self) -> Result<(), ohmflow_linalg::AuditError> {
         self.tpl.dc_template().factor().audit()?;
-        self.engine.audit_plan_cache()?;
+        self.solver.audit_plan_cache()?;
         self.audit_metadata()
     }
 
@@ -636,12 +623,6 @@ impl DeltaSession {
         Ok(())
     }
 
-    /// The clamp voltage an edge's widgets should hold under the current
-    /// session scale (see [`clamp_volts_for`]).
-    fn clamp_volts_of(&self, edge: &SessionEdge) -> f64 {
-        clamp_volts_for(self.mapping, self.v_dd, self.v_on, self.c_max, edge)
-    }
-
     /// Applies exact excision/revival surgery for the given session edges
     /// (whose liveness just flipped): couplings cut to open (or restored
     /// to `r`), ghost anchors closed (or reopened), and every affected
@@ -709,11 +690,12 @@ impl DeltaSession {
         let Some(slot) = edge.slot else {
             return Ok(());
         };
-        let volts = self.clamp_volts_of(&edge);
+        let volts = clamp_volts_for(&self.solver, self.c_max, &edge);
         self.clamp_volts[slot] = volts;
         if let Some(src) = self.level_sources[slot] {
+            let v_on = self.solver.options().params.diode.v_on;
             self.dc
-                .set_source_value(src, SourceValue::dc(volts - self.v_on))?;
+                .set_source_value(src, SourceValue::dc(volts - v_on))?;
         }
         Ok(())
     }
@@ -722,7 +704,7 @@ impl DeltaSession {
     /// substrate metadata after value-only restamps.
     fn sync_metadata(&mut self) {
         let volts = self.clamp_volts.clone();
-        let scale = self.v_dd / self.c_max;
+        let scale = self.solver.options().params.v_dd / self.c_max;
         self.dc.host_mut().set_capacity_values(volts, scale);
     }
 
@@ -734,10 +716,7 @@ impl DeltaSession {
     /// session serving its previous universe.
     fn rebuild(&mut self, keep_removed: bool) -> Result<(), AnalogError> {
         let parts = rekey(
-            &self.engine,
-            self.mapping,
-            self.v_dd,
-            self.v_on,
+            &self.solver,
             self.c_max,
             self.vertices,
             self.source,
@@ -752,9 +731,6 @@ impl DeltaSession {
         self.level_sources = parts.level_sources;
         self.clamp_volts = parts.clamp_volts;
         self.tpl = parts.tpl;
-        if !keep_removed {
-            self.removed_debt = 0;
-        }
         Ok(())
     }
 }
@@ -769,7 +745,8 @@ struct Parts {
 }
 
 /// The clamp voltage an edge's widgets should hold under the session
-/// scale: the capacity mapping for live edges, `v_on` for removed ones.
+/// scale `c_max`: the solver's capacity mapping for live edges, `v_on`
+/// for removed ones.
 /// `v_on` puts the removed edge's level source at exactly **zero volts**:
 /// its excised widget cluster then contains no source at all, so the
 /// off-state diode leakage (`1/r_off`) that couples the cluster to the
@@ -778,17 +755,13 @@ struct Parts {
 /// live graph (where the widgets do not exist) see the same electrical
 /// network to machine precision. Both clamp diodes sit at `v_ak = 0`,
 /// solidly off.
-fn clamp_volts_for(
-    mapping: CapacityMapping,
-    v_dd: f64,
-    v_on: f64,
-    c_max: f64,
-    edge: &SessionEdge,
-) -> f64 {
+fn clamp_volts_for(solver: &MaxFlowSolver, c_max: f64, edge: &SessionEdge) -> f64 {
+    let params = &solver.options().params;
+    let v_dd = params.v_dd;
     if !edge.live {
-        return v_on;
+        return params.diode.v_on;
     }
-    match mapping {
+    match solver.options().build.capacity_mapping {
         CapacityMapping::Exact => ExactScaling::new(v_dd, c_max).to_volts(edge.capacity as f64),
         CapacityMapping::Quantized { levels } => {
             Quantizer::new(levels, v_dd, c_max).quantize(edge.capacity as f64)
@@ -797,16 +770,12 @@ fn clamp_volts_for(
 }
 
 /// Builds the universe graph (live edges, plus still-stamped removed
-/// edges unless compacting), plans it through the engine's sharded
+/// edges unless compacting), plans it through the solver's sharded
 /// cache, restamps every level source under the **session** scale
 /// (overriding the instantiation's own graph-derived scale), and opens
 /// an owning incremental session on the result.
-#[allow(clippy::too_many_arguments)]
 fn rekey(
-    engine: &AnalogMaxFlow,
-    mapping: CapacityMapping,
-    v_dd: f64,
-    v_on: f64,
+    solver: &MaxFlowSolver,
     c_max: f64,
     vertices: usize,
     source: usize,
@@ -829,19 +798,20 @@ fn rekey(
     let mut clamp_volts = vec![0.0f64; g.edge_count()];
     for e in &shadow {
         if let Some(u) = e.slot {
-            clamp_volts[u] = clamp_volts_for(mapping, v_dd, v_on, c_max, e);
+            clamp_volts[u] = clamp_volts_for(solver, c_max, e);
         }
     }
 
-    let tpl = engine.template_for(&g)?;
+    let (tpl, _) = solver.template_for(&g)?;
     let mut sc = tpl.instantiate(&g)?;
+    let v_on = solver.options().params.diode.v_on;
     for (u, src) in tpl.level_sources().iter().enumerate() {
         if let Some(id) = src {
             sc.circuit_mut()
                 .set_source_value(*id, SourceValue::dc(clamp_volts[u] - v_on))?;
         }
     }
-    sc.set_capacity_values(clamp_volts.clone(), v_dd / c_max);
+    sc.set_capacity_values(clamp_volts.clone(), solver.options().params.v_dd / c_max);
 
     // The template instantiation stamps every widget live: re-apply the
     // excision surgery for removed-but-kept edges (and the matching star
@@ -876,7 +846,7 @@ fn rekey(
         }
     }
 
-    let dc = engine
+    let dc = solver
         .dc_solver()
         .session_from_host(sc, tpl.dc_template())?
         .with_max_rank(SESSION_MAX_RANK)
@@ -894,7 +864,7 @@ fn rekey(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::facade::{MaxFlowSolver, SolveOptions};
+    use crate::solver::SolveOptions;
     use ohmflow_graph::generators;
 
     fn agree(session: &DeltaSession, solver: &MaxFlowSolver, tag: &str) {
@@ -1018,6 +988,29 @@ mod tests {
         assert!(report.replanned, "post-compaction insert is novel");
         assert_eq!(report.new_edge_ids, vec![session.edge_count() - 1]);
         agree(&session, &solver, "after post-compaction insert");
+    }
+
+    #[test]
+    fn remove_then_revive_on_an_op_amp_build() {
+        // Op-amp negative resistors are not retunable, so the removal
+        // compacts structurally; the revive in the same batch must not
+        // drive the structural debt below zero.
+        let g = generators::fig5a();
+        let solver = MaxFlowSolver::new(SolveOptions::evaluation_quasi_static(10e9));
+        let mut session = solver.delta_session(&g).unwrap();
+        let (from, to) = (g.edges()[0].from, g.edges()[0].to);
+        let report = session
+            .apply_deltas(&DeltaBatch::new().remove_edge(0).insert_edge(from, to, 3))
+            .unwrap();
+        assert!(report.replanned, "op-amp removals re-key");
+        assert_eq!(report.new_edge_ids, vec![0], "revive reuses the id");
+        let fresh = solver.solve_fresh(&session.live_graph().unwrap()).unwrap();
+        assert!(
+            (report.value - fresh.value).abs() < 1e-9,
+            "session {} vs fresh {}",
+            report.value,
+            fresh.value
+        );
     }
 
     #[test]

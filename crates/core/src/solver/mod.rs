@@ -1,52 +1,66 @@
-//! The analog max-flow solver engine and its staged public facade.
+//! The analog max-flow solver: **one options type, one solver type,
+//! three stages.**
 //!
-//! This module holds the **engine**: [`AnalogMaxFlow`] carries the
-//! configuration, the topology-keyed template cache and the simulation
-//! machinery (quasi-static complementarity solve, relaxation transient,
-//! full-MNA ablation) — the §3.2 "computing max-flow on the crossbar"
-//! procedure. The **public staged API** lives in [`facade`]:
-//! [`MaxFlowSolver`](facade::MaxFlowSolver) →
-//! [`Plan`](facade::Plan) → [`Instance`](facade::Instance) →
-//! [`Session`](facade::Session) — the one public solve surface (the
-//! deprecated `AnalogMaxFlow` solve shims were removed after the facade
-//! was pinned equivalent by the `facade_equivalence` suite).
+//! ```text
+//!  SolveOptions ──> MaxFlowSolver ──plan──> Plan ──instance──> Instance ──solve──> AnalogSolution
+//!                        │                   │ (topology-keyed     (quasi-static, relaxation
+//!                        │                   │  symbolic work,      transient or full-MNA
+//!                        │                   │  cached)             ablation)
+//!                        ├── solve / solve_fresh / solve_many (conveniences over the stages)
+//!                        └── delta_session (one live substrate absorbing graph deltas)
+//! ```
 //!
-//! The engine's plan cache (`plan_cache`) is sharded and concurrent:
-//! fingerprint-first lookups, single-flight cold paths, per-shard LRU
-//! eviction — the serving tier (`ohmflow-serve`) drives it from many
-//! threads at once.
+//! The substrate of the paper is reconfigurable by design — one physical
+//! fabric, many programmed instances — and the API mirrors that split:
+//!
+//! * [`MaxFlowSolver::plan`] runs the **topology-dependent cold path**
+//!   once per graph shape (substrate build, MNA structure, AMD+BTF
+//!   ordering, symbolic LU) and caches it by [`TemplateKey`];
+//! * [`Plan::instance`] is a **value-only re-instantiation** — any
+//!   capacity assignment on the planned topology is a source restamp away;
+//! * [`Instance::solve`] runs the configured simulation mode — the §3.2
+//!   "computing max-flow on the crossbar" procedure. Callers that drive
+//!   their own clamp-switching schedules open a circuit-level session on
+//!   the instance with
+//!   `DcSolver::session_from(instance.substrate().circuit(), plan.template().dc_template())`.
+//!
+//! The plan cache behind [`MaxFlowSolver::plan`] is sharded and
+//! concurrent (fingerprint-first lookups, single-flight cold paths, LRU
+//! eviction under [`SolveOptions::plan_cache_bytes`]); the
+//! `ohmflow-serve` binary wraps this solver as a multi-tenant network
+//! service.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use ohmflow_circuit::{
-    solve_frozen_dc, Circuit, CircuitError, DcSolver, DcTemplate, ElementId, FrozenDcCache,
-    FrozenDcSession, LuOptions, NodeId, SolveReport, TransientAnalysis, TransientOptions, Waveform,
-    WaveformSet,
+    ColumnOrdering, DcSolver, DcTemplate, LuOptions, NodeId, SolveReport, TransientAnalysis,
+    TransientOptions, Waveform, WaveformSet,
 };
 use ohmflow_graph::FlowNetwork;
+use rayon::prelude::*;
 
 use crate::builder::{
-    self, BuildOptions, BuildStats, Drive, NegativeResistorImpl, SubstrateCircuit,
+    self, BuildOptions, BuildStats, CapacityMapping, Drive, NegativeResistorImpl, SubstrateCircuit,
 };
 use crate::params::SubstrateParams;
 use crate::template::{self, SubstrateTemplate, TemplateKey};
 use crate::AnalogError;
 
 pub mod delta;
-pub mod facade;
 mod plan_cache;
 pub(crate) mod verify;
 
 pub use delta::{DeltaBatch, DeltaReport, DeltaSession, GraphDelta};
 pub use plan_cache::PlanCacheStats;
-pub(crate) use plan_cache::{PlanCache, DEFAULT_CAPACITY_BYTES};
+use plan_cache::{PlanCache, DEFAULT_CAPACITY_BYTES};
 
 /// Edge-count threshold of the adaptive solve-path choice: below it, a
 /// graph whose topology is not already planned solves from scratch
 /// instead of paying the per-edge template instantiation (measured ~1.7×
 /// slower than a direct build on Fig. 10-sweep-sized instances —
 /// BENCH_PR9.json, `small_n`). A *cached* plan is still used (its cold
-/// path is sunk), and explicit [`facade::MaxFlowSolver::plan`] /
+/// path is sunk), and explicit [`MaxFlowSolver::plan`] /
 /// `solve_many` grouping still plan small topologies on purpose — the
 /// threshold only stops one-shot `solve` calls from building plans they
 /// will never amortize.
@@ -57,7 +71,10 @@ pub const SMALL_INSTANCE_EDGES: usize = 48;
 pub enum SolveMode {
     /// One DC solve at the final `V_flow` — the exact steady state,
     /// without convergence-time information. Fast path for large graphs
-    /// and for solution-quality studies.
+    /// and for solution-quality studies. The complementarity iteration
+    /// behind it can stall in a spurious all-clamped state on the odd
+    /// random or mismatch-perturbed instance (the solve then errors); the
+    /// relaxation transient does not.
     QuasiStatic,
     /// Transient from the rising edge of `V_flow` (§5.1), simulated with
     /// the **quasi-static relaxation model**: edge-node voltages follow the
@@ -93,30 +110,9 @@ pub enum SolveMode {
     },
 }
 
-/// Linear-algebra backend of the relaxation transient.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RelaxationEngine {
-    /// The incremental frozen-DC engine (default): one persistent
-    /// [`FrozenDcSession`] carries the MNA structure, factorization and
-    /// buffers across every time step; clamp-diode switches are absorbed
-    /// as Woodbury rank-1 updates (built through reach-based sparse
-    /// triangular half-solves) with a periodic refactorization for
-    /// numerical hygiene — numeric-only, level-scheduled across rayon
-    /// workers on large systems unless the solve is already running inside
-    /// a batch worker. See `DESIGN.md`.
-    #[default]
-    Incremental,
-    /// The historical reference path: every step calls
-    /// [`solve_frozen_dc`], which rebuilds the MNA structure and
-    /// refactors from scratch whenever the clamp configuration changed.
-    /// Retained for regression testing and benchmarking the incremental
-    /// engine against.
-    FullRefactor,
-}
-
-/// Full configuration of an [`AnalogMaxFlow`] solver.
+/// The one configuration of the solver.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AnalogConfig {
+pub struct SolveOptions {
     /// Substrate design parameters (Table 1).
     pub params: SubstrateParams,
     /// Circuit construction options.
@@ -126,11 +122,22 @@ pub struct AnalogConfig {
     /// Convergence band for the §5.1 settle-time measurement (0.001 =
     /// "within 0.1 % of the final value").
     pub settle_fraction: f64,
-    /// Relaxation-transient solve backend.
-    pub engine: RelaxationEngine,
+    /// Factorization options (column ordering, pivoting thresholds) for
+    /// every LU in the stack — plans, sessions, cold paths. The ordering
+    /// is part of every plan's [`TemplateKey`], so caches never mix
+    /// symbolic plans built under different orderings.
+    pub lu: LuOptions,
+    /// Per-phase wall-clock attribution on sessions (off by default:
+    /// clock reads tax small systems).
+    pub phase_timing: bool,
+    /// Byte capacity of the sharded plan cache (LRU eviction engages
+    /// above it; each resident plan is costed from its factorization
+    /// fill). The default is generous — eviction only matters for
+    /// long-running multi-tenant servers cycling through many topologies.
+    pub plan_cache_bytes: usize,
 }
 
-impl AnalogConfig {
+impl SolveOptions {
     /// Ideal configuration: exact capacities, ideal negative resistors,
     /// quasi-static solve. Under these assumptions the substrate solves
     /// max-flow *optimally* (§2.3's proof), which the test-suite checks.
@@ -144,13 +151,7 @@ impl AnalogConfig {
     pub fn ideal() -> Self {
         let mut params = SubstrateParams::table1();
         params.v_flow = 50.0 * params.v_dd;
-        AnalogConfig {
-            params,
-            build: BuildOptions::ideal(),
-            mode: SolveMode::QuasiStatic,
-            settle_fraction: 1e-3,
-            engine: RelaxationEngine::default(),
-        }
+        Self::with_parts(params, BuildOptions::ideal(), SolveMode::QuasiStatic)
     }
 
     /// The §5.1 evaluation configuration: Table 1 parameters with the given
@@ -159,44 +160,63 @@ impl AnalogConfig {
         let mut params = SubstrateParams::with_gbw(gbw_hz);
         params.v_flow = 50.0 * params.v_dd; // see `ideal()` on drive headroom
         let build = BuildOptions::evaluation(&params);
-        AnalogConfig {
-            params,
-            build,
-            mode: SolveMode::Transient {
-                window: None,
-                dt: None,
-            },
-            settle_fraction: 1e-3,
-            engine: RelaxationEngine::default(),
-        }
+        let mode = SolveMode::Transient {
+            window: None,
+            dt: None,
+        };
+        Self::with_parts(params, build, mode)
     }
 
-    /// Like [`AnalogConfig::evaluation`] but solved quasi-statically — same
+    /// Like [`SolveOptions::evaluation`] but solved quasi-statically — same
     /// solution quality (quantization + finite gain), no transient cost.
     /// Used by error sweeps over many instances.
     pub fn evaluation_quasi_static(gbw_hz: f64) -> Self {
-        let mut cfg = Self::evaluation(gbw_hz);
-        cfg.mode = SolveMode::QuasiStatic;
-        cfg.build.parasitics = false;
-        cfg
+        let mut opts = Self::evaluation(gbw_hz);
+        opts.mode = SolveMode::QuasiStatic;
+        opts.build.parasitics = false;
+        opts
     }
-}
 
-/// Facade-level linear-algebra tuning carried by the engine: the pieces of
-/// [`facade::SolveOptions`] that [`AnalogConfig`] never expressed. The
-/// legacy constructors leave it at the defaults, so shim and facade paths
-/// share one code path.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct SolverTuning {
-    /// Full factorization-options override. `None` derives the options
-    /// from the build's `lu_ordering` (the legacy behavior); the facade
-    /// sets `Some` so [`facade::SolveOptions::lu`] is the single source of
-    /// truth.
-    pub lu: Option<LuOptions>,
-    /// Per-phase wall-clock attribution on engine-created sessions.
-    pub phase_timing: bool,
-    /// Plan-cache byte capacity (`None` = [`DEFAULT_CAPACITY_BYTES`]).
-    pub plan_cache_bytes: Option<usize>,
+    /// The shared tail of the constructors: default factorization
+    /// options, settle band, phase timing and plan-cache capacity.
+    fn with_parts(params: SubstrateParams, build: BuildOptions, mode: SolveMode) -> Self {
+        SolveOptions {
+            params,
+            build,
+            mode,
+            settle_fraction: 1e-3,
+            lu: LuOptions::default(),
+            phase_timing: false,
+            plan_cache_bytes: DEFAULT_CAPACITY_BYTES,
+        }
+    }
+
+    /// Sets the LU column ordering.
+    pub fn with_ordering(mut self, ordering: ColumnOrdering) -> Self {
+        self.lu.ordering = ordering;
+        self
+    }
+
+    /// Sets the simulation mode.
+    pub fn with_mode(mut self, mode: SolveMode) -> Self {
+        self.mode = mode;
+        self
+    }
+
+    /// Enables per-phase wall-clock attribution on sessions.
+    pub fn with_phase_timing(mut self, on: bool) -> Self {
+        self.phase_timing = on;
+        self
+    }
+
+    /// Sets the plan cache's byte capacity (LRU eviction engages above
+    /// it). Long-running servers cycling through many topologies set this
+    /// to bound resident symbolic state; short-lived solvers keep the
+    /// generous default.
+    pub fn with_plan_cache_bytes(mut self, bytes: usize) -> Self {
+        self.plan_cache_bytes = bytes;
+        self
+    }
 }
 
 /// Result of an analog max-flow solve.
@@ -219,58 +239,89 @@ pub struct AnalogSolution {
     pub waveforms: Option<WaveformSet>,
     /// Structured linear-algebra accounting of the solve (state/step
     /// iterations, `nnz(L+U)`, BTF block count, optional phase times).
-    /// Zeroed for paths with no DC engine behind them (the full-MNA
-    /// ablation and the legacy full-refactor reference engine).
+    /// Zeroed for the full-MNA ablation, which has no DC engine behind it.
     pub report: SolveReport,
 }
 
-/// The analog max-flow solver.
+/// The configured solver. Cheap to clone; clones share the
+/// topology-keyed plan cache (and therefore amortize cold paths across
+/// threads — shard locks are held only for probes and inserts, never
+/// across a symbolic build or a solve).
 ///
-/// Carries a topology-keyed cache of [`SubstrateTemplate`]s: solving many
-/// instances of the same graph topology (capacity sweeps, variation seeds,
-/// quantization studies) pays the cold path — substrate build, MNA
-/// structure, ordering, symbolic factorization — once, and every further
-/// solve on that topology is a value-only instantiation plus numeric-only
-/// linear algebra. The cache is sharded and concurrent (`PlanCache`):
-/// fingerprint-first lookups, single-flight cold paths, LRU eviction
-/// under a byte budget. Clones share the cache.
+/// # Example
 ///
-/// See the crate-level quickstart for typical use (through the
-/// [`facade::MaxFlowSolver`] staged API).
+/// ```
+/// use ohmflow::{MaxFlowSolver, SolveOptions};
+/// use ohmflow_graph::generators::fig5a;
+///
+/// # fn main() -> Result<(), ohmflow::AnalogError> {
+/// let g = fig5a();
+/// let solver = MaxFlowSolver::new(SolveOptions::ideal());
+/// let plan = solver.plan(&g)?;          // cold path, cached by topology
+/// let solution = plan.instance(&g)?.solve()?;   // value-only + numeric work
+/// assert!((solution.value - 2.0).abs() < 0.05); // exact max flow is 2
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
-pub struct AnalogMaxFlow {
-    config: AnalogConfig,
-    /// The sharded topology-keyed plan cache, shared across clones (and
-    /// therefore across threads; shard locks are held only for probes and
-    /// inserts, never across a symbolic build or a solve).
+pub struct MaxFlowSolver {
+    opts: SolveOptions,
     cache: Arc<PlanCache>,
-    /// Facade-injected linear-algebra tuning (defaults for the legacy
-    /// constructors).
-    tuning: SolverTuning,
 }
 
-impl AnalogMaxFlow {
-    /// Creates a solver with the given configuration.
-    pub fn new(config: AnalogConfig) -> Self {
-        Self::with_tuning(config, SolverTuning::default())
-    }
+/// One unit of work for [`MaxFlowSolver::solve_problem`] /
+/// [`MaxFlowSolver::solve_many`]: either a graph to map onto the substrate
+/// or an already-built (typically perturbed) substrate realization.
+#[derive(Debug, Clone, Copy)]
+pub enum Problem<'a> {
+    /// A max-flow instance; solved in the configured mode, sharing plans
+    /// across same-topology batch members.
+    Graph(&'a FlowNetwork),
+    /// An already-built substrate realization of `graph` (the variation /
+    /// tuning-sweep shape); solved with the **relaxation transient**, the
+    /// way the physical circuit settles — same-structure members share one
+    /// symbolic factorization.
+    Built {
+        /// The built (possibly perturbed) substrate circuit.
+        circuit: &'a SubstrateCircuit,
+        /// The graph the circuit realizes (readout scale + window sizing).
+        graph: &'a FlowNetwork,
+    },
+}
 
-    /// [`AnalogMaxFlow::new`] with facade-level tuning — how
-    /// [`facade::MaxFlowSolver`] threads the [`facade::SolveOptions`]
-    /// pieces `AnalogConfig` cannot express.
-    pub(crate) fn with_tuning(config: AnalogConfig, tuning: SolverTuning) -> Self {
-        AnalogMaxFlow {
-            config,
-            cache: Arc::new(PlanCache::new(
-                tuning.plan_cache_bytes.unwrap_or(DEFAULT_CAPACITY_BYTES),
-            )),
-            tuning,
+impl<'a> From<&'a FlowNetwork> for Problem<'a> {
+    fn from(g: &'a FlowNetwork) -> Self {
+        Problem::Graph(g)
+    }
+}
+
+impl MaxFlowSolver {
+    /// Creates a solver with an empty plan cache of
+    /// [`SolveOptions::plan_cache_bytes`] capacity.
+    pub fn new(opts: SolveOptions) -> Self {
+        MaxFlowSolver {
+            cache: Arc::new(PlanCache::new(opts.plan_cache_bytes)),
+            opts,
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &AnalogConfig {
-        &self.config
+    /// The options this solver runs under.
+    pub fn options(&self) -> &SolveOptions {
+        &self.opts
+    }
+
+    /// The solver itself: an alias kept for the `perfbench` benchmark
+    /// package, which still calls `solver.engine().plan_cache_stats()`.
+    /// New code calls [`MaxFlowSolver::plan_cache_stats`] directly.
+    pub fn engine(&self) -> &Self {
+        self
+    }
+
+    /// Aggregate plan-cache counters (hits/misses/evictions + residency) —
+    /// the observability behind [`PlanReport`] and the serving tier's
+    /// telemetry.
+    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        self.cache.stats()
     }
 
     /// Audits the plan cache's shard invariants (LRU byte accounting,
@@ -285,188 +336,273 @@ impl AnalogMaxFlow {
         self.cache.audit()
     }
 
-    /// The factorization options every LU in this solver runs under: the
-    /// facade's override when present, otherwise derived from the build
-    /// options' ordering. One accessor so no path can pick a divergent
-    /// copy.
-    pub(crate) fn effective_lu_options(&self) -> LuOptions {
-        self.tuning
-            .lu
-            .unwrap_or_else(|| self.effective_build_options().lu_options())
-    }
-
-    /// The circuit-level staged solver configured exactly as this engine:
-    /// same factorization options and phase timing.
-    fn dc_solver(&self) -> DcSolver {
-        DcSolver::new()
-            .lu_options(self.effective_lu_options())
-            .phase_timing(self.tuning.phase_timing)
-    }
-
-    /// The build options [`AnalogMaxFlow::solve`] actually uses: the solve
-    /// mode constrains the drive shape (quasi-static needs DC; transient
-    /// keeps a user-chosen step or soft-start ramp and only replaces an
-    /// incompatible DC drive with the default step), and the relaxation
-    /// model solves frozen-state DC points along the way, so it uses ideal
-    /// negative resistors internally (exact in DC).
-    fn effective_build_options(&self) -> BuildOptions {
-        let mut build = self.config.build;
-        build.drive = match (self.config.mode, build.drive) {
-            (SolveMode::QuasiStatic, _) => Drive::Dc,
-            (SolveMode::Transient { .. } | SolveMode::TransientFullMna { .. }, Drive::Dc) => {
-                Drive::Step
-            }
-            (_, d) => d,
-        };
-        if matches!(self.config.mode, SolveMode::Transient { .. }) {
-            build.negative_resistor = NegativeResistorImpl::Ideal;
-            build.parasitics = false;
-        }
-        build
-    }
-
-    /// Returns the cached [`SubstrateTemplate`] for `g`'s topology,
-    /// building (and caching) it on first use. The template is constructed
-    /// with this solver's effective build options, so plan-path solves
-    /// agree with cold-path solves by construction.
+    /// Stage two: the topology-dependent cold path for `g`'s shape
+    /// (substrate skeleton, MNA structure, fill-reducing ordering,
+    /// symbolic + one numeric LU), served from the topology-keyed cache
+    /// when the shape was planned before (see [`Plan::cache_hit`]).
     ///
     /// # Errors
     ///
-    /// Propagates template-construction failures.
-    pub fn template_for(&self, g: &FlowNetwork) -> Result<Arc<SubstrateTemplate>, AnalogError> {
-        self.template_for_inner(g).map(|(tpl, _)| tpl)
-    }
-
-    /// [`AnalogMaxFlow::template_for`] plus whether the template came out
-    /// of the cache — the observable behind [`facade::Plan::cache_hit`].
-    pub(crate) fn template_for_inner(
-        &self,
-        g: &FlowNetwork,
-    ) -> Result<(Arc<SubstrateTemplate>, bool), AnalogError> {
-        let build_opts = self.effective_build_options();
-        let ordering = build_opts.lu_ordering;
-        // The hot path: one streaming fingerprint pass over the graph, one
-        // sharded probe verified against the full stored key. Cold paths
-        // run single-flight outside the shard lock; the full effective
-        // factorization options (pivoting thresholds included) flow into
-        // the template so the plan path can never factor under different
-        // options than the cold path.
-        let fingerprint = TemplateKey::fingerprint(g, ordering);
-        self.cache.get_or_build(fingerprint, g, ordering, || {
-            SubstrateTemplate::with_lu_options(
-                g,
-                &self.config.params,
-                &build_opts,
-                self.effective_lu_options(),
-            )
-            .map(Arc::new)
+    /// Propagates substrate-construction and factorization failures.
+    pub fn plan(&self, g: &FlowNetwork) -> Result<Plan, AnalogError> {
+        let (tpl, cache_hit) = self.template_for(g)?;
+        Ok(Plan {
+            solver: self.clone(),
+            tpl,
+            cache_hit,
         })
     }
 
-    /// Aggregate plan-cache counters (hits/misses/evictions + residency) —
-    /// the observability behind [`facade::PlanReport`] and the serving
-    /// tier's telemetry.
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.cache.stats()
-    }
-
-    /// Number of cached templates (test observability).
-    #[cfg(test)]
-    pub(crate) fn cached_template_count(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// The cold solve path: build the substrate for `g` and simulate it in
-    /// the configured mode — the body of
-    /// [`facade::MaxFlowSolver::solve_fresh`].
-    pub(crate) fn solve_cold(&self, g: &FlowNetwork) -> Result<AnalogSolution, AnalogError> {
-        let build = self.effective_build_options();
-        let sc = builder::build(g, &self.config.params, &build)?;
-        match self.config.mode {
-            SolveMode::QuasiStatic => self.solve_quasi_static(&sc, None),
-            SolveMode::Transient { window, dt } => {
-                self.solve_transient_relaxation(&sc, g.vertex_count(), window, dt)
+    /// Convenience over the stages: plan (cached) → instance → solve. The
+    /// first call on a topology pays the cold path, every further call is
+    /// a value-only instantiation + numeric-only solve (with the previous
+    /// solve's converged clamp states as a warm start). Small topologies
+    /// only ride a plan that already exists (see [`SMALL_INSTANCE_EDGES`]),
+    /// and [`SolveMode::TransientFullMna`], which has no templated fast
+    /// path, always takes the cold path.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Instance::solve`].
+    pub fn solve(&self, g: &FlowNetwork) -> Result<AnalogSolution, AnalogError> {
+        if matches!(self.opts.mode, SolveMode::TransientFullMna { .. }) {
+            return self.solve_fresh(g);
+        }
+        let tpl = if g.edge_count() < SMALL_INSTANCE_EDGES {
+            match self.cached_template_for(g) {
+                Some(tpl) => tpl,
+                None => return self.solve_fresh(g),
             }
+        } else {
+            self.template_for(g)?.0
+        };
+        let sc = tpl.instantiate(g)?;
+        self.solve_instance(&sc, &tpl, g.vertex_count())
+    }
+
+    /// Solves `g` from scratch, bypassing the plan cache: build the
+    /// substrate and simulate it in the configured mode. Kept for
+    /// solution-quality studies that must not share state across solves.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Instance::solve`].
+    pub fn solve_fresh(&self, g: &FlowNetwork) -> Result<AnalogSolution, AnalogError> {
+        let sc = builder::build(g, &self.opts.params, &self.build_options())?;
+        match self.opts.mode {
+            SolveMode::QuasiStatic => self.solve_quasi_static(&sc, None),
+            SolveMode::Transient { .. } => self.solve_relaxation(&sc, g.vertex_count(), None),
             SolveMode::TransientFullMna { window, dt } => {
                 self.solve_transient_full_mna(&sc, window, dt)
             }
         }
     }
 
-    /// The template-cached solve path behind
-    /// [`facade::MaxFlowSolver::solve`]: the first call on a topology pays
-    /// the cold path, every further call is a value-only instantiation +
-    /// numeric-only solve (with the previous solve's converged clamp
-    /// states as a warm start). [`SolveMode::TransientFullMna`] has no
-    /// templated fast path and falls back to the cold path.
-    pub(crate) fn solve_templated_inner(
+    /// Opens a streaming [`DeltaSession`] on `g`: one live analog
+    /// substrate absorbing capacity and topology deltas batch by batch,
+    /// with capacity updates as value-only restamps, clamp flips as
+    /// batched rank-k Woodbury updates, and re-keys against this
+    /// solver's plan cache only when the structure actually changes —
+    /// see the [`delta`] module docs for the full taxonomy and
+    /// consolidation policy.
+    ///
+    /// # Errors
+    ///
+    /// Propagates substrate-construction and factorization failures of
+    /// the opening solve.
+    pub fn delta_session(&self, g: &FlowNetwork) -> Result<DeltaSession, AnalogError> {
+        DeltaSession::open(self.clone(), g)
+    }
+
+    /// Solves one [`Problem`]: graphs ride the plan cache, built circuits
+    /// run the relaxation transient.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Instance::solve`].
+    pub fn solve_problem(&self, problem: Problem<'_>) -> Result<AnalogSolution, AnalogError> {
+        match problem {
+            Problem::Graph(g) => self.solve(g),
+            Problem::Built { circuit, graph } => {
+                self.solve_relaxation(circuit, graph.vertex_count(), None)
+            }
+        }
+    }
+
+    /// Solves many independent problems in parallel on all cores (rayon),
+    /// preserving input order.
+    ///
+    /// Same-topology [`Problem::Graph`] members are detected by the
+    /// streaming topology fingerprint (see [`TemplateKey::fingerprint`])
+    /// and fanned out through one shared plan per
+    /// topology: the cold path runs once per repeated topology and every
+    /// member pays only a value-only instantiation plus numeric-only
+    /// linear algebra (each rayon worker derives its own numeric factor —
+    /// thread-local values, pointer-shared symbolic plan). Members whose
+    /// topology appears once keep the independent cold path.
+    /// [`Problem::Built`] members with one common circuit structure share
+    /// one symbolic factorization the same way.
+    pub fn solve_many<'a>(
         &self,
-        g: &FlowNetwork,
-    ) -> Result<AnalogSolution, AnalogError> {
-        if matches!(self.config.mode, SolveMode::TransientFullMna { .. }) {
-            return self.solve_cold(g);
+        problems: impl IntoIterator<Item = Problem<'a>>,
+    ) -> Vec<Result<AnalogSolution, AnalogError>> {
+        let problems: Vec<Problem<'a>> = problems.into_iter().collect();
+        // The full-MNA ablation has no templated path at all.
+        let full_mna = matches!(self.opts.mode, SolveMode::TransientFullMna { .. });
+        let ordering = self.opts.lu.ordering;
+
+        // Graph grouping: fingerprint every graph member in one streaming
+        // pass each (no intermediate edge Vec), count topologies, then
+        // warm the plan cache — one cold path per repeated topology, all
+        // distinct topologies planned in parallel (the sharded cache's
+        // single-flight gates make concurrent template_for calls safe,
+        // and distinct fingerprints never contend on one gate). The
+        // par_iter below then hits the cache on every member, and a
+        // topology whose plan construction failed falls back to the plain
+        // path without every member re-attempting the expensive failed
+        // build (batch error reporting stays per-member).
+        let fps: Vec<Option<u64>> = problems
+            .iter()
+            .map(|p| match p {
+                Problem::Graph(g) if !full_mna => Some(TemplateKey::fingerprint(g, ordering)),
+                _ => None,
+            })
+            .collect();
+        let mut counts: HashMap<u64, usize> = HashMap::new();
+        for fp in fps.iter().flatten() {
+            *counts.entry(*fp).or_insert(0) += 1;
         }
-        // Adaptive path choice: small instances only ride a plan that
-        // already exists (see `SMALL_INSTANCE_EDGES`).
-        if g.edge_count() < SMALL_INSTANCE_EDGES {
-            return match self.cached_template_for(g) {
-                Some(tpl) => {
-                    let sc = tpl.instantiate(g)?;
-                    self.solve_instance_parts(&sc, &tpl, g.vertex_count())
+        let mut warm: HashMap<u64, &FlowNetwork> = HashMap::new();
+        for (i, fp) in fps.iter().enumerate() {
+            if let (Some(fp), Problem::Graph(g)) = (fp, problems[i]) {
+                if counts[fp] >= 2 {
+                    warm.entry(*fp).or_insert(g);
                 }
-                None => self.solve_cold(g),
-            };
+            }
         }
-        let tpl = self.template_for(g)?;
-        let sc = tpl.instantiate(g)?;
-        self.solve_instance_parts(&sc, &tpl, g.vertex_count())
+        let warm: Vec<(u64, &FlowNetwork)> = warm.into_iter().collect();
+        let planned: HashMap<u64, bool> = warm
+            .par_iter()
+            .map(|&(fp, g)| (fp, self.template_for(g).is_ok()))
+            .collect::<Vec<(u64, bool)>>()
+            .into_iter()
+            .collect();
+
+        // Built grouping: when every built member has the same circuit
+        // structure (they almost always do: perturbed clones of one
+        // build), the cold path runs once here and every session starts
+        // from a numeric-only refactorization against the shared symbolic
+        // plan.
+        let built: Vec<&SubstrateCircuit> = problems
+            .iter()
+            .filter_map(|p| match p {
+                Problem::Built { circuit, .. } => Some(*circuit),
+                _ => None,
+            })
+            .collect();
+        let shared: Option<Arc<DcTemplate>> = (built.len() >= 2
+            && template::uniform_structure(&built))
+        .then(|| DcTemplate::with_options(built[0].circuit(), self.opts.lu).ok())
+        .flatten()
+        .map(Arc::new);
+
+        let indices: Vec<usize> = (0..problems.len()).collect();
+        indices
+            .par_iter()
+            .map(|&i| match problems[i] {
+                Problem::Graph(g) => {
+                    let use_plan = fps[i]
+                        .as_ref()
+                        .is_some_and(|fp| planned.get(fp).copied().unwrap_or(false));
+                    if use_plan {
+                        self.solve(g)
+                    } else {
+                        self.solve_fresh(g)
+                    }
+                }
+                Problem::Built { circuit, graph } => {
+                    self.solve_relaxation(circuit, graph.vertex_count(), shared.as_deref())
+                }
+            })
+            .collect()
+    }
+
+    /// The circuit-level staged solver configured exactly as this solver:
+    /// same factorization options and phase timing.
+    fn dc_solver(&self) -> DcSolver {
+        DcSolver::new()
+            .lu_options(self.opts.lu)
+            .phase_timing(self.opts.phase_timing)
+    }
+
+    /// The build options every path actually uses: the solve mode
+    /// constrains the drive shape (quasi-static needs DC; transient keeps a
+    /// user-chosen step or soft-start ramp and only replaces an
+    /// incompatible DC drive with the default step), and the relaxation
+    /// model solves frozen-state DC points along the way, so it uses ideal
+    /// negative resistors internally (exact in DC).
+    fn build_options(&self) -> BuildOptions {
+        let mut build = self.opts.build;
+        build.drive = match (self.opts.mode, build.drive) {
+            (SolveMode::QuasiStatic, _) => Drive::Dc,
+            (SolveMode::Transient { .. } | SolveMode::TransientFullMna { .. }, Drive::Dc) => {
+                Drive::Step
+            }
+            (_, d) => d,
+        };
+        if matches!(self.opts.mode, SolveMode::Transient { .. }) {
+            build.negative_resistor = NegativeResistorImpl::Ideal;
+            build.parasitics = false;
+        }
+        build
+    }
+
+    /// The cached [`SubstrateTemplate`] for `g`'s topology, building (and
+    /// caching) it on first use, plus whether it came out of the cache.
+    /// The template is constructed with this solver's build and
+    /// factorization options, so plan-path solves agree with cold-path
+    /// solves by construction.
+    fn template_for(&self, g: &FlowNetwork) -> Result<(Arc<SubstrateTemplate>, bool), AnalogError> {
+        // The hot path: one streaming fingerprint pass over the graph, one
+        // sharded probe verified against the full stored key. Cold paths
+        // run single-flight outside the shard lock.
+        let ordering = self.opts.lu.ordering;
+        let fingerprint = TemplateKey::fingerprint(g, ordering);
+        self.cache.get_or_build(fingerprint, g, ordering, || {
+            SubstrateTemplate::new(g, &self.opts.params, &self.build_options(), self.opts.lu)
+                .map(Arc::new)
+        })
     }
 
     /// The cached template for `g`'s topology if one is resident — a pure
     /// probe: never builds, never waits on an in-flight cold path.
-    pub(crate) fn cached_template_for(&self, g: &FlowNetwork) -> Option<Arc<SubstrateTemplate>> {
-        let build_opts = self.effective_build_options();
-        let ordering = build_opts.lu_ordering;
+    fn cached_template_for(&self, g: &FlowNetwork) -> Option<Arc<SubstrateTemplate>> {
+        let ordering = self.opts.lu.ordering;
         let fingerprint = TemplateKey::fingerprint(g, ordering);
         self.cache.peek(fingerprint, g, ordering)
     }
 
+    /// Number of cached templates (test observability).
+    #[cfg(test)]
+    fn cached_template_count(&self) -> usize {
+        self.cache.len()
+    }
+
     /// Simulates one template instantiation in the configured mode — the
-    /// body of [`facade::Instance::solve`].
-    pub(crate) fn solve_instance_parts(
+    /// body of [`Instance::solve`].
+    fn solve_instance(
         &self,
         sc: &SubstrateCircuit,
         tpl: &SubstrateTemplate,
         n_vertices: usize,
     ) -> Result<AnalogSolution, AnalogError> {
-        match self.config.mode {
+        match self.opts.mode {
             SolveMode::QuasiStatic => self.solve_quasi_static(sc, Some(tpl)),
-            SolveMode::Transient { window, dt } => {
-                self.solve_transient_relaxation(sc, n_vertices, window, dt)
-            }
+            SolveMode::Transient { .. } => self.solve_relaxation(sc, n_vertices, None),
             SolveMode::TransientFullMna { window, dt } => {
                 self.solve_transient_full_mna(sc, window, dt)
             }
         }
-    }
-
-    /// Runs the relaxation transient on an already-built (and possibly
-    /// perturbed) substrate circuit — the body behind
-    /// [`facade::Problem::Built`] members — with an optional shared
-    /// [`DcTemplate`] override (the batch fan-out path: one template, many
-    /// same-structure members). The circuit must have been built with a
-    /// step or ramp drive.
-    pub(crate) fn solve_built_transient_shared(
-        &self,
-        sc: &SubstrateCircuit,
-        n_vertices: usize,
-        shared: Option<&DcTemplate>,
-    ) -> Result<AnalogSolution, AnalogError> {
-        let (window, dt) = match self.config.mode {
-            SolveMode::Transient { window, dt } => (window, dt),
-            _ => (None, None),
-        };
-        self.solve_transient_relaxation_shared(sc, n_vertices, window, dt, shared)
     }
 
     /// The quasi-static solve. When the circuit carries shared cold-path
@@ -510,7 +646,7 @@ impl AnalogMaxFlow {
             .expect("invariant: the flow-readout vsource has a branch current");
         Ok(AnalogSolution {
             value,
-            value_from_current: sc.flow_value_from_current(i_flow, self.config.params.r_unit),
+            value_from_current: sc.flow_value_from_current(i_flow, self.opts.params.r_unit),
             edge_flows: sc.edge_flows(|n| sol.voltage(n)),
             convergence_time: None,
             stats: sc.stats(),
@@ -519,25 +655,23 @@ impl AnalogMaxFlow {
         })
     }
 
-    fn solve_transient_relaxation(
+    /// The relaxation transient on a substrate circuit built with a step
+    /// or ramp drive, with an optional shared [`DcTemplate`] override (the
+    /// batch fan-out path: one template, many same-structure members).
+    /// The window and step come from [`SolveMode::Transient`] (automatic
+    /// under any other mode); an automatic window grows until the flow
+    /// settles early in it.
+    fn solve_relaxation(
         &self,
         sc: &SubstrateCircuit,
         n_vertices: usize,
-        window: Option<f64>,
-        dt: Option<f64>,
-    ) -> Result<AnalogSolution, AnalogError> {
-        self.solve_transient_relaxation_shared(sc, n_vertices, window, dt, None)
-    }
-
-    fn solve_transient_relaxation_shared(
-        &self,
-        sc: &SubstrateCircuit,
-        n_vertices: usize,
-        window: Option<f64>,
-        dt: Option<f64>,
         shared: Option<&DcTemplate>,
     ) -> Result<AnalogSolution, AnalogError> {
-        let tau = self.config.params.opamp.time_constant();
+        let (window, dt) = match self.opts.mode {
+            SolveMode::Transient { window, dt } => (window, dt),
+            _ => (None, None),
+        };
+        let tau = self.opts.params.opamp.time_constant();
         let mut t_stop = window.unwrap_or(tau * (20.0 + 0.05 * n_vertices as f64));
         let max_window = window.unwrap_or(t_stop * 64.0);
 
@@ -556,7 +690,11 @@ impl AnalogMaxFlow {
     }
 
     /// One relaxation run: lagged edge voltages, lag-governed diode
-    /// switching, frozen-state DC solves through the configured engine.
+    /// switching, frozen-state DC solves through one incremental
+    /// [`FrozenDcSession`](ohmflow_circuit::FrozenDcSession) that carries
+    /// the MNA structure, factorization and buffers across every time
+    /// step (clamp switches land as Woodbury rank-1 updates with a
+    /// periodic numeric-only refactorization; see `DESIGN.md`).
     fn relaxation_run(
         &self,
         sc: &SubstrateCircuit,
@@ -564,48 +702,20 @@ impl AnalogMaxFlow {
         dt: f64,
         shared: Option<&DcTemplate>,
     ) -> Result<AnalogSolution, AnalogError> {
-        match self.config.engine {
-            RelaxationEngine::Incremental => {
-                // The session starts from shared cold-path artifacts when
-                // available — an explicitly shared batch template first,
-                // else whatever the instantiation attached to the circuit —
-                // paying only a numeric-only refactorization instead of
-                // structure + ordering + symbolic analysis. The staged
-                // circuit facade threads the configured factorization
-                // options and phase timing through.
-                let dcs = self.dc_solver();
-                let session = match shared.or(sc.dc_template().map(|t| &**t)) {
-                    Some(tpl) => dcs.session_from(sc.circuit(), tpl),
-                    None => dcs.session(sc.circuit()),
-                };
-                let mut eq = SessionEquilibrium {
-                    session: session.map_err(AnalogError::from)?,
-                };
-                self.relaxation_run_with(sc, t_stop, dt, &mut eq)
-            }
-            RelaxationEngine::FullRefactor => {
-                let mut eq = LegacyEquilibrium {
-                    ckt: sc.circuit(),
-                    cache: None,
-                    last: None,
-                };
-                self.relaxation_run_with(sc, t_stop, dt, &mut eq)
-            }
+        // The session starts from shared cold-path artifacts when
+        // available — an explicitly shared batch template first, else
+        // whatever the instantiation attached to the circuit — paying only
+        // a numeric-only refactorization instead of structure + ordering +
+        // symbolic analysis.
+        let dcs = self.dc_solver();
+        let mut eq = match shared.or(sc.dc_template().map(|t| &**t)) {
+            Some(tpl) => dcs.session_from(sc.circuit(), tpl),
+            None => dcs.session(sc.circuit()),
         }
-    }
+        .map_err(AnalogError::from)?;
 
-    /// The physics of the relaxation transient, generic (monomorphized —
-    /// the equilibrium accessors sit in the per-step hot loop) over the
-    /// backend so both engines run the *same* switching logic.
-    fn relaxation_run_with<E: EquilibriumSolver>(
-        &self,
-        sc: &SubstrateCircuit,
-        t_stop: f64,
-        dt: f64,
-        eq: &mut E,
-    ) -> Result<AnalogSolution, AnalogError> {
         let ckt = sc.circuit();
-        let tau = self.config.params.opamp.time_constant();
+        let tau = self.opts.params.opamp.time_constant();
         let n_edges = sc.edge_nodes().len();
         let diode_ids = ckt.diode_ids();
         // Dense element-id → diode-position map (the hot loop below indexes
@@ -633,7 +743,7 @@ impl AnalogMaxFlow {
         // branch current (no per-step allocation).
         let mut sample: Vec<f64> = Vec::with_capacity(n_edges + 1);
         let edge_nodes = sc.edge_nodes();
-        let r_on = self.config.params.diode.r_on;
+        let r_on = self.opts.params.diode.r_on;
 
         // Per-edge switching context, resolved once: diode positions,
         // clamp level, hysteresis band and the circuit node. Grounded
@@ -731,7 +841,7 @@ impl AnalogMaxFlow {
         let times = waves.times().to_vec();
         let flow_series = flow_value_series(sc, &waves);
         let wf = Waveform::from_slices(&times, &flow_series);
-        let settle = wf.settle_time(self.config.settle_fraction);
+        let settle = wf.settle_time(self.opts.settle_fraction);
 
         let value = *flow_series
             .last()
@@ -741,7 +851,7 @@ impl AnalogMaxFlow {
             .expect("invariant: the flow-readout vsource has a branch current");
         Ok(AnalogSolution {
             value,
-            value_from_current: sc.flow_value_from_current(i_flow, self.config.params.r_unit),
+            value_from_current: sc.flow_value_from_current(i_flow, self.opts.params.r_unit),
             edge_flows: relaxed_to_flows(sc, &waves),
             convergence_time: settle,
             stats: sc.stats(),
@@ -768,7 +878,7 @@ impl AnalogMaxFlow {
         let times = waves.times().to_vec();
         let flow_series = flow_value_series(sc, &waves);
         let wf = Waveform::from_slices(&times, &flow_series);
-        let settle = wf.settle_time(self.config.settle_fraction);
+        let settle = wf.settle_time(self.opts.settle_fraction);
         let last = |n| waves.voltage(n).map(|w| w.last_value()).unwrap_or(0.0);
         let i_flow = waves
             .source_current_values(sc.vflow_source())
@@ -776,7 +886,7 @@ impl AnalogMaxFlow {
             .unwrap_or(0.0);
         Ok(AnalogSolution {
             value: sc.flow_value(last),
-            value_from_current: sc.flow_value_from_current(i_flow, self.config.params.r_unit),
+            value_from_current: sc.flow_value_from_current(i_flow, self.opts.params.r_unit),
             edge_flows: sc.edge_flows(last),
             convergence_time: settle,
             stats: sc.stats(),
@@ -786,71 +896,173 @@ impl AnalogMaxFlow {
     }
 }
 
-/// One frozen-clamp equilibrium solve per relaxation step, abstracted so
-/// the incremental and reference engines share the switching logic above.
-trait EquilibriumSolver {
-    /// Solves the operating point at `time` for the frozen `diode_on`
-    /// assignment.
-    fn solve(&mut self, time: f64, diode_on: &[bool]) -> Result<(), CircuitError>;
-    /// Node voltage in the last solved point.
-    fn voltage(&self, node: NodeId) -> f64;
-    /// Branch current in the last solved point.
-    fn branch_current(&self, id: ElementId) -> Option<f64>;
-    /// Source current (negated branch current) in the last solved point.
-    fn source_current(&self, id: ElementId) -> Option<f64> {
-        self.branch_current(id).map(|i| -i)
+/// What one [`Plan`] captured — the cold-path observables in one place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanReport {
+    /// `nnz(L) + nnz(U)` of the plan's symbolic factorization.
+    pub factor_nnz: usize,
+    /// Diagonal blocks of the block-triangular form.
+    pub block_count: usize,
+    /// The LU column ordering the plan was built under.
+    pub ordering: ColumnOrdering,
+    /// Whether this plan came out of the topology cache rather than
+    /// running the cold path.
+    pub cache_hit: bool,
+    /// Lifetime counters of the sharded plan cache behind this solver
+    /// (hits/misses/evictions and resident footprint at report time).
+    pub cache: PlanCacheStats,
+}
+
+/// Stage two: the captured cold path of one graph topology. Cheap to
+/// clone (the template is behind an [`Arc`]); derived instances pay only
+/// value restamps and numeric linear algebra.
+#[derive(Debug, Clone)]
+pub struct Plan {
+    solver: MaxFlowSolver,
+    tpl: Arc<SubstrateTemplate>,
+    cache_hit: bool,
+}
+
+impl Plan {
+    /// The topology key this plan serves.
+    pub fn key(&self) -> &TemplateKey {
+        self.tpl.key()
     }
-    /// Structured linear-algebra accounting of the run so far. The legacy
-    /// reference engine has no session to report on and returns zeros.
-    fn report(&self) -> SolveReport {
-        SolveReport::default()
+
+    /// The shared substrate template behind this plan.
+    pub fn template(&self) -> &Arc<SubstrateTemplate> {
+        &self.tpl
+    }
+
+    /// Whether this plan was served from the topology cache.
+    pub fn cache_hit(&self) -> bool {
+        self.cache_hit
+    }
+
+    /// The factorization options the plan's symbolic work was built under
+    /// — always the solver's [`SolveOptions::lu`].
+    pub fn lu_options(&self) -> &LuOptions {
+        self.tpl.dc_template().lu_options()
+    }
+
+    /// Cold-path observables: fill, block structure, ordering, cache
+    /// provenance.
+    pub fn report(&self) -> PlanReport {
+        let dc = self.tpl.dc_template();
+        PlanReport {
+            factor_nnz: dc.factor().factor_nnz(),
+            block_count: dc.symbolic().block_count(),
+            ordering: dc.lu_options().ordering,
+            cache_hit: self.cache_hit,
+            cache: self.solver.plan_cache_stats(),
+        }
+    }
+
+    /// Audits the plan's structural invariants end-to-end: the symbolic
+    /// elimination plan, the supernode plan and the numeric value arrays
+    /// of the shared factorization (see
+    /// [`ohmflow_linalg::SparseLu::audit`]), plus the solver's plan-cache
+    /// shards. The `ohmflow-audit` binary drives this across the bench
+    /// substrates; debug builds also run the factor audit automatically
+    /// at construction.
+    ///
+    /// # Errors
+    ///
+    /// The first violated invariant, as a structured
+    /// [`ohmflow_linalg::AuditError`].
+    pub fn audit(&self) -> Result<(), ohmflow_linalg::AuditError> {
+        self.tpl.dc_template().factor().audit()?;
+        self.solver.audit_plan_cache()
+    }
+
+    /// Stage three: instantiates the plan for `g`'s capacity values (the
+    /// plan's own capacity mapping) — value-only work, no structure
+    /// derivation, no ordering, no symbolic analysis.
+    ///
+    /// # Errors
+    ///
+    /// [`AnalogError::InvalidConfig`] if `g`'s topology differs from the
+    /// planned one.
+    pub fn instance(&self, g: &FlowNetwork) -> Result<Instance, AnalogError> {
+        self.instance_mapped(g, self.tpl.build_options().capacity_mapping)
+    }
+
+    /// [`Plan::instance`] with an explicit capacity→voltage mapping
+    /// override — the Fig. 10 `N`-sweep: the same plan re-instantiated per
+    /// quantization level count.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Plan::instance`].
+    pub fn instance_mapped(
+        &self,
+        g: &FlowNetwork,
+        mapping: CapacityMapping,
+    ) -> Result<Instance, AnalogError> {
+        let sc = self.tpl.instantiate_mapped(g, mapping)?;
+        Ok(Instance {
+            solver: self.solver.clone(),
+            tpl: Arc::clone(&self.tpl),
+            sc,
+            n_vertices: g.vertex_count(),
+        })
     }
 }
 
-/// The incremental engine: a persistent [`FrozenDcSession`].
-struct SessionEquilibrium<'c> {
-    session: FrozenDcSession<&'c Circuit>,
+/// Stage three: one programmed substrate instance — the planned topology
+/// with a concrete capacity assignment stamped in.
+#[derive(Debug, Clone)]
+pub struct Instance {
+    solver: MaxFlowSolver,
+    tpl: Arc<SubstrateTemplate>,
+    sc: SubstrateCircuit,
+    n_vertices: usize,
 }
 
-impl EquilibriumSolver for SessionEquilibrium<'_> {
-    fn solve(&mut self, time: f64, diode_on: &[bool]) -> Result<(), CircuitError> {
-        self.session.solve(time, diode_on)
+impl Instance {
+    /// The instantiated substrate circuit (perturb it through
+    /// [`SubstrateCircuit::circuit_mut`] for non-ideality studies before
+    /// solving).
+    pub fn substrate(&self) -> &SubstrateCircuit {
+        &self.sc
     }
 
-    fn voltage(&self, node: NodeId) -> f64 {
-        self.session.voltage(node)
+    /// Mutable access to the instantiated substrate circuit.
+    pub fn substrate_mut(&mut self) -> &mut SubstrateCircuit {
+        &mut self.sc
     }
 
-    fn branch_current(&self, id: ElementId) -> Option<f64> {
-        self.session.branch_current(id)
+    /// Audits the instance's structures: the shared factorization (as
+    /// [`Plan::audit`]) plus the substrate's delta-surgery metadata
+    /// checked against the planned topology — element-id uniqueness and
+    /// the edge-handle/star-handle membership closure.
+    ///
+    /// # Errors
+    ///
+    /// The first violated invariant, as a structured
+    /// [`ohmflow_linalg::AuditError`].
+    pub fn audit(&self) -> Result<(), ohmflow_linalg::AuditError> {
+        self.tpl.dc_template().factor().audit()?;
+        let (vertices, source, sink, packed) = self.tpl.key().topology();
+        let edges: Vec<(usize, usize)> = packed
+            .iter()
+            .map(|&p| ((p >> 32) as usize, (p & 0xffff_ffff) as usize))
+            .collect();
+        verify::audit_delta_metadata(self.sc.delta_meta(), &edges, vertices, source, sink)
     }
 
-    fn report(&self) -> SolveReport {
-        self.session.report()
-    }
-}
-
-/// The reference engine: the historical per-step [`solve_frozen_dc`] path
-/// (rebuilds the MNA structure each call, refactors on every clamp
-/// change).
-struct LegacyEquilibrium<'c> {
-    ckt: &'c ohmflow_circuit::Circuit,
-    cache: Option<FrozenDcCache>,
-    last: Option<ohmflow_circuit::DcSolution>,
-}
-
-impl EquilibriumSolver for LegacyEquilibrium<'_> {
-    fn solve(&mut self, time: f64, diode_on: &[bool]) -> Result<(), CircuitError> {
-        self.last = Some(solve_frozen_dc(self.ckt, time, diode_on, &mut self.cache)?);
-        Ok(())
-    }
-
-    fn voltage(&self, node: NodeId) -> f64 {
-        self.last.as_ref().map_or(0.0, |s| s.voltage(node))
-    }
-
-    fn branch_current(&self, id: ElementId) -> Option<f64> {
-        self.last.as_ref().and_then(|s| s.branch_current(id))
+    /// Solves the instance in the configured mode: one DC solve
+    /// (quasi-static), the relaxation transient, or the full-MNA ablation.
+    /// Warm-start state flows through the plan: repeat solves of the same
+    /// values skip most of the clamp-engagement cascade.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation failures; [`AnalogError::NotConverged`] if a
+    /// transient never settles within the automatic window limit.
+    pub fn solve(&self) -> Result<AnalogSolution, AnalogError> {
+        self.solver
+            .solve_instance(&self.sc, &self.tpl, self.n_vertices)
     }
 }
 
@@ -899,7 +1111,7 @@ pub fn flow_value_series(sc: &SubstrateCircuit, waves: &WaveformSet) -> Vec<f64>
 
 #[cfg(test)]
 mod tests {
-    use super::facade::{MaxFlowSolver, Problem, SolveOptions};
+    use super::{MaxFlowSolver, Problem, SolveOptions};
     use crate::builder::CapacityMapping;
     use ohmflow_graph::generators;
     use ohmflow_maxflow::edmonds_karp;
@@ -1001,11 +1213,7 @@ mod tests {
         let cold2 = solver.solve_fresh(&g2).unwrap();
         let warm2 = solver.solve(&g2).unwrap();
         assert!((warm2.value - cold2.value).abs() < 1e-9);
-        assert_eq!(
-            solver.engine().cached_template_count(),
-            1,
-            "one topology, one plan"
-        );
+        assert_eq!(solver.cached_template_count(), 1, "one topology, one plan");
         // The staged path is the same code path as `solve`.
         let plan = solver.plan(&g2).unwrap();
         assert!(plan.cache_hit(), "second plan must hit the cache");
@@ -1059,7 +1267,7 @@ mod tests {
             );
         }
         // Only the repeated topology got a cached plan.
-        assert_eq!(solver.engine().cached_template_count(), 1);
+        assert_eq!(solver.cached_template_count(), 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The concurrent topology-keyed plan cache behind
-//! [`AnalogMaxFlow`](super::AnalogMaxFlow): lock-striped shards selected
+//! [`MaxFlowSolver`](super::MaxFlowSolver): lock-striped shards selected
 //! by topology fingerprint, per-shard LRU eviction with byte accounting,
 //! and single-flight cold-path deduplication.
 //!
@@ -49,7 +49,7 @@ pub(crate) const DEFAULT_CAPACITY_BYTES: usize = 512 << 20;
 const SHARD_COUNT: usize = 16;
 
 /// Aggregate observability counters of the plan cache, surfaced through
-/// [`PlanReport`](super::facade::PlanReport).
+/// [`PlanReport`](super::PlanReport).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Fingerprint-probed lookups served from a resident plan.
@@ -194,7 +194,7 @@ enum Probe {
 }
 
 /// The sharded, single-flight, LRU plan cache. Shared across
-/// [`AnalogMaxFlow`](super::AnalogMaxFlow) clones by `Arc`.
+/// [`MaxFlowSolver`](super::MaxFlowSolver) clones by `Arc`.
 #[derive(Debug)]
 pub(crate) struct PlanCache {
     shards: Box<[Mutex<Shard>]>,
@@ -490,7 +490,7 @@ mod tests {
 
     fn build_template(g: &FlowNetwork) -> Result<Arc<SubstrateTemplate>, AnalogError> {
         let (params, opts) = params_and_opts();
-        SubstrateTemplate::with_lu_options(g, &params, &opts, opts.lu_options()).map(Arc::new)
+        SubstrateTemplate::new(g, &params, &opts, Default::default()).map(Arc::new)
     }
 
     fn lookup(

@@ -10,12 +10,12 @@
 //!   audit pins element-id uniqueness and the closure between edge
 //!   surgery handles and the per-vertex star handles.
 //! * The sharded plan cache (audited in `plan_cache.rs`, surfaced through
-//!   [`AnalogMaxFlow::audit_plan_cache`](crate::solver::AnalogMaxFlow::audit_plan_cache))
+//!   [`MaxFlowSolver::audit_plan_cache`](crate::MaxFlowSolver::audit_plan_cache))
 //!   — LRU byte accounting and fingerprint→shard placement.
 //!
-//! Public entry points: [`Plan::audit`](crate::solver::facade::Plan::audit),
+//! Public entry points: [`Plan::audit`](crate::Plan::audit),
 //! [`DeltaSession::audit`](crate::solver::delta::DeltaSession::audit) and
-//! [`AnalogMaxFlow::audit_plan_cache`](crate::solver::AnalogMaxFlow::audit_plan_cache);
+//! [`MaxFlowSolver::audit_plan_cache`](crate::MaxFlowSolver::audit_plan_cache);
 //! the `ohmflow-audit` binary drives all of them across the bench
 //! substrates.
 

@@ -29,7 +29,7 @@
 //!   sweep-shaped workloads (warm starts that fail to converge retry cold,
 //!   so solvability is unchanged).
 //!
-//! [`AnalogMaxFlow`](crate::solver::AnalogMaxFlow) keeps a topology-keyed
+//! [`MaxFlowSolver`](crate::MaxFlowSolver) keeps a topology-keyed
 //! cache of these templates and routes same-topology batches through them;
 //! see `DESIGN.md` for the invalidation rules.
 
@@ -168,7 +168,7 @@ impl TemplateKey {
     }
 
     /// The key of `g` under an explicit column ordering (what
-    /// [`BuildOptions::lu_ordering`](crate::builder::BuildOptions) selects).
+    /// [`SolveOptions::lu`](crate::SolveOptions::lu) selects).
     pub fn with_ordering(g: &FlowNetwork, ordering: ohmflow_circuit::ColumnOrdering) -> Self {
         let edges: Vec<u64> = g.edges().iter().map(pack_edge).collect();
         TemplateKey {
@@ -355,7 +355,8 @@ pub(crate) fn value_fingerprint(sc: &SubstrateCircuit) -> u64 {
 impl SubstrateTemplate {
     /// Runs the full cold path for `g`'s topology: builds the per-edge
     /// skeleton (using `g`'s capacities as the initial values) and derives
-    /// the shared structure and factorization.
+    /// the shared structure and factorization under `lu` (its ordering
+    /// becomes part of the topology key).
     ///
     /// # Errors
     ///
@@ -365,35 +366,15 @@ impl SubstrateTemplate {
         g: &FlowNetwork,
         params: &SubstrateParams,
         opts: &BuildOptions,
-    ) -> Result<Self, AnalogError> {
-        Self::with_lu_options(g, params, opts, opts.lu_options())
-    }
-
-    /// [`SubstrateTemplate::new`] with the full factorization options made
-    /// explicit — how the facade threads `SolveOptions::lu` (pivoting
-    /// thresholds included, not just the ordering) into the plan's
-    /// symbolic work. `lu.ordering` wins over `opts.lu_ordering` (the
-    /// facade's precedence rule): the stored build options and the
-    /// topology key are normalized to it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SubstrateTemplate::new`].
-    pub fn with_lu_options(
-        g: &FlowNetwork,
-        params: &SubstrateParams,
-        opts: &BuildOptions,
         lu: ohmflow_circuit::LuOptions,
     ) -> Result<Self, AnalogError> {
-        let mut opts = *opts;
-        opts.lu_ordering = lu.ordering;
-        let (skeleton, level_sources) = build_with_layout(g, params, &opts, LevelLayout::PerEdge)?;
+        let (skeleton, level_sources) = build_with_layout(g, params, opts, LevelLayout::PerEdge)?;
         let dc =
             Arc::new(DcTemplate::with_options(skeleton.circuit(), lu).map_err(AnalogError::from)?);
         Ok(SubstrateTemplate {
             key: TemplateKey::with_ordering(g, lu.ordering),
             params: params.clone(),
-            opts,
+            opts: *opts,
             skeleton,
             level_sources,
             dc,
@@ -447,9 +428,8 @@ impl SubstrateTemplate {
         g: &FlowNetwork,
         mapping: CapacityMapping,
     ) -> Result<SubstrateCircuit, AnalogError> {
-        // Allocation-free topology verification (the key's ordering
-        // already equals the template's own build options by
-        // construction, so only the graph shape needs checking).
+        // Allocation-free topology verification (the key's ordering is the
+        // template's own, so only the graph shape needs checking).
         if !self.key.matches_graph(g) {
             return Err(AnalogError::InvalidConfig {
                 what: "template instantiated with a different graph topology".to_owned(),
@@ -512,7 +492,7 @@ impl SubstrateTemplate {
 
 /// `true` if the circuit of every member has the same structure, so one
 /// [`DcTemplate`] derived from the first member serves the whole batch
-/// (the facade's `solve_many` grouping check for built members).
+/// (the solver's `solve_many` grouping check for built members).
 pub(crate) fn uniform_structure(scs: &[&SubstrateCircuit]) -> bool {
     let Some(first) = scs.first() else {
         return false;
@@ -528,6 +508,7 @@ pub(crate) fn uniform_structure(scs: &[&SubstrateCircuit]) -> bool {
 mod tests {
     use super::*;
     use crate::builder::build;
+    use ohmflow_circuit::LuOptions;
     use ohmflow_graph::generators;
 
     fn params_and_opts() -> (SubstrateParams, BuildOptions) {
@@ -620,7 +601,9 @@ mod tests {
     #[test]
     fn instantiate_rejects_topology_mismatch() {
         let (params, opts) = params_and_opts();
-        let tpl = SubstrateTemplate::new(&generators::fig5a(), &params, &opts).unwrap();
+        let tpl =
+            SubstrateTemplate::new(&generators::fig5a(), &params, &opts, LuOptions::default())
+                .unwrap();
         let other = generators::path(&[5, 2, 9]).unwrap();
         assert!(matches!(
             tpl.instantiate(&other),
@@ -632,7 +615,7 @@ mod tests {
     fn instantiate_restamps_clamp_values() {
         let (params, opts) = params_and_opts();
         let g = generators::fig5a();
-        let tpl = SubstrateTemplate::new(&g, &params, &opts).unwrap();
+        let tpl = SubstrateTemplate::new(&g, &params, &opts, LuOptions::default()).unwrap();
         let g2 = g.scaled_capacities(3).unwrap();
         let inst = tpl.instantiate(&g2).unwrap();
         let fresh = build(&g2, &params, &opts).unwrap();

@@ -1,5 +1,5 @@
 //! Quickstart: solve the paper's Fig. 5a example on the analog substrate
-//! through the staged `Problem → Plan → Instance → Session` API and
+//! through the staged `MaxFlowSolver → Plan → Instance → solve` API and
 //! compare against the exact push-relabel baseline.
 //!
 //! Run with: `cargo run --example quickstart`

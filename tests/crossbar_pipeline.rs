@@ -8,9 +8,9 @@ use ohmflow::crossbar::Crossbar;
 use ohmflow::decompose::{DecomposeOptions, DualDecomposition};
 use ohmflow::mincut::{cut_from_analog, DualMeshArchitecture};
 use ohmflow::power::{EnergyComparison, PowerModel};
-use ohmflow::solver::facade::{MaxFlowSolver, SolveOptions};
 use ohmflow::tuning::TuningCircuit;
 use ohmflow::SubstrateParams;
+use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow_graph::generators;
 use ohmflow_graph::rmat::RmatConfig;
 use ohmflow_graph::FlowNetwork;

@@ -20,8 +20,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ohmflow::solver::facade::{MaxFlowSolver, SolveOptions};
 use ohmflow::{DeltaBatch, DeltaSession};
+use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow_graph::FlowNetwork;
 
 /// A random small flow network with a guaranteed source→sink spine plus

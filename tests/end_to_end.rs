@@ -4,8 +4,8 @@
 //! exercises.
 
 use ohmflow::builder::CapacityMapping;
-use ohmflow::solver::facade::{MaxFlowSolver, SolveOptions};
 use ohmflow::solver::SolveMode;
+use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow_graph::generators;
 use ohmflow_graph::rmat::RmatConfig;
 use ohmflow_maxflow::{dinic, edmonds_karp, push_relabel, PushRelabelVariant};

@@ -1,7 +1,7 @@
-//! Facade self-consistency: the staged `MaxFlowSolver` / `DcSolver`
-//! facade is the one public solve surface (the deprecated shims it
+//! Solver self-consistency: the staged `MaxFlowSolver` / `DcSolver`
+//! API is the one public solve surface (the deprecated shims it
 //! replaced were pinned equivalent here at 1e-12 and then deleted), so
-//! this suite now pins the facade's own paths against each other at the
+//! this suite pins its own paths against each other at the
 //! same tolerance: convenience `solve` vs the explicit
 //! plan → instance → solve stages vs the cache-bypassing cold path,
 //! batch `solve_many` vs sequential solves, and plan-derived sessions vs
@@ -13,8 +13,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ohmflow::solver::facade::{MaxFlowSolver, Problem, SolveOptions};
-use ohmflow::solver::AnalogConfig;
+use ohmflow::{MaxFlowSolver, Problem, SolveOptions};
 use ohmflow_circuit::{ColumnOrdering, DcSolver, LuOptions};
 use ohmflow_graph::{generators, FlowNetwork};
 
@@ -104,7 +103,7 @@ proptest! {
         }
     }
 
-    /// Frozen-DC flip loop: a plan-derived `Instance::session` vs a cold
+    /// Frozen-DC flip loop: a plan-derived `DcSolver::session_from` vs a cold
     /// `DcSolver::session` on the same circuit, over a deterministic
     /// pseudo-random clamp-toggle walk. The two paths factor the same
     /// matrix with genuinely different pivot sequences (numeric refactor
@@ -123,7 +122,9 @@ proptest! {
         assert!(n_diodes > 0, "substrate always carries clamp diodes");
 
         let mut cold = DcSolver::new().session(ckt).expect("cold session");
-        let mut planned = instance.session().expect("plan session");
+        let mut planned = DcSolver::new()
+            .session_from(ckt, plan.template().dc_template())
+            .expect("plan session");
         prop_assert!(planned.report().templated, "plan session must ride the plan");
 
         let mut on = vec![false; n_diodes];
@@ -161,9 +162,9 @@ proptest! {
 #[test]
 fn transient_paths_are_self_consistent() {
     let g = generators::fig5a();
-    let mut cfg = AnalogConfig::evaluation(10e9);
-    cfg.build.capacity_mapping = ohmflow::builder::CapacityMapping::Exact;
-    let solver = MaxFlowSolver::new(SolveOptions::from_config(cfg.clone()));
+    let mut opts = SolveOptions::evaluation(10e9);
+    opts.build.capacity_mapping = ohmflow::builder::CapacityMapping::Exact;
+    let solver = MaxFlowSolver::new(opts.clone());
 
     let cached = solver.solve(&g).expect("cached transient");
     let fresh = solver.solve_fresh(&g).expect("fresh transient");
@@ -181,7 +182,7 @@ fn transient_paths_are_self_consistent() {
         ..ohmflow::builder::BuildOptions::ideal()
     };
     let scs: Vec<_> = (0..3)
-        .map(|_| ohmflow::builder::build(&g, &cfg.params, &build).expect("build"))
+        .map(|_| ohmflow::builder::build(&g, &opts.params, &build).expect("build"))
         .collect();
     let singles: Vec<_> = scs
         .iter()
@@ -237,28 +238,20 @@ fn dc_plan_solve_matches_cold_solve() {
 
 /// Option-precedence audit: a plan built under AMD+BTF can never silently
 /// fall back to a differently-ordered fresh factorization — neither in
-/// the facade's plans, nor in sessions, nor in the cold fallback path of
+/// the solver's plans, nor in sessions, nor in the cold fallback path of
 /// a mismatched plan (extending the PR 4 "templates remember their
-/// options" guarantee to the facade).
+/// options" guarantee to the solver).
 #[test]
 fn amd_btf_plan_never_falls_back_to_another_ordering() {
     let g = generators::fig15a(40);
 
-    // Deliberately desynchronize the legacy build-level ordering knob:
-    // SolveOptions::lu must win everywhere.
     let mut opts = SolveOptions::ideal();
-    opts.build.lu_ordering = ColumnOrdering::Natural;
     opts.lu.ordering = ColumnOrdering::AmdBtf;
     // The *full* options must reach the plan's symbolic work, not just
     // the ordering: strict partial pivoting is observable through
     // `Plan::lu_options`.
     opts.lu.pivot_threshold = 1.0;
     let solver = MaxFlowSolver::new(opts);
-    assert_eq!(
-        solver.options().build.lu_ordering,
-        ColumnOrdering::AmdBtf,
-        "normalization must sync the build ordering to SolveOptions::lu"
-    );
     let plan = solver.plan(&g).expect("plan");
     assert_eq!(
         plan.lu_options().pivot_threshold,
@@ -273,9 +266,14 @@ fn amd_btf_plan_never_falls_back_to_another_ordering() {
         report.block_count
     );
 
-    // Sessions derived from the instance inherit the plan's ordering.
+    // Sessions derived from the plan inherit its ordering.
     let instance = plan.instance(&g).expect("instance");
-    let session = instance.session().expect("session");
+    let session = DcSolver::new()
+        .session_from(
+            instance.substrate().circuit(),
+            plan.template().dc_template(),
+        )
+        .expect("session");
     let sreport = session.report();
     assert!(sreport.templated, "plan-derived session must ride the plan");
     assert_eq!(sreport.block_count, report.block_count);

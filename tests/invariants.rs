@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use ohmflow::quantize::{Quantizer, Rounding};
-use ohmflow::solver::facade::{MaxFlowSolver, SolveOptions};
+use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow_graph::{dimacs, FlowNetwork};
 use ohmflow_linalg::{SparseLu, TripletMatrix};
 use ohmflow_maxflow::{dinic, edmonds_karp, min_cut, push_relabel, PushRelabelVariant};

@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ohmflow::solver::facade::{MaxFlowSolver, SolveOptions};
 use ohmflow::TemplateKey;
+use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow_circuit::ColumnOrdering;
 use ohmflow_graph::FlowNetwork;
 

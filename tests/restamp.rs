@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use ohmflow::builder::{self, BuildOptions, NegativeResistorImpl};
-use ohmflow::solver::facade::SolveOptions;
+use ohmflow::SolveOptions;
 use ohmflow_circuit::mna::{self, DeviceState, MnaStructure, StampMode, StampedMatrix};
 use ohmflow_circuit::{Circuit, Element};
 use ohmflow_graph::rmat::RmatConfig;

@@ -5,8 +5,8 @@
 
 use std::net::TcpStream;
 
-use ohmflow::solver::facade::{MaxFlowSolver, SolveOptions};
 use ohmflow::GraphDelta;
+use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow_apps::serve::{self, ServeConfig, TAG_BINARY, TAG_DIMACS};
 use ohmflow_graph::{binfmt, dimacs, generators, FlowNetwork};
 

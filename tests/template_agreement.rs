@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ohmflow::builder::{BuildOptions, CapacityMapping, NegativeResistorImpl};
-use ohmflow::solver::facade::{MaxFlowSolver, SolveOptions};
+use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow_graph::FlowNetwork;
 
 /// A random small flow network with a guaranteed source→sink spine (so the
