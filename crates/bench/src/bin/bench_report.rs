@@ -1,15 +1,14 @@
 //! Machine-readable perf snapshot for CI: runs the fast benchmark suite
 //! with wall-clock timing and writes `BENCH_PR2.json` (the template /
 //! incremental-engine scenarios of PR 2, kept as the regression guard),
-//! `BENCH_PR3.json` (the large-graph scaling story: numeric
-//! refactorization and reach-based sparse vs dense triangular solves on
+//! `BENCH_PR3.json` (the large-graph scaling story: factorization,
+//! numeric refactorization and the rank-1 triangular solve on
 //! rmat1024 / rmat2048 / a DIMACS-roundtripped grid)
-//! `BENCH_PR4.json` (the PR 4 ordering subsystem: fill, factor,
-//! refactor and rank-1 solve times under Natural / MinDegree / AMD /
-//! AMD+BTF, plus the BTF block structure), `BENCH_PR5.json` (facade
+//! `BENCH_PR4.json` (the AMD+BTF factor: fill, factor and refactor
+//! times, plus the BTF block structure), `BENCH_PR5.json` (facade
 //! overhead), `BENCH_PR6.json` (the KLU-style solve-time off-diagonal
-//! restructure: block-aware sparse rank-1 solves vs dense, and the
-//! rmat128 multi-block numeric-replay tax) and `BENCH_PR7.json` (the
+//! restructure: the production rank-1 solve, and the rmat128
+//! multi-block numeric-replay tax) and `BENCH_PR7.json` (the
 //! supernodal blocked kernels vs the scalar replay and the detected
 //! supernode structure) and `BENCH_PR8.json` (the
 //! concurrent sharded plan cache: fingerprint-first hit latency vs the
@@ -30,8 +29,7 @@
 //!
 //! Run with: `cargo run --release -p ohmflow-bench --bin bench_report`
 //! (`OHMFLOW_BENCH_OUT` / `OHMFLOW_BENCH_OUT_PR3` / ... /
-//! `OHMFLOW_BENCH_OUT_PR9` override the output paths; `OHMFLOW_FULL=1`
-//! adds the minutes-long natural-order factorization of rmat2048).
+//! `OHMFLOW_BENCH_OUT_PR9` override the output paths).
 //! `bench_report trajectory` skips the benchmarks, rebuilds
 //! `BENCH_TRAJECTORY.json` from the report files already on disk, and
 //! runs the PR 9 regression gate: if a baseline trajectory (the path in
@@ -48,9 +46,7 @@ use ohmflow_bench::{
 };
 use ohmflow_circuit::{DcSolver, LuOptions};
 use ohmflow_graph::generators;
-use ohmflow_linalg::{
-    ColumnOrdering, LuWorkspace, SparseLu, SparseLuOptions, SparseSolveWorkspace,
-};
+use ohmflow_linalg::{amd_ordering, BlockOrdering, LuWorkspace, SparseLu, SparseLuOptions};
 
 fn main() {
     match std::env::args().nth(1).as_deref() {
@@ -193,11 +189,11 @@ fn main() {
     trajectory_report();
 }
 
-/// The large-graph scaling section: numeric refactorization and
-/// rank-1 triangular solves
-/// (dense vs reach-based sparse halves) on the real substrate MNA
-/// matrices of rmat1024, rmat2048 and a DIMACS-roundtripped 40×40 grid,
-/// plus an end-to-end frozen-DC session flip loop on the DIMACS instance.
+/// The large-graph scaling section: symbolic+numeric factorization,
+/// numeric refactorization and the rank-1 triangular solve on the real
+/// substrate MNA matrices of rmat1024, rmat2048 and a DIMACS-roundtripped
+/// 40×40 grid, plus an end-to-end frozen-DC session flip loop on the
+/// DIMACS instance.
 fn pr3_report() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("--- PR3 scaling (cores: {cores}) ---");
@@ -241,15 +237,8 @@ fn pr3_report() {
         );
 
         // Rank-1 triangular solves over a sample of the substrate's real
-        // diode (anode, cathode) unknown pairs. Three variants:
-        // `dense` is the old extend path (one full dense `solve_into`);
-        // `sparse` is the production reach-based path — on a multi-block
-        // factor (the PR 6 default) that is the block-aware
-        // `solve_sparse_into` seed-queue solve, on a single-block factor
-        // the pure half-solve pair (forward + transposed-backward);
-        // `push_path` is what `LowRankUpdate::push` actually ships:
-        // `solve_sparse_into` for multi-block, else reach-limited forward
-        // half + structurally-dense backward completion.
+        // diode (anode, cathode) unknown pairs: one full dense
+        // `solve_into`, what `LowRankUpdate::push` runs per term.
         let pairs = diode_unknown_pairs(&sc);
         let sample: Vec<(usize, usize)> = pairs
             .iter()
@@ -257,7 +246,6 @@ fn pr3_report() {
             .copied()
             .collect();
         let lu = &base_lu;
-        let multi = lu.symbolic().block_count() > 1;
         let n = m.cols();
         let mut dense_rhs = vec![0.0; n];
         let (mut work, mut out) = (Vec::new(), Vec::new());
@@ -271,47 +259,10 @@ fn pr3_report() {
                 dense_rhs[c] = 0.0;
             }
         });
-        let mut sws = SparseSolveWorkspace::new();
-        let (mut what, mut ghat) = (Vec::new(), Vec::new());
-        let mut xs: Vec<f64> = Vec::new();
-        let t_sparse = median_ns(3, || {
-            for &(a, c) in &sample {
-                if multi {
-                    lu.solve_sparse_into(&[(a, 1e3), (c, -1e3)], &mut sws, &mut xs)
-                        .expect("sparse solve");
-                } else {
-                    lu.forward_sparse_into(&[(a, 1e3), (c, -1e3)], &mut sws, &mut what)
-                        .expect("forward");
-                    lu.transposed_backward_sparse_into(&[(a, 1.0), (c, -1.0)], &mut sws, &mut ghat)
-                        .expect("transposed backward");
-                }
-            }
-        });
-        let mut back_work = Vec::new();
-        let mut z = Vec::new();
-        let t_push_path = median_ns(3, || {
-            for &(a, c) in &sample {
-                if multi {
-                    lu.solve_sparse_into(&[(a, 1e3), (c, -1e3)], &mut sws, &mut z)
-                        .expect("sparse solve");
-                } else {
-                    lu.forward_sparse_into(&[(a, 1e3), (c, -1e3)], &mut sws, &mut what)
-                        .expect("forward");
-                    lu.backward_dense_from_steps(&what, &mut back_work, &mut z)
-                        .expect("backward completion");
-                }
-            }
-        });
-        let per = sample.len() as f64;
         push(
             format!("{name}/rank1_triangular_solve_dense"),
-            t_dense / per,
+            t_dense / sample.len() as f64,
         );
-        push(
-            format!("{name}/rank1_triangular_solve_sparse"),
-            t_sparse / per,
-        );
-        push(format!("{name}/rank1_push_path_sparse"), t_push_path / per);
     }
 
     // End-to-end on the DIMACS instance: frozen-DC session flip loop (the
@@ -349,46 +300,12 @@ fn pr3_report() {
         push("dimacs_grid40/cpu_push_relabel".to_owned(), cpu_secs * 1e9);
     }
 
-    let get = |entries: &[(String, f64)], n: &str| {
-        entries
-            .iter()
-            .find(|(k, _)| k == n)
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0)
-    };
-    let ratio = |a: f64, b: f64| if b > 0.0 { a / b } else { 0.0 };
-    let sparse_speedup_grid = ratio(
-        get(&entries, "dimacs_grid40/rank1_triangular_solve_dense"),
-        get(&entries, "dimacs_grid40/rank1_triangular_solve_sparse"),
-    );
-    let sparse_speedup_2048 = ratio(
-        get(&entries, "rmat2048/rank1_triangular_solve_dense"),
-        get(&entries, "rmat2048/rank1_triangular_solve_sparse"),
-    );
-    let push_speedup_grid = ratio(
-        get(&entries, "dimacs_grid40/rank1_triangular_solve_dense"),
-        get(&entries, "dimacs_grid40/rank1_push_path_sparse"),
-    );
-    println!("sparse rank1 solve speedup (dimacs_grid40): {sparse_speedup_grid:.2}x");
-    println!("sparse rank1 solve speedup (rmat2048): {sparse_speedup_2048:.2}x");
-    println!("shipped push-path speedup (dimacs_grid40): {push_speedup_grid:.2}x");
-
     let mut json = String::from("{\n  \"schema\": \"ohmflow-bench-report-pr3/1\",\n");
     json.push_str(&format!("  \"cores\": {cores},\n  \"ns_per_op\": {{\n"));
     for (i, (name, ns)) in entries.iter().enumerate() {
         let comma = if i + 1 < entries.len() { "," } else { "" };
         json.push_str(&format!("    \"{name}\": {ns:.0}{comma}\n"));
     }
-    json.push_str("  },\n  \"speedups\": {\n");
-    json.push_str(&format!(
-        "    \"rank1_sparse_vs_dense_solve_dimacs_grid40\": {sparse_speedup_grid:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"rank1_sparse_vs_dense_solve_rmat2048\": {sparse_speedup_2048:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"rank1_push_path_vs_dense_dimacs_grid40\": {push_speedup_grid:.3}\n"
-    ));
     json.push_str("  }\n}\n");
 
     let out =
@@ -397,177 +314,50 @@ fn pr3_report() {
     println!("wrote {out}");
 }
 
-/// The PR 4 ordering-subsystem section: fill (`nnz(L+U+A_off)`),
-/// symbolic+numeric factor time, serial numeric refactor time and the
-/// rank-1 sparse solve under Natural / MinDegree / AMD / AMD+BTF on the
-/// three reference substrates, plus the BTF block structure — the tracked
-/// numbers behind the R-MAT dense-tail fix.
-///
-/// Natural order on an R-MAT expander is a dense-tail stress test (~10.5M
-/// fill, ~24 s per factor on rmat1024 here): it runs single-shot on
-/// rmat1024 / dimacs_grid40 as the scale anchor, and on rmat2048 (minutes)
-/// only under `OHMFLOW_FULL=1`.
+/// The PR 4 ordering section: fill (`nnz(L+U+A_off)`), symbolic+numeric
+/// factor time, serial numeric refactor time and the BTF block structure
+/// of the AMD+BTF factor on the three reference substrates.
 fn pr4_report() {
-    use std::time::Instant;
-    let full = std::env::var("OHMFLOW_FULL").is_ok();
     println!("--- PR4 ordering subsystem ---");
     let mut entries: Vec<(String, f64)> = Vec::new();
     let mut fills: Vec<(String, usize)> = Vec::new();
     let mut blocks: Vec<(String, usize, usize)> = Vec::new();
-    let push = |entries: &mut Vec<(String, f64)>, name: String, ns: f64| {
+    let mut push = |name: String, ns: f64| {
         println!("{name:<52} {ns:>14.0} ns/op");
         entries.push((name, ns));
     };
 
-    let orderings = [
-        ("natural", ColumnOrdering::Natural),
-        ("min_degree", ColumnOrdering::MinDegree),
-        ("amd", ColumnOrdering::Amd),
-        ("amd_btf", ColumnOrdering::AmdBtf),
-    ];
     for (name, g) in [
         ("rmat1024", fig10_instance(1024, false, 1)),
         ("rmat2048", fig10_instance(2048, false, 1)),
         ("dimacs_grid40", dimacs_grid_instance(40, 50, 7)),
     ] {
         let sc = bench_substrate(&g);
-        // One stamp per instance; the returned default (AmdBtf) factor is
-        // reused as that ordering's measured cell below instead of being
-        // factored again.
-        let (m, btf_lu) = DcSolver::new()
-            .lu_options(SparseLuOptions::default())
-            .stamp(sc.circuit())
-            .expect("dc system");
-        let mut btf_lu = Some(btf_lu);
-        let m = &m;
-        let pairs = diode_unknown_pairs(&sc);
-        let sample: Vec<(usize, usize)> = pairs
-            .iter()
-            .step_by((pairs.len() / 64).max(1))
-            .copied()
-            .collect();
-        for (label, ordering) in orderings {
-            let heavy = ordering == ColumnOrdering::Natural;
-            if heavy && name == "rmat2048" && !full {
-                println!("{name}/{label}: skipped (dense-tail natural factor takes minutes; OHMFLOW_FULL=1 enables it)");
-                continue;
-            }
-            let opts = SparseLuOptions {
-                ordering,
-                ..Default::default()
-            };
-            // Fill + factor time. The natural-order factor is measured
-            // single-shot; everything else gets a warmed median. The
-            // default-ordering cell reuses the factor the instance stamp
-            // produced.
-            let (lu, single) = match btf_lu.take_if(|_| ordering == ColumnOrdering::default()) {
-                Some(lu) => (lu, f64::NAN), // `heavy` is never the default
-                None => {
-                    let t0 = Instant::now();
-                    let lu = SparseLu::factor_with(m, &opts).expect("factor");
-                    (lu, t0.elapsed().as_nanos() as f64)
-                }
-            };
-            let t_factor = if heavy {
-                single
-            } else {
-                median_ns(3, || SparseLu::factor_with(m, &opts).expect("factor"))
-            };
-            push(
-                &mut entries,
-                format!("{name}/{label}/symbolic_numeric_factor"),
-                t_factor,
-            );
-            fills.push((format!("{name}/{label}"), lu.factor_nnz()));
-            println!("{name}/{label}: nnz(L+U) {}", lu.factor_nnz());
-            if lu.symbolic().block_count() > 1 {
-                let sym = lu.symbolic();
-                println!(
-                    "{name}/{label}: {} blocks, largest {} of {}",
-                    sym.block_count(),
-                    sym.largest_block(),
-                    sym.dim()
-                );
-                blocks.push((
-                    format!("{name}/{label}"),
-                    sym.block_count(),
-                    sym.largest_block(),
-                ));
-            }
+        let (m, lu) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
+        let label = format!("{name}/amd_btf");
+        push(
+            format!("{label}/symbolic_numeric_factor"),
+            median_ns(3, || SparseLu::factor(&m).expect("factor")),
+        );
+        fills.push((label.clone(), lu.factor_nnz()));
+        println!("{label}: nnz(L+U) {}", lu.factor_nnz());
+        let sym = lu.symbolic();
+        println!(
+            "{label}: {} blocks, largest {} of {}",
+            sym.block_count(),
+            sym.largest_block(),
+            sym.dim()
+        );
+        blocks.push((label.clone(), sym.block_count(), sym.largest_block()));
 
-            // Serial numeric refactorization (the rebase hot path).
-            let mut ws = LuWorkspace::new();
-            let mut rlu = lu.clone();
-            let reps = if heavy { 1 } else { 5 };
-            push(
-                &mut entries,
-                format!("{name}/{label}/refactor_serial"),
-                median_ns(reps, || rlu.refactor_with(m, &mut ws).expect("refactor")),
-            );
-
-            // Rank-1 sparse solve over real diode RHS pairs (the PR 3
-            // primitive the dense tail was capping). Multi-block factors
-            // route through the block-aware seed-queue solve — the
-            // half-solve identity only holds on single-block factors.
-            let mut sws = SparseSolveWorkspace::new();
-            let (mut what, mut ghat) = (Vec::new(), Vec::new());
-            let mut xs: Vec<f64> = Vec::new();
-            let multi = lu.symbolic().block_count() > 1;
-            let t_sparse = median_ns(if heavy { 1 } else { 3 }, || {
-                for &(a, c) in &sample {
-                    if multi {
-                        lu.solve_sparse_into(&[(a, 1e3), (c, -1e3)], &mut sws, &mut xs)
-                            .expect("sparse solve");
-                    } else {
-                        lu.forward_sparse_into(&[(a, 1e3), (c, -1e3)], &mut sws, &mut what)
-                            .expect("forward");
-                        lu.transposed_backward_sparse_into(
-                            &[(a, 1.0), (c, -1.0)],
-                            &mut sws,
-                            &mut ghat,
-                        )
-                        .expect("transposed backward");
-                    }
-                }
-            });
-            push(
-                &mut entries,
-                format!("{name}/{label}/rank1_halfsolve_pair"),
-                t_sparse / sample.len() as f64,
-            );
-        }
+        // Serial numeric refactorization (the rebase hot path).
+        let mut ws = LuWorkspace::new();
+        let mut rlu = lu.clone();
+        push(
+            format!("{label}/refactor_serial"),
+            median_ns(5, || rlu.refactor_with(&m, &mut ws).expect("refactor")),
+        );
     }
-
-    let get = |key: &str| {
-        entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0)
-    };
-    let fill_of = |key: &str| {
-        fills
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    };
-    let ratio = |a: f64, b: f64| if b > 0.0 { a / b } else { 0.0 };
-    let factor_speedup_2048 = ratio(
-        get("rmat2048/min_degree/symbolic_numeric_factor"),
-        get("rmat2048/amd_btf/symbolic_numeric_factor"),
-    );
-    let fill_ratio_2048 = ratio(
-        fill_of("rmat2048/amd_btf") as f64,
-        fill_of("rmat2048/min_degree") as f64,
-    );
-    let solve_speedup_2048 = ratio(
-        get("rmat2048/min_degree/rank1_halfsolve_pair"),
-        get("rmat2048/amd_btf/rank1_halfsolve_pair"),
-    );
-    println!("amd_btf vs min_degree factor speedup (rmat2048): {factor_speedup_2048:.2}x");
-    println!("amd_btf / min_degree fill ratio (rmat2048): {fill_ratio_2048:.3}");
-    println!("amd_btf vs min_degree rank1 half-solve speedup (rmat2048): {solve_speedup_2048:.2}x");
 
     let mut json = String::from("{\n  \"schema\": \"ohmflow-bench-report-pr4/1\",\n");
     json.push_str("  \"ns_per_op\": {\n");
@@ -587,16 +377,6 @@ fn pr4_report() {
             "    \"{name}\": {{ \"count\": {count}, \"largest\": {largest} }}{comma}\n"
         ));
     }
-    json.push_str("  },\n  \"speedups\": {\n");
-    json.push_str(&format!(
-        "    \"amd_btf_vs_min_degree_factor_rmat2048\": {factor_speedup_2048:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"amd_btf_fill_over_min_degree_rmat2048\": {fill_ratio_2048:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"amd_btf_vs_min_degree_rank1_halfsolve_rmat2048\": {solve_speedup_2048:.3}\n"
-    ));
     json.push_str("  }\n}\n");
 
     let out =
@@ -705,11 +485,8 @@ fn pr5_report() {
 /// The PR 6 section: the KLU-style restructure. Two tracked stories:
 ///
 /// * rmat2048 rank-1 solves under the production factor (AmdBtf,
-///   multi-block, off-diagonal entries applied at solve time): the
-///   block-aware seed-queue sparse solve vs one full dense `solve_into`.
-///   Before PR 6 the cross-block U closure densified the backward reach
-///   and the sparse path lost to dense (~0.45x); with U confined to its
-///   block the sparse path must win (>= 1.0x is the acceptance bar).
+///   multi-block, off-diagonal entries applied at solve time): one full
+///   dense `solve_into` per diode pair.
 /// * rmat128 numeric replay: serial refactor of the multi-block default
 ///   vs a single-block AMD factor of the same matrix — the closure tax
 ///   the raw `A_off` layout removed (also guarded in `ordering_guard`).
@@ -721,7 +498,7 @@ fn pr6_report() {
         entries.push((name, ns));
     };
 
-    // rmat2048 rank-1: dense full solve vs block-aware sparse solve.
+    // rmat2048 rank-1: one dense full solve per diode pair.
     {
         let g = fig10_instance(2048, false, 1);
         let sc = bench_substrate(&g);
@@ -753,19 +530,9 @@ fn pr6_report() {
                 dense_rhs[c] = 0.0;
             }
         });
-        let mut sws = SparseSolveWorkspace::new();
-        let mut x = Vec::new();
-        let t_sparse = median_ns(7, || {
-            for &(a, c) in &sample {
-                lu.solve_sparse_into(&[(a, 1e3), (c, -1e3)], &mut sws, &mut x)
-                    .expect("sparse solve");
-            }
-        });
-        let per = sample.len() as f64;
-        push("rmat2048/rank1_solve_dense".to_owned(), t_dense / per);
         push(
-            "rmat2048/rank1_solve_sparse_blockaware".to_owned(),
-            t_sparse / per,
+            "rmat2048/rank1_solve_dense".to_owned(),
+            t_dense / sample.len() as f64,
         );
     }
 
@@ -774,11 +541,9 @@ fn pr6_report() {
         let g = fig10_instance(128, false, 1);
         let sc = bench_substrate(&g);
         let (m, lu_blk) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
-        let opts = SparseLuOptions {
-            ordering: ColumnOrdering::Amd,
-            ..Default::default()
-        };
-        let lu_amd = SparseLu::factor_with(&m, &opts).expect("amd factor");
+        let amd = BlockOrdering::single_block(amd_ordering(&m));
+        let lu_amd =
+            SparseLu::factor_ordered(&m, amd, &SparseLuOptions::default()).expect("amd factor");
         let mut ws = LuWorkspace::new();
         for (label, mut lu) in [("multiblock", lu_blk), ("amd", lu_amd)] {
             push(
@@ -796,15 +561,10 @@ fn pr6_report() {
             .unwrap_or(0.0)
     };
     let ratio = |a: f64, b: f64| if b > 0.0 { a / b } else { 0.0 };
-    let sparse_speedup_2048 = ratio(
-        get("rmat2048/rank1_solve_dense"),
-        get("rmat2048/rank1_solve_sparse_blockaware"),
-    );
     let replay_ratio_128 = ratio(
         get("rmat128/refactor_serial_multiblock"),
         get("rmat128/refactor_serial_amd"),
     );
-    println!("block-aware sparse vs dense rank1 solve (rmat2048): {sparse_speedup_2048:.2}x");
     println!("multi-block vs AMD replay ratio (rmat128): {replay_ratio_128:.3}");
 
     let mut json = String::from("{\n  \"schema\": \"ohmflow-bench-report-pr6/1\",\n");
@@ -814,9 +574,6 @@ fn pr6_report() {
         json.push_str(&format!("    \"{name}\": {ns:.0}{comma}\n"));
     }
     json.push_str("  },\n  \"speedups\": {\n");
-    json.push_str(&format!(
-        "    \"rank1_sparse_vs_dense_solve_rmat2048\": {sparse_speedup_2048:.3},\n"
-    ));
     json.push_str(&format!(
         "    \"multiblock_replay_vs_amd_rmat128\": {replay_ratio_128:.3}\n"
     ));
@@ -981,7 +738,6 @@ fn pr8_report() {
     // the fingerprint-first rewrite (BENCH_PR5.json, `plan_cache_hit`).
     const PR5_RECORDED_HIT_NS: [(&str, f64); 2] = [("rmat1024", 56502.0), ("rmat2048", 107744.0)];
 
-    let ordering = ColumnOrdering::default();
     let mut speedups: Vec<(String, f64)> = Vec::new();
     for (name, g) in [
         ("rmat1024", fig10_instance(1024, false, 1)),
@@ -1007,12 +763,8 @@ fn pr8_report() {
             }
             black_box(h.finish())
         });
-        let key_rebuild = median_ns(9, || {
-            black_box(TemplateKey::with_ordering(black_box(&g), ordering))
-        });
-        let fingerprint = median_ns(9, || {
-            black_box(TemplateKey::fingerprint(black_box(&g), ordering))
-        });
+        let key_rebuild = median_ns(9, || black_box(TemplateKey::new(black_box(&g))));
+        let fingerprint = median_ns(9, || black_box(TemplateKey::fingerprint(black_box(&g))));
         let hit = median_ns(9, || solver.plan(&g).expect("plan").cache_hit());
         push(format!("{name}/siphash_rehash_baseline"), rehash);
         push(format!("{name}/key_rebuild"), key_rebuild);
@@ -1127,10 +879,11 @@ fn pr8_report() {
 ///   level-source restamps against the standing factor).
 /// * The rank-k batched Woodbury push (`LowRankUpdate::push_batch`, one
 ///   capacitance refresh + multi-lane z-solves) versus k sequential
-///   rank-1 `push`es, on a single-block AMD factor of rmat1024 where the
-///   multi-RHS lanes engage, and on the multi-block production factor of
-///   rmat2048 where the batch falls back to reach-limited per-column
-///   solves (recorded so the fallback's parity is tracked too).
+///   rank-1 `push`es (one dense solve each), on a single-block AMD
+///   reference factor of rmat1024 and on the multi-block production
+///   factor of rmat2048. Both factor shapes carry the batch through the
+///   same multi-lane traversal (per diagonal block on the production
+///   factor).
 /// * The k=8 multi-RHS blocked triangular solve vs eight single-RHS
 ///   solves on the same factor, and the `small_n` adaptive-path numbers
 ///   behind `SMALL_INSTANCE_EDGES` (cold direct build+solve vs cold
@@ -1257,8 +1010,7 @@ fn pr9_report() {
     // `g·(e_a - e_c)(e_a - e_c)^T` on the substrate MNA matrix. The
     // sequential path refreshes the dense capacitance factor k times and
     // solves k single-RHS systems; the batch refreshes once and carries
-    // its z-columns through multi-lane traversals (single-block factors)
-    // or reach-limited per-column solves (multi-block fallback).
+    // its z-columns through multi-lane traversals on either factor shape.
     for (name, g, single_block) in [
         ("rmat1024_amd", fig10_instance(1024, false, 1), true),
         ("rmat2048", fig10_instance(2048, false, 1), false),
@@ -1268,11 +1020,8 @@ fn pr9_report() {
         let sc = bench_substrate(&g);
         let (m, lu_default) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
         let lu = if single_block {
-            let opts = SparseLuOptions {
-                ordering: ColumnOrdering::Amd,
-                ..Default::default()
-            };
-            SparseLu::factor_with(&m, &opts).expect("amd factor")
+            let amd = BlockOrdering::single_block(amd_ordering(&m));
+            SparseLu::factor_ordered(&m, amd, &SparseLuOptions::default()).expect("amd factor")
         } else {
             lu_default
         };

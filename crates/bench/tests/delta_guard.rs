@@ -3,7 +3,7 @@
 //! revivals) absorbed by a standing `DeltaSession` must stay at least
 //! 10x under the cold plan+build+solve the same change would cost
 //! without one, and the rank-k batched Woodbury push must beat k
-//! sequential rank-1 pushes on a single-block factor.
+//! sequential rank-1 pushes on the multi-block production factor.
 //!
 //! This is the cheap CI tripwire for the PR 9 graph-delta fast path: a
 //! change that quietly reroutes delta batches through a rebuild (or
@@ -22,7 +22,7 @@ use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow_bench::{bench_substrate, diode_unknown_pairs, fig10_instance, median_ns};
 use ohmflow_circuit::DcSolver;
 use ohmflow_graph::FlowNetwork;
-use ohmflow_linalg::{ColumnOrdering, LowRankUpdate, RankOneTermRef, SparseLu, SparseLuOptions};
+use ohmflow_linalg::{LowRankUpdate, RankOneTermRef};
 
 /// The timing tests share one core on small CI machines; serialize them
 /// so neither pollutes the other's clock.
@@ -120,19 +120,14 @@ fn batched_rank8_push_beats_sequential_rank1_pushes() {
     let _guard = SERIAL.lock().unwrap();
     let g = fig10_instance(1024, false, 1);
     let sc = bench_substrate(&g);
-    let (m, _) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
-    // A single-block AMD factor so the multi-lane batch path engages
-    // (the multi-block production factor falls back to per-column reach
-    // solves, where batch and sequential are on par by design).
-    let opts = SparseLuOptions {
-        ordering: ColumnOrdering::Amd,
-        ..Default::default()
-    };
-    let lu = SparseLu::factor_with(&m, &opts).expect("amd factor");
-    assert_eq!(
-        lu.symbolic().block_count(),
-        1,
-        "guard needs the single-block multi-lane path"
+    // The factor production builds: AMD on the diagonal blocks of the
+    // block-triangular form. The batch carries its z-columns through
+    // multi-lane traversals of every block; each sequential push runs one
+    // single-lane dense solve.
+    let (m, lu) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
+    assert!(
+        lu.symbolic().block_count() > 1,
+        "guard must time the multi-block production factor"
     );
 
     let pairs = diode_unknown_pairs(&sc);

@@ -19,7 +19,21 @@ use ohmflow::SolveOptions;
 use ohmflow_bench::{bench_substrate, fig10_instance, median_ns};
 use ohmflow_circuit::DcSolver;
 use ohmflow_graph::generators;
-use ohmflow_linalg::{ColumnOrdering, LuWorkspace, SparseLu, SparseLuOptions};
+use ohmflow_linalg::{
+    amd_btf_ordering, amd_ordering, min_degree_ordering, BlockOrdering, LuWorkspace, SparseLu,
+    SparseLuOptions,
+};
+
+/// A single-block reference factor of `m` under the column permutation
+/// `perm` (diagonal pivots preferred).
+fn single_block_factor(m: &ohmflow_linalg::CscMatrix, perm: Vec<usize>) -> SparseLu {
+    SparseLu::factor_ordered(
+        m,
+        BlockOrdering::single_block(perm),
+        &SparseLuOptions::default(),
+    )
+    .expect("single-block factor")
+}
 
 /// Recorded AMD fill on this fixture: 267,318 (plain AMD) / 212,458
 /// (AMD+BTF, off-diagonal block entries held raw since PR 6 instead of
@@ -35,15 +49,8 @@ fn amd_fill_on_rmat1024_stays_below_recorded_ceiling() {
     let sc = bench_substrate(&g);
     // Default options are the production AMD+BTF path.
     let (m, lu_btf) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
-    let factor = |ordering| {
-        let opts = SparseLuOptions {
-            ordering,
-            ..Default::default()
-        };
-        SparseLu::factor_with(&m, &opts).expect("factor")
-    };
-    let amd = factor(ColumnOrdering::Amd);
-    let min_degree = factor(ColumnOrdering::MinDegree);
+    let amd = single_block_factor(&m, amd_ordering(&m));
+    let min_degree = single_block_factor(&m, min_degree_ordering(&m));
 
     // The old min-degree is the fill oracle: AMD (and the block-composed
     // AMD) must not lose to it on the expander fixture it was built for.
@@ -106,17 +113,11 @@ fn amd_btf_fill_on_cold_ingest_shapes_is_pinned() {
         let (m, lu) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
         assert_eq!(
             lu.symbolic().col_order(),
-            SparseLu::factor_with(
-                &m,
-                &SparseLuOptions {
-                    ordering: ColumnOrdering::AmdBtf,
-                    ..Default::default()
-                }
-            )
-            .expect("amd+btf factor")
-            .symbolic()
-            .col_order(),
-            "{name}: the default ordering is AmdBtf"
+            SparseLu::factor_ordered(&m, amd_btf_ordering(&m), &SparseLuOptions::default())
+                .expect("amd+btf factor")
+                .symbolic()
+                .col_order(),
+            "{name}: the production ordering is AmdBtf"
         );
         assert_eq!(
             lu.factor_nnz(),
@@ -153,11 +154,7 @@ fn multiblock_replay_on_rmat128_has_no_closure_tax() {
         "fixture must have cross-block entries"
     );
 
-    let opts = SparseLuOptions {
-        ordering: ColumnOrdering::Amd,
-        ..Default::default()
-    };
-    let lu_amd = SparseLu::factor_with(&m, &opts).expect("amd factor");
+    let lu_amd = single_block_factor(&m, amd_ordering(&m));
     assert_eq!(lu_amd.symbolic().block_count(), 1);
 
     // Both replays agree with each other on a real RHS before any timing:

@@ -52,10 +52,10 @@ pub struct DcTemplate {
     /// session seeded from the template restamps a clone of it, sharing
     /// the map.
     base: StampedMatrix,
-    /// The factorization options (column ordering, pivoting thresholds)
+    /// The factorization options (pivoting threshold, supernode kernels)
     /// the template's symbolic plan was built under — reused by every
     /// fallback fresh factorization so a template never silently mixes
-    /// orderings.
+    /// options.
     lu_opts: LuOptions,
     n_nodes: usize,
 }
@@ -73,9 +73,8 @@ impl DcTemplate {
         Self::with_options(ckt, LuOptions::default())
     }
 
-    /// [`DcTemplate::new`] with explicit factorization options — the
-    /// circuit-level entry point for choosing a
-    /// [`ColumnOrdering`](crate::ColumnOrdering).
+    /// [`DcTemplate::new`] with explicit factorization options
+    /// ([`LuOptions`]); the ordering is always AMD + block-triangular.
     ///
     /// # Errors
     ///
@@ -175,7 +174,7 @@ pub(crate) struct DcRequest<'a> {
     pub warm: Option<&'a [DeviceState]>,
     /// Cold-path factorization options (a matching template brings its
     /// own — template options always win, so a plan can never silently
-    /// factor under a different ordering than its symbolic plan).
+    /// factor under different options than its symbolic plan).
     pub lu_opts: LuOptions,
 }
 
@@ -324,8 +323,8 @@ pub struct SolveReport {
     pub cycle_break: Option<usize>,
     /// `nnz(L) + nnz(U)` of the factorization behind the answer.
     pub factor_nnz: usize,
-    /// Diagonal blocks of the block-triangular form (1 when the ordering
-    /// has no BTF stage).
+    /// Diagonal blocks of the block-triangular form (1 for an irreducible
+    /// or structurally singular system).
     pub block_count: usize,
     /// Whether the solve rode a template's shared symbolic plan.
     pub templated: bool,
@@ -389,8 +388,8 @@ impl DcSolver {
         Self::default()
     }
 
-    /// Overrides the factorization options (ordering, pivoting
-    /// thresholds). The options set here are the **single source of
+    /// Overrides the factorization options (pivoting threshold,
+    /// supernode kernels). The options set here are the **single source of
     /// truth**: every plan built by this solver factors under them, and a
     /// plan's fallback fresh factorizations reuse the plan's own options,
     /// never a caller's divergent copy.
@@ -422,7 +421,7 @@ impl DcSolver {
     /// Wraps an already-built [`DcTemplate`] as a [`DcPlan`] without
     /// redoing any cold-path work. The plan adopts the **template's**
     /// factorization options (a symbolic plan is only reusable under the
-    /// ordering that produced it).
+    /// options that produced it).
     pub fn plan_from(&self, tpl: Arc<DcTemplate>) -> DcPlan {
         DcPlan {
             phase_timing: self.phase_timing,
@@ -760,7 +759,7 @@ pub struct FrozenDcPhases {
     pub refactor_ns: u64,
     /// Triangular solves against the base factorization.
     pub solve_ns: u64,
-    /// Woodbury bookkeeping: sparse half-solve pushes, capacitance
+    /// Woodbury bookkeeping: the pushes' column solves, capacitance
     /// refreshes, corrections and the refinement residual matvecs.
     pub woodbury_ns: u64,
 }
@@ -1134,7 +1133,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         }
         if self.update.rank() + batch.len() > self.max_rank {
             // The cascade is too wide for the rank budget: pushing it
-            // would cost k reach solves plus an O(k²) capacitance refresh
+            // would cost k column solves plus an O(k²) capacitance refresh
             // only to be folded away by the over-budget rebase right
             // after. States already hold the target assignment — restamp
             // and refactor once instead (exactly a cold iteration's

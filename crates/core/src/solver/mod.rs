@@ -34,8 +34,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ohmflow_circuit::{
-    ColumnOrdering, DcSolver, DcTemplate, LuOptions, NodeId, SolveReport, TransientAnalysis,
-    TransientOptions, Waveform, WaveformSet,
+    DcSolver, DcTemplate, LuOptions, NodeId, SolveReport, TransientAnalysis, TransientOptions,
+    Waveform, WaveformSet,
 };
 use ohmflow_graph::FlowNetwork;
 use rayon::prelude::*;
@@ -122,10 +122,11 @@ pub struct SolveOptions {
     /// Convergence band for the §5.1 settle-time measurement (0.001 =
     /// "within 0.1 % of the final value").
     pub settle_fraction: f64,
-    /// Factorization options (column ordering, pivoting thresholds) for
-    /// every LU in the stack — plans, sessions, cold paths. The ordering
-    /// is part of every plan's [`TemplateKey`], so caches never mix
-    /// symbolic plans built under different orderings.
+    /// Factorization options (pivoting threshold, supernode kernels) for
+    /// every LU in the stack — plans, sessions, cold paths. The column
+    /// ordering is not among them: every factor is ordered by AMD on the
+    /// diagonal blocks of the block-triangular form, so a plan's
+    /// [`TemplateKey`] is its topology alone.
     pub lu: LuOptions,
     /// Per-phase wall-clock attribution on sessions (off by default:
     /// clock reads tax small systems).
@@ -189,12 +190,6 @@ impl SolveOptions {
             phase_timing: false,
             plan_cache_bytes: DEFAULT_CAPACITY_BYTES,
         }
-    }
-
-    /// Sets the LU column ordering.
-    pub fn with_ordering(mut self, ordering: ColumnOrdering) -> Self {
-        self.lu.ordering = ordering;
-        self
     }
 
     /// Sets the simulation mode.
@@ -449,7 +444,6 @@ impl MaxFlowSolver {
         let problems: Vec<Problem<'a>> = problems.into_iter().collect();
         // The full-MNA ablation has no templated path at all.
         let full_mna = matches!(self.opts.mode, SolveMode::TransientFullMna { .. });
-        let ordering = self.opts.lu.ordering;
 
         // Graph grouping: fingerprint every graph member in one streaming
         // pass each (no intermediate edge Vec), count topologies, then
@@ -464,7 +458,7 @@ impl MaxFlowSolver {
         let fps: Vec<Option<u64>> = problems
             .iter()
             .map(|p| match p {
-                Problem::Graph(g) if !full_mna => Some(TemplateKey::fingerprint(g, ordering)),
+                Problem::Graph(g) if !full_mna => Some(TemplateKey::fingerprint(g)),
                 _ => None,
             })
             .collect();
@@ -566,9 +560,8 @@ impl MaxFlowSolver {
         // The hot path: one streaming fingerprint pass over the graph, one
         // sharded probe verified against the full stored key. Cold paths
         // run single-flight outside the shard lock.
-        let ordering = self.opts.lu.ordering;
-        let fingerprint = TemplateKey::fingerprint(g, ordering);
-        self.cache.get_or_build(fingerprint, g, ordering, || {
+        let fingerprint = TemplateKey::fingerprint(g);
+        self.cache.get_or_build(fingerprint, g, || {
             SubstrateTemplate::new(g, &self.opts.params, &self.build_options(), self.opts.lu)
                 .map(Arc::new)
         })
@@ -577,9 +570,7 @@ impl MaxFlowSolver {
     /// The cached template for `g`'s topology if one is resident — a pure
     /// probe: never builds, never waits on an in-flight cold path.
     fn cached_template_for(&self, g: &FlowNetwork) -> Option<Arc<SubstrateTemplate>> {
-        let ordering = self.opts.lu.ordering;
-        let fingerprint = TemplateKey::fingerprint(g, ordering);
-        self.cache.peek(fingerprint, g, ordering)
+        self.cache.peek(TemplateKey::fingerprint(g), g)
     }
 
     /// Number of cached templates (test observability).
@@ -903,8 +894,6 @@ pub struct PlanReport {
     pub factor_nnz: usize,
     /// Diagonal blocks of the block-triangular form.
     pub block_count: usize,
-    /// The LU column ordering the plan was built under.
-    pub ordering: ColumnOrdering,
     /// Whether this plan came out of the topology cache rather than
     /// running the cold path.
     pub cache_hit: bool,
@@ -945,14 +934,12 @@ impl Plan {
         self.tpl.dc_template().lu_options()
     }
 
-    /// Cold-path observables: fill, block structure, ordering, cache
-    /// provenance.
+    /// Cold-path observables: fill, block structure, cache provenance.
     pub fn report(&self) -> PlanReport {
         let dc = self.tpl.dc_template();
         PlanReport {
             factor_nnz: dc.factor().factor_nnz(),
             block_count: dc.symbolic().block_count(),
-            ordering: dc.lu_options().ordering,
             cache_hit: self.cache_hit,
             cache: self.solver.plan_cache_stats(),
         }

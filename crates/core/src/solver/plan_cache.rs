@@ -8,7 +8,7 @@
 //! * **Fingerprint-first probes.** A hit costs one streaming pass over the
 //!   graph to fingerprint it ([`TemplateKey::fingerprint`]), one shard
 //!   mutex, one hash-map probe and one allocation-free edge-list
-//!   verification ([`TemplateKey::matches_graph`]) — never an intermediate
+//!   verification ([`TemplateKey::verifies`]) — never an intermediate
 //!   edge `Vec`, never a per-edge `Hash` dispatch, never a rebuilt
 //!   [`TemplateKey`].
 //! * **Sharding.** The shard index comes from the fingerprint's *high*
@@ -234,8 +234,8 @@ impl PlanCache {
         &self.shards[(fingerprint >> 60) as usize & (SHARD_COUNT - 1)]
     }
 
-    /// The plan for `g` under the given column ordering, plus
-    /// whether it was served from the cache. `build` runs the symbolic
+    /// The plan for `g`'s topology, plus whether it was served from the
+    /// cache. `build` runs the symbolic
     /// cold path at most once per topology across all concurrent callers
     /// (single flight); its failure is returned to the caller that ran it
     /// and waiters retry independently.
@@ -243,7 +243,6 @@ impl PlanCache {
         &self,
         fingerprint: u64,
         g: &FlowNetwork,
-        ordering: ohmflow_circuit::ColumnOrdering,
         build: impl FnOnce() -> Result<Arc<SubstrateTemplate>, AnalogError>,
     ) -> Result<(Arc<SubstrateTemplate>, bool), AnalogError> {
         let probe = {
@@ -254,17 +253,16 @@ impl PlanCache {
             shard.tick += 1;
             let tick = shard.tick;
             let bucket = shard.buckets.entry(fingerprint).or_default();
-            let found =
-                bucket
-                    .iter_mut()
-                    .find(|e| e.key.verifies(g, ordering))
-                    .map(|e| match &mut e.slot {
-                        Slot::Ready { tpl, last_used, .. } => {
-                            *last_used = tick;
-                            Probe::Hit(Arc::clone(tpl))
-                        }
-                        Slot::Building(gate) => Probe::Wait(Arc::clone(gate)),
-                    });
+            let found = bucket
+                .iter_mut()
+                .find(|e| e.key.verifies(g))
+                .map(|e| match &mut e.slot {
+                    Slot::Ready { tpl, last_used, .. } => {
+                        *last_used = tick;
+                        Probe::Hit(Arc::clone(tpl))
+                    }
+                    Slot::Building(gate) => Probe::Wait(Arc::clone(gate)),
+                });
             match found {
                 Some(p) => p,
                 None => {
@@ -273,7 +271,7 @@ impl PlanCache {
                     // can verify against it.
                     let gate = Arc::new(Gate::new());
                     bucket.push(Entry {
-                        key: TemplateKey::with_ordering(g, ordering),
+                        key: TemplateKey::new(g),
                         slot: Slot::Building(Arc::clone(&gate)),
                     });
                     Probe::Build(gate)
@@ -347,18 +345,12 @@ impl PlanCache {
         }
     }
 
-    /// A resident plan for `g` under the given factorization identity, if
-    /// one is cached — a probe that never builds, never waits on an
+    /// A resident plan for `g`'s topology, if one is cached — a probe that never builds, never waits on an
     /// in-flight cold path, and never registers a `Building` slot. The
     /// adaptive small-instance solve path uses this: a tiny graph rides a
     /// plan someone already paid for, but a cache miss must not commit it
     /// to the cold path.
-    pub(crate) fn peek(
-        &self,
-        fingerprint: u64,
-        g: &FlowNetwork,
-        ordering: ohmflow_circuit::ColumnOrdering,
-    ) -> Option<Arc<SubstrateTemplate>> {
+    pub(crate) fn peek(&self, fingerprint: u64, g: &FlowNetwork) -> Option<Arc<SubstrateTemplate>> {
         let mut shard = self
             .shard(fingerprint)
             .lock()
@@ -368,7 +360,7 @@ impl PlanCache {
         let hit = shard.buckets.get_mut(&fingerprint).and_then(|bucket| {
             bucket
                 .iter_mut()
-                .find(|e| e.key.verifies(g, ordering))
+                .find(|e| e.key.verifies(g))
                 .and_then(|e| match &mut e.slot {
                     Slot::Ready { tpl, last_used, .. } => {
                         *last_used = tick;
@@ -469,7 +461,6 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
-    use ohmflow_circuit::ColumnOrdering;
     use ohmflow_graph::generators;
 
     use super::*;
@@ -497,9 +488,8 @@ mod tests {
         cache: &PlanCache,
         g: &FlowNetwork,
     ) -> Result<(Arc<SubstrateTemplate>, bool), AnalogError> {
-        let ordering = ColumnOrdering::default();
-        let fp = TemplateKey::fingerprint(g, ordering);
-        cache.get_or_build(fp, g, ordering, || build_template(g))
+        let fp = TemplateKey::fingerprint(g);
+        cache.get_or_build(fp, g, || build_template(g))
     }
 
     /// Mutation-kill: desync a shard's resident-byte counter and assert
@@ -510,9 +500,7 @@ mod tests {
         let g = path_graph(6);
         lookup(&cache, &g).expect("plan");
         cache.audit().expect("pristine cache audits clean");
-
-        let ordering = ColumnOrdering::default();
-        let fp = TemplateKey::fingerprint(&g, ordering);
+        let fp = TemplateKey::fingerprint(&g);
         cache.shard(fp).lock().expect("shard").bytes += 1;
         let err = cache.audit().expect_err("desync must be caught");
         assert_eq!(err.invariant, "byte-accounting");
@@ -526,9 +514,7 @@ mod tests {
         let cache = PlanCache::new(DEFAULT_CAPACITY_BYTES);
         let g = path_graph(6);
         lookup(&cache, &g).expect("plan");
-
-        let ordering = ColumnOrdering::default();
-        let fp = TemplateKey::fingerprint(&g, ordering);
+        let fp = TemplateKey::fingerprint(&g);
         let home = (fp >> 60) as usize & (SHARD_COUNT - 1);
         let wrong = (home + 1) % SHARD_COUNT;
         let (bucket, bytes) = {
@@ -555,8 +541,7 @@ mod tests {
         let g = Arc::new(path_graph(7));
         let builds = Arc::new(AtomicUsize::new(0));
         let barrier = Arc::new(Barrier::new(THREADS));
-        let ordering = ColumnOrdering::default();
-        let fp = TemplateKey::fingerprint(&g, ordering);
+        let fp = TemplateKey::fingerprint(&g);
 
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {
@@ -569,7 +554,7 @@ mod tests {
                 std::thread::spawn(move || {
                     barrier.wait();
                     cache
-                        .get_or_build(fp, &g, ordering, || {
+                        .get_or_build(fp, &g, || {
                             builds.fetch_add(1, Ordering::SeqCst);
                             // Widen the race window so every other thread
                             // reaches the gate while the build is in flight.
@@ -638,7 +623,7 @@ mod tests {
                         let g = path_graph(sizes[i]);
                         let (tpl, _) = lookup(&cache, &g).expect("plan");
                         assert!(
-                            tpl.key().matches_graph(&g),
+                            tpl.key().verifies(&g),
                             "served plan's key must verify against the probing graph"
                         );
                         let dc = tpl.dc_template();
@@ -697,7 +682,7 @@ mod tests {
         for &n in &sizes {
             let g = path_graph(n);
             let (tpl, _) = lookup(&cache, &g).expect("post-eviction lookup");
-            assert!(tpl.key().matches_graph(&g), "n={n}");
+            assert!(tpl.key().verifies(&g), "n={n}");
         }
     }
 
@@ -707,9 +692,8 @@ mod tests {
     fn failed_build_leaves_no_residue() {
         let cache = PlanCache::new(DEFAULT_CAPACITY_BYTES);
         let g = path_graph(5);
-        let ordering = ColumnOrdering::default();
-        let fp = TemplateKey::fingerprint(&g, ordering);
-        let err = cache.get_or_build(fp, &g, ordering, || {
+        let fp = TemplateKey::fingerprint(&g);
+        let err = cache.get_or_build(fp, &g, || {
             Err(AnalogError::InvalidConfig {
                 what: "synthetic build failure".to_owned(),
             })
@@ -719,7 +703,7 @@ mod tests {
 
         let (tpl, hit) = lookup(&cache, &g).expect("retry builds fresh");
         assert!(!hit);
-        assert!(tpl.key().matches_graph(&g));
+        assert!(tpl.key().verifies(&g));
         assert_eq!(cache.len(), 1);
     }
 }

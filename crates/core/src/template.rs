@@ -92,39 +92,6 @@ impl StreamHasher {
     }
 }
 
-/// `Hasher` so `#[derive(Hash)]` types (orderings) can fold
-/// themselves into a fingerprint; the hot per-edge loop calls
-/// [`StreamHasher::mix`] directly and never routes through this trait.
-impl std::hash::Hasher for StreamHasher {
-    fn finish(&self) -> u64 {
-        StreamHasher::finish(self)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(buf));
-        }
-    }
-
-    fn write_u8(&mut self, i: u8) {
-        self.mix(u64::from(i));
-    }
-
-    fn write_u32(&mut self, i: u32) {
-        self.mix(u64::from(i));
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.mix(i);
-    }
-
-    fn write_usize(&mut self, i: usize) {
-        self.mix(i as u64);
-    }
-}
-
 /// One edge packed as `(from << 32) | to`: the word the fingerprint mixes
 /// and the stored-key verify path compares. Vertex ids fit u32 by far —
 /// [`FlowNetwork`] construction bounds them by the vertex count.
@@ -154,46 +121,32 @@ pub struct TemplateKey {
     /// is the identity. Packed so the verify path behind every
     /// fingerprint-probed cache hit is a straight `u64` word compare.
     edges: Vec<u64>,
-    /// The LU column ordering the template's symbolic factorization was
-    /// built under. Part of the identity: a symbolic plan is only reusable
-    /// under the ordering that produced it, so caches must never hand a
-    /// min-degree-era template to an AMD+BTF solve (or vice versa).
-    ordering: ohmflow_circuit::ColumnOrdering,
 }
 
 impl TemplateKey {
-    /// The key of `g` under the default column ordering.
-    pub fn of(g: &FlowNetwork) -> Self {
-        Self::with_ordering(g, ohmflow_circuit::ColumnOrdering::default())
-    }
-
-    /// The key of `g` under an explicit column ordering (what
-    /// [`SolveOptions::lu`](crate::SolveOptions::lu) selects).
-    pub fn with_ordering(g: &FlowNetwork, ordering: ohmflow_circuit::ColumnOrdering) -> Self {
+    /// The key of `g`'s topology.
+    pub fn new(g: &FlowNetwork) -> Self {
         let edges: Vec<u64> = g.edges().iter().map(pack_edge).collect();
         TemplateKey {
-            hash: Self::fingerprint(g, ordering),
+            hash: Self::fingerprint(g),
             vertices: g.vertex_count(),
             source: g.source(),
             sink: g.sink(),
             edges,
-            ordering,
         }
     }
 
-    /// The topology fingerprint of `g` under the given column ordering,
-    /// computed in **one streaming pass** over the graph: no
-    /// intermediate edge `Vec`, no per-edge `Hash` dispatch — one
-    /// multiply–rotate mix per edge (see `StreamHasher`). Equal to the
-    /// cached hash of [`TemplateKey::with_ordering`] on the same inputs by
-    /// construction, so a cache can probe on the fingerprint alone and
-    /// fall back to the full key only on a match.
+    /// The topology fingerprint of `g`, computed in **one streaming
+    /// pass** over the graph: no intermediate edge `Vec`, no per-edge
+    /// `Hash` dispatch — one multiply–rotate mix per edge (see
+    /// `StreamHasher`). Equal to the cached hash of [`TemplateKey::new`]
+    /// on the same inputs by construction, so a cache can probe on the
+    /// fingerprint alone and fall back to the full key only on a match.
     ///
     /// Collisions between *different* topologies are possible (64-bit
     /// hash) and harmless: every consumer verifies a fingerprint match
     /// against the stored [`TemplateKey`] before serving a plan.
-    pub fn fingerprint(g: &FlowNetwork, ordering: ohmflow_circuit::ColumnOrdering) -> u64 {
-        use std::hash::Hash as _;
+    pub fn fingerprint(g: &FlowNetwork) -> u64 {
         let mut h = StreamHasher::new();
         h.mix(g.vertex_count() as u64);
         h.mix(g.source() as u64);
@@ -222,7 +175,6 @@ impl TemplateKey {
         for lane in lanes {
             h.mix(lane);
         }
-        ordering.hash(&mut h);
         h.finish()
     }
 
@@ -246,9 +198,10 @@ impl TemplateKey {
     /// Allocation-free check that `g` has exactly this key's topology:
     /// vertex count, source, sink and the full id-ordered edge list. This
     /// is the verification step behind every fingerprint-probed cache hit
-    /// — it walks `g`'s edges once against the stored list and never
-    /// hashes or allocates.
-    pub fn matches_graph(&self, g: &FlowNetwork) -> bool {
+    /// — it rules out fingerprint collisions between topologies, walks
+    /// `g`'s edges once against the stored list and never hashes or
+    /// allocates.
+    pub fn verifies(&self, g: &FlowNetwork) -> bool {
         if self.vertices != g.vertex_count()
             || self.source != g.source()
             || self.sink != g.sink()
@@ -276,18 +229,10 @@ impl TemplateKey {
             .zip(fresh.remainder())
             .all(|(w, e)| *w == pack_edge(e))
     }
-
-    /// Full verification of a fingerprint match: the key serves `g` under
-    /// exactly this column ordering and topology. Rules out both
-    /// fingerprint collisions between topologies and collisions between
-    /// orderings of one topology.
-    pub fn verifies(&self, g: &FlowNetwork, ordering: ohmflow_circuit::ColumnOrdering) -> bool {
-        self.ordering == ordering && self.matches_graph(g)
-    }
 }
 
 /// Hashes only the cached fingerprint: the expensive edge-list traversal
-/// happened once in [`TemplateKey::with_ordering`]. Consistent with the
+/// happened once in [`TemplateKey::new`]. Consistent with the
 /// derived `PartialEq` — equal keys have equal cached hashes because the
 /// fingerprint is a pure function of the compared fields.
 impl std::hash::Hash for TemplateKey {
@@ -355,8 +300,7 @@ pub(crate) fn value_fingerprint(sc: &SubstrateCircuit) -> u64 {
 impl SubstrateTemplate {
     /// Runs the full cold path for `g`'s topology: builds the per-edge
     /// skeleton (using `g`'s capacities as the initial values) and derives
-    /// the shared structure and factorization under `lu` (its ordering
-    /// becomes part of the topology key).
+    /// the shared structure and factorization under `lu`.
     ///
     /// # Errors
     ///
@@ -372,7 +316,7 @@ impl SubstrateTemplate {
         let dc =
             Arc::new(DcTemplate::with_options(skeleton.circuit(), lu).map_err(AnalogError::from)?);
         Ok(SubstrateTemplate {
-            key: TemplateKey::with_ordering(g, lu.ordering),
+            key: TemplateKey::new(g),
             params: params.clone(),
             opts: *opts,
             skeleton,
@@ -428,9 +372,8 @@ impl SubstrateTemplate {
         g: &FlowNetwork,
         mapping: CapacityMapping,
     ) -> Result<SubstrateCircuit, AnalogError> {
-        // Allocation-free topology verification (the key's ordering is the
-        // template's own, so only the graph shape needs checking).
-        if !self.key.matches_graph(g) {
+        // Allocation-free topology verification.
+        if !self.key.verifies(g) {
             return Err(AnalogError::InvalidConfig {
                 what: "template instantiated with a different graph topology".to_owned(),
             });
@@ -524,36 +467,18 @@ mod tests {
         // only in capacities) — the key treats them as the same substrate,
         // while a genuinely different shape must differ.
         assert_eq!(
-            TemplateKey::of(&a),
-            TemplateKey::of(&generators::fig15a(10))
+            TemplateKey::new(&a),
+            TemplateKey::new(&generators::fig15a(10))
         );
         let b = generators::path(&[5, 2, 9]).unwrap();
-        assert_ne!(TemplateKey::of(&a), TemplateKey::of(&b));
+        assert_ne!(TemplateKey::new(&a), TemplateKey::new(&b));
         // Same topology, different capacities: same key.
         let c = a.scaled_capacities(2).unwrap();
-        assert_eq!(TemplateKey::of(&a), TemplateKey::of(&c));
-    }
-
-    #[test]
-    fn template_key_separates_orderings() {
-        use ohmflow_circuit::ColumnOrdering;
-        // A symbolic plan is only valid under the ordering that built it:
-        // the same topology under different orderings must never share a
-        // cache slot, while the default-ordering key stays stable.
-        let a = generators::fig5a();
-        assert_ne!(
-            TemplateKey::of(&a),
-            TemplateKey::with_ordering(&a, ColumnOrdering::MinDegree)
-        );
-        assert_eq!(
-            TemplateKey::of(&a),
-            TemplateKey::with_ordering(&a, ColumnOrdering::default())
-        );
+        assert_eq!(TemplateKey::new(&a), TemplateKey::new(&c));
     }
 
     #[test]
     fn fingerprint_agrees_with_key_hash() {
-        use ohmflow_circuit::ColumnOrdering;
         // The streaming one-pass fingerprint must equal the cached hash of
         // the full key on the same inputs — the property that lets the
         // plan cache probe on the fingerprint alone.
@@ -562,30 +487,19 @@ mod tests {
             generators::path(&[5, 2, 9]).unwrap(),
             generators::layered(3, 2, 5, 1).unwrap(),
         ] {
-            for ordering in [ColumnOrdering::default(), ColumnOrdering::Amd] {
-                let key = TemplateKey::with_ordering(&g, ordering);
-                assert_eq!(
-                    key.fingerprint_value(),
-                    TemplateKey::fingerprint(&g, ordering)
-                );
-            }
+            let key = TemplateKey::new(&g);
+            assert_eq!(key.fingerprint_value(), TemplateKey::fingerprint(&g));
         }
     }
 
     #[test]
     fn key_verification_discriminates_topology_and_lu_identity() {
-        use ohmflow_circuit::ColumnOrdering;
         let g = generators::fig5a();
-        let key = TemplateKey::of(&g);
-        let ordering = ColumnOrdering::default();
-        assert!(key.verifies(&g, ordering));
+        let key = TemplateKey::new(&g);
+        assert!(key.verifies(&g));
         // Capacities are free; topology is not.
-        assert!(key.matches_graph(&g.scaled_capacities(3).unwrap()));
-        assert!(!key.matches_graph(&generators::path(&[5, 2, 9]).unwrap()));
-        // Same topology under a different factorization identity must not
-        // verify (a fingerprint collision across orderings would
-        // otherwise serve a foreign symbolic plan).
-        assert!(!key.verifies(&g, ColumnOrdering::MinDegree));
+        assert!(key.verifies(&g.scaled_capacities(3).unwrap()));
+        assert!(!key.verifies(&generators::path(&[5, 2, 9]).unwrap()));
         // One edge reversed: same counts, different identity.
         let mut rev = ohmflow_graph::FlowNetwork::new(5, 0, 4).unwrap();
         for (i, e) in g.edges().iter().enumerate() {
@@ -595,7 +509,7 @@ mod tests {
                 rev.add_edge(e.from, e.to, e.capacity).unwrap();
             }
         }
-        assert!(!key.matches_graph(&rev));
+        assert!(!key.verifies(&rev));
     }
 
     #[test]

@@ -11,10 +11,13 @@
 //! * [`TripletMatrix`] (coordinate) assembly and [`CsrMatrix`] / [`CscMatrix`]
 //!   compressed storage,
 //! * [`SparseLu`], a left-looking Gilbert–Peierls LU with partial pivoting,
-//!   ordered by default through a block-triangular permutation (maximum
+//!   always ordered through a block-triangular permutation (maximum
 //!   transversal + Tarjan SCC, [`block_triangular_form`]) with a true
 //!   quotient-graph approximate minimum degree ([`amd_ordering`]) on every
-//!   diagonal block ([`amd_btf_ordering`]). Each diagonal block factors
+//!   diagonal block ([`amd_btf_ordering`]); there is no ordering option.
+//!   Reference factors under a single-block permutation (AMD, or the
+//!   [`min_degree_ordering`] fill oracle) go through
+//!   [`SparseLu::factor_ordered`]. Each diagonal block factors
 //!   independently, KLU-style: cross-block entries are kept as raw matrix
 //!   values applied during substitution rather than folded into `U`.
 //!   Alongside sits a KLU-style numeric-only [`SparseLu::refactor`] path
@@ -22,10 +25,10 @@
 //!   value-only matrix changes. The factorization is split into an
 //!   immutable, `Arc`-shared [`SymbolicLu`] elimination plan and per-thread
 //!   numeric values ([`NumericLu`]), so same-topology batch members factor
-//!   concurrently against one symbolic analysis ([`SymbolicLu::numeric`]),
-//!   and [`SparseLu::solve_sparse_into`] performs Gilbert–Peierls
-//!   reach-based triangular solves that touch only the factor columns a
-//!   sparse right-hand side can influence,
+//!   concurrently against one symbolic analysis ([`SymbolicLu::numeric`]).
+//!   Solves are dense traversals, one right-hand side
+//!   ([`SparseLu::solve_into`]) or up to eight lanes at once
+//!   ([`SparseLu::solve_multi_into`]),
 //! * [`LowRankUpdate`] — Sherman–Morrison–Woodbury rank-k solve updates, so
 //!   a 1–2 entry conductance change (a clamp-diode toggle) updates an
 //!   existing factorization instead of discarding it,
@@ -69,12 +72,9 @@ pub use error::LinalgError;
 pub use lowrank::{LowRankUpdate, RankOneTermRef};
 pub use ordering::{
     amd_btf_ordering, amd_ordering, block_triangular_form, maximum_transversal,
-    min_degree_ordering, reverse_cuthill_mckee, BlockOrdering, BtfStructure,
+    min_degree_ordering, BlockOrdering, BtfStructure,
 };
 pub use sparse::{CscMatrix, CsrMatrix, TripletMatrix};
-pub use sparse_lu::{
-    ColumnOrdering, LuWorkspace, NumericLu, SparseLu, SparseLuOptions, SparseSolveWorkspace,
-    SymbolicLu,
-};
+pub use sparse_lu::{LuWorkspace, NumericLu, SparseLu, SparseLuOptions, SymbolicLu};
 pub use supernode::SupernodeStats;
 pub use verify::AuditError;

@@ -8,19 +8,13 @@
 //! (A + U Vᵀ)⁻¹ b = A⁻¹ b − A⁻¹ U (I + Vᵀ A⁻¹ U)⁻¹ Vᵀ A⁻¹ b
 //! ```
 //!
-//! Each pushed rank-1 term costs one solve of `zᵢ = A⁻¹ uᵢ`. On
-//! single-block factorizations that is a **sparse-RHS** solve through
-//! the reach-based half-solves — the forward half `ŵᵢ = L⁻¹ P uᵢ`
-//! touches only the L-reach of `uᵢ`'s 1–2 nonzeros
-//! ([`SparseLu::forward_sparse_into`]), and the structurally-dense
-//! backward half completes it
-//! ([`SparseLu::backward_dense_from_steps`]) — no dense right-hand side
-//! is ever formed and the push loop allocates only the stored `zᵢ`.
-//! Multi-block (BTF) factorizations scatter `uᵢ` and run one dense
-//! traversal instead: chaining per-block reaches through the raw
-//! cross-block values pays per-block constants that dominate once the
-//! block count is large (substrate matrices split into thousands of
-//! blocks).
+//! Each pushed rank-1 term costs one solve of `zᵢ = A⁻¹ uᵢ`: `uᵢ` is
+//! scattered into a dense right-hand side and solved in one traversal of
+//! the factor ([`SparseLu::solve_into`]; a batch of terms shares lane
+//! blocks of [`SparseLu::solve_multi_into`]). The production factor is
+//! block triangular with thousands of diagonal blocks, where `zᵢ` is
+//! structurally dense anyway and a dense traversal beats chaining
+//! per-block reaches by an order of magnitude.
 //! The capacitance matrix `C = I + Vᵀ Z` is rebuilt from the sparse `vᵢ`
 //! against the dense `zⱼ`, and each solve's correction stays the cheap
 //! streaming form `out -= Σⱼ yⱼ zⱼ` (the solution is dense, so a dense
@@ -31,7 +25,7 @@
 //! can track long switching cascades without ever refactoring the MNA
 //! matrix (see `DESIGN.md`).
 
-use crate::{DenseLu, DenseMatrix, LinalgError, SparseLu, SparseSolveWorkspace};
+use crate::{DenseLu, DenseMatrix, LinalgError, SparseLu};
 
 /// One rank-1 term `u vᵀ` as borrowed sparse vectors — the per-term
 /// argument shape of [`LowRankUpdate::push_batch`].
@@ -65,8 +59,7 @@ pub struct LowRankUpdate {
     pub(crate) us: Vec<Vec<(usize, f64)>>,
     /// Sparse `vᵢ` vectors.
     pub(crate) vs: Vec<Vec<(usize, f64)>>,
-    /// Dense `zᵢ = A⁻¹ uᵢ`, materialized at push through the sparse
-    /// forward half + dense backward completion.
+    /// Dense `zᵢ = A⁻¹ uᵢ`, materialized at push by one dense solve.
     pub(crate) zs: Vec<Vec<f64>>,
     /// Factored capacitance matrix `C = I + Vᵀ Z`, rebuilt on every push.
     pub(crate) cap: Option<DenseLu>,
@@ -74,23 +67,12 @@ pub struct LowRankUpdate {
     /// solves so the per-time-step hot loop stays allocation-free.
     wbuf: Vec<f64>,
     ybuf: Vec<f64>,
-    /// Scratch for the forward image ŵ = L⁻¹ P u of a pushed term.
-    what_buf: Vec<(usize, f64)>,
-    /// Step-space scratch of the backward completion (doubles as the dense
-    /// RHS scratch of the small-system path).
+    /// Dense right-hand-side scratch of a push (lane-interleaved for a
+    /// batch).
     back_buf: Vec<f64>,
-    /// Work buffer for the small-system dense solve.
+    /// Work buffer of the push solves.
     work_buf: Vec<f64>,
-    /// Reach scratch for the sparse half-solves.
-    solve_ws: SparseSolveWorkspace,
 }
-
-/// System size below which a pushed term's `z = A⁻¹u` is computed through
-/// a plain dense solve: the reach machinery's constant costs (workspace
-/// reset, DFS, sort) exceed the whole solve on tiny systems. Equal to, but
-/// independent of, the supernode-solve threshold in `sparse_lu`: the two
-/// constants tune unrelated trade-offs.
-const DENSE_PUSH_THRESHOLD: usize = 512;
 
 impl LowRankUpdate {
     /// An empty (identity) update over `n`-dimensional systems.
@@ -125,9 +107,8 @@ impl LowRankUpdate {
     /// between unknowns `a` and `b` is pushed as
     /// `u = Δg·(eₐ − e_b), v = eₐ − e_b`.
     ///
-    /// Costs one sparse-RHS solve against `base` — reach-limited forward
-    /// half, dense backward completion; no dense right-hand side is
-    /// formed — plus the `O(k²)` capacitance refresh.
+    /// Costs one dense solve against `base` plus the `O(k³)` capacitance
+    /// refresh.
     ///
     /// # Errors
     ///
@@ -150,26 +131,12 @@ impl LowRankUpdate {
             }
         }
         let mut z = Vec::new();
-        if self.n < DENSE_PUSH_THRESHOLD || base.symbolic().block_count() > 1 {
-            // Tiny systems: the reach machinery's constant costs (reset,
-            // DFS, sort) exceed the whole dense solve — scatter a dense
-            // RHS into reused scratch and solve directly. Multi-block
-            // (BTF) factorizations land here too: chaining per-block
-            // reaches through the cross-block values pays per-block
-            // constants that grow with the block count, and substrate
-            // matrices split into thousands of blocks — one dense
-            // traversal is an order of magnitude cheaper there (measured
-            // ~2ms vs ~18ms per column on a 16k-block factor).
-            self.back_buf.clear();
-            self.back_buf.resize(self.n, 0.0);
-            for &(i, val) in u {
-                self.back_buf[i] += val;
-            }
-            base.solve_into(&self.back_buf, &mut self.work_buf, &mut z)?;
-        } else {
-            base.forward_sparse_into(u, &mut self.solve_ws, &mut self.what_buf)?;
-            base.backward_dense_from_steps(&self.what_buf, &mut self.back_buf, &mut z)?;
+        self.back_buf.clear();
+        self.back_buf.resize(self.n, 0.0);
+        for &(i, val) in u {
+            self.back_buf[i] += val;
         }
+        base.solve_into(&self.back_buf, &mut self.work_buf, &mut z)?;
         self.us.push(u.to_vec());
         self.vs.push(v.to_vec());
         self.zs.push(z);
@@ -195,12 +162,11 @@ impl LowRankUpdate {
     ///
     /// All `k` columns of `Z = A⁻¹ U` are driven through shared factor
     /// traversals — [`SparseLu::solve_multi_into`] carries up to
-    /// [`SparseLu::MAX_SOLVE_LANES`] right-hand sides per L/U pass (on
-    /// multi-block factorizations the same lane blocks run the per-block
-    /// loop), so every factor value is loaded once per lane-chunk instead
-    /// of once per term — and the capacitance matrix is refreshed
-    /// **once**, where `k` sequential pushes stream the factor `k` times
-    /// and pay `k` incremental `O(rank³)` refactors.
+    /// [`SparseLu::MAX_SOLVE_LANES`] right-hand sides per pass over the
+    /// diagonal blocks, so every factor value is loaded once per
+    /// lane-chunk instead of once per term — and the capacitance matrix
+    /// is refreshed **once**, where `k` sequential pushes stream the
+    /// factor `k` times and pay `k` incremental `O(rank³)` refactors.
     ///
     /// Equivalent to pushing the terms one by one: term order is
     /// preserved and the accumulated update is identical up to roundoff.
@@ -262,12 +228,6 @@ impl LowRankUpdate {
         base: &SparseLu,
         terms: &[RankOneTermRef<'_>],
     ) -> Result<(), LinalgError> {
-        // The lane-chunked dense traversal handles every factor shape:
-        // single-block factors amortize the factor streaming across
-        // lanes, and multi-block (BTF) factorizations run the same
-        // lane-blocked per-block loop — per-column reach chaining loses
-        // to it by an order of magnitude once the block count is large
-        // (thousands of blocks on substrate matrices).
         let mut i = 0;
         while i < terms.len() {
             let k = (terms.len() - i).min(SparseLu::MAX_SOLVE_LANES);
@@ -291,7 +251,7 @@ impl LowRankUpdate {
 
     /// Rebuilds and refactors `C = I + Vᵀ Z`. `k` is small (the caller
     /// refactors its base long before the rank grows large), so the dense
-    /// `O(k³)` cost is negligible next to one sparse-RHS solve.
+    /// `O(k³)` cost is negligible next to one sparse solve.
     fn refresh_capacitance(&mut self) -> Result<(), LinalgError> {
         let k = self.us.len();
         if k == 0 {

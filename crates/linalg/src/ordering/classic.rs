@@ -1,11 +1,10 @@
-//! The original greedy orderings: plain minimum degree (kept as the fill
-//! oracle the quotient-graph AMD is validated against) and reverse
-//! Cuthill–McKee.
+//! The original greedy ordering: plain minimum degree, kept as the fill
+//! oracle the quotient-graph AMD is validated against.
 //!
-//! Both read the shared flat-CSR symmetrized adjacency
-//! ([`super::AdjacencyCsr`]) — offsets plus one index buffer — instead of
-//! allocating a `Vec` per row; only the minimum degree's *mutable* working
-//! lists are materialized per vertex, because elimination rewrites them.
+//! It reads the shared flat-CSR symmetrized adjacency
+//! ([`super::AdjacencyCsr`]) — offsets plus one index buffer — and
+//! materializes only its *mutable* working lists per vertex, because
+//! elimination rewrites them.
 
 use super::AdjacencyCsr;
 use crate::CscMatrix;
@@ -17,10 +16,9 @@ use crate::CscMatrix;
 /// minimum-degree: degrees are updated by merging the pivot's neighborhood
 /// into each neighbor. It survives as the **test oracle** for
 /// [`amd_ordering`](super::amd_ordering) — exact degrees, trivially
-/// auditable — and as an explicit [`ColumnOrdering::MinDegree`] choice;
-/// production factorizations default to the AMD+BTF path.
-///
-/// [`ColumnOrdering::MinDegree`]: crate::ColumnOrdering::MinDegree
+/// auditable — and as a single-block reference ordering for
+/// [`SparseLu::factor_ordered`](crate::SparseLu::factor_ordered);
+/// production factorizations always take the AMD+BTF path.
 ///
 /// # Example
 ///
@@ -104,44 +102,6 @@ pub fn min_degree_ordering(a: &CscMatrix) -> Vec<usize> {
     perm
 }
 
-/// Reverse Cuthill–McKee ordering on the symmetrized pattern of `a`.
-///
-/// Produces a bandwidth-reducing permutation; useful as an alternative to
-/// [`min_degree_ordering`] for long chain-like circuits. Reads the shared
-/// CSR adjacency directly — BFS never mutates the graph.
-pub fn reverse_cuthill_mckee(a: &CscMatrix) -> Vec<usize> {
-    let n = a.cols();
-    let adj = AdjacencyCsr::build(a);
-    let mut visited = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-
-    // BFS from the lowest-degree vertex of each component.
-    while let Some(start) = (0..n)
-        .filter(|&v| !visited[v])
-        .min_by_key(|&v| adj.degree(v))
-    {
-        let mut queue = std::collections::VecDeque::new();
-        visited[start] = true;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            let mut nbrs: Vec<usize> = adj
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&u| !visited[u])
-                .collect();
-            nbrs.sort_unstable_by_key(|&u| adj.degree(u));
-            for u in nbrs {
-                visited[u] = true;
-                queue.push_back(u);
-            }
-        }
-    }
-    order.reverse();
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,12 +135,6 @@ mod tests {
     fn min_degree_is_a_permutation() {
         let a = chain(17);
         assert!(is_permutation(&min_degree_ordering(&a), 17));
-    }
-
-    #[test]
-    fn rcm_is_a_permutation() {
-        let a = chain(17);
-        assert!(is_permutation(&reverse_cuthill_mckee(&a), 17));
     }
 
     #[test]
@@ -279,7 +233,6 @@ mod tests {
     fn handles_empty_matrix() {
         let t = TripletMatrix::new(0, 0);
         assert!(min_degree_ordering(&t.to_csc()).is_empty());
-        assert!(reverse_cuthill_mckee(&t.to_csc()).is_empty());
     }
 
     #[test]
@@ -292,6 +245,5 @@ mod tests {
         t.push(1, 0, 1.0);
         // component {2}, {3} isolated
         assert!(is_permutation(&min_degree_ordering(&t.to_csc()), 4));
-        assert!(is_permutation(&reverse_cuthill_mckee(&t.to_csc()), 4));
     }
 }

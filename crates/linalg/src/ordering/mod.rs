@@ -6,9 +6,8 @@
 //! pattern `A + Aᵀ` — the standard practice in SPICE-class solvers. The
 //! subsystem has three layers:
 //!
-//! * [`classic`] — the original greedy minimum-degree and reverse
-//!   Cuthill–McKee orderings. Minimum degree is kept primarily as the
-//!   *fill-count oracle* the AMD implementation is tested against.
+//! * [`classic`] — the original greedy minimum-degree ordering, kept as
+//!   the *fill-count oracle* the AMD implementation is tested against.
 //! * [`amd`] — a true approximate-minimum-degree ordering on a quotient
 //!   graph: supervariables (hash-based indistinguishable-node detection),
 //!   element absorption and approximate external degrees. This is the
@@ -22,7 +21,9 @@
 //!   ([`amd_btf_ordering`]). The factorization of a block-triangular
 //!   permutation never fills below a diagonal block, so every block
 //!   factors as if it were its own (much smaller) matrix. This is the
-//!   production default.
+//!   only production ordering; the others reach the factorization only as
+//!   single-block references through
+//!   [`SparseLu::factor_ordered`](crate::SparseLu::factor_ordered).
 //!
 //! All three layers share one flat-CSR symmetrized adjacency
 //! ([`AdjacencyCsr`]): offsets plus a single index buffer, built with two
@@ -35,7 +36,7 @@ mod classic;
 
 pub use amd::amd_ordering;
 pub use btf::{block_triangular_form, maximum_transversal, BtfStructure};
-pub use classic::{min_degree_ordering, reverse_cuthill_mckee};
+pub use classic::min_degree_ordering;
 
 use crate::CscMatrix;
 
@@ -45,7 +46,7 @@ use crate::CscMatrix;
 ///
 /// One offsets array and one index buffer replace the historical
 /// `Vec<Vec<usize>>`: the build allocates exactly three vectors regardless
-/// of `n`, and every ordering (minimum degree, RCM, AMD) reads the same
+/// of `n`, and every ordering (minimum degree, AMD) reads the same
 /// structure.
 #[derive(Debug, Clone)]
 pub(crate) struct AdjacencyCsr {
@@ -129,11 +130,12 @@ impl AdjacencyCsr {
     }
 }
 
-/// A block-aware column ordering: the composition of a block-triangular
-/// permutation with an independent AMD ordering of every diagonal block —
-/// what [`ColumnOrdering::AmdBtf`] feeds the factorization.
-///
-/// [`ColumnOrdering::AmdBtf`]: crate::ColumnOrdering::AmdBtf
+/// A block-aware column ordering, the input of
+/// [`SparseLu::factor_ordered`](crate::SparseLu::factor_ordered): in
+/// production the composition of a block-triangular permutation with an
+/// independent AMD ordering of every diagonal block
+/// ([`amd_btf_ordering`]), in tests also a plain permutation wrapped as
+/// one block ([`BlockOrdering::single_block`]).
 #[derive(Debug, Clone)]
 pub struct BlockOrdering {
     /// Column ordering: column `perm[k]` is eliminated at pivot step `k`.

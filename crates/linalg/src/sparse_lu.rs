@@ -24,9 +24,7 @@
 use std::sync::Arc;
 
 use crate::dense::{dot_lanes, panel_rank_update, trsv_unit_lower};
-use crate::ordering::{
-    amd_btf_ordering, amd_ordering, min_degree_ordering, reverse_cuthill_mckee, BlockOrdering,
-};
+use crate::ordering::{amd_btf_ordering, BlockOrdering};
 use crate::supernode::{SupernodePlan, SupernodeStats, SymbolicView, MAX_SN_WIDTH, NO_SLOT};
 use crate::{CscMatrix, LinalgError};
 
@@ -34,10 +32,8 @@ pub(crate) const NO_PIVOT: usize = usize::MAX;
 
 /// Smallest system whose dense solves ([`SparseLu::solve_into`],
 /// [`SparseLu::solve_multi_into`]) run through the supernode panels.
-/// Smaller systems keep the scalar substitution: its updates land in
-/// exactly the per-entry order the sparse-RHS solves replicate, preserving
-/// their bit-identical contract, and a panel gather would not pay for
-/// itself there anyway.
+/// Smaller systems keep the scalar per-entry substitution: a panel gather
+/// would not pay for itself there.
 const SN_SOLVE_MIN_DIM: usize = 512;
 
 /// Sorts `keys` ascending, applying the same permutation to `vals`: an
@@ -98,6 +94,53 @@ fn sort_paired_insertion(keys: &mut [usize], vals: &mut [f64]) {
         keys[j] = k;
         vals[j] = v;
     }
+}
+
+/// [`LinalgError::NotSquare`] unless `a` is square.
+fn ensure_square(a: &CscMatrix) -> Result<(), LinalgError> {
+    if a.rows() == a.cols() {
+        Ok(())
+    } else {
+        Err(LinalgError::NotSquare {
+            rows: a.rows(),
+            cols: a.cols(),
+        })
+    }
+}
+
+/// Rejects a [`BlockOrdering`] that would index out of bounds in the
+/// factorization: `perm` must be a permutation of `0..n`, `block_ptr` must
+/// run strictly increasing from 0 to `n` (just `[0]` when `n == 0`), and
+/// `diag_rows` must hold one row `< n` per step. Each failure reports the
+/// expected bound and the offending value or length.
+fn validate_ordering(ord: &BlockOrdering, n: usize) -> Result<(), LinalgError> {
+    let mismatch = |expected, found| Err(LinalgError::DimensionMismatch { expected, found });
+    if ord.perm.len() != n {
+        return mismatch(n, ord.perm.len());
+    }
+    let mut seen = vec![false; n];
+    for &c in &ord.perm {
+        if c >= n || seen[c] {
+            return mismatch(n, c);
+        }
+        seen[c] = true;
+    }
+    if ord.block_ptr.first() != Some(&0) {
+        return mismatch(0, ord.block_ptr.first().copied().unwrap_or(usize::MAX));
+    }
+    if let Some(w) = ord.block_ptr.windows(2).find(|w| w[0] >= w[1]) {
+        return mismatch(w[0] + 1, w[1]);
+    }
+    if ord.block_ptr.last() != Some(&n) {
+        return mismatch(n, ord.block_ptr.last().copied().unwrap_or(0));
+    }
+    if ord.diag_rows.len() != n {
+        return mismatch(n, ord.diag_rows.len());
+    }
+    if let Some(&r) = ord.diag_rows.iter().find(|&&r| r >= n) {
+        return mismatch(n, r);
+    }
+    Ok(())
 }
 
 /// Shared prologue of the scalar and blocked replay steps: zeroes the
@@ -201,10 +244,7 @@ fn finish_step_column(
     for &r in &sym.l_rows[llo..lhi] {
         col_max = col_max.max(x[r].abs());
     }
-    if !pivot_val.is_finite()
-        || pivot_val.abs() <= sym.zero_tol
-        || pivot_val.abs() < 1e-10 * col_max
-    {
+    if !pivot_val.is_finite() || pivot_val == 0.0 || pivot_val.abs() < 1e-10 * col_max {
         return Err(LinalgError::Singular { column: sym.q[k] });
     }
     va.u[sym.u_ptr[k + 1] - 1] = pivot_val;
@@ -333,43 +373,17 @@ fn refactor_step_blocked(
     Ok(())
 }
 
-/// Column-ordering strategy for [`SparseLu`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ColumnOrdering {
-    /// Factor in natural column order.
-    Natural,
-    /// Greedy minimum degree on the symmetrized pattern. Superseded by
-    /// [`ColumnOrdering::Amd`] as the production ordering; kept as the
-    /// exact-degree oracle and for fill comparisons.
-    MinDegree,
-    /// Reverse Cuthill–McKee.
-    Rcm,
-    /// Approximate minimum degree on a quotient graph (supervariables,
-    /// element absorption, approximate external degrees) — see
-    /// [`amd_ordering`](crate::amd_ordering).
-    Amd,
-    /// The default: block-triangular form (maximum transversal + Tarjan
-    /// SCC) with an independent AMD ordering per diagonal block. The
-    /// factorization never fills below a diagonal block and each block
-    /// factors as its own matrix. See
-    /// [`amd_btf_ordering`](crate::amd_btf_ordering).
-    #[default]
-    AmdBtf,
-}
-
-/// Options controlling [`SparseLu::factor_with`].
+/// Options controlling [`SparseLu::factor_with`]. The column ordering is
+/// not an option: every production factor is ordered by
+/// [`amd_btf_ordering`](crate::amd_btf_ordering); reference factors under
+/// another ordering go through [`SparseLu::factor_ordered`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparseLuOptions {
-    /// Column ordering strategy.
-    pub ordering: ColumnOrdering,
     /// Threshold in `(0, 1]` for diagonal-preferring partial pivoting: the
     /// diagonal entry is accepted as pivot when its magnitude is at least
     /// `pivot_threshold` times the column maximum. `1.0` forces strict
     /// partial pivoting.
     pub pivot_threshold: f64,
-    /// Entries with magnitude at or below this are treated as numerically
-    /// zero when selecting pivots.
-    pub zero_tolerance: f64,
     /// Detect supernodes after the symbolic analysis and run the blocked
     /// numeric kernels (dense panel updates, supernode-aware triangular
     /// solves) wherever multi-column supernodes exist. Disabling this keeps
@@ -387,9 +401,7 @@ pub struct SparseLuOptions {
 impl Default for SparseLuOptions {
     fn default() -> Self {
         SparseLuOptions {
-            ordering: ColumnOrdering::default(),
             pivot_threshold: 0.1,
-            zero_tolerance: 0.0,
             supernodal: true,
             amalgamation: 4,
         }
@@ -437,86 +449,6 @@ impl LuWorkspace {
     }
 }
 
-/// Densify bail-out threshold for the multi-block sparse solve: once a
-/// block's L reach or U-closure pattern holds at least
-/// `span / DENSIFY_DIVISOR` steps, the reach bookkeeping (worklist
-/// growth, two sorts, the closure DFS) is already costing more than
-/// scanning the block's remaining zero entries would, so the block is
-/// finished with dense span scans instead. The reach machinery is random
-/// access per element while the dense scans stream sequentially with
-/// `!= 0.0` guards, so the crossover sits at a *small* pattern fraction:
-/// on the rmat substrate's dominant SCC — where the solution of a single
-/// diode-pair RHS is structurally dense (~99% of the steps, via the U
-/// backward closure) — bailing past a 64th of the span takes the rank-1
-/// solve from 0.4× of the dense solve to parity, while a reach under
-/// that fraction (the case block-triangular solves exist for) still
-/// skips the span entirely.
-const DENSIFY_DIVISOR: usize = 64;
-
-/// Reusable scratch for [`SparseLu::solve_sparse_into`]: the step-indexed
-/// value vector, the epoch-stamped visited marks of the two reach DFSs and
-/// the reach/pattern lists. Hot loops (a session pushing a Woodbury term
-/// per diode flip) keep one so reach solves allocate nothing.
-#[derive(Debug, Clone, Default)]
-pub struct SparseSolveWorkspace {
-    /// Solution values indexed by pivot step; only reach entries are live.
-    xs: Vec<f64>,
-    /// Visit marks: `mark[s] >= epoch` means step `s` is in this solve's
-    /// pattern (`epoch` = L phase, `epoch + 1` = also U-explored).
-    mark: Vec<u32>,
-    epoch: u32,
-    stack: Vec<usize>,
-    lreach: Vec<usize>,
-    /// The full pattern (L-reach plus backward extension), sorted
-    /// descending by the backward pass. Per-block under a multi-block
-    /// factorization.
-    ureach: Vec<usize>,
-    pattern: Vec<usize>,
-    /// Pending seed steps of blocks not yet processed (multi-block solves:
-    /// right-hand-side entries plus fired cross-block contributions).
-    seeds: Vec<usize>,
-    /// Saved `(step, value)` pairs across the densify bail-out's wholesale
-    /// span clear (the live entries are few; streaming `fill(0.0)` plus a
-    /// re-scatter beats a mark-guarded pad scan).
-    scratch: Vec<(usize, f64)>,
-}
-
-impl SparseSolveWorkspace {
-    /// An empty workspace (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Indices of `out` written by the last
-    /// [`SparseLu::solve_sparse_into`] (unsorted); entries off this
-    /// pattern are exactly zero.
-    pub fn pattern(&self) -> &[usize] {
-        &self.pattern
-    }
-
-    fn reset(&mut self, n: usize) {
-        if self.xs.len() != n {
-            self.xs.clear();
-            self.xs.resize(n, 0.0);
-            self.mark.clear();
-            self.mark.resize(n, 0);
-            self.epoch = 0;
-        }
-        // Each solve consumes two mark values (L and U phase).
-        if self.epoch >= u32::MAX - 2 {
-            self.mark.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 2;
-        self.stack.clear();
-        self.lreach.clear();
-        self.ureach.clear();
-        self.pattern.clear();
-        self.seeds.clear();
-        self.scratch.clear();
-    }
-}
-
 /// The immutable, shareable half of a sparse LU factorization: column
 /// ordering `q`, pivot sequence, and the full symbolic `L`/`U` nonzero
 /// structure (the elimination plan).
@@ -546,11 +478,11 @@ pub struct SymbolicLu {
     pub(crate) u_ptr: Vec<usize>,
     pub(crate) u_rows: Vec<usize>,
     /// Diagonal-block boundaries in pivot-step space: block `t` owns steps
-    /// `block_ptr[t]..block_ptr[t + 1]`. Under the BTF ordering
-    /// ([`ColumnOrdering::AmdBtf`]) these are the strongly connected
-    /// components of the matched pattern (block
-    /// upper triangular: entries below a diagonal block are structurally
-    /// zero); every other ordering records the trivial single block. Each
+    /// `block_ptr[t]..block_ptr[t + 1]`. Under the production ordering
+    /// ([`amd_btf_ordering`](crate::amd_btf_ordering)) these are the
+    /// strongly connected components of the matched pattern (block upper
+    /// triangular: entries below a diagonal block are structurally zero);
+    /// a [`BlockOrdering::single_block`] reference records one block. Each
     /// block factors **independently** — neither `L` nor `U` crosses a
     /// boundary; the cross-block entries of the permuted matrix live in
     /// `off_ptr`/`off_rows` instead.
@@ -564,13 +496,6 @@ pub struct SymbolicLu {
     /// factorizations.
     pub(crate) off_ptr: Vec<usize>,
     pub(crate) off_rows: Vec<usize>,
-    /// Reach structures derived from the pattern, built lazily on first
-    /// use (sparse-RHS solves) so a plain factor + refactor + dense-solve
-    /// workflow pays nothing for them.
-    pub(crate) extras: std::sync::OnceLock<SymbolicExtras>,
-    /// Pivot zero-tolerance carried from the factorization options so every
-    /// numeric replay applies the same singularity test.
-    pub(crate) zero_tol: f64,
     /// Whether supernode detection is enabled (carried from the options).
     pub(crate) supernodal: bool,
     /// Relaxed-amalgamation knob (carried from the options).
@@ -578,28 +503,6 @@ pub struct SymbolicLu {
     /// Supernode partition + panel layout, built lazily on first numeric
     /// construction (the panels' value storage is sized from it).
     pub(crate) sn_plan: std::sync::OnceLock<Option<SupernodePlan>>,
-}
-
-/// Derived symbolic structures for the sparse-RHS solves; see
-/// [`SymbolicLu::extras`].
-#[derive(Debug)]
-pub(crate) struct SymbolicExtras {
-    /// Inverse column ordering: `qinv[q[k]] == k` for every step.
-    pub(crate) qinv: Vec<usize>,
-    /// `l_rows` mapped through `pinv` (pivot-step space): the sparse-RHS
-    /// solves walk the L graph step-to-step, and pre-applying the
-    /// permutation removes one indirection per traversed entry.
-    pub(crate) l_steps: Vec<usize>,
-    /// Transposed off-diagonal `U` structure ("rows of `U`"): step `s`'s
-    /// dependents — the later steps whose column replay reads `s` — are
-    /// `ut_steps[ut_ptr[s]..ut_ptr[s + 1]]`, with `ut_vals_idx` giving the
-    /// matching index into `u_vals`. The transposed backward sparse solve
-    /// ([`SparseLu::transposed_backward_sparse_into`]) walks this in
-    /// scatter form, touching exactly the within-reach edges — a gather
-    /// over the (huge, mostly off-reach) late U columns would not.
-    pub(crate) ut_ptr: Vec<usize>,
-    pub(crate) ut_steps: Vec<usize>,
-    pub(crate) ut_vals_idx: Vec<usize>,
 }
 
 impl SymbolicLu {
@@ -650,8 +553,8 @@ impl SymbolicLu {
     }
 
     /// Number of diagonal blocks of the block-triangular permutation this
-    /// factorization was built under (1 for non-BTF orderings or an
-    /// irreducible matrix).
+    /// factorization was built under (1 for a single-block reference
+    /// ordering or an irreducible matrix).
     pub fn block_count(&self) -> usize {
         self.block_ptr.len().saturating_sub(1)
     }
@@ -730,61 +633,6 @@ impl SymbolicLu {
     /// anyway, so callers skip the supernodal machinery entirely).
     pub(crate) fn blocked_plan(&self) -> Option<&SupernodePlan> {
         self.supernode_plan_raw().filter(|p| p.stats.multi > 0)
-    }
-
-    /// The lazily-built scheduling/reach structures. Thread-safe: the
-    /// symbolic plan is shared behind an `Arc` and the first caller (from
-    /// any thread) builds, everyone else reuses.
-    pub(crate) fn extras(&self) -> &SymbolicExtras {
-        self.extras.get_or_init(|| {
-            let n = self.n;
-            let (ut_ptr, ut_steps, ut_vals_idx) =
-                Self::build_u_transpose(n, &self.u_ptr, &self.u_rows);
-            let mut qinv = vec![0usize; n];
-            for (k, &c) in self.q.iter().enumerate() {
-                qinv[c] = k;
-            }
-            let l_steps = self.l_rows.iter().map(|&r| self.pinv[r]).collect();
-            SymbolicExtras {
-                qinv,
-                l_steps,
-                ut_ptr,
-                ut_steps,
-                ut_vals_idx,
-            }
-        })
-    }
-
-    /// Builds the transposed off-diagonal `U` structure: for each step,
-    /// the ascending list of its dependents plus the matching `u_vals`
-    /// indices.
-    fn build_u_transpose(
-        n: usize,
-        u_ptr: &[usize],
-        u_rows: &[usize],
-    ) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
-        let mut ut_ptr = vec![0usize; n + 1];
-        for k in 0..n {
-            for &s in &u_rows[u_ptr[k]..u_ptr[k + 1] - 1] {
-                ut_ptr[s + 1] += 1;
-            }
-        }
-        for s in 0..n {
-            ut_ptr[s + 1] += ut_ptr[s];
-        }
-        let nnz = ut_ptr[n];
-        let mut ut_steps = vec![0usize; nnz];
-        let mut ut_vals_idx = vec![0usize; nnz];
-        let mut cursor = ut_ptr.clone();
-        for k in 0..n {
-            let (lo, hi) = (u_ptr[k], u_ptr[k + 1] - 1);
-            for (idx, &s) in u_rows[lo..hi].iter().enumerate().map(|(o, s)| (lo + o, s)) {
-                ut_steps[cursor[s]] = k;
-                ut_vals_idx[cursor[s]] = idx;
-                cursor[s] += 1;
-            }
-        }
-        (ut_ptr, ut_steps, ut_vals_idx)
     }
 
     /// Builds a fresh numeric factor of `a` over this shared symbolic plan
@@ -913,36 +761,50 @@ impl SparseLu {
         Self::factor_with(a, &SparseLuOptions::default())
     }
 
-    /// Factors `a` with explicit [`SparseLuOptions`].
+    /// Factors `a` with explicit [`SparseLuOptions`] under the production
+    /// ordering, [`amd_btf_ordering`](crate::amd_btf_ordering).
     ///
     /// # Errors
     ///
     /// Same as [`SparseLu::factor`].
     pub fn factor_with(a: &CscMatrix, opts: &SparseLuOptions) -> Result<Self, LinalgError> {
-        if a.rows() != a.cols() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
+        ensure_square(a)?;
+        Self::factor_ordered(a, amd_btf_ordering(a), opts)
+    }
+
+    /// Factors `a` under a caller-supplied [`BlockOrdering`]: the column
+    /// order, the diagonal-block boundaries in step space and the
+    /// preferred pivot row per step. [`SparseLu::factor_with`] passes
+    /// [`amd_btf_ordering`](crate::amd_btf_ordering), which prefers the
+    /// matched row of each column (its structural anchor — for
+    /// zero-diagonal columns a diagonal preference would never fire).
+    /// Reference factors wrap a plain permutation in
+    /// [`BlockOrdering::single_block`], which prefers the diagonal.
+    ///
+    /// The blocks must be block upper triangular for `a` (as
+    /// `amd_btf_ordering` guarantees); a single block always is.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::NotSquare`] if `a` is not square;
+    /// [`LinalgError::DimensionMismatch`] if `ordering.perm` is not a
+    /// permutation of `0..n`, `ordering.block_ptr` does not run strictly
+    /// increasing from 0 to `n`, or `ordering.diag_rows` does not hold one
+    /// in-range row per step; [`LinalgError::Singular`] if a column has no
+    /// usable pivot.
+    pub fn factor_ordered(
+        a: &CscMatrix,
+        ordering: BlockOrdering,
+        opts: &SparseLuOptions,
+    ) -> Result<Self, LinalgError> {
+        ensure_square(a)?;
         let n = a.cols();
-        // The ordering layer hands back a block view: the column order, the
-        // diagonal-block boundaries in step space, and the preferred pivot
-        // row per step. Non-BTF orderings are a single block preferring the
-        // diagonal; AMD+BTF prefers the matched row of each column (its
-        // structural anchor — for zero-diagonal columns the diagonal
-        // preference never fired at all).
+        validate_ordering(&ordering, n)?;
         let BlockOrdering {
             perm: q,
             block_ptr,
             diag_rows,
-        } = match opts.ordering {
-            ColumnOrdering::Natural => BlockOrdering::single_block((0..n).collect()),
-            ColumnOrdering::MinDegree => BlockOrdering::single_block(min_degree_ordering(a)),
-            ColumnOrdering::Rcm => BlockOrdering::single_block(reverse_cuthill_mckee(a)),
-            ColumnOrdering::Amd => BlockOrdering::single_block(amd_ordering(a)),
-            ColumnOrdering::AmdBtf => amd_btf_ordering(a),
-        };
+        } = ordering;
 
         let mut pinv = vec![NO_PIVOT; n]; // original row -> pivot step
         let mut row_perm = vec![NO_PIVOT; n]; // pivot step -> original row
@@ -1077,18 +939,17 @@ impl SparseLu {
                     }
                 }
             }
-            if max_row == NO_PIVOT || max_mag <= opts.zero_tolerance {
+            if max_row == NO_PIVOT || max_mag == 0.0 {
                 for &r in &pattern {
                     x[r] = 0.0;
                 }
                 return Err(LinalgError::Singular { column: col });
             }
-            let pivot_row =
-                if diag_mag >= opts.pivot_threshold * max_mag && diag_mag > opts.zero_tolerance {
-                    pref_row
-                } else {
-                    max_row
-                };
+            let pivot_row = if diag_mag >= opts.pivot_threshold * max_mag && diag_mag > 0.0 {
+                pref_row
+            } else {
+                max_row
+            };
             let pivot_val = x[pivot_row];
             pinv[pivot_row] = k;
             row_perm[k] = pivot_row;
@@ -1148,8 +1009,6 @@ impl SparseLu {
             block_ptr,
             off_ptr,
             off_rows,
-            extras: std::sync::OnceLock::new(),
-            zero_tol: opts.zero_tolerance,
             supernodal: opts.supernodal,
             relax: opts.amalgamation,
             sn_plan: std::sync::OnceLock::new(),
@@ -1273,12 +1132,7 @@ impl SparseLu {
         a: &CscMatrix,
         ws: &mut LuWorkspace,
     ) -> Result<(), LinalgError> {
-        if a.rows() != a.cols() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
+        ensure_square(a)?;
         let sym = &self.sym;
         if a.cols() != sym.n {
             return Err(LinalgError::DimensionMismatch {
@@ -1808,582 +1662,6 @@ impl SparseLu {
         }
     }
 
-    /// Shared L phase of the sparse-RHS solves: computes the reach of `b`'s
-    /// pivot steps in the graph of `L` (edges step → `pinv[row]` per stored
-    /// `L` entry, always toward later steps), then runs the numeric forward
-    /// substitution over exactly those steps. Afterwards `ws.lreach` holds
-    /// the reach in ascending (topological) step order and `ws.xs` the
-    /// forward solution `z = L⁻¹ P b` on it.
-    fn forward_sparse_phase(
-        &self,
-        b: &[(usize, f64)],
-        ws: &mut SparseSolveWorkspace,
-    ) -> Result<(), LinalgError> {
-        let va = &self.vals;
-        let sym = &self.sym;
-        let n = sym.n;
-        for &(r, _) in b {
-            if r >= n {
-                return Err(LinalgError::DimensionMismatch {
-                    expected: n,
-                    found: r + 1,
-                });
-            }
-        }
-        ws.reset(n);
-        let l_steps = &sym.extras().l_steps;
-        let l_mark = ws.epoch;
-        for &(r, _) in b {
-            let seed = sym.pinv[r];
-            if ws.mark[seed] >= l_mark {
-                continue;
-            }
-            ws.mark[seed] = l_mark;
-            ws.xs[seed] = 0.0;
-            ws.lreach.push(seed);
-            ws.stack.push(seed);
-            while let Some(s) = ws.stack.pop() {
-                for &t in &l_steps[sym.l_ptr[s]..sym.l_ptr[s + 1]] {
-                    if ws.mark[t] < l_mark {
-                        ws.mark[t] = l_mark;
-                        ws.xs[t] = 0.0;
-                        ws.lreach.push(t);
-                        ws.stack.push(t);
-                    }
-                }
-            }
-        }
-        // Ascending step order is a topological order of the L graph and
-        // matches the dense solve's update order exactly.
-        ws.lreach.sort_unstable();
-
-        // Numeric forward solve over the reach only.
-        for &(r, v) in b {
-            ws.xs[sym.pinv[r]] += v;
-        }
-        for &s in &ws.lreach {
-            let zk = ws.xs[s];
-            if zk != 0.0 {
-                let (lo, hi) = (sym.l_ptr[s], sym.l_ptr[s + 1]);
-                for (&t, &lv) in l_steps[lo..hi].iter().zip(&va.l[lo..hi]) {
-                    ws.xs[t] -= zk * lv;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The forward **half** of a solve for a sparse right-hand side:
-    /// `ŵ = L⁻¹ P b`, returned as `(pivot step, value)` pairs in ascending
-    /// step order, touching only the L-reach of `b`.
-    ///
-    /// Unlike a full solve — whose result is structurally dense whenever
-    /// the system is irreducible — the forward half *stays* sparse, which
-    /// is what makes Woodbury bookkeeping cheap: [`LowRankUpdate`](crate::LowRankUpdate) stores
-    /// `ŵ` per rank-1 term and never materializes the dense `A⁻¹ u`.
-    ///
-    /// Under a multi-block factorization `L` is the *block-diagonal*
-    /// factor only — the cross-block coupling lives in the raw `A_off`
-    /// values applied by the full solves — so the forward and backward
-    /// halves no longer compose to `A⁻¹` on their own; use
-    /// [`SparseLu::solve_sparse_into`] instead.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::DimensionMismatch`] if any index of `b` is out of
-    /// range.
-    pub fn forward_sparse_into(
-        &self,
-        b: &[(usize, f64)],
-        ws: &mut SparseSolveWorkspace,
-        out: &mut Vec<(usize, f64)>,
-    ) -> Result<(), LinalgError> {
-        self.forward_sparse_phase(b, ws)?;
-        out.clear();
-        out.extend(ws.lreach.iter().map(|&s| (s, ws.xs[s])));
-        Ok(())
-    }
-
-    /// The transposed backward **half** of a solve for a sparse `v`:
-    /// `ĝ = U⁻ᵀ Qᵀ v` as `(pivot step, value)` pairs in ascending step
-    /// order. `Uᵀ` is lower triangular in step space, so this is a forward
-    /// substitution whose reach follows the *dependent* edges of the
-    /// stored `U` pattern (the transposed structure kept in the symbolic
-    /// plan) — again small for 1–2 nonzero `v`.
-    ///
-    /// Together with [`SparseLu::forward_sparse_into`] this gives the
-    /// capacitance entries of the Woodbury identity as sparse dot
-    /// products: `vᵀ A⁻¹ u = ĝ · ŵ` — for **single-block**
-    /// factorizations. Under a multi-block factorization `U` excludes the
-    /// cross-block coupling, so the identity does not hold; multi-block
-    /// callers go through [`SparseLu::solve_sparse_into`].
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::DimensionMismatch`] if any index of `v` is out of
-    /// range.
-    pub fn transposed_backward_sparse_into(
-        &self,
-        v: &[(usize, f64)],
-        ws: &mut SparseSolveWorkspace,
-        out: &mut Vec<(usize, f64)>,
-    ) -> Result<(), LinalgError> {
-        let va = &self.vals;
-        let sym = &self.sym;
-        let n = sym.n;
-        for &(r, _) in v {
-            if r >= n {
-                return Err(LinalgError::DimensionMismatch {
-                    expected: n,
-                    found: r + 1,
-                });
-            }
-        }
-        ws.reset(n);
-        let ex = sym.extras();
-        let mark = ws.epoch;
-        // Reach of v̂'s steps along dependent edges (s → later steps whose
-        // U column contains s), i.e. the nonzero pattern of ĝ.
-        for &(r, _) in v {
-            let seed = ex.qinv[r];
-            if ws.mark[seed] >= mark {
-                continue;
-            }
-            ws.mark[seed] = mark;
-            ws.xs[seed] = 0.0;
-            ws.lreach.push(seed);
-            ws.stack.push(seed);
-            while let Some(s) = ws.stack.pop() {
-                for idx in ex.ut_ptr[s]..ex.ut_ptr[s + 1] {
-                    let t = ex.ut_steps[idx];
-                    if ws.mark[t] < mark {
-                        ws.mark[t] = mark;
-                        ws.xs[t] = 0.0;
-                        ws.lreach.push(t);
-                        ws.stack.push(t);
-                    }
-                }
-            }
-        }
-        ws.lreach.sort_unstable();
-        for &(r, val) in v {
-            ws.xs[ex.qinv[r]] += val;
-        }
-        // Scatter recurrence in ascending step order: once ĝ[s] is final,
-        // push its contribution along s's dependent edges. This touches
-        // exactly the within-reach edges; the gather form would walk the
-        // full (late, huge) U columns of every reach step instead.
-        for &s in &ws.lreach {
-            let gk = ws.xs[s] / va.u[sym.u_ptr[s + 1] - 1];
-            ws.xs[s] = gk;
-            if gk != 0.0 {
-                for idx in ex.ut_ptr[s]..ex.ut_ptr[s + 1] {
-                    ws.xs[ex.ut_steps[idx]] -= va.u[ex.ut_vals_idx[idx]] * gk;
-                }
-            }
-        }
-        out.clear();
-        out.extend(ws.lreach.iter().map(|&s| (s, ws.xs[s])));
-        Ok(())
-    }
-
-    /// Completes a sparse forward half into a full solution:
-    /// `x = Q U⁻¹ s` for a step-space `s` (e.g. the `ŵ` of
-    /// [`SparseLu::forward_sparse_into`]), written densely into `out`.
-    ///
-    /// The backward half of an irreducible system is structurally dense,
-    /// so no reach is computed — this is a plain backward substitution
-    /// seeded by the scattered `s`, skipping only the `O(n)` forward scan
-    /// and the RHS permutation of a full [`SparseLu::solve_into`]. This is
-    /// how [`LowRankUpdate`](crate::LowRankUpdate) materializes the dense `zⱼ = A⁻¹ uⱼ` it
-    /// axpy-applies per solve, without ever forming a dense right-hand
-    /// side. Single-block factorizations only, like the halves it
-    /// completes: a multi-block `U` omits the cross-block coupling.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::DimensionMismatch`] if a step index is out of range.
-    pub fn backward_dense_from_steps(
-        &self,
-        s: &[(usize, f64)],
-        work: &mut Vec<f64>,
-        out: &mut Vec<f64>,
-    ) -> Result<(), LinalgError> {
-        let va = &self.vals;
-        let sym = &self.sym;
-        let n = sym.n;
-        for &(step, _) in s {
-            if step >= n {
-                return Err(LinalgError::DimensionMismatch {
-                    expected: n,
-                    found: step + 1,
-                });
-            }
-        }
-        work.clear();
-        work.resize(n, 0.0);
-        for &(step, val) in s {
-            work[step] += val;
-        }
-        for step in (0..n).rev() {
-            let (lo, hi) = (sym.u_ptr[step], sym.u_ptr[step + 1]);
-            let yk = work[step] / va.u[hi - 1];
-            work[step] = yk;
-            if yk != 0.0 {
-                for idx in lo..(hi - 1) {
-                    work[sym.u_rows[idx]] -= yk * va.u[idx];
-                }
-            }
-        }
-        out.clear();
-        out.resize(n, 0.0);
-        for k in 0..n {
-            out[sym.q[k]] = work[k];
-        }
-        Ok(())
-    }
-
-    /// Solves `A x = b` for a **sparse** right-hand side `b` given as
-    /// `(index, value)` pairs (duplicates accumulate), touching only the
-    /// factor columns that can influence the result.
-    ///
-    /// This is the Gilbert–Peierls reach trick applied to the solve phase:
-    /// a DFS over the structure of `L` from the pivot steps of `b`'s
-    /// nonzero rows computes the symbolic nonzero pattern of the forward
-    /// solution, a second DFS over `U` extends it to the backward phase,
-    /// and the numeric substitution then visits only those steps — for a
-    /// 1–2 nonzero RHS (a Woodbury rank-1 term from a diode flip) that is
-    /// typically a small fraction of the system. On its reach set the
-    /// result is bit-identical to [`SparseLu::solve_into`] (same updates,
-    /// same order); outside it, exact zeros.
-    ///
-    /// `out` is resized to the system dimension with the solution values;
-    /// `ws.pattern()` lists the (unsorted) indices of `out` the solve
-    /// computed — every entry off that pattern is exactly `0.0`.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::DimensionMismatch`] if any index of `b` is out of
-    /// range.
-    pub fn solve_sparse_into(
-        &self,
-        b: &[(usize, f64)],
-        ws: &mut SparseSolveWorkspace,
-        out: &mut Vec<f64>,
-    ) -> Result<(), LinalgError> {
-        let va = &self.vals;
-        let sym = &self.sym;
-        let n = sym.n;
-        if sym.block_count() > 1 {
-            return self.solve_sparse_multiblock(b, ws, out);
-        }
-        self.forward_sparse_phase(b, ws)?;
-        let l_mark = ws.epoch; // visited in the L phase
-        let u_mark = ws.epoch + 1; // explored in the U phase
-
-        // Symbolic backward pattern: extend the forward reach through U
-        // (edges step -> earlier steps per off-diagonal U entry).
-        ws.ureach.extend_from_slice(&ws.lreach);
-        for i in 0..ws.lreach.len() {
-            let seed = ws.lreach[i];
-            if ws.mark[seed] >= u_mark {
-                continue;
-            }
-            ws.mark[seed] = u_mark;
-            ws.stack.push(seed);
-            while let Some(t) = ws.stack.pop() {
-                for idx in sym.u_ptr[t]..sym.u_ptr[t + 1] - 1 {
-                    let s = sym.u_rows[idx];
-                    if ws.mark[s] < l_mark {
-                        // Newly reached: join the pattern with value 0.
-                        ws.xs[s] = 0.0;
-                        ws.ureach.push(s);
-                    }
-                    if ws.mark[s] < u_mark {
-                        ws.mark[s] = u_mark;
-                        ws.stack.push(s);
-                    }
-                }
-            }
-        }
-        // Descending step order: topological for U, identical to the dense
-        // backward substitution's visit order.
-        ws.ureach.sort_unstable_by(|a, b| b.cmp(a));
-
-        // Numeric backward solve over the combined reach.
-        for &t in &ws.ureach {
-            let (lo, hi) = (sym.u_ptr[t], sym.u_ptr[t + 1]);
-            let yk = ws.xs[t] / va.u[hi - 1];
-            ws.xs[t] = yk;
-            if yk != 0.0 {
-                for idx in lo..hi - 1 {
-                    ws.xs[sym.u_rows[idx]] -= yk * va.u[idx];
-                }
-            }
-        }
-
-        // Scatter through the column permutation: x[q[t]] = y[t].
-        out.clear();
-        out.resize(n, 0.0);
-        for &t in &ws.ureach {
-            let dst = sym.q[t];
-            out[dst] = ws.xs[t];
-            ws.pattern.push(dst);
-        }
-        Ok(())
-    }
-
-    /// The multi-block sparse solve: blocks are visited in descending
-    /// order starting from the blocks holding `b`'s pivot steps. Each
-    /// visited block runs the in-block reach-based forward/backward
-    /// substitution, then fires its raw cross-block `A_off` entries into
-    /// earlier blocks, seeding them for a later visit — the seed queue in
-    /// `ws.seeds` plays the role of the dense path's pending right-hand
-    /// side. Every update lands in the same order as
-    /// [`SparseLu::solve_into`] (block descending, step ascending, entry
-    /// ascending), so the result is bit-identical on the reach and
-    /// exactly zero off it.
-    ///
-    /// A block whose L reach grows past `span / DENSIFY_DIVISOR` is
-    /// finished with dense span scans instead: on a near-irreducible
-    /// block the solution is structurally dense (the rmat substrate's
-    /// dominant SCC reaches ~99% of its steps from a single diode pair),
-    /// and the reach sorts plus the U-closure DFS then cost more than
-    /// the zero-entry scans they avoid. The `!= 0.0` guards make the
-    /// dense scans perform exactly the updates the dense path performs,
-    /// so the bail-out never changes a bit of the result — only which
-    /// bookkeeping computes it.
-    fn solve_sparse_multiblock(
-        &self,
-        b: &[(usize, f64)],
-        ws: &mut SparseSolveWorkspace,
-        out: &mut Vec<f64>,
-    ) -> Result<(), LinalgError> {
-        let va = &self.vals;
-        let sym = &self.sym;
-        let n = sym.n;
-        for &(r, _) in b {
-            if r >= n {
-                return Err(LinalgError::DimensionMismatch {
-                    expected: n,
-                    found: r + 1,
-                });
-            }
-        }
-        ws.reset(n);
-        // One mark pair serves every block: block step ranges are
-        // disjoint, so a step is claimed by at most one block visit.
-        let l_mark = ws.epoch;
-        let u_mark = ws.epoch + 1;
-        let ex = sym.extras();
-        let l_steps = &ex.l_steps;
-
-        // Seed the pivot steps of b's rows; values accumulate in input
-        // order, exactly as the dense path reads `P b`.
-        for &(r, v) in b {
-            let s = sym.pinv[r];
-            if ws.mark[s] < l_mark {
-                ws.mark[s] = l_mark;
-                ws.xs[s] = 0.0;
-                ws.seeds.push(s);
-            }
-            ws.xs[s] += v;
-        }
-
-        out.clear();
-        out.resize(n, 0.0);
-
-        while !ws.seeds.is_empty() {
-            // The block holding the largest pending seed; off edges only
-            // target strictly earlier blocks, so blocks are visited in
-            // strictly descending order, each at most once.
-            ws.seeds.sort_unstable_by(|a, b| b.cmp(a));
-            let t = sym.block_ptr.partition_point(|&p| p <= ws.seeds[0]) - 1;
-            let block_lo = sym.block_ptr[t];
-            let block_hi = sym.block_ptr[t + 1];
-            let span = block_hi - block_lo;
-            let cut = ws.seeds.partition_point(|&s| s >= block_lo);
-            ws.lreach.clear();
-            ws.lreach.extend(ws.seeds.drain(..cut));
-
-            // Symbolic L reach (worklist scan; L never leaves the
-            // block), abandoned the moment it covers a
-            // `DENSIFY_DIVISOR`-th of the block.
-            let mut dense = ws.lreach.len() * DENSIFY_DIVISOR >= span;
-            let mut i = 0;
-            while !dense && i < ws.lreach.len() {
-                let s = ws.lreach[i];
-                i += 1;
-                for &t2 in &l_steps[sym.l_ptr[s]..sym.l_ptr[s + 1]] {
-                    if ws.mark[t2] < l_mark {
-                        ws.mark[t2] = l_mark;
-                        ws.xs[t2] = 0.0;
-                        ws.lreach.push(t2);
-                    }
-                }
-                dense = ws.lreach.len() * DENSIFY_DIVISOR >= span;
-            }
-
-            let mut forward_done = false;
-            if !dense {
-                // Ascending step order matches the dense forward order.
-                ws.lreach.sort_unstable();
-                for &s in &ws.lreach {
-                    let zk = ws.xs[s];
-                    if zk != 0.0 {
-                        let (lo, hi) = (sym.l_ptr[s], sym.l_ptr[s + 1]);
-                        for (&t2, &lv) in l_steps[lo..hi].iter().zip(&va.l[lo..hi]) {
-                            ws.xs[t2] -= zk * lv;
-                        }
-                    }
-                }
-                forward_done = true;
-
-                // Backward pattern: extend through U (in-block by
-                // construction — cross-block entries live in `A_off`).
-                // On a near-irreducible block this closure is where the
-                // pattern goes structurally dense (a tiny forward reach
-                // still back-propagates through almost every step), so
-                // the same bail-out applies: stop exploring the moment
-                // the pattern covers a `DENSIFY_DIVISOR`-th of the span.
-                // Abandoning mid-DFS is safe — every value computed so
-                // far is exact and the padding below supplies the zeros.
-                ws.ureach.clear();
-                ws.ureach.extend_from_slice(&ws.lreach);
-                let mut i = 0;
-                'closure: while i < ws.lreach.len() {
-                    let seed = ws.lreach[i];
-                    i += 1;
-                    if ws.mark[seed] >= u_mark {
-                        continue;
-                    }
-                    ws.mark[seed] = u_mark;
-                    ws.stack.push(seed);
-                    while let Some(t2) = ws.stack.pop() {
-                        for idx in sym.u_ptr[t2]..sym.u_ptr[t2 + 1] - 1 {
-                            let s2 = sym.u_rows[idx];
-                            if ws.mark[s2] < l_mark {
-                                ws.xs[s2] = 0.0;
-                                ws.ureach.push(s2);
-                            }
-                            if ws.mark[s2] < u_mark {
-                                ws.mark[s2] = u_mark;
-                                ws.stack.push(s2);
-                            }
-                        }
-                        if ws.ureach.len() * DENSIFY_DIVISOR >= span {
-                            dense = true;
-                            ws.stack.clear();
-                            break 'closure;
-                        }
-                    }
-                }
-            }
-
-            if dense {
-                // Pad the span so the scans below execute precisely the
-                // updates the dense path would (the guards skip the
-                // padding). Marks are left stale on purpose — a block is
-                // visited at most once and off entries only target
-                // earlier blocks, so nothing reads this span's marks
-                // again this solve.
-                if forward_done {
-                    // Mid-closure bail: the pattern entries hold exact
-                    // forward values, everything else in the span is an
-                    // exact zero.
-                    for s in block_lo..block_hi {
-                        if ws.mark[s] < l_mark {
-                            ws.xs[s] = 0.0;
-                        }
-                    }
-                } else {
-                    // L-phase bail: the live entries are the few seeds
-                    // and expansion steps in `lreach` — save them, clear
-                    // the span wholesale (a streaming fill beats a
-                    // mark-guarded scan), re-scatter, and run the dense
-                    // forward scan.
-                    ws.scratch.clear();
-                    ws.scratch.extend(ws.lreach.iter().map(|&s| (s, ws.xs[s])));
-                    ws.xs[block_lo..block_hi].fill(0.0);
-                    for &(s, v) in &ws.scratch {
-                        ws.xs[s] = v;
-                    }
-                    for s in block_lo..block_hi {
-                        let zk = ws.xs[s];
-                        if zk != 0.0 {
-                            let (lo, hi) = (sym.l_ptr[s], sym.l_ptr[s + 1]);
-                            for (&t2, &lv) in l_steps[lo..hi].iter().zip(&va.l[lo..hi]) {
-                                ws.xs[t2] -= zk * lv;
-                            }
-                        }
-                    }
-                }
-                for s in (block_lo..block_hi).rev() {
-                    let (lo, hi) = (sym.u_ptr[s], sym.u_ptr[s + 1]);
-                    let yk = ws.xs[s] / va.u[hi - 1];
-                    ws.xs[s] = yk;
-                    if yk != 0.0 {
-                        for idx in lo..hi - 1 {
-                            ws.xs[sym.u_rows[idx]] -= yk * va.u[idx];
-                        }
-                    }
-                }
-                ws.pattern.extend_from_slice(&sym.q[block_lo..block_hi]);
-                for s in block_lo..block_hi {
-                    let yk = ws.xs[s];
-                    out[sym.q[s]] = yk;
-                    if yk != 0.0 {
-                        for idx in sym.off_ptr[s]..sym.off_ptr[s + 1] {
-                            let s2 = sym.pinv[sym.off_rows[idx]];
-                            if ws.mark[s2] < l_mark {
-                                ws.mark[s2] = l_mark;
-                                ws.xs[s2] = 0.0;
-                                ws.seeds.push(s2);
-                            }
-                            ws.xs[s2] -= va.off[idx] * yk;
-                        }
-                    }
-                }
-                continue;
-            }
-            ws.ureach.sort_unstable_by(|a, b| b.cmp(a));
-
-            // Numeric backward solve over the block's combined reach.
-            for &s in &ws.ureach {
-                let (lo, hi) = (sym.u_ptr[s], sym.u_ptr[s + 1]);
-                let yk = ws.xs[s] / va.u[hi - 1];
-                ws.xs[s] = yk;
-                if yk != 0.0 {
-                    for idx in lo..hi - 1 {
-                        ws.xs[sym.u_rows[idx]] -= yk * va.u[idx];
-                    }
-                }
-            }
-
-            // Emit the block's solution, then fire the cross-block
-            // entries in ascending step order (the dense scatter order),
-            // seeding the earlier blocks they land in.
-            for &s in ws.ureach.iter().rev() {
-                let dst = sym.q[s];
-                out[dst] = ws.xs[s];
-                ws.pattern.push(dst);
-                let yk = ws.xs[s];
-                if yk != 0.0 {
-                    for idx in sym.off_ptr[s]..sym.off_ptr[s + 1] {
-                        let s2 = sym.pinv[sym.off_rows[idx]];
-                        if ws.mark[s2] < l_mark {
-                            ws.mark[s2] = l_mark;
-                            ws.xs[s2] = 0.0;
-                            ws.seeds.push(s2);
-                        }
-                        ws.xs[s2] -= va.off[idx] * yk;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Solves `A x = b`, then applies one step of iterative refinement
     /// against the original matrix `a`: the residual `b - A x` is solved
     /// through the factor and the correction added to `x`.
@@ -2527,6 +1805,23 @@ mod tests {
         assert_eq!(x, vec![7.0, 3.0]);
     }
 
+    /// The single-block reference orderings the tests factor under: the
+    /// identity, exact minimum degree, AMD and a fixed scramble (the last
+    /// column first, then the rest in order).
+    fn reference_orderings(a: &CscMatrix) -> Vec<(&'static str, BlockOrdering)> {
+        let n = a.cols();
+        let scramble = (0..n).map(|k| (k + n - 1) % n).collect();
+        vec![
+            ("identity", BlockOrdering::single_block((0..n).collect())),
+            (
+                "min-degree",
+                BlockOrdering::single_block(crate::min_degree_ordering(a)),
+            ),
+            ("amd", BlockOrdering::single_block(crate::amd_ordering(a))),
+            ("scramble", BlockOrdering::single_block(scramble)),
+        ]
+    }
+
     #[test]
     fn all_orderings_agree() {
         let mut t = TripletMatrix::new(5, 5);
@@ -2540,21 +1835,13 @@ mod tests {
         let b = [1.0, 2.0, 3.0, 4.0, 5.0];
         let csc = t.to_csc();
         let xref = solve_dense_reference(&t, &b);
-        for ord in [
-            ColumnOrdering::Natural,
-            ColumnOrdering::MinDegree,
-            ColumnOrdering::Rcm,
-        ] {
-            let opts = SparseLuOptions {
-                ordering: ord,
-                ..Default::default()
-            };
-            let x = SparseLu::factor_with(&csc, &opts)
+        for (name, ord) in reference_orderings(&csc) {
+            let x = SparseLu::factor_ordered(&csc, ord, &SparseLuOptions::default())
                 .unwrap()
                 .solve(&b)
                 .unwrap();
             for (a, r) in x.iter().zip(&xref) {
-                assert!((a - r).abs() < 1e-10, "{ord:?}");
+                assert!((a - r).abs() < 1e-10, "{name}");
             }
         }
     }
@@ -2723,25 +2010,18 @@ mod tests {
         let a1 = fill(&|_| 1.0);
         // Perturb every entry differently so any skipped update shows up.
         let a2 = fill(&|i| 1.0 + 0.1 * (i as f64 + 1.0));
-        for ordering in [
-            ColumnOrdering::Natural,
-            ColumnOrdering::MinDegree,
-            ColumnOrdering::Rcm,
-        ] {
-            let opts = SparseLuOptions {
-                ordering,
-                ..Default::default()
-            };
-            let mut lu = SparseLu::factor_with(&a1, &opts).unwrap();
+        let opts = SparseLuOptions::default();
+        for (name, ordering) in reference_orderings(&a1) {
+            let mut lu = SparseLu::factor_ordered(&a1, ordering.clone(), &opts).unwrap();
             lu.refactor(&a2).unwrap();
             let b = [1.0, -2.0, 3.0, -4.0];
             let x = lu.solve(&b).unwrap();
-            let x_ref = SparseLu::factor_with(&a2, &opts)
+            let x_ref = SparseLu::factor_ordered(&a2, ordering, &opts)
                 .unwrap()
                 .solve(&b)
                 .unwrap();
             for (a, r) in x.iter().zip(&x_ref) {
-                assert!((a - r).abs() < 1e-12, "{ordering:?}: {a} vs {r}");
+                assert!((a - r).abs() < 1e-12, "{name}: {a} vs {r}");
             }
         }
     }
@@ -2837,31 +2117,6 @@ mod tests {
         assert_eq!(out, vec![2.0, 2.0]);
     }
 
-    fn grid_laplacian(side: usize) -> TripletMatrix {
-        let n = side * side;
-        let mut t = TripletMatrix::new(n, n);
-        let id = |r: usize, c: usize| r * side + c;
-        for r in 0..side {
-            for c in 0..side {
-                let me = id(r, c);
-                let mut deg = 1.0;
-                for (nr, nc) in [
-                    (r.wrapping_sub(1), c),
-                    (r + 1, c),
-                    (r, c.wrapping_sub(1)),
-                    (r, c + 1),
-                ] {
-                    if nr < side && nc < side {
-                        t.push(me, id(nr, nc), -1.0);
-                        deg += 1.0;
-                    }
-                }
-                t.push(me, me, deg);
-            }
-        }
-        t
-    }
-
     #[test]
     fn sort_paired_matches_insertion_oracle() {
         use rand::rngs::StdRng;
@@ -2883,140 +2138,6 @@ mod tests {
             assert_eq!(k1, k2, "len {len}");
             assert_eq!(v1, v2, "len {len}");
         }
-    }
-
-    #[test]
-    fn solve_sparse_matches_dense_solve_exactly() {
-        let side = 10;
-        let n = side * side;
-        let csc = grid_laplacian(side).to_csc();
-        let lu = SparseLu::factor(&csc).unwrap();
-        let mut ws = SparseSolveWorkspace::new();
-        let (mut work, mut dense_out, mut sparse_out) = (Vec::new(), Vec::new(), Vec::new());
-        let patterns: Vec<Vec<(usize, f64)>> = vec![
-            vec![],                                                 // empty RHS -> zero solution
-            vec![(3, 1.0)],                                         // single unit impulse
-            vec![(n - 1, -2.5), (7, 0.75)],                         // the rank-1 widget shape
-            vec![(5, 1.0), (5, 2.0)],                               // duplicates accumulate
-            (0..n).map(|i| (i, (i as f64 * 0.31).cos())).collect(), // full
-        ];
-        for (pi, pat) in patterns.iter().enumerate() {
-            let mut b = vec![0.0; n];
-            for &(i, v) in pat {
-                b[i] += v;
-            }
-            lu.solve_into(&b, &mut work, &mut dense_out).unwrap();
-            lu.solve_sparse_into(pat, &mut ws, &mut sparse_out).unwrap();
-            assert_eq!(sparse_out.len(), n);
-            for i in 0..n {
-                assert!(
-                    sparse_out[i] == dense_out[i],
-                    "pattern {pi}, unknown {i}: {} vs {}",
-                    sparse_out[i],
-                    dense_out[i]
-                );
-            }
-            // Everything off the reported pattern is exactly zero.
-            let mut on = vec![false; n];
-            for &i in ws.pattern() {
-                on[i] = true;
-            }
-            for i in 0..n {
-                if !on[i] {
-                    assert_eq!(sparse_out[i], 0.0, "pattern {pi}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn forward_half_solve_reach_is_small_for_local_rhs() {
-        // The *full* solution of an irreducible system is structurally
-        // dense, but the forward half ŵ = L⁻¹Pb — the quantity the
-        // Woodbury path stores per rank-1 term — must stay local.
-        let side = 40;
-        let n = side * side;
-        let lu = SparseLu::factor(&grid_laplacian(side).to_csc()).unwrap();
-        let mut ws = SparseSolveWorkspace::new();
-        let mut w = Vec::new();
-        let mut worst = 0usize;
-        for seed in [0usize, n / 2, n - 1] {
-            lu.forward_sparse_into(&[(seed, 1.0), ((seed + 41) % n, -1.0)], &mut ws, &mut w)
-                .unwrap();
-            worst = worst.max(w.len());
-        }
-        assert!(worst < n / 2, "forward reach {worst} of {n} is not sparse");
-    }
-
-    #[test]
-    fn partial_solves_compose_to_the_full_solve() {
-        // ĝ·ŵ must equal vᵀA⁻¹u, and Q U⁻¹ ŵ must equal A⁻¹u — the two
-        // identities the Woodbury path is built on.
-        let side = 9;
-        let n = side * side;
-        let csc = grid_laplacian(side).to_csc();
-        let lu = SparseLu::factor(&csc).unwrap();
-        let mut ws = SparseSolveWorkspace::new();
-        let u = [(5usize, 2.0), (47usize, -2.0)];
-        let v = [(5usize, 1.0), (47usize, -1.0)];
-        let (mut w, mut g) = (Vec::new(), Vec::new());
-        lu.forward_sparse_into(&u, &mut ws, &mut w).unwrap();
-        lu.transposed_backward_sparse_into(&v, &mut ws, &mut g)
-            .unwrap();
-
-        let mut u_dense = vec![0.0; n];
-        for &(i, val) in &u {
-            u_dense[i] += val;
-        }
-        let z = lu.solve(&u_dense).unwrap();
-        let direct: f64 = v.iter().map(|&(i, val)| val * z[i]).sum();
-        let dot = {
-            let (mut i, mut j, mut acc) = (0usize, 0usize, 0.0);
-            while i < g.len() && j < w.len() {
-                match g[i].0.cmp(&w[j].0) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        acc += g[i].1 * w[j].1;
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            acc
-        };
-        assert!(
-            (dot - direct).abs() < 1e-9 * direct.abs().max(1.0),
-            "{dot} vs {direct}"
-        );
-
-        // Completion half: Q U⁻¹ ŵ recovers A⁻¹u exactly as the push
-        // path materializes it.
-        let (mut work, mut out) = (Vec::new(), Vec::new());
-        lu.backward_dense_from_steps(&w, &mut work, &mut out)
-            .unwrap();
-        for i in 0..n {
-            assert!(
-                (out[i] - z[i]).abs() < 1e-10,
-                "unknown {i}: {} vs {}",
-                out[i],
-                z[i]
-            );
-        }
-    }
-
-    #[test]
-    fn solve_sparse_rejects_out_of_range_index() {
-        let mut t = TripletMatrix::new(2, 2);
-        t.push(0, 0, 1.0);
-        t.push(1, 1, 1.0);
-        let lu = SparseLu::factor(&t.to_csc()).unwrap();
-        let mut ws = SparseSolveWorkspace::new();
-        let mut out = Vec::new();
-        assert!(matches!(
-            lu.solve_sparse_into(&[(2, 1.0)], &mut ws, &mut out),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
     }
 
     #[test]
@@ -3093,34 +2214,6 @@ mod tests {
     }
 
     #[test]
-    fn multiblock_sparse_solve_matches_dense_solve_exactly() {
-        let t = three_block_system(1.0);
-        let a = t.to_csc();
-        let lu = SparseLu::factor(&a).unwrap();
-        assert!(lu.symbolic().block_count() > 1);
-        let mut ws = SparseSolveWorkspace::new();
-        let mut sparse_out = Vec::new();
-        let (mut work, mut dense_out) = (Vec::new(), Vec::new());
-        // Seeds in every block, including duplicates, to exercise the
-        // cross-block seed queue.
-        let rhs_cases: &[&[(usize, f64)]] = &[
-            &[(7, 1.0)],
-            &[(0, 2.0)],
-            &[(4, -1.5), (8, 0.25)],
-            &[(6, 1.0), (6, 0.5), (2, -0.75)],
-        ];
-        for rhs in rhs_cases {
-            lu.solve_sparse_into(rhs, &mut ws, &mut sparse_out).unwrap();
-            let mut b = vec![0.0; 9];
-            for &(i, v) in rhs.iter() {
-                b[i] += v;
-            }
-            lu.solve_into(&b, &mut work, &mut dense_out).unwrap();
-            assert_eq!(sparse_out, dense_out, "rhs {rhs:?}");
-        }
-    }
-
-    #[test]
     fn multiblock_refactor_replays_off_values() {
         let t = three_block_system(1.0);
         let a = t.to_csc();
@@ -3138,5 +2231,50 @@ mod tests {
         for (xi, ri) in x.iter().zip(&x_ref) {
             assert!((xi - ri).abs() < 1e-12, "{xi} vs {ri}");
         }
+    }
+
+    #[test]
+    fn factor_ordered_rejects_malformed_orderings() {
+        let a = three_block_system(1.0).to_csc();
+        let opts = SparseLuOptions::default();
+        let good = BlockOrdering::single_block((0..9).collect());
+        SparseLu::factor_ordered(&a, good.clone(), &opts).expect("well-formed ordering");
+        let with = |edit: &dyn Fn(&mut BlockOrdering)| {
+            let mut ord = good.clone();
+            edit(&mut ord);
+            ord
+        };
+        let cases = [
+            ("perm too short", with(&|o| o.perm.truncate(8))),
+            ("perm out of range", with(&|o| o.perm[4] = 9)),
+            ("perm duplicate", with(&|o| o.perm[4] = 3)),
+            ("block_ptr empty", with(&|o| o.block_ptr.clear())),
+            ("block_ptr not from 0", with(&|o| o.block_ptr[0] = 1)),
+            ("block_ptr not to n", with(&|o| o.block_ptr[1] = 8)),
+            ("block_ptr past n", with(&|o| o.block_ptr[1] = 10)),
+            ("block_ptr repeat", with(&|o| o.block_ptr.insert(1, 0))),
+            (
+                "block_ptr decreasing",
+                with(&|o| o.block_ptr = vec![0, 5, 3, 9]),
+            ),
+            ("diag_rows too long", with(&|o| o.diag_rows.push(0))),
+            ("diag_rows out of range", with(&|o| o.diag_rows[2] = 9)),
+        ];
+        for (name, ord) in cases {
+            assert!(
+                matches!(
+                    SparseLu::factor_ordered(&a, ord, &opts),
+                    Err(LinalgError::DimensionMismatch { .. })
+                ),
+                "{name}"
+            );
+        }
+        // Non-square input is reported before the ordering is looked at.
+        let mut t = TripletMatrix::new(2, 3);
+        t.push(0, 0, 1.0);
+        assert!(matches!(
+            SparseLu::factor_ordered(&t.to_csc(), good, &opts),
+            Err(LinalgError::NotSquare { .. })
+        ));
     }
 }

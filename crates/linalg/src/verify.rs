@@ -2,7 +2,7 @@
 //!
 //! Nine PRs of ordering, supernode, and low-rank machinery have stacked up
 //! implicit structural invariants — block confinement of `L`/`U`,
-//! transposed-`U` agreement, panel slot-map bijectivity — that, until this
+//! cross-block entries, panel slot-map bijectivity — that, until this
 //! module, were only enforced indirectly by end-to-end proptests. KLU-style
 //! sparse-LU practice treats factor-structure validation as a first-class
 //! debugging tool: ordering and refactorization bugs corrupt *silently*
@@ -13,7 +13,7 @@
 //! was observed. Audits run in three modes:
 //!
 //! 1. **Auto-audit** under `debug_assertions` at the construction /
-//!    refactor / push seams (`SparseLu::factor_with`, `SparseLu::refactor*`,
+//!    refactor / push seams (`SparseLu::factor_ordered`, `SparseLu::refactor*`,
 //!    `LowRankUpdate::push*`) — compiled out of release builds entirely.
 //! 2. **Public API**: [`SymbolicLu::audit`](crate::SymbolicLu::audit),
 //!    [`SparseLu::audit`](crate::SparseLu::audit) and
@@ -24,9 +24,10 @@
 //!
 //! The mutation-kill tests at the bottom of this module seed deliberate
 //! corruptions — swapped permutation entries, an `L` row moved across a
-//! block boundary, a desynced transposed `U`, a broken supernode slot
-//! map — and assert each is caught under the *right* invariant name. An
-//! auditor that passes corrupt structures is worse than none.
+//! block boundary, a cross-block entry inside its own block, a broken
+//! supernode slot map — and assert each is caught under the *right*
+//! invariant name. An auditor that passes corrupt structures is worse than
+//! none.
 
 use std::error::Error;
 use std::fmt;
@@ -139,8 +140,7 @@ fn check_csr_ptr(
 impl SymbolicLu {
     /// Audits every structural invariant of the elimination plan: the
     /// permutations, the CSR layout, BTF block confinement of `L`/`U`,
-    /// cross-block entries reaching only earlier blocks, and transposed-U
-    /// agreement. Forces the lazy reach structures.
+    /// and cross-block entries reaching only earlier blocks.
     ///
     /// # Errors
     ///
@@ -241,48 +241,6 @@ impl SymbolicLu {
             }
         }
 
-        self.audit_transposed_u()
-    }
-
-    /// The reach-structure half of [`SymbolicLu::audit`]: transposed-U
-    /// agreement (forces the lazy extras).
-    fn audit_transposed_u(&self) -> Result<(), AuditError> {
-        const S: &str = "SymbolicLu";
-        let n = self.n;
-        let ex = self.extras();
-
-        // Transposed-U agreement: the scatter-form structure must encode
-        // exactly the stored U, entry for entry.
-        let mut cursor = ex.ut_ptr.to_vec();
-        if ex.ut_ptr.len() != n + 1 || ex.ut_steps.len() != ex.ut_vals_idx.len() {
-            return Err(fail(S, "ut-agreement", "shape mismatch".to_owned()));
-        }
-        for k in 0..n {
-            for idx in self.u_ptr[k]..self.u_ptr[k + 1] - 1 {
-                let s = self.u_rows[idx];
-                let c = cursor[s];
-                if c >= ex.ut_ptr[s + 1]
-                    || ex.ut_steps.get(c) != Some(&k)
-                    || ex.ut_vals_idx.get(c) != Some(&idx)
-                {
-                    return Err(fail(
-                        S,
-                        "ut-agreement",
-                        format!("U({s}, {k}) at vals index {idx} missing from transposed U"),
-                    ));
-                }
-                cursor[s] += 1;
-            }
-        }
-        for (s, (&c, &end)) in cursor.iter().zip(&ex.ut_ptr[1..]).enumerate() {
-            if c != end {
-                return Err(fail(
-                    S,
-                    "ut-agreement",
-                    format!("transposed-U row {s} has surplus entries"),
-                ));
-            }
-        }
         Ok(())
     }
 
@@ -650,19 +608,6 @@ mod tests {
             sym.off_rows.push(sym.row_perm[0]);
         });
         assert_eq!(err.invariant, "off-earlier-block");
-    }
-
-    #[test]
-    fn mutation_transposed_u_desync() {
-        let err = corrupted_sym(8, |sym| {
-            let _ = sym.extras();
-            sym.extras
-                .get_mut()
-                .expect("extras forced")
-                .ut_steps
-                .swap(0, 1);
-        });
-        assert_eq!(err.invariant, "ut-agreement");
     }
 
     #[test]

@@ -3,9 +3,33 @@
 use proptest::prelude::*;
 
 use ohmflow_linalg::{
-    min_degree_ordering, reverse_cuthill_mckee, ColumnOrdering, DenseMatrix, LowRankUpdate,
+    amd_ordering, min_degree_ordering, BlockOrdering, CscMatrix, DenseMatrix, LowRankUpdate,
     RankOneTermRef, SparseLu, SparseLuOptions, TripletMatrix,
 };
+
+/// The identity (natural-order) single-block ordering of an `n × n` system.
+fn identity(n: usize) -> BlockOrdering {
+    BlockOrdering::single_block((0..n).collect())
+}
+
+/// A uniformly random permutation of `0..n` from `seed` (Fisher–Yates),
+/// as a single-block ordering: the arbitrary-permutation reference.
+fn shuffled(n: usize, seed: u64) -> BlockOrdering {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut perm: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        perm.swap(i, rng.gen_range(0..=i));
+    }
+    BlockOrdering::single_block(perm)
+}
+
+/// Factors `a` under a single-block reference ordering with default
+/// options.
+fn factor_ordered(a: &CscMatrix, ordering: BlockOrdering) -> SparseLu {
+    SparseLu::factor_ordered(a, ordering, &SparseLuOptions::default()).unwrap()
+}
 
 /// A random diagonally-dominant sparse system (always solvable).
 fn arb_system(max_n: usize) -> impl Strategy<Value = (TripletMatrix, Vec<f64>)> {
@@ -58,14 +82,21 @@ proptest! {
     }
 
     #[test]
-    fn every_ordering_solves_the_same_system((t, b) in arb_system(16)) {
+    fn every_ordering_solves_the_same_system(
+        (t, b) in arb_system(16),
+        perm_seed in any::<u64>(),
+    ) {
         let csc = t.to_csc();
+        let n = csc.cols();
         let xref = dense_reference(&t, &b);
-        for ordering in [ColumnOrdering::Natural, ColumnOrdering::MinDegree, ColumnOrdering::Rcm] {
-            let opts = SparseLuOptions { ordering, ..Default::default() };
-            let x = SparseLu::factor_with(&csc, &opts).unwrap().solve(&b).unwrap();
+        for (name, ordering) in [
+            ("identity", identity(n)),
+            ("min-degree", BlockOrdering::single_block(min_degree_ordering(&csc))),
+            ("shuffled", shuffled(n, perm_seed)),
+        ] {
+            let x = factor_ordered(&csc, ordering).solve(&b).unwrap();
             for (a, r) in x.iter().zip(&xref) {
-                prop_assert!((a - r).abs() < 1e-7, "{ordering:?}: {a} vs {r}");
+                prop_assert!((a - r).abs() < 1e-7, "{name}: {a} vs {r}");
             }
         }
     }
@@ -73,14 +104,13 @@ proptest! {
     #[test]
     fn orderings_are_permutations((t, _b) in arb_system(24)) {
         let csc = t.to_csc();
-        for perm in [min_degree_ordering(&csc), reverse_cuthill_mckee(&csc)] {
-            let n = csc.cols();
-            let mut seen = vec![false; n];
-            prop_assert_eq!(perm.len(), n);
-            for &p in &perm {
-                prop_assert!(p < n && !seen[p]);
-                seen[p] = true;
-            }
+        let perm = min_degree_ordering(&csc);
+        let n = csc.cols();
+        let mut seen = vec![false; n];
+        prop_assert_eq!(perm.len(), n);
+        for &p in &perm {
+            prop_assert!(p < n && !seen[p]);
+            seen[p] = true;
         }
     }
 
@@ -180,74 +210,6 @@ fn same_pattern_variant(csc: &ohmflow_linalg::CscMatrix) -> ohmflow_linalg::CscM
     t2.to_csc()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Reach-based sparse-RHS solves must match the dense solve exactly on
-    /// their reach set (identical update sequence) and be exactly zero off
-    /// it — across random systems and random RHS patterns including the
-    /// empty and full ones.
-    #[test]
-    fn sparse_solve_matches_dense_for_random_patterns(
-        (t, b) in arb_system(28),
-        density_pick in 0..4usize,
-        pattern_seed in any::<u64>(),
-    ) {
-        use ohmflow_linalg::SparseSolveWorkspace;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let n = b.len();
-        let csc = t.to_csc();
-        let lu = SparseLu::factor(&csc).unwrap();
-
-        // Empty, sparse (1-2 nonzeros, the Woodbury shape), medium, full.
-        let mut rng = StdRng::seed_from_u64(pattern_seed);
-        let sparse_b: Vec<(usize, f64)> = match density_pick {
-            0 => Vec::new(),
-            1 => (0..rng.gen_range(1..3usize))
-                .map(|_| (rng.gen_range(0..n), rng.gen_range(-3.0..3.0)))
-                .collect(),
-            2 => {
-                let mut pat = Vec::new();
-                for i in 0..n {
-                    if rng.gen_bool(0.3) {
-                        pat.push((i, rng.gen_range(-3.0..3.0)));
-                    }
-                }
-                pat
-            }
-            _ => (0..n).map(|i| (i, b[i])).collect(),
-        };
-
-        let mut dense_b = vec![0.0; n];
-        for &(i, v) in &sparse_b {
-            dense_b[i] += v;
-        }
-        let (mut work, mut dense_out) = (Vec::new(), Vec::new());
-        lu.solve_into(&dense_b, &mut work, &mut dense_out).unwrap();
-
-        let mut ws = SparseSolveWorkspace::new();
-        let mut sparse_out = Vec::new();
-        lu.solve_sparse_into(&sparse_b, &mut ws, &mut sparse_out).unwrap();
-
-        prop_assert_eq!(sparse_out.len(), n);
-        let mut on_pattern = vec![false; n];
-        for &i in ws.pattern() {
-            on_pattern[i] = true;
-        }
-        for i in 0..n {
-            // Exact agreement on the reach; exact zeros off it.
-            prop_assert!(
-                sparse_out[i] == dense_out[i],
-                "unknown {}: sparse {} vs dense {}", i, sparse_out[i], dense_out[i]
-            );
-            if !on_pattern[i] {
-                prop_assert_eq!(sparse_out[i], 0.0);
-            }
-        }
-    }
-}
-
 /// An arbitrary sparse *pattern* (square, possibly disconnected, possibly
 /// structurally singular — empty rows/columns included): ordering
 /// construction must produce a valid permutation on anything.
@@ -331,37 +293,34 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Factors under every ordering — including the new AMD and AMD+BTF —
-    /// must agree with the Natural-order factorization to 1e-12: the
+    /// Factors under every reference ordering and the production AMD+BTF
+    /// must agree with the natural-order factorization to 1e-12: the
     /// permutation changes the elimination sequence, never the solution.
     #[test]
-    fn all_orderings_agree_with_natural_to_1e12((t, b) in arb_system(24)) {
+    fn all_orderings_agree_with_natural_to_1e12(
+        (t, b) in arb_system(24),
+        perm_seed in any::<u64>(),
+    ) {
         let csc = t.to_csc();
-        let natural = SparseLu::factor_with(
-            &csc,
-            &SparseLuOptions { ordering: ColumnOrdering::Natural, ..Default::default() },
-        )
-        .unwrap()
-        .solve(&b)
-        .unwrap();
-        for ordering in [
-            ColumnOrdering::MinDegree,
-            ColumnOrdering::Rcm,
-            ColumnOrdering::Amd,
-            ColumnOrdering::AmdBtf,
+        let n = csc.cols();
+        let natural = factor_ordered(&csc, identity(n)).solve(&b).unwrap();
+        for (name, lu) in [
+            ("min-degree", factor_ordered(&csc, BlockOrdering::single_block(min_degree_ordering(&csc)))),
+            ("shuffled", factor_ordered(&csc, shuffled(n, perm_seed))),
+            ("amd", factor_ordered(&csc, BlockOrdering::single_block(amd_ordering(&csc)))),
+            ("amd-btf", SparseLu::factor(&csc).unwrap()),
         ] {
-            let opts = SparseLuOptions { ordering, ..Default::default() };
-            let x = SparseLu::factor_with(&csc, &opts).unwrap().solve(&b).unwrap();
+            let x = lu.solve(&b).unwrap();
             for (a, r) in x.iter().zip(&natural) {
                 prop_assert!(
                     (a - r).abs() < 1e-12 * r.abs().max(1.0),
-                    "{:?}: {} vs natural {}", ordering, a, r
+                    "{}: {} vs natural {}", name, a, r
                 );
             }
         }
     }
 
-    /// Under the block orderings each diagonal block factors
+    /// Under the block ordering each diagonal block factors
     /// independently: **neither** `L` nor `U` may cross its diagonal
     /// block, and every raw cross-block (`A_off`) entry must target a row
     /// pivoted in a strictly earlier block. Refactoring with new
@@ -369,8 +328,7 @@ proptest! {
     #[test]
     fn btf_factor_never_crosses_block_boundaries((t, _b) in arb_system(28)) {
         let csc = t.to_csc();
-        let opts = SparseLuOptions { ordering: ColumnOrdering::AmdBtf, ..Default::default() };
-        let mut lu = SparseLu::factor_with(&csc, &opts).unwrap();
+        let mut lu = SparseLu::factor(&csc).unwrap();
         lu.refactor(&same_pattern_variant(&csc)).unwrap();
         let sym = lu.symbolic();
         let n = sym.dim();
@@ -459,16 +417,14 @@ proptest! {
     #[test]
     fn supernodal_refactor_matches_scalar((t, b) in arb_dense_tail_system()) {
         let csc = t.to_csc();
-        let sn_opts = SparseLuOptions {
-            ordering: ColumnOrdering::Natural,
-            ..SparseLuOptions::default()
-        };
+        let n = csc.cols();
+        let sn_opts = SparseLuOptions::default();
         let sc_opts = SparseLuOptions {
             supernodal: false,
             ..sn_opts
         };
-        let mut lu_sn = SparseLu::factor_with(&csc, &sn_opts).unwrap();
-        let mut lu_sc = SparseLu::factor_with(&csc, &sc_opts).unwrap();
+        let mut lu_sn = SparseLu::factor_ordered(&csc, identity(n), &sn_opts).unwrap();
+        let mut lu_sc = SparseLu::factor_ordered(&csc, identity(n), &sc_opts).unwrap();
         // Same elimination plan, so the comparison is kernel-vs-kernel.
         prop_assert_eq!(lu_sn.symbolic().pivot_rows(), lu_sc.symbolic().pivot_rows());
         let stats = lu_sn.symbolic().supernode_stats().expect("detection enabled");
@@ -495,11 +451,10 @@ proptest! {
         let mut solutions = Vec::new();
         for relax in [0usize, 4, 64] {
             let opts = SparseLuOptions {
-                ordering: ColumnOrdering::Natural,
                 amalgamation: relax,
                 ..SparseLuOptions::default()
             };
-            let mut lu = SparseLu::factor_with(&csc, &opts).unwrap();
+            let mut lu = SparseLu::factor_ordered(&csc, identity(csc.cols()), &opts).unwrap();
             lu.refactor(&csc2).unwrap();
             solutions.push(lu.solve(&b).unwrap());
         }

@@ -29,8 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plan = solver.plan(&g)?;
     let report = plan.report();
     println!(
-        "plan: nnz(L+U) {} in {} BTF blocks ({:?} ordering, cache hit: {})",
-        report.factor_nnz, report.block_count, report.ordering, report.cache_hit
+        "plan: nnz(L+U) {} in {} BTF blocks (cache hit: {})",
+        report.factor_nnz, report.block_count, report.cache_hit
     );
     let sol = plan.instance(&g)?.solve()?;
     println!("analog substrate max flow  : {:.4}", sol.value);

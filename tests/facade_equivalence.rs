@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ohmflow::{MaxFlowSolver, Problem, SolveOptions};
-use ohmflow_circuit::{ColumnOrdering, DcSolver, LuOptions};
+use ohmflow_circuit::{DcSolver, LuOptions};
 use ohmflow_graph::{generators, FlowNetwork};
 
 /// A random small flow network with a guaranteed source→sink spine plus
@@ -236,20 +236,19 @@ fn dc_plan_solve_matches_cold_solve() {
     }
 }
 
-/// Option-precedence audit: a plan built under AMD+BTF can never silently
-/// fall back to a differently-ordered fresh factorization — neither in
-/// the solver's plans, nor in sessions, nor in the cold fallback path of
-/// a mismatched plan (extending the PR 4 "templates remember their
+/// Option-precedence audit: a plan's factorization options reach its
+/// symbolic work, and a plan can never silently fall back to a
+/// differently-configured or single-block fresh factorization — neither
+/// in the solver's plans, nor in sessions, nor in the cold fallback path
+/// of a mismatched plan (extending the PR 4 "templates remember their
 /// options" guarantee to the solver).
 #[test]
 fn amd_btf_plan_never_falls_back_to_another_ordering() {
     let g = generators::fig15a(40);
 
     let mut opts = SolveOptions::ideal();
-    opts.lu.ordering = ColumnOrdering::AmdBtf;
-    // The *full* options must reach the plan's symbolic work, not just
-    // the ordering: strict partial pivoting is observable through
-    // `Plan::lu_options`.
+    // The options must reach the plan's symbolic work: strict partial
+    // pivoting is observable through `Plan::lu_options`.
     opts.lu.pivot_threshold = 1.0;
     let solver = MaxFlowSolver::new(opts);
     let plan = solver.plan(&g).expect("plan");
@@ -259,7 +258,6 @@ fn amd_btf_plan_never_falls_back_to_another_ordering() {
         "pivoting thresholds must flow into the plan's factorization"
     );
     let report = plan.report();
-    assert_eq!(report.ordering, ColumnOrdering::AmdBtf);
     assert!(
         report.block_count > 1,
         "AMD+BTF on fig15a(40) must decompose into blocks, got {}",
@@ -278,22 +276,10 @@ fn amd_btf_plan_never_falls_back_to_another_ordering() {
     assert!(sreport.templated, "plan-derived session must ride the plan");
     assert_eq!(sreport.block_count, report.block_count);
 
-    // A Natural-ordered solver on the same circuit shows the observable
-    // actually discriminates (one monolithic block).
-    let ckt = instance.substrate().circuit();
-    let (_, natural) = DcSolver::new()
-        .lu_options(LuOptions {
-            ordering: ColumnOrdering::Natural,
-            ..LuOptions::default()
-        })
-        .solve(ckt)
-        .expect("natural solve");
-    assert_eq!(natural.block_count, 1, "natural order has no BTF blocks");
-
     // Circuit-level: a DcPlan whose template does NOT match the solved
     // circuit falls back to a fresh factorization — which must still run
-    // under the plan's own AMD+BTF options, not some default or caller
-    // ordering.
+    // under the plan's own options and the AMD+BTF ordering.
+    let ckt = instance.substrate().circuit();
     // A genuinely different structure (fig15a only varies capacities on
     // the same diamond, so a layered graph is used for the mismatch).
     let g_other = generators::layered(3, 2, 5, 1).expect("layered");
@@ -304,12 +290,12 @@ fn amd_btf_plan_never_falls_back_to_another_ordering() {
         .expect("instance other");
     let dc_plan = DcSolver::new()
         .lu_options(LuOptions {
-            ordering: ColumnOrdering::AmdBtf,
+            pivot_threshold: 1.0,
             ..LuOptions::default()
         })
         .plan(ckt)
         .expect("dc plan");
-    assert_eq!(dc_plan.lu_options().ordering, ColumnOrdering::AmdBtf);
+    assert_eq!(dc_plan.lu_options().pivot_threshold, 1.0);
     let mismatched = other.substrate().circuit();
     assert!(!dc_plan.template().matches(mismatched));
     let (_, fallback) = dc_plan.solve(mismatched).expect("fallback solve");

@@ -11,7 +11,6 @@ use rand::{Rng, SeedableRng};
 
 use ohmflow::TemplateKey;
 use ohmflow::{MaxFlowSolver, SolveOptions};
-use ohmflow_circuit::ColumnOrdering;
 use ohmflow_graph::FlowNetwork;
 
 /// A random connected flow network: source→sink spine plus random chords.
@@ -88,19 +87,18 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = random_graph(&mut rng);
-        let ordering = ColumnOrdering::default();
         if let Some(m) = mutate(&g, which as usize, i as usize) {
-            let fp_g = TemplateKey::fingerprint(&g, ordering);
-            let fp_m = TemplateKey::fingerprint(&m, ordering);
+            let fp_g = TemplateKey::fingerprint(&g);
+            let fp_m = TemplateKey::fingerprint(&m);
             prop_assert_ne!(
                 fp_g, fp_m,
                 "single-edge mutation collided the streaming fingerprint"
             );
 
-            let key = TemplateKey::with_ordering(&g, ordering);
+            let key = TemplateKey::new(&g);
             prop_assert_eq!(key.fingerprint_value(), fp_g, "key hash IS the fingerprint");
-            prop_assert!(key.verifies(&g, ordering));
-            prop_assert!(!key.matches_graph(&m), "verification must refuse the mutation");
+            prop_assert!(key.verifies(&g));
+            prop_assert!(!key.verifies(&m), "verification must refuse the mutation");
         }
     }
 
@@ -124,16 +122,16 @@ proptest! {
             // is its request being answered by g's plan.
             if let Ok(plan_m) = solver.plan(&m) {
                 prop_assert!(!plan_m.cache_hit(), "mutation cannot hit g's plan");
-                prop_assert!(plan_m.key().matches_graph(&m));
-                prop_assert!(!plan_m.key().matches_graph(&g));
+                prop_assert!(plan_m.key().verifies(&m));
+                prop_assert!(!plan_m.key().verifies(&g));
             }
-            prop_assert!(plan_g.key().matches_graph(&g));
-            prop_assert!(!plan_g.key().matches_graph(&m));
+            prop_assert!(plan_g.key().verifies(&g));
+            prop_assert!(!plan_g.key().verifies(&m));
 
             // And g itself still hits its own (correct) plan.
             let again = solver.plan(&g).expect("replan g");
             prop_assert!(again.cache_hit());
-            prop_assert!(again.key().matches_graph(&g));
+            prop_assert!(again.key().verifies(&g));
         }
     }
 }
