@@ -41,8 +41,8 @@
 use ohmflow::builder::CapacityMapping;
 use ohmflow::{MaxFlowSolver, SolveOptions, SubstrateTemplate};
 use ohmflow_bench::{
-    bench_substrate, dimacs_grid_instance, diode_unknown_pairs, fig10_instance, median_ns,
-    time_push_relabel,
+    bench_substrate, dimacs_grid_instance, diode_unknown_pairs, fig10_instance, full_replay_ns,
+    median_ns, time_push_relabel,
 };
 use ohmflow_circuit::{DcSolver, LuOptions};
 use ohmflow_graph::generators;
@@ -233,7 +233,7 @@ fn pr3_report() {
         let mut lu = base_lu.clone();
         push(
             format!("{name}/refactor_serial"),
-            median_ns(5, || lu.refactor_with(m, &mut ws).expect("refactor")),
+            full_replay_ns(5, &mut lu, m, &mut ws),
         );
 
         // Rank-1 triangular solves over a sample of the substrate's real
@@ -355,7 +355,7 @@ fn pr4_report() {
         let mut rlu = lu.clone();
         push(
             format!("{label}/refactor_serial"),
-            median_ns(5, || rlu.refactor_with(&m, &mut ws).expect("refactor")),
+            full_replay_ns(5, &mut rlu, &m, &mut ws),
         );
     }
 
@@ -548,7 +548,7 @@ fn pr6_report() {
         for (label, mut lu) in [("multiblock", lu_blk), ("amd", lu_amd)] {
             push(
                 format!("rmat128/refactor_serial_{label}"),
-                median_ns(15, || lu.refactor_with(&m, &mut ws).expect("refactor")),
+                full_replay_ns(15, &mut lu, &m, &mut ws),
             );
         }
     }
@@ -645,19 +645,11 @@ fn pr7_report() {
             ..SparseLuOptions::default()
         };
         let mut lu_scalar = SparseLu::factor_with(&m, &scalar_opts).expect("scalar factor");
-        let t_scalar = median_ns(7, || {
-            lu_scalar
-                .refactor_with(&m, &mut ws)
-                .expect("scalar refactor")
-        });
+        let t_scalar = full_replay_ns(7, &mut lu_scalar, &m, &mut ws);
         push(format!("{name}/refactor_scalar_f64"), t_scalar);
 
         let mut lu_sn = lu.clone();
-        let t_sn = median_ns(7, || {
-            lu_sn
-                .refactor_with(&m, &mut ws)
-                .expect("supernodal refactor")
-        });
+        let t_sn = full_replay_ns(7, &mut lu_sn, &m, &mut ws);
         push(format!("{name}/refactor_supernodal_f64"), t_sn);
 
         // Triangular solves: bare, then refined with one

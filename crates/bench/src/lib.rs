@@ -12,6 +12,7 @@ use ohmflow::builder::{
 use ohmflow::SubstrateParams;
 use ohmflow_graph::rmat::RmatConfig;
 use ohmflow_graph::{dimacs, generators, FlowNetwork};
+use ohmflow_linalg::{CscMatrix, LuWorkspace, SparseLu};
 use ohmflow_maxflow::{push_relabel, PushRelabelVariant};
 
 /// The paper's Fig. 10 vertex sweep: 256 to 960 in steps of 64.
@@ -99,6 +100,25 @@ pub fn median_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
+}
+
+/// Median wall-clock nanoseconds of one *full* numeric replay of `lu`
+/// against `m` over `reps` runs. A replay rewrites only the steps whose
+/// inputs changed since the previous one, so repeated calls on unchanged
+/// values would time nothing; the calls alternate between `m` and `2·m`
+/// instead. Scaling by 2 is exact: every value changes and no pivot ratio
+/// moves, so each timed call replays every step.
+pub fn full_replay_ns(reps: usize, lu: &mut SparseLu, m: &CscMatrix, ws: &mut LuWorkspace) -> f64 {
+    let mut doubled = m.clone();
+    for v in doubled.pattern_values_mut().2 {
+        *v *= 2.0;
+    }
+    let mut flip = false;
+    median_ns(reps, || {
+        flip = !flip;
+        let a = if flip { &doubled } else { m };
+        lu.refactor_with(a, ws).expect("refactor")
+    })
 }
 
 /// Times the push-relabel CPU baseline (median of `reps` runs), returning

@@ -16,7 +16,7 @@
 
 use ohmflow::builder;
 use ohmflow::SolveOptions;
-use ohmflow_bench::{bench_substrate, fig10_instance, median_ns};
+use ohmflow_bench::{bench_substrate, fig10_instance, full_replay_ns};
 use ohmflow_circuit::DcSolver;
 use ohmflow_graph::generators;
 use ohmflow_linalg::{
@@ -178,8 +178,7 @@ fn multiblock_replay_on_rmat128_has_no_closure_tax() {
     let mut ws = LuWorkspace::new();
     let mut lu_blk = lu_blk;
     let mut lu_amd = lu_amd;
-    let mut replay =
-        |lu: &mut SparseLu| median_ns(15, || lu.refactor_with(&m, &mut ws).expect("refactor"));
+    let mut replay = |lu: &mut SparseLu| full_replay_ns(15, lu, &m, &mut ws);
     replay(&mut lu_blk); // warm caches + workspace before either timing
     replay(&mut lu_amd);
     let t_blk = replay(&mut lu_blk);

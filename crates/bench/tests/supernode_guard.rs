@@ -18,7 +18,7 @@
 
 use std::sync::Mutex;
 
-use ohmflow_bench::{bench_substrate, dimacs_grid_instance, fig10_instance, median_ns};
+use ohmflow_bench::{bench_substrate, dimacs_grid_instance, fig10_instance, full_replay_ns};
 use ohmflow_circuit::DcSolver;
 use ohmflow_linalg::{LuWorkspace, SparseLu, SparseLuOptions};
 
@@ -50,21 +50,13 @@ fn supernodal_refactor_never_loses_to_scalar_on_rmat1024() {
 
     let mut ws = LuWorkspace::new();
     let mut lu_sn = lu.clone();
-    let t_sn = median_ns(7, || {
-        lu_sn
-            .refactor_with(&m, &mut ws)
-            .expect("supernodal refactor")
-    });
+    let t_sn = full_replay_ns(7, &mut lu_sn, &m, &mut ws);
     let scalar_opts = SparseLuOptions {
         supernodal: false,
         ..SparseLuOptions::default()
     };
     let mut lu_scalar = SparseLu::factor_with(&m, &scalar_opts).expect("scalar factor");
-    let t_scalar = median_ns(7, || {
-        lu_scalar
-            .refactor_with(&m, &mut ws)
-            .expect("scalar refactor")
-    });
+    let t_scalar = full_replay_ns(7, &mut lu_scalar, &m, &mut ws);
     assert!(
         t_sn <= 1.15 * t_scalar,
         "supernodal replay ({t_sn:.0} ns) slower than the scalar replay ({t_scalar:.0} ns) \

@@ -11,7 +11,7 @@ use crate::element::Element;
 use crate::error::CircuitError;
 use crate::ids::{ElementId, NodeId};
 use crate::mna::{
-    self, DeviceState, FactorCache, MnaStructure, Solution, StampMode, StampedMatrix,
+    self, DeviceState, FactorCache, MnaStructure, PwlCost, Solution, StampMode, StampedMatrix,
     StateIteration,
 };
 
@@ -87,8 +87,17 @@ impl DcTemplate {
             .iter()
             .map(Element::has_branch_current)
             .collect();
-        let base = StampedMatrix::mapped(ckt, &st, &states, StampMode::Dc);
-        let lu = SparseLu::factor_with(base.matrix(), &lu_opts)?;
+        let mut base = StampedMatrix::mapped(ckt, &st, &states, StampMode::Dc);
+        base.forget_pushes();
+        // Replayed once against its own matrix, the factor carries a
+        // replay record: priming a circuit then replays only the columns
+        // whose values differ from the base (none, when capacities move
+        // only source values). A replay that fails leaves partly written
+        // values, so the fallback factors afresh.
+        let mut lu = SparseLu::factor_with(base.matrix(), &lu_opts)?;
+        if lu.refactor(base.matrix()).is_err() {
+            lu = SparseLu::factor_with(base.matrix(), &lu_opts)?;
+        }
         Ok(DcTemplate {
             st,
             branch_shape,
@@ -138,25 +147,30 @@ impl DcTemplate {
                 .all(|(e, &b)| e.has_branch_current() == b)
     }
 
-    /// Numeric-only factorization of `ckt`'s initial-state matrix against
+    /// Numeric-only factorization of `ckt`'s matrix under `states` against
     /// the template's symbolic plan, with a fresh pivoting factorization as
     /// fallback. The matrix is written through the template's slot map.
     /// Returns the factor, the stamped matrix and whether the fast path was
-    /// taken.
+    /// taken; `cost` is charged one factorization and the phase times.
     fn numeric_for(
         &self,
         ckt: &Circuit,
         states: &[DeviceState],
+        cost: &mut PwlCost,
     ) -> Result<(SparseLu, StampedMatrix, bool), CircuitError> {
+        let t0 = cost.start();
         let mut m = self.base.clone();
         m.restamp(ckt, &self.st, states, StampMode::Dc);
+        cost.charge(t0, |p| &mut p.stamp_ns);
+        let t0 = cost.start();
         let mut lu = self.lu.clone();
-        if lu.refactor(m.matrix()).is_ok() {
-            Ok((lu, m, true))
-        } else {
-            let lu = SparseLu::factor_with(m.matrix(), &self.lu_opts)?;
-            Ok((lu, m, false))
+        let fast = lu.refactor(m.matrix()).is_ok();
+        if !fast {
+            lu = SparseLu::factor_with(m.matrix(), &self.lu_opts)?;
         }
+        cost.charge(t0, |p| &mut p.refactor_ns);
+        cost.refactorizations += 1;
+        Ok((lu, m, fast))
     }
 }
 
@@ -176,6 +190,8 @@ pub(crate) struct DcRequest<'a> {
     /// own — template options always win, so a plan can never silently
     /// factor under different options than its symbolic plan).
     pub lu_opts: LuOptions,
+    /// Report per-phase wall-clock times ([`SolveReport::phases`]).
+    pub phase_timing: bool,
 }
 
 /// The one DC operating-point solve body (state iteration + one step of
@@ -185,33 +201,6 @@ pub(crate) struct DcRequest<'a> {
 pub(crate) fn run_dc(req: &DcRequest<'_>) -> Result<(DcSolution, SolveReport), CircuitError> {
     let ckt = req.ckt;
     let initial = mna::initial_states(ckt);
-    // Template fast path: reuse the unknown map and prime the factor
-    // cache with a numeric-only refactorization for this circuit's
-    // *values* (they may differ from the template's). A failed
-    // refactorization simply leaves the cache cold. Matched once: the
-    // same template decides the structure, the cache seed and the
-    // factorization options below.
-    let matched_tpl = req.template.filter(|t| t.matches(ckt));
-    // `templated` reports whether the solve actually rode the template's
-    // factorization — a failed priming (singular stamp under the
-    // template's pivots) or a warm-start retry below demotes it, so the
-    // report never claims a fast path that did not happen.
-    let mut templated = false;
-    let (st, mut cache) = match matched_tpl {
-        Some(tpl) => {
-            let cache = tpl
-                .numeric_for(ckt, &initial)
-                .ok()
-                .map(|(lu, stamped, _)| FactorCache {
-                    states: initial.clone(),
-                    lu,
-                    stamped,
-                });
-            templated = cache.is_some();
-            (tpl.st.clone(), cache)
-        }
-        None => (MnaStructure::new(ckt), None),
-    };
     // Warm-started states must be shape-compatible: one entry per
     // element, stateless exactly where the initial assignment is.
     let warm = req.warm.filter(|w| {
@@ -224,6 +213,41 @@ pub(crate) fn run_dc(req: &DcRequest<'_>) -> Result<(DcSolution, SolveReport), C
         .map(<[DeviceState]>::to_vec)
         .unwrap_or_else(|| initial.clone());
     let warm_used = warm.is_some();
+    let mut cost = PwlCost {
+        refactorizations: 0,
+        phases: req.phase_timing.then(FrozenDcPhases::default),
+    };
+    // Template fast path: reuse the unknown map and prime the factor
+    // cache with a numeric-only refactorization for this circuit's
+    // *values* (they may differ from the template's) at the states the
+    // iteration starts from, so a warm repeat solve pays one replay. A
+    // failed priming simply leaves the cache cold. Matched once: the
+    // same template decides the structure, the cache seed and the
+    // factorization options below.
+    let matched_tpl = req.template.filter(|t| t.matches(ckt));
+    // `templated` reports whether the solve actually rode the template's
+    // factorization — a priming that fell back to a fresh pivoting
+    // factorization (a frozen pivot collapsed under this circuit's
+    // values), a failed priming or a warm-start retry below demotes it,
+    // so the report never claims a fast path that did not happen.
+    let mut templated = false;
+    let (st, mut cache) = match matched_tpl {
+        Some(tpl) => {
+            let cache = tpl
+                .numeric_for(ckt, &states, &mut cost)
+                .ok()
+                .map(|(lu, stamped, fast)| {
+                    templated = fast;
+                    FactorCache {
+                        states: states.clone(),
+                        lu,
+                        stamped,
+                    }
+                });
+            (tpl.st.clone(), cache)
+        }
+        None => (MnaStructure::new(ckt), None),
+    };
     let t = req.at_time.unwrap_or(0.0);
     // The template path factors under the template's options; the cold
     // path under the request's.
@@ -231,20 +255,22 @@ pub(crate) fn run_dc(req: &DcRequest<'_>) -> Result<(DcSolution, SolveReport), C
         Some(tpl) => *tpl.lu_options(),
         None => req.lu_opts,
     };
-    let solve = |states: &mut Vec<DeviceState>, cache: &mut Option<FactorCache>| {
-        mna::solve_pwl(
-            ckt,
-            &st,
-            states,
-            t,
-            StampMode::Dc,
-            None,
-            req.pre_step,
-            &lu_opts,
-            cache,
-        )
-    };
-    let (mut x, outcome) = match solve(&mut states, &mut cache) {
+    let solve =
+        |states: &mut Vec<DeviceState>, cache: &mut Option<FactorCache>, cost: &mut PwlCost| {
+            mna::solve_pwl(
+                ckt,
+                &st,
+                states,
+                t,
+                StampMode::Dc,
+                None,
+                req.pre_step,
+                &lu_opts,
+                cache,
+                cost,
+            )
+        };
+    let (mut x, outcome) = match solve(&mut states, &mut cache, &mut cost) {
         Ok(out) => out,
         Err(CircuitError::StateIterationDiverged { .. } | CircuitError::SingularSystem { .. })
             if warm_used =>
@@ -256,7 +282,7 @@ pub(crate) fn run_dc(req: &DcRequest<'_>) -> Result<(DcSolution, SolveReport), C
             states = initial;
             cache = None;
             templated = false;
-            solve(&mut states, &mut cache)?
+            solve(&mut states, &mut cache, &mut cost)?
         }
         Err(e) => return Err(e),
     };
@@ -269,6 +295,7 @@ pub(crate) fn run_dc(req: &DcRequest<'_>) -> Result<(DcSolution, SolveReport), C
     let mut refinements = 0usize;
     if let Some(c) = &cache {
         if c.states == states {
+            let t0 = cost.start();
             let mut b = Vec::new();
             mna::stamp_rhs_into(
                 &mut b,
@@ -280,7 +307,10 @@ pub(crate) fn run_dc(req: &DcRequest<'_>) -> Result<(DcSolution, SolveReport), C
                 None,
                 req.pre_step,
             );
+            cost.charge(t0, |p| &mut p.stamp_ns);
+            let t0 = cost.start();
             refinements = usize::from(mna::refine_once(&c.lu, c.stamped.matrix(), &b, &mut x));
+            cost.charge(t0, |p| &mut p.solve_ns);
         }
     }
     let report = SolveReport {
@@ -290,7 +320,8 @@ pub(crate) fn run_dc(req: &DcRequest<'_>) -> Result<(DcSolution, SolveReport), C
         block_count: cache.as_ref().map_or(0, |c| c.lu.symbolic().block_count()),
         templated,
         refinements,
-        phases: None,
+        refactorizations: cost.refactorizations,
+        phases: cost.phases,
     };
     Ok((
         DcSolution {
@@ -308,9 +339,10 @@ pub(crate) fn run_dc(req: &DcRequest<'_>) -> Result<(DcSolution, SolveReport), C
 /// an operating-point solve, or the number of frozen-state solves for a
 /// session; `factor_nnz`/`block_count` describe the factorization that
 /// produced the answer (`nnz(L+U)` and the number of BTF diagonal blocks);
-/// `templated` records whether the symbolic-reuse fast path was taken; and
-/// `phases` carries the per-phase wall-clock attribution when the caller
-/// opted into [`DcSolver::phase_timing`].
+/// `templated` records whether the symbolic-reuse fast path was taken;
+/// `refactorizations` counts the numeric factors computed; and `phases`
+/// carries the per-phase wall-clock attribution when the caller opted into
+/// [`DcSolver::phase_timing`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveReport {
     /// State iterations (operating-point solve) or frozen-state solves
@@ -333,8 +365,13 @@ pub struct SolveReport {
     /// refinement ran (cold cache); a session counts one per
     /// Woodbury-corrected solve.
     pub refinements: usize,
-    /// Per-phase wall-clock attribution (sessions with
-    /// [`DcSolver::phase_timing`] enabled only).
+    /// Numeric factors computed: numeric replays plus fresh pivoting
+    /// factorizations (one per state iteration that changed the matrix,
+    /// plus the template priming). A session counts its whole life.
+    pub refactorizations: usize,
+    /// Per-phase wall-clock attribution, present when
+    /// [`DcSolver::phase_timing`] is enabled. An operating-point solve
+    /// fills `stamp_ns`, `refactor_ns` and `solve_ns`.
     pub phases: Option<FrozenDcPhases>,
 }
 
@@ -399,7 +436,8 @@ impl DcSolver {
     }
 
     /// Enables per-phase wall-clock attribution on sessions created by
-    /// this solver (see [`FrozenDcSession::phase_times`]). Off by default:
+    /// this solver (see [`FrozenDcSession::phase_times`]) and on its
+    /// operating-point solves ([`SolveReport::phases`]). Off by default:
     /// clock reads tax every step of small systems.
     pub fn phase_timing(mut self, on: bool) -> Self {
         self.phase_timing = on;
@@ -443,6 +481,7 @@ impl DcSolver {
             template: None,
             warm: None,
             lu_opts: self.lu,
+            phase_timing: self.phase_timing,
         })
     }
 
@@ -464,6 +503,7 @@ impl DcSolver {
             template: None,
             warm: None,
             lu_opts: self.lu,
+            phase_timing: self.phase_timing,
         })
     }
 
@@ -485,6 +525,7 @@ impl DcSolver {
             template: None,
             warm: Some(warm),
             lu_opts: self.lu,
+            phase_timing: self.phase_timing,
         })
     }
 
@@ -641,6 +682,7 @@ impl DcPlan {
             template: Some(&self.tpl),
             warm,
             lu_opts: *self.tpl.lu_options(),
+            phase_timing: self.phase_timing,
         })
     }
 
@@ -764,6 +806,14 @@ pub struct FrozenDcPhases {
     pub woodbury_ns: u64,
 }
 
+/// The one clock read of the DC engine (sessions and operating-point
+/// solves alike): `Some(now)` only when phase timing is on, so untimed runs
+/// never touch the clock.
+#[inline]
+pub(crate) fn phase_clock(on: bool) -> Option<Instant> {
+    on.then(Instant::now)
+}
+
 impl FrozenDcPhases {
     /// Total accounted nanoseconds.
     pub fn total_ns(&self) -> u64 {
@@ -787,7 +837,12 @@ impl FrozenDcPhases {
 ///   counter fires** — the matrix is re-stamped and *numerically*
 ///   refactored ([`SparseLu::refactor`]), reusing the column ordering,
 ///   symbolic pattern and pivot sequence; a fresh pivoting factorization
-///   is the last resort (singular refactor or changed pattern).
+///   is the last resort (singular refactor or changed pattern). Such a
+///   rebase pays for what changed since the last one: unless an element
+///   value was edited ([`FrozenDcSession::host_mut`],
+///   [`FrozenDcSession::set_resistances`]), only the devices whose state
+///   moved are restamped, and the numeric replay rewrites only the pivot
+///   steps their columns reach ([`SparseLu::refactor_with`]).
 ///
 /// The quasi-static relaxation engine of the `ohmflow` core crate runs its
 /// entire transient on one session; see `DESIGN.md` for the lifecycle.
@@ -859,6 +914,7 @@ pub struct FrozenDcSession<C = Circuit> {
     /// whose pattern moved or whose frozen pivots died).
     lu_opts: LuOptions,
     /// Whether this session started from a template's shared symbolic plan
+    /// — a numeric replay, not a fallback pivoting factorization
     /// (surfaced through [`FrozenDcSession::report`]).
     templated: bool,
     /// When set, a paused flip cascade does NOT auto-consolidate
@@ -874,6 +930,12 @@ pub struct FrozenDcSession<C = Circuit> {
     dx: Vec<f64>,
     /// Scratch for numeric refactorizations (rebases stay allocation-free).
     lu_ws: LuWorkspace,
+    /// Set when an element value may have changed since `base` was
+    /// stamped ([`FrozenDcSession::host_mut`],
+    /// [`FrozenDcSession::set_resistances`]): the next rebase walks every
+    /// element. Otherwise only device states moved, and a rebase restamps
+    /// just the changed devices.
+    values_edited: bool,
     /// Iterative-refinement steps applied so far (surfaced through
     /// [`FrozenDcSession::report`]).
     refinements: usize,
@@ -913,7 +975,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         let states = mna::initial_states(c);
         match tpl.filter(|t| t.matches(c)) {
             Some(tpl) => {
-                let (lu, m, fast) = tpl.numeric_for(c, &states)?;
+                let (lu, m, fast) = tpl.numeric_for(c, &states, &mut PwlCost::default())?;
                 let stats = FrozenDcStats {
                     refactorizations: usize::from(fast),
                     full_factorizations: usize::from(!fast),
@@ -922,7 +984,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
                 let st = tpl.st.clone();
                 let lu_opts = *tpl.lu_options();
                 let mut s = Self::from_parts(ckt, st, states, m, lu, lu_opts, stats);
-                s.templated = true;
+                s.templated = fast;
                 Ok(s)
             }
             None => {
@@ -997,6 +1059,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             resid: Vec::with_capacity(n),
             dx: Vec::with_capacity(n),
             lu_ws: LuWorkspace::new(),
+            values_edited: false,
             refinements: 0,
             cycle_break: None,
             stats,
@@ -1008,7 +1071,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
     /// Reads the clock only when phase timing is enabled.
     #[inline]
     fn clock(&self) -> Option<Instant> {
-        self.phase_timing.then(Instant::now)
+        phase_clock(self.phase_timing)
     }
 
     /// Overrides the rank budget (tests and tuning; `0` forces a rebase on
@@ -1278,13 +1341,21 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
     }
 
     /// Re-stamps the matrix for the current states (in place while the
-    /// pattern holds) and replaces the base factorization: numeric-only
-    /// refactorization when the pattern still fits, fresh pivoting
-    /// factorization otherwise.
+    /// pattern holds; only the changed devices when no element value was
+    /// edited since the last stamp) and replaces the base factorization:
+    /// numeric-only refactorization when the pattern still fits — which
+    /// replays only the steps the restamped columns reach — and a fresh
+    /// pivoting factorization otherwise.
     fn rebase(&mut self) -> Result<(), CircuitError> {
         let t0 = self.clock();
-        self.base
-            .restamp(self.ckt.borrow(), &self.st, &self.states, StampMode::Dc);
+        let ckt = self.ckt.borrow();
+        if std::mem::take(&mut self.values_edited) {
+            self.base
+                .restamp(ckt, &self.st, &self.states, StampMode::Dc);
+        } else {
+            self.base
+                .restamp_states(ckt, &self.st, &self.states, StampMode::Dc);
+        }
         if let Some(t0) = t0 {
             self.phases.stamp_ns += t0.elapsed().as_nanos() as u64;
         }
@@ -1450,6 +1521,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             block_count: self.lu.symbolic().block_count(),
             templated: self.templated,
             refinements: self.refinements,
+            refactorizations: self.stats.refactorizations + self.stats.full_factorizations,
             cycle_break: self.cycle_break,
             phases: self.phase_timing.then_some(self.phases),
         }
@@ -1472,6 +1544,7 @@ impl<C: BorrowMut<Circuit>> FrozenDcSession<C> {
     /// matrix.
     pub fn host_mut(&mut self) -> &mut C {
         self.last_solve_time = None;
+        self.values_edited = true;
         &mut self.ckt
     }
 
@@ -1502,6 +1575,7 @@ impl<C: BorrowMut<Circuit>> FrozenDcSession<C> {
                 }
             };
             self.ckt.borrow_mut().set_resistance(id, ohms)?;
+            self.values_edited = true;
             // 1/INFINITY == 0.0 exactly: an open branch stamps nothing.
             let dg = 1.0 / ohms - 1.0 / old;
             if dg == 0.0 {
@@ -1753,6 +1827,38 @@ mod tests {
         let (sol, _) = DcSolver::new().solve(&ckt).unwrap();
         // Desired output 0.5 * 1e4 = 5000 V; clamps at the 10 V rail.
         assert!((sol.voltage(out) - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn rail_move_restamps_the_rhs_within_one_solve() {
+        // The rail value lives in the RHS: the state iteration's own last
+        // solve, before any refinement, must already sit on the rail.
+        let mut ckt = Circuit::new();
+        let inp = ckt.node("in");
+        let out = ckt.node("out");
+        ckt.voltage_source(inp, Circuit::GROUND, SourceValue::dc(0.5));
+        let mut model = OpAmpModel::table1();
+        model.rails = (-10.0, 10.0);
+        ckt.opamp(inp, Circuit::GROUND, out, model);
+        ckt.resistor(out, Circuit::GROUND, 1e4);
+        let st = MnaStructure::new(&ckt);
+        let mut states = mna::initial_states(&ckt);
+        let (x, it) = mna::solve_pwl(
+            &ckt,
+            &st,
+            &mut states,
+            0.0,
+            StampMode::Dc,
+            None,
+            true,
+            &LuOptions::default(),
+            &mut None,
+            &mut PwlCost::default(),
+        )
+        .unwrap();
+        assert!(it.solves >= 2, "the op-amp never left its linear region");
+        let v_out = x[out.unknown().unwrap()];
+        assert!((v_out - 10.0).abs() < 1e-9, "v_out = {v_out}");
     }
 
     #[test]
@@ -2141,6 +2247,162 @@ mod tests {
                     (a - b).abs() < 1e-9 * b.abs().max(1.0),
                     "step {step}: {a} vs {b}"
                 );
+            }
+        }
+    }
+
+    /// Divider chain `top → x → y → gnd` with grounded resistors `rx` at
+    /// `x` and `ry` at `y`. Negative `rx = -1/(g_top,x + g_xy)` and
+    /// `ry = -r_xy` cancel both node diagonals: whichever the frozen plan
+    /// pivots on first collapses, while the system stays solvable under a
+    /// fresh (off-diagonal) pivot order.
+    fn pivot_divider(rx: f64, ry: f64) -> Circuit {
+        let mut ckt = Circuit::new();
+        let top = ckt.node("top");
+        let x = ckt.node("x");
+        let y = ckt.node("y");
+        ckt.voltage_source(top, Circuit::GROUND, SourceValue::dc(1.0));
+        ckt.resistor(top, x, 1e3);
+        ckt.resistor(x, y, 2e3);
+        ckt.resistor(x, Circuit::GROUND, rx);
+        ckt.resistor(y, Circuit::GROUND, ry);
+        ckt
+    }
+
+    #[test]
+    fn collapsed_template_pivot_is_not_reported_templated() {
+        let plan = DcSolver::new().plan(&pivot_divider(5e3, 3e3)).unwrap();
+        let inst = pivot_divider(-1.0 / (1.0 / 1e3 + 1.0 / 2e3), -2e3);
+        let (m, _) = DcSolver::new().stamp(&inst).unwrap();
+        assert!(
+            plan.template().factor().clone().refactor(&m).is_err(),
+            "fixture must collapse a frozen template pivot"
+        );
+        let cold = DcSolver::new().solve(&inst).unwrap().0;
+        let (sol, report) = plan.solve(&inst).unwrap();
+        assert!(
+            !report.templated,
+            "fallback factorization reported as templated"
+        );
+        assert_eq!(report.refactorizations, 1);
+        for (a, b) in sol.values().iter().zip(cold.values()) {
+            assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0), "{a} vs {b}");
+        }
+        let session = plan.session(&inst).unwrap();
+        assert!(!session.report().templated);
+        assert_eq!(session.stats().full_factorizations, 1);
+    }
+
+    #[test]
+    fn warm_repeat_solve_pays_one_refactorization() {
+        let ckt = clamp_ladder(6, |k| 1e3 + 100.0 * k as f64, |k| 0.5 + 0.4 * k as f64, 6.0);
+        let plan = DcSolver::new().plan(&ckt).unwrap();
+        let (cold, cold_report) = plan.solve(&ckt).unwrap();
+        assert!(cold_report.iterations > 1 && cold_report.templated);
+        // The priming replay plus one per iteration that changed states.
+        assert_eq!(cold_report.refactorizations, cold_report.iterations);
+        let (warm, report) = plan.solve_warm(&ckt, cold.device_states()).unwrap();
+        assert_eq!(report.iterations, 1);
+        assert_eq!(
+            report.refactorizations, 1,
+            "a warm repeat solve replays once"
+        );
+        assert!(report.templated);
+        // Both end on a replay at the same states and refine once against
+        // the same stamp, so the answers agree bit for bit.
+        let bits = |s: &DcSolution| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&warm), bits(&cold));
+        assert_eq!(warm.device_states(), cold.device_states());
+    }
+
+    #[test]
+    fn timed_operating_point_solve_reports_phases() {
+        let ckt = clamp_ladder(5, |_| 1e3, |k| 1.0 + 0.3 * k as f64, 6.0);
+        let (_, untimed) = DcSolver::new().plan(&ckt).unwrap().solve(&ckt).unwrap();
+        assert_eq!(untimed.phases, None, "phase timing is off by default");
+        let plan = DcSolver::new().phase_timing(true).plan(&ckt).unwrap();
+        let (_, report) = plan.solve(&ckt).unwrap();
+        let phases = report.phases.expect("timed solve reports phases");
+        assert!(phases.refactor_ns > 0, "{phases:?}");
+        assert!(phases.solve_ns > 0 && phases.stamp_ns > 0, "{phases:?}");
+        assert_eq!(phases.woodbury_ns, 0);
+        let (_, cold) = DcSolver::new().phase_timing(true).solve(&ckt).unwrap();
+        assert!(cold.phases.is_some_and(|p| p.refactor_ns > 0));
+    }
+
+    /// A small substrate-shaped circuit: a ring of nodes coupled by
+    /// resistors, each clamped between ground and a level source by ideal
+    /// diodes, with negative resistors to ground, one silicon diode and
+    /// one op-amp follower.
+    fn mini_substrate() -> Circuit {
+        let mut ckt = Circuit::new();
+        let drive = ckt.node("drive");
+        ckt.voltage_source(drive, Circuit::GROUND, SourceValue::dc(3.0));
+        let xs: Vec<NodeId> = (0..5).map(|k| ckt.node(format!("x{k}"))).collect();
+        ckt.resistor(drive, xs[0], 1e3);
+        for (k, &x) in xs.iter().enumerate() {
+            let cap = ckt.node(format!("cap{k}"));
+            ckt.voltage_source(cap, Circuit::GROUND, SourceValue::dc(0.5 + 0.3 * k as f64));
+            ckt.diode(x, cap, DiodeModel::ideal());
+            ckt.diode(Circuit::GROUND, x, DiodeModel::ideal());
+            ckt.resistor(x, xs[(k + 1) % xs.len()], 2e3 + 100.0 * k as f64);
+            ckt.resistor(x, Circuit::GROUND, -2e4);
+        }
+        ckt.diode(xs[1], xs[3], DiodeModel::silicon());
+        let out = ckt.node("out");
+        ckt.opamp(xs[2], out, out, OpAmpModel::table1());
+        ckt.resistor(out, xs[4], 5e3);
+        ckt
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Random diode flip sets: the state-only restamp must equal the
+        /// full stamp bit for bit; an op-amp rail move falls back to the
+        /// full walk (and still equals it), after which flips ride the
+        /// state-only path again.
+        #[test]
+        fn state_only_restamp_matches_full_stamp(
+            masks in proptest::collection::vec(proptest::prelude::any::<u64>(), 4..5),
+        ) {
+            for ckt in [clamp_ladder(6, |k| 1e3 + 10.0 * k as f64, |k| 1.0 + 0.3 * k as f64, 6.0), mini_substrate()] {
+                let st = MnaStructure::new(&ckt);
+                let mut states = mna::initial_states(&ckt);
+                let diodes: Vec<usize> = ckt.diode_ids().iter().map(|d| d.index()).collect();
+                let opamp = ckt.elements().iter().position(|e| matches!(e, Element::OpAmp { .. }));
+                let mut m = StampedMatrix::mapped(&ckt, &st, &states, StampMode::Dc);
+                let full = |states: &[DeviceState]| {
+                    mna::stamp_matrix(&ckt, &st, states, StampMode::Dc).to_csc()
+                };
+                let bits = |a: &CscMatrix| {
+                    (a.col_ptr().to_vec(), a.row_idx().to_vec(),
+                     a.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                };
+                for (round, &mask) in masks.iter().enumerate() {
+                    for (j, &d) in diodes.iter().enumerate() {
+                        if mask >> (j % 64) & 1 == 1 {
+                            states[d] = match states[d] {
+                                DeviceState::On => DeviceState::Off,
+                                _ => DeviceState::On,
+                            };
+                        }
+                    }
+                    let rail = match (round, opamp) {
+                        (1, Some(i)) => Some((i, DeviceState::SatHigh)),
+                        (2, Some(i)) => Some((i, DeviceState::SatLow)),
+                        _ => None,
+                    };
+                    let pattern_moves = round == 1 && rail.is_some();
+                    if let Some((i, s)) = rail {
+                        states[i] = s;
+                    }
+                    proptest::prop_assert_eq!(
+                        m.restamp_states(&ckt, &st, &states, StampMode::Dc),
+                        !pattern_moves
+                    );
+                    proptest::prop_assert_eq!(bits(m.matrix()), bits(&full(&states)));
+                }
             }
         }
     }

@@ -11,10 +11,12 @@
 
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
+use std::time::Instant;
 
 use ohmflow_linalg::{CscMatrix, SparseLu, TripletMatrix};
 
 use crate::circuit::Circuit;
+use crate::dc::{phase_clock, FrozenDcPhases};
 use crate::element::Element;
 use crate::error::CircuitError;
 use crate::ids::{ElementId, NodeId};
@@ -197,123 +199,137 @@ fn for_each_stamp(
     push: impl FnMut(usize, usize, f64),
 ) {
     let mut m = Sink(push);
-    for (idx, e) in ckt.elements().iter().enumerate() {
-        let ib = st.branch[idx];
-        match e {
-            Element::Resistor { a, b, resistance } => {
-                m.conductance(*a, *b, 1.0 / resistance);
+    for idx in 0..ckt.element_count() {
+        stamp_element(ckt, st, idx, states, mode, &mut m);
+    }
+}
+
+/// Element `idx`'s share of [`for_each_stamp`]: its contributions, in
+/// push order.
+fn stamp_element<F: FnMut(usize, usize, f64)>(
+    ckt: &Circuit,
+    st: &MnaStructure,
+    idx: usize,
+    states: &[DeviceState],
+    mode: StampMode,
+    m: &mut Sink<F>,
+) {
+    let ib = st.branch[idx];
+    let e = &ckt.elements()[idx];
+    match e {
+        Element::Resistor { a, b, resistance } => {
+            m.conductance(*a, *b, 1.0 / resistance);
+        }
+        Element::Memristor { a, b, .. } => {
+            let r = e
+                .memristance()
+                .expect("invariant: memristor elements carry a memristance");
+            m.conductance(*a, *b, 1.0 / r);
+        }
+        Element::Capacitor { a, b, capacitance } => match mode {
+            StampMode::Dc => {
+                // Open in DC; a tiny conductance keeps otherwise
+                // capacitor-only nodes from floating.
+                m.conductance(*a, *b, 1e-15);
             }
-            Element::Memristor { a, b, .. } => {
-                let r = e
-                    .memristance()
-                    .expect("invariant: memristor elements carry a memristance");
-                m.conductance(*a, *b, 1.0 / r);
+            StampMode::BackwardEuler { h } => {
+                m.conductance(*a, *b, capacitance / h);
             }
-            Element::Capacitor { a, b, capacitance } => match mode {
+            StampMode::Trapezoidal { h } => {
+                m.conductance(*a, *b, 2.0 * capacitance / h);
+            }
+        },
+        Element::VoltageSource { pos, neg, .. } => {
+            let ib = ib.expect("invariant: vsource rows were assigned a branch");
+            m.add(pos.unknown(), Some(ib), 1.0);
+            m.add(neg.unknown(), Some(ib), -1.0);
+            m.add(Some(ib), pos.unknown(), 1.0);
+            m.add(Some(ib), neg.unknown(), -1.0);
+        }
+        Element::CurrentSource { .. } => {
+            // RHS only.
+        }
+        Element::Vcvs {
+            out_pos,
+            out_neg,
+            ctrl_pos,
+            ctrl_neg,
+            gain,
+        } => {
+            let ib = ib.expect("invariant: vcvs rows were assigned a branch");
+            m.add(out_pos.unknown(), Some(ib), 1.0);
+            m.add(out_neg.unknown(), Some(ib), -1.0);
+            m.add(Some(ib), out_pos.unknown(), 1.0);
+            m.add(Some(ib), out_neg.unknown(), -1.0);
+            m.add(Some(ib), ctrl_pos.unknown(), -gain);
+            m.add(Some(ib), ctrl_neg.unknown(), *gain);
+        }
+        Element::Diode {
+            anode,
+            cathode,
+            model,
+        } => {
+            let g = match states[idx] {
+                DeviceState::On => 1.0 / model.r_on,
+                _ => 1.0 / model.r_off,
+            };
+            m.conductance(*anode, *cathode, g);
+        }
+        Element::NegativeResistorDyn { a, magnitude, tau } => {
+            let ib = ib.expect("invariant: dynamic negative resistors were assigned a branch");
+            // KCL: branch current leaves node a.
+            m.add(a.unknown(), Some(ib), 1.0);
+            // Branch equation: DC  i + V/Rm = 0;
+            // BE  (1 + τ/h) i + V/Rm = (τ/h) i_prev;
+            // TRAP (0.5 + τ/h) i + 0.5 V/Rm = (τ/h − 0.5) i_prev − 0.5 V_prev/Rm.
+            let g = 1.0 / magnitude;
+            match mode {
                 StampMode::Dc => {
-                    // Open in DC; a tiny conductance keeps otherwise
-                    // capacitor-only nodes from floating.
-                    m.conductance(*a, *b, 1e-15);
+                    m.add(Some(ib), Some(ib), 1.0);
+                    m.add(Some(ib), a.unknown(), g);
                 }
                 StampMode::BackwardEuler { h } => {
-                    m.conductance(*a, *b, capacitance / h);
+                    m.add(Some(ib), Some(ib), 1.0 + tau / h);
+                    m.add(Some(ib), a.unknown(), g);
                 }
                 StampMode::Trapezoidal { h } => {
-                    m.conductance(*a, *b, 2.0 * capacitance / h);
-                }
-            },
-            Element::VoltageSource { pos, neg, .. } => {
-                let ib = ib.expect("invariant: vsource rows were assigned a branch");
-                m.add(pos.unknown(), Some(ib), 1.0);
-                m.add(neg.unknown(), Some(ib), -1.0);
-                m.add(Some(ib), pos.unknown(), 1.0);
-                m.add(Some(ib), neg.unknown(), -1.0);
-            }
-            Element::CurrentSource { .. } => {
-                // RHS only.
-            }
-            Element::Vcvs {
-                out_pos,
-                out_neg,
-                ctrl_pos,
-                ctrl_neg,
-                gain,
-            } => {
-                let ib = ib.expect("invariant: vcvs rows were assigned a branch");
-                m.add(out_pos.unknown(), Some(ib), 1.0);
-                m.add(out_neg.unknown(), Some(ib), -1.0);
-                m.add(Some(ib), out_pos.unknown(), 1.0);
-                m.add(Some(ib), out_neg.unknown(), -1.0);
-                m.add(Some(ib), ctrl_pos.unknown(), -gain);
-                m.add(Some(ib), ctrl_neg.unknown(), *gain);
-            }
-            Element::Diode {
-                anode,
-                cathode,
-                model,
-            } => {
-                let g = match states[idx] {
-                    DeviceState::On => 1.0 / model.r_on,
-                    _ => 1.0 / model.r_off,
-                };
-                m.conductance(*anode, *cathode, g);
-            }
-            Element::NegativeResistorDyn { a, magnitude, tau } => {
-                let ib = ib.expect("invariant: dynamic negative resistors were assigned a branch");
-                // KCL: branch current leaves node a.
-                m.add(a.unknown(), Some(ib), 1.0);
-                // Branch equation: DC  i + V/Rm = 0;
-                // BE  (1 + τ/h) i + V/Rm = (τ/h) i_prev;
-                // TRAP (0.5 + τ/h) i + 0.5 V/Rm = (τ/h − 0.5) i_prev − 0.5 V_prev/Rm.
-                let g = 1.0 / magnitude;
-                match mode {
-                    StampMode::Dc => {
-                        m.add(Some(ib), Some(ib), 1.0);
-                        m.add(Some(ib), a.unknown(), g);
-                    }
-                    StampMode::BackwardEuler { h } => {
-                        m.add(Some(ib), Some(ib), 1.0 + tau / h);
-                        m.add(Some(ib), a.unknown(), g);
-                    }
-                    StampMode::Trapezoidal { h } => {
-                        m.add(Some(ib), Some(ib), 0.5 + tau / h);
-                        m.add(Some(ib), a.unknown(), 0.5 * g);
-                    }
+                    m.add(Some(ib), Some(ib), 0.5 + tau / h);
+                    m.add(Some(ib), a.unknown(), 0.5 * g);
                 }
             }
-            Element::OpAmp {
-                inp,
-                inn,
-                out,
-                model,
-            } => {
-                let ib = ib.expect("invariant: opamp rows were assigned a branch");
-                // Output behaves as a grounded voltage source carrying ib.
-                m.add(out.unknown(), Some(ib), 1.0);
-                match states[idx] {
-                    DeviceState::SatHigh | DeviceState::SatLow => {
-                        // v_out = rail (RHS carries the rail value).
-                        m.add(Some(ib), out.unknown(), 1.0);
-                    }
-                    _ => {
-                        // Linear region.
-                        let (c_out, c_vd) = match mode {
-                            StampMode::Dc => (1.0, model.gain),
-                            StampMode::BackwardEuler { h } => {
-                                let toh = model.time_constant() / h;
-                                (1.0 + toh, model.gain)
-                            }
-                            StampMode::Trapezoidal { h } => {
-                                let toh = model.time_constant() / h;
-                                (0.5 + toh, 0.5 * model.gain)
-                            }
-                        };
-                        m.add(Some(ib), out.unknown(), c_out);
-                        m.add(Some(ib), inp.unknown(), -c_vd);
-                        m.add(Some(ib), inn.unknown(), c_vd);
-                        if model.r_out > 0.0 {
-                            m.add(Some(ib), Some(ib), model.r_out);
+        }
+        Element::OpAmp {
+            inp,
+            inn,
+            out,
+            model,
+        } => {
+            let ib = ib.expect("invariant: opamp rows were assigned a branch");
+            // Output behaves as a grounded voltage source carrying ib.
+            m.add(out.unknown(), Some(ib), 1.0);
+            match states[idx] {
+                DeviceState::SatHigh | DeviceState::SatLow => {
+                    // v_out = rail (RHS carries the rail value).
+                    m.add(Some(ib), out.unknown(), 1.0);
+                }
+                _ => {
+                    // Linear region.
+                    let (c_out, c_vd) = match mode {
+                        StampMode::Dc => (1.0, model.gain),
+                        StampMode::BackwardEuler { h } => {
+                            let toh = model.time_constant() / h;
+                            (1.0 + toh, model.gain)
                         }
+                        StampMode::Trapezoidal { h } => {
+                            let toh = model.time_constant() / h;
+                            (0.5 + toh, 0.5 * model.gain)
+                        }
+                    };
+                    m.add(Some(ib), out.unknown(), c_out);
+                    m.add(Some(ib), inp.unknown(), -c_vd);
+                    m.add(Some(ib), inn.unknown(), c_vd);
+                    if model.r_out > 0.0 {
+                        m.add(Some(ib), Some(ib), model.r_out);
                     }
                 }
             }
@@ -335,16 +351,103 @@ pub fn stamp_matrix(
     m
 }
 
+/// Where the pushes of one stamping walk land, shared by the clones of a
+/// [`StampedMatrix`]. Indices are 32-bit: a plan cache keeps one map per
+/// resident template.
+#[derive(Debug)]
+struct StampMap {
+    /// The value slot of each push, in push order.
+    slots: Vec<u32>,
+    /// Element `e` made pushes `elem_ptr[e]..elem_ptr[e + 1]`.
+    elem_ptr: Vec<u32>,
+    /// The pushes into slot `s`, in push order:
+    /// `slot_pushes[slot_ptr[s]..slot_ptr[s + 1]]`.
+    slot_ptr: Vec<u32>,
+    slot_pushes: Vec<u32>,
+}
+
+impl StampMap {
+    /// Maps every push of the stamping walk onto `matrix`, its compressed
+    /// result, recording each push's value in `pushes`. `None` when an
+    /// index would not fit in 32 bits.
+    fn build(
+        ckt: &Circuit,
+        st: &MnaStructure,
+        states: &[DeviceState],
+        mode: StampMode,
+        matrix: &CscMatrix,
+        pushes: &mut Vec<f64>,
+    ) -> Option<Self> {
+        let (cp, ri) = (matrix.col_ptr(), matrix.row_idx());
+        let nnz = u32::try_from(ri.len()).ok()?;
+        pushes.clear();
+        let mut slots = Vec::new();
+        let mut elem_ptr = Vec::with_capacity(ckt.element_count() + 1);
+        elem_ptr.push(0);
+        for idx in 0..ckt.element_count() {
+            let mut sink = Sink(|r, c, v| {
+                let at = ri[cp[c]..cp[c + 1]]
+                    .binary_search(&r)
+                    .expect("invariant: every stamped entry is in its own compressed pattern");
+                // A slot is below `nnz`, which fits.
+                slots.push((cp[c] + at) as u32);
+                pushes.push(v);
+            });
+            stamp_element(ckt, st, idx, states, mode, &mut sink);
+            elem_ptr.push(slots.len() as u32);
+        }
+        // Every push index and count fits once the last one does.
+        u32::try_from(slots.len()).ok()?;
+        slots.shrink_to_fit();
+        pushes.shrink_to_fit();
+        // Counting sort of the pushes by slot; ascending push order within
+        // each slot falls out of the ascending scan.
+        let mut slot_ptr = vec![0u32; nnz as usize + 1];
+        for &s in &slots {
+            slot_ptr[s as usize + 1] += 1;
+        }
+        for s in 0..nnz as usize {
+            slot_ptr[s + 1] += slot_ptr[s];
+        }
+        let mut next = slot_ptr.clone();
+        let mut slot_pushes = vec![0u32; slots.len()];
+        for (k, &s) in slots.iter().enumerate() {
+            slot_pushes[next[s as usize] as usize] = k as u32;
+            next[s as usize] += 1;
+        }
+        Some(StampMap {
+            slots,
+            elem_ptr,
+            slot_ptr,
+            slot_pushes,
+        })
+    }
+
+    /// Whether push `k` (at `(r, c)`) matches its recorded slot. A slot
+    /// names one (row, col) position, so matching every push against its
+    /// slot proves two push sequences equal.
+    fn lands(&self, k: usize, r: usize, c: usize, cp: &[usize], ri: &[usize]) -> Option<usize> {
+        let s = *self.slots.get(k)? as usize;
+        ((cp[c]..cp[c + 1]).contains(&s) && ri[s] == r).then_some(s)
+    }
+}
+
 /// A stamped MNA matrix, plus (once built) its slot map: the value slot of
-/// each contribution of the stamping walk, in push order. Diode flips and
-/// value edits keep the push sequence, so [`StampedMatrix::restamp`] can
-/// rewrite the values in place; op-amp rail moves change it, and the
-/// restamp falls back to a full stamp that maps the new pattern. Clones
-/// share the map.
+/// each contribution of the stamping walk, in push order, and the value of
+/// each contribution. Diode flips and value edits keep the push sequence,
+/// so [`StampedMatrix::restamp`] can rewrite the values in place; op-amp
+/// rail moves change it, and the restamp falls back to a full stamp that
+/// maps the new pattern. Clones share the map.
 #[derive(Debug, Clone)]
 pub struct StampedMatrix {
     matrix: CscMatrix,
-    slots: Option<Arc<[usize]>>,
+    map: Option<Arc<StampMap>>,
+    /// Each push's value at the last stamp; empty without a map, or
+    /// until the next full walk once dropped (`forget_pushes`).
+    pushes: Vec<f64>,
+    /// The assignment and mode of the last stamp.
+    states: Vec<DeviceState>,
+    mode: StampMode,
 }
 
 impl StampedMatrix {
@@ -353,7 +456,10 @@ impl StampedMatrix {
     pub fn new(ckt: &Circuit, st: &MnaStructure, states: &[DeviceState], mode: StampMode) -> Self {
         StampedMatrix {
             matrix: stamp_matrix(ckt, st, states, mode).to_csc(),
-            slots: None,
+            map: None,
+            pushes: Vec::new(),
+            states: states.to_vec(),
+            mode,
         }
     }
 
@@ -365,28 +471,37 @@ impl StampedMatrix {
         mode: StampMode,
     ) -> Self {
         let matrix = stamp_matrix(ckt, st, states, mode).to_csc();
-        let (cp, ri) = (matrix.col_ptr(), matrix.row_idx());
-        let mut slots = Vec::with_capacity(ri.len());
-        for_each_stamp(ckt, st, states, mode, |r, c, _| {
-            let at = ri[cp[c]..cp[c + 1]]
-                .binary_search(&r)
-                .expect("invariant: every stamped entry is in its own compressed pattern");
-            slots.push(cp[c] + at);
-        });
+        let mut pushes = Vec::new();
+        let map = StampMap::build(ckt, st, states, mode, &matrix, &mut pushes).map(Arc::new);
         StampedMatrix {
             matrix,
-            slots: Some(slots.into()),
+            map,
+            pushes,
+            states: states.to_vec(),
+            mode,
         }
     }
 
-    /// Re-stamps for `states`. With a map and an unchanged push sequence
-    /// the values are rewritten in place (no triplets, no sort, no
-    /// allocation) and this returns `true`. The result is bitwise equal to
-    /// `stamp_matrix(..).to_csc()`: every slot starts at `-0.0`, the
-    /// additive identity that keeps the first contribution's bits, and
-    /// contributions accumulate in push order, the order in which `to_csc`
-    /// merges duplicates. Otherwise it stamps the full way, maps the new
-    /// pattern for the next call and returns `false`.
+    /// Drops the per-push values. For a template's base, which is only
+    /// ever cloned and restamped in full: the full walk records them
+    /// again.
+    pub(crate) fn forget_pushes(&mut self) {
+        self.pushes = Vec::new();
+    }
+
+    /// Re-stamps for `states`, walking every element: the path for value
+    /// edits (resistances, capacities, models). With a map and an
+    /// unchanged push sequence the values are rewritten in place (no
+    /// triplets, no sort, no allocation) and this returns `true`. The
+    /// result is bitwise equal to `stamp_matrix(..).to_csc()`: every slot
+    /// starts at `-0.0`, the additive identity that keeps the first
+    /// contribution's bits, and contributions accumulate in push order,
+    /// the order in which `to_csc` merges duplicates. Otherwise it stamps
+    /// the full way, maps the new pattern for the next call and returns
+    /// `false`. Either way it records each contribution's value and the
+    /// states and mode, so a following change of states alone can take
+    /// the state-only restamp (`restamp_states`), which re-sums only the
+    /// slots of the devices that changed.
     pub fn restamp(
         &mut self,
         ckt: &Circuit,
@@ -394,27 +509,94 @@ impl StampedMatrix {
         states: &[DeviceState],
         mode: StampMode,
     ) -> bool {
-        let in_place = self.slots.as_ref().is_some_and(|slots| {
+        let in_place = self.map.as_ref().is_some_and(|map| {
             let (cp, ri, values) = self.matrix.pattern_values_mut();
+            let pushes = &mut self.pushes;
+            pushes.resize(map.slots.len(), 0.0);
             values.fill(-0.0);
             let (mut k, mut same) = (0, true);
             for_each_stamp(ckt, st, states, mode, |r, c, v| {
-                // A slot names one (row, col) position, so matching every
-                // push against its recorded slot proves the sequences equal.
-                match slots.get(k) {
-                    Some(&s) if same && (cp[c]..cp[c + 1]).contains(&s) && ri[s] == r => {
+                match map.lands(k, r, c, cp, ri) {
+                    Some(s) if same => {
                         values[s] += v;
+                        pushes[k] = v;
                     }
                     _ => same = false,
                 }
                 k += 1;
             });
-            same && k == slots.len()
+            same && k == map.slots.len()
         });
-        if !in_place {
+        if in_place {
+            self.states.clear();
+            self.states.extend_from_slice(states);
+            self.mode = mode;
+        } else {
             *self = Self::mapped(ckt, st, states, mode);
         }
         in_place
+    }
+
+    /// [`StampedMatrix::restamp`] for a change of device states alone:
+    /// only the elements whose state differs from the last stamp are
+    /// re-stamped, and only their slots are re-summed, each from `-0.0`
+    /// over all its pushes in push order — the same sums as the full walk,
+    /// so the result is still bitwise equal to `stamp_matrix(..).to_csc()`.
+    /// Returns `true` on that path. Without a map, under another mode, or
+    /// when a changed element's pushes no longer match its slots (an
+    /// op-amp rail move), it runs [`StampedMatrix::restamp`] and returns
+    /// `false`.
+    ///
+    /// The caller guarantees that every element *value* (resistances,
+    /// models, gains) is the one of the last stamp; value edits take
+    /// [`StampedMatrix::restamp`].
+    pub(crate) fn restamp_states(
+        &mut self,
+        ckt: &Circuit,
+        st: &MnaStructure,
+        states: &[DeviceState],
+        mode: StampMode,
+    ) -> bool {
+        let state_only = match &self.map {
+            Some(map)
+                if mode == self.mode
+                    && states.len() == self.states.len()
+                    && self.pushes.len() == map.slots.len() =>
+            {
+                let (cp, ri, values) = self.matrix.pattern_values_mut();
+                let pushes = &mut self.pushes;
+                let mut changed = (0..states.len()).filter(|&i| states[i] != self.states[i]);
+                changed.all(|i| {
+                    let (lo, hi) = (map.elem_ptr[i] as usize, map.elem_ptr[i + 1] as usize);
+                    let (mut k, mut same) = (lo, true);
+                    let mut sink = Sink(|r, c, v| {
+                        match map.lands(k, r, c, cp, ri) {
+                            Some(_) if same && k < hi => pushes[k] = v,
+                            _ => same = false,
+                        }
+                        k += 1;
+                    });
+                    stamp_element(ckt, st, i, states, mode, &mut sink);
+                    if !same || k != hi {
+                        return false;
+                    }
+                    for &s in &map.slots[lo..hi] {
+                        let s = s as usize;
+                        let span = map.slot_ptr[s] as usize..map.slot_ptr[s + 1] as usize;
+                        let into = &map.slot_pushes[span];
+                        values[s] = into.iter().fold(-0.0, |acc, &p| acc + pushes[p as usize]);
+                    }
+                    true
+                })
+            }
+            _ => false,
+        };
+        if state_only {
+            self.states.copy_from_slice(states);
+        } else {
+            self.restamp(ckt, st, states, mode);
+        }
+        state_only
     }
 
     /// The stamped matrix.
@@ -561,6 +743,17 @@ pub(crate) fn stamp_rhs_into(
             }
             _ => {}
         }
+    }
+}
+
+/// Whether `e`'s term in [`stamp_rhs_into`] depends on its device state: a
+/// diode with a forward drop, or an op-amp. Ideal diodes (`v_on = 0`)
+/// flip without touching the RHS.
+fn rhs_depends_on_state(e: &Element) -> bool {
+    match e {
+        Element::Diode { model, .. } => model.v_on != 0.0,
+        Element::OpAmp { .. } => true,
+        _ => false,
     }
 }
 
@@ -852,9 +1045,11 @@ pub(crate) fn refine_once(lu: &SparseLu, m: &CscMatrix, b: &[f64], x: &mut [f64]
 }
 
 /// The factorization of one state assignment's stamp, carried between
-/// [`solve_pwl`] calls: an unchanged assignment reuses it outright, a
-/// changed one restamps in place and refactors numerically, and callers
-/// compute refinement residuals against the stamped matrix.
+/// [`solve_pwl`] calls on one circuit: an unchanged assignment reuses it
+/// outright, a changed one restamps the changed devices in place and
+/// refactors numerically, and callers compute refinement residuals against
+/// the stamped matrix. The stamp is always of the circuit whose solves
+/// carry the cache (element values never change under it).
 #[derive(Debug)]
 pub(crate) struct FactorCache {
     /// The assignment `lu` and `stamped` belong to.
@@ -863,15 +1058,47 @@ pub(crate) struct FactorCache {
     pub stamped: StampedMatrix,
 }
 
+/// What [`solve_pwl`] spent: factorizations (numeric replays plus fresh
+/// pivoting factorizations) and, when timing is on, wall-clock time per
+/// phase.
+#[derive(Debug, Default)]
+pub(crate) struct PwlCost {
+    pub refactorizations: usize,
+    /// `Some` turns phase timing on.
+    pub phases: Option<FrozenDcPhases>,
+}
+
+impl PwlCost {
+    /// Starts a phase: reads the clock only when timing is on.
+    pub(crate) fn start(&self) -> Option<Instant> {
+        phase_clock(self.phases.is_some())
+    }
+
+    /// Charges the time since `t0` to the phase `pick` selects.
+    pub(crate) fn charge(
+        &mut self,
+        t0: Option<Instant>,
+        pick: fn(&mut FrozenDcPhases) -> &mut u64,
+    ) {
+        if let (Some(t0), Some(p)) = (t0, self.phases.as_mut()) {
+            *pick(p) += t0.elapsed().as_nanos() as u64;
+        }
+    }
+}
+
 /// Solves the PWL system at one instant: the [`StateIteration`] over
 /// frozen-state solves through `factor_cache`. Returns the solution vector
 /// and the finished iteration (its `solves` and `cycle_break` feed the
-/// facade's `SolveReport`).
+/// facade's `SolveReport`); `cost` accumulates the factorizations and
+/// phase times.
 ///
 /// `factor_cache` carries the factorization between calls so an
 /// unchanged state assignment reuses it, and callers can compute
 /// residuals (iterative refinement) against the already-stamped matrix
-/// instead of re-stamping it.
+/// instead of re-stamping it. Between iterations only the flipped devices
+/// are restamped ([`StampedMatrix::restamp_states`]), the numeric replay
+/// rewrites only what their columns reach, and the RHS is reused unless a
+/// flipped device has a state-dependent RHS term.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_pwl(
     ckt: &Circuit,
@@ -883,10 +1110,12 @@ pub(crate) fn solve_pwl(
     dc_pre_step: bool,
     lu_opts: &crate::LuOptions,
     factor_cache: &mut Option<FactorCache>,
+    cost: &mut PwlCost,
 ) -> Result<(Vec<f64>, StateIteration), CircuitError> {
     let mut it = StateIteration::new(ckt, states, time);
     // RHS and triangular-solve scratch reused across state iterations.
     let (mut b, mut work, mut x) = (Vec::new(), Vec::new(), Vec::new());
+    let mut rhs_stale = true;
     let mut lu_ws = ohmflow_linalg::LuWorkspace::new();
     loop {
         let cache = match factor_cache.take() {
@@ -898,16 +1127,31 @@ pub(crate) fn solve_pwl(
             // fall back to a fresh pivoting factorization when the pattern
             // moved or a frozen pivot died.
             Some(mut c) => {
-                c.stamped.restamp(ckt, st, states, mode);
+                let t0 = cost.start();
+                c.stamped.restamp_states(ckt, st, states, mode);
+                cost.charge(t0, |p| &mut p.stamp_ns);
+                let t0 = cost.start();
                 if c.lu.refactor_with(c.stamped.matrix(), &mut lu_ws).is_err() {
                     c.lu = SparseLu::factor_with(c.stamped.matrix(), lu_opts)?;
                 }
+                cost.charge(t0, |p| &mut p.refactor_ns);
+                cost.refactorizations += 1;
+                rhs_stale |= ckt
+                    .elements()
+                    .iter()
+                    .zip(c.states.iter().zip(states.iter()))
+                    .any(|(e, (was, now))| was != now && rhs_depends_on_state(e));
                 c.states.clone_from(states);
                 c
             }
             None => {
+                let t0 = cost.start();
                 let stamped = StampedMatrix::new(ckt, st, states, mode);
+                cost.charge(t0, |p| &mut p.stamp_ns);
+                let t0 = cost.start();
                 let lu = SparseLu::factor_with(stamped.matrix(), lu_opts)?;
+                cost.charge(t0, |p| &mut p.refactor_ns);
+                cost.refactorizations += 1;
                 FactorCache {
                     states: states.clone(),
                     lu,
@@ -916,8 +1160,15 @@ pub(crate) fn solve_pwl(
             }
         };
         let lu = &factor_cache.insert(cache).lu;
-        stamp_rhs_into(&mut b, ckt, st, states, time, mode, history, dc_pre_step);
+        if rhs_stale {
+            let t0 = cost.start();
+            stamp_rhs_into(&mut b, ckt, st, states, time, mode, history, dc_pre_step);
+            cost.charge(t0, |p| &mut p.stamp_ns);
+            rhs_stale = false;
+        }
+        let t0 = cost.start();
         lu.solve_into(&b, &mut work, &mut x)?;
+        cost.charge(t0, |p| &mut p.solve_ns);
         if it.advance(ckt, states, &x)? {
             return Ok((x, it));
         }

@@ -142,6 +142,7 @@ impl<'c> TransientAnalysis<'c> {
         let st = MnaStructure::new(ckt);
         let mut states = mna::initial_states(ckt);
         let mut cache = None;
+        let mut cost = mna::PwlCost::default();
 
         // t = 0⁻ operating point.
         let lu_opts = crate::LuOptions::default();
@@ -155,6 +156,7 @@ impl<'c> TransientAnalysis<'c> {
             true,
             &lu_opts,
             &mut cache,
+            &mut cost,
         )?;
         // The DC stamp differs from the transient stamp: drop the cache.
         cache = None;
@@ -198,6 +200,7 @@ impl<'c> TransientAnalysis<'c> {
                 false,
                 &lu_opts,
                 &mut cache,
+                &mut cost,
             )?;
 
             // Update capacitor-current history (needed by trapezoidal).

@@ -424,6 +424,9 @@ pub struct LuWorkspace {
     /// off-diagonal (cross-block) value slots; see `scatter_step_column`.
     off_stamp: Vec<usize>,
     off_slot: Vec<usize>,
+    /// Per step, whether the replay rewrites it (its dirty closure, see
+    /// [`SparseLu::refactor_with`]).
+    dirty: Vec<bool>,
     /// Pooled buffers of [`SparseLu::solve_refined_with`] (solve scratch,
     /// residual, correction), so refined hot-loop solves allocate nothing.
     rwork: Vec<f64>,
@@ -446,6 +449,8 @@ impl LuWorkspace {
         self.off_stamp.resize(n, usize::MAX);
         self.off_slot.clear();
         self.off_slot.resize(n, 0);
+        self.dirty.clear();
+        self.dirty.resize(n, false);
     }
 }
 
@@ -503,6 +508,63 @@ pub struct SymbolicLu {
     /// Supernode partition + panel layout, built lazily on first numeric
     /// construction (the panels' value storage is sized from it).
     pub(crate) sn_plan: std::sync::OnceLock<Option<SupernodePlan>>,
+    /// Dependents and column steps for dirty-closure replays, built on
+    /// the first one (`None` if an index would not fit in 32 bits).
+    pub(crate) replay_index: std::sync::OnceLock<Option<ReplayIndex>>,
+}
+
+/// What a dirty-closure replay ([`SparseLu::refactor_with`]) walks: the
+/// transpose of the off-diagonal `U` pattern and the inverse column order.
+/// Indices are 32-bit: a plan cache keeps one per resident template.
+#[derive(Debug)]
+pub(crate) struct ReplayIndex {
+    /// Steps `k` with `U(s, k) ≠ 0`, ascending:
+    /// `dep_steps[dep_ptr[s]..dep_ptr[s + 1]]`.
+    dep_ptr: Vec<u32>,
+    dep_steps: Vec<u32>,
+    /// The step that eliminates each column: the inverse of `q`.
+    step_of_col: Vec<u32>,
+}
+
+impl ReplayIndex {
+    /// `None` when an index would not fit in 32 bits.
+    fn build(sym: &SymbolicLu) -> Option<Self> {
+        let n = sym.n;
+        u32::try_from(sym.u_rows.len()).ok()?;
+        // Every step and count below fits once the `U` length does.
+        let mut dep_ptr = vec![0u32; n + 1];
+        for k in 0..n {
+            for &s in sym.u_column_steps(k) {
+                dep_ptr[s + 1] += 1;
+            }
+        }
+        for s in 0..n {
+            dep_ptr[s + 1] += dep_ptr[s];
+        }
+        let mut next = dep_ptr.clone();
+        let mut dep_steps = vec![0u32; dep_ptr[n] as usize];
+        for k in 0..n {
+            for &s in sym.u_column_steps(k) {
+                dep_steps[next[s] as usize] = k as u32;
+                next[s] += 1;
+            }
+        }
+        let mut step_of_col = vec![0u32; n];
+        for (k, &c) in sym.q.iter().enumerate() {
+            step_of_col[c] = k as u32;
+        }
+        Some(ReplayIndex {
+            dep_ptr,
+            dep_steps,
+            step_of_col,
+        })
+    }
+
+    /// The steps whose `U` column holds step `s`.
+    fn dependents(&self, s: usize) -> impl Iterator<Item = usize> + '_ {
+        let span = self.dep_ptr[s] as usize..self.dep_ptr[s + 1] as usize;
+        self.dep_steps[span].iter().map(|&k| k as usize)
+    }
 }
 
 impl SymbolicLu {
@@ -627,6 +689,13 @@ impl SymbolicLu {
             .as_ref()
     }
 
+    /// The dirty-closure replay index, built on first use.
+    fn replay_index(&self) -> Option<&ReplayIndex> {
+        self.replay_index
+            .get_or_init(|| ReplayIndex::build(self))
+            .as_ref()
+    }
+
     /// The supernode plan the blocked kernels run on: present only when
     /// detection is enabled *and* the pattern actually amalgamates (a plan
     /// of pure singletons would route every column through the scalar path
@@ -652,6 +721,7 @@ impl SymbolicLu {
         let mut lu = SparseLu {
             sym: Arc::clone(sym),
             vals: ValueArrays::zeroed(sym, panel_len),
+            replayed_from: None,
         };
         lu.refactor(a)?;
         Ok(lu)
@@ -742,6 +812,47 @@ pub struct SparseLu {
     /// Numeric values (`L`, `U`, raw cross-block entries, supernode
     /// panels).
     vals: ValueArrays,
+    /// The matrix `vals` were last replayed from, when they come from a
+    /// successful [`SparseLu::refactor_with`]; `None` after a pivoting
+    /// factorization or a failed replay. The next replay against the same
+    /// pattern rewrites only the steps this record proves stale.
+    replayed_from: Option<ReplayRecord>,
+}
+
+/// The matrix a factor's values were last replayed from: its pattern
+/// (`col_ptr`, `row_idx` as 32-bit indices, shared by clones of the
+/// factor) and values.
+#[derive(Debug, Clone)]
+struct ReplayRecord {
+    pattern: Arc<(Vec<u32>, Vec<u32>)>,
+    values: Vec<f64>,
+}
+
+impl ReplayRecord {
+    /// A record of `a`, or `None` if an index does not fit in 32 bits.
+    fn of(a: &CscMatrix) -> Option<Self> {
+        // Both index arrays are bounded by their last entry's range:
+        // `row_idx` by the row count, `col_ptr` by its last value.
+        let narrow = |v: &[usize], bound: usize| -> Option<Vec<u32>> {
+            u32::try_from(bound).ok()?;
+            Some(v.iter().map(|&i| i as u32).collect())
+        };
+        Some(ReplayRecord {
+            pattern: Arc::new((
+                narrow(a.col_ptr(), a.nnz())?,
+                narrow(a.row_idx(), a.rows())?,
+            )),
+            values: a.values().to_vec(),
+        })
+    }
+
+    /// Whether `a` has the recorded pattern.
+    fn fits(&self, a: &CscMatrix) -> bool {
+        let same = |narrow: &[u32], v: &[usize]| {
+            narrow.len() == v.len() && narrow.iter().zip(v).all(|(&x, &y)| x as usize == y)
+        };
+        same(&self.pattern.0, a.col_ptr()) && same(&self.pattern.1, a.row_idx())
+    }
 }
 
 impl SparseLu {
@@ -1012,6 +1123,7 @@ impl SparseLu {
             supernodal: opts.supernodal,
             relax: opts.amalgamation,
             sn_plan: std::sync::OnceLock::new(),
+            replay_index: std::sync::OnceLock::new(),
         });
         let mut va = ValueArrays {
             l: l_vals,
@@ -1023,7 +1135,11 @@ impl SparseLu {
         if let Some(plan) = sym.blocked_plan() {
             va.fill_panels(plan);
         }
-        let lu = SparseLu { sym, vals: va };
+        let lu = SparseLu {
+            sym,
+            vals: va,
+            replayed_from: None,
+        };
         crate::verify::debug_auto_audit!(lu.audit());
         Ok(lu)
     }
@@ -1124,6 +1240,19 @@ impl SparseLu {
     /// supernode through the blocked kernels when the plan amalgamates,
     /// column by column otherwise.
     ///
+    /// A replay pays only for what changed since the previous one. A
+    /// successful replay records the matrix it ran on; the next replay
+    /// against the same pattern rewrites only the *dirty closure*: step
+    /// `k` is dirty when column `q[k]` of `a` differs bitwise from the
+    /// recorded column, or when any step in its stored `U` column is
+    /// dirty. A multi-column supernode replays whole when any member is
+    /// dirty, so its panel stays coherent. Every other step keeps values a
+    /// full replay would reproduce bit for bit: its inputs are unchanged.
+    /// The first replay after a pivoting factorization, after a failed
+    /// replay or against a different pattern is full. The factor compares
+    /// its own input, so the result never depends on what the caller
+    /// believes changed.
+    ///
     /// # Errors
     ///
     /// Same as [`SparseLu::refactor`].
@@ -1132,6 +1261,12 @@ impl SparseLu {
         a: &CscMatrix,
         ws: &mut LuWorkspace,
     ) -> Result<(), LinalgError> {
+        self.replay(a, ws).map(|_| ())
+    }
+
+    /// The body of [`SparseLu::refactor_with`]; returns the number of
+    /// pivot steps it replayed.
+    fn replay(&mut self, a: &CscMatrix, ws: &mut LuWorkspace) -> Result<usize, LinalgError> {
         ensure_square(a)?;
         let sym = &self.sym;
         if a.cols() != sym.n {
@@ -1140,9 +1275,54 @@ impl SparseLu {
                 found: a.cols(),
             });
         }
+        // Taken out for the whole replay: an error leaves no record, so
+        // the replay after a failed one is full.
+        let prev = self.replayed_from.take().filter(|p| p.fits(a));
         let va = &mut self.vals;
+        let plan = sym.blocked_plan();
         ws.reset(sym.n);
-        match sym.blocked_plan() {
+        // The steps that replay together with step `k`: its whole
+        // supernode, so the panel stays coherent.
+        let unit = |k: usize| match plan {
+            Some(p) => p.sn_ptr[p.sn_of_step[k]]..p.sn_ptr[p.sn_of_step[k] + 1],
+            None => k..k + 1,
+        };
+        // Seed the dirty set with the steps whose column moved since the
+        // recorded replay (one streaming compare; only a moved value pays
+        // for finding its column); without a record every step is dirty.
+        let index = prev.as_ref().and_then(|p| Some((p, sym.replay_index()?)));
+        match index {
+            Some((p, index)) => {
+                let cp = a.col_ptr();
+                for (i, (x, y)) in a.values().iter().zip(&p.values).enumerate() {
+                    if x.to_bits() != y.to_bits() {
+                        let col = cp.partition_point(|&start| start <= i) - 1;
+                        ws.dirty[unit(index.step_of_col[col] as usize)].fill(true);
+                    }
+                }
+            }
+            None => ws.dirty.fill(true),
+        }
+        // One pass in step order: a dirty unit marks the units of its
+        // dependents (all later), then replays.
+        let mut replayed = 0;
+        let mut visit = |k0: usize, k1: usize, ws: &mut LuWorkspace| {
+            if !ws.dirty[k0] {
+                return false;
+            }
+            if let Some((_, index)) = index {
+                for s in k0..k1 {
+                    for k in index.dependents(s) {
+                        if !ws.dirty[k] {
+                            ws.dirty[unit(k)].fill(true);
+                        }
+                    }
+                }
+            }
+            replayed += k1 - k0;
+            true
+        };
+        match plan {
             Some(plan) => {
                 // Panels go stale the moment replay starts writing; only a
                 // fully successful supernodal pass leaves them coherent with
@@ -1150,6 +1330,9 @@ impl SparseLu {
                 va.panels_valid = false;
                 for sn in 0..plan.count() {
                     let (k0, k1) = (plan.sn_ptr[sn], plan.sn_ptr[sn + 1]);
+                    if !visit(k0, k1, ws) {
+                        continue;
+                    }
                     if k1 - k0 == 1 {
                         refactor_step(sym, a, k0, ws, va)?;
                         continue;
@@ -1164,12 +1347,21 @@ impl SparseLu {
             }
             None => {
                 for k in 0..sym.n {
-                    refactor_step(sym, a, k, ws, va)?;
+                    if visit(k, k + 1, ws) {
+                        refactor_step(sym, a, k, ws, va)?;
+                    }
                 }
             }
         }
+        self.replayed_from = match prev {
+            Some(mut p) => {
+                p.values.copy_from_slice(a.values());
+                Some(p)
+            }
+            None => ReplayRecord::of(a),
+        };
         crate::verify::debug_auto_audit!(self.audit_values());
-        Ok(())
+        Ok(replayed)
     }
 
     /// Solves `A x = b`.
@@ -2231,6 +2423,74 @@ mod tests {
         for (xi, ri) in x.iter().zip(&x_ref) {
             assert!((xi - ri).abs() < 1e-12, "{xi} vs {ri}");
         }
+    }
+
+    /// Every value bit of a factor: `L`, `U`, off-diagonal, panels.
+    fn value_bits(lu: &SparseLu) -> Vec<u64> {
+        let va = &lu.vals;
+        [&va.l, &va.u, &va.off, &va.panels]
+            .into_iter()
+            .flatten()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn replay_rewrites_only_the_dirty_closure() {
+        let a = three_block_system(1.0).to_csc();
+        let base = SparseLu::factor(&a).unwrap();
+        let sym = Arc::clone(base.symbolic());
+        let n = base.dim();
+        let mut ws = LuWorkspace::new();
+        let mut lu = base.clone();
+        // The first replay after a pivoting factorization is full; an
+        // unchanged matrix then replays nothing.
+        assert_eq!(lu.replay(&a, &mut ws).unwrap(), n);
+        assert_eq!(lu.replay(&a, &mut ws).unwrap(), 0);
+        for col in 0..n {
+            let mut a2 = a.clone();
+            let (cp, _, vals) = a2.pattern_values_mut();
+            vals[cp[col]] *= 1.25;
+            let mut dirty = lu.clone();
+            let replayed = dirty.replay(&a2, &mut ws).unwrap();
+            let mut full = base.clone();
+            assert_eq!(full.replay(&a2, &mut ws).unwrap(), n);
+            assert_eq!(value_bits(&dirty), value_bits(&full), "column {col}");
+            // `U` never crosses a diagonal block, so the closure of one
+            // column (with whole supernodes) stays inside its block.
+            let step = sym.q.iter().position(|&c| c == col).unwrap();
+            let t = sym.block_ptr.partition_point(|&p| p <= step) - 1;
+            assert!(
+                (1..=sym.block_range(t).len()).contains(&replayed),
+                "column {col}: {replayed} steps replayed"
+            );
+        }
+    }
+
+    #[test]
+    fn replay_after_failure_or_pattern_change_is_full() {
+        let diag = |d0: f64| {
+            let mut t = TripletMatrix::new(2, 2);
+            t.push(0, 0, d0);
+            t.push(1, 1, 1.0);
+            t.push(0, 1, 0.5);
+            t.to_csc()
+        };
+        let a = diag(2.0);
+        let mut lu = SparseLu::factor(&a).unwrap();
+        let mut ws = LuWorkspace::new();
+        assert_eq!(lu.replay(&a, &mut ws).unwrap(), 2);
+        // A collapsed pivot fails partway and leaves no record: the values
+        // are part-overwritten, so the next replay must rewrite them all.
+        assert!(lu.replay(&diag(0.0), &mut ws).is_err());
+        assert_eq!(lu.replay(&a, &mut ws).unwrap(), 2);
+        let x = lu.solve(&[2.5, 1.0]).unwrap();
+        assert!((x[0] - 1.0).abs() < 1e-15 && (x[1] - 1.0).abs() < 1e-15);
+        // A subset pattern is a different pattern: full again.
+        let mut t = TripletMatrix::new(2, 2);
+        t.push(0, 0, 2.0);
+        t.push(1, 1, 1.0);
+        assert_eq!(lu.replay(&t.to_csc(), &mut ws).unwrap(), 2);
     }
 
     #[test]

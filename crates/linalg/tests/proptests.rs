@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use ohmflow_linalg::{
     amd_ordering, min_degree_ordering, BlockOrdering, CscMatrix, DenseMatrix, LowRankUpdate,
-    RankOneTermRef, SparseLu, SparseLuOptions, TripletMatrix,
+    RankOneTermRef, SparseLu, SparseLuOptions, SymbolicLu, TripletMatrix,
 };
 
 /// The identity (natural-order) single-block ordering of an `n × n` system.
@@ -467,6 +467,78 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// `a` with every column whose bit is set in `mask` (column `c` reads bit
+/// `c % 64`) perturbed: off-diagonal entries shrink by `shrink` in
+/// `[0.5, 1)` and the diagonal grows by a quarter, which keeps the
+/// generators' diagonal dominance (hence the frozen pivots) intact.
+fn perturb_columns(a: &CscMatrix, mask: u64, shrink: f64) -> CscMatrix {
+    let mut out = a.clone();
+    let (cp, ri, vals) = out.pattern_values_mut();
+    for c in 0..cp.len() - 1 {
+        if mask >> (c % 64) & 1 == 1 {
+            for i in cp[c]..cp[c + 1] {
+                vals[i] *= if ri[i] == c { 1.25 } else { shrink };
+            }
+        }
+    }
+    out
+}
+
+/// Every bit of a factor's values. `SparseLu`'s `Debug` prints the `L`,
+/// `U`, off-diagonal and panel arrays with shortest round-trip floats, so
+/// two factors over one symbolic plan print alike exactly when their
+/// values are bitwise equal.
+fn factor_bits(lu: &SparseLu) -> String {
+    format!("{lu:?}")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A replay after a replay rewrites only the dirty closure of the
+    /// columns that changed. Under both kernel settings it must equal a
+    /// full replay of a fresh clone bit for bit: `L`, `U`, off-diagonal
+    /// values, panels and solves.
+    #[test]
+    fn dirty_replay_matches_full_replay_bitwise(
+        (t, b) in arb_dense_tail_system(),
+        supernodal in any::<bool>(),
+        mask in any::<u64>(),
+        shrink in 0.5..1.0f64,
+    ) {
+        let csc = t.to_csc();
+        let opts = SparseLuOptions { supernodal, ..SparseLuOptions::default() };
+        let base = SparseLu::factor_with(&csc, &opts).unwrap();
+        let a1 = same_pattern_variant(&csc);
+        let a2 = perturb_columns(&a1, mask, shrink);
+        let mut dirty = base.clone();
+        dirty.refactor(&a1).unwrap();
+        dirty.refactor(&a2).unwrap();
+        let mut fresh = base.clone();
+        fresh.refactor(&a2).unwrap();
+        prop_assert_eq!(factor_bits(&dirty), factor_bits(&fresh));
+        let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        prop_assert_eq!(bits(dirty.solve(&b).unwrap()), bits(fresh.solve(&b).unwrap()));
+    }
+
+    /// The values of a pivoting factorization do not come from a replay,
+    /// so the first replay after `factor_with` rewrites every step — even
+    /// against the very matrix just factored. It must equal a replay of
+    /// zeroed values bit for bit.
+    #[test]
+    fn first_replay_after_factor_is_full(
+        (t, _b) in arb_dense_tail_system(),
+        supernodal in any::<bool>(),
+    ) {
+        let csc = t.to_csc();
+        let opts = SparseLuOptions { supernodal, ..SparseLuOptions::default() };
+        let mut lu = SparseLu::factor_with(&csc, &opts).unwrap();
+        lu.refactor(&csc).unwrap();
+        let fresh = SymbolicLu::numeric(lu.symbolic(), &csc).unwrap();
+        prop_assert_eq!(factor_bits(&lu), factor_bits(&fresh));
     }
 }
 
