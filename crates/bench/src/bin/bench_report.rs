@@ -8,9 +8,7 @@
 //! times, plus the BTF block structure), `BENCH_PR5.json` (facade
 //! overhead), `BENCH_PR6.json` (the KLU-style solve-time off-diagonal
 //! restructure: the production rank-1 solve, and the rmat128
-//! multi-block numeric-replay tax) and `BENCH_PR7.json` (the
-//! supernodal blocked kernels vs the scalar replay and the detected
-//! supernode structure) and `BENCH_PR8.json` (the
+//! multi-block numeric-replay tax) and `BENCH_PR8.json` (the
 //! concurrent sharded plan cache: fingerprint-first hit latency vs the
 //! old full-key-rebuild path, warm-hit throughput at 1/2/4 threads and
 //! an eviction-pressure sweep with the cache counters) and
@@ -25,7 +23,9 @@
 //! release-mode audit costs `ohmflow-audit` pays), so
 //! the repo's perf trajectory is tracked by artifact instead of
 //! anecdote. A final pass merges every `BENCH_PR*.json` in the working
-//! directory into `BENCH_TRAJECTORY.json` keyed by PR number.
+//! directory into `BENCH_TRAJECTORY.json` keyed by PR number, so the
+//! committed `BENCH_PR7.json` (the supernode kernels, since replaced by
+//! the dense trailing cores) stays in the trajectory as history.
 //!
 //! Run with: `cargo run --release -p ohmflow-bench --bin bench_report`
 //! (`OHMFLOW_BENCH_OUT` / `OHMFLOW_BENCH_OUT_PR3` / ... /
@@ -182,7 +182,6 @@ fn main() {
     pr4_report();
     pr5_report();
     pr6_report();
-    pr7_report();
     pr8_report();
     pr9_report();
     pr10_report();
@@ -582,118 +581,6 @@ fn pr6_report() {
     let out =
         std::env::var("OHMFLOW_BENCH_OUT_PR6").unwrap_or_else(|_| "BENCH_PR6.json".to_owned());
     std::fs::write(&out, json).expect("write pr6 bench report");
-    println!("wrote {out}");
-}
-
-/// The supernodal-kernel section: numeric refactorization under the scalar
-/// per-column replay vs the supernodal blocked kernels (same pivot
-/// sequence — a pure kernel comparison) on the three substrate MNA
-/// matrices, plus the bare and refined triangular solves and the detected
-/// supernode structure.
-fn pr7_report() {
-    println!("--- PR7 supernodal kernels ---");
-    let mut entries: Vec<(String, f64)> = Vec::new();
-    let mut speedups: Vec<(String, f64)> = Vec::new();
-    let mut structure: Vec<String> = Vec::new();
-
-    let substrates: Vec<(&str, ohmflow_graph::FlowNetwork)> = vec![
-        ("rmat1024", fig10_instance(1024, false, 1)),
-        ("rmat2048", fig10_instance(2048, false, 1)),
-        ("dimacs_grid40", dimacs_grid_instance(40, 64, 7)),
-    ];
-    for (name, g) in &substrates {
-        let sc = bench_substrate(g);
-        let (m, lu) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
-        let stats = lu
-            .symbolic()
-            .supernode_stats()
-            .expect("default options detect supernodes");
-        println!(
-            "{name}: {} unknowns, {} supernodes ({} multi-column, mean width {:.1}, max {})",
-            lu.symbolic().dim(),
-            stats.supernodes,
-            stats.multi,
-            stats.mean_width,
-            stats.max_width
-        );
-        structure.push(format!(
-            "    \"{name}\": {{ \"unknowns\": {}, \"supernodes\": {}, \"multi\": {}, \
-             \"covered_steps\": {}, \"mean_width\": {:.2}, \"max_width\": {} }}",
-            lu.symbolic().dim(),
-            stats.supernodes,
-            stats.multi,
-            stats.covered_steps,
-            stats.mean_width,
-            stats.max_width
-        ));
-
-        let mut push = |key: String, ns: f64| {
-            println!("{key:<52} {ns:>14.0} ns/op");
-            entries.push((key, ns));
-        };
-        let mut ws = LuWorkspace::new();
-
-        // Factorization (pivoting cold path).
-        push(
-            format!("{name}/factor_f64"),
-            median_ns(3, || SparseLu::factor(&m).expect("factor")),
-        );
-
-        // Numeric replay: scalar oracle vs blocked kernels, same pivots.
-        let scalar_opts = SparseLuOptions {
-            supernodal: false,
-            ..SparseLuOptions::default()
-        };
-        let mut lu_scalar = SparseLu::factor_with(&m, &scalar_opts).expect("scalar factor");
-        let t_scalar = full_replay_ns(7, &mut lu_scalar, &m, &mut ws);
-        push(format!("{name}/refactor_scalar_f64"), t_scalar);
-
-        let mut lu_sn = lu.clone();
-        let t_sn = full_replay_ns(7, &mut lu_sn, &m, &mut ws);
-        push(format!("{name}/refactor_supernodal_f64"), t_sn);
-
-        // Triangular solves: bare, then refined with one
-        // residual-correction step (what the DC layer ships).
-        let b = vec![1.0; m.cols()];
-        let (mut work, mut x64) = (Vec::new(), Vec::new());
-        let t_solve64 = median_ns(7, || {
-            lu_sn.solve_into(&b, &mut work, &mut x64).expect("solve")
-        });
-        push(format!("{name}/solve_f64"), t_solve64);
-        let mut x64r = Vec::new();
-        let t_solve64r = median_ns(7, || {
-            lu_sn
-                .solve_refined_with(&m, &b, &mut ws, &mut x64r)
-                .expect("refined f64 solve")
-        });
-        push(format!("{name}/solve_refined_f64"), t_solve64r);
-        speedups.push((
-            format!("supernodal_vs_scalar_refactor_{name}"),
-            t_scalar / t_sn,
-        ));
-    }
-    for (k, v) in &speedups {
-        println!("{k}: {v:.2}x");
-    }
-
-    let mut json = String::from("{\n  \"schema\": \"ohmflow-bench-report-pr7/1\",\n");
-    json.push_str("  \"ns_per_op\": {\n");
-    for (i, (name, ns)) in entries.iter().enumerate() {
-        let comma = if i + 1 < entries.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {ns:.0}{comma}\n"));
-    }
-    json.push_str("  },\n  \"supernodes\": {\n");
-    json.push_str(&structure.join(",\n"));
-    json.push_str("\n  },\n  \"speedups\": {\n");
-    for (i, (name, v)) in speedups.iter().enumerate() {
-        let comma = if i + 1 < speedups.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {v:.3}{comma}\n"));
-    }
-    json.push_str("  }\n}\n");
-
-    let out =
-        std::env::var("OHMFLOW_BENCH_OUT_PR7").unwrap_or_else(|_| "BENCH_PR7.json".to_owned());
-    std::fs::write(&out, json).expect("write pr7 bench report");
     println!("wrote {out}");
 }
 

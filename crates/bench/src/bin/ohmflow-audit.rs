@@ -3,7 +3,7 @@
 //! Builds plans for the benchmark substrates (the same instances
 //! `bench_report` measures), instantiates and solves each one, then runs
 //! every structural audit the workspace defines: the symbolic
-//! elimination plan, the supernode plan and the numeric value arrays
+//! elimination plan with its dense cores and the numeric value arrays
 //! (`SparseLu::audit`), the plan-cache shards, and the delta-surgery
 //! metadata — followed by a delta-session walk (capacity retunes,
 //! removals, revivals, novel insertions) auditing after every batch.
@@ -52,7 +52,7 @@ fn audit_substrate(name: &str, g: &FlowNetwork) -> Result<(), String> {
         .map_err(|e| format!("{name}: instance audit: {e}"))?;
 
     // Solve and re-audit: the solve path refactors and warm-starts, so a
-    // seam that corrupts values or panels shows up in the second pass.
+    // seam that corrupts values or dense cores shows up in the second pass.
     let solution = instance
         .solve()
         .map_err(|e| format!("{name}: solve failed: {e}"))?;

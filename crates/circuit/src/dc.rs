@@ -52,7 +52,7 @@ pub struct DcTemplate {
     /// session seeded from the template restamps a clone of it, sharing
     /// the map.
     base: StampedMatrix,
-    /// The factorization options (pivoting threshold, supernode kernels)
+    /// The factorization options (the pivoting threshold)
     /// the template's symbolic plan was built under — reused by every
     /// fallback fresh factorization so a template never silently mixes
     /// options.
@@ -425,8 +425,8 @@ impl DcSolver {
         Self::default()
     }
 
-    /// Overrides the factorization options (pivoting threshold,
-    /// supernode kernels). The options set here are the **single source of
+    /// Overrides the factorization options (the pivoting threshold).
+    /// The options set here are the **single source of
     /// truth**: every plan built by this solver factors under them, and a
     /// plan's fallback fresh factorizations reuse the plan's own options,
     /// never a caller's divergent copy.

@@ -122,7 +122,7 @@ pub struct SolveOptions {
     /// Convergence band for the §5.1 settle-time measurement (0.001 =
     /// "within 0.1 % of the final value").
     pub settle_fraction: f64,
-    /// Factorization options (pivoting threshold, supernode kernels) for
+    /// Factorization options (the pivoting threshold) for
     /// every LU in the stack — plans, sessions, cold paths. The column
     /// ordering is not among them: every factor is ordered by AMD on the
     /// diagonal blocks of the block-triangular form, so a plan's
@@ -946,7 +946,7 @@ impl Plan {
     }
 
     /// Audits the plan's structural invariants end-to-end: the symbolic
-    /// elimination plan, the supernode plan and the numeric value arrays
+    /// elimination plan with its dense cores and the numeric value arrays
     /// of the shared factorization (see
     /// [`ohmflow_linalg::SparseLu::audit`]), plus the solver's plan-cache
     /// shards. The `ohmflow-audit` binary drives this across the bench

@@ -3,102 +3,98 @@ use std::ops::{Index, IndexMut};
 
 use crate::LinalgError;
 
-/// Width of the unrolled accumulator lanes of the dense micro-kernels:
-/// four independent partial sums per stream, which is what LLVM needs to
-/// autovectorize a reduction (a single serial accumulator carries a
-/// loop-carried dependence it must preserve).
-const LANES: usize = 4;
-
-/// Lane-accumulated dot product `a · b` over `min` common length — the
-/// register-blocked inner loop of the supernodal panel update. Fixed-size
-/// `LANES`-wide chunks with independent accumulators; the remainder is
-/// folded in serially.
-#[inline]
-pub(crate) fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f64; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for l in 0..LANES {
-            acc[l] += xa[l] * xb[l];
-        }
-    }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        s += *x * *y;
-    }
-    s
-}
-
-/// Rank-`k` supernode panel update (the gemm-style kernel of the blocked
-/// numeric replay): for each panel row `i`,
-/// `x[rows[i]] -= panel[i*w + t0 .. i*w + w] · coef[t0..w]`.
+/// Left-looking in-core update of column `j` of a dense core during the
+/// numeric replay: for each in-core source `s` in `head..j`, ascending,
+/// `col[s + 1..] -= col[s] · L(s + 1.., s)`. `done` holds the finished
+/// columns `0..j` of the `c × c` column-major core (`c = col.len()`, unit
+/// `L` below the diagonal). Zero coefficients are skipped, as the
+/// per-entry replay skips them, so every entry sees the same operations
+/// in the same order.
 ///
-/// `panel` is the supernode's dense row-major body block (`rows.len() × w`,
-/// explicit zeros in padded positions, so padded columns contribute exactly
-/// `0.0`), and `coef` the finalized local `U` coefficients. Rows are
-/// processed in pairs so each `coef` load feeds two accumulator sets; the
-/// inner loops are fixed-`LANES` chunks that autovectorize.
+/// Sources go in groups of four: the group's own rows are updated source
+/// by source, which finalizes its four coefficients, then each row below
+/// the group takes all four subtractions in source order in one pass —
+/// one load and store of the row per four updates instead of per update.
 #[inline]
-pub(crate) fn panel_rank_update(
-    panel: &[f64],
-    w: usize,
-    t0: usize,
-    rows: &[usize],
-    coef: &[f64],
-    x: &mut [f64],
-) {
-    let c = &coef[t0..w];
-    let span = w - t0;
-    let mut i = 0;
-    while i + 1 < rows.len() {
-        let p0 = &panel[i * w + t0..i * w + t0 + span];
-        let p1 = &panel[(i + 1) * w + t0..(i + 1) * w + t0 + span];
-        let mut a0 = [0.0f64; LANES];
-        let mut a1 = [0.0f64; LANES];
-        let mut c0 = p0.chunks_exact(LANES);
-        let mut c1 = p1.chunks_exact(LANES);
-        let mut cc = c.chunks_exact(LANES);
-        for ((x0, x1), xc) in (&mut c0).zip(&mut c1).zip(&mut cc) {
-            for l in 0..LANES {
-                a0[l] += x0[l] * xc[l];
-                a1[l] += x1[l] * xc[l];
+pub(crate) fn core_column_update(done: &[f64], col: &mut [f64], j: usize, head: usize) {
+    let c = col.len();
+    let lcol = |s: usize| &done[s * c..s * c + c];
+    let single = |col: &mut [f64], s: usize, rows: std::ops::Range<usize>| {
+        let u = col[s];
+        if u != 0.0 {
+            for (v, &lv) in col[rows.clone()].iter_mut().zip(&lcol(s)[rows]) {
+                *v -= u * lv;
             }
         }
-        let mut d0 = (a0[0] + a0[1]) + (a0[2] + a0[3]);
-        let mut d1 = (a1[0] + a1[1]) + (a1[2] + a1[3]);
-        for ((x0, x1), xc) in c0
-            .remainder()
-            .iter()
-            .zip(c1.remainder())
-            .zip(cc.remainder())
-        {
-            d0 += *x0 * *xc;
-            d1 += *x1 * *xc;
+    };
+    let mut s = head;
+    while s + 4 <= j {
+        for t in s..s + 3 {
+            single(col, t, t + 1..s + 4);
         }
-        x[rows[i]] -= d0;
-        x[rows[i + 1]] -= d1;
-        i += 2;
+        let u = [col[s], col[s + 1], col[s + 2], col[s + 3]];
+        let below = s + 4..c;
+        if u.iter().all(|&v| v != 0.0) {
+            let [l0, l1, l2, l3] = [s, s + 1, s + 2, s + 3].map(|t| &lcol(t)[below.clone()]);
+            let rows = col[below].iter_mut().zip(l0).zip(l1).zip(l2).zip(l3);
+            for ((((v, &a0), &a1), &a2), &a3) in rows {
+                *v = (((*v - u[0] * a0) - u[1] * a1) - u[2] * a2) - u[3] * a3;
+            }
+        } else {
+            for t in s..s + 4 {
+                single(col, t, below.clone());
+            }
+        }
+        s += 4;
     }
-    if i < rows.len() {
-        x[rows[i]] -= dot_lanes(&panel[i * w + t0..i * w + t0 + span], c);
+    for t in s..j {
+        single(col, t, t + 1..c);
     }
 }
 
-/// Dense unit-lower-triangular finalize of a supernode's local coefficient
-/// vector: `c[t2] -= c[t] * diag[t*w + t2]` for `t` ascending, `t2 > t`.
-/// `diag` is the supernode's `w × w` within-block `L` stored column-major
-/// by source step (`diag[t*w + i] = L[pivot_row(k0+i), k0+t]`, explicit
-/// zeros where the pattern is absent).
+/// Forward substitution `L z = b` with the unit-lower part of a `c × c`
+/// column-major dense core, in place on `K` interleaved lanes
+/// (`x[i * K + lane]`): column by column, skipping a column whose lanes
+/// are all zero, exactly as the per-entry forward substitution does.
 #[inline]
-pub(crate) fn trsv_unit_lower(diag: &[f64], w: usize, t0: usize, c: &mut [f64]) {
-    for t in t0..w {
-        let ct = c[t];
-        if ct != 0.0 {
-            let col = &diag[t * w..t * w + w];
-            for t2 in t + 1..w {
-                c[t2] -= ct * col[t2];
+pub(crate) fn core_forward<const K: usize>(lu: &[f64], x: &mut [f64]) {
+    let c = x.len() / K;
+    for j in 0..c {
+        let (upto, below) = x.split_at_mut((j + 1) * K);
+        let z = &upto[j * K..];
+        if z.iter().any(|&v| v != 0.0) {
+            for (xi, &lv) in below.chunks_exact_mut(K).zip(&lu[j * c + j + 1..j * c + c]) {
+                for (xv, &zv) in xi.iter_mut().zip(z) {
+                    *xv -= zv * lv;
+                }
+            }
+        }
+    }
+}
+
+/// Backward substitution `U y = z` with the upper part of a `c × c`
+/// column-major dense core, in place on `K` interleaved lanes: column
+/// `j`, last first, divides by its pivot and updates its stored in-core
+/// rows `head[j]..j` (the rows above `head[j]` are structurally zero).
+#[inline]
+pub(crate) fn core_backward<const K: usize>(lu: &[f64], head: &[u32], x: &mut [f64]) {
+    let c = x.len() / K;
+    for j in (0..c).rev() {
+        let d = lu[j * c + j];
+        let (above, rest) = x.split_at_mut(j * K);
+        let y = &mut rest[..K];
+        for v in y.iter_mut() {
+            *v /= d;
+        }
+        if y.iter().any(|&v| v != 0.0) {
+            let h = head[j] as usize;
+            for (xi, &uv) in above[h * K..]
+                .chunks_exact_mut(K)
+                .zip(&lu[j * c + h..j * c + j])
+            {
+                for (xv, &yv) in xi.iter_mut().zip(&*y) {
+                    *xv -= yv * uv;
+                }
             }
         }
     }

@@ -26,7 +26,10 @@
 //!   immutable, `Arc`-shared [`SymbolicLu`] elimination plan and per-thread
 //!   numeric values ([`NumericLu`]), so same-topology batch members factor
 //!   concurrently against one symbolic analysis ([`SymbolicLu::numeric`]).
-//!   Solves are dense traversals, one right-hand side
+//!   The dense trailing core of each block (its nested tail, where the
+//!   fill concentrates) is stored, replayed and solved as one dense LU
+//!   ([`SymbolicLu::core_range`]). Solves are dense traversals, one
+//!   right-hand side
 //!   ([`SparseLu::solve_into`]) or up to eight lanes at once
 //!   ([`SparseLu::solve_multi_into`]),
 //! * [`LowRankUpdate`] — Sherman–Morrison–Woodbury rank-k solve updates, so
@@ -63,7 +66,6 @@ mod lowrank;
 mod ordering;
 mod sparse;
 mod sparse_lu;
-mod supernode;
 pub mod vecops;
 pub mod verify;
 
@@ -76,5 +78,4 @@ pub use ordering::{
 };
 pub use sparse::{CscMatrix, CsrMatrix, TripletMatrix};
 pub use sparse_lu::{LuWorkspace, NumericLu, SparseLu, SparseLuOptions, SymbolicLu};
-pub use supernode::SupernodeStats;
 pub use verify::AuditError;

@@ -1,8 +1,8 @@
 //! Structural invariant auditor for the factorization stack.
 //!
-//! Nine PRs of ordering, supernode, and low-rank machinery have stacked up
+//! Nine PRs of ordering, dense-core and low-rank machinery have stacked up
 //! implicit structural invariants — block confinement of `L`/`U`,
-//! cross-block entries, panel slot-map bijectivity — that, until this
+//! cross-block entries, the dense trailing cores — that, until this
 //! module, were only enforced indirectly by end-to-end proptests. KLU-style
 //! sparse-LU practice treats factor-structure validation as a first-class
 //! debugging tool: ordering and refactorization bugs corrupt *silently*
@@ -24,8 +24,8 @@
 //!
 //! The mutation-kill tests at the bottom of this module seed deliberate
 //! corruptions — swapped permutation entries, an `L` row moved across a
-//! block boundary, a cross-block entry inside its own block, a broken
-//! supernode slot map — and assert each is caught under the *right*
+//! block boundary, a cross-block entry inside its own block, a core that
+//! leaves its block — and assert each is caught under the *right*
 //! invariant name. An auditor that passes corrupt structures is worse than
 //! none.
 
@@ -34,14 +34,13 @@ use std::fmt;
 
 use crate::lowrank::LowRankUpdate;
 use crate::sparse_lu::SymbolicLu;
-use crate::supernode::{SupernodePlan, MAX_SN_WIDTH, NO_SLOT};
 
 /// A violated structural invariant: which structure, which named
 /// invariant, and where inside the structure it was observed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditError {
-    /// The audited structure (`"SymbolicLu"`, `"SupernodePlan"`,
-    /// `"LowRankUpdate"`, `"SparseLu"`, `"PlanCache"`, `"DeltaMetadata"`).
+    /// The audited structure (`"SymbolicLu"`, `"LowRankUpdate"`,
+    /// `"SparseLu"`, `"PlanCache"`, `"DeltaMetadata"`).
     pub structure: &'static str,
     /// Stable name of the violated invariant (e.g.
     /// `"l-block-confinement"`); the mutation-kill suite pins these.
@@ -140,7 +139,10 @@ fn check_csr_ptr(
 impl SymbolicLu {
     /// Audits every structural invariant of the elimination plan: the
     /// permutations, the CSR layout, BTF block confinement of `L`/`U`,
-    /// and cross-block entries reaching only earlier blocks.
+    /// cross-block entries reaching only earlier blocks, and the dense
+    /// trailing cores: each a suffix of its block, with no sparse `L` of
+    /// its own (its `L` spans all later core rows), `c²` dense values, and
+    /// in-core `U` columns that start at or above their diagonal.
     ///
     /// # Errors
     ///
@@ -183,27 +185,89 @@ impl SymbolicLu {
             return Err(fail(S, "csr-monotone", "ptr length != n + 1".to_owned()));
         }
 
+        // Dense cores: one per block, each a suffix of its block owning
+        // `c²` dense values.
+        let cores = &self.cores;
+        let blocks = self.block_ptr.len() - 1;
+        if cores.start.len() != blocks || cores.val_ptr.len() != blocks + 1 || cores.head.len() != n
+        {
+            return Err(fail(
+                S,
+                "core-suffix",
+                "core arrays vs block count".to_owned(),
+            ));
+        }
+        for t in 0..blocks {
+            let (lo, hi, c0) = (self.block_ptr[t], self.block_ptr[t + 1], cores.start[t]);
+            if c0 < lo || c0 > hi {
+                return Err(fail(
+                    S,
+                    "core-suffix",
+                    format!("block {t}: core starts at {c0}, outside {lo}..{hi}"),
+                ));
+            }
+            let c = hi - c0;
+            if cores.val_ptr[t] + c * c != cores.val_ptr[t + 1] {
+                return Err(fail(
+                    S,
+                    "core-dense-size",
+                    format!(
+                        "block {t}: {c}-step core spans values {}..{}",
+                        cores.val_ptr[t],
+                        cores.val_ptr[t + 1]
+                    ),
+                ));
+            }
+        }
+
         let mut block_idx = 0usize;
         for k in 0..n {
             while k >= self.block_ptr[block_idx + 1] {
                 block_idx += 1;
             }
             let (blk_lo, blk_hi) = (self.block_ptr[block_idx], self.block_ptr[block_idx + 1]);
+            let c0 = cores.start[block_idx];
 
-            // U column: off-diagonal steps strictly ascending, all inside
-            // this block and strictly before k, pivot entry stored last
-            // and equal to k itself.
-            let (ulo, uhi) = (self.u_ptr[k], self.u_ptr[k + 1]);
-            if uhi <= ulo || self.u_rows[uhi - 1] != k {
-                return Err(fail(S, "u-column-sorted", format!("step {k}: pivot slot")));
+            // U column: stored steps strictly ascending, all inside this
+            // block and strictly before k. A sparse step stores its pivot
+            // last; a core step stores only its pre-core entries, and its
+            // in-core column starts at or above its diagonal.
+            let (ulo, mut uhi) = (self.u_ptr[k], self.u_ptr[k + 1]);
+            let mut hi_step = k;
+            if k < c0 {
+                if uhi <= ulo || self.u_rows[uhi - 1] != k {
+                    return Err(fail(S, "u-column-sorted", format!("step {k}: pivot slot")));
+                }
+                uhi -= 1;
+            } else {
+                hi_step = c0;
+                if cores.head[k] as usize > k - c0 {
+                    return Err(fail(
+                        S,
+                        "core-u-head",
+                        format!(
+                            "step {k}: in-core U starts at core position {}",
+                            cores.head[k]
+                        ),
+                    ));
+                }
+                // L: a core step's column is exactly the core rows after
+                // it, none stored sparse.
+                if self.l_ptr[k + 1] != self.l_ptr[k] {
+                    return Err(fail(
+                        S,
+                        "core-l-dense",
+                        format!("core step {k} stores sparse L entries"),
+                    ));
+                }
             }
             let mut prev = None;
-            for &s in &self.u_rows[ulo..uhi - 1] {
+            for &s in &self.u_rows[ulo..uhi] {
                 if prev.is_some_and(|p| p >= s) {
                     return Err(fail(S, "u-column-sorted", format!("step {k}: U step {s}")));
                 }
                 prev = Some(s);
-                if s >= k || s < blk_lo {
+                if s >= hi_step || s < blk_lo {
                     return Err(fail(
                         S,
                         "u-block-confinement",
@@ -243,178 +307,6 @@ impl SymbolicLu {
 
         Ok(())
     }
-
-    /// Audits the supernode plan (when detection is enabled): partition
-    /// integrity, width cap, block confinement, panel layout, slot-map
-    /// bijectivity and contained-pattern property. A no-op when supernode
-    /// detection is disabled.
-    ///
-    /// # Errors
-    ///
-    /// The first violated invariant, as a structured [`AuditError`].
-    pub fn audit_supernodes(&self) -> Result<(), AuditError> {
-        match self.supernode_plan_raw() {
-            Some(plan) => audit_supernode_plan(self, plan),
-            None => Ok(()),
-        }
-    }
-}
-
-/// The [`SupernodePlan`] half of the audit; see
-/// [`SymbolicLu::audit_supernodes`].
-pub(crate) fn audit_supernode_plan(
-    sym: &SymbolicLu,
-    plan: &SupernodePlan,
-) -> Result<(), AuditError> {
-    const S: &str = "SupernodePlan";
-    let n = sym.n;
-    let count = plan.sn_ptr.len().saturating_sub(1);
-
-    // Partition of step space, agreeing with the inverse map.
-    if plan.sn_ptr.first() != Some(&0)
-        || plan.sn_ptr.last() != Some(&n)
-        || plan.sn_ptr.windows(2).any(|w| w[0] >= w[1])
-        || plan.sn_of_step.len() != n
-    {
-        return Err(fail(
-            S,
-            "sn-partition",
-            format!("sn_ptr {:?}", &plan.sn_ptr),
-        ));
-    }
-    for s in 0..count {
-        for k in plan.sn_ptr[s]..plan.sn_ptr[s + 1] {
-            if plan.sn_of_step[k] != s {
-                return Err(fail(
-                    S,
-                    "sn-partition",
-                    format!("sn_of_step[{k}] = {} != {s}", plan.sn_of_step[k]),
-                ));
-            }
-        }
-    }
-
-    check_csr_ptr(S, &plan.row_ptr, plan.rows.len(), "row_ptr")?;
-    check_csr_ptr(S, &plan.panel_ptr, plan.panel_len, "panel_ptr")?;
-
-    // Body-row membership stamp, reused across supernodes.
-    let mut body_stamp = vec![usize::MAX; n];
-    for s in 0..count {
-        let (k0, k1) = (plan.sn_ptr[s], plan.sn_ptr[s + 1]);
-        let w = k1 - k0;
-        if w > MAX_SN_WIDTH {
-            return Err(fail(
-                S,
-                "sn-width-cap",
-                format!("supernode {s}: width {w} > {MAX_SN_WIDTH}"),
-            ));
-        }
-
-        // A supernode never straddles a BTF diagonal-block boundary.
-        let blk_of = |k: usize| sym.block_ptr.partition_point(|&b| b <= k) - 1;
-        if w > 1 && blk_of(k0) != blk_of(k1 - 1) {
-            return Err(fail(
-                S,
-                "sn-block-confinement",
-                format!("supernode {s}: steps {k0}..{k1} straddle a block boundary"),
-            ));
-        }
-
-        let r_cnt = plan.row_ptr[s + 1] - plan.row_ptr[s];
-        let psize = plan.panel_ptr[s + 1] - plan.panel_ptr[s];
-        if w == 1 {
-            if psize != 0 || r_cnt != 0 {
-                return Err(fail(
-                    S,
-                    "sn-panel-layout",
-                    format!("singleton supernode {s} owns a panel region"),
-                ));
-            }
-            continue;
-        }
-        if psize != r_cnt * w + 2 * w * w {
-            return Err(fail(
-                S,
-                "sn-panel-layout",
-                format!("supernode {s}: panel {psize} != {r_cnt}x{w} body + 2x{w}² triangles"),
-            ));
-        }
-
-        // Contained-pattern property: every member's L rows are either
-        // pivot rows of later members or body rows of the supernode.
-        for (i, &r) in plan.rows[plan.row_ptr[s]..plan.row_ptr[s + 1]]
-            .iter()
-            .enumerate()
-        {
-            if r >= n {
-                return Err(fail(S, "sn-contained-pattern", format!("body row {r}")));
-            }
-            body_stamp[r] = s * n + i; // unique per supernode
-        }
-        for k in k0..k1 {
-            for &r in sym.l_column_rows(k) {
-                let is_member_pivot = {
-                    let p = sym.pinv[r];
-                    p > k && p < k1
-                };
-                let is_body = body_stamp[r] != usize::MAX && body_stamp[r] / n == s;
-                if !is_member_pivot && !is_body {
-                    return Err(fail(
-                        S,
-                        "sn-contained-pattern",
-                        format!("supernode {s}: member {k} L row {r} outside the panel pattern"),
-                    ));
-                }
-            }
-        }
-    }
-
-    // Slot maps: every slot lands inside its owner's panel region, and no
-    // panel cell is claimed twice (bijectivity onto the claimed cells).
-    let mut owner = vec![usize::MAX; plan.panel_len];
-    let mut check_slot = |idx: usize, slot: usize, step: usize| -> Result<(), AuditError> {
-        if slot == NO_SLOT {
-            return Ok(());
-        }
-        let s = plan.sn_of_step[step];
-        if slot >= plan.panel_len || slot < plan.panel_ptr[s] || slot >= plan.panel_ptr[s + 1] {
-            return Err(fail(
-                S,
-                "sn-slot-bijective",
-                format!("index {idx}: slot {slot} outside supernode {s}'s panel region"),
-            ));
-        }
-        if owner[slot] != usize::MAX {
-            return Err(fail(
-                S,
-                "sn-slot-bijective",
-                format!("index {idx}: slot {slot} claimed twice"),
-            ));
-        }
-        owner[slot] = idx;
-        Ok(())
-    };
-    for k in 0..n {
-        let multi = {
-            let s = plan.sn_of_step[k];
-            plan.sn_ptr[s + 1] - plan.sn_ptr[s] > 1
-        };
-        for i in sym.l_ptr[k]..sym.l_ptr[k + 1] {
-            if multi && plan.l_slot[i] == NO_SLOT {
-                return Err(fail(
-                    S,
-                    "sn-slot-bijective",
-                    format!("L index {i} of multi-column supernode member {k} has no slot"),
-                ));
-            }
-            check_slot(i, plan.l_slot[i], k)?;
-        }
-        for i in sym.u_ptr[k]..sym.u_ptr[k + 1] {
-            check_slot(i, plan.u_slot[i], k)?;
-        }
-    }
-
-    Ok(())
 }
 
 impl LowRankUpdate {
@@ -487,8 +379,7 @@ mod tests {
     use crate::sparse_lu::SparseLu;
 
     /// A dense SPD-ish matrix: full symbolic closure, so every column has
-    /// predictable L/U patterns and supernode detection amalgamates the
-    /// whole block.
+    /// predictable L/U patterns and the whole block is one dense core.
     fn dense_matrix(n: usize) -> CscMatrix {
         let mut t = TripletMatrix::new(n, n);
         for i in 0..n {
@@ -504,10 +395,9 @@ mod tests {
         t.to_csc()
     }
 
-    /// Factors `dense_matrix(n)`, hands the sole-owner symbolic plan to
-    /// `corrupt`, and returns the audit error the corruption must cause.
-    fn corrupted_sym(n: usize, corrupt: impl FnOnce(&mut SymbolicLu)) -> AuditError {
-        let lu = SparseLu::factor(&dense_matrix(n)).expect("factor");
+    /// Hands the sole-owner symbolic plan of `lu` to `corrupt` and returns
+    /// the audit error the corruption must cause.
+    fn corrupted(lu: SparseLu, corrupt: impl FnOnce(&mut SymbolicLu)) -> AuditError {
         let mut sym = lu.symbolic().clone();
         drop(lu);
         let sym_mut = Arc::get_mut(&mut sym).expect("sole owner after dropping the factor");
@@ -515,26 +405,27 @@ mod tests {
         sym.audit().expect_err("corruption must be caught")
     }
 
-    /// Same, but the corruption targets the supernode plan and the audit
-    /// is `audit_supernodes`.
-    fn corrupted_sn(n: usize, corrupt: impl FnOnce(&mut SymbolicLu)) -> AuditError {
+    /// Corrupts the sparse pattern of `dense_matrix(n)` factored with
+    /// every core empty, so every step is stored sparse.
+    fn corrupted_sym(n: usize, corrupt: impl FnOnce(&mut SymbolicLu)) -> AuditError {
+        let lu = SparseLu::factor_scalar_oracle(&dense_matrix(n)).expect("factor");
+        corrupted(lu, corrupt)
+    }
+
+    /// Corrupts the production plan of `dense_matrix(n)`: one block, all
+    /// of it a dense core.
+    fn corrupted_core(n: usize, corrupt: impl FnOnce(&mut SymbolicLu)) -> AuditError {
         let lu = SparseLu::factor(&dense_matrix(n)).expect("factor");
-        let mut sym = lu.symbolic().clone();
-        drop(lu);
-        assert!(
-            sym.supernode_stats().is_some_and(|s| s.multi > 0),
-            "dense matrix must amalgamate"
-        );
-        let sym_mut = Arc::get_mut(&mut sym).expect("sole owner after dropping the factor");
-        corrupt(sym_mut);
-        sym.audit_supernodes()
-            .expect_err("corruption must be caught")
+        assert_eq!(lu.symbolic().largest_core(), n, "dense matrix is one core");
+        corrupted(lu, corrupt)
     }
 
     #[test]
     fn pristine_factor_audits_clean() {
         let lu = SparseLu::factor(&dense_matrix(8)).expect("factor");
         lu.audit().expect("valid factor audits clean");
+        let oracle = SparseLu::factor_scalar_oracle(&dense_matrix(8)).expect("factor");
+        oracle.audit().expect("valid factor audits clean");
     }
 
     #[test]
@@ -611,83 +502,45 @@ mod tests {
     }
 
     #[test]
-    fn mutation_supernode_inverse_map_desync() {
-        let err = corrupted_sn(8, |sym| {
-            let _ = sym.supernode_plan_raw();
-            let plan = sym
-                .sn_plan
-                .get_mut()
-                .expect("plan forced")
-                .as_mut()
-                .expect("enabled");
-            plan.sn_of_step[0] = 1;
-        });
-        assert_eq!(err.invariant, "sn-partition");
+    fn mutation_core_outside_its_block() {
+        let err = corrupted_core(8, |sym| sym.cores.start[0] = sym.n + 1);
+        assert_eq!(err.invariant, "core-suffix");
     }
 
     #[test]
-    fn mutation_supernode_over_width_cap() {
-        // 40 columns amalgamate into >1 supernode under the 32-wide cap;
-        // merging them all into one breaks the cap.
-        let err = corrupted_sn(40, |sym| {
+    fn mutation_core_step_with_sparse_l() {
+        let err = corrupted_core(8, |sym| {
+            // A core step whose L is more than the core rows after it.
             let n = sym.n;
-            let _ = sym.supernode_plan_raw();
-            let plan = sym
-                .sn_plan
-                .get_mut()
-                .expect("plan forced")
-                .as_mut()
-                .expect("enabled");
-            plan.sn_ptr = vec![0, n];
-            plan.sn_of_step = vec![0; n];
-            plan.row_ptr = vec![0, plan.rows.len()];
-            plan.panel_ptr = vec![0, plan.panel_len];
+            sym.l_rows.push(sym.row_perm[n - 1]);
+            sym.l_ptr[n - 1] = 0;
+            sym.l_ptr[n] = 1;
         });
-        assert_eq!(err.invariant, "sn-width-cap");
+        assert_eq!(err.invariant, "core-l-dense");
     }
 
     #[test]
-    fn mutation_supernode_panel_size_desync() {
-        let err = corrupted_sn(8, |sym| {
-            let _ = sym.supernode_plan_raw();
-            let plan = sym
-                .sn_plan
-                .get_mut()
-                .expect("plan forced")
-                .as_mut()
-                .expect("enabled");
-            plan.panel_len += 1;
-            *plan.panel_ptr.last_mut().expect("nonempty") += 1;
+    fn mutation_core_dense_size_desync() {
+        let err = corrupted_core(8, |sym| {
+            *sym.cores.val_ptr.last_mut().expect("nonempty") += 1;
         });
-        assert_eq!(err.invariant, "sn-panel-layout");
+        assert_eq!(err.invariant, "core-dense-size");
     }
 
     #[test]
-    fn mutation_member_row_outside_panel_pattern() {
-        let err = corrupted_sn(8, |sym| {
-            // Point a member's L row at the step-0 pivot row: pivoted
-            // before the member, and no supernode body row either.
-            let early = sym.row_perm[0];
-            let lo = sym.l_ptr[0];
-            sym.l_rows[lo] = early;
-        });
-        assert_eq!(err.invariant, "sn-contained-pattern");
+    fn mutation_core_u_head_past_diagonal() {
+        let err = corrupted_core(8, |sym| sym.cores.head[0] = 1);
+        assert_eq!(err.invariant, "core-u-head");
     }
 
     #[test]
-    fn mutation_slot_map_dropped_slot() {
-        let err = corrupted_sn(8, |sym| {
-            let lo = sym.l_ptr[0];
-            let _ = sym.supernode_plan_raw();
-            let plan = sym
-                .sn_plan
-                .get_mut()
-                .expect("plan forced")
-                .as_mut()
-                .expect("enabled");
-            plan.l_slot[lo] = crate::supernode::NO_SLOT;
-        });
-        assert_eq!(err.invariant, "sn-slot-bijective");
+    fn mutation_core_values_truncated() {
+        let mut lu = SparseLu::factor(&dense_matrix(8)).expect("factor");
+        lu.vals.core.pop();
+        assert_eq!(
+            lu.audit_values().expect_err("caught").invariant,
+            "core-dense-size"
+        );
     }
 
     /// A base factor plus one accumulated rank-1 term, ready to corrupt.

@@ -348,7 +348,7 @@ proptest! {
                     "L entry of step {} (row {}, step {}) crosses blocks", k, row, step
                 );
             }
-            for &s in sym.u_column_steps(k) {
+            for s in sym.u_column_steps(k) {
                 prop_assert_eq!(
                     block_of[s], block_of[k],
                     "U entry of step {} escapes to block {}", k, block_of[s]
@@ -366,10 +366,9 @@ proptest! {
 }
 
 /// A random system whose trailing `tail` columns are fully dense: the
-/// dense tail gives the supernode detector exactly-nested L-column
-/// patterns, so every case exercises the blocked kernels (a purely random
-/// sparse pattern often amalgamates nothing, which would make the
-/// supernodal-vs-scalar properties vacuous).
+/// dense tail plants exactly-nested L-column patterns, so every case runs
+/// a multi-step dense core (a purely random sparse pattern often has only
+/// single-step cores).
 fn arb_dense_tail_system() -> impl Strategy<Value = (TripletMatrix, Vec<f64>)> {
     (10..36usize, 4..9usize, any::<u64>()).prop_map(|(n, tail, seed)| {
         use rand::rngs::StdRng;
@@ -407,69 +406,6 @@ fn arb_dense_tail_system() -> impl Strategy<Value = (TripletMatrix, Vec<f64>)> {
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The supernodal blocked refactorization is a pure performance
-    /// transform: on the same pivot sequence it must agree with the
-    /// scalar per-column replay to 1e-12. The dense-tail generator
-    /// guarantees every case actually contains multi-column supernodes.
-    #[test]
-    fn supernodal_refactor_matches_scalar((t, b) in arb_dense_tail_system()) {
-        let csc = t.to_csc();
-        let n = csc.cols();
-        let sn_opts = SparseLuOptions::default();
-        let sc_opts = SparseLuOptions {
-            supernodal: false,
-            ..sn_opts
-        };
-        let mut lu_sn = SparseLu::factor_ordered(&csc, identity(n), &sn_opts).unwrap();
-        let mut lu_sc = SparseLu::factor_ordered(&csc, identity(n), &sc_opts).unwrap();
-        // Same elimination plan, so the comparison is kernel-vs-kernel.
-        prop_assert_eq!(lu_sn.symbolic().pivot_rows(), lu_sc.symbolic().pivot_rows());
-        let stats = lu_sn.symbolic().supernode_stats().expect("detection enabled");
-        prop_assert!(stats.multi >= 1, "dense tail must amalgamate: {stats:?}");
-
-        let csc2 = same_pattern_variant(&csc);
-        lu_sn.refactor(&csc2).unwrap();
-        lu_sc.refactor(&csc2).unwrap();
-        let x_sn = lu_sn.solve(&b).unwrap();
-        let x_sc = lu_sc.solve(&b).unwrap();
-        for (a, r) in x_sn.iter().zip(&x_sc) {
-            prop_assert!((a - r).abs() < 1e-12 * r.abs().max(1.0), "{a} vs {r}");
-        }
-    }
-
-    /// Relaxed amalgamation only changes how columns are grouped into
-    /// panels (admitting explicit-zero padding cells), never the numeric
-    /// result: solves under amalgamation 0, the default, and an extreme
-    /// knob agree to 1e-12 after a refactorization.
-    #[test]
-    fn amalgamation_never_changes_solve_results((t, b) in arb_dense_tail_system()) {
-        let csc = t.to_csc();
-        let csc2 = same_pattern_variant(&csc);
-        let mut solutions = Vec::new();
-        for relax in [0usize, 4, 64] {
-            let opts = SparseLuOptions {
-                amalgamation: relax,
-                ..SparseLuOptions::default()
-            };
-            let mut lu = SparseLu::factor_ordered(&csc, identity(csc.cols()), &opts).unwrap();
-            lu.refactor(&csc2).unwrap();
-            solutions.push(lu.solve(&b).unwrap());
-        }
-        let base = &solutions[0];
-        for (i, x) in solutions.iter().enumerate().skip(1) {
-            for (a, r) in x.iter().zip(base) {
-                prop_assert!(
-                    (a - r).abs() < 1e-12 * r.abs().max(1.0),
-                    "knob {i}: {a} vs {r}"
-                );
-            }
-        }
-    }
-}
-
 /// `a` with every column whose bit is set in `mask` (column `c` reads bit
 /// `c % 64`) perturbed: off-diagonal entries shrink by `shrink` in
 /// `[0.5, 1)` and the diagonal grows by a quarter, which keeps the
@@ -488,7 +424,7 @@ fn perturb_columns(a: &CscMatrix, mask: u64, shrink: f64) -> CscMatrix {
 }
 
 /// Every bit of a factor's values. `SparseLu`'s `Debug` prints the `L`,
-/// `U`, off-diagonal and panel arrays with shortest round-trip floats, so
+/// `U`, off-diagonal and dense core arrays with shortest round-trip floats, so
 /// two factors over one symbolic plan print alike exactly when their
 /// values are bitwise equal.
 fn factor_bits(lu: &SparseLu) -> String {
@@ -499,19 +435,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// A replay after a replay rewrites only the dirty closure of the
-    /// columns that changed. Under both kernel settings it must equal a
-    /// full replay of a fresh clone bit for bit: `L`, `U`, off-diagonal
-    /// values, panels and solves.
+    /// columns that changed. It must equal a full replay of a fresh clone
+    /// bit for bit: `L`, `U`, off-diagonal values, dense cores and solves.
     #[test]
     fn dirty_replay_matches_full_replay_bitwise(
         (t, b) in arb_dense_tail_system(),
-        supernodal in any::<bool>(),
         mask in any::<u64>(),
         shrink in 0.5..1.0f64,
     ) {
         let csc = t.to_csc();
-        let opts = SparseLuOptions { supernodal, ..SparseLuOptions::default() };
-        let base = SparseLu::factor_with(&csc, &opts).unwrap();
+        let base = SparseLu::factor(&csc).unwrap();
         let a1 = same_pattern_variant(&csc);
         let a2 = perturb_columns(&a1, mask, shrink);
         let mut dirty = base.clone();
@@ -529,13 +462,9 @@ proptest! {
     /// against the very matrix just factored. It must equal a replay of
     /// zeroed values bit for bit.
     #[test]
-    fn first_replay_after_factor_is_full(
-        (t, _b) in arb_dense_tail_system(),
-        supernodal in any::<bool>(),
-    ) {
+    fn first_replay_after_factor_is_full((t, _b) in arb_dense_tail_system()) {
         let csc = t.to_csc();
-        let opts = SparseLuOptions { supernodal, ..SparseLuOptions::default() };
-        let mut lu = SparseLu::factor_with(&csc, &opts).unwrap();
+        let mut lu = SparseLu::factor(&csc).unwrap();
         lu.refactor(&csc).unwrap();
         let fresh = SymbolicLu::numeric(lu.symbolic(), &csc).unwrap();
         prop_assert_eq!(factor_bits(&lu), factor_bits(&fresh));
@@ -669,8 +598,7 @@ proptest! {
 }
 
 /// Pushes a diagonally-dominant dense-tail block into `t` at row/column
-/// offset `off` — sized so compositions clear the blocked-solve gate
-/// (`n >= 512`) and the supernodal multi-RHS kernels actually run.
+/// offset `off`: a sparse front and a dense core per composed block.
 fn push_dense_tail_block(t: &mut TripletMatrix, off: usize, n: usize, tail: usize, seed: u64) {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -697,28 +625,6 @@ fn push_dense_tail_block(t: &mut TripletMatrix, off: usize, n: usize, tail: usiz
     }
     for (i, rs) in row_sum.iter().enumerate() {
         t.push(off + i, off + i, rs + rng.gen_range(1.0..3.0));
-    }
-}
-
-/// The supernodal (blocked-panel) multi-RHS path must match the
-/// single-RHS solves at 1e-12: `n >= 512` plus a dense tail guarantees
-/// the lane kernels run through the panels, not the scalar fallback.
-#[test]
-fn multi_rhs_blocked_supernodal_path_matches_single() {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let n = 560;
-    let mut t = TripletMatrix::new(n, n);
-    push_dense_tail_block(&mut t, 0, n, 48, 9);
-    let lu = SparseLu::factor(&t.to_csc()).unwrap();
-    let stats = lu.symbolic().supernode_stats().expect("detection enabled");
-    assert!(stats.multi >= 1, "dense tail must amalgamate: {stats:?}");
-    let mut rng = StdRng::seed_from_u64(77);
-    for k in [2usize, 5, 8] {
-        let cols: Vec<Vec<f64>> = (0..k)
-            .map(|_| (0..n).map(|_| rng.gen_range(-4.0..4.0)).collect())
-            .collect();
-        assert_multi_matches_single(&lu, &cols);
     }
 }
 

@@ -291,7 +291,6 @@ fn amd_btf_plan_never_falls_back_to_another_ordering() {
     let dc_plan = DcSolver::new()
         .lu_options(LuOptions {
             pivot_threshold: 1.0,
-            ..LuOptions::default()
         })
         .plan(ckt)
         .expect("dc plan");
