@@ -220,8 +220,7 @@ fn pr3_report() {
             base_lu.symbolic().block_count()
         );
 
-        // Full symbolic + numeric factorization: the phase the
-        // index-permutation sort_paired rewrite targets.
+        // Full symbolic + numeric factorization: the pivoting factor.
         push(
             format!("{name}/symbolic_numeric_factor"),
             median_ns(3, || SparseLu::factor(m).expect("factor")),

@@ -7,15 +7,20 @@
 //! columns shrinks the core and silently sends the replay and the solves
 //! back through the per-entry sparse kernels; no correctness test notices,
 //! this one does. It reads the public [`SymbolicLu::largest_core`] stat and
-//! runs in every profile. The timing half — the dense core kernel replays
-//! no slower than the scalar oracle — is the release-only linalg unit test
+//! runs in every profile. Two timing halves are release-only: the
+//! pivoting factorization, which runs the replay's kernels, costs at most
+//! three full replays here; and the dense core kernel replays no slower
+//! than the scalar oracle — the linalg unit test
 //! `core_replay_not_slower_than_scalar_oracle`, which needs the
 //! crate-private oracle.
 //!
 //! [`SymbolicLu::largest_core`]: ohmflow_linalg::SymbolicLu::largest_core
 
-use ohmflow_bench::{bench_substrate, dimacs_grid_instance, fig10_instance};
+use ohmflow_bench::{
+    bench_substrate, dimacs_grid_instance, fig10_instance, full_replay_ns, median_ns,
+};
 use ohmflow_circuit::DcSolver;
+use ohmflow_linalg::{LuWorkspace, SparseLu, SparseLuOptions};
 
 #[test]
 fn substrates_keep_their_dense_core() {
@@ -30,6 +35,36 @@ fn substrates_keep_their_dense_core() {
         assert!(
             core >= floor,
             "{name}: largest dense core {core} steps, expected at least {floor}"
+        );
+    }
+}
+
+/// The pivoting factorization (ordering included) eliminates the dense
+/// core with the replay's kernel, so it costs at most three full replays
+/// of the same matrix. Through sparse Gilbert–Peierls it cost 11–14×.
+/// Each round times one factorization next to a few replays, so both see
+/// the same host speed; the guard reads the median round.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing guard: the kernels need optimized code — run with --release"
+)]
+fn pivoting_factor_costs_at_most_three_full_replays() {
+    for (name, vertices) in [("rmat1024", 1024), ("rmat2048", 2048)] {
+        let sc = bench_substrate(&fig10_instance(vertices, false, 1));
+        let (m, mut lu) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
+        let (opts, mut ws) = (SparseLuOptions::default(), LuWorkspace::new());
+        let mut ratios: Vec<f64> = (0..5)
+            .map(|_| {
+                let factor = median_ns(1, || SparseLu::factor_with(&m, &opts).expect("factor"));
+                factor / full_replay_ns(3, &mut lu, &m, &mut ws)
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        assert!(
+            ratios[2] <= 3.0,
+            "{name}: factor_with costs {:.2}x a full replay (rounds {ratios:.2?})",
+            ratios[2]
         );
     }
 }

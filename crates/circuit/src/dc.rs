@@ -2,7 +2,9 @@ use std::borrow::{Borrow, BorrowMut};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ohmflow_linalg::{CscMatrix, LowRankUpdate, LuWorkspace, RankOneTermRef, SparseLu, SymbolicLu};
+use ohmflow_linalg::{
+    amd_btf_ordering, CscMatrix, LowRankUpdate, LuWorkspace, RankOneTermRef, SparseLu, SymbolicLu,
+};
 
 use crate::LuOptions;
 
@@ -58,6 +60,19 @@ pub struct DcTemplate {
     /// options.
     lu_opts: LuOptions,
     n_nodes: usize,
+    /// The cold path's split, when it ran with phase timing on.
+    phases: Option<PlanPhases>,
+}
+
+/// Wall-clock nanoseconds of a [`DcTemplate`]'s cold path per phase,
+/// recorded when it is built with phase timing on
+/// ([`DcSolver::phase_timing`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanPhases {
+    /// The fill-reducing ordering: AMD + block-triangular form.
+    pub ordering_ns: u64,
+    /// The pivoting numeric factorization under that ordering.
+    pub factor_ns: u64,
 }
 
 impl DcTemplate {
@@ -80,6 +95,12 @@ impl DcTemplate {
     ///
     /// Same as [`DcTemplate::new`].
     pub fn with_options(ckt: &Circuit, lu_opts: LuOptions) -> Result<Self, CircuitError> {
+        Self::build(ckt, lu_opts, false)
+    }
+
+    /// [`DcTemplate::with_options`], recording the [`PlanPhases`] when
+    /// `timed`.
+    fn build(ckt: &Circuit, lu_opts: LuOptions, timed: bool) -> Result<Self, CircuitError> {
         let st = MnaStructure::new(ckt);
         let states = mna::initial_states(ckt);
         let branch_shape = ckt
@@ -89,15 +110,19 @@ impl DcTemplate {
             .collect();
         let mut base = StampedMatrix::mapped(ckt, &st, &states, StampMode::Dc);
         base.forget_pushes();
-        // Replayed once against its own matrix, the factor carries a
-        // replay record: priming a circuit then replays only the columns
-        // whose values differ from the base (none, when capacities move
-        // only source values). A replay that fails leaves partly written
-        // values, so the fallback factors afresh.
-        let mut lu = SparseLu::factor_with(base.matrix(), &lu_opts)?;
-        if lu.refactor(base.matrix()).is_err() {
-            lu = SparseLu::factor_with(base.matrix(), &lu_opts)?;
-        }
+        // The factor records the matrix it factored, so priming a circuit
+        // replays only the columns whose values differ from the base
+        // (none, when capacities move only source values).
+        let ns = |t0: Option<Instant>| t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let t0 = phase_clock(timed);
+        let ordering = amd_btf_ordering(base.matrix());
+        let ordering_ns = ns(t0);
+        let t0 = phase_clock(timed);
+        let lu = SparseLu::factor_ordered(base.matrix(), ordering, &lu_opts)?;
+        let phases = timed.then(|| PlanPhases {
+            ordering_ns,
+            factor_ns: ns(t0),
+        });
         Ok(DcTemplate {
             st,
             branch_shape,
@@ -105,7 +130,14 @@ impl DcTemplate {
             base,
             lu_opts,
             n_nodes: ckt.node_count(),
+            phases,
         })
+    }
+
+    /// The cold path's split into ordering and pivoting factorization,
+    /// when this template was built with phase timing on.
+    pub fn phases(&self) -> Option<PlanPhases> {
+        self.phases
     }
 
     /// The factorization options this template was built under.
@@ -436,9 +468,10 @@ impl DcSolver {
     }
 
     /// Enables per-phase wall-clock attribution on sessions created by
-    /// this solver (see [`FrozenDcSession::phase_times`]) and on its
-    /// operating-point solves ([`SolveReport::phases`]). Off by default:
-    /// clock reads tax every step of small systems.
+    /// this solver (see [`FrozenDcSession::phase_times`]), on its
+    /// operating-point solves ([`SolveReport::phases`]) and on the cold
+    /// path of its plans ([`DcTemplate::phases`]). Off by default: clock
+    /// reads tax every step of small systems.
     pub fn phase_timing(mut self, on: bool) -> Self {
         self.phase_timing = on;
         self
@@ -453,7 +486,8 @@ impl DcSolver {
     /// [`CircuitError::SingularSystem`] if the initial-state configuration
     /// is unsolvable.
     pub fn plan(&self, ckt: &Circuit) -> Result<DcPlan, CircuitError> {
-        Ok(self.plan_from(Arc::new(DcTemplate::with_options(ckt, self.lu)?)))
+        let tpl = DcTemplate::build(ckt, self.lu, self.phase_timing)?;
+        Ok(self.plan_from(Arc::new(tpl)))
     }
 
     /// Wraps an already-built [`DcTemplate`] as a [`DcPlan`] without
@@ -704,70 +738,6 @@ impl DcPlan {
     }
 }
 
-/// Solves a DC operating point with *frozen* diode conduction states —
-/// no complementarity iteration — rebuilding the MNA structure and
-/// refactoring from scratch whenever the state vector changes. This is
-/// the test reference for [`FrozenDcSession`], the incremental engine the
-/// `ohmflow` relaxation transient runs on; no production path calls it.
-///
-/// `diode_on` is indexed by [`Circuit::diode_ids`] order. Time-varying
-/// sources are evaluated at `time`.
-///
-/// The returned factorization context can be passed back in to reuse the
-/// matrix factorization while the state vector is unchanged.
-///
-/// # Errors
-///
-/// [`CircuitError::SingularSystem`] if the frozen configuration is
-/// unsolvable.
-pub fn solve_frozen_dc(
-    ckt: &Circuit,
-    time: f64,
-    diode_on: &[bool],
-    cache: &mut Option<FrozenDcCache>,
-) -> Result<DcSolution, CircuitError> {
-    let st = MnaStructure::new(ckt);
-    let mut states = mna::initial_states(ckt);
-    let mut di = 0;
-    for (idx, e) in ckt.elements().iter().enumerate() {
-        if matches!(e, crate::element::Element::Diode { .. }) {
-            states[idx] = if *diode_on.get(di).unwrap_or(&false) {
-                DeviceState::On
-            } else {
-                DeviceState::Off
-            };
-            di += 1;
-        }
-    }
-    let reuse = matches!(cache, Some(c) if c.states == states);
-    if !reuse {
-        let m = mna::stamp_matrix(ckt, &st, &states, StampMode::Dc).to_csc();
-        let lu = SparseLu::factor(&m)?;
-        *cache = Some(FrozenDcCache {
-            states: states.clone(),
-            lu,
-        });
-    }
-    let lu = &cache
-        .as_ref()
-        .expect("invariant: factor cache is populated before reuse")
-        .lu;
-    let mut b = Vec::new();
-    mna::stamp_rhs_into(&mut b, ckt, &st, &states, time, StampMode::Dc, None, false);
-    let x = lu.solve(&b)?;
-    Ok(DcSolution {
-        inner: Solution::new(x, st),
-        states,
-    })
-}
-
-/// Factorization cache for [`solve_frozen_dc`].
-#[derive(Debug)]
-pub struct FrozenDcCache {
-    states: Vec<DeviceState>,
-    lu: SparseLu,
-}
-
 /// Counters describing how a [`FrozenDcSession`] spent its linear-algebra
 /// budget — the observable behind the incremental engine's speedup claims.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -821,8 +791,8 @@ impl FrozenDcPhases {
     }
 }
 
-/// A persistent frozen-state DC solve engine: the incremental replacement
-/// for calling [`solve_frozen_dc`] in a loop.
+/// A persistent frozen-state DC solve engine: the incremental
+/// alternative to restamping and refactoring on every state change.
 ///
 /// The session owns the MNA structure, the base stamp's factorization and
 /// preallocated RHS/solution buffers. Between consecutive
@@ -1660,8 +1630,7 @@ pub struct DcSolution {
 
 impl DcSolution {
     /// The converged device-state assignment (element-indexed): the fixed
-    /// point of the complementarity iteration, or the frozen assignment of
-    /// a [`solve_frozen_dc`]. Feed it to [`DcPlan::solve_warm`] to
+    /// point of the complementarity iteration. Feed it to [`DcPlan::solve_warm`] to
     /// short-circuit the clamp cascade on the next same-topology solve.
     pub fn device_states(&self) -> &[DeviceState] {
         &self.states
@@ -1902,7 +1871,7 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_legacy_frozen_dc_over_toggle_sequence() {
+    fn session_matches_cold_session_over_toggle_sequence() {
         // A clamp ladder: drive → r → x_k with upper and lower clamp diodes
         // per node, the substrate's capacity-widget shape.
         let mut ckt = Circuit::new();
@@ -1925,7 +1894,6 @@ mod tests {
         let n_diodes = ckt.diode_count();
 
         let mut session = DcSolver::new().session(&ckt).unwrap();
-        let mut cache = None;
         // Deterministic pseudo-random toggle walk with a time-varying RHS.
         let mut on = vec![false; n_diodes];
         let mut lcg = 12345u64;
@@ -1938,7 +1906,10 @@ mod tests {
                 on[flip] = !on[flip];
             }
             let t = step as f64 / 200.0;
-            let reference = solve_frozen_dc(&ckt, t, &on, &mut cache).unwrap();
+            // The reference factors this step's matrix from scratch: a
+            // fresh session with no rank budget refactors on any flip.
+            let mut reference = DcSolver::new().session(&ckt).unwrap().with_max_rank(0);
+            reference.solve(t, &on).unwrap();
             session.solve(t, &on).unwrap();
             for (u, rv) in reference.values().iter().enumerate() {
                 let sv = session.values()[u];

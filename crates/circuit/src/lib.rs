@@ -56,8 +56,8 @@ mod waveform;
 
 pub use circuit::Circuit;
 pub use dc::{
-    solve_frozen_dc, DcPlan, DcSolution, DcSolver, DcTemplate, FrozenDcCache, FrozenDcPhases,
-    FrozenDcSession, FrozenDcStats, SolveReport,
+    DcPlan, DcSolution, DcSolver, DcTemplate, FrozenDcPhases, FrozenDcSession, FrozenDcStats,
+    PlanPhases, SolveReport,
 };
 pub use element::{DiodeModel, Element, MemristorModel, MemristorState, OpAmpModel};
 pub use error::CircuitError;

@@ -34,8 +34,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ohmflow_circuit::{
-    DcSolver, DcTemplate, LuOptions, NodeId, SolveReport, TransientAnalysis, TransientOptions,
-    Waveform, WaveformSet,
+    DcSolver, DcTemplate, LuOptions, NodeId, PlanPhases, SolveReport, TransientAnalysis,
+    TransientOptions, Waveform, WaveformSet,
 };
 use ohmflow_graph::FlowNetwork;
 use rayon::prelude::*;
@@ -128,8 +128,9 @@ pub struct SolveOptions {
     /// diagonal blocks of the block-triangular form, so a plan's
     /// [`TemplateKey`] is its topology alone.
     pub lu: LuOptions,
-    /// Per-phase wall-clock attribution on sessions (off by default:
-    /// clock reads tax small systems).
+    /// Per-phase wall-clock attribution on sessions and on the cold path
+    /// of plans ([`PlanReport::phases`]); off by default: clock reads tax
+    /// small systems.
     pub phase_timing: bool,
     /// Byte capacity of the sharded plan cache (LRU eviction engages
     /// above it; each resident plan is costed from its factorization
@@ -198,7 +199,8 @@ impl SolveOptions {
         self
     }
 
-    /// Enables per-phase wall-clock attribution on sessions.
+    /// Enables per-phase wall-clock attribution on sessions and on the
+    /// cold path of plans.
     pub fn with_phase_timing(mut self, on: bool) -> Self {
         self.phase_timing = on;
         self
@@ -562,8 +564,13 @@ impl MaxFlowSolver {
         // run single-flight outside the shard lock.
         let fingerprint = TemplateKey::fingerprint(g);
         self.cache.get_or_build(fingerprint, g, || {
-            SubstrateTemplate::new(g, &self.opts.params, &self.build_options(), self.opts.lu)
-                .map(Arc::new)
+            SubstrateTemplate::planned(
+                g,
+                &self.opts.params,
+                &self.build_options(),
+                &self.dc_solver(),
+            )
+            .map(Arc::new)
         })
     }
 
@@ -900,6 +907,10 @@ pub struct PlanReport {
     /// Lifetime counters of the sharded plan cache behind this solver
     /// (hits/misses/evictions and resident footprint at report time).
     pub cache: PlanCacheStats,
+    /// The cold path that built the plan's template, split into ordering
+    /// and pivoting factorization; `None` unless it ran with
+    /// [`SolveOptions::phase_timing`] on.
+    pub phases: Option<PlanPhases>,
 }
 
 /// Stage two: the captured cold path of one graph topology. Cheap to
@@ -942,6 +953,7 @@ impl Plan {
             block_count: dc.symbolic().block_count(),
             cache_hit: self.cache_hit,
             cache: self.solver.plan_cache_stats(),
+            phases: dc.phases(),
         }
     }
 

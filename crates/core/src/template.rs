@@ -36,7 +36,7 @@
 use std::sync::{Arc, Mutex};
 
 use ohmflow_circuit::mna::DeviceState;
-use ohmflow_circuit::{DcTemplate, SourceValue};
+use ohmflow_circuit::{DcSolver, DcTemplate, SourceValue};
 use ohmflow_graph::FlowNetwork;
 
 use crate::builder::{
@@ -312,9 +312,19 @@ impl SubstrateTemplate {
         opts: &BuildOptions,
         lu: ohmflow_circuit::LuOptions,
     ) -> Result<Self, AnalogError> {
+        Self::planned(g, params, opts, &DcSolver::new().lu_options(lu))
+    }
+
+    /// [`SubstrateTemplate::new`] with the circuit-level cold path run by
+    /// `dc` (its factorization options and phase timing).
+    pub(crate) fn planned(
+        g: &FlowNetwork,
+        params: &SubstrateParams,
+        opts: &BuildOptions,
+        dc: &DcSolver,
+    ) -> Result<Self, AnalogError> {
         let (skeleton, level_sources) = build_with_layout(g, params, opts, LevelLayout::PerEdge)?;
-        let dc =
-            Arc::new(DcTemplate::with_options(skeleton.circuit(), lu).map_err(AnalogError::from)?);
+        let dc = Arc::clone(dc.plan(skeleton.circuit())?.template());
         Ok(SubstrateTemplate {
             key: TemplateKey::new(g),
             params: params.clone(),

@@ -165,10 +165,20 @@ fn amd_from_adjacency(adj: &AdjacencyCsr) -> Vec<usize> {
         pivot_tag += 1;
 
         // --- Build Lme (the new element's variables) at the tail. ---
-        if pfree + n > iw.len() {
+        // Lme holds at most me's own variables plus those of its live
+        // elements. Compact only when that bound does not fit, and after a
+        // compaction grow whenever less than a quarter is free, so the
+        // workspace is compacted O(log) times rather than every few pivots.
+        let bound = len[me] - elen[me]
+            + iw[pe[me]..pe[me] + elen[me]]
+                .iter()
+                .filter(|&&e| kind[e] == NodeKind::Element)
+                .map(|&e| len[e])
+                .sum::<usize>();
+        if pfree + bound > iw.len() || force_compaction() {
             garbage_collect(&mut iw, &mut pe, &len, &kind, &nv, n, &mut pfree);
-            if pfree + n > iw.len() {
-                iw.resize(pfree + n + iw.len() / 2, 0);
+            if pfree + bound > iw.len() || 4 * (iw.len() - pfree) < iw.len() {
+                iw.resize(iw.len() + iw.len() / 2 + bound, 0);
             }
         }
         let lme_start = pfree;
@@ -208,6 +218,10 @@ fn amd_from_adjacency(adj: &AdjacencyCsr) -> Vec<usize> {
             .iter()
             .map(|&j| (-nv[j]) as usize)
             .sum();
+        // An element's weighted size `|Le|` never changes: a member that
+        // becomes a pivot absorbs the element, and supervariable merges
+        // keep the sum. `degree` holds it for elements, as in AMD.
+        degree[me] = lme_size;
 
         // --- Pass 1: |Le \ Lme| for every element touching Lme. ---
         // `w[e]` is seeded with `wflg + |Le|` on first touch and loses the
@@ -225,12 +239,15 @@ fn amd_from_adjacency(adj: &AdjacencyCsr) -> Vec<usize> {
                     continue;
                 }
                 if w[e] < wflg {
-                    let size: usize = iw[pe[e]..pe[e] + len[e]]
-                        .iter()
-                        .filter(|&&j| kind[j] == NodeKind::Var)
-                        .map(|&j| nv[j].unsigned_abs())
-                        .sum();
-                    w[e] = wflg + size as u64;
+                    debug_assert_eq!(
+                        degree[e],
+                        iw[pe[e]..pe[e] + len[e]]
+                            .iter()
+                            .filter(|&&j| kind[j] == NodeKind::Var)
+                            .map(|&j| nv[j].unsigned_abs())
+                            .sum::<usize>()
+                    );
+                    w[e] = wflg + degree[e] as u64;
                 }
                 w[e] -= wi;
             }
@@ -385,6 +402,20 @@ fn amd_from_adjacency(adj: &AdjacencyCsr) -> Vec<usize> {
     order
 }
 
+// Test hooks: force a compaction before every pivot, and count them.
+#[cfg(test)]
+thread_local! {
+    static FORCE_COMPACTION: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static COMPACTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+fn force_compaction() -> bool {
+    #[cfg(test)]
+    return FORCE_COMPACTION.with(std::cell::Cell::get);
+    #[cfg(not(test))]
+    false
+}
+
 /// Compacts every live list to the front of `iw`, in current offset order,
 /// and rewinds `pfree`. Lists never overlap and only move left, so
 /// `copy_within` suffices.
@@ -405,6 +436,8 @@ fn garbage_collect(
         })
         .collect();
     live.sort_unstable_by_key(|&i| pe[i]);
+    #[cfg(test)]
+    COMPACTIONS.with(|c| c.set(c.get() + 1));
     let mut write = 0usize;
     for i in live {
         let start = pe[i];
@@ -628,27 +661,66 @@ mod tests {
         assert_eq!(amd_ordering(&a), amd_ordering(&a));
     }
 
+    /// `amd_ordering(a)`, with a compaction forced before every pivot
+    /// when `force` is set, and the number of compactions it ran.
+    fn counted_amd(a: &CscMatrix, force: bool) -> (Vec<usize>, usize) {
+        FORCE_COMPACTION.with(|f| f.set(force));
+        COMPACTIONS.with(|c| c.set(0));
+        let perm = amd_ordering(a);
+        FORCE_COMPACTION.with(|f| f.set(false));
+        (perm, COMPACTIONS.with(std::cell::Cell::get))
+    }
+
+    /// The symmetric pattern of an R-MAT graph: `edges` draws over
+    /// `2^scale` vertices, quadrant weights 0.57/0.19/0.19/0.05.
+    fn rmat(scale: u32, edges: usize, seed: u64) -> CscMatrix {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut t = TripletMatrix::new(1 << scale, 1 << scale);
+        for _ in 0..edges {
+            let (mut u, mut v) = (0, 0);
+            for _ in 0..scale {
+                let p: f64 = rng.gen_range(0.0..1.0);
+                u = 2 * u + usize::from(p >= 0.76);
+                v = 2 * v + usize::from((0.57..0.76).contains(&p) || p >= 0.95);
+            }
+            t.push(u, v, 1.0);
+            t.push(v, u, 1.0);
+        }
+        t.to_csc()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Where the workspace is compacted never changes the ordering.
+        #[test]
+        fn forced_compaction_keeps_the_permutation(
+            scale in 1..8u32,
+            per_vertex in 0..6usize,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let a = rmat(scale, per_vertex << scale, seed);
+            proptest::prop_assert_eq!(counted_amd(&a, true).0, counted_amd(&a, false).0);
+        }
+    }
+
+    /// A compaction forced before every pivot keeps the grid and R-MAT
+    /// orderings, and unforced ones stay rare: compacting whenever fewer
+    /// than `n` slots were free ran 14–21 compactions per call on these
+    /// R-MAT(1024) patterns, each sorting every node; the new element's
+    /// size bound needs one.
     #[test]
     fn amd_survives_workspace_garbage_collection() {
-        // A tight initial workspace forces the GC path: build a pattern
-        // with heavy fill (random + ring) and check validity end to end.
-        let mut lcg = 0x1234u64;
-        let mut next = |m: usize| {
-            lcg = lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((lcg >> 33) as usize) % m
-        };
-        let n = 120;
-        let mut t = TripletMatrix::new(n, n);
-        for i in 0..n {
-            t.push(i, i, 1.0);
-            t.push(i, (i + 1) % n, 1.0);
-            t.push((i + 1) % n, i, 1.0);
+        for a in [grid(24), rmat(10, 8192, 1)] {
+            let (forced, runs) = counted_amd(&a, true);
+            assert!(runs >= a.cols() / 2, "the hook forced {runs} compactions");
+            assert!(is_permutation(&forced, a.cols()));
+            assert_eq!(forced, counted_amd(&a, false).0);
         }
-        for _ in 0..(2 * n) {
-            t.push(next(n), next(n), 1.0);
+        for seed in [1, 2, 3] {
+            let (_, runs) = counted_amd(&rmat(10, 8192, seed), false);
+            assert!(runs <= 4, "seed {seed}: {runs} compactions");
         }
-        assert!(is_permutation(&amd_ordering(&t.to_csc()), n));
     }
 }

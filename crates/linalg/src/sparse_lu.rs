@@ -6,8 +6,9 @@
 //! `q` is a fill-reducing column ordering and `P` is the row permutation
 //! chosen by pivoting. The algorithm follows Gilbert & Peierls (1988): for
 //! each column, a depth-first search over the structure of the already
-//! computed part of `L` predicts the nonzero pattern, and the numeric
-//! update is applied in topological order.
+//! computed part of `L` predicts the nonzero pattern; the updates are
+//! applied in ascending step order, the numeric replay's order, so a
+//! factor's values are bitwise a replay of its own input.
 //!
 //! The factorization is stored in two pieces, KLU-style:
 //!
@@ -23,9 +24,9 @@
 //!
 //! Each diagonal block ends in a *dense trailing core* ([`DenseCores`]):
 //! the nested tail where the fill concentrates. Its values live in one
-//! dense array, and the replay and the solves run it as a dense LU with
-//! the per-entry kernels' arithmetic, so results are bitwise those of a
-//! purely sparse factor.
+//! dense array, and the pivoting factorization, the replay and the solves
+//! run it as a dense LU with the per-entry kernels' arithmetic, so results
+//! are bitwise those of a purely sparse factor.
 
 use std::sync::Arc;
 
@@ -34,66 +35,6 @@ use crate::ordering::{amd_btf_ordering, BlockOrdering};
 use crate::{CscMatrix, LinalgError};
 
 pub(crate) const NO_PIVOT: usize = usize::MAX;
-
-/// Sorts `keys` ascending, applying the same permutation to `vals`: an
-/// index permutation is `sort_unstable`d by key, then applied to both
-/// slices in place by walking its cycles. `perm` is caller-provided scratch
-/// so the factorization loop allocates nothing. Keys are distinct (one `U`
-/// entry per pivot step), so the unstable sort is deterministic.
-///
-/// This replaced an insertion sort: fill-heavy columns of large substrate
-/// matrices reach hundreds of entries, where the insertion sort's O(len²)
-/// dominated the whole symbolic phase (see `sort_paired_insertion`, kept as
-/// the test oracle, and the symbolic-factor entries in `BENCH_PR3.json`).
-fn sort_paired(keys: &mut [usize], vals: &mut [f64], perm: &mut Vec<usize>) {
-    let len = keys.len();
-    if len < 2 {
-        return;
-    }
-    perm.clear();
-    perm.extend(0..len);
-    perm.sort_unstable_by_key(|&i| keys[i]);
-    // Apply in place: position `dst` receives the element at `perm[dst]`.
-    // Consumed positions are marked so each cycle rotates exactly once.
-    const DONE: usize = usize::MAX;
-    for start in 0..len {
-        let mut src = perm[start];
-        if src == DONE || src == start {
-            perm[start] = DONE;
-            continue;
-        }
-        let (k0, v0) = (keys[start], vals[start]);
-        let mut dst = start;
-        while src != start {
-            keys[dst] = keys[src];
-            vals[dst] = vals[src];
-            let next = perm[src];
-            perm[src] = DONE;
-            dst = src;
-            src = next;
-        }
-        keys[dst] = k0;
-        vals[dst] = v0;
-        perm[start] = DONE;
-    }
-}
-
-/// The pre-rewrite insertion-sort version of [`sort_paired`], kept as the
-/// agreement oracle for the permutation-based implementation.
-#[cfg(test)]
-fn sort_paired_insertion(keys: &mut [usize], vals: &mut [f64]) {
-    for i in 1..keys.len() {
-        let (k, v) = (keys[i], vals[i]);
-        let mut j = i;
-        while j > 0 && keys[j - 1] > k {
-            keys[j] = keys[j - 1];
-            vals[j] = vals[j - 1];
-            j -= 1;
-        }
-        keys[j] = k;
-        vals[j] = v;
-    }
-}
 
 /// [`LinalgError::NotSquare`] unless `a` is square.
 fn ensure_square(a: &CscMatrix) -> Result<(), LinalgError> {
@@ -441,18 +382,16 @@ pub struct SymbolicLu {
 }
 
 /// The dense trailing core of each diagonal block: the maximal run of
-/// pivot steps at the end of the block whose `L` patterns nest. Walking
-/// back from the block's last step, step `k − 1` joins while
-/// `row_perm[k] ∈ L(:, k − 1)` and `L(:, k) ⊆ L(:, k − 1)`; by induction
-/// every core `L` column then spans exactly the core rows after it, so
-/// the core's `L` is fully dense lower. Its in-core `U` columns are
-/// contiguous tails too: `U(s, k) ≠ 0` for a core step `s` fills every
-/// core row after `s`, so column `k`'s in-core entries are exactly the
-/// core positions `head..k`. The values of a core live in one dense
+/// pivot steps at the end of the block whose `L` columns each span every
+/// row of the block still to pivot, so the core's `L` is fully dense
+/// lower. Its in-core `U` columns are contiguous tails too: `U(s, k) ≠ 0`
+/// for a core step `s` brings `L(:, s)`, every core row after `s`, so
+/// column `k`'s in-core entries are exactly the core positions `head..k`.
+/// The pivoting factorization finds the core as it goes (see
+/// `SparseLu::factor_cores`). The values of a core live in one dense
 /// column-major `c × c` array (unit `L` below the diagonal, `U` on and
-/// above); the `U(s, k)` entries from pre-core steps `s` stay in the
-/// sparse arrays.
-#[derive(Debug)]
+/// above); the `U(s, k)` entries from pre-core steps `s` stay sparse.
+#[derive(Debug, Default)]
 pub(crate) struct DenseCores {
     /// Block `t`'s core owns steps `start[t]..block_ptr[t + 1]`.
     pub(crate) start: Vec<usize>,
@@ -467,97 +406,389 @@ pub(crate) struct DenseCores {
     pub(crate) nnz: usize,
 }
 
-/// One triangle of a finished factorization by pivot step: entries
-/// `idx[ptr[k]..ptr[k + 1]]` with their values.
-struct Triangle {
+/// Threshold partial pivoting over `(key, value)` candidates: `pref` when
+/// its magnitude is at least `threshold` of the largest, else the first
+/// largest. Returns the key and the largest magnitude; `None` when every
+/// candidate is zero.
+fn choose_pivot(
+    cands: impl Iterator<Item = (usize, f64)>,
+    pref: usize,
+    threshold: f64,
+) -> Option<(usize, f64)> {
+    let (mut max_mag, mut max_at, mut pref_mag) = (0.0f64, None, -1.0f64);
+    for (key, v) in cands {
+        let mag = v.abs();
+        if mag > max_mag {
+            (max_mag, max_at) = (mag, Some(key));
+        }
+        if key == pref {
+            pref_mag = mag;
+        }
+    }
+    let keep_pref = pref_mag >= threshold * max_mag && pref_mag > 0.0;
+    max_at.map(|at| (if keep_pref { pref } else { at }, max_mag))
+}
+
+/// One triangle (or the cross-block entries) of a factorization being
+/// built, by step: indices `idx[ptr[k]..ptr[k + 1]]` and their values.
+#[derive(Default)]
+struct Tri {
     ptr: Vec<usize>,
     idx: Vec<usize>,
     vals: Vec<f64>,
 }
 
-impl Triangle {
-    /// Keeps the entries `(k, idx)` that `keep` accepts, in order.
-    fn retain(&mut self, keep: impl Fn(usize, usize) -> bool) {
-        let mut w = 0;
-        let mut lo = 0;
-        for k in 0..self.ptr.len() - 1 {
-            let hi = self.ptr[k + 1];
-            for i in lo..hi {
-                if keep(k, self.idx[i]) {
-                    self.idx[w] = self.idx[i];
-                    self.vals[w] = self.vals[i];
-                    w += 1;
-                }
-            }
-            lo = hi;
-            self.ptr[k + 1] = w;
+impl Tri {
+    fn new() -> Self {
+        let ptr = vec![0];
+        Tri {
+            ptr,
+            ..Self::default()
         }
-        self.idx.truncate(w);
-        self.vals.truncate(w);
+    }
+
+    fn push(&mut self, i: usize, v: f64) {
+        self.idx.push(i);
+        self.vals.push(v);
+    }
+
+    /// Back to its first `steps` steps.
+    fn rewind(&mut self, steps: usize) {
+        self.ptr.truncate(steps + 1);
+        self.idx.truncate(self.ptr[steps]);
+        self.vals.truncate(self.ptr[steps]);
     }
 }
 
-impl DenseCores {
-    /// Moves the dense trailing core of every block of a finished
-    /// factorization out of its sparse triangles `l`/`u`, returning the
-    /// cores and their dense values. With `detect` off every core is
-    /// empty and the triangles keep every entry.
-    fn extract(
-        block_ptr: &[usize],
-        pinv: &[usize],
-        detect: bool,
-        l: &mut Triangle,
-        u: &mut Triangle,
-    ) -> (Self, Vec<f64>) {
-        let n = pinv.len();
-        let mut cores = DenseCores {
-            start: Vec::with_capacity(block_ptr.len().saturating_sub(1)),
-            val_ptr: vec![0],
-            head: vec![0; n],
-            nnz: 0,
-        };
-        let mut vals = Vec::new();
-        // Per step, the first step of its core (`n` for sparse steps).
-        let mut core_of = vec![n; n];
-        for w in block_ptr.windows(2) {
-            let (lo, hi) = (w[0], w[1]);
-            // `L(:, k)` spans exactly the pivot rows of `k + 1..hi`: with
-            // the same for `k + 1`, that is the nesting rule above.
-            let spans_rest = |k: usize| {
-                let rows = &l.idx[l.ptr[k]..l.ptr[k + 1]];
-                rows.len() == hi - k - 1 && rows.iter().all(|&r| pinv[r] < hi)
-            };
-            let mut c0 = hi;
-            if detect {
-                c0 -= 1;
-                while c0 > lo && spans_rest(c0 - 1) {
-                    c0 -= 1;
-                }
-            }
-            let c = hi - c0;
-            let base = vals.len();
-            vals.resize(base + c * c, 0.0);
-            for k in c0..hi {
-                let col = &mut vals[base + (k - c0) * c..][..c];
-                for i in l.ptr[k]..l.ptr[k + 1] {
-                    col[pinv[l.idx[i]] - c0] = l.vals[i];
-                }
-                let (ulo, uhi) = (u.ptr[k], u.ptr[k + 1]);
-                let first = ulo + u.idx[ulo..uhi].partition_point(|&s| s < c0);
-                for i in first..uhi {
-                    col[u.idx[i] - c0] = u.vals[i];
-                }
-                let head = u.idx[first] - c0;
-                cores.head[k] = head as u32;
-                cores.nnz += (hi - k - 1) + (k - c0 - head + 1);
-                core_of[k] = c0;
-            }
-            cores.start.push(c0);
-            cores.val_ptr.push(vals.len());
+/// A pivoting factorization being built (`SparseLu::factor_cores`):
+/// the pivot permutation, the sparse `L`, `U` and cross-block entries,
+/// the dense cores, and the per-column scratch.
+#[derive(Default)]
+struct Elimination {
+    pinv: Vec<usize>,
+    row_perm: Vec<usize>,
+    l: Tri,
+    u: Tri,
+    off: Tri,
+    cores: DenseCores,
+    core_vals: Vec<f64>,
+    /// The open core's rows by position: its pivots, then the rows still
+    /// to pivot.
+    core_rows: Vec<usize>,
+    /// Per pre-core step of the open core: where the core rows of its `L`
+    /// column start, and their first pivot step once one is pivoted.
+    l_split: Vec<usize>,
+    l_first: Vec<usize>,
+    /// Dense column by original row (zero between columns), the column's
+    /// pattern rows and reached steps, the search stack (step, next and
+    /// end of its searched `L` rows), and per-row and per-step marks of
+    /// the current column `gen` (with a cross-block row's slot).
+    x: Vec<f64>,
+    pattern: Vec<usize>,
+    reach: Vec<usize>,
+    dfs: Vec<(usize, usize, usize)>,
+    row_mark: Vec<usize>,
+    step_mark: Vec<usize>,
+    off_slot: Vec<usize>,
+    gen: usize,
+    /// Whether every pivot passes the replay's frozen-pivot test, so that
+    /// a replay of the input reproduces these values.
+    replayable: bool,
+}
+
+impl Elimination {
+    fn new(n: usize) -> Self {
+        Elimination {
+            pinv: vec![NO_PIVOT; n],
+            row_perm: vec![NO_PIVOT; n],
+            l: Tri::new(),
+            u: Tri::new(),
+            off: Tri::new(),
+            cores: DenseCores {
+                val_ptr: vec![0],
+                head: vec![0; n],
+                ..DenseCores::default()
+            },
+            l_split: vec![0; n],
+            l_first: vec![NO_PIVOT; n],
+            x: vec![0.0; n],
+            row_mark: vec![0; n],
+            step_mark: vec![0; n],
+            off_slot: vec![0; n],
+            replayable: true,
+            ..Self::default()
         }
-        l.retain(|k, _| core_of[k] == n);
-        u.retain(|k, s| s < core_of[k]);
-        (cores, vals)
+    }
+
+    /// Scatters column `col` of `a` as the replay does (`0.0` plus each
+    /// entry; rows pivoted before `block_lo` into the step's cross-block
+    /// slots), finds the steps before `core_lo` it reaches through the
+    /// sparse `L` and applies their updates in ascending step order, the
+    /// replay's order, storing each as a `U` entry. Returns the first step
+    /// from `core_lo` on whose pivot row the pattern holds (`NO_PIVOT` if
+    /// none). With a core open the search walks only the pre-core rows of
+    /// each `L` column; its core rows are read for their first pivot.
+    fn eliminate(&mut self, a: &CscMatrix, col: usize, block_lo: usize, core_lo: usize) -> usize {
+        self.gen += 1;
+        let g = self.gen;
+        self.pattern.clear();
+        self.reach.clear();
+        let mut first = NO_PIVOT;
+        for (r, v) in a.col(col) {
+            let step = self.pinv[r];
+            if self.row_mark[r] != g {
+                self.row_mark[r] = g;
+                if step < block_lo {
+                    self.off_slot[r] = self.off.idx.len();
+                    self.off.push(r, 0.0);
+                } else {
+                    self.pattern.push(r);
+                    self.x[r] = 0.0;
+                }
+            }
+            if step < block_lo {
+                self.off.vals[self.off_slot[r]] += v;
+                continue;
+            }
+            self.x[r] += v;
+            if step >= core_lo {
+                first = first.min(step);
+            } else if self.step_mark[step] != g {
+                self.push_step(step, core_lo);
+            }
+        }
+        self.reach.sort_unstable();
+        for i in 0..self.reach.len() {
+            let s = self.reach[i];
+            let xv = self.x[self.row_perm[s]];
+            self.u.push(s, xv);
+            if xv != 0.0 {
+                for idx in self.l.ptr[s]..self.l.ptr[s + 1] {
+                    self.x[self.l.idx[idx]] -= xv * self.l.vals[idx];
+                }
+            }
+            if core_lo != NO_PIVOT {
+                if self.l_first[s] == NO_PIVOT {
+                    let rows = &self.l.idx[self.l_split[s]..self.l.ptr[s + 1]];
+                    self.l_first[s] = rows.iter().map(|&r| self.pinv[r]).min().unwrap_or(NO_PIVOT);
+                }
+                first = first.min(self.l_first[s]);
+            }
+        }
+        first
+    }
+
+    /// Marks step `s` and searches `L` from it depth-first (over the
+    /// pre-core rows of each column when a core is open): every row met
+    /// joins the pattern, every step met joins `reach`.
+    fn push_step(&mut self, s: usize, core_lo: usize) {
+        let g = self.gen;
+        let end = |e: &Self, s: usize| {
+            if core_lo == NO_PIVOT {
+                e.l.ptr[s + 1]
+            } else {
+                e.l_split[s]
+            }
+        };
+        self.step_mark[s] = g;
+        self.dfs.push((s, self.l.ptr[s], end(self, s)));
+        while let Some(&mut (s, ref mut ptr, end_s)) = self.dfs.last_mut() {
+            if *ptr == end_s {
+                self.reach.push(s);
+                self.dfs.pop();
+                continue;
+            }
+            let r = self.l.idx[*ptr];
+            *ptr += 1;
+            if self.row_mark[r] != g {
+                self.row_mark[r] = g;
+                self.pattern.push(r);
+                self.x[r] = 0.0;
+            }
+            let step = self.pinv[r];
+            if step != NO_PIVOT && self.step_mark[step] != g {
+                self.step_mark[step] = g;
+                self.dfs.push((step, self.l.ptr[step], end(self, step)));
+            }
+        }
+    }
+
+    /// Records `prow` as the pivot of step `k` and whether the replay's
+    /// frozen-pivot test accepts `pivot` against the column's largest
+    /// magnitude; closes the step.
+    fn pivot(&mut self, k: usize, prow: usize, pivot: f64, max_mag: f64) {
+        self.replayable &= pivot.is_finite() && pivot != 0.0 && pivot.abs() >= 1e-10 * max_mag;
+        self.pinv[prow] = k;
+        self.row_perm[k] = prow;
+        for t in [&mut self.l, &mut self.u, &mut self.off] {
+            t.ptr.push(t.idx.len());
+        }
+    }
+
+    /// Eliminates sparse step `k` (column `col`): pivots among the
+    /// pattern's rows still to pivot and stores the `U` and `L` columns.
+    fn sparse_step(
+        &mut self,
+        a: &CscMatrix,
+        (k, col, block_lo): (usize, usize, usize),
+        pref: usize,
+        threshold: f64,
+    ) -> Result<(), LinalgError> {
+        self.eliminate(a, col, block_lo, NO_PIVOT);
+        let (x, pinv) = (&self.x, &self.pinv);
+        let open = self.pattern.iter().filter(|&&r| pinv[r] == NO_PIVOT);
+        let (prow, max_mag) = choose_pivot(open.map(|&r| (r, x[r])), pref, threshold)
+            .ok_or(LinalgError::Singular { column: col })?;
+        let pivot = x[prow];
+        self.u.push(k, pivot);
+        for &r in &self.pattern {
+            if self.pinv[r] == NO_PIVOT && r != prow {
+                self.l.push(r, self.x[r] / pivot);
+            }
+            self.x[r] = 0.0;
+        }
+        self.pivot(k, prow, pivot, max_mag);
+        Ok(())
+    }
+
+    /// Opens a dense core at sparse step `k`, whose `L` column spans every
+    /// row of block `lo..hi` still to pivot: moves its pivot and `L`
+    /// values into column 0 of a zeroed `c × c` array, and puts the rows
+    /// pivoted before `k` first in each earlier `L` column of the block
+    /// (the order of a column's rows changes no value).
+    fn open_core(&mut self, lo: usize, k: usize, hi: usize) {
+        for s in lo..k {
+            let (mut i, mut end) = (self.l.ptr[s], self.l.ptr[s + 1]);
+            while i < end {
+                if self.pinv[self.l.idx[i]] < k {
+                    i += 1;
+                } else {
+                    end -= 1;
+                    self.l.idx.swap(i, end);
+                    self.l.vals.swap(i, end);
+                }
+            }
+            (self.l_split[s], self.l_first[s]) = (end, NO_PIVOT);
+        }
+        let (c, base, lo_l) = (hi - k, self.core_vals.len(), self.l.ptr[k]);
+        self.core_vals.resize(base + c * c, 0.0);
+        self.core_rows.clear();
+        self.core_rows.push(self.row_perm[k]);
+        self.core_rows.extend(self.l.idx.drain(lo_l..));
+        self.core_vals[base + 1..base + c].copy_from_slice(&self.l.vals[lo_l..]);
+        self.core_vals[base] = self.u.vals[self.u.vals.len() - 1];
+        self.l.rewind(k);
+        self.l.ptr.push(lo_l);
+        self.u.idx.pop();
+        self.u.vals.pop();
+        self.u.ptr[k + 1] -= 1;
+    }
+
+    /// Eliminates step `k` as column `j = k − c0` of the open core `c0..hi`
+    /// with the replay's kernel: the pre-core updates through the
+    /// workspace, the in-core ones by [`core_column_update`], then
+    /// threshold pivoting among the rows still to pivot, swapped into
+    /// position in every finished column. Returns `false`, storing
+    /// nothing, when the column does not span every row still to pivot.
+    fn core_step(
+        &mut self,
+        a: &CscMatrix,
+        (k, col, block_lo): (usize, usize, usize),
+        (c0, hi): (usize, usize),
+        pref: usize,
+        threshold: f64,
+    ) -> Result<bool, LinalgError> {
+        let (c, j) = (hi - c0, k - c0);
+        // An in-core `U` entry at `s` brings `L(:, s)`: every core row
+        // from `s` on. Without one, the column must hold them all itself.
+        let first = self.eliminate(a, col, block_lo, c0);
+        let head = if first != NO_PIVOT {
+            first - c0
+        } else if self.open_rows_reached() == c - j {
+            j
+        } else {
+            for &r in self.pattern.iter().chain(&self.core_rows) {
+                self.x[r] = 0.0;
+            }
+            return Ok(false);
+        };
+        let base = self.core_vals.len() - c * c;
+        let (done, rest) = self.core_vals[base..].split_at_mut(j * c);
+        let v = &mut rest[..c];
+        for (vi, &r) in v[head..].iter_mut().zip(&self.core_rows[head..]) {
+            *vi = std::mem::take(&mut self.x[r]);
+        }
+        for &r in &self.pattern {
+            self.x[r] = 0.0;
+        }
+        core_column_update(done, v, j, head);
+        let rows = &mut self.core_rows;
+        let pref = rows[j..]
+            .iter()
+            .position(|&r| r == pref)
+            .map_or(NO_PIVOT, |p| p + j);
+        let (p, max_mag) = choose_pivot((j..c).map(|i| (i, v[i])), pref, threshold)
+            .ok_or(LinalgError::Singular { column: col })?;
+        v.swap(j, p);
+        rows.swap(j, p);
+        for s in 0..j {
+            done.swap(s * c + j, s * c + p);
+        }
+        let pivot = v[j];
+        for vi in &mut v[j + 1..] {
+            *vi /= pivot;
+        }
+        let prow = rows[j];
+        self.cores.head[k] = head as u32;
+        self.pivot(k, prow, pivot, max_mag);
+        Ok(true)
+    }
+
+    /// The rows still to pivot in the current column's pattern: its own
+    /// and those of the core part of each reached pre-core `L` column.
+    fn open_rows_reached(&mut self) -> usize {
+        for &s in &self.reach {
+            for &r in &self.l.idx[self.l_split[s]..self.l.ptr[s + 1]] {
+                if self.row_mark[r] != self.gen {
+                    self.row_mark[r] = self.gen;
+                    self.pattern.push(r);
+                }
+            }
+        }
+        let pinv = &self.pinv;
+        self.pattern
+            .iter()
+            .filter(|&&r| pinv[r] == NO_PIVOT)
+            .count()
+    }
+
+    /// Drops steps `c0..k`: a core opened at `c0` whose column `k` did not
+    /// span the rows still to pivot.
+    fn rewind(&mut self, c0: usize, k: usize) {
+        for t in [&mut self.l, &mut self.u, &mut self.off] {
+            t.rewind(c0);
+        }
+        self.core_vals
+            .truncate(self.cores.val_ptr[self.cores.val_ptr.len() - 1]);
+        for s in c0..k {
+            self.pinv[self.row_perm[s]] = NO_PIVOT;
+            self.row_perm[s] = NO_PIVOT;
+            self.cores.head[s] = 0;
+        }
+    }
+
+    /// Closes block `..hi` with its core `c0..hi` (empty when `c0 == hi`),
+    /// counting the core's symbolic entries.
+    fn close_block(&mut self, c0: usize, hi: usize) {
+        let heads = &self.cores.head[c0..hi];
+        let upper: usize = heads
+            .iter()
+            .enumerate()
+            .map(|(j, &h)| j + 1 - h as usize)
+            .sum();
+        self.cores.nnz += (hi - c0) * (hi - c0).saturating_sub(1) / 2 + upper;
+        self.cores.start.push(c0);
+        self.cores.val_ptr.push(self.core_vals.len());
     }
 }
 
@@ -832,14 +1063,15 @@ pub struct SparseLu {
     /// Numeric values (sparse `L`, `U`, raw cross-block entries, dense
     /// cores).
     pub(crate) vals: ValueArrays,
-    /// The matrix `vals` were last replayed from, when they come from a
-    /// successful [`SparseLu::refactor_with`]; `None` after a pivoting
-    /// factorization or a failed replay. The next replay against the same
+    /// The matrix `vals` equal a full replay of: the input of a
+    /// successful [`SparseLu::refactor_with`] or of the pivoting
+    /// factorization (`None` after a failed replay, or when a factor pivot
+    /// would fail the replay's test). The next replay against the same
     /// pattern rewrites only the steps this record proves stale.
     replayed_from: Option<ReplayRecord>,
 }
 
-/// The matrix a factor's values were last replayed from: its pattern
+/// The matrix a factor's values are a replay of: its pattern
 /// (`col_ptr`, `row_idx` as 32-bit indices, shared by clones of the
 /// factor) and values.
 #[derive(Debug, Clone)]
@@ -939,8 +1171,18 @@ impl SparseLu {
         Self::factor_cores(a, amd_btf_ordering(a), &opts, false)
     }
 
-    /// [`SparseLu::factor_ordered`], detecting the dense cores only when
+    /// [`SparseLu::factor_ordered`], opening the dense cores only when
     /// `detect_cores` is set.
+    ///
+    /// Every step applies its updates in ascending step order, the
+    /// replay's order, so the values are bitwise those of a replay of
+    /// `a`. A block's dense core opens at its first step whose `L` column
+    /// spans every row of the block still to pivot; from there on each
+    /// column runs the replay's dense kernel. A later column that does
+    /// not span them (possible, though not met on the bench substrates)
+    /// ends the attempt: the steps from the core's start are eliminated
+    /// sparse again and the search resumes past that column, so the core
+    /// is always the block's maximal nested tail.
     fn factor_cores(
         a: &CscMatrix,
         ordering: BlockOrdering,
@@ -955,234 +1197,62 @@ impl SparseLu {
             block_ptr,
             diag_rows,
         } = ordering;
-
-        let mut pinv = vec![NO_PIVOT; n]; // original row -> pivot step
-        let mut row_perm = vec![NO_PIVOT; n]; // pivot step -> original row
-        let mut l_ptr = vec![0usize];
-        let mut l_rows: Vec<usize> = Vec::with_capacity(4 * a.nnz() + n);
-        let mut l_vals: Vec<f64> = Vec::with_capacity(4 * a.nnz() + n);
-        let mut u_ptr = vec![0usize];
-        let mut u_rows: Vec<usize> = Vec::with_capacity(4 * a.nnz() + n);
-        let mut u_vals: Vec<f64> = Vec::with_capacity(4 * a.nnz() + n);
-        let mut off_ptr = vec![0usize];
-        let mut off_rows: Vec<usize> = Vec::new();
-        let mut off_vals: Vec<f64> = Vec::new();
-
-        // Workspaces reused across columns; `stamp` arrays avoid O(n) clears.
-        let mut x = vec![0.0f64; n];
-        let mut pattern: Vec<usize> = Vec::with_capacity(64);
-        let mut row_stamp = vec![usize::MAX; n]; // row in pattern this column?
-        let mut step_stamp = vec![usize::MAX; n]; // step visited by DFS this column?
-        let mut off_stamp = vec![usize::MAX; n]; // row in off list this column?
-        let mut off_slot = vec![0usize; n]; // off-list slot of a stamped row
-        let mut topo: Vec<usize> = Vec::with_capacity(64); // post-order of pivot steps
-        let mut dfs: Vec<(usize, usize)> = Vec::with_capacity(64);
-        let mut sort_perm: Vec<usize> = Vec::with_capacity(64); // sort_paired scratch
-
-        let mut block_idx = 0usize;
-        for k in 0..n {
-            while k >= block_ptr[block_idx + 1] {
-                block_idx += 1;
-            }
-            let block_lo = block_ptr[block_idx];
-            let col = q[k];
-            pattern.clear();
-            topo.clear();
-
-            for (r, v) in a.col(col) {
-                // Rows already pivoted in an *earlier* diagonal block are
-                // cross-block entries of the block-upper-triangular
-                // permutation: stored raw and applied at solve time,
-                // KLU-style, never eliminated through. Excluding them here
-                // changes nothing inside this block — earlier-block `L`
-                // columns only touch rows of their own block, so the
-                // in-block values, pivots and fill are identical to the
-                // old closure-into-`U` scheme.
-                if pinv[r] < block_lo {
-                    if off_stamp[r] != k {
-                        off_stamp[r] = k;
-                        off_slot[r] = off_rows.len();
-                        off_rows.push(r);
-                        off_vals.push(v);
-                    } else {
-                        off_vals[off_slot[r]] += v;
+        let thr = opts.pivot_threshold;
+        let mut e = Elimination::new(n);
+        for w in block_ptr.windows(2) {
+            let (lo, hi) = (w[0], w[1]);
+            // The core opens at the first step from `open_from` on whose
+            // `L` column spans the rest of the block.
+            let mut open_from = if detect_cores { lo } else { hi };
+            let mut c0 = hi;
+            let mut k = lo;
+            while k < hi {
+                let step = (k, q[k], lo);
+                if c0 < k {
+                    if !e.core_step(a, step, (c0, hi), diag_rows[k], thr)? {
+                        e.rewind(c0, k);
+                        (open_from, k, c0) = (k + 1, c0, hi);
+                        continue;
                     }
-                    continue;
-                }
-                if row_stamp[r] != k {
-                    row_stamp[r] = k;
-                    pattern.push(r);
-                    x[r] = v;
                 } else {
-                    x[r] += v;
-                }
-                let step = pinv[r];
-                if step != NO_PIVOT && step_stamp[step] != k {
-                    // DFS over L's structure starting at `step`.
-                    step_stamp[step] = k;
-                    dfs.push((step, l_ptr[step]));
-                    while let Some(&mut (s, ref mut ptr)) = dfs.last_mut() {
-                        let hi = l_ptr[s + 1];
-                        let mut descended = false;
-                        while *ptr < hi {
-                            let child_row = l_rows[*ptr];
-                            *ptr += 1;
-                            if row_stamp[child_row] != k {
-                                row_stamp[child_row] = k;
-                                pattern.push(child_row);
-                                x[child_row] = 0.0;
-                            }
-                            let child_step = pinv[child_row];
-                            if child_step != NO_PIVOT && step_stamp[child_step] != k {
-                                step_stamp[child_step] = k;
-                                dfs.push((child_step, l_ptr[child_step]));
-                                descended = true;
-                                break;
-                            }
-                        }
-                        if !descended && {
-                            let (s2, p2) = *dfs
-                                .last()
-                                .expect("invariant: the DFS stack is nonempty inside the walk");
-                            p2 >= l_ptr[s2 + 1]
-                        } {
-                            let (s2, _) = dfs
-                                .pop()
-                                .expect("invariant: the DFS stack is nonempty inside the walk");
-                            topo.push(s2);
-                        }
+                    e.sparse_step(a, step, diag_rows[k], thr)?;
+                    if k >= open_from && e.l.ptr[k + 1] - e.l.ptr[k] == hi - k - 1 {
+                        e.open_core(lo, k, hi);
+                        c0 = k;
                     }
                 }
+                k += 1;
             }
-
-            // Numeric update in topological order (reverse post-order).
-            for &s in topo.iter().rev() {
-                let xval = x[row_perm[s]];
-                if xval != 0.0 {
-                    for idx in l_ptr[s]..l_ptr[s + 1] {
-                        x[l_rows[idx]] -= xval * l_vals[idx];
-                    }
-                }
-            }
-
-            // Pivot selection with threshold preference for the step's
-            // preferred row — the diagonal for plain orderings, the
-            // structurally matched row under BTF — which keeps MNA
-            // factorizations stable without destroying sparsity. Under a
-            // block-triangular ordering the unpivoted pattern rows are
-            // always confined to the current diagonal block (rows of later
-            // blocks are structurally absent, earlier blocks are fully
-            // pivoted), so pivoting can never break the block structure.
-            let pref_row = diag_rows[k];
-            let mut max_mag = 0.0f64;
-            let mut max_row = NO_PIVOT;
-            let mut diag_mag = -1.0f64;
-            for &r in &pattern {
-                if pinv[r] == NO_PIVOT {
-                    let mag = x[r].abs();
-                    if mag > max_mag {
-                        max_mag = mag;
-                        max_row = r;
-                    }
-                    if r == pref_row {
-                        diag_mag = mag;
-                    }
-                }
-            }
-            if max_row == NO_PIVOT || max_mag == 0.0 {
-                for &r in &pattern {
-                    x[r] = 0.0;
-                }
-                return Err(LinalgError::Singular { column: col });
-            }
-            let pivot_row = if diag_mag >= opts.pivot_threshold * max_mag && diag_mag > 0.0 {
-                pref_row
-            } else {
-                max_row
-            };
-            let pivot_val = x[pivot_row];
-            pinv[pivot_row] = k;
-            row_perm[k] = pivot_row;
-
-            // Emit U column (entries at pivotal rows, ascending step order,
-            // pivot last) and L column (non-pivotal rows scaled by the
-            // pivot). The ascending order is a topological order of the
-            // column's update dependencies, which is what lets `refactor`
-            // replay the numeric phase without redoing the symbolic DFS.
-            //
-            // Entries that cancelled to exactly 0.0 are stored anyway: the
-            // stored structure must be the *full* symbolic closure, or a
-            // later `refactor` (same pattern, different values) would
-            // silently skip the update paths through the cancelled
-            // positions and produce a wrong factorization.
-            let u_col_start = u_rows.len();
-            for &r in &pattern {
-                let step = pinv[r];
-                if step != NO_PIVOT && step != k {
-                    u_rows.push(step);
-                    u_vals.push(x[r]);
-                }
-            }
-            sort_paired(
-                &mut u_rows[u_col_start..],
-                &mut u_vals[u_col_start..],
-                &mut sort_perm,
-            );
-            u_rows.push(k);
-            u_vals.push(pivot_val);
-            u_ptr.push(u_rows.len());
-
-            for &r in &pattern {
-                if pinv[r] == NO_PIVOT {
-                    l_rows.push(r);
-                    l_vals.push(x[r] / pivot_val);
-                }
-            }
-            l_ptr.push(l_rows.len());
-
-            for &r in &pattern {
-                x[r] = 0.0;
-            }
-
-            off_ptr.push(off_rows.len());
+            e.close_block(c0, hi);
         }
-
-        let mut l = Triangle {
-            ptr: l_ptr,
-            idx: l_rows,
-            vals: l_vals,
-        };
-        let mut u = Triangle {
-            ptr: u_ptr,
-            idx: u_rows,
-            vals: u_vals,
-        };
-        let (cores, core_vals) =
-            DenseCores::extract(&block_ptr, &pinv, detect_cores, &mut l, &mut u);
         let sym = Arc::new(SymbolicLu {
             n,
             q,
-            row_perm,
-            pinv,
-            l_ptr: l.ptr,
-            l_rows: l.idx,
-            u_ptr: u.ptr,
-            u_rows: u.idx,
+            row_perm: e.row_perm,
+            pinv: e.pinv,
+            l_ptr: e.l.ptr,
+            l_rows: e.l.idx,
+            u_ptr: e.u.ptr,
+            u_rows: e.u.idx,
             block_ptr,
-            off_ptr,
-            off_rows,
-            cores,
+            off_ptr: e.off.ptr,
+            off_rows: e.off.idx,
+            cores: e.cores,
             replay_index: std::sync::OnceLock::new(),
         });
         let lu = SparseLu {
             sym,
             vals: ValueArrays {
-                l: l.vals,
-                u: u.vals,
-                off: off_vals,
-                core: core_vals,
+                l: e.l.vals,
+                u: e.u.vals,
+                off: e.off.vals,
+                core: e.core_vals,
             },
-            replayed_from: None,
+            replayed_from: if e.replayable {
+                ReplayRecord::of(a)
+            } else {
+                None
+            },
         };
         crate::verify::debug_auto_audit!(lu.audit());
         Ok(lu)
@@ -1282,17 +1352,16 @@ impl SparseLu {
     /// those of a per-entry replay).
     ///
     /// A replay pays only for what changed since the previous one. A
-    /// successful replay records the matrix it ran on; the next replay
-    /// against the same pattern rewrites only the *dirty closure*: step
-    /// `k` is dirty when column `q[k]` of `a` differs bitwise from the
+    /// successful replay, like a pivoting factorization (whose values are
+    /// a replay of its input), records the matrix it ran on; the next
+    /// replay against the same pattern rewrites only the *dirty closure*:
+    /// step `k` is dirty when column `q[k]` of `a` differs bitwise from the
     /// recorded column, or when any step in its stored `U` column is
     /// dirty. A dense core replays whole when any member is dirty. Every
-    /// other step keeps values a
-    /// full replay would reproduce bit for bit: its inputs are unchanged.
-    /// The first replay after a pivoting factorization, after a failed
-    /// replay or against a different pattern is full. The factor compares
-    /// its own input, so the result never depends on what the caller
-    /// believes changed.
+    /// other step keeps values a full replay would reproduce bit for bit:
+    /// its inputs are unchanged. A replay after a failed one or against a
+    /// different pattern is full. The factor compares its own input, so
+    /// the result never depends on what the caller believes changed.
     ///
     /// # Errors
     ///
@@ -2013,29 +2082,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_paired_matches_insertion_oracle() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut perm = Vec::new();
-        for len in [0usize, 1, 2, 3, 7, 30, 200] {
-            // Distinct keys, as in a U column segment.
-            let mut keys: Vec<usize> = (0..len).map(|i| i * 3 + 1).collect();
-            for i in (1..len).rev() {
-                let j = rng.gen_range(0..=i);
-                keys.swap(i, j);
-            }
-            let vals: Vec<f64> = (0..len).map(|_| rng.gen_range(-5.0..5.0)).collect();
-            let (mut k1, mut v1) = (keys.clone(), vals.clone());
-            let (mut k2, mut v2) = (keys, vals);
-            sort_paired(&mut k1, &mut v1, &mut perm);
-            sort_paired_insertion(&mut k2, &mut v2);
-            assert_eq!(k1, k2, "len {len}");
-            assert_eq!(v1, v2, "len {len}");
-        }
-    }
-
-    #[test]
     fn dimension_mismatch_on_solve() {
         let mut t = TripletMatrix::new(2, 2);
         t.push(0, 0, 1.0);
@@ -2146,9 +2192,8 @@ mod tests {
         let n = base.dim();
         let mut ws = LuWorkspace::new();
         let mut lu = base.clone();
-        // The first replay after a pivoting factorization is full; an
-        // unchanged matrix then replays nothing.
-        assert_eq!(lu.replay(&a, &mut ws).unwrap(), n);
+        // A pivoting factorization records its input: replaying the same
+        // matrix replays nothing.
         assert_eq!(lu.replay(&a, &mut ws).unwrap(), 0);
         for col in 0..n {
             let mut a2 = a.clone();
@@ -2156,8 +2201,7 @@ mod tests {
             vals[cp[col]] *= 1.25;
             let mut dirty = lu.clone();
             let replayed = dirty.replay(&a2, &mut ws).unwrap();
-            let mut full = base.clone();
-            assert_eq!(full.replay(&a2, &mut ws).unwrap(), n);
+            let full = SymbolicLu::numeric(&sym, &a2).unwrap();
             assert_eq!(value_bits(&dirty), value_bits(&full), "column {col}");
             // `U` never crosses a diagonal block, so the closure of one
             // column (with whole cores) stays inside its block.
@@ -2182,7 +2226,7 @@ mod tests {
         let a = diag(2.0);
         let mut lu = SparseLu::factor(&a).unwrap();
         let mut ws = LuWorkspace::new();
-        assert_eq!(lu.replay(&a, &mut ws).unwrap(), 2);
+        assert_eq!(lu.replay(&a, &mut ws).unwrap(), 0);
         // A collapsed pivot fails partway and leaves no record: the values
         // are part-overwritten, so the next replay must rewrite them all.
         assert!(lu.replay(&diag(0.0), &mut ws).is_err());
@@ -2239,6 +2283,38 @@ mod tests {
             SparseLu::factor_ordered(&t.to_csc(), good, &opts),
             Err(LinalgError::NotSquare { .. })
         ));
+    }
+
+    /// Step 0's `L` spans every later row, so a core opens there, but
+    /// column 1 reaches no core pivot and misses row 3: the attempt is
+    /// rewound and the core is the nested tail `2..4`, with the oracle's
+    /// values.
+    #[test]
+    fn core_that_stops_nesting_falls_back_to_sparse() {
+        let mut t = TripletMatrix::new(4, 4);
+        for (r, c) in [
+            (1, 0),
+            (2, 0),
+            (3, 0),
+            (2, 1),
+            (0, 2),
+            (1, 2),
+            (3, 2),
+            (0, 3),
+        ] {
+            t.push(r, c, 1.0);
+        }
+        for i in 0..4 {
+            t.push(i, i, 4.0);
+        }
+        let a = t.to_csc();
+        let (opts, order) = (SparseLuOptions::default(), BlockOrdering::single_block);
+        let lu = SparseLu::factor_ordered(&a, order((0..4).collect()), &opts).unwrap();
+        let oracle = SparseLu::factor_cores(&a, order((0..4).collect()), &opts, false).unwrap();
+        assert_eq!(lu.sym.core_range(0), 2..4);
+        assert_eq!(entry_bits(&lu), entry_bits(&oracle));
+        let replay = SymbolicLu::numeric(&lu.sym, &a).unwrap();
+        assert_eq!(value_bits(&lu), value_bits(&replay));
     }
 
     /// A diagonally dominant system with a sparse random front and a
@@ -2342,8 +2418,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
-        /// The core kernel replays the same arithmetic in the same order
-        /// as the scalar oracle, so a full replay is bitwise equal to it.
+        /// The core kernel runs the scalar oracle's arithmetic in its
+        /// order, and a pivoting factorization the replay's, so a fresh
+        /// factor (production or oracle: sparse, core and off-diagonal
+        /// values) is bitwise a full replay of its own matrix, and each
+        /// full replay is bitwise the oracle's; on a dense-tail system and
+        /// on a three-block one.
         #[test]
         fn core_replay_matches_oracle_bitwise(
             n in 12..60usize,
@@ -2351,12 +2431,18 @@ mod tests {
             seed in proptest::prelude::any::<u64>(),
             shrink in 0.5..1.0f64,
         ) {
-            let a = dense_tail_system(n, tail, seed);
-            let (mut lu, mut oracle) = factor_pair(&a, 2);
-            let a1 = perturbed(&a, u64::MAX, shrink, |_| true);
-            lu.refactor(&a1).unwrap();
-            oracle.refactor(&a1).unwrap();
-            proptest::prop_assert_eq!(entry_bits(&lu), entry_bits(&oracle));
+            for a in [dense_tail_system(n, tail, seed), three_block_system(shrink).to_csc()] {
+                let (mut lu, mut oracle) = factor_pair(&a, 2);
+                proptest::prop_assert_eq!(entry_bits(&lu), entry_bits(&oracle));
+                for f in [&lu, &oracle] {
+                    let replay = SymbolicLu::numeric(f.symbolic(), &a).unwrap();
+                    proptest::prop_assert_eq!(value_bits(f), value_bits(&replay));
+                }
+                let a1 = perturbed(&a, u64::MAX, shrink, |_| true);
+                lu.refactor(&a1).unwrap();
+                oracle.refactor(&a1).unwrap();
+                proptest::prop_assert_eq!(entry_bits(&lu), entry_bits(&oracle));
+            }
         }
 
         /// A dirty replay after perturbing random columns — any columns,

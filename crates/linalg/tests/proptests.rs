@@ -457,17 +457,25 @@ proptest! {
         prop_assert_eq!(bits(dirty.solve(&b).unwrap()), bits(fresh.solve(&b).unwrap()));
     }
 
-    /// The values of a pivoting factorization do not come from a replay,
-    /// so the first replay after `factor_with` rewrites every step — even
-    /// against the very matrix just factored. It must equal a replay of
-    /// zeroed values bit for bit.
+    /// A pivoting factorization records its input, so the first replay
+    /// after `factor_with` rewrites only the dirty closure of the columns
+    /// that differ from that input: none for the very matrix just
+    /// factored. Either way it must equal a full replay of zeroed values
+    /// bit for bit.
     #[test]
-    fn first_replay_after_factor_is_full((t, _b) in arb_dense_tail_system()) {
+    fn first_replay_after_factor_is_a_dirty_closure(
+        (t, _b) in arb_dense_tail_system(),
+        mask in any::<u64>(),
+        shrink in 0.5..1.0f64,
+    ) {
         let csc = t.to_csc();
-        let mut lu = SparseLu::factor(&csc).unwrap();
-        lu.refactor(&csc).unwrap();
-        let fresh = SymbolicLu::numeric(lu.symbolic(), &csc).unwrap();
-        prop_assert_eq!(factor_bits(&lu), factor_bits(&fresh));
+        let lu = SparseLu::factor(&csc).unwrap();
+        for a in [csc.clone(), perturb_columns(&csc, mask, shrink)] {
+            let mut dirty = lu.clone();
+            dirty.refactor(&a).unwrap();
+            let fresh = SymbolicLu::numeric(lu.symbolic(), &a).unwrap();
+            prop_assert_eq!(factor_bits(&dirty), factor_bits(&fresh));
+        }
     }
 }
 

@@ -313,3 +313,22 @@ fn amd_btf_plan_never_falls_back_to_another_ordering() {
         fb_report.block_count
     );
 }
+
+#[test]
+fn plan_report_splits_the_cold_path_only_when_timed() {
+    let g = generators::fig15a(40);
+    let untimed = MaxFlowSolver::new(SolveOptions::ideal())
+        .plan(&g)
+        .expect("plan");
+    assert_eq!(untimed.report().phases, None);
+    let timed = MaxFlowSolver::new(SolveOptions::ideal().with_phase_timing(true))
+        .plan(&g)
+        .expect("timed plan");
+    let phases = timed
+        .report()
+        .phases
+        .expect("timed plan reports its cold path");
+    assert!(phases.ordering_ns > 0 && phases.factor_ns > 0, "{phases:?}");
+    // Timing changes no numbers.
+    assert_eq!(timed.report().factor_nnz, untimed.report().factor_nnz);
+}

@@ -1,13 +1,14 @@
 //! Regression: the incremental frozen-DC session the relaxation
 //! transient runs on (persistent factorization, rank-1 clamp updates,
-//! periodic refactorization) must reproduce the reference
-//! `solve_frozen_dc` — which rebuilds the MNA structure and refactors
-//! from scratch on every clamp change — on the circuits of the paper's
-//! worked examples, over a long clamp-toggle walk.
+//! periodic refactorization) must reproduce a reference that factors
+//! every step from scratch — a cold `DcSolver::session` opened per step,
+//! with no rank budget, so any clamp change restamps and refactors — on
+//! the circuits of the paper's worked examples, over a long clamp-toggle
+//! walk.
 
 use ohmflow::builder::CapacityMapping;
 use ohmflow::{MaxFlowSolver, Problem, SolveOptions};
-use ohmflow_circuit::{solve_frozen_dc, DcSolver};
+use ohmflow_circuit::DcSolver;
 use ohmflow_graph::FlowNetwork;
 
 /// Toggle-walk length; every step is one frozen solve on both paths.
@@ -30,7 +31,6 @@ fn assert_session_matches_reference(g: &FlowNetwork, name: &str) {
         .session_from(ckt, plan.template().dc_template())
         .expect("plan session");
     assert!(session.report().templated, "{name}: session rides the plan");
-    let mut cache = None;
 
     let mut on = vec![false; n_diodes];
     let mut lcg: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -46,14 +46,18 @@ fn assert_session_matches_reference(g: &FlowNetwork, name: &str) {
         let t = step as f64 * 1e-10;
         // Some clamp configurations are legitimately singular; both
         // paths must then agree on failing.
-        let reference = solve_frozen_dc(ckt, t, &on, &mut cache);
+        let mut reference = DcSolver::new()
+            .session(ckt)
+            .expect("cold session")
+            .with_max_rank(0);
+        let solved = reference.solve(t, &on);
         let incremental = session.solve(t, &on);
         assert_eq!(
-            reference.is_ok(),
+            solved.is_ok(),
             incremental.is_ok(),
             "{name}: step {step} solvability"
         );
-        if let Ok(reference) = reference {
+        if solved.is_ok() {
             for (u, (a, b)) in session.values().iter().zip(reference.values()).enumerate() {
                 assert!(
                     (a - b).abs() < 1e-9 * b.abs().max(1.0),
