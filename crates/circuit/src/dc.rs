@@ -13,8 +13,7 @@ use crate::element::Element;
 use crate::error::CircuitError;
 use crate::ids::{ElementId, NodeId};
 use crate::mna::{
-    self, DeviceState, FactorCache, MnaStructure, PwlCost, Solution, StampMode, StampedMatrix,
-    StateIteration,
+    self, DeviceState, History, MnaStructure, Solution, StampMode, StampedMatrix, StateIteration,
 };
 
 /// One owned rank-1 term `(u, v)` staged for a batched Woodbury push
@@ -32,10 +31,10 @@ use crate::source::SourceValue;
 /// with the **same structure** (same element list shape and terminals —
 /// element *values* are free to differ) can then start from the template:
 ///
-/// * [`DcPlan::solve`] primes the operating-point solve's factorization
-///   cache with a numeric-only refactorization,
-/// * [`DcPlan::session`] builds an incremental session without redoing
-///   the structure/ordering/symbolic work,
+/// * [`DcPlan::solve`] and [`DcPlan::session`] open their
+///   [`FrozenDcSession`] with a numeric replay of the template's factor
+///   for the circuit's values, without redoing the structure, ordering
+///   or symbolic work,
 ///
 /// and both fall back to the cold path transparently when the template
 /// does not match the circuit. A template owns no borrow of the circuit it
@@ -110,18 +109,17 @@ impl DcTemplate {
             .collect();
         let mut base = StampedMatrix::mapped(ckt, &st, &states, StampMode::Dc);
         base.forget_pushes();
-        // The factor records the matrix it factored, so priming a circuit
-        // replays only the columns whose values differ from the base
-        // (none, when capacities move only source values).
-        let ns = |t0: Option<Instant>| t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        // The factor records the matrix it factored, so opening a session
+        // on a circuit replays only the columns whose values differ from
+        // the base (none, when capacities move only source values).
         let t0 = phase_clock(timed);
         let ordering = amd_btf_ordering(base.matrix());
-        let ordering_ns = ns(t0);
+        let ordering_ns = elapsed_ns(t0);
         let t0 = phase_clock(timed);
         let lu = SparseLu::factor_ordered(base.matrix(), ordering, &lu_opts)?;
         let phases = timed.then(|| PlanPhases {
             ordering_ns,
-            factor_ns: ns(t0),
+            factor_ns: elapsed_ns(t0),
         });
         Ok(DcTemplate {
             st,
@@ -178,190 +176,6 @@ impl DcTemplate {
                 .zip(&self.branch_shape)
                 .all(|(e, &b)| e.has_branch_current() == b)
     }
-
-    /// Numeric-only factorization of `ckt`'s matrix under `states` against
-    /// the template's symbolic plan, with a fresh pivoting factorization as
-    /// fallback. The matrix is written through the template's slot map.
-    /// Returns the factor, the stamped matrix and whether the fast path was
-    /// taken; `cost` is charged one factorization and the phase times.
-    fn numeric_for(
-        &self,
-        ckt: &Circuit,
-        states: &[DeviceState],
-        cost: &mut PwlCost,
-    ) -> Result<(SparseLu, StampedMatrix, bool), CircuitError> {
-        let t0 = cost.start();
-        let mut m = self.base.clone();
-        m.restamp(ckt, &self.st, states, StampMode::Dc);
-        cost.charge(t0, |p| &mut p.stamp_ns);
-        let t0 = cost.start();
-        let mut lu = self.lu.clone();
-        let fast = lu.refactor(m.matrix()).is_ok();
-        if !fast {
-            lu = SparseLu::factor_with(m.matrix(), &self.lu_opts)?;
-        }
-        cost.charge(t0, |p| &mut p.refactor_ns);
-        cost.refactorizations += 1;
-        Ok((lu, m, fast))
-    }
-}
-
-/// Everything one DC operating-point solve depends on — the shared request
-/// every [`DcSolver`]/[`DcPlan`] entry point funnels into.
-pub(crate) struct DcRequest<'a> {
-    pub ckt: &'a Circuit,
-    /// When `true` (default), `Step` sources use their pre-step value.
-    pub pre_step: bool,
-    /// Evaluate time-varying sources at this instant instead of `0⁻`.
-    pub at_time: Option<f64>,
-    /// Template whose structure and factorization seed the solve.
-    pub template: Option<&'a DcTemplate>,
-    /// Warm-start device states.
-    pub warm: Option<&'a [DeviceState]>,
-    /// Cold-path factorization options (a matching template brings its
-    /// own — template options always win, so a plan can never silently
-    /// factor under different options than its symbolic plan).
-    pub lu_opts: LuOptions,
-    /// Report per-phase wall-clock times ([`SolveReport::phases`]).
-    pub phase_timing: bool,
-}
-
-/// The one DC operating-point solve body (state iteration + one step of
-/// iterative refinement). Every public DC solve path in the
-/// [`DcSolver`]/[`DcPlan`] facade is a thin shim over this function, which
-/// is what makes their equivalence structural rather than coincidental.
-pub(crate) fn run_dc(req: &DcRequest<'_>) -> Result<(DcSolution, SolveReport), CircuitError> {
-    let ckt = req.ckt;
-    let initial = mna::initial_states(ckt);
-    // Warm-started states must be shape-compatible: one entry per
-    // element, stateless exactly where the initial assignment is.
-    let warm = req.warm.filter(|w| {
-        w.len() == initial.len()
-            && w.iter()
-                .zip(&initial)
-                .all(|(a, b)| (*a == DeviceState::Stateless) == (*b == DeviceState::Stateless))
-    });
-    let mut states = warm
-        .map(<[DeviceState]>::to_vec)
-        .unwrap_or_else(|| initial.clone());
-    let warm_used = warm.is_some();
-    let mut cost = PwlCost {
-        refactorizations: 0,
-        phases: req.phase_timing.then(FrozenDcPhases::default),
-    };
-    // Template fast path: reuse the unknown map and prime the factor
-    // cache with a numeric-only refactorization for this circuit's
-    // *values* (they may differ from the template's) at the states the
-    // iteration starts from, so a warm repeat solve pays one replay. A
-    // failed priming simply leaves the cache cold. Matched once: the
-    // same template decides the structure, the cache seed and the
-    // factorization options below.
-    let matched_tpl = req.template.filter(|t| t.matches(ckt));
-    // `templated` reports whether the solve actually rode the template's
-    // factorization — a priming that fell back to a fresh pivoting
-    // factorization (a frozen pivot collapsed under this circuit's
-    // values), a failed priming or a warm-start retry below demotes it,
-    // so the report never claims a fast path that did not happen.
-    let mut templated = false;
-    let (st, mut cache) = match matched_tpl {
-        Some(tpl) => {
-            let cache = tpl
-                .numeric_for(ckt, &states, &mut cost)
-                .ok()
-                .map(|(lu, stamped, fast)| {
-                    templated = fast;
-                    FactorCache {
-                        states: states.clone(),
-                        lu,
-                        stamped,
-                    }
-                });
-            (tpl.st.clone(), cache)
-        }
-        None => (MnaStructure::new(ckt), None),
-    };
-    let t = req.at_time.unwrap_or(0.0);
-    // The template path factors under the template's options; the cold
-    // path under the request's.
-    let lu_opts = match matched_tpl {
-        Some(tpl) => *tpl.lu_options(),
-        None => req.lu_opts,
-    };
-    let solve =
-        |states: &mut Vec<DeviceState>, cache: &mut Option<FactorCache>, cost: &mut PwlCost| {
-            mna::solve_pwl(
-                ckt,
-                &st,
-                states,
-                t,
-                StampMode::Dc,
-                None,
-                req.pre_step,
-                &lu_opts,
-                cache,
-                cost,
-            )
-        };
-    let (mut x, outcome) = match solve(&mut states, &mut cache, &mut cost) {
-        Ok(out) => out,
-        Err(CircuitError::StateIterationDiverged { .. } | CircuitError::SingularSystem { .. })
-            if warm_used =>
-        {
-            // A bad warm start must not make a solvable system fail —
-            // neither by cycling (divergence) nor by producing a
-            // singular frozen stamp (e.g. a state set that floats a
-            // node). Retry from the default initial states.
-            states = initial;
-            cache = None;
-            templated = false;
-            solve(&mut states, &mut cache, &mut cost)?
-        }
-        Err(e) => return Err(e),
-    };
-    // Iterative refinement against the converged stamp (carried in the
-    // factor cache — no re-stamping). Besides tightening every DC
-    // result, this is what makes the template and cold paths — which
-    // factor *different but electrically equivalent* systems — agree to
-    // the conditioning floor instead of the (much looser)
-    // raw-factorization error.
-    let mut refinements = 0usize;
-    if let Some(c) = &cache {
-        if c.states == states {
-            let t0 = cost.start();
-            let mut b = Vec::new();
-            mna::stamp_rhs_into(
-                &mut b,
-                ckt,
-                &st,
-                &states,
-                t,
-                StampMode::Dc,
-                None,
-                req.pre_step,
-            );
-            cost.charge(t0, |p| &mut p.stamp_ns);
-            let t0 = cost.start();
-            refinements = usize::from(mna::refine_once(&c.lu, c.stamped.matrix(), &b, &mut x));
-            cost.charge(t0, |p| &mut p.solve_ns);
-        }
-    }
-    let report = SolveReport {
-        iterations: outcome.solves,
-        cycle_break: outcome.cycle_break,
-        factor_nnz: cache.as_ref().map_or(0, |c| c.lu.factor_nnz()),
-        block_count: cache.as_ref().map_or(0, |c| c.lu.symbolic().block_count()),
-        templated,
-        refinements,
-        refactorizations: cost.refactorizations,
-        phases: cost.phases,
-    };
-    Ok((
-        DcSolution {
-            inner: Solution::new(x, st),
-            states,
-        },
-        report,
-    ))
 }
 
 /// Structured accounting of one DC solve — what the staged facade returns
@@ -393,13 +207,15 @@ pub struct SolveReport {
     /// Whether the solve rode a template's shared symbolic plan.
     pub templated: bool,
     /// Iterative-refinement steps applied after the linear solves: 1 for
-    /// the post-solve polish of an operating-point solve, 0 when no
-    /// refinement ran (cold cache); a session counts one per
-    /// Woodbury-corrected solve.
+    /// the post-solve polish of an operating-point solve, 0 when it did
+    /// not run (an assignment accepted past the solved one, or a failed
+    /// correction solve); a session counts one per Woodbury-corrected
+    /// solve.
     pub refinements: usize,
     /// Numeric factors computed: numeric replays plus fresh pivoting
     /// factorizations (one per state iteration that changed the matrix,
-    /// plus the template priming). A session counts its whole life.
+    /// plus the one that opened the session). A session counts its whole
+    /// life.
     pub refactorizations: usize,
     /// Per-phase wall-clock attribution, present when
     /// [`DcSolver::phase_timing`] is enabled. An operating-point solve
@@ -496,7 +312,10 @@ impl DcSolver {
     /// options that produced it).
     pub fn plan_from(&self, tpl: Arc<DcTemplate>) -> DcPlan {
         DcPlan {
-            phase_timing: self.phase_timing,
+            solver: DcSolver {
+                lu: *tpl.lu_options(),
+                ..*self
+            },
             tpl,
         }
     }
@@ -508,15 +327,7 @@ impl DcSolver {
     /// [`CircuitError::SingularSystem`] /
     /// [`CircuitError::StateIterationDiverged`].
     pub fn solve(&self, ckt: &Circuit) -> Result<(DcSolution, SolveReport), CircuitError> {
-        run_dc(&DcRequest {
-            ckt,
-            pre_step: true,
-            at_time: None,
-            template: None,
-            warm: None,
-            lu_opts: self.lu,
-            phase_timing: self.phase_timing,
-        })
+        self.run(ckt, None, None, None)
     }
 
     /// One-shot quasi-static solve with time-varying sources evaluated at
@@ -530,15 +341,7 @@ impl DcSolver {
         ckt: &Circuit,
         t: f64,
     ) -> Result<(DcSolution, SolveReport), CircuitError> {
-        run_dc(&DcRequest {
-            ckt,
-            pre_step: false,
-            at_time: Some(t),
-            template: None,
-            warm: None,
-            lu_opts: self.lu,
-            phase_timing: self.phase_timing,
-        })
+        self.run(ckt, None, Some(t), None)
     }
 
     /// One-shot operating-point solve warm-started from `warm` (see
@@ -552,15 +355,7 @@ impl DcSolver {
         ckt: &Circuit,
         warm: &[DeviceState],
     ) -> Result<(DcSolution, SolveReport), CircuitError> {
-        run_dc(&DcRequest {
-            ckt,
-            pre_step: true,
-            at_time: None,
-            template: None,
-            warm: Some(warm),
-            lu_opts: self.lu,
-            phase_timing: self.phase_timing,
-        })
+        self.run(ckt, None, None, Some(warm))
     }
 
     /// One-shot incremental frozen-state session (cold path inline).
@@ -572,44 +367,28 @@ impl DcSolver {
         &self,
         ckt: &'c Circuit,
     ) -> Result<FrozenDcSession<&'c Circuit>, CircuitError> {
-        FrozenDcSession::construct(ckt, None, self.lu).map(|s| s.tuned(self.phase_timing))
+        FrozenDcSession::construct(ckt, None, self.lu, None, self.phase_timing)
     }
 
     /// [`DcSolver::session`] seeded from an existing [`DcTemplate`]
     /// without wrapping it in an [`Arc`] first — the borrowed-template
-    /// twin of [`DcPlan::session`], used where a template is shared by
-    /// reference across batch workers. The session adopts the template's
-    /// factorization options.
+    /// twin of [`DcPlan::session`]. The session adopts the template's
+    /// factorization options. `host` is anything that [`Borrow`]s a
+    /// [`Circuit`]: a borrowed `&Circuit` for batch workers sharing a
+    /// template, or an owning wrapper moved in to build a self-contained
+    /// session (the core crate's graph-delta sessions hand their whole
+    /// substrate over, then restamp source values in place through
+    /// [`FrozenDcSession::set_source_value`]).
     ///
     /// # Errors
     ///
     /// Same as [`DcSolver::solve`].
-    pub fn session_from<'c>(
-        &self,
-        ckt: &'c Circuit,
-        tpl: &DcTemplate,
-    ) -> Result<FrozenDcSession<&'c Circuit>, CircuitError> {
-        FrozenDcSession::construct(ckt, Some(tpl), *tpl.lu_options())
-            .map(|s| s.tuned(self.phase_timing))
-    }
-
-    /// [`DcSolver::session_from`] generalized over circuit ownership:
-    /// `host` is anything that [`Borrow`]s a [`Circuit`] — pass a borrowed
-    /// `&Circuit` for batch workers, or move an owning wrapper in to build
-    /// a self-contained session (the core crate's graph-delta sessions
-    /// hand their whole substrate over, then restamp source values in
-    /// place through [`FrozenDcSession::set_source_value`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DcSolver::solve`].
-    pub fn session_from_host<C: Borrow<Circuit>>(
+    pub fn session_from<C: Borrow<Circuit>>(
         &self,
         host: C,
         tpl: &DcTemplate,
     ) -> Result<FrozenDcSession<C>, CircuitError> {
-        FrozenDcSession::construct(host, Some(tpl), *tpl.lu_options())
-            .map(|s| s.tuned(self.phase_timing))
+        FrozenDcSession::construct(host, Some(tpl), *tpl.lu_options(), None, self.phase_timing)
     }
 
     /// Stamps `ckt`'s initial-state DC MNA matrix and factors it under
@@ -627,6 +406,92 @@ impl DcSolver {
         let lu = SparseLu::factor_with(&m, &self.lu)?;
         Ok((m, lu))
     }
+
+    /// The one DC operating-point solve body every [`DcSolver`]/[`DcPlan`]
+    /// entry point funnels into: a [`FrozenDcSession`] opened at the
+    /// iteration's start states (`warm` when it is shape-compatible, the
+    /// initial assignment otherwise) — from `tpl` when it matches, a
+    /// numeric replay of the template's factor — runs
+    /// [`FrozenDcSession::solve_operating_point`] with a rank budget of 0,
+    /// so every state iteration restamps the devices that moved and
+    /// replays once, and finishes with one step of iterative refinement
+    /// against its own stamped matrix and RHS. Sources are evaluated at
+    /// `at_time`, or at `0⁻` (`Step` sources at their pre-step value) when
+    /// it is `None`.
+    fn run(
+        &self,
+        ckt: &Circuit,
+        tpl: Option<&DcTemplate>,
+        at_time: Option<f64>,
+        warm: Option<&[DeviceState]>,
+    ) -> Result<(DcSolution, SolveReport), CircuitError> {
+        let initial = mna::initial_states(ckt);
+        // Warm-started states must be shape-compatible: one entry per
+        // element, stateless exactly where the initial assignment is.
+        let warm = warm.filter(|w| {
+            w.len() == initial.len()
+                && w.iter()
+                    .zip(&initial)
+                    .all(|(a, b)| (*a == DeviceState::Stateless) == (*b == DeviceState::Stateless))
+        });
+        let t = at_time.unwrap_or(0.0);
+        // What a failed attempt's session spent.
+        let mut spent = SolveReport::default();
+        let mut attempt = |tpl: Option<&DcTemplate>, states: Vec<DeviceState>| {
+            let mut s = FrozenDcSession::construct(
+                ckt,
+                tpl,
+                self.lu,
+                Some(states.clone()),
+                self.phase_timing,
+            )?
+            .with_max_rank(0);
+            match s
+                .set_stamp(StampMode::Dc, at_time.is_none())
+                .and_then(|()| s.operating_point(t, None, states))
+            {
+                Ok(done) => Ok((s, done)),
+                Err(e) => {
+                    spent = s.report();
+                    Err(e)
+                }
+            }
+        };
+        let start = warm.map_or_else(|| initial.clone(), <[DeviceState]>::to_vec);
+        let (mut session, (iterations, states)) = match attempt(tpl, start) {
+            // A bad warm start must not make a solvable system fail —
+            // neither by cycling (divergence) nor by producing a singular
+            // frozen stamp (e.g. a state set that floats a node). Retry
+            // cold from the initial states.
+            Err(
+                CircuitError::StateIterationDiverged { .. } | CircuitError::SingularSystem { .. },
+            ) if warm.is_some() => attempt(None, initial)?,
+            done => done?,
+        };
+        // Besides tightening every DC result, the refinement is what makes
+        // the template and cold paths — which factor *different but
+        // electrically equivalent* systems — agree to the conditioning
+        // floor instead of the (much looser) raw-factorization error. An
+        // assignment accepted with a flip past the solved one has no stamp
+        // of its own to refine against.
+        if states == session.states {
+            session.refine();
+        }
+        let mut report = session.report();
+        report.iterations = iterations;
+        report.refactorizations += spent.refactorizations;
+        if let (Some(p), Some(q)) = (report.phases.as_mut(), spent.phases) {
+            p.stamp_ns += q.stamp_ns;
+            p.refactor_ns += q.refactor_ns;
+            p.solve_ns += q.solve_ns;
+            p.woodbury_ns += q.woodbury_ns;
+        }
+        let solution = DcSolution {
+            inner: Solution::new(session.x, session.st),
+            states,
+        };
+        Ok((solution, report))
+    }
 }
 
 /// The captured cold path of one circuit structure — stage two of the
@@ -635,7 +500,9 @@ impl DcSolver {
 /// or session pays only numeric work against the shared symbolic plan.
 #[derive(Debug, Clone)]
 pub struct DcPlan {
-    phase_timing: bool,
+    /// This plan's solver: the template's factorization options and the
+    /// planning solver's phase timing.
+    solver: DcSolver,
     tpl: Arc<DcTemplate>,
 }
 
@@ -670,7 +537,7 @@ impl DcPlan {
     ///
     /// Same as [`DcSolver::solve`].
     pub fn solve(&self, ckt: &Circuit) -> Result<(DcSolution, SolveReport), CircuitError> {
-        self.solve_inner(ckt, None, None)
+        self.solver.run(ckt, Some(&self.tpl), None, None)
     }
 
     /// [`DcPlan::solve`] with time-varying sources evaluated at `t`.
@@ -683,7 +550,7 @@ impl DcPlan {
         ckt: &Circuit,
         t: f64,
     ) -> Result<(DcSolution, SolveReport), CircuitError> {
-        self.solve_inner(ckt, Some(t), None)
+        self.solver.run(ckt, Some(&self.tpl), Some(t), None)
     }
 
     /// [`DcPlan::solve`] with the device-state iteration warm-started from
@@ -700,24 +567,7 @@ impl DcPlan {
         ckt: &Circuit,
         warm: &[DeviceState],
     ) -> Result<(DcSolution, SolveReport), CircuitError> {
-        self.solve_inner(ckt, None, Some(warm))
-    }
-
-    fn solve_inner(
-        &self,
-        ckt: &Circuit,
-        at_time: Option<f64>,
-        warm: Option<&[DeviceState]>,
-    ) -> Result<(DcSolution, SolveReport), CircuitError> {
-        run_dc(&DcRequest {
-            ckt,
-            pre_step: at_time.is_none(),
-            at_time,
-            template: Some(&self.tpl),
-            warm,
-            lu_opts: *self.tpl.lu_options(),
-            phase_timing: self.phase_timing,
-        })
+        self.solver.run(ckt, Some(&self.tpl), None, Some(warm))
     }
 
     /// Builds an incremental frozen-state session on `ckt` from the plan:
@@ -733,8 +583,7 @@ impl DcPlan {
         &self,
         ckt: &'c Circuit,
     ) -> Result<FrozenDcSession<&'c Circuit>, CircuitError> {
-        FrozenDcSession::construct(ckt, Some(&self.tpl), *self.tpl.lu_options())
-            .map(|s| s.tuned(self.phase_timing))
+        self.solver.session_from(ckt, &self.tpl)
     }
 }
 
@@ -760,8 +609,8 @@ pub struct FrozenDcStats {
 /// regression diagnosable: a slower `stamp` points at element iteration, a
 /// slower `refactor` at the numeric replay, `solve` at
 /// the triangular solves, `woodbury` at the rank-1 update bookkeeping.
-/// Read through [`FrozenDcSession::phase_times`]; the `engine_profile`
-/// bench bin prints the breakdown.
+/// Read through [`FrozenDcSession::phase_times`] or
+/// [`SolveReport::phases`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrozenDcPhases {
     /// Re-stamping the MNA matrix and the per-step right-hand sides.
@@ -780,8 +629,14 @@ pub struct FrozenDcPhases {
 /// solves alike): `Some(now)` only when phase timing is on, so untimed runs
 /// never touch the clock.
 #[inline]
-pub(crate) fn phase_clock(on: bool) -> Option<Instant> {
+fn phase_clock(on: bool) -> Option<Instant> {
     on.then(Instant::now)
+}
+
+/// Nanoseconds since a [`phase_clock`] read; 0 when timing is off.
+#[inline]
+fn elapsed_ns(t0: Option<Instant>) -> u64 {
+    t0.map_or(0, |t| t.elapsed().as_nanos() as u64)
 }
 
 impl FrozenDcPhases {
@@ -911,10 +766,18 @@ pub struct FrozenDcSession<C = Circuit> {
     refinements: usize,
     /// First-repeat iteration of the last operating-point solve.
     cycle_break: Option<usize>,
+    /// How the matrix and RHS are stamped: the DC operating point, or a
+    /// transient step's companion models ([`TransientAnalysis`]).
+    ///
+    /// [`TransientAnalysis`]: crate::TransientAnalysis
+    mode: StampMode,
+    /// Whether `Step` sources take their pre-step value (a `0⁻`
+    /// operating point).
+    pre_step: bool,
     stats: FrozenDcStats,
-    /// Phase timing is opt-in ([`FrozenDcSession::with_phase_timing`]):
-    /// clock reads cost tens of nanoseconds, which is real money on small
-    /// systems whose whole flip step is a few microseconds.
+    /// Phase timing is opt-in ([`DcSolver::phase_timing`]): clock reads
+    /// cost tens of nanoseconds, which is real money on small systems
+    /// whose whole flip step is a few microseconds.
     phase_timing: bool,
     phases: FrozenDcPhases,
 }
@@ -929,65 +792,56 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
     /// updates are outstanding).
     const DEFAULT_REBASE_PERIOD: usize = 256;
 
-    /// The one session constructor every entry point funnels into. With a
-    /// matching template the circuit's base matrix is stamped with its
-    /// *current* values and the template's factor is numerically
-    /// refactored (shared symbolic plan, fresh per-session values) — the
-    /// batch fan-out fast path; otherwise (or when the template does not
-    /// [match](DcTemplate::matches)) the full cold path runs under
-    /// `lu_opts`, which every rebase-path fallback factorization reuses.
+    /// The one session constructor every entry point funnels into: a
+    /// DC stamp at `start` (the initial assignment when `None`). With a
+    /// matching template the circuit's base matrix is restamped through
+    /// the template's slot map with its *current* values and the
+    /// template's factor is numerically replayed (shared symbolic plan,
+    /// fresh per-session values) — the batch fan-out fast path, with a
+    /// fresh pivoting factorization as fallback; otherwise (or when the
+    /// template does not [match](DcTemplate::matches)) the full cold path
+    /// runs under `lu_opts`, which every rebase-path fallback
+    /// factorization reuses. `phase_timing` turns on
+    /// [`FrozenDcSession::phase_times`], which then include this open.
     pub(crate) fn construct(
         ckt: C,
         tpl: Option<&DcTemplate>,
         lu_opts: LuOptions,
+        start: Option<Vec<DeviceState>>,
+        phase_timing: bool,
     ) -> Result<Self, CircuitError> {
         let c = ckt.borrow();
-        let states = mna::initial_states(c);
-        match tpl.filter(|t| t.matches(c)) {
+        let states = start.unwrap_or_else(|| mna::initial_states(c));
+        let tpl = tpl.filter(|t| t.matches(c));
+        let mut phases = FrozenDcPhases::default();
+        let mut lu_ws = LuWorkspace::new();
+        let t0 = phase_clock(phase_timing);
+        let (st, base, lu_opts) = match tpl {
             Some(tpl) => {
-                let (lu, m, fast) = tpl.numeric_for(c, &states, &mut PwlCost::default())?;
-                let stats = FrozenDcStats {
-                    refactorizations: usize::from(fast),
-                    full_factorizations: usize::from(!fast),
-                    ..FrozenDcStats::default()
-                };
-                let st = tpl.st.clone();
-                let lu_opts = *tpl.lu_options();
-                let mut s = Self::from_parts(ckt, st, states, m, lu, lu_opts, stats);
-                s.templated = fast;
-                Ok(s)
+                let mut m = tpl.base.clone();
+                m.restamp(c, &tpl.st, &states, StampMode::Dc);
+                (tpl.st.clone(), m, tpl.lu_opts)
             }
             None => {
                 let st = MnaStructure::new(c);
                 let m = StampedMatrix::new(c, &st, &states, StampMode::Dc);
-                let lu = SparseLu::factor_with(m.matrix(), &lu_opts)?;
-                let stats = FrozenDcStats {
-                    full_factorizations: 1,
-                    ..FrozenDcStats::default()
-                };
-                Ok(Self::from_parts(ckt, st, states, m, lu, lu_opts, stats))
+                (st, m, lu_opts)
             }
-        }
-    }
-
-    /// Applies facade-level tuning (phase timing) — how
-    /// [`DcSolver::session`] / [`DcPlan::session`] thread their
-    /// configuration through.
-    pub(crate) fn tuned(mut self, phase_timing: bool) -> Self {
-        self.phase_timing = phase_timing;
-        self
-    }
-
-    fn from_parts(
-        ckt: C,
-        st: MnaStructure,
-        states: Vec<DeviceState>,
-        base: StampedMatrix,
-        lu: SparseLu,
-        lu_opts: LuOptions,
-        stats: FrozenDcStats,
-    ) -> Self {
-        let c = ckt.borrow();
+        };
+        phases.stamp_ns += elapsed_ns(t0);
+        let t0 = phase_clock(phase_timing);
+        let replayed = tpl.and_then(|tpl| {
+            let mut lu = tpl.lu.clone();
+            lu.refactor_with(base.matrix(), &mut lu_ws)
+                .is_ok()
+                .then_some(lu)
+        });
+        let templated = replayed.is_some();
+        let lu = match replayed {
+            Some(lu) => lu,
+            None => SparseLu::factor_with(base.matrix(), &lu_opts)?,
+        };
+        phases.refactor_ns += elapsed_ns(t0);
         let diode_elems = c
             .elements()
             .iter()
@@ -1005,7 +859,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
                 _ => None,
             })
             .fold(f64::NEG_INFINITY, f64::max);
-        FrozenDcSession {
+        Ok(FrozenDcSession {
             ckt,
             st,
             diode_elems,
@@ -1021,21 +875,27 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             last_diode_on: Vec::new(),
             poisoned: false,
             lu_opts,
-            templated: false,
+            templated,
             defer_consolidation: false,
             rhs: Vec::with_capacity(n),
             work: Vec::with_capacity(n),
             x: vec![0.0; n],
             resid: Vec::with_capacity(n),
             dx: Vec::with_capacity(n),
-            lu_ws: LuWorkspace::new(),
+            lu_ws,
             values_edited: false,
             refinements: 0,
             cycle_break: None,
-            stats,
-            phase_timing: false,
-            phases: FrozenDcPhases::default(),
-        }
+            mode: StampMode::Dc,
+            pre_step: false,
+            stats: FrozenDcStats {
+                refactorizations: usize::from(templated),
+                full_factorizations: usize::from(!templated),
+                ..FrozenDcStats::default()
+            },
+            phase_timing,
+            phases,
+        })
     }
 
     /// Reads the clock only when phase timing is enabled.
@@ -1061,15 +921,6 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         self
     }
 
-    /// Enables per-phase wall-clock attribution
-    /// ([`FrozenDcSession::phase_times`]). Off by default: the clock reads
-    /// would tax every step of small systems, so only profiling/bench
-    /// callers (`engine_profile`, `bench_report`) opt in.
-    pub fn with_phase_timing(mut self) -> Self {
-        self.phase_timing = true;
-        self
-    }
-
     /// Solves the operating point at `time` with the given frozen diode
     /// conduction states (indexed by [`Circuit::diode_ids`] order; missing
     /// entries default to off). Results are read back through
@@ -1085,6 +936,19 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
     /// solving, so an error followed by a solvable configuration recovers
     /// cleanly.
     pub fn solve(&mut self, time: f64, diode_on: &[bool]) -> Result<(), CircuitError> {
+        self.solve_frozen(time, diode_on, None, false)
+    }
+
+    /// [`FrozenDcSession::solve`] with the transient `history` a
+    /// companion-model stamp reads its RHS from; `keep_rhs` reuses the
+    /// last RHS, which the caller knows to be current.
+    fn solve_frozen(
+        &mut self,
+        time: f64,
+        diode_on: &[bool],
+        history: Option<&History>,
+        keep_rhs: bool,
+    ) -> Result<(), CircuitError> {
         if self.poisoned {
             // A previous call failed mid-flight: states/factorization/
             // solution may be mutually inconsistent (a failed refactor
@@ -1103,27 +967,32 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             self.rebase()?; // still poisoned if this fails
             self.poisoned = false;
         }
-        match self.solve_impl(time, diode_on) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.poisoned = true;
-                self.last_solve_time = None;
-                Err(e)
-            }
+        let solved = self.solve_impl(time, diode_on, history, keep_rhs);
+        if solved.is_err() {
+            self.poisoned = true;
+            self.last_solve_time = None;
         }
+        solved
     }
 
-    fn solve_impl(&mut self, time: f64, diode_on: &[bool]) -> Result<(), CircuitError> {
+    fn solve_impl(
+        &mut self,
+        time: f64,
+        diode_on: &[bool],
+        history: Option<&History>,
+        keep_rhs: bool,
+    ) -> Result<(), CircuitError> {
         // Absorb diode flips as rank-1 conductance updates. An unchanged
         // `diode_on` slice (the common quiescent case) skips the scan.
         // Flips are collected first and pushed as ONE rank-k batch: the
         // batched push drives all k columns of Z = A⁻¹U through shared
         // multi-RHS factor traversals and refreshes the capacitance matrix
         // once, where per-flip pushes re-stream the factor per flip.
-        let mut rebase_needed = false;
         let mut any_flips = false;
         let unchanged = self.last_solve_time.is_some() && self.last_diode_on == diode_on;
-        let mut batch: Vec<RankOneTerm> = Vec::new();
+        // Flipped diodes with a terminal off ground (a diode between two
+        // grounded nodes stamps nothing).
+        let mut flipped: Vec<usize> = Vec::new();
         for (di, &idx) in self.diode_elems.iter().enumerate() {
             if unchanged {
                 break;
@@ -1137,52 +1006,29 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
                 continue;
             }
             any_flips = true;
-            let Element::Diode {
-                anode,
-                cathode,
-                model,
-            } = &self.ckt.borrow().elements()[idx]
-            else {
-                unreachable!("diode_elems holds diode indices");
-            };
-            let (g_on, g_off) = (1.0 / model.r_on, 1.0 / model.r_off);
-            let dg = match want {
-                DeviceState::On => g_on - g_off,
-                _ => g_off - g_on,
-            };
             self.states[idx] = want;
-            let mut d: Vec<(usize, f64)> = Vec::with_capacity(2);
-            if let Some(u) = anode.unknown() {
-                d.push((u, 1.0));
+            let (anode, cathode) = self.ckt.borrow().elements()[idx].terminals();
+            if anode.unknown().is_some() || cathode.unknown().is_some() {
+                flipped.push(idx);
             }
-            if let Some(u) = cathode.unknown() {
-                d.push((u, -1.0));
-            }
-            if d.is_empty() {
-                continue; // both terminals grounded: no matrix change
-            }
-            let u: Vec<(usize, f64)> = d.iter().map(|&(i, s)| (i, dg * s)).collect();
-            batch.push((u, d));
         }
-        if self.update.rank() + batch.len() > self.max_rank {
-            // The cascade is too wide for the rank budget: pushing it
-            // would cost k column solves plus an O(k²) capacitance refresh
-            // only to be folded away by the over-budget rebase right
-            // after. States already hold the target assignment — restamp
-            // and refactor once instead (exactly a cold iteration's
-            // cost). Virgin-state convergence, where the first iteration
-            // flips a large fraction of all diodes, lands here.
-            rebase_needed = true;
-        } else if !batch.is_empty() {
+        // A cascade too wide for the rank budget would cost k column
+        // solves plus an O(k²) capacitance refresh only to be folded away
+        // by the over-budget rebase right after: states already hold the
+        // target assignment, so restamp and refactor once instead (exactly
+        // a cold iteration's cost) and build no terms. Virgin-state
+        // convergence, where the first iteration flips a large fraction of
+        // all diodes, lands here; at a rank budget of 0 every flip does.
+        let mut rebase_needed = self.update.rank() + flipped.len() > self.max_rank;
+        if !rebase_needed && !flipped.is_empty() {
+            let batch: Vec<RankOneTerm> = flipped.iter().map(|&idx| self.flip_term(idx)).collect();
             let terms: Vec<RankOneTermRef<'_>> = batch
                 .iter()
                 .map(|(u, v)| (u.as_slice(), v.as_slice()))
                 .collect();
             let t0 = self.clock();
             let pushed = self.update.push_batch(&self.lu, &terms);
-            if let Some(t0) = t0 {
-                self.phases.woodbury_ns += t0.elapsed().as_nanos() as u64;
-            }
+            self.phases.woodbury_ns += elapsed_ns(t0);
             if pushed.is_err() {
                 // Updated matrix not solvable through this base (or the
                 // capacitance matrix went singular): the batch rolled
@@ -1211,8 +1057,10 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             // is constant, so with an unchanged clamp configuration the
             // operating point is the previous one verbatim — skip the
             // solve. This is the quiescent-tail fast path a per-call
-            // rebuild can never take.
-            let settled = time >= self.rhs_const_after
+            // rebuild can never take. A transient history moves the RHS
+            // on every step, so it never takes it.
+            let settled = history.is_none()
+                && time >= self.rhs_const_after
                 && self
                     .last_solve_time
                     .is_some_and(|tp| tp >= self.rhs_const_after);
@@ -1239,19 +1087,19 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             self.rebase()?;
         }
 
-        let t0 = self.clock();
-        mna::stamp_rhs_into(
-            &mut self.rhs,
-            self.ckt.borrow(),
-            &self.st,
-            &self.states,
-            time,
-            StampMode::Dc,
-            None,
-            false,
-        );
-        if let Some(t0) = t0 {
-            self.phases.stamp_ns += t0.elapsed().as_nanos() as u64;
+        if !keep_rhs {
+            let t0 = self.clock();
+            mna::stamp_rhs_into(
+                &mut self.rhs,
+                self.ckt.borrow(),
+                &self.st,
+                &self.states,
+                time,
+                self.mode,
+                history,
+                self.pre_step,
+            );
+            self.phases.stamp_ns += elapsed_ns(t0);
         }
         if self.solve_linear().is_err() {
             // Numerical hygiene fallback: rebase and retry once.
@@ -1261,6 +1109,34 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         self.last_solve_time = Some(time);
         self.stats.solves += 1;
         Ok(())
+    }
+
+    /// The rank-1 term `(u, v)` of diode `idx`'s flip to its current
+    /// state: the conductance swing `±(g_on − g_off)` across its
+    /// terminals.
+    fn flip_term(&self, idx: usize) -> RankOneTerm {
+        let Element::Diode {
+            anode,
+            cathode,
+            model,
+        } = &self.ckt.borrow().elements()[idx]
+        else {
+            unreachable!("diode_elems holds diode indices");
+        };
+        let (g_on, g_off) = (1.0 / model.r_on, 1.0 / model.r_off);
+        let dg = match self.states[idx] {
+            DeviceState::On => g_on - g_off,
+            _ => g_off - g_on,
+        };
+        let mut d: Vec<(usize, f64)> = Vec::with_capacity(2);
+        if let Some(u) = anode.unknown() {
+            d.push((u, 1.0));
+        }
+        if let Some(u) = cathode.unknown() {
+            d.push((u, -1.0));
+        }
+        let u = d.iter().map(|&(i, s)| (i, dg * s)).collect();
+        (u, d)
     }
 
     /// Solves the stamped system through the Woodbury update, plus one step
@@ -1274,9 +1150,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
     fn solve_linear(&mut self) -> Result<(), CircuitError> {
         let t0 = self.clock();
         self.lu.solve_into(&self.rhs, &mut self.work, &mut self.x)?;
-        if let Some(t0) = t0 {
-            self.phases.solve_ns += t0.elapsed().as_nanos() as u64;
-        }
+        self.phases.solve_ns += elapsed_ns(t0);
         if self.update.is_empty() {
             // No Woodbury terms outstanding: the bare solve is already at
             // the conditioning floor.
@@ -1289,23 +1163,65 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         for (r, b) in self.resid.iter_mut().zip(&self.rhs) {
             *r = b - *r;
         }
-        if let Some(t0) = t0 {
-            self.phases.woodbury_ns += t0.elapsed().as_nanos() as u64;
-        }
+        self.phases.woodbury_ns += elapsed_ns(t0);
         let t0 = self.clock();
         self.lu
             .solve_into(&self.resid, &mut self.work, &mut self.dx)?;
-        if let Some(t0) = t0 {
-            self.phases.solve_ns += t0.elapsed().as_nanos() as u64;
-        }
+        self.phases.solve_ns += elapsed_ns(t0);
         let t0 = self.clock();
         self.update.correct(&self.lu, &mut self.dx)?;
         for (x, d) in self.x.iter_mut().zip(&self.dx) {
             *x += d;
         }
         self.refinements += 1;
-        if let Some(t0) = t0 {
-            self.phases.woodbury_ns += t0.elapsed().as_nanos() as u64;
+        self.phases.woodbury_ns += elapsed_ns(t0);
+        Ok(())
+    }
+
+    /// One step of iterative refinement of the last solution against the
+    /// stamped matrix and the last RHS, with no Woodbury terms outstanding
+    /// (a rank budget of 0): recompute the residual, solve the correction
+    /// through the factor and apply it. A failed correction solve leaves
+    /// the solution untouched.
+    pub(crate) fn refine(&mut self) {
+        debug_assert!(self.update.is_empty(), "refine runs against the base");
+        let t0 = self.clock();
+        self.base.matrix().mul_vec_into(&self.x, &mut self.resid);
+        for (r, b) in self.resid.iter_mut().zip(&self.rhs) {
+            *r = b - *r;
+        }
+        if self
+            .lu
+            .solve_into(&self.resid, &mut self.work, &mut self.dx)
+            .is_ok()
+        {
+            for (x, d) in self.x.iter_mut().zip(&self.dx) {
+                *x += d;
+            }
+            self.refinements += 1;
+        }
+        self.phases.solve_ns += elapsed_ns(t0);
+    }
+
+    /// Sets how the following solves stamp: the companion models of
+    /// `mode`, and `Step` sources at their pre-step value when
+    /// `pre_step`. A mode switch restamps every element and replays the
+    /// factor (a fresh pivoting factorization when the replay fails).
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::SingularSystem`] if the restamped configuration is
+    /// unsolvable; the session is then poisoned.
+    pub(crate) fn set_stamp(
+        &mut self,
+        mode: StampMode,
+        pre_step: bool,
+    ) -> Result<(), CircuitError> {
+        self.pre_step = pre_step;
+        self.last_solve_time = None;
+        if mode != self.mode {
+            self.mode = mode;
+            self.rebase().inspect_err(|_| self.poisoned = true)?;
         }
         Ok(())
     }
@@ -1320,15 +1236,12 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         let t0 = self.clock();
         let ckt = self.ckt.borrow();
         if std::mem::take(&mut self.values_edited) {
-            self.base
-                .restamp(ckt, &self.st, &self.states, StampMode::Dc);
+            self.base.restamp(ckt, &self.st, &self.states, self.mode);
         } else {
             self.base
-                .restamp_states(ckt, &self.st, &self.states, StampMode::Dc);
+                .restamp_states(ckt, &self.st, &self.states, self.mode);
         }
-        if let Some(t0) = t0 {
-            self.phases.stamp_ns += t0.elapsed().as_nanos() as u64;
-        }
+        self.phases.stamp_ns += elapsed_ns(t0);
         let t0 = self.clock();
         if self
             .lu
@@ -1340,9 +1253,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             self.lu = SparseLu::factor_with(self.base.matrix(), &self.lu_opts)?;
             self.stats.full_factorizations += 1;
         }
-        if let Some(t0) = t0 {
-            self.phases.refactor_ns += t0.elapsed().as_nanos() as u64;
-        }
+        self.phases.refactor_ns += elapsed_ns(t0);
         self.update.clear();
         self.solves_since_rebase = 0;
         Ok(())
@@ -1379,22 +1290,21 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
 
     /// Runs the full complementarity (PWL state) iteration at `time`,
     /// driving diode conduction states to a consistent operating point —
-    /// the session-resident twin of the facade's cold
-    /// [`DcSolver::solve`], with every state flip routed through the
-    /// session's incremental machinery: diode toggles are absorbed as
-    /// batched Woodbury rank-k updates against the standing
-    /// factorization, and only non-diode state changes (op-amp rail
-    /// moves, which reshape matrix values beyond a symmetric conductance
-    /// bump) force a rebase. Returns the number of state iterations; the
-    /// first-repeat iteration is [`SolveReport::cycle_break`] of
-    /// [`FrozenDcSession::report`].
+    /// the state iteration's one caller: the facade's
+    /// [`DcSolver::solve`] runs it on a session with a rank budget of 0,
+    /// and delta sessions run it on their live session. Diode toggles are
+    /// absorbed as batched Woodbury rank-k updates against the standing
+    /// factorization while the rank budget holds; op-amp rail moves, which
+    /// reshape matrix values beyond a symmetric conductance bump, rebase,
+    /// and the diode flips of the same iteration ride that one rebase.
+    /// Returns the number of state iterations; the first-repeat iteration
+    /// is [`SolveReport::cycle_break`] of [`FrozenDcSession::report`].
     ///
-    /// Runs the cold path's convergence policy itself (one shared
-    /// implementation): the switching band escalates (1e-9 → 1e-6 →
-    /// 1e-3) from the first repeated assignment or half the budget, late
-    /// iterations flip only the single most-violated device, and a final
-    /// widest-band consistency check accepts physically-negligible
-    /// boundary violations.
+    /// The switching band escalates (1e-9 → 1e-6 → 1e-3) from the first
+    /// repeated assignment or half the budget, late iterations flip only
+    /// the single most-violated device, and a final widest-band
+    /// consistency check accepts physically-negligible boundary
+    /// violations.
     ///
     /// # Errors
     ///
@@ -1403,24 +1313,47 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
     /// [`CircuitError::StateIterationDiverged`] if no consistent state
     /// assignment is found within the iteration budget.
     pub fn solve_operating_point(&mut self, time: f64) -> Result<usize, CircuitError> {
-        let mut states = self.states.clone();
+        let start = self.states.clone();
+        self.operating_point(time, None, start)
+            .map(|(iterations, _)| iterations)
+    }
+
+    /// [`FrozenDcSession::solve_operating_point`] from the assignment
+    /// `start`, with the transient `history` a companion-model stamp reads
+    /// its RHS from. Also returns the accepted assignment: the solved one,
+    /// or at the end of the budget the solved one plus its last flip (see
+    /// [`StateIteration`]).
+    pub(crate) fn operating_point(
+        &mut self,
+        time: f64,
+        history: Option<&History>,
+        start: Vec<DeviceState>,
+    ) -> Result<(usize, Vec<DeviceState>), CircuitError> {
+        let mut states = start;
         let mut it = StateIteration::new(self.ckt.borrow(), &states, time);
         let mut diode_on = Vec::with_capacity(self.diode_elems.len());
         self.cycle_break = None;
+        // The time, history and stamp mode hold for the whole iteration:
+        // after the first solve the RHS moves only when a device with a
+        // state-dependent RHS term (an op-amp, a diode with a forward
+        // drop) changes state.
+        let mut stamped = false;
         loop {
-            // Op-amp rail moves reshape matrix values beyond a rank-1
-            // conductance bump: restamp and refactor, and drop the cached
-            // operating point. Diode flips ride `solve`.
-            let mut rails_moved = false;
-            for (i, (cur, &want)) in self.states.iter_mut().zip(&states).enumerate() {
-                if *cur != want && self.diode_elems.binary_search(&i).is_err() {
-                    *cur = want;
-                    rails_moved = true;
+            let (mut rails_moved, mut rhs_moved) = (false, !stamped);
+            let elements = self.ckt.borrow().elements();
+            for (i, (cur, want)) in self.states.iter().zip(&states).enumerate() {
+                if cur != want {
+                    rails_moved |= self.diode_elems.binary_search(&i).is_err();
+                    rhs_moved |= mna::rhs_depends_on_state(&elements[i]);
                 }
             }
             if rails_moved {
+                // Apply every move of this iteration, then rebase once
+                // and drop the cached operating point; `solve` then finds
+                // no diode flips left.
+                self.states.clone_from(&states);
                 self.last_solve_time = None;
-                self.rebase()?;
+                self.rebase().inspect_err(|_| self.poisoned = true)?;
             }
             diode_on.clear();
             diode_on.extend(
@@ -1428,11 +1361,12 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
                     .iter()
                     .map(|&i| states[i] == DeviceState::On),
             );
-            self.solve(time, &diode_on)?;
+            self.solve_frozen(time, &diode_on, history, !rhs_moved)?;
+            stamped = true;
             let done = it.advance(self.ckt.borrow(), &mut states, &self.x)?;
             self.cycle_break = it.cycle_break;
             if done {
-                return Ok(it.solves);
+                return Ok((it.solves, states));
             }
         }
     }
@@ -1578,9 +1512,7 @@ impl<C: BorrowMut<Circuit>> FrozenDcSession<C> {
             .collect();
         let t0 = self.clock();
         let pushed = self.update.push_batch(&self.lu, &terms);
-        if let Some(t0) = t0 {
-            self.phases.woodbury_ns += t0.elapsed().as_nanos() as u64;
-        }
+        self.phases.woodbury_ns += elapsed_ns(t0);
         match pushed {
             Ok(()) => {
                 self.stats.rank1_updates += terms.len();
@@ -1810,24 +1742,49 @@ mod tests {
         model.rails = (-10.0, 10.0);
         ckt.opamp(inp, Circuit::GROUND, out, model);
         ckt.resistor(out, Circuit::GROUND, 1e4);
-        let st = MnaStructure::new(&ckt);
-        let mut states = mna::initial_states(&ckt);
-        let (x, it) = mna::solve_pwl(
-            &ckt,
-            &st,
-            &mut states,
-            0.0,
-            StampMode::Dc,
-            None,
-            true,
-            &LuOptions::default(),
-            &mut None,
-            &mut PwlCost::default(),
-        )
-        .unwrap();
-        assert!(it.solves >= 2, "the op-amp never left its linear region");
-        let v_out = x[out.unknown().unwrap()];
+        let mut session = DcSolver::new().session(&ckt).unwrap().with_max_rank(0);
+        let iterations = session.solve_operating_point(0.0).unwrap();
+        assert!(iterations >= 2, "the op-amp never left its linear region");
+        let v_out = session.voltage(out);
         assert!((v_out - 10.0).abs() < 1e-9, "v_out = {v_out}");
+    }
+
+    #[test]
+    fn rail_and_diode_moves_share_one_refactorization() {
+        // An open-loop op-amp drives a clamped node: the first iteration
+        // both saturates the op-amp and turns the upper clamp on, and the
+        // two moves must ride one rebase.
+        let mut ckt = Circuit::new();
+        let inp = ckt.node("in");
+        let out = ckt.node("out");
+        let x = ckt.node("x");
+        let cap = ckt.node("cap");
+        ckt.voltage_source(inp, Circuit::GROUND, SourceValue::dc(0.5));
+        let mut model = OpAmpModel::table1();
+        model.rails = (-10.0, 10.0);
+        ckt.opamp(inp, Circuit::GROUND, out, model);
+        ckt.resistor(out, x, 1e3);
+        ckt.voltage_source(cap, Circuit::GROUND, SourceValue::dc(2.0));
+        ckt.diode(x, cap, DiodeModel::ideal());
+        ckt.diode(Circuit::GROUND, x, DiodeModel::ideal());
+
+        let (sol, report) = DcSolver::new().solve(&ckt).unwrap();
+        assert!(report.iterations >= 2, "{report:?}");
+        assert!(
+            (sol.voltage(x) - 2.0).abs() < 1e-2,
+            "v(x) = {}",
+            sol.voltage(x)
+        );
+        // One factor to open, one replay per iteration that moved states.
+        assert_eq!(report.refactorizations, report.iterations, "{report:?}");
+        let mut session = DcSolver::new().session(&ckt).unwrap().with_max_rank(0);
+        let iterations = session.solve_operating_point(0.0).unwrap();
+        let stats = session.stats();
+        assert_eq!(
+            stats.refactorizations + stats.full_factorizations,
+            iterations,
+            "{stats:?}"
+        );
     }
 
     #[test]
@@ -2028,7 +1985,7 @@ mod tests {
 
         let tpl = DcTemplate::new(&ckt).unwrap();
         let reference = ckt.clone();
-        let mut session = DcSolver::new().session_from_host(ckt, &tpl).unwrap();
+        let mut session = DcSolver::new().session_from(ckt, &tpl).unwrap();
         session.solve_operating_point(0.0).unwrap();
         assert!((session.voltage(x) - 2.0).abs() < 1e-2);
 
@@ -2270,7 +2227,8 @@ mod tests {
         let plan = DcSolver::new().plan(&ckt).unwrap();
         let (cold, cold_report) = plan.solve(&ckt).unwrap();
         assert!(cold_report.iterations > 1 && cold_report.templated);
-        // The priming replay plus one per iteration that changed states.
+        // The replay that opens the session plus one per iteration that
+        // changed states.
         assert_eq!(cold_report.refactorizations, cold_report.iterations);
         let (warm, report) = plan.solve_warm(&ckt, cold.device_states()).unwrap();
         assert_eq!(report.iterations, 1);

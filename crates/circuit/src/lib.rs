@@ -12,12 +12,13 @@
 //! * modified nodal analysis assembly ([`mna`]),
 //! * staged DC solving through the [`DcSolver`] facade — plan the cold
 //!   path once per circuit structure ([`DcPlan`]), then operating-point
-//!   solves with diode/op-amp state (complementarity) iteration and
-//!   incremental frozen-state sessions ([`FrozenDcSession`]) that pay only
+//!   solves with diode/op-amp state (complementarity) iteration, all run
+//!   by one frozen-state engine ([`FrozenDcSession`]) that pays only
 //!   numeric work,
-//! * transient analysis with backward-Euler and trapezoidal integration and
-//!   factorization reuse across time steps ([`TransientAnalysis`]) — the
-//!   integrator is hand-written because no suitable ODE crate is available,
+//! * transient analysis with backward-Euler and trapezoidal integration on
+//!   that engine, reusing the factorization across time steps
+//!   ([`TransientAnalysis`]) — the integrator is hand-written because no
+//!   suitable ODE crate is available,
 //! * waveform recording and settle-time detection ([`Waveform`],
 //!   [`WaveformSet`]).
 //!

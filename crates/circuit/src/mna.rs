@@ -11,12 +11,10 @@
 
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
-use std::time::Instant;
 
-use ohmflow_linalg::{CscMatrix, SparseLu, TripletMatrix};
+use ohmflow_linalg::{CscMatrix, TripletMatrix};
 
 use crate::circuit::Circuit;
-use crate::dc::{phase_clock, FrozenDcPhases};
 use crate::element::Element;
 use crate::error::CircuitError;
 use crate::ids::{ElementId, NodeId};
@@ -749,7 +747,7 @@ pub(crate) fn stamp_rhs_into(
 /// Whether `e`'s term in [`stamp_rhs_into`] depends on its device state: a
 /// diode with a forward drop, or an op-amp. Ideal diodes (`v_on = 0`)
 /// flip without touching the RHS.
-fn rhs_depends_on_state(e: &Element) -> bool {
+pub(crate) fn rhs_depends_on_state(e: &Element) -> bool {
     match e {
         Element::Diode { model, .. } => model.v_on != 0.0,
         Element::OpAmp { .. } => true,
@@ -885,11 +883,15 @@ fn most_violated(
     best.map(|(flip, _)| flip)
 }
 
-/// The one complementarity (PWL state) iteration policy. Its callers (the
-/// cold [`solve_pwl`] and the incremental frozen-state session) solve the
-/// assignment they hold with every device frozen and hand the solution to
+/// The one complementarity (PWL state) iteration policy. Its one caller,
+/// the frozen-state session's operating-point solve
+/// ([`FrozenDcSession::solve_operating_point`]), solves the assignment it
+/// holds with every device frozen and hands the solution to
 /// [`StateIteration::advance`], which moves the devices to the states the
-/// solution asks for, until nothing moves.
+/// solution asks for, until nothing moves. DC operating points, delta
+/// sessions and the full-MNA transient all run through it.
+///
+/// [`FrozenDcSession::solve_operating_point`]: crate::FrozenDcSession::solve_operating_point
 ///
 /// The budget is [`max_state_iters`]. Until half of it, flips within
 /// 1e-9 V of a boundary are suppressed and every wanted flip is applied.
@@ -1024,153 +1026,4 @@ impl StateIteration {
 /// on in long causal chains.
 pub(crate) fn max_state_iters(ckt: &Circuit) -> usize {
     200 + 4 * ckt.diode_count()
-}
-
-/// One step of iterative refinement of `x` against the stamped system
-/// `m x = b`: recompute the residual, solve the correction through `lu` and
-/// apply it. Returns whether the correction was applied; a failed
-/// correction solve leaves `x` untouched.
-pub(crate) fn refine_once(lu: &SparseLu, m: &CscMatrix, b: &[f64], x: &mut [f64]) -> bool {
-    let mut r = Vec::new();
-    m.mul_vec_into(x, &mut r);
-    for (ri, bi) in r.iter_mut().zip(b) {
-        *ri = bi - *ri;
-    }
-    let (mut work, mut dx) = (Vec::new(), Vec::new());
-    if lu.solve_into(&r, &mut work, &mut dx).is_err() {
-        return false;
-    }
-    ohmflow_linalg::vecops::axpy(1.0, &dx, x);
-    true
-}
-
-/// The factorization of one state assignment's stamp, carried between
-/// [`solve_pwl`] calls on one circuit: an unchanged assignment reuses it
-/// outright, a changed one restamps the changed devices in place and
-/// refactors numerically, and callers compute refinement residuals against
-/// the stamped matrix. The stamp is always of the circuit whose solves
-/// carry the cache (element values never change under it).
-#[derive(Debug)]
-pub(crate) struct FactorCache {
-    /// The assignment `lu` and `stamped` belong to.
-    pub states: Vec<DeviceState>,
-    pub lu: SparseLu,
-    pub stamped: StampedMatrix,
-}
-
-/// What [`solve_pwl`] spent: factorizations (numeric replays plus fresh
-/// pivoting factorizations) and, when timing is on, wall-clock time per
-/// phase.
-#[derive(Debug, Default)]
-pub(crate) struct PwlCost {
-    pub refactorizations: usize,
-    /// `Some` turns phase timing on.
-    pub phases: Option<FrozenDcPhases>,
-}
-
-impl PwlCost {
-    /// Starts a phase: reads the clock only when timing is on.
-    pub(crate) fn start(&self) -> Option<Instant> {
-        phase_clock(self.phases.is_some())
-    }
-
-    /// Charges the time since `t0` to the phase `pick` selects.
-    pub(crate) fn charge(
-        &mut self,
-        t0: Option<Instant>,
-        pick: fn(&mut FrozenDcPhases) -> &mut u64,
-    ) {
-        if let (Some(t0), Some(p)) = (t0, self.phases.as_mut()) {
-            *pick(p) += t0.elapsed().as_nanos() as u64;
-        }
-    }
-}
-
-/// Solves the PWL system at one instant: the [`StateIteration`] over
-/// frozen-state solves through `factor_cache`. Returns the solution vector
-/// and the finished iteration (its `solves` and `cycle_break` feed the
-/// facade's `SolveReport`); `cost` accumulates the factorizations and
-/// phase times.
-///
-/// `factor_cache` carries the factorization between calls so an
-/// unchanged state assignment reuses it, and callers can compute
-/// residuals (iterative refinement) against the already-stamped matrix
-/// instead of re-stamping it. Between iterations only the flipped devices
-/// are restamped ([`StampedMatrix::restamp_states`]), the numeric replay
-/// rewrites only what their columns reach, and the RHS is reused unless a
-/// flipped device has a state-dependent RHS term.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_pwl(
-    ckt: &Circuit,
-    st: &MnaStructure,
-    states: &mut Vec<DeviceState>,
-    time: f64,
-    mode: StampMode,
-    history: Option<&History>,
-    dc_pre_step: bool,
-    lu_opts: &crate::LuOptions,
-    factor_cache: &mut Option<FactorCache>,
-    cost: &mut PwlCost,
-) -> Result<(Vec<f64>, StateIteration), CircuitError> {
-    let mut it = StateIteration::new(ckt, states, time);
-    // RHS and triangular-solve scratch reused across state iterations.
-    let (mut b, mut work, mut x) = (Vec::new(), Vec::new(), Vec::new());
-    let mut rhs_stale = true;
-    let mut lu_ws = ohmflow_linalg::LuWorkspace::new();
-    loop {
-        let cache = match factor_cache.take() {
-            Some(c) if c.states == *states => c,
-            // A state flip only changes matrix *values* (a diode swaps
-            // conductance, an op-amp rail swaps a couple of
-            // coefficients), so restamp in place and try the numeric-only
-            // refactorization against the cached symbolic pattern first;
-            // fall back to a fresh pivoting factorization when the pattern
-            // moved or a frozen pivot died.
-            Some(mut c) => {
-                let t0 = cost.start();
-                c.stamped.restamp_states(ckt, st, states, mode);
-                cost.charge(t0, |p| &mut p.stamp_ns);
-                let t0 = cost.start();
-                if c.lu.refactor_with(c.stamped.matrix(), &mut lu_ws).is_err() {
-                    c.lu = SparseLu::factor_with(c.stamped.matrix(), lu_opts)?;
-                }
-                cost.charge(t0, |p| &mut p.refactor_ns);
-                cost.refactorizations += 1;
-                rhs_stale |= ckt
-                    .elements()
-                    .iter()
-                    .zip(c.states.iter().zip(states.iter()))
-                    .any(|(e, (was, now))| was != now && rhs_depends_on_state(e));
-                c.states.clone_from(states);
-                c
-            }
-            None => {
-                let t0 = cost.start();
-                let stamped = StampedMatrix::new(ckt, st, states, mode);
-                cost.charge(t0, |p| &mut p.stamp_ns);
-                let t0 = cost.start();
-                let lu = SparseLu::factor_with(stamped.matrix(), lu_opts)?;
-                cost.charge(t0, |p| &mut p.refactor_ns);
-                cost.refactorizations += 1;
-                FactorCache {
-                    states: states.clone(),
-                    lu,
-                    stamped,
-                }
-            }
-        };
-        let lu = &factor_cache.insert(cache).lu;
-        if rhs_stale {
-            let t0 = cost.start();
-            stamp_rhs_into(&mut b, ckt, st, states, time, mode, history, dc_pre_step);
-            cost.charge(t0, |p| &mut p.stamp_ns);
-            rhs_stale = false;
-        }
-        let t0 = cost.start();
-        lu.solve_into(&b, &mut work, &mut x)?;
-        cost.charge(t0, |p| &mut p.solve_ns);
-        if it.advance(ckt, states, &x)? {
-            return Ok((x, it));
-        }
-    }
 }

@@ -1,9 +1,11 @@
 use crate::circuit::Circuit;
+use crate::dc::FrozenDcSession;
 use crate::element::Element;
 use crate::error::CircuitError;
 use crate::ids::{ElementId, NodeId};
 use crate::mna::{self, History, MnaStructure, StampMode};
 use crate::waveform::WaveformSet;
+use crate::LuOptions;
 
 /// Time-integration scheme for [`TransientAnalysis`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -97,7 +99,9 @@ impl TransientOptions {
 }
 
 /// Fixed-step transient analysis with PWL device-state iteration per step
-/// and factorization reuse while states are unchanged.
+/// on one [`FrozenDcSession`]: the factorization is reused while states
+/// are unchanged, and a state or integration-mode change restamps and
+/// replays it.
 ///
 /// See the crate-level example for typical use.
 #[derive(Debug)]
@@ -140,26 +144,16 @@ impl<'c> TransientAnalysis<'c> {
     pub fn run(&self) -> Result<WaveformSet, CircuitError> {
         let ckt = self.ckt;
         let st = MnaStructure::new(ckt);
-        let mut states = mna::initial_states(ckt);
-        let mut cache = None;
-        let mut cost = mna::PwlCost::default();
+        // One session at a rank budget of 0: every state change restamps
+        // the devices that moved and replays the factor. Each step's
+        // state iteration starts from the assignment the previous step
+        // accepted.
+        let mut session = FrozenDcSession::construct(ckt, None, LuOptions::default(), None, false)?
+            .with_max_rank(0);
 
         // t = 0⁻ operating point.
-        let lu_opts = crate::LuOptions::default();
-        let (x0, _) = mna::solve_pwl(
-            ckt,
-            &st,
-            &mut states,
-            0.0,
-            StampMode::Dc,
-            None,
-            true,
-            &lu_opts,
-            &mut cache,
-            &mut cost,
-        )?;
-        // The DC stamp differs from the transient stamp: drop the cache.
-        cache = None;
+        session.set_stamp(StampMode::Dc, true)?;
+        let (_, mut states) = session.operating_point(0.0, None, mna::initial_states(ckt))?;
 
         let probe_nodes: Vec<NodeId> = match &self.opts.probes {
             Some(p) => p.clone(),
@@ -168,14 +162,13 @@ impl<'c> TransientAnalysis<'c> {
         let mut waves = WaveformSet::new(&probe_nodes, &self.opts.current_probes);
 
         let mut history = History {
-            solution: x0,
+            solution: session.values().to_vec(),
             cap_currents: vec![0.0; ckt.element_count()],
         };
         self.record(&st, &mut waves, 0.0, &history.solution);
 
         let steps = self.opts.steps();
         let dt = self.opts.dt;
-        let mut prev_mode_was_be = true;
         for k in 1..=steps {
             let t = k as f64 * dt;
             // Bootstrap trapezoidal with one BE step.
@@ -184,30 +177,15 @@ impl<'c> TransientAnalysis<'c> {
                 IntegrationMethod::Trapezoidal if k == 1 => StampMode::BackwardEuler { h: dt },
                 IntegrationMethod::Trapezoidal => StampMode::Trapezoidal { h: dt },
             };
-            let is_be = matches!(mode, StampMode::BackwardEuler { .. });
-            if is_be != prev_mode_was_be {
-                cache = None; // matrix stamp changed shape
-                prev_mode_was_be = is_be;
-            }
-
-            let (x, _) = mna::solve_pwl(
-                ckt,
-                &st,
-                &mut states,
-                t,
-                mode,
-                Some(&history),
-                false,
-                &lu_opts,
-                &mut cache,
-                &mut cost,
-            )?;
+            session.set_stamp(mode, false)?;
+            (_, states) = session.operating_point(t, Some(&history), states)?;
+            let x = session.values();
 
             // Update capacitor-current history (needed by trapezoidal).
             for (idx, e) in ckt.elements().iter().enumerate() {
                 if let Element::Capacitor { a, b, capacitance } = e {
                     let v = |n: NodeId, vec: &[f64]| n.unknown().map_or(0.0, |u| vec[u]);
-                    let vab_now = v(*a, &x) - v(*b, &x);
+                    let vab_now = v(*a, x) - v(*b, x);
                     let vab_prev = v(*a, &history.solution) - v(*b, &history.solution);
                     history.cap_currents[idx] = match mode {
                         StampMode::BackwardEuler { h } => capacitance / h * (vab_now - vab_prev),
@@ -218,7 +196,7 @@ impl<'c> TransientAnalysis<'c> {
                     };
                 }
             }
-            history.solution = x;
+            history.solution.copy_from_slice(x);
 
             if k % self.opts.record_every == 0 || k == steps {
                 self.record(&st, &mut waves, t, &history.solution);

@@ -848,7 +848,7 @@ fn rekey(
 
     let dc = solver
         .dc_solver()
-        .session_from_host(sc, tpl.dc_template())?
+        .session_from(sc, tpl.dc_template())?
         .with_max_rank(SESSION_MAX_RANK)
         .with_deferred_consolidation();
     let level_sources = tpl.level_sources().to_vec();

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ohmflow::builder::{BuildOptions, CapacityMapping, NegativeResistorImpl};
-use ohmflow::{MaxFlowSolver, SolveOptions};
+use ohmflow::{AnalogError, MaxFlowSolver, SolveOptions};
 use ohmflow_graph::FlowNetwork;
 
 /// A random small flow network with a guaranteed source→sink spine (so the
@@ -196,4 +196,70 @@ fn shared_symbolic_serves_concurrent_numeric_factorizations() {
     for (s, err) in seeds.iter().zip(&results) {
         assert!(*err < 1e-10, "seed {s}: max deviation {err}");
     }
+}
+
+/// The variant of an error, down to the circuit error a simulation
+/// failure wraps.
+fn error_kind(e: &AnalogError) -> String {
+    match e {
+        AnalogError::Circuit(c) => format!("Circuit({:?})", std::mem::discriminant(c)),
+        other => format!("{:?}", std::mem::discriminant(other)),
+    }
+}
+
+/// A fixed sweep of 3,000 seeds: on every substrate the planned path
+/// (`plan(g1).instance(g2).solve()`) and `solve_fresh(g2)` reach the same
+/// outcome — both answer within the proptests' tolerance, or both fail
+/// with the same error variant. The failing seeds are counted, not
+/// filtered out. Release only: a debug build takes minutes.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only sweep: cargo test --release --test template_agreement"
+)]
+fn planned_and_fresh_solves_reach_the_same_outcome_on_3000_seeds() {
+    let tol = |r: f64| 1e-12 * r.abs().max(1.0);
+    let mut errors = 0;
+    for seed in 0..3000u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g1 = random_graph(&mut rng);
+        let g2 = redraw_capacities(&g1, &mut rng);
+        let mut cfg = SolveOptions::ideal();
+        cfg.build = random_build_options(&mut rng);
+        let solver = MaxFlowSolver::new(cfg);
+        let planned = solver
+            .plan(&g1)
+            .and_then(|p| p.instance(&g2))
+            .and_then(|i| i.solve());
+        match (planned, solver.solve_fresh(&g2)) {
+            (Ok(warm), Ok(cold)) => {
+                assert!(
+                    (warm.value - cold.value).abs() < tol(cold.value),
+                    "seed {seed}: planned value {} vs fresh {}",
+                    warm.value,
+                    cold.value
+                );
+                for (e, (a, b)) in warm.edge_flows.iter().zip(&cold.edge_flows).enumerate() {
+                    assert!(
+                        (a - b).abs() < tol(*b),
+                        "seed {seed}: edge {e} flow {a} vs fresh {b}"
+                    );
+                }
+            }
+            (Err(a), Err(b)) => {
+                assert_eq!(
+                    error_kind(&a),
+                    error_kind(&b),
+                    "seed {seed}: planned error {a} vs fresh error {b}"
+                );
+                errors += 1;
+            }
+            (planned, fresh) => panic!(
+                "seed {seed}: planned {:?} vs fresh {:?}",
+                planned.map(|s| s.value),
+                fresh.map(|s| s.value)
+            ),
+        }
+    }
+    println!("{errors} of 3000 seeds fail on both paths");
 }
