@@ -12,9 +12,9 @@
 //! * `fig10_n_sweep` — the Fig. 10 quantization sweep: one topology
 //!   re-instantiated per voltage-level count `N`, fresh build per `N` vs
 //!   `Plan::instance_mapped`.
-//! * `session_from_template` — the circuit layer alone: cold
+//! * `session_creation` — the circuit layer alone: cold
 //!   `DcSolver::session` (structure + ordering + symbolic + numeric) vs
-//!   `DcPlan::session` (numeric-only refactorization).
+//!   the same call on a planned `DcSolver` (numeric-only refactorization).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ohmflow::builder::CapacityMapping;
@@ -80,20 +80,20 @@ fn bench_n_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_session_from_template(c: &mut Criterion) {
+fn bench_session_creation(c: &mut Criterion) {
     let g = fig10_instance(96, false, 3);
     let solver = MaxFlowSolver::new(sweep_config());
     let plan = solver.plan(&g).expect("plan");
     let sc = plan.instance(&g).expect("instance").substrate().clone();
     let dcs = DcSolver::new();
-    let dc_plan = dcs.plan(sc.circuit()).expect("dc plan");
+    let planned = dcs.plan(sc.circuit()).expect("dc plan");
     let mut group = c.benchmark_group("session_creation_rmat96");
     group.sample_size(10);
     group.bench_function("cold", |b| {
         b.iter(|| dcs.session(sc.circuit()).expect("session").stats())
     });
     group.bench_function("from_template", |b| {
-        b.iter(|| dc_plan.session(sc.circuit()).expect("session").stats())
+        b.iter(|| planned.session(sc.circuit()).expect("session").stats())
     });
     group.finish();
 }
@@ -102,6 +102,6 @@ criterion_group!(
     benches,
     bench_repeat_solves,
     bench_n_sweep,
-    bench_session_from_template
+    bench_session_creation
 );
 criterion_main!(benches);

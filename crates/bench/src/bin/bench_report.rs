@@ -1,749 +1,44 @@
-//! Machine-readable perf snapshot for CI: runs the fast benchmark suite
-//! with wall-clock timing and writes `BENCH_PR2.json` (the template /
-//! incremental-engine scenarios of PR 2, kept as the regression guard),
-//! `BENCH_PR3.json` (the large-graph scaling story: factorization,
-//! numeric refactorization and the rank-1 triangular solve on
-//! rmat1024 / rmat2048 / a DIMACS-roundtripped grid)
-//! `BENCH_PR4.json` (the AMD+BTF factor: fill, factor and refactor
-//! times, plus the BTF block structure), `BENCH_PR5.json` (facade
-//! overhead), `BENCH_PR6.json` (the KLU-style solve-time off-diagonal
-//! restructure: the production rank-1 solve, and the rmat128
-//! multi-block numeric-replay tax) and `BENCH_PR8.json` (the
-//! concurrent sharded plan cache: fingerprint-first hit latency vs the
-//! old full-key-rebuild path, warm-hit throughput at 1/2/4 threads and
-//! an eviction-pressure sweep with the cache counters) and
-//! `BENCH_PR9.json` (the graph-delta fast path: k=8 mixed delta batches
-//! through a standing `DeltaSession` vs cold plan+solve, the rank-k
-//! batched Woodbury push vs k sequential rank-1 pushes, the k=8
-//! multi-RHS blocked triangular solve vs eight singles, and the
-//! `small_n` adaptive-path numbers behind `SMALL_INSTANCE_EDGES`) and
-//! `BENCH_PR10.json` (the structural-audit overhead gate: release warm
-//! repeat-solves on rmat2048 measured against themselves to pin the
-//! debug-only auto-audit seams at <= 1.02x, plus the explicit
-//! release-mode audit costs `ohmflow-audit` pays), so
-//! the repo's perf trajectory is tracked by artifact instead of
-//! anecdote. A final pass merges every `BENCH_PR*.json` in the working
-//! directory into `BENCH_TRAJECTORY.json` keyed by PR number, so the
-//! committed `BENCH_PR7.json` (the supernode kernels, since replaced by
-//! the dense trailing cores) stays in the trajectory as history.
+//! Machine-readable perf snapshot for CI: writes `BENCH_PR9.json` (the
+//! graph-delta fast path: k=8 mixed delta batches through a standing
+//! `DeltaSession` vs cold plan+solve, the rank-k batched Woodbury push vs
+//! k sequential rank-1 pushes, and the k=8 multi-RHS blocked triangular
+//! solve vs eight singles) and `BENCH_PR10.json` (the structural-audit
+//! overhead gate: release warm repeat-solves on rmat2048 measured against
+//! themselves to pin the debug-only auto-audit seams at <= 1.02x, plus
+//! the explicit release-mode audit costs `ohmflow-audit` pays). A final
+//! pass merges every `BENCH_PR*.json` in the working directory into
+//! `BENCH_TRAJECTORY.json` keyed by PR number, so the committed reports
+//! no section writes any more (`BENCH_PR2.json`…`BENCH_PR8.json`) stay
+//! in the trajectory as history.
 //!
 //! Run with: `cargo run --release -p ohmflow-bench --bin bench_report`
-//! (`OHMFLOW_BENCH_OUT` / `OHMFLOW_BENCH_OUT_PR3` / ... /
-//! `OHMFLOW_BENCH_OUT_PR9` override the output paths).
-//! `bench_report trajectory` skips the benchmarks, rebuilds
-//! `BENCH_TRAJECTORY.json` from the report files already on disk, and
-//! runs the PR 9 regression gate: if a baseline trajectory (the path in
-//! `OHMFLOW_BENCH_BASELINE`, default the trajectory file itself as left
-//! by a previous run) records PR 9 guard metrics and any of this run's
-//! has regressed by more than 25%, the rebuild exits nonzero.
-//! `bench_report pr8` / `pr9` run just that section and re-merge.
+//! (`OHMFLOW_BENCH_OUT_PR9` / `OHMFLOW_BENCH_OUT_PR10` override the
+//! output paths). `bench_report trajectory` skips the benchmarks,
+//! rebuilds `BENCH_TRAJECTORY.json` from the report files already on
+//! disk, and runs the PR 9 regression gate: if a baseline trajectory (the
+//! path in `OHMFLOW_BENCH_BASELINE`, default the trajectory file itself
+//! as left by a previous run) records PR 9 guard metrics and any of this
+//! run's has regressed by more than 25%, the rebuild exits nonzero.
+//! `bench_report pr9` / `pr10` run just that section and re-merge.
 
-use ohmflow::builder::CapacityMapping;
-use ohmflow::{MaxFlowSolver, SolveOptions, SubstrateTemplate};
-use ohmflow_bench::{
-    bench_substrate, dimacs_grid_instance, diode_unknown_pairs, fig10_instance, full_replay_ns,
-    median_ns, time_push_relabel,
-};
-use ohmflow_circuit::{DcSolver, LuOptions};
-use ohmflow_graph::generators;
-use ohmflow_linalg::{amd_ordering, BlockOrdering, LuWorkspace, SparseLu, SparseLuOptions};
+use ohmflow::{MaxFlowSolver, SolveOptions};
+use ohmflow_bench::{bench_substrate, diode_unknown_pairs, fig10_instance, median_ns};
+use ohmflow_circuit::DcSolver;
+use ohmflow_linalg::{amd_ordering, BlockOrdering, SparseLu, SparseLuOptions};
 
 fn main() {
     match std::env::args().nth(1).as_deref() {
-        Some("trajectory") => {
-            trajectory_report();
-            return;
-        }
-        // The PR 8 section standalone (plan-cache iteration loop).
-        Some("pr8") => {
-            pr8_report();
-            trajectory_report();
-            return;
-        }
+        Some("trajectory") => {}
         // The PR 9 section standalone (delta-session iteration loop).
-        Some("pr9") => {
-            pr9_report();
-            trajectory_report();
-            return;
-        }
+        Some("pr9") => pr9_report(),
         // The PR 10 section standalone (audit-overhead gate).
-        Some("pr10") => {
+        Some("pr10") => pr10_report(),
+        _ => {
+            pr9_report();
             pr10_report();
-            trajectory_report();
-            return;
         }
-        _ => {}
     }
-    let mut entries: Vec<(String, f64)> = Vec::new();
-    let mut push = |name: &str, ns: f64| {
-        println!("{name:<44} {:>12.0} ns/op", ns);
-        entries.push((name.to_owned(), ns));
-    };
-
-    // --- Template reuse on a Fig. 10-style same-topology sweep. ---
-    let g = fig10_instance(128, false, 42);
-    let mut cfg = SolveOptions::evaluation_quasi_static(10e9);
-    cfg.params.v_flow = 800.0;
-    let solver = MaxFlowSolver::new(cfg.clone());
-    solver.solve(&g).expect("prime plan");
-    let cold = median_ns(5, || solver.solve_fresh(&g).expect("solve").value);
-    let warm = median_ns(5, || solver.solve(&g).expect("solve").value);
-    push("quasi_static_rmat128/cold_build_solve", cold);
-    push("quasi_static_rmat128/template_reuse_solve", warm);
-
-    // Template creation + value-only instantiation, in isolation.
-    let t_template = median_ns(5, || {
-        SubstrateTemplate::new(&g, &cfg.params, &cfg.build, LuOptions::default()).expect("template")
-    });
-    let plan = solver.plan(&g).expect("plan");
-    let t_inst = median_ns(5, || plan.instance(&g).expect("instance"));
-    push("quasi_static_rmat128/template_create", t_template);
-    push("quasi_static_rmat128/template_instantiate", t_inst);
-
-    // --- Session creation: cold path vs numeric-only from template. ---
-    let sc = plan.instance(&g).expect("instance").substrate().clone();
-    let dcs = DcSolver::new();
-    let dc_plan = dcs.plan(sc.circuit()).expect("dc plan");
-    let s_cold = median_ns(5, || dcs.session(sc.circuit()).expect("session").stats());
-    let s_tpl = median_ns(5, || {
-        dc_plan.session(sc.circuit()).expect("session").stats()
-    });
-    push("session_rmat128/cold", s_cold);
-    push("session_rmat128/from_template", s_tpl);
-
-    // --- Relaxation transient (the §5 headline path). ---
-    let g15 = generators::fig15a(100);
-    let mut tcfg = SolveOptions::evaluation(10e9);
-    tcfg.build.capacity_mapping = CapacityMapping::Exact;
-    let tsolver = MaxFlowSolver::new(tcfg);
-    let ns = median_ns(5, || tsolver.solve_fresh(&g15).expect("solve").value);
-    push("transient_fig15a100/incremental", ns);
-
-    // --- Batch throughput: same-topology fan-out vs sequential. ---
-    let batch: Vec<_> = (1..=6)
-        .map(|s| g.scaled_capacities(s).expect("scaled"))
-        .collect();
-    let seq = median_ns(3, || {
-        batch
-            .iter()
-            .map(|g| solver.solve_fresh(g).expect("solve").value)
-            .sum::<f64>()
-    });
-    let par = median_ns(3, || {
-        solver
-            .solve_many(batch.iter().map(ohmflow::Problem::from))
-            .into_iter()
-            .map(|r| r.expect("solve").value)
-            .sum::<f64>()
-    });
-    push("batch6_rmat128/sequential_cold", seq);
-    push("batch6_rmat128/solve_batch_templated", par);
-
-    // --- Report. ---
-    let speedup = |a: &str, b: &str| {
-        let get = |n: &str| entries.iter().find(|(k, _)| k == n).map(|(_, v)| *v);
-        match (get(a), get(b)) {
-            (Some(x), Some(y)) if y > 0.0 => x / y,
-            _ => 0.0,
-        }
-    };
-    let template_speedup = speedup(
-        "quasi_static_rmat128/cold_build_solve",
-        "quasi_static_rmat128/template_reuse_solve",
-    );
-    let batch_speedup = speedup(
-        "batch6_rmat128/sequential_cold",
-        "batch6_rmat128/solve_batch_templated",
-    );
-    println!("template reuse speedup : {template_speedup:.2}x");
-    println!("batch speedup : {batch_speedup:.2}x");
-
-    // Hand-rolled JSON (no serde in the offline vendor set).
-    let mut json =
-        String::from("{\n  \"schema\": \"ohmflow-bench-report/1\",\n  \"ns_per_op\": {\n");
-    for (i, (name, ns)) in entries.iter().enumerate() {
-        let comma = if i + 1 < entries.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {ns:.0}{comma}\n"));
-    }
-    json.push_str("  },\n  \"speedups\": {\n");
-    json.push_str(&format!(
-        "    \"template_reuse_vs_cold\": {template_speedup:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"batch_vs_sequential\": {batch_speedup:.3}\n"
-    ));
-    json.push_str("  }\n}\n");
-
-    let out = std::env::var("OHMFLOW_BENCH_OUT").unwrap_or_else(|_| "BENCH_PR2.json".to_owned());
-    std::fs::write(&out, json).expect("write bench report");
-    println!("wrote {out}");
-
-    pr3_report();
-    pr4_report();
-    pr5_report();
-    pr6_report();
-    pr8_report();
-    pr9_report();
-    pr10_report();
     trajectory_report();
-}
-
-/// The large-graph scaling section: symbolic+numeric factorization,
-/// numeric refactorization and the rank-1 triangular solve on the real
-/// substrate MNA matrices of rmat1024, rmat2048 and a DIMACS-roundtripped
-/// 40×40 grid, plus an end-to-end frozen-DC session flip loop on the
-/// DIMACS instance.
-fn pr3_report() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("--- PR3 scaling (cores: {cores}) ---");
-    let mut entries: Vec<(String, f64)> = Vec::new();
-    let mut push = |name: String, ns: f64| {
-        println!("{name:<44} {:>14.0} ns/op", ns);
-        entries.push((name, ns));
-    };
-
-    // Seed 1: some R-MAT seeds produce substrates whose all-diodes-off
-    // stamp is singular (near-disconnected vertices); the bench needs a
-    // solvable instance, not a particular one.
-    for (name, g) in [
-        ("rmat1024", fig10_instance(1024, false, 1)),
-        ("rmat2048", fig10_instance(2048, false, 1)),
-        ("dimacs_grid40", dimacs_grid_instance(40, 50, 7)),
-    ] {
-        let sc = bench_substrate(&g);
-        let (m, base_lu) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
-        let m = &m;
-        println!(
-            "{name}: {} unknowns, {} nnz, {} diagonal blocks",
-            m.cols(),
-            m.nnz(),
-            base_lu.symbolic().block_count()
-        );
-
-        // Full symbolic + numeric factorization: the pivoting factor.
-        push(
-            format!("{name}/symbolic_numeric_factor"),
-            median_ns(3, || SparseLu::factor(m).expect("factor")),
-        );
-
-        // Numeric-only refactorization (the serial replay).
-        let mut ws = LuWorkspace::new();
-        let mut lu = base_lu.clone();
-        push(
-            format!("{name}/refactor_serial"),
-            full_replay_ns(5, &mut lu, m, &mut ws),
-        );
-
-        // Rank-1 triangular solves over a sample of the substrate's real
-        // diode (anode, cathode) unknown pairs: one full dense
-        // `solve_into`, what `LowRankUpdate::push` runs per term.
-        let pairs = diode_unknown_pairs(&sc);
-        let sample: Vec<(usize, usize)> = pairs
-            .iter()
-            .step_by((pairs.len() / 64).max(1))
-            .copied()
-            .collect();
-        let lu = &base_lu;
-        let n = m.cols();
-        let mut dense_rhs = vec![0.0; n];
-        let (mut work, mut out) = (Vec::new(), Vec::new());
-        let t_dense = median_ns(3, || {
-            for &(a, c) in &sample {
-                dense_rhs[a] = 1e3;
-                dense_rhs[c] = -1e3;
-                lu.solve_into(&dense_rhs, &mut work, &mut out)
-                    .expect("solve");
-                dense_rhs[a] = 0.0;
-                dense_rhs[c] = 0.0;
-            }
-        });
-        push(
-            format!("{name}/rank1_triangular_solve_dense"),
-            t_dense / sample.len() as f64,
-        );
-    }
-
-    // End-to-end on the DIMACS instance: frozen-DC session flip loop (the
-    // engine's hot path) and the CPU max-flow baseline for context.
-    {
-        let g = dimacs_grid_instance(40, 50, 7);
-        let sc = bench_substrate(&g);
-        let ckt = sc.circuit();
-        let dc_plan = DcSolver::new()
-            .phase_timing(true)
-            .plan(ckt)
-            .expect("dc plan");
-        let n_diodes = ckt.diode_count();
-        let mut session = dc_plan.session(ckt).expect("session");
-        let mut on = vec![false; n_diodes];
-        let steps = 400;
-        let t0 = std::time::Instant::now();
-        for k in 0..steps {
-            on[(k * 7919) % n_diodes] = !on[(k * 7919) % n_diodes];
-            session.solve(k as f64 * 1e-9, &on).expect("session solve");
-        }
-        push(
-            "dimacs_grid40/session_flip_step".to_owned(),
-            t0.elapsed().as_nanos() as f64 / steps as f64,
-        );
-        let phases = session.phase_times();
-        println!(
-            "dimacs_grid40 session phases: stamp {:.1}ms refactor {:.1}ms solve {:.1}ms woodbury {:.1}ms",
-            phases.stamp_ns as f64 / 1e6,
-            phases.refactor_ns as f64 / 1e6,
-            phases.solve_ns as f64 / 1e6,
-            phases.woodbury_ns as f64 / 1e6,
-        );
-        let (cpu_secs, _flow) = time_push_relabel(&g, 3);
-        push("dimacs_grid40/cpu_push_relabel".to_owned(), cpu_secs * 1e9);
-    }
-
-    let mut json = String::from("{\n  \"schema\": \"ohmflow-bench-report-pr3/1\",\n");
-    json.push_str(&format!("  \"cores\": {cores},\n  \"ns_per_op\": {{\n"));
-    for (i, (name, ns)) in entries.iter().enumerate() {
-        let comma = if i + 1 < entries.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {ns:.0}{comma}\n"));
-    }
-    json.push_str("  }\n}\n");
-
-    let out =
-        std::env::var("OHMFLOW_BENCH_OUT_PR3").unwrap_or_else(|_| "BENCH_PR3.json".to_owned());
-    std::fs::write(&out, json).expect("write pr3 bench report");
-    println!("wrote {out}");
-}
-
-/// The PR 4 ordering section: fill (`nnz(L+U+A_off)`), symbolic+numeric
-/// factor time, serial numeric refactor time and the BTF block structure
-/// of the AMD+BTF factor on the three reference substrates.
-fn pr4_report() {
-    println!("--- PR4 ordering subsystem ---");
-    let mut entries: Vec<(String, f64)> = Vec::new();
-    let mut fills: Vec<(String, usize)> = Vec::new();
-    let mut blocks: Vec<(String, usize, usize)> = Vec::new();
-    let mut push = |name: String, ns: f64| {
-        println!("{name:<52} {ns:>14.0} ns/op");
-        entries.push((name, ns));
-    };
-
-    for (name, g) in [
-        ("rmat1024", fig10_instance(1024, false, 1)),
-        ("rmat2048", fig10_instance(2048, false, 1)),
-        ("dimacs_grid40", dimacs_grid_instance(40, 50, 7)),
-    ] {
-        let sc = bench_substrate(&g);
-        let (m, lu) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
-        let label = format!("{name}/amd_btf");
-        push(
-            format!("{label}/symbolic_numeric_factor"),
-            median_ns(3, || SparseLu::factor(&m).expect("factor")),
-        );
-        fills.push((label.clone(), lu.factor_nnz()));
-        println!("{label}: nnz(L+U) {}", lu.factor_nnz());
-        let sym = lu.symbolic();
-        println!(
-            "{label}: {} blocks, largest {} of {}",
-            sym.block_count(),
-            sym.largest_block(),
-            sym.dim()
-        );
-        blocks.push((label.clone(), sym.block_count(), sym.largest_block()));
-
-        // Serial numeric refactorization (the rebase hot path).
-        let mut ws = LuWorkspace::new();
-        let mut rlu = lu.clone();
-        push(
-            format!("{label}/refactor_serial"),
-            full_replay_ns(5, &mut rlu, &m, &mut ws),
-        );
-    }
-
-    let mut json = String::from("{\n  \"schema\": \"ohmflow-bench-report-pr4/1\",\n");
-    json.push_str("  \"ns_per_op\": {\n");
-    for (i, (name, ns)) in entries.iter().enumerate() {
-        let comma = if i + 1 < entries.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {ns:.0}{comma}\n"));
-    }
-    json.push_str("  },\n  \"fill_nnz\": {\n");
-    for (i, (name, nnz)) in fills.iter().enumerate() {
-        let comma = if i + 1 < fills.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {nnz}{comma}\n"));
-    }
-    json.push_str("  },\n  \"btf_blocks\": {\n");
-    for (i, (name, count, largest)) in blocks.iter().enumerate() {
-        let comma = if i + 1 < blocks.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    \"{name}\": {{ \"count\": {count}, \"largest\": {largest} }}{comma}\n"
-        ));
-    }
-    json.push_str("  }\n}\n");
-
-    let out =
-        std::env::var("OHMFLOW_BENCH_OUT_PR4").unwrap_or_else(|_| "BENCH_PR4.json".to_owned());
-    std::fs::write(&out, json).expect("write pr4 bench report");
-    println!("wrote {out}");
-}
-
-/// The PR 5 staged-facade section: the facade must be free. Repeat solves
-/// through `MaxFlowSolver::solve` (plan cache) are measured against a
-/// second solver clone sharing the same plan cache (the JSON keys keep
-/// their original `direct_templated` names for trajectory continuity —
-/// the deprecated direct path those names referred to was deleted in
-/// PR 8, and a cache-sharing clone is the same measurement), against the
-/// explicit `plan → instance → solve` staging, and against the plan-cache
-/// hit cost itself, on the rmat1024/rmat2048 substrates. The recorded
-/// `facade_vs_direct_templated_rmat1024` ratio is the acceptance bar
-/// (< 1.05): both paths ride the identical internals, so anything above
-/// noise means the facade grew a real cost.
-fn pr5_report() {
-    println!("--- PR5 staged facade ---");
-    let mut entries: Vec<(String, f64)> = Vec::new();
-    let mut push = |name: String, ns: f64| {
-        println!("{name:<48} {ns:>14.0} ns/op");
-        entries.push((name, ns));
-    };
-
-    for (name, g) in [
-        ("rmat1024", fig10_instance(1024, false, 1)),
-        ("rmat2048", fig10_instance(2048, false, 1)),
-    ] {
-        let mut cfg = SolveOptions::evaluation_quasi_static(10e9);
-        cfg.params.v_flow = 800.0;
-        let solver = MaxFlowSolver::new(cfg);
-        // The cloned solver shares the same plan cache, so both handles
-        // measure the identical warm state.
-        let twin = solver.clone();
-        solver.solve(&g).expect("prime plan");
-
-        let direct = median_ns(3, || twin.solve(&g).expect("solve").value);
-        let facade = median_ns(3, || solver.solve(&g).expect("solve").value);
-        let plan = solver.plan(&g).expect("plan");
-        assert!(plan.cache_hit(), "primed plan must come from the cache");
-        let staged = median_ns(3, || {
-            plan.instance(&g)
-                .expect("instance")
-                .solve()
-                .expect("solve")
-                .value
-        });
-        let plan_hit = median_ns(9, || solver.plan(&g).expect("plan").cache_hit());
-        push(format!("{name}/direct_templated_repeat_solve"), direct);
-        push(format!("{name}/facade_repeat_solve"), facade);
-        push(format!("{name}/facade_staged_repeat_solve"), staged);
-        push(format!("{name}/plan_cache_hit"), plan_hit);
-    }
-
-    let get = |key: &str| {
-        entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0)
-    };
-    let ratio = |a: f64, b: f64| if b > 0.0 { a / b } else { 0.0 };
-    let overhead_1024 = ratio(
-        get("rmat1024/facade_repeat_solve"),
-        get("rmat1024/direct_templated_repeat_solve"),
-    );
-    let overhead_2048 = ratio(
-        get("rmat2048/facade_repeat_solve"),
-        get("rmat2048/direct_templated_repeat_solve"),
-    );
-    let staged_overhead_1024 = ratio(
-        get("rmat1024/facade_staged_repeat_solve"),
-        get("rmat1024/direct_templated_repeat_solve"),
-    );
-    println!("facade repeat-solve overhead (rmat1024): {overhead_1024:.3}x");
-    println!("facade repeat-solve overhead (rmat2048): {overhead_2048:.3}x");
-    println!("staged plan->instance->solve overhead (rmat1024): {staged_overhead_1024:.3}x");
-
-    let mut json = String::from("{\n  \"schema\": \"ohmflow-bench-report-pr5/1\",\n");
-    json.push_str("  \"ns_per_op\": {\n");
-    for (i, (name, ns)) in entries.iter().enumerate() {
-        let comma = if i + 1 < entries.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {ns:.0}{comma}\n"));
-    }
-    json.push_str("  },\n  \"overheads\": {\n");
-    json.push_str(&format!(
-        "    \"facade_vs_direct_templated_rmat1024\": {overhead_1024:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"facade_vs_direct_templated_rmat2048\": {overhead_2048:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"facade_staged_vs_direct_templated_rmat1024\": {staged_overhead_1024:.3}\n"
-    ));
-    json.push_str("  }\n}\n");
-
-    let out =
-        std::env::var("OHMFLOW_BENCH_OUT_PR5").unwrap_or_else(|_| "BENCH_PR5.json".to_owned());
-    std::fs::write(&out, json).expect("write pr5 bench report");
-    println!("wrote {out}");
-}
-
-/// The PR 6 section: the KLU-style restructure. Two tracked stories:
-///
-/// * rmat2048 rank-1 solves under the production factor (AmdBtf,
-///   multi-block, off-diagonal entries applied at solve time): one full
-///   dense `solve_into` per diode pair.
-/// * rmat128 numeric replay: serial refactor of the multi-block default
-///   vs a single-block AMD factor of the same matrix — the closure tax
-///   the raw `A_off` layout removed (also guarded in `ordering_guard`).
-fn pr6_report() {
-    println!("--- PR6 solve-time off-diagonal blocks ---");
-    let mut entries: Vec<(String, f64)> = Vec::new();
-    let mut push = |name: String, ns: f64| {
-        println!("{name:<52} {ns:>14.0} ns/op");
-        entries.push((name, ns));
-    };
-
-    // rmat2048 rank-1: one dense full solve per diode pair.
-    {
-        let g = fig10_instance(2048, false, 1);
-        let sc = bench_substrate(&g);
-        let (m, lu) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
-        let sym = lu.symbolic();
-        println!(
-            "rmat2048: {} unknowns, {} blocks (largest {}), {} off-diagonal nnz",
-            sym.dim(),
-            sym.block_count(),
-            sym.largest_block(),
-            sym.off_nnz()
-        );
-        let pairs = diode_unknown_pairs(&sc);
-        let sample: Vec<(usize, usize)> = pairs
-            .iter()
-            .step_by((pairs.len() / 64).max(1))
-            .copied()
-            .collect();
-        let n = m.cols();
-        let mut dense_rhs = vec![0.0; n];
-        let (mut work, mut out) = (Vec::new(), Vec::new());
-        let t_dense = median_ns(7, || {
-            for &(a, c) in &sample {
-                dense_rhs[a] = 1e3;
-                dense_rhs[c] = -1e3;
-                lu.solve_into(&dense_rhs, &mut work, &mut out)
-                    .expect("solve");
-                dense_rhs[a] = 0.0;
-                dense_rhs[c] = 0.0;
-            }
-        });
-        push(
-            "rmat2048/rank1_solve_dense".to_owned(),
-            t_dense / sample.len() as f64,
-        );
-    }
-
-    // rmat128 numeric replay: multi-block default vs single-block AMD.
-    {
-        let g = fig10_instance(128, false, 1);
-        let sc = bench_substrate(&g);
-        let (m, lu_blk) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
-        let amd = BlockOrdering::single_block(amd_ordering(&m));
-        let lu_amd =
-            SparseLu::factor_ordered(&m, amd, &SparseLuOptions::default()).expect("amd factor");
-        let mut ws = LuWorkspace::new();
-        for (label, mut lu) in [("multiblock", lu_blk), ("amd", lu_amd)] {
-            push(
-                format!("rmat128/refactor_serial_{label}"),
-                full_replay_ns(15, &mut lu, &m, &mut ws),
-            );
-        }
-    }
-
-    let get = |key: &str| {
-        entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0)
-    };
-    let ratio = |a: f64, b: f64| if b > 0.0 { a / b } else { 0.0 };
-    let replay_ratio_128 = ratio(
-        get("rmat128/refactor_serial_multiblock"),
-        get("rmat128/refactor_serial_amd"),
-    );
-    println!("multi-block vs AMD replay ratio (rmat128): {replay_ratio_128:.3}");
-
-    let mut json = String::from("{\n  \"schema\": \"ohmflow-bench-report-pr6/1\",\n");
-    json.push_str("  \"ns_per_op\": {\n");
-    for (i, (name, ns)) in entries.iter().enumerate() {
-        let comma = if i + 1 < entries.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {ns:.0}{comma}\n"));
-    }
-    json.push_str("  },\n  \"speedups\": {\n");
-    json.push_str(&format!(
-        "    \"multiblock_replay_vs_amd_rmat128\": {replay_ratio_128:.3}\n"
-    ));
-    json.push_str("  }\n}\n");
-
-    let out =
-        std::env::var("OHMFLOW_BENCH_OUT_PR6").unwrap_or_else(|_| "BENCH_PR6.json".to_owned());
-    std::fs::write(&out, json).expect("write pr6 bench report");
-    println!("wrote {out}");
-}
-
-/// The PR 8 section: the concurrent sharded plan cache. Three tracked
-/// stories on the quasi-static rmat substrates:
-///
-/// * Hit-path latency, old vs new. The pre-PR-8 hit path rebuilt the full
-///   `TemplateKey` (edge `Vec` + per-edge `Hash` dispatch into SipHash)
-///   on every lookup; that per-edge rehash is reconstructed here as the
-///   baseline and set against today's key rebuild (cold path only), the
-///   streaming-fingerprint probe and the end-to-end `MaxFlowSolver::plan`
-///   warm hit. The acceptance bar is the rmat2048 hit landing >= 5x under
-///   the 107744 ns recorded in `BENCH_PR5.json`.
-/// * Warm-hit throughput under concurrency: 1/2/4 threads hammering one
-///   shared cache through solver clones. On the multi-core bench runner
-///   aggregate throughput should hold (lock-striped shards); the
-///   recorded ratios are aggregate ns/op relative to one thread.
-/// * Eviction pressure: the same lookup mix under a roomy, a tight and a
-///   floor-sized `plan_cache_bytes` budget, with the hit/miss/eviction
-///   counters from `PlanCacheStats` recorded alongside the latency.
-fn pr8_report() {
-    use std::hint::black_box;
-
-    use ohmflow::TemplateKey;
-
-    println!("--- PR8 concurrent plan cache ---");
-    let mut entries: Vec<(String, f64)> = Vec::new();
-    let mut push = |name: String, ns: f64| {
-        println!("{name:<48} {ns:>14.0} ns/op");
-        entries.push((name, ns));
-    };
-
-    // Hit latency recorded by the PR 5 report on this container, before
-    // the fingerprint-first rewrite (BENCH_PR5.json, `plan_cache_hit`).
-    const PR5_RECORDED_HIT_NS: [(&str, f64); 2] = [("rmat1024", 56502.0), ("rmat2048", 107744.0)];
-
-    let mut speedups: Vec<(String, f64)> = Vec::new();
-    for (name, g) in [
-        ("rmat1024", fig10_instance(1024, false, 1)),
-        ("rmat2048", fig10_instance(2048, false, 1)),
-    ] {
-        let mut cfg = SolveOptions::evaluation_quasi_static(10e9);
-        cfg.params.v_flow = 800.0;
-        let solver = MaxFlowSolver::new(cfg);
-        solver.solve(&g).expect("prime plan");
-
-        // The pre-PR-8 lookup cost, reconstructed: per-edge `Hash`-trait
-        // dispatch into SipHash (the derived-`Hash` `HashMap` key probe
-        // every hit used to pay) — versus today's key rebuild (cold path
-        // only), the streaming fingerprint, and the end-to-end warm hit.
-        let rehash = median_ns(9, || {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            g.vertex_count().hash(&mut h);
-            g.source().hash(&mut h);
-            g.sink().hash(&mut h);
-            for e in black_box(&g).edges() {
-                (e.from, e.to).hash(&mut h);
-            }
-            black_box(h.finish())
-        });
-        let key_rebuild = median_ns(9, || black_box(TemplateKey::new(black_box(&g))));
-        let fingerprint = median_ns(9, || black_box(TemplateKey::fingerprint(black_box(&g))));
-        let hit = median_ns(9, || solver.plan(&g).expect("plan").cache_hit());
-        push(format!("{name}/siphash_rehash_baseline"), rehash);
-        push(format!("{name}/key_rebuild"), key_rebuild);
-        push(format!("{name}/topology_fingerprint"), fingerprint);
-        push(format!("{name}/plan_cache_hit"), hit);
-        speedups.push((format!("hit_vs_siphash_rehash_{name}"), rehash / hit));
-        let recorded = PR5_RECORDED_HIT_NS
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| *v)
-            .expect("recorded baseline");
-        speedups.push((format!("hit_vs_pr5_recorded_{name}"), recorded / hit));
-    }
-
-    // Warm-hit throughput: clones share the one sharded cache.
-    let g = fig10_instance(1024, false, 1);
-    let mut cfg = SolveOptions::evaluation_quasi_static(10e9);
-    cfg.params.v_flow = 800.0;
-    let solver = MaxFlowSolver::new(cfg);
-    solver.solve(&g).expect("prime plan");
-    const OPS_PER_THREAD: usize = 512;
-    let mut agg = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let start = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let worker = solver.clone();
-                let g = &g;
-                scope.spawn(move || {
-                    for _ in 0..OPS_PER_THREAD {
-                        assert!(worker.plan(g).expect("plan").cache_hit());
-                    }
-                });
-            }
-        });
-        let ns = start.elapsed().as_nanos() as f64 / (threads * OPS_PER_THREAD) as f64;
-        push(format!("concurrent_hit_threads{threads}/agg_ns_per_op"), ns);
-        agg.push(ns);
-    }
-    speedups.push(("concurrent_agg_threads2_vs_1".into(), agg[0] / agg[1]));
-    speedups.push(("concurrent_agg_threads4_vs_1".into(), agg[0] / agg[2]));
-
-    // Eviction pressure: cycle eight rmat128 topologies through budgets
-    // from roomy (everything resident) down to the one-plan-per-shard
-    // floor, and record the cache counters the sweep leaves behind.
-    let mix: Vec<_> = (0..8).map(|s| fig10_instance(128, false, s)).collect();
-    let mut counters: Vec<(String, u64)> = Vec::new();
-    for (label, budget) in [
-        ("roomy_64mb", 64usize << 20),
-        ("tight_512kb", 512 << 10),
-        ("floor_1b", 1),
-    ] {
-        let mut cfg = SolveOptions::evaluation_quasi_static(10e9).with_plan_cache_bytes(budget);
-        cfg.params.v_flow = 800.0;
-        let solver = MaxFlowSolver::new(cfg);
-        for g in &mix {
-            solver.plan(g).expect("prime");
-        }
-        let ns = median_ns(3, || {
-            for g in &mix {
-                solver.plan(g).expect("plan");
-            }
-        });
-        push(format!("eviction_{label}/lookup_cycle8"), ns);
-        let stats = solver.plan(&mix[0]).expect("plan").report().cache;
-        for (k, v) in [
-            ("hits", stats.hits),
-            ("misses", stats.misses),
-            ("evictions", stats.evictions),
-            ("resident_plans", stats.resident_plans as u64),
-        ] {
-            counters.push((format!("eviction_{label}/{k}"), v));
-        }
-    }
-
-    for (k, v) in &speedups {
-        println!("{k}: {v:.2}x");
-    }
-
-    let mut json = String::from("{\n  \"schema\": \"ohmflow-bench-report-pr8/1\",\n");
-    json.push_str("  \"ns_per_op\": {\n");
-    for (i, (name, ns)) in entries.iter().enumerate() {
-        let comma = if i + 1 < entries.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {ns:.0}{comma}\n"));
-    }
-    json.push_str("  },\n  \"cache_counters\": {\n");
-    for (i, (name, v)) in counters.iter().enumerate() {
-        let comma = if i + 1 < counters.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {v}{comma}\n"));
-    }
-    json.push_str("  },\n  \"speedups\": {\n");
-    for (i, (name, v)) in speedups.iter().enumerate() {
-        let comma = if i + 1 < speedups.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {v:.3}{comma}\n"));
-    }
-    json.push_str("  }\n}\n");
-
-    let out =
-        std::env::var("OHMFLOW_BENCH_OUT_PR8").unwrap_or_else(|_| "BENCH_PR8.json".to_owned());
-    std::fs::write(&out, json).expect("write pr8 bench report");
-    println!("wrote {out}");
 }
 
 /// The PR 9 section: the graph-delta fast path. Four tracked stories:
@@ -763,9 +58,7 @@ fn pr8_report() {
 ///   same multi-lane traversal (per diagonal block on the production
 ///   factor).
 /// * The k=8 multi-RHS blocked triangular solve vs eight single-RHS
-///   solves on the same factor, and the `small_n` adaptive-path numbers
-///   behind `SMALL_INSTANCE_EDGES` (cold direct build+solve vs cold
-///   plan+instantiate+solve on a sub-threshold grid).
+///   solves on the same factor.
 fn pr9_report() {
     use std::time::Instant;
 
@@ -951,38 +244,6 @@ fn pr9_report() {
         speedups.push((
             format!("solve_multi_k8_vs_x8_single_{name}"),
             t_single / t_multi,
-        ));
-    }
-
-    // --- small_n: the adaptive-path numbers behind SMALL_INSTANCE_EDGES.
-    // A sub-threshold grid (3x3: 30 edges < 48): cold direct build+solve
-    // vs the cold plan+instantiate+solve a one-shot `solve` used to pay.
-    {
-        let g = dimacs_grid_instance(3, 50, 7);
-        assert!(g.edge_count() < ohmflow::solver::SMALL_INSTANCE_EDGES);
-        let mut cfg = SolveOptions::evaluation_quasi_static(10e9);
-        cfg.params.v_flow = 800.0;
-        let solver = MaxFlowSolver::new(cfg.clone());
-        let direct = median_ns(9, || solver.solve_fresh(&g).expect("solve").value);
-        let templated = median_ns(9, || {
-            // A fresh solver per round keeps the plan cache cold: this is
-            // the build-plan-then-instantiate path the threshold retired.
-            let s = MaxFlowSolver::new(cfg.clone());
-            let plan = s.plan(&g).expect("plan");
-            plan.instance(&g)
-                .expect("instance")
-                .solve()
-                .expect("solve")
-                .value
-        });
-        push("small_n_grid3/cold_direct_build_solve".to_owned(), direct);
-        push(
-            "small_n_grid3/cold_plan_instantiate_solve".to_owned(),
-            templated,
-        );
-        speedups.push((
-            "small_n_direct_vs_cold_planned_grid3".to_owned(),
-            templated / direct,
         ));
     }
 

@@ -30,18 +30,16 @@ use crate::source::SourceValue;
 /// analysis, numeric factorization. Every subsequent analysis of a circuit
 /// with the **same structure** (same element list shape and terminals —
 /// element *values* are free to differ) can then start from the template:
-///
-/// * [`DcPlan::solve`] and [`DcPlan::session`] open their
-///   [`FrozenDcSession`] with a numeric replay of the template's factor
-///   for the circuit's values, without redoing the structure, ordering
-///   or symbolic work,
-///
-/// and both fall back to the cold path transparently when the template
-/// does not match the circuit. A template owns no borrow of the circuit it
-/// was derived from, is `Send + Sync`, and is typically held behind an
-/// [`Arc`] and shared across batch workers; each worker's numeric
-/// refactorization clones only the value arrays while the symbolic plan
-/// ([`DcTemplate::symbolic`]) is shared by pointer.
+/// a planned [`DcSolver`] opens each solve's and session's
+/// [`FrozenDcSession`] with a numeric replay of the template's factor for
+/// the circuit's values, without redoing the structure, ordering or
+/// symbolic work, and falls back to the cold path transparently when the
+/// template does not match the circuit. Only [`DcSolver::plan`] builds
+/// one. A template owns no borrow of the circuit it was derived from, is
+/// `Send + Sync`, and is typically held behind an [`Arc`] and shared
+/// across batch workers; each worker's numeric refactorization clones only
+/// the value arrays while the symbolic plan ([`DcTemplate::symbolic`]) is
+/// shared by pointer.
 #[derive(Debug)]
 pub struct DcTemplate {
     st: MnaStructure,
@@ -75,30 +73,15 @@ pub struct PlanPhases {
 }
 
 impl DcTemplate {
-    /// Runs the cold path on `ckt` with the default factorization options
-    /// (AMD + block-triangular ordering) and captures the reusable
-    /// artifacts.
+    /// Runs the cold path on `ckt` under `lu_opts` (the ordering is
+    /// always AMD + block-triangular) and captures the reusable artifacts,
+    /// recording the [`PlanPhases`] when `timed` — the body of
+    /// [`DcSolver::plan`].
     ///
     /// # Errors
     ///
     /// [`CircuitError::SingularSystem`] if the initial-state configuration
     /// is unsolvable (floating nodes, inconsistent source loops).
-    pub fn new(ckt: &Circuit) -> Result<Self, CircuitError> {
-        Self::with_options(ckt, LuOptions::default())
-    }
-
-    /// [`DcTemplate::new`] with explicit factorization options
-    /// ([`LuOptions`]); the ordering is always AMD + block-triangular.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DcTemplate::new`].
-    pub fn with_options(ckt: &Circuit, lu_opts: LuOptions) -> Result<Self, CircuitError> {
-        Self::build(ckt, lu_opts, false)
-    }
-
-    /// [`DcTemplate::with_options`], recording the [`PlanPhases`] when
-    /// `timed`.
     fn build(ckt: &Circuit, lu_opts: LuOptions, timed: bool) -> Result<Self, CircuitError> {
         let st = MnaStructure::new(ckt);
         let states = mna::initial_states(ckt);
@@ -223,24 +206,22 @@ pub struct SolveReport {
     pub phases: Option<FrozenDcPhases>,
 }
 
-/// The staged circuit-level solver facade: **configure once, plan per
-/// structure, solve/session many times.**
+/// The circuit-level DC solver: **configure once, plan per structure,
+/// solve/session many times.**
 ///
 /// ```text
-/// DcSolver  --plan(&ckt)-->  DcPlan  --solve(&ckt)-->   (DcSolution, SolveReport)
-///    |                         \-----session(&ckt)-->   FrozenDcSession
-///    \--solve/solve_at/session/stamp (plan-less one-shots)
+/// DcSolver --plan(&ckt)--> DcSolver + template --solve(&ckt)-->   (DcSolution, SolveReport)
+///    |                                        \--session(host)-->  FrozenDcSession
+///    \--solve/solve_at/session/stamp (no template: cold path inline)
 /// ```
 ///
-/// A [`DcPlan`] captures the topology-dependent cold path (MNA structure,
-/// fill-reducing ordering, symbolic + one numeric LU) behind an
-/// [`Arc<DcTemplate>`]; every solve or session derived from the plan pays
-/// only numeric work. The plan-less `solve`/`session` entry points run the
-/// cold path inline — use them for one-shot analyses.
-///
-/// This facade replaced the `DcAnalysis`-builder / `FrozenDcSession`-
-/// constructor sprawl; the legacy entry points were pinned equivalent by
-/// the facade test-suite and then removed.
+/// A planned solver carries the topology-dependent cold path (MNA
+/// structure, fill-reducing ordering, symbolic + one numeric LU) behind an
+/// [`Arc<DcTemplate>`]: every solve or session it runs on a circuit the
+/// template matches pays only numeric work, and one it does not match
+/// falls back to the cold path transparently. A solver without a template
+/// runs the cold path inline — use it for one-shot analyses. Cheap to
+/// clone and `Send + Sync`: batch workers share one template by pointer.
 ///
 /// # Example
 ///
@@ -260,24 +241,28 @@ pub struct SolveReport {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct DcSolver {
     lu: LuOptions,
     phase_timing: bool,
+    /// The captured cold path every solve and session starts from, when
+    /// the solver was planned.
+    tpl: Option<Arc<DcTemplate>>,
 }
 
 impl DcSolver {
     /// A solver with the default factorization options (AMD + BTF
-    /// ordering, phase timing off).
+    /// ordering, phase timing off) and no template.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Overrides the factorization options (the pivoting threshold).
-    /// The options set here are the **single source of
-    /// truth**: every plan built by this solver factors under them, and a
-    /// plan's fallback fresh factorizations reuse the plan's own options,
-    /// never a caller's divergent copy.
+    /// Set them before [`DcSolver::plan`]: every plan built by this
+    /// solver factors under them, and planning (or
+    /// [`DcSolver::with_template`]) replaces them with the template's own
+    /// options, which the planned solver's fallback fresh factorizations
+    /// then reuse.
     pub fn lu_options(mut self, opts: LuOptions) -> Self {
         self.lu = opts;
         self
@@ -293,45 +278,48 @@ impl DcSolver {
         self
     }
 
-    /// Runs the topology-dependent cold path on `ckt` once and captures it
-    /// as a [`DcPlan`]: unknown indexing, stamping, fill-reducing
-    /// ordering, symbolic analysis, one numeric factorization.
+    /// Runs the topology-dependent cold path on `ckt` once and returns
+    /// this solver carrying it as a fresh [`DcTemplate`]: unknown
+    /// indexing, stamping, fill-reducing ordering, symbolic analysis, one
+    /// numeric factorization.
     ///
     /// # Errors
     ///
     /// [`CircuitError::SingularSystem`] if the initial-state configuration
     /// is unsolvable.
-    pub fn plan(&self, ckt: &Circuit) -> Result<DcPlan, CircuitError> {
+    pub fn plan(&self, ckt: &Circuit) -> Result<DcSolver, CircuitError> {
         let tpl = DcTemplate::build(ckt, self.lu, self.phase_timing)?;
-        Ok(self.plan_from(Arc::new(tpl)))
+        Ok(self.clone().with_template(Arc::new(tpl)))
     }
 
-    /// Wraps an already-built [`DcTemplate`] as a [`DcPlan`] without
-    /// redoing any cold-path work. The plan adopts the **template's**
+    /// This solver carrying an already-built [`DcTemplate`], without
+    /// redoing any cold-path work. The solver adopts the **template's**
     /// factorization options (a symbolic plan is only reusable under the
-    /// options that produced it).
-    pub fn plan_from(&self, tpl: Arc<DcTemplate>) -> DcPlan {
-        DcPlan {
-            solver: DcSolver {
-                lu: *tpl.lu_options(),
-                ..*self
-            },
-            tpl,
-        }
+    /// options that produced it), so cold fallbacks factor under them too.
+    pub fn with_template(mut self, tpl: Arc<DcTemplate>) -> Self {
+        self.lu = *tpl.lu_options();
+        self.tpl = Some(tpl);
+        self
     }
 
-    /// One-shot operating-point solve (cold path inline, no plan).
+    /// The captured cold path this solver starts from, if it was planned.
+    pub fn template(&self) -> Option<&Arc<DcTemplate>> {
+        self.tpl.as_ref()
+    }
+
+    /// Operating-point solve of `ckt` — numeric-only through the template
+    /// when it matches `ckt`, the cold path otherwise.
     ///
     /// # Errors
     ///
     /// [`CircuitError::SingularSystem`] /
     /// [`CircuitError::StateIterationDiverged`].
     pub fn solve(&self, ckt: &Circuit) -> Result<(DcSolution, SolveReport), CircuitError> {
-        self.run(ckt, None, None, None)
+        self.run(ckt, None, None)
     }
 
-    /// One-shot quasi-static solve with time-varying sources evaluated at
-    /// `t` (the §6.5 slow-ramp analysis shape).
+    /// Quasi-static solve with time-varying sources evaluated at `t` (the
+    /// §6.5 slow-ramp analysis shape).
     ///
     /// # Errors
     ///
@@ -341,11 +329,15 @@ impl DcSolver {
         ckt: &Circuit,
         t: f64,
     ) -> Result<(DcSolution, SolveReport), CircuitError> {
-        self.run(ckt, None, Some(t), None)
+        self.run(ckt, Some(t), None)
     }
 
-    /// One-shot operating-point solve warm-started from `warm` (see
-    /// [`DcPlan::solve_warm`] for the warm-start contract).
+    /// [`DcSolver::solve`] with the device-state iteration warm-started
+    /// from `warm` — typically [`DcSolution::device_states`] of a previous
+    /// solve on the same structure. A shape-incompatible assignment is
+    /// ignored; a warm start that fails to converge retries from the
+    /// default initial states, so warm starts never change which systems
+    /// are solvable.
     ///
     /// # Errors
     ///
@@ -355,40 +347,24 @@ impl DcSolver {
         ckt: &Circuit,
         warm: &[DeviceState],
     ) -> Result<(DcSolution, SolveReport), CircuitError> {
-        self.run(ckt, None, None, Some(warm))
+        self.run(ckt, None, Some(warm))
     }
 
-    /// One-shot incremental frozen-state session (cold path inline).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DcSolver::solve`].
-    pub fn session<'c>(
-        &self,
-        ckt: &'c Circuit,
-    ) -> Result<FrozenDcSession<&'c Circuit>, CircuitError> {
-        FrozenDcSession::construct(ckt, None, self.lu, None, self.phase_timing)
-    }
-
-    /// [`DcSolver::session`] seeded from an existing [`DcTemplate`]
-    /// without wrapping it in an [`Arc`] first — the borrowed-template
-    /// twin of [`DcPlan::session`]. The session adopts the template's
-    /// factorization options. `host` is anything that [`Borrow`]s a
-    /// [`Circuit`]: a borrowed `&Circuit` for batch workers sharing a
-    /// template, or an owning wrapper moved in to build a self-contained
-    /// session (the core crate's graph-delta sessions hand their whole
-    /// substrate over, then restamp source values in place through
+    /// An incremental frozen-state session on `host`, opened from the
+    /// template when it matches (a numeric-only refactorization against
+    /// the shared symbolic plan — the batch fan-out shape), cold
+    /// otherwise. `host` is anything that [`Borrow`]s a [`Circuit`]: a
+    /// borrowed `&Circuit` for batch workers sharing a template, or an
+    /// owning wrapper moved in to build a self-contained session (the core
+    /// crate's graph-delta sessions hand their whole substrate over, then
+    /// restamp source values in place through
     /// [`FrozenDcSession::set_source_value`]).
     ///
     /// # Errors
     ///
     /// Same as [`DcSolver::solve`].
-    pub fn session_from<C: Borrow<Circuit>>(
-        &self,
-        host: C,
-        tpl: &DcTemplate,
-    ) -> Result<FrozenDcSession<C>, CircuitError> {
-        FrozenDcSession::construct(host, Some(tpl), *tpl.lu_options(), None, self.phase_timing)
+    pub fn session<C: Borrow<Circuit>>(&self, host: C) -> Result<FrozenDcSession<C>, CircuitError> {
+        FrozenDcSession::construct(host, self.tpl.as_deref(), self.lu, None, self.phase_timing)
     }
 
     /// Stamps `ckt`'s initial-state DC MNA matrix and factors it under
@@ -407,11 +383,11 @@ impl DcSolver {
         Ok((m, lu))
     }
 
-    /// The one DC operating-point solve body every [`DcSolver`]/[`DcPlan`]
-    /// entry point funnels into: a [`FrozenDcSession`] opened at the
+    /// The one DC operating-point solve body every [`DcSolver`] entry
+    /// point funnels into: a [`FrozenDcSession`] opened at the
     /// iteration's start states (`warm` when it is shape-compatible, the
-    /// initial assignment otherwise) — from `tpl` when it matches, a
-    /// numeric replay of the template's factor — runs
+    /// initial assignment otherwise) — from the template when it matches,
+    /// a numeric replay of the template's factor — runs
     /// [`FrozenDcSession::solve_operating_point`] with a rank budget of 0,
     /// so every state iteration restamps the devices that moved and
     /// replays once, and finishes with one step of iterative refinement
@@ -421,7 +397,6 @@ impl DcSolver {
     fn run(
         &self,
         ckt: &Circuit,
-        tpl: Option<&DcTemplate>,
         at_time: Option<f64>,
         warm: Option<&[DeviceState]>,
     ) -> Result<(DcSolution, SolveReport), CircuitError> {
@@ -458,7 +433,7 @@ impl DcSolver {
             }
         };
         let start = warm.map_or_else(|| initial.clone(), <[DeviceState]>::to_vec);
-        let (mut session, (iterations, states)) = match attempt(tpl, start) {
+        let (mut session, (iterations, states)) = match attempt(self.tpl.as_deref(), start) {
             // A bad warm start must not make a solvable system fail —
             // neither by cycling (divergence) nor by producing a singular
             // frozen stamp (e.g. a state set that floats a node). Retry
@@ -491,99 +466,6 @@ impl DcSolver {
             states,
         };
         Ok((solution, report))
-    }
-}
-
-/// The captured cold path of one circuit structure — stage two of the
-/// [`DcSolver`] facade. Cheap to clone (the template is behind an `Arc`),
-/// `Send + Sync`, and shareable across batch workers: each derived solve
-/// or session pays only numeric work against the shared symbolic plan.
-#[derive(Debug, Clone)]
-pub struct DcPlan {
-    /// This plan's solver: the template's factorization options and the
-    /// planning solver's phase timing.
-    solver: DcSolver,
-    tpl: Arc<DcTemplate>,
-}
-
-impl DcPlan {
-    /// The shared cold-path artifact behind this plan.
-    pub fn template(&self) -> &Arc<DcTemplate> {
-        &self.tpl
-    }
-
-    /// The factorization options this plan's symbolic work was built
-    /// under. Every solve and session derived from the plan — including
-    /// fallback fresh factorizations — uses exactly these options.
-    pub fn lu_options(&self) -> &LuOptions {
-        self.tpl.lu_options()
-    }
-
-    /// `nnz(L) + nnz(U)` of the plan's factorization.
-    pub fn factor_nnz(&self) -> usize {
-        self.tpl.factor().factor_nnz()
-    }
-
-    /// Diagonal blocks of the plan's block-triangular form.
-    pub fn block_count(&self) -> usize {
-        self.tpl.symbolic().block_count()
-    }
-
-    /// Operating-point solve of `ckt` through the plan's structure and
-    /// factorization (numeric-only fast path; transparent cold fallback —
-    /// under the plan's own options — when the circuit does not match).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DcSolver::solve`].
-    pub fn solve(&self, ckt: &Circuit) -> Result<(DcSolution, SolveReport), CircuitError> {
-        self.solver.run(ckt, Some(&self.tpl), None, None)
-    }
-
-    /// [`DcPlan::solve`] with time-varying sources evaluated at `t`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DcSolver::solve`].
-    pub fn solve_at(
-        &self,
-        ckt: &Circuit,
-        t: f64,
-    ) -> Result<(DcSolution, SolveReport), CircuitError> {
-        self.solver.run(ckt, Some(&self.tpl), Some(t), None)
-    }
-
-    /// [`DcPlan::solve`] with the device-state iteration warm-started from
-    /// `warm` — typically [`DcSolution::device_states`] of a previous solve
-    /// on the same structure. A shape-incompatible assignment is ignored; a
-    /// warm start that fails to converge retries from the default initial
-    /// states, so warm starts never change which systems are solvable.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DcSolver::solve`].
-    pub fn solve_warm(
-        &self,
-        ckt: &Circuit,
-        warm: &[DeviceState],
-    ) -> Result<(DcSolution, SolveReport), CircuitError> {
-        self.solver.run(ckt, Some(&self.tpl), None, Some(warm))
-    }
-
-    /// Builds an incremental frozen-state session on `ckt` from the plan:
-    /// structure, ordering and symbolic analysis are reused, the session
-    /// start pays only a numeric refactorization. This is the batch
-    /// fan-out entry point — many sessions on same-structure circuits each
-    /// derive their own numeric factor from the shared symbolic plan.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DcSolver::solve`].
-    pub fn session<'c>(
-        &self,
-        ckt: &'c Circuit,
-    ) -> Result<FrozenDcSession<&'c Circuit>, CircuitError> {
-        self.solver.session_from(ckt, &self.tpl)
     }
 }
 
@@ -1552,7 +1434,7 @@ impl<C: BorrowMut<Circuit>> FrozenDcSession<C> {
     }
 }
 
-/// Result of a DC operating-point solve ([`DcSolver`] / [`DcPlan`]).
+/// Result of a DC operating-point solve ([`DcSolver`]).
 #[derive(Debug, Clone)]
 pub struct DcSolution {
     inner: Solution,
@@ -1562,7 +1444,7 @@ pub struct DcSolution {
 
 impl DcSolution {
     /// The converged device-state assignment (element-indexed): the fixed
-    /// point of the complementarity iteration. Feed it to [`DcPlan::solve_warm`] to
+    /// point of the complementarity iteration. Feed it to [`DcSolver::solve_warm`] to
     /// short-circuit the clamp cascade on the next same-topology solve.
     pub fn device_states(&self) -> &[DeviceState] {
         &self.states
@@ -1983,9 +1865,9 @@ mod tests {
         ckt.diode(x, cap, DiodeModel::ideal());
         ckt.diode(Circuit::GROUND, x, DiodeModel::ideal());
 
-        let tpl = DcTemplate::new(&ckt).unwrap();
+        let planned = DcSolver::new().plan(&ckt).unwrap();
         let reference = ckt.clone();
-        let mut session = DcSolver::new().session_from(ckt, &tpl).unwrap();
+        let mut session = planned.session(ckt).unwrap();
         session.solve_operating_point(0.0).unwrap();
         assert!((session.voltage(x) - 2.0).abs() < 1e-2);
 
@@ -2061,7 +1943,7 @@ mod tests {
     #[test]
     fn template_primed_dc_matches_cold_solve() {
         let base = clamp_ladder(5, |_| 1e3, |k| 1.0 + 0.3 * k as f64, 6.0);
-        let tpl = DcTemplate::new(&base).unwrap();
+        let planned = DcSolver::new().plan(&base).unwrap();
         // Same topology, different resistor and clamp values: the template
         // path must agree with the cold path to machine precision (both
         // solve the same final factored system).
@@ -2072,8 +1954,7 @@ mod tests {
             5.0,
         );
         let cold = DcSolver::new().solve(&other).unwrap().0;
-        let plan = DcSolver::new().plan_from(Arc::new(tpl));
-        let (warm, report) = plan.solve(&other).unwrap();
+        let (warm, report) = planned.solve(&other).unwrap();
         assert!(report.templated, "plan fast path unused");
         assert!(report.factor_nnz > 0 && report.block_count >= 1);
         for (a, b) in warm.values().iter().zip(cold.values()) {
@@ -2085,8 +1966,7 @@ mod tests {
     #[test]
     fn warm_started_solve_matches_and_mismatched_template_falls_back() {
         let base = clamp_ladder(4, |_| 1e3, |k| 1.0 + 0.2 * k as f64, 5.0);
-        let tpl = DcTemplate::new(&base).unwrap();
-        let plan = DcSolver::new().plan_from(Arc::new(tpl));
+        let plan = DcSolver::new().plan(&base).unwrap();
         let cold = DcSolver::new().solve(&base).unwrap().0;
         let warm = plan.solve_warm(&base, cold.device_states()).unwrap().0;
         for (a, b) in warm.values().iter().zip(cold.values()) {
@@ -2094,7 +1974,7 @@ mod tests {
         }
         // A template for a different topology must be ignored, not crash.
         let other = clamp_ladder(6, |_| 1e3, |_| 1.0, 5.0);
-        assert!(!plan.template().matches(&other));
+        assert!(!plan.template().unwrap().matches(&other));
         let (sol, report) = plan.solve(&other).unwrap();
         assert!(!report.templated, "mismatched template must fall back cold");
         let re = DcSolver::new().solve(&other).unwrap().0;
@@ -2148,13 +2028,10 @@ mod tests {
             |k| 1.0 + 0.3 * k as f64,
             6.0,
         );
-        let tpl = DcTemplate::new(&base).unwrap();
+        let planned = DcSolver::new().plan(&base).unwrap();
         let n_diodes = inst.diode_count();
         let mut cold = DcSolver::new().session(&inst).unwrap();
-        let mut warm = DcSolver::new()
-            .plan_from(Arc::new(tpl))
-            .session(&inst)
-            .unwrap();
+        let mut warm = planned.session(&inst).unwrap();
         assert_eq!(warm.stats().refactorizations, 1, "numeric fast path unused");
         assert_eq!(warm.stats().full_factorizations, 0);
         let mut on = vec![false; n_diodes];
@@ -2203,7 +2080,12 @@ mod tests {
         let inst = pivot_divider(-1.0 / (1.0 / 1e3 + 1.0 / 2e3), -2e3);
         let (m, _) = DcSolver::new().stamp(&inst).unwrap();
         assert!(
-            plan.template().factor().clone().refactor(&m).is_err(),
+            plan.template()
+                .unwrap()
+                .factor()
+                .clone()
+                .refactor(&m)
+                .is_err(),
             "fixture must collapse a frozen template pivot"
         );
         let cold = DcSolver::new().solve(&inst).unwrap().0;

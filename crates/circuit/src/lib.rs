@@ -10,8 +10,8 @@
 //!   VCVS, piecewise-linear diodes, single-pole op-amp macromodels, and
 //!   behavioural memristors ([`MemristorModel`]) with threshold programming,
 //! * modified nodal analysis assembly ([`mna`]),
-//! * staged DC solving through the [`DcSolver`] facade — plan the cold
-//!   path once per circuit structure ([`DcPlan`]), then operating-point
+//! * staged DC solving through one [`DcSolver`] — plan the cold path once
+//!   per circuit structure (a [`DcTemplate`] it carries), then operating-point
 //!   solves with diode/op-amp state (complementarity) iteration, all run
 //!   by one frozen-state engine ([`FrozenDcSession`]) that pays only
 //!   numeric work,
@@ -57,8 +57,8 @@ mod waveform;
 
 pub use circuit::Circuit;
 pub use dc::{
-    DcPlan, DcSolution, DcSolver, DcTemplate, FrozenDcPhases, FrozenDcSession, FrozenDcStats,
-    PlanPhases, SolveReport,
+    DcSolution, DcSolver, DcTemplate, FrozenDcPhases, FrozenDcSession, FrozenDcStats, PlanPhases,
+    SolveReport,
 };
 pub use element::{DiodeModel, Element, MemristorModel, MemristorState, OpAmpModel};
 pub use error::CircuitError;

@@ -847,8 +847,8 @@ fn rekey(
     }
 
     let dc = solver
-        .dc_solver()
-        .session_from(sc, tpl.dc_template())?
+        .dc_solver(Some(tpl.dc_template()))
+        .session(sc)?
         .with_max_rank(SESSION_MAX_RANK)
         .with_deferred_consolidation();
     let level_sources = tpl.level_sources().to_vec();

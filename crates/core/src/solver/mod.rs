@@ -21,8 +21,8 @@
 //! * [`Instance::solve`] runs the configured simulation mode — the §3.2
 //!   "computing max-flow on the crossbar" procedure. Callers that drive
 //!   their own clamp-switching schedules open a circuit-level session on
-//!   the instance with
-//!   `DcSolver::session_from(instance.substrate().circuit(), plan.template().dc_template())`.
+//!   the instance with `DcSolver::new().with_template(Arc::clone(
+//!   plan.template().dc_template())).session(instance.substrate().circuit())`.
 //!
 //! The plan cache behind [`MaxFlowSolver::plan`] is sharded and
 //! concurrent (fingerprint-first lookups, single-flight cold paths, LRU
@@ -54,17 +54,6 @@ pub(crate) mod verify;
 pub use delta::{DeltaBatch, DeltaReport, DeltaSession, GraphDelta};
 pub use plan_cache::PlanCacheStats;
 use plan_cache::{PlanCache, DEFAULT_CAPACITY_BYTES};
-
-/// Edge-count threshold of the adaptive solve-path choice: below it, a
-/// graph whose topology is not already planned solves from scratch
-/// instead of paying the per-edge template instantiation (measured ~1.7×
-/// slower than a direct build on Fig. 10-sweep-sized instances —
-/// BENCH_PR9.json, `small_n`). A *cached* plan is still used (its cold
-/// path is sunk), and explicit [`MaxFlowSolver::plan`] /
-/// `solve_many` grouping still plan small topologies on purpose — the
-/// threshold only stops one-shot `solve` calls from building plans they
-/// will never amortize.
-pub const SMALL_INSTANCE_EDGES: usize = 48;
 
 /// How the substrate is simulated.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -353,10 +342,9 @@ impl MaxFlowSolver {
     /// Convenience over the stages: plan (cached) → instance → solve. The
     /// first call on a topology pays the cold path, every further call is
     /// a value-only instantiation + numeric-only solve (with the previous
-    /// solve's converged clamp states as a warm start). Small topologies
-    /// only ride a plan that already exists (see [`SMALL_INSTANCE_EDGES`]),
-    /// and [`SolveMode::TransientFullMna`], which has no templated fast
-    /// path, always takes the cold path.
+    /// solve's converged clamp states as a warm start).
+    /// [`SolveMode::TransientFullMna`], which has no templated fast path,
+    /// always takes the cold path.
     ///
     /// # Errors
     ///
@@ -365,14 +353,7 @@ impl MaxFlowSolver {
         if matches!(self.opts.mode, SolveMode::TransientFullMna { .. }) {
             return self.solve_fresh(g);
         }
-        let tpl = if g.edge_count() < SMALL_INSTANCE_EDGES {
-            match self.cached_template_for(g) {
-                Some(tpl) => tpl,
-                None => return self.solve_fresh(g),
-            }
-        } else {
-            self.template_for(g)?.0
-        };
+        let (tpl, _) = self.template_for(g)?;
         let sc = tpl.instantiate(g)?;
         self.solve_instance(&sc, &tpl, g.vertex_count())
     }
@@ -498,9 +479,9 @@ impl MaxFlowSolver {
             .collect();
         let shared: Option<Arc<DcTemplate>> = (built.len() >= 2
             && template::uniform_structure(&built))
-        .then(|| DcTemplate::with_options(built[0].circuit(), self.opts.lu).ok())
+        .then(|| self.dc_solver(None).plan(built[0].circuit()).ok())
         .flatten()
-        .map(Arc::new);
+        .and_then(|planned| planned.template().cloned());
 
         let indices: Vec<usize> = (0..problems.len()).collect();
         indices
@@ -517,18 +498,23 @@ impl MaxFlowSolver {
                     }
                 }
                 Problem::Built { circuit, graph } => {
-                    self.solve_relaxation(circuit, graph.vertex_count(), shared.as_deref())
+                    self.solve_relaxation(circuit, graph.vertex_count(), shared.as_ref())
                 }
             })
             .collect()
     }
 
-    /// The circuit-level staged solver configured exactly as this solver:
-    /// same factorization options and phase timing.
-    fn dc_solver(&self) -> DcSolver {
-        DcSolver::new()
+    /// The circuit-level solver configured exactly as this solver (same
+    /// factorization options and phase timing), carrying `tpl` — a
+    /// circuit's [`SubstrateCircuit::dc_template`] — when there is one.
+    fn dc_solver(&self, tpl: Option<&Arc<DcTemplate>>) -> DcSolver {
+        let dcs = DcSolver::new()
             .lu_options(self.opts.lu)
-            .phase_timing(self.opts.phase_timing)
+            .phase_timing(self.opts.phase_timing);
+        match tpl {
+            Some(tpl) => dcs.with_template(Arc::clone(tpl)),
+            None => dcs,
+        }
     }
 
     /// The build options every path actually uses: the solve mode
@@ -568,16 +554,10 @@ impl MaxFlowSolver {
                 g,
                 &self.opts.params,
                 &self.build_options(),
-                &self.dc_solver(),
+                &self.dc_solver(None),
             )
             .map(Arc::new)
         })
-    }
-
-    /// The cached template for `g`'s topology if one is resident — a pure
-    /// probe: never builds, never waits on an in-flight cold path.
-    fn cached_template_for(&self, g: &FlowNetwork) -> Option<Arc<SubstrateTemplate>> {
-        self.cache.peek(TemplateKey::fingerprint(g), g)
     }
 
     /// Number of cached templates (test observability).
@@ -613,7 +593,7 @@ impl MaxFlowSolver {
         sc: &SubstrateCircuit,
         tpl: Option<&SubstrateTemplate>,
     ) -> Result<AnalogSolution, AnalogError> {
-        let dcs = self.dc_solver();
+        let dcs = self.dc_solver(sc.dc_template());
         // Warm starts are value-keyed: only a solve of the *same* value
         // assignment may seed the complementarity iteration (see
         // `template::value_fingerprint`).
@@ -623,16 +603,9 @@ impl MaxFlowSolver {
                 fingerprint.expect("invariant: cached templates always come with a fingerprint"),
             )
         });
-        let (sol, report) = match (sc.dc_template(), warm) {
-            (Some(dc), warm) => {
-                let plan = dcs.plan_from(Arc::clone(dc));
-                match warm {
-                    Some(w) => plan.solve_warm(sc.circuit(), &w),
-                    None => plan.solve(sc.circuit()),
-                }
-            }
-            (None, Some(w)) => dcs.solve_warm(sc.circuit(), &w),
-            (None, None) => dcs.solve(sc.circuit()),
+        let (sol, report) = match warm {
+            Some(w) => dcs.solve_warm(sc.circuit(), &w),
+            None => dcs.solve(sc.circuit()),
         }
         .map_err(AnalogError::from)?;
         if let (Some(t), Some(fp)) = (tpl, fingerprint) {
@@ -663,7 +636,7 @@ impl MaxFlowSolver {
         &self,
         sc: &SubstrateCircuit,
         n_vertices: usize,
-        shared: Option<&DcTemplate>,
+        shared: Option<&Arc<DcTemplate>>,
     ) -> Result<AnalogSolution, AnalogError> {
         let (window, dt) = match self.opts.mode {
             SolveMode::Transient { window, dt } => (window, dt),
@@ -698,19 +671,17 @@ impl MaxFlowSolver {
         sc: &SubstrateCircuit,
         t_stop: f64,
         dt: f64,
-        shared: Option<&DcTemplate>,
+        shared: Option<&Arc<DcTemplate>>,
     ) -> Result<AnalogSolution, AnalogError> {
         // The session starts from shared cold-path artifacts when
         // available — an explicitly shared batch template first, else
         // whatever the instantiation attached to the circuit — paying only
         // a numeric-only refactorization instead of structure + ordering +
         // symbolic analysis.
-        let dcs = self.dc_solver();
-        let mut eq = match shared.or(sc.dc_template().map(|t| &**t)) {
-            Some(tpl) => dcs.session_from(sc.circuit(), tpl),
-            None => dcs.session(sc.circuit()),
-        }
-        .map_err(AnalogError::from)?;
+        let mut eq = self
+            .dc_solver(shared.or(sc.dc_template()))
+            .session(sc.circuit())
+            .map_err(AnalogError::from)?;
 
         let ckt = sc.circuit();
         let tau = self.opts.params.opamp.time_constant();
@@ -1190,9 +1161,6 @@ mod tests {
         let g = generators::fig5a();
         let solver = MaxFlowSolver::new(SolveOptions::ideal());
         let cold = solver.solve_fresh(&g).unwrap();
-        // fig5a sits under the small-instance threshold, where `solve`
-        // only peeks the cache — plan explicitly so the warm path runs.
-        solver.plan(&g).unwrap();
         // First plan-cached solve pays the cold path and caches; repeat
         // solves ride the warm path (primed factorization + warm states).
         for round in 0..3 {
@@ -1218,6 +1186,13 @@ mod tests {
         assert!(plan.cache_hit(), "second plan must hit the cache");
         let staged = plan.instance(&g2).unwrap().solve().unwrap();
         assert!((staged.value - warm2.value).abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_shot_solve_plans_small_graphs() {
+        let solver = MaxFlowSolver::new(SolveOptions::ideal());
+        solver.solve(&generators::fig5a()).unwrap();
+        assert_eq!(solver.cached_template_count(), 1);
     }
 
     #[test]

@@ -345,36 +345,6 @@ impl PlanCache {
         }
     }
 
-    /// A resident plan for `g`'s topology, if one is cached — a probe that never builds, never waits on an
-    /// in-flight cold path, and never registers a `Building` slot. The
-    /// adaptive small-instance solve path uses this: a tiny graph rides a
-    /// plan someone already paid for, but a cache miss must not commit it
-    /// to the cold path.
-    pub(crate) fn peek(&self, fingerprint: u64, g: &FlowNetwork) -> Option<Arc<SubstrateTemplate>> {
-        let mut shard = self
-            .shard(fingerprint)
-            .lock()
-            .expect("invariant: shard lock is never poisoned");
-        shard.tick += 1;
-        let tick = shard.tick;
-        let hit = shard.buckets.get_mut(&fingerprint).and_then(|bucket| {
-            bucket
-                .iter_mut()
-                .find(|e| e.key.verifies(g))
-                .and_then(|e| match &mut e.slot {
-                    Slot::Ready { tpl, last_used, .. } => {
-                        *last_used = tick;
-                        Some(Arc::clone(tpl))
-                    }
-                    Slot::Building(_) => None,
-                })
-        });
-        if hit.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
     /// Aggregate counters plus a residency snapshot.
     pub(crate) fn stats(&self) -> PlanCacheStats {
         let mut resident_bytes = 0;

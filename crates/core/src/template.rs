@@ -324,7 +324,11 @@ impl SubstrateTemplate {
         dc: &DcSolver,
     ) -> Result<Self, AnalogError> {
         let (skeleton, level_sources) = build_with_layout(g, params, opts, LevelLayout::PerEdge)?;
-        let dc = Arc::clone(dc.plan(skeleton.circuit())?.template());
+        let dc = dc
+            .plan(skeleton.circuit())?
+            .template()
+            .cloned()
+            .expect("invariant: a planned solver carries its template");
         Ok(SubstrateTemplate {
             key: TemplateKey::new(g),
             params: params.clone(),

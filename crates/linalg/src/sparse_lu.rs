@@ -280,8 +280,7 @@ impl Default for SparseLuOptions {
 }
 
 /// Reusable scratch for the numeric factorization replay
-/// ([`SparseLu::refactor_with`]) and the refined solves
-/// ([`SparseLu::solve_refined_with`]). Hot loops (a template fanning out
+/// ([`SparseLu::refactor_with`]). Hot loops (a template fanning out
 /// numeric refactorizations per batch member, a session refactoring every
 /// few hundred time steps) keep one per thread so the replay allocates
 /// nothing.
@@ -298,11 +297,6 @@ pub struct LuWorkspace {
     /// Per step, whether the replay rewrites it (its dirty closure, see
     /// [`SparseLu::refactor_with`]).
     dirty: Vec<bool>,
-    /// Pooled buffers of [`SparseLu::solve_refined_with`] (solve scratch,
-    /// residual, correction), so refined hot-loop solves allocate nothing.
-    rwork: Vec<f64>,
-    resid: Vec<f64>,
-    corr: Vec<f64>,
 }
 
 impl LuWorkspace {
@@ -1625,45 +1619,6 @@ impl SparseLu {
         Ok(())
     }
 
-    /// Solves `A x = b`, then applies one step of iterative refinement
-    /// against the original matrix `a`: the residual `b - A x` is solved
-    /// through the factor and the correction added to `x`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SparseLu::solve`].
-    pub fn solve_refined(&self, a: &CscMatrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let mut ws = LuWorkspace::new();
-        let mut x = Vec::new();
-        self.solve_refined_with(a, b, &mut ws, &mut x)?;
-        Ok(x)
-    }
-
-    /// [`SparseLu::solve_refined`] into caller-provided buffers: the
-    /// residual and correction scratch live in `ws` (pooled across calls)
-    /// and `out` receives the refined solution, so refined hot-loop solves
-    /// stay allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SparseLu::solve`].
-    pub fn solve_refined_with(
-        &self,
-        a: &CscMatrix,
-        b: &[f64],
-        ws: &mut LuWorkspace,
-        out: &mut Vec<f64>,
-    ) -> Result<(), LinalgError> {
-        self.solve_into(b, &mut ws.rwork, out)?;
-        a.mul_vec_into(out, &mut ws.resid);
-        for (ri, bi) in ws.resid.iter_mut().zip(b) {
-            *ri = bi - *ri;
-        }
-        self.solve_into(&ws.resid, &mut ws.rwork, &mut ws.corr)?;
-        crate::vecops::axpy(1.0, &ws.corr, out);
-        Ok(())
-    }
-
     /// System dimension.
     pub fn dim(&self) -> usize {
         self.sym.n
@@ -1808,21 +1763,6 @@ mod tests {
                 assert!((a - r).abs() < 1e-10, "{name}");
             }
         }
-    }
-
-    #[test]
-    fn refinement_reduces_residual() {
-        let mut t = TripletMatrix::new(2, 2);
-        t.push(0, 0, 1.0);
-        t.push(0, 1, 1.0);
-        t.push(1, 0, 1.0);
-        t.push(1, 1, 1.0000001);
-        let csc = t.to_csc();
-        let lu = SparseLu::factor(&csc).unwrap();
-        let b = [2.0, 2.0000001];
-        let x = lu.solve_refined(&csc, &b).unwrap();
-        let ax = csc.mul_vec(&x);
-        assert!((ax[0] - b[0]).abs() < 1e-9 && (ax[1] - b[1]).abs() < 1e-9);
     }
 
     #[test]

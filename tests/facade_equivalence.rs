@@ -9,6 +9,8 @@
 //! AMD+BTF can never silently fall back to a differently-ordered fresh
 //! factorization.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,17 +68,7 @@ proptest! {
             assert_solutions_match(&cached, &fresh, &format!("solve round {round}"));
         }
         let plan = solver.plan(&g).expect("plan");
-        if g.edge_count() >= ohmflow::solver::SMALL_INSTANCE_EDGES {
-            prop_assert!(plan.cache_hit(), "the solve rounds must have planned this topology");
-        } else {
-            // Below the adaptive threshold, one-shot solves deliberately
-            // skip plan building — the explicit plan above is the cache's
-            // first entry for this topology, and a repeat rides it.
-            prop_assert!(
-                solver.plan(&g).expect("replan").cache_hit(),
-                "explicit plans populate the cache"
-            );
-        }
+        prop_assert!(plan.cache_hit(), "the solve rounds must have planned this topology");
         let staged = plan.instance(&g).expect("instance").solve().expect("staged solve");
         assert_solutions_match(&staged, &fresh, "staged");
     }
@@ -103,7 +95,7 @@ proptest! {
         }
     }
 
-    /// Frozen-DC flip loop: a plan-derived `DcSolver::session_from` vs a cold
+    /// Frozen-DC flip loop: a plan-derived `DcSolver::session` vs a cold
     /// `DcSolver::session` on the same circuit, over a deterministic
     /// pseudo-random clamp-toggle walk. The two paths factor the same
     /// matrix with genuinely different pivot sequences (numeric refactor
@@ -123,7 +115,8 @@ proptest! {
 
         let mut cold = DcSolver::new().session(ckt).expect("cold session");
         let mut planned = DcSolver::new()
-            .session_from(ckt, plan.template().dc_template())
+            .with_template(Arc::clone(plan.template().dc_template()))
+            .session(ckt)
             .expect("plan session");
         prop_assert!(planned.report().templated, "plan session must ride the plan");
 
@@ -211,8 +204,8 @@ fn transient_paths_are_self_consistent() {
 }
 
 /// Circuit-level consistency: `DcSolver::solve` (cold path inline) vs a
-/// `DcPlan` solve (template fast path) on the substrate circuit of a real
-/// instance.
+/// planned `DcSolver` solve (template fast path) on the substrate circuit
+/// of a real instance.
 #[test]
 fn dc_plan_solve_matches_cold_solve() {
     let g = generators::fig15a(40);
@@ -267,16 +260,14 @@ fn amd_btf_plan_never_falls_back_to_another_ordering() {
     // Sessions derived from the plan inherit its ordering.
     let instance = plan.instance(&g).expect("instance");
     let session = DcSolver::new()
-        .session_from(
-            instance.substrate().circuit(),
-            plan.template().dc_template(),
-        )
+        .with_template(Arc::clone(plan.template().dc_template()))
+        .session(instance.substrate().circuit())
         .expect("session");
     let sreport = session.report();
     assert!(sreport.templated, "plan-derived session must ride the plan");
     assert_eq!(sreport.block_count, report.block_count);
 
-    // Circuit-level: a DcPlan whose template does NOT match the solved
+    // Circuit-level: a planned DcSolver whose template does NOT match the solved
     // circuit falls back to a fresh factorization — which must still run
     // under the plan's own options and the AMD+BTF ordering.
     let ckt = instance.substrate().circuit();
@@ -294,9 +285,12 @@ fn amd_btf_plan_never_falls_back_to_another_ordering() {
         })
         .plan(ckt)
         .expect("dc plan");
-    assert_eq!(dc_plan.lu_options().pivot_threshold, 1.0);
+    let dc_template = dc_plan
+        .template()
+        .expect("planned solver carries a template");
+    assert_eq!(dc_template.lu_options().pivot_threshold, 1.0);
     let mismatched = other.substrate().circuit();
-    assert!(!dc_plan.template().matches(mismatched));
+    assert!(!dc_template.matches(mismatched));
     let (_, fallback) = dc_plan.solve(mismatched).expect("fallback solve");
     assert!(!fallback.templated, "mismatch must fall back cold");
     assert!(

@@ -6,6 +6,8 @@
 //! the circuits of the paper's worked examples, over a long clamp-toggle
 //! walk.
 
+use std::sync::Arc;
+
 use ohmflow::builder::CapacityMapping;
 use ohmflow::{MaxFlowSolver, Problem, SolveOptions};
 use ohmflow_circuit::DcSolver;
@@ -28,7 +30,8 @@ fn assert_session_matches_reference(g: &FlowNetwork, name: &str) {
     assert!(n_diodes > 0, "{name}: substrate carries clamp diodes");
 
     let mut session = DcSolver::new()
-        .session_from(ckt, plan.template().dc_template())
+        .with_template(Arc::clone(plan.template().dc_template()))
+        .session(ckt)
         .expect("plan session");
     assert!(session.report().templated, "{name}: session rides the plan");
 
