@@ -21,12 +21,17 @@ fn main() {
     println!("time_s,Vx1,Vx2,Vx3,Vx4,Vx5");
     let mut nodes: Vec<_> = waves.probed_nodes().collect();
     nodes.sort_by_key(|n| n.index());
+    let columns: Vec<_> = nodes
+        .iter()
+        .take(5)
+        .map(|&n| waves.voltage(n).expect("probed"))
+        .collect();
     let times = waves.times();
     for i in (0..times.len()).step_by((times.len() / 60).max(1)) {
         print!("{:.6e}", times[i]);
-        for n in nodes.iter().take(5) {
+        for w in &columns {
             // Volts; multiply by C=3 for flow units.
-            print!(",{:.5}", waves.voltage(*n).expect("probed").values()[i]);
+            print!(",{:.5}", w.value(i));
         }
         println!();
     }

@@ -14,8 +14,13 @@
 //! `core_replay_not_slower_than_scalar_oracle`, which needs the
 //! crate-private oracle.
 //!
+//! A dense core has at least two steps: the templated `transient`
+//! substrates are mostly 1-step BTF blocks (a level-source node or branch
+//! current each), which must stay sparse steps that solve as one divide.
+//!
 //! [`SymbolicLu::largest_core`]: ohmflow_linalg::SymbolicLu::largest_core
 
+use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow_bench::{
     bench_substrate, dimacs_grid_instance, fig10_instance, full_replay_ns, median_ns,
 };
@@ -37,6 +42,24 @@ fn substrates_keep_their_dense_core() {
             "{name}: largest dense core {core} steps, expected at least {floor}"
         );
     }
+}
+
+/// The templated rmat256 factor of the `transient` workload's evaluation
+/// substrate: thousands of 1-step BTF blocks, none of them a core.
+#[test]
+fn templated_rmat256_has_no_one_step_core() {
+    let g = fig10_instance(256, false, 2);
+    let plan = MaxFlowSolver::new(SolveOptions::evaluation(10e9))
+        .plan(&g)
+        .expect("plan");
+    let sym = plan.template().dc_template().factor().symbolic();
+    let blocks = 0..sym.block_count();
+    let one_step = blocks.clone().filter(|&t| sym.block_range(t).len() == 1);
+    assert!(one_step.count() >= 1000, "{} blocks", sym.block_count());
+    for t in blocks {
+        assert_ne!(sym.core_range(t).len(), 1, "block {t} has a 1-step core");
+    }
+    assert!(sym.largest_core() >= 2);
 }
 
 /// The pivoting factorization (ordering included) eliminates the dense

@@ -190,9 +190,8 @@ pub struct SolveReport {
     /// Whether the solve rode a template's shared symbolic plan.
     pub templated: bool,
     /// Iterative-refinement steps applied after the linear solves: 1 for
-    /// the post-solve polish of an operating-point solve, 0 when it did
-    /// not run (an assignment accepted past the solved one, or a failed
-    /// correction solve); a session counts one per Woodbury-corrected
+    /// the post-solve polish of an operating-point solve, 0 when its
+    /// correction solve failed; a session counts one per Woodbury-corrected
     /// solve.
     pub refinements: usize,
     /// Numeric factors computed: numeric replays plus fresh pivoting
@@ -446,12 +445,8 @@ impl DcSolver {
         // Besides tightening every DC result, the refinement is what makes
         // the template and cold paths — which factor *different but
         // electrically equivalent* systems — agree to the conditioning
-        // floor instead of the (much looser) raw-factorization error. An
-        // assignment accepted with a flip past the solved one has no stamp
-        // of its own to refine against.
-        if states == session.states {
-            session.refine();
-        }
+        // floor instead of the (much looser) raw-factorization error.
+        session.refine();
         let mut report = session.report();
         report.iterations = iterations;
         report.refactorizations += spent.refactorizations;
@@ -1202,9 +1197,8 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
 
     /// [`FrozenDcSession::solve_operating_point`] from the assignment
     /// `start`, with the transient `history` a companion-model stamp reads
-    /// its RHS from. Also returns the accepted assignment: the solved one,
-    /// or at the end of the budget the solved one plus its last flip (see
-    /// [`StateIteration`]).
+    /// its RHS from. Also returns the accepted assignment, whose solution
+    /// the session holds (see [`StateIteration`]).
     pub(crate) fn operating_point(
         &mut self,
         time: f64,

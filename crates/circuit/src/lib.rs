@@ -63,6 +63,7 @@ pub use dc::{
 pub use element::{DiodeModel, Element, MemristorModel, MemristorState, OpAmpModel};
 pub use error::CircuitError;
 pub use ids::{ElementId, NodeId};
+pub use mna::DeviceState;
 pub use ohmflow_linalg::SparseLuOptions as LuOptions;
 pub use source::SourceValue;
 pub use transient::{IntegrationMethod, TransientAnalysis, TransientOptions};

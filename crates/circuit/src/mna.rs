@@ -898,9 +898,10 @@ fn most_violated(
 /// From half the budget the anti-cycling regime runs: the band widens to
 /// 1e-6 V, only the single most-violated device flips per iteration, and
 /// a quarter-budget later the band widens to 1e-3 V. If the budget runs
-/// out, the answer is accepted when the final assignment (the last solved
-/// one plus its last flip) is consistent with the last solution within
-/// the widest band.
+/// out, the final assignment (the last solved one plus its last flip) is
+/// accepted when it is consistent with the last solution within the
+/// widest band; it is then solved once more, so the answer is always the
+/// solution of its own assignment.
 ///
 /// Before half the budget each assignment is fingerprinted before it is
 /// solved. Those iterations are a deterministic map of the assignment, so
@@ -926,6 +927,9 @@ pub(crate) struct StateIteration {
     /// The flips each iteration before the regime applied.
     trail: Vec<Vec<(usize, DeviceState)>>,
     flips: Vec<(usize, DeviceState)>,
+    /// The budget ran out on an acceptable assignment, which is being
+    /// solved one last time.
+    accepted: bool,
 }
 
 impl StateIteration {
@@ -946,6 +950,7 @@ impl StateIteration {
             seen: [(hash, 0)].into(),
             trail: Vec::new(),
             flips: Vec::new(),
+            accepted: false,
         }
     }
 
@@ -972,6 +977,9 @@ impl StateIteration {
             1e-3
         };
         self.solves += 1;
+        if self.accepted {
+            return Ok(true);
+        }
         wanted_flips(ckt, states, x, band, &mut self.flips);
         if self.flips.is_empty() {
             return Ok(true);
@@ -992,8 +1000,9 @@ impl StateIteration {
         self.iter += 1;
         if self.iter == self.max_iters {
             wanted_flips(ckt, states, x, 1e-3, &mut self.flips);
-            return if self.flips.is_empty() {
-                Ok(true)
+            self.accepted = self.flips.is_empty();
+            return if self.accepted {
+                Ok(false)
             } else {
                 Err(CircuitError::StateIterationDiverged {
                     time: self.time,

@@ -160,12 +160,24 @@ impl<'c> TransientAnalysis<'c> {
             None => (1..ckt.node_count()).map(NodeId).collect(),
         };
         let mut waves = WaveformSet::new(&probe_nodes, &self.opts.current_probes);
+        let mut sample = Vec::with_capacity(waves.stride());
 
         let mut history = History {
             solution: session.values().to_vec(),
             cap_currents: vec![0.0; ckt.element_count()],
         };
-        self.record(&st, &mut waves, 0.0, &history.solution);
+        let mut record = |waves: &mut WaveformSet, t: f64, x: &[f64]| {
+            sample.clear();
+            sample.extend(
+                probe_nodes
+                    .iter()
+                    .map(|n| n.unknown().map_or(0.0, |u| x[u])),
+            );
+            let currents = self.opts.current_probes.iter();
+            sample.extend(currents.map(|&e| st.branch_unknown(e).map_or(0.0, |u| x[u])));
+            waves.push_sample(t, &sample);
+        };
+        record(&mut waves, 0.0, &history.solution);
 
         let steps = self.opts.steps();
         let dt = self.opts.dt;
@@ -199,22 +211,10 @@ impl<'c> TransientAnalysis<'c> {
             history.solution.copy_from_slice(x);
 
             if k % self.opts.record_every == 0 || k == steps {
-                self.record(&st, &mut waves, t, &history.solution);
+                record(&mut waves, t, &history.solution);
             }
         }
         Ok(waves)
-    }
-
-    fn record(&self, st: &MnaStructure, waves: &mut WaveformSet, t: f64, x: &[f64]) {
-        let mut sample =
-            Vec::with_capacity(waves.node_columns().len() + waves.current_columns().len());
-        for (node, _) in waves.node_columns() {
-            sample.push(node.unknown().map_or(0.0, |u| x[u]));
-        }
-        for (elem, _) in waves.current_columns() {
-            sample.push(st.branch_unknown(elem).map_or(0.0, |u| x[u]));
-        }
-        waves.push_sample(t, &sample);
     }
 }
 

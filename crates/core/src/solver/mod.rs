@@ -807,9 +807,8 @@ impl MaxFlowSolver {
         }
 
         // Flow-value series from the relaxed edge voltages.
-        let times = waves.times().to_vec();
         let flow_series = flow_value_series(sc, &waves);
-        let wf = Waveform::from_slices(&times, &flow_series);
+        let wf = Waveform::from_slices(waves.times(), &flow_series);
         let settle = wf.settle_time(self.opts.settle_fraction);
 
         let value = *flow_series
@@ -844,9 +843,8 @@ impl MaxFlowSolver {
             .map_err(AnalogError::from)?
             .run()
             .map_err(AnalogError::from)?;
-        let times = waves.times().to_vec();
         let flow_series = flow_value_series(sc, &waves);
-        let wf = Waveform::from_slices(&times, &flow_series);
+        let wf = Waveform::from_slices(waves.times(), &flow_series);
         let settle = wf.settle_time(self.opts.settle_fraction);
         let last = |n| waves.voltage(n).map(|w| w.last_value()).unwrap_or(0.0);
         let i_flow = waves
@@ -1036,15 +1034,16 @@ impl Instance {
     }
 }
 
-/// Converts the final recorded edge-node voltages of `waves` to flow units.
+/// Converts the final recorded edge-node voltages of `waves` (its last
+/// sample row) to flow units.
 fn relaxed_to_flows(sc: &SubstrateCircuit, waves: &WaveformSet) -> Vec<f64> {
+    let last = waves.row(waves.len() - 1);
     sc.edge_nodes()
         .iter()
         .map(|&n| {
             waves
-                .voltage(n)
-                .map(|w| w.last_value() / sc.volts_per_flow())
-                .unwrap_or(0.0)
+                .voltage_column(n)
+                .map_or(0.0, |c| last[c] / sc.volts_per_flow())
         })
         .collect()
 }
@@ -1053,30 +1052,28 @@ fn relaxed_to_flows(sc: &SubstrateCircuit, waves: &WaveformSet) -> Vec<f64> {
 /// waveforms: net flow out of the source, sum over source-out edges minus
 /// source-in edges.
 ///
-/// The waveform column of each source-adjacent edge node is resolved
-/// **once** and the samples are then summed column-wise — not one hash
-/// lookup per `(sample, edge)` pair. Grounded circulation edges have no
-/// recorded waveform and contribute zero.
+/// The row column of each source-adjacent edge node is resolved **once**,
+/// then each sample row is summed in one pass — not one hash lookup per
+/// `(sample, edge)` pair. Edges whose node was not probed contribute
+/// zero.
 pub fn flow_value_series(sc: &SubstrateCircuit, waves: &WaveformSet) -> Vec<f64> {
-    let column = |&k: &usize| waves.voltage(sc.edge_node(k)).map(|w| w.values());
-    let out_cols: Vec<&[f64]> = sc.source_out_edges().iter().filter_map(column).collect();
-    let in_cols: Vec<&[f64]> = sc.source_in_edges().iter().filter_map(column).collect();
+    let column = |&k: &usize| waves.voltage_column(sc.edge_node(k));
+    let out_cols: Vec<usize> = sc.source_out_edges().iter().filter_map(column).collect();
+    let in_cols: Vec<usize> = sc.source_in_edges().iter().filter_map(column).collect();
     let scale = 1.0 / sc.volts_per_flow();
-    let mut series = vec![0.0f64; waves.len()];
-    for col in &out_cols {
-        for (s, v) in series.iter_mut().zip(*col) {
-            *s += v;
-        }
-    }
-    for col in &in_cols {
-        for (s, v) in series.iter_mut().zip(*col) {
-            *s -= v;
-        }
-    }
-    for s in &mut series {
-        *s *= scale;
-    }
-    series
+    (0..waves.len())
+        .map(|i| {
+            let row = waves.row(i);
+            let mut s = 0.0f64;
+            for &c in &out_cols {
+                s += row[c];
+            }
+            for &c in &in_cols {
+                s -= row[c];
+            }
+            s * scale
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1154,6 +1151,36 @@ mod tests {
         let tc = sol.convergence_time.expect("transient reports settle time");
         assert!(tc > 0.0 && tc < 1e-3, "convergence time {tc}");
         assert!(sol.waveforms.is_some());
+    }
+
+    /// Two edges into the source tie two edge nodes to ground, so the
+    /// full-MNA run probes the ground node twice: every probe keeps its
+    /// own column, the grounded edges read zero flow and the `V_flow`
+    /// current is recorded in the last column.
+    #[test]
+    fn full_mna_keeps_repeated_ground_probes_aligned() {
+        let mut g = ohmflow_graph::FlowNetwork::new(4, 0, 3).unwrap();
+        for (a, b, c) in [
+            (0, 1, 5),
+            (2, 0, 2),
+            (1, 2, 3),
+            (2, 3, 4),
+            (1, 3, 2),
+            (1, 0, 1),
+        ] {
+            g.add_edge(a, b, c).unwrap();
+        }
+        let mut opts = SolveOptions::evaluation(10e9);
+        let tau = opts.params.opamp.time_constant();
+        opts.mode = super::SolveMode::TransientFullMna {
+            window: 60.0 * tau,
+            dt: tau / 10.0,
+        };
+        let sol = MaxFlowSolver::new(opts).solve_fresh(&g).unwrap();
+        assert_eq!((sol.edge_flows[1], sol.edge_flows[5]), (0.0, 0.0));
+        let waves = sol.waveforms.as_ref().unwrap();
+        assert_eq!((waves.len(), waves.stride()), (601, 7));
+        assert!(waves.row(600)[6] != 0.0, "V_flow current recorded");
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //!   bumps the symbolic refcount, which is what makes per-thread numeric
 //!   scratch factors cheap.
 //!
-//! Each diagonal block ends in a *dense trailing core* ([`DenseCores`]):
-//! the nested tail where the fill concentrates. Its values live in one
-//! dense array, and the pivoting factorization, the replay and the solves
-//! run it as a dense LU with the per-entry kernels' arithmetic, so results
-//! are bitwise those of a purely sparse factor.
+//! A diagonal block may end in a *dense trailing core* ([`DenseCores`]) of
+//! two steps or more: the nested tail where the fill concentrates. Its
+//! values live in one dense array, and the pivoting factorization, the
+//! replay and the solves run it as a dense LU with the per-entry kernels'
+//! arithmetic, so results are bitwise those of a purely sparse factor. A
+//! 1-step block stays a sparse step and solves as one divide.
 
 use std::sync::Arc;
 
@@ -378,9 +379,10 @@ pub struct SymbolicLu {
 /// The dense trailing core of each diagonal block: the maximal run of
 /// pivot steps at the end of the block whose `L` columns each span every
 /// row of the block still to pivot, so the core's `L` is fully dense
-/// lower. Its in-core `U` columns are contiguous tails too: `U(s, k) ≠ 0`
-/// for a core step `s` brings `L(:, s)`, every core row after `s`, so
-/// column `k`'s in-core entries are exactly the core positions `head..k`.
+/// lower — empty unless that run has at least two steps. Its in-core `U`
+/// columns are contiguous tails too: `U(s, k) ≠ 0` for a core step `s`
+/// brings `L(:, s)`, every core row after `s`, so column `k`'s in-core
+/// entries are exactly the core positions `head..k`.
 /// The pivoting factorization finds the core as it goes (see
 /// `SparseLu::factor_cores`). The values of a core live in one dense
 /// column-major `c × c` array (unit `L` below the diagonal, `U` on and
@@ -913,8 +915,9 @@ impl SymbolicLu {
 
     /// The pivot steps of block `t`'s dense trailing core: the maximal
     /// run of steps at the end of the block whose `L` patterns nest, so
-    /// its `L` is fully dense lower. The numeric replay and the
-    /// triangular solves run it as one dense LU.
+    /// its `L` is fully dense lower; empty when that run is shorter than
+    /// two steps. The numeric replay and the triangular solves run it as
+    /// one dense LU.
     pub fn core_range(&self, t: usize) -> std::ops::Range<usize> {
         self.cores.start[t]..self.block_ptr[t + 1]
     }
@@ -1170,8 +1173,10 @@ impl SparseLu {
     ///
     /// Every step applies its updates in ascending step order, the
     /// replay's order, so the values are bitwise those of a replay of
-    /// `a`. A block's dense core opens at its first step whose `L` column
-    /// spans every row of the block still to pivot; from there on each
+    /// `a`. A block's dense core opens at its first step, short of its
+    /// last, whose `L` column spans every row of the block still to pivot
+    /// (so a core has at least two steps and a 1-step block stays
+    /// sparse); from there on each
     /// column runs the replay's dense kernel. A later column that does
     /// not span them (possible, though not met on the bench substrates)
     /// ends the attempt: the steps from the core's start are eliminated
@@ -1195,8 +1200,9 @@ impl SparseLu {
         let mut e = Elimination::new(n);
         for w in block_ptr.windows(2) {
             let (lo, hi) = (w[0], w[1]);
-            // The core opens at the first step from `open_from` on whose
-            // `L` column spans the rest of the block.
+            // The core opens at the first step from `open_from` on, short
+            // of the block's last, whose `L` column spans the rest of the
+            // block.
             let mut open_from = if detect_cores { lo } else { hi };
             let mut c0 = hi;
             let mut k = lo;
@@ -1210,7 +1216,7 @@ impl SparseLu {
                     }
                 } else {
                     e.sparse_step(a, step, diag_rows[k], thr)?;
-                    if k >= open_from && e.l.ptr[k + 1] - e.l.ptr[k] == hi - k - 1 {
+                    if k >= open_from && k + 1 < hi && e.l.ptr[k + 1] - e.l.ptr[k] == hi - k - 1 {
                         e.open_core(lo, k, hi);
                         c0 = k;
                     }
@@ -1532,8 +1538,31 @@ impl SparseLu {
         work.extend_from_slice(b);
         out.clear();
         out.resize(sym.n * K, 0.0);
+        // The cross-block coupling of a solved step: b' -= A_off · y, all
+        // targets in earlier (not yet solved) blocks.
+        let couple = |step: usize, yk: &[f64; K], work: &mut [f64]| {
+            if yk.iter().any(|&v| v != 0.0) {
+                for idx in sym.off_ptr[step]..sym.off_ptr[step + 1] {
+                    let ov = va.off[idx];
+                    let r = sym.off_rows[idx] * K;
+                    for (w, &y) in work[r..r + K].iter_mut().zip(yk) {
+                        *w -= ov * y;
+                    }
+                }
+            }
+        };
         for t in (0..sym.block_count()).rev() {
             let (lo, core) = (sym.block_ptr[t], sym.core_range(t));
+            if core.end - lo == 1 {
+                // A 1-step block is one sparse step with no `L` and no
+                // off-diagonal `U`: a divide, then its coupling.
+                debug_assert!(core.is_empty(), "a core has two steps or more");
+                let (rp, d) = (sym.row_perm[lo] * K, va.u[sym.u_ptr[lo]]);
+                let yk: [f64; K] = std::array::from_fn(|l| work[rp + l] / d);
+                out[lo * K..lo * K + K].copy_from_slice(&yk);
+                couple(lo, &yk, work);
+                continue;
+            }
             // Forward solve L z = P b over the sparse steps; z (in `out`)
             // indexed by pivot step.
             for step in lo..core.start {
@@ -1594,20 +1623,10 @@ impl SparseLu {
                     }
                 }
             }
-            // Apply the cross-block coupling: b' -= A_off · x_block, all
-            // targets in earlier (not yet solved) blocks.
             for step in lo..core.end {
                 let mut yk = [0.0f64; K];
                 yk.copy_from_slice(&out[step * K..step * K + K]);
-                if yk.iter().any(|&v| v != 0.0) {
-                    for idx in sym.off_ptr[step]..sym.off_ptr[step + 1] {
-                        let ov = va.off[idx];
-                        let r = sym.off_rows[idx] * K;
-                        for (w, &y) in work[r..r + K].iter_mut().zip(&yk) {
-                            *w -= ov * y;
-                        }
-                    }
-                }
+                couple(step, &yk, work);
             }
         }
         // Undo the column permutation lane-block-wise: x[q[k]] = y[k].
@@ -2293,6 +2312,57 @@ mod tests {
         t.to_csc()
     }
 
+    /// The substrate's shape in miniature: `singles` unknowns that are
+    /// each a 1-step BTF block, coupled one way into a dense `tail × tail`
+    /// block (unknowns `0..tail`). A "feeding" single's column
+    /// reaches tail rows (the tail reads it); a "reading" single's row
+    /// reaches tail columns (it reads the tail). Singles also couple among
+    /// themselves — to later singles of their kind, and reading to feeding
+    /// — so every dependency runs one way and no single joins the tail's
+    /// strongly connected block.
+    fn one_step_blocks_system(singles: usize, tail: usize, seed: u64) -> CscMatrix {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = singles + tail;
+        let mut t = TripletMatrix::new(n, n);
+        let mut row_sum = vec![0.0f64; n];
+        let mut push = |t: &mut TripletMatrix, r: usize, c: usize, rng: &mut StdRng| {
+            let v: f64 = rng.gen_range(-1.0..1.0);
+            t.push(r, c, v);
+            row_sum[r] += v.abs();
+        };
+        for r in 0..tail {
+            for c in 0..tail {
+                if r != c {
+                    push(&mut t, r, c, &mut rng);
+                }
+            }
+        }
+        let feeds: Vec<bool> = (0..singles).map(|_| rng.gen_bool(0.5)).collect();
+        for j in 0..singles {
+            let x = tail + j;
+            for _ in 0..rng.gen_range(1..3) {
+                let k = rng.gen_range(0..tail);
+                if feeds[j] {
+                    push(&mut t, k, x, &mut rng);
+                } else {
+                    push(&mut t, x, k, &mut rng);
+                }
+            }
+            // `x` reads single `y` (row `x`, column `y`).
+            let y = tail + rng.gen_range(0..singles);
+            if y > x && feeds[y - tail] == feeds[j] || !feeds[j] && feeds[y - tail] {
+                push(&mut t, x, y, &mut rng);
+            }
+        }
+        for (i, rs) in row_sum.iter().enumerate() {
+            let sign = if rng.gen_bool(0.2) { -1.0 } else { 1.0 };
+            t.push(i, i, sign * (rs + rng.gen_range(1.0..3.0)));
+        }
+        t.to_csc()
+    }
+
     /// `a` with each column `c` whose bit `c % 64` is set in `mask` and
     /// that `pick` accepts scaled: off-diagonal entries by `shrink`, the
     /// diagonal by 1.25.
@@ -2348,6 +2418,48 @@ mod tests {
         assert!(core >= min_core, "core {core} < {min_core}");
         assert_eq!(lu.factor_nnz(), oracle.factor_nnz());
         (lu, oracle)
+    }
+
+    /// A 1-lane block-triangular substitution over an all-sparse factor
+    /// (the oracle's), written out per entry in the solve's operation
+    /// order with no 1-step-block shortcut: the independent reference for
+    /// the shortcut, which the oracle's own solve runs too.
+    fn per_entry_solve(lu: &SparseLu, b: &[f64]) -> Vec<f64> {
+        let (sym, va) = (&*lu.sym, &lu.vals);
+        assert_eq!(sym.largest_core(), 0, "an all-sparse factor");
+        let (mut work, mut y) = (b.to_vec(), vec![0.0; sym.n]);
+        for t in (0..sym.block_count()).rev() {
+            let steps = sym.block_range(t);
+            for k in steps.clone() {
+                y[k] = work[sym.row_perm[k]];
+                if y[k] != 0.0 {
+                    for idx in sym.l_ptr[k]..sym.l_ptr[k + 1] {
+                        work[sym.l_rows[idx]] -= y[k] * va.l[idx];
+                    }
+                }
+            }
+            for k in steps.clone().rev() {
+                let diag = sym.u_ptr[k + 1] - 1;
+                y[k] /= va.u[diag];
+                if y[k] != 0.0 {
+                    for idx in sym.u_ptr[k]..diag {
+                        y[sym.u_rows[idx]] -= y[k] * va.u[idx];
+                    }
+                }
+            }
+            for k in steps {
+                if y[k] != 0.0 {
+                    for idx in sym.off_ptr[k]..sym.off_ptr[k + 1] {
+                        work[sym.off_rows[idx]] -= va.off[idx] * y[k];
+                    }
+                }
+            }
+        }
+        let mut x = vec![0.0; sym.n];
+        for (k, &c) in sym.q.iter().enumerate() {
+            x[c] = y[k];
+        }
+        x
     }
 
     /// `x`'s bits, for bitwise comparisons.
@@ -2444,6 +2556,56 @@ mod tests {
                 lu.solve_multi_into(&b, k, &mut w, &mut x).unwrap();
                 oracle.solve_multi_into(&b, k, &mut w, &mut xo).unwrap();
                 proptest::prop_assert_eq!(bits(&x), bits(&xo), "k = {}", k);
+            }
+        }
+
+        /// Many 1-step blocks coupled into a dense-tail block: none becomes
+        /// a core, and the factor, full and dirty replays, `solve_into` and
+        /// `solve_multi_into` for K = 1..8 (whose 1-step blocks solve as a
+        /// divide) are bitwise the oracle's.
+        #[test]
+        fn one_step_blocks_match_oracle_bitwise(
+            singles in 8..80usize,
+            tail in 2..12usize,
+            seed in proptest::prelude::any::<u64>(),
+            mask in proptest::prelude::any::<u64>(),
+            shrink in 0.5..1.0f64,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let a = one_step_blocks_system(singles, tail, seed);
+            let n = singles + tail;
+            let (mut lu, mut oracle) = factor_pair(&a, 2);
+            let sym = Arc::clone(&lu.sym);
+            let blocks = 0..sym.block_count();
+            let ones = blocks.clone().filter(|&t| sym.block_range(t).len() == 1).count();
+            proptest::prop_assert_eq!(ones, singles);
+            proptest::prop_assert!(blocks.clone().all(|t| sym.core_range(t).len() != 1));
+            proptest::prop_assert_eq!(entry_bits(&lu), entry_bits(&oracle));
+            let replay = SymbolicLu::numeric(&sym, &a).unwrap();
+            proptest::prop_assert_eq!(value_bits(&lu), value_bits(&replay));
+            let a1 = perturbed(&a, mask, shrink, |_| true);
+            let a2 = perturbed(&a1, mask.rotate_left(23), shrink, |_| true);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let (mut w, mut x, mut xo) = (Vec::new(), Vec::new(), Vec::new());
+            for m in [&a1, &a2] {
+                lu.refactor(m).unwrap();
+                oracle.refactor(m).unwrap();
+                proptest::prop_assert_eq!(entry_bits(&lu), entry_bits(&oracle));
+                for k in 1..=SparseLu::MAX_SOLVE_LANES {
+                    let b: Vec<f64> = (0..n * k)
+                        .map(|_| if rng.gen_bool(0.5) { 0.0 } else { rng.gen_range(-4.0..4.0) })
+                        .collect();
+                    if k == 1 {
+                        lu.solve_into(&b, &mut w, &mut x).unwrap();
+                        oracle.solve_into(&b, &mut w, &mut xo).unwrap();
+                        proptest::prop_assert_eq!(bits(&x), bits(&xo));
+                        proptest::prop_assert_eq!(bits(&xo), bits(&per_entry_solve(&oracle, &b)));
+                    }
+                    lu.solve_multi_into(&b, k, &mut w, &mut x).unwrap();
+                    oracle.solve_multi_into(&b, k, &mut w, &mut xo).unwrap();
+                    proptest::prop_assert_eq!(bits(&x), bits(&xo), "k = {}", k);
+                }
             }
         }
 

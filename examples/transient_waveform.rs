@@ -22,14 +22,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let times = waves.times();
     let n = times.len();
-    let nodes: Vec<_> = waves.probed_nodes().collect();
-    let mut sorted = nodes;
-    sorted.sort_by_key(|n| n.index());
+    let mut nodes: Vec<_> = waves.probed_nodes().collect();
+    nodes.sort_by_key(|n| n.index());
+    let columns: Vec<_> = nodes
+        .iter()
+        .take(5)
+        .map(|&node| waves.voltage(node).expect("probed"))
+        .collect();
     for i in (0..n).step_by((n / 24).max(1)) {
         print!("{:>12.3e}", times[i]);
-        for node in sorted.iter().take(5) {
-            let v = waves.voltage(*node).expect("probed").values()[i];
-            print!(" {:>8.3}", v * 3.0); // flow units
+        for w in &columns {
+            print!(" {:>8.3}", w.value(i) * 3.0); // flow units
         }
         println!();
     }
