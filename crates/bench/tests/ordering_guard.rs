@@ -19,9 +19,9 @@ use ohmflow::SolveOptions;
 use ohmflow_bench::{bench_substrate, fig10_instance, full_replay_ns};
 use ohmflow_circuit::DcSolver;
 use ohmflow_graph::generators;
+use ohmflow_linalg::verify::min_degree_ordering;
 use ohmflow_linalg::{
-    amd_btf_ordering, amd_ordering, min_degree_ordering, BlockOrdering, LuWorkspace, SparseLu,
-    SparseLuOptions,
+    amd_btf_ordering, amd_ordering, BlockOrdering, LuWorkspace, SparseLu, SparseLuOptions,
 };
 
 /// A single-block reference factor of `m` under the column permutation

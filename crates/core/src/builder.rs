@@ -81,6 +81,10 @@ pub enum Drive {
 }
 
 /// Build options for [`build`].
+///
+/// Every negative resistor is stamped at its exact Fig. 2 value, `−r/2` or
+/// `−r/n`. The §4.2 finite-gain over-sizing is studied by injection only
+/// ([`finite_gain_reff`](crate::nonideal::finite_gain_reff), Ablation 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BuildOptions {
     /// Capacity→voltage mapping.
@@ -91,29 +95,6 @@ pub struct BuildOptions {
     pub parasitics: bool,
     /// `V_flow` drive shape.
     pub drive: Drive,
-    /// Relative over-sizing `δ` of every negative-resistance magnitude:
-    /// the realized value is `−R(1+δ)`.
-    ///
-    /// `None` applies the paper's own finite-gain formula (§4.2),
-    /// `R_eff = −(1 + (1/A)(R0/R_target))·R_target` with `R0 = r`, which
-    /// over-sizes each NIC by `δ = r/(A·R_target)`. This tiny margin is
-    /// **essential**: it leaves a small positive net conductance at every
-    /// constraint node — with exact values the conservation sub-circuits
-    /// have zero damping and the transient diverges. `Some(0.0)` reproduces
-    /// that ideal-but-unstable case for the ablation study.
-    pub nic_margin: Option<f64>,
-    /// Leak conductance at every constraint node (`P` and `n_v`), expressed
-    /// as a fraction `ε` of the unit conductance `1/r`: a resistor `r/ε` to
-    /// ground is added in parallel with each negative resistor.
-    ///
-    /// The exact Fig. 2 widgets are *pure integrators* of constraint
-    /// violation (their node conductances sum to zero); cascaded pure
-    /// integrators with the op-amp lag ring without bound. A small leak
-    /// turns each into a stable slow pole — the classic "leaky multiplier"
-    /// of analog LP solvers (Kennedy & Chua, the paper's ref.\ 24) — at the
-    /// cost of an `O(ε)` constraint softening that adds to the solution
-    /// error. `0.0` disables the leak (quasi-static solves don't need it).
-    pub constraint_leak: f64,
 }
 
 impl BuildOptions {
@@ -125,8 +106,6 @@ impl BuildOptions {
             negative_resistor: NegativeResistorImpl::Ideal,
             parasitics: false,
             drive: Drive::Dc,
-            nic_margin: Some(0.0),
-            constraint_leak: 0.0,
         }
     }
 
@@ -141,8 +120,6 @@ impl BuildOptions {
             negative_resistor: NegativeResistorImpl::Dynamic,
             parasitics: true,
             drive: Drive::Step,
-            nic_margin: Some(0.0),
-            constraint_leak: 0.0,
         }
     }
 }
@@ -226,25 +203,6 @@ pub(crate) struct DeltaMetadata {
     pub retunable: bool,
     /// Unit resistance the couplings were stamped with.
     pub r: f64,
-    /// Op-amp open-loop gain (the default §4.2 margin formula).
-    pub gain: f64,
-    /// Explicit NIC margin override, when the build used one.
-    pub nic_margin: Option<f64>,
-}
-
-impl DeltaMetadata {
-    /// The star magnitude the builder stamps for `n` incident edges —
-    /// kept expression-identical to [`build_with_layout`]'s
-    /// `neg_resistor`/`margin_for` so a retuned value is bit-for-bit the
-    /// value a fresh build of the live graph would stamp.
-    pub fn star_resistance(&self, n: usize) -> f64 {
-        let magnitude = self.r / n as f64;
-        let margin = match self.nic_margin {
-            Some(d) => d,
-            None => self.r / (self.gain * magnitude),
-        };
-        -(magnitude * (1.0 + margin))
-    }
 }
 
 /// A max-flow instance mapped onto the analog substrate.
@@ -409,25 +367,16 @@ pub(crate) fn build_with_layout(
         stats.diodes += 2;
     }
 
-    // Negative-resistor factory. The realized magnitude carries the §4.2
-    // finite-gain margin (see `BuildOptions::nic_margin`).
-    let margin_for = |magnitude: f64| match opts.nic_margin {
-        Some(d) => d,
-        None => params.r_unit / (params.opamp.gain * magnitude),
-    };
-    let leak = opts.constraint_leak;
+    // Negative-resistor factory: a grounded `resistance` (< 0) at `node`.
     let neg_resistor = |ckt: &mut Circuit,
                         stats: &mut BuildStats,
                         node: NodeId,
-                        magnitude: f64|
+                        resistance: f64|
      -> Option<ElementId> {
         stats.negative_resistors += 1;
-        if leak > 0.0 {
-            ckt.resistor(node, Circuit::GROUND, r / leak);
-        }
-        let magnitude = magnitude * (1.0 + margin_for(magnitude));
+        let magnitude = -resistance;
         match opts.negative_resistor {
-            NegativeResistorImpl::Ideal => Some(ckt.resistor(node, Circuit::GROUND, -magnitude)),
+            NegativeResistorImpl::Ideal => Some(ckt.resistor(node, Circuit::GROUND, resistance)),
             NegativeResistorImpl::Dynamic => {
                 ckt.negative_resistor_dyn(node, magnitude, params.opamp.time_constant());
                 None
@@ -487,15 +436,15 @@ pub(crate) fn build_with_layout(
             let xneg = ckt.anon_node();
             ckt.resistor(edge_nodes[k], p, r);
             ckt.resistor(xneg, p, r);
-            neg_resistor(&mut ckt, &mut stats, p, r / 2.0);
+            neg_resistor(&mut ckt, &mut stats, p, params.negation_resistance());
             edge_v_coupling[k] = Some(ckt.resistor(xneg, nv, r));
         }
-        *star = neg_resistor(&mut ckt, &mut stats, nv, r / n_incident as f64).map(|element| {
-            StarSurgery {
+        *star = neg_resistor(&mut ckt, &mut stats, nv, params.star_resistance(n_incident)).map(
+            |element| StarSurgery {
                 element,
                 n_base: n_incident,
-            }
-        });
+            },
+        );
     }
 
     // Parasitic capacitance on every net (§5.1 adds 20 fF per net).
@@ -525,8 +474,6 @@ pub(crate) fn build_with_layout(
         stars,
         retunable: matches!(opts.negative_resistor, NegativeResistorImpl::Ideal),
         r,
-        gain: params.opamp.gain,
-        nic_margin: opts.nic_margin,
     };
 
     Ok((

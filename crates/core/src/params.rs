@@ -79,7 +79,9 @@ impl SubstrateParams {
     }
 
     /// The conservation widget's star resistance `−R = −r/N` for a vertex
-    /// with `n_incident` incident edges (Ω).
+    /// with `n_incident` incident edges (Ω). The builder stamps it and delta
+    /// sessions retune stars to it, so a retuned star holds a fresh build's
+    /// bits.
     ///
     /// # Panics
     ///

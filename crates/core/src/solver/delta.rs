@@ -16,9 +16,10 @@
 //! | induced clamp-state flips      | batched rank-k Woodbury update ([`LowRankUpdate::push_batch`](ohmflow_linalg::LowRankUpdate::push_batch)) against the standing factorization |
 //!
 //! The surgery is *exact*: every edited value is bit-for-bit the value a
-//! fresh build of the live graph would stamp (the star magnitudes reuse
-//! the builder's own margin formula), so session results agree with
-//! fresh solves to solver precision — not to a soft-clamp tolerance.
+//! fresh build of the live graph would stamp (stars retune to the
+//! builder's own [`SubstrateParams::star_resistance`](crate::SubstrateParams::star_resistance)),
+//! so session results agree with fresh solves to solver precision — not
+//! to a soft-clamp tolerance.
 //! Builds whose negative resistors are op-amp subcircuits
 //! ([`NegativeResistorImpl::Dynamic`](crate::builder::NegativeResistorImpl)/`OpAmp`)
 //! cannot retune star magnitudes by value; topology deltas on them fall
@@ -634,6 +635,7 @@ impl DeltaSession {
         let mut endpoints: Vec<usize> = Vec::new();
         {
             let meta = self.dc.host().delta_meta();
+            let params = &self.solver.options().params;
             for &id in edges {
                 let e = self.edges[id];
                 let Some(slot) = e.slot else { continue };
@@ -663,7 +665,7 @@ impl DeltaSession {
                 // A fully-orphaned widget is electrically isolated; its
                 // star keeps its last value (any nonzero value is fine).
                 if n_live > 0 {
-                    changes.push((star.element, meta.star_resistance(n_live)));
+                    changes.push((star.element, params.star_resistance(n_live)));
                 }
             }
         }
@@ -817,6 +819,7 @@ fn rekey(
     // excision surgery for removed-but-kept edges (and the matching star
     // retunes) directly on the circuit before it is factored.
     let meta = sc.delta_meta().clone();
+    let params = &solver.options().params;
     if meta.retunable {
         for e in &shadow {
             if e.live {
@@ -841,7 +844,7 @@ fn rekey(
                 .count();
             if n_live > 0 && n_live != star.n_base {
                 sc.circuit_mut()
-                    .set_resistance(star.element, meta.star_resistance(n_live))?;
+                    .set_resistance(star.element, params.star_resistance(n_live))?;
             }
         }
     }
@@ -865,6 +868,7 @@ fn rekey(
 mod tests {
     use super::*;
     use crate::solver::SolveOptions;
+    use ohmflow_circuit::Element;
     use ohmflow_graph::generators;
 
     fn agree(session: &DeltaSession, solver: &MaxFlowSolver, tag: &str) {
@@ -884,6 +888,27 @@ mod tests {
             g.validate_flow(&session.edge_flows_live(), 0.05).is_some(),
             "{tag}: session flows infeasible"
         );
+        // Every star with live edges, retuned or not, holds the bits a
+        // fresh build of the live graph stamps (op-amp builds keep no
+        // star handles).
+        let opts = solver.options();
+        let built = crate::builder::build(&g, &opts.params, &opts.build).unwrap();
+        let bits = |sc: &SubstrateCircuit, id| match *sc.circuit().element(id) {
+            Element::Resistor { resistance, .. } => resistance.to_bits(),
+            _ => unreachable!("star handles name resistors"),
+        };
+        let host = session.dc.host();
+        for (w, star) in host.delta_meta().stars.iter().enumerate() {
+            let Some(star) = star else { continue };
+            if session.live_widget_degree(w) > 0 {
+                let fresh = built.delta_meta().stars[w].unwrap().element;
+                assert_eq!(
+                    bits(host, star.element),
+                    bits(&built, fresh),
+                    "{tag}: star {w}"
+                );
+            }
+        }
     }
 
     impl DeltaSession {

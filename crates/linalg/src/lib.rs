@@ -16,7 +16,7 @@
 //!   quotient-graph approximate minimum degree ([`amd_ordering`]) on every
 //!   diagonal block ([`amd_btf_ordering`]); there is no ordering option.
 //!   Reference factors under a single-block permutation (AMD, or the
-//!   [`min_degree_ordering`] fill oracle) go through
+//!   [`verify::min_degree_ordering`] fill oracle) go through
 //!   [`SparseLu::factor_ordered`]. Each diagonal block factors
 //!   independently, KLU-style: cross-block entries are kept as raw matrix
 //!   values applied during substitution rather than folded into `U`.
@@ -73,8 +73,8 @@ pub use dense::{DenseLu, DenseMatrix};
 pub use error::LinalgError;
 pub use lowrank::{LowRankUpdate, RankOneTermRef};
 pub use ordering::{
-    amd_btf_ordering, amd_ordering, block_triangular_form, maximum_transversal,
-    min_degree_ordering, BlockOrdering, BtfStructure,
+    amd_btf_ordering, amd_ordering, block_triangular_form, maximum_transversal, BlockOrdering,
+    BtfStructure,
 };
 pub use sparse::{CscMatrix, CsrMatrix, TripletMatrix};
 pub use sparse_lu::{LuWorkspace, NumericLu, SparseLu, SparseLuOptions, SymbolicLu};

@@ -23,7 +23,8 @@ use crate::CscMatrix;
 /// # Example
 ///
 /// ```
-/// use ohmflow_linalg::{min_degree_ordering, TripletMatrix};
+/// use ohmflow_linalg::verify::min_degree_ordering;
+/// use ohmflow_linalg::TripletMatrix;
 ///
 /// let mut t = TripletMatrix::new(3, 3);
 /// for i in 0..3 { t.push(i, i, 1.0); }

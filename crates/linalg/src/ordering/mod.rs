@@ -7,7 +7,8 @@
 //! subsystem has three layers:
 //!
 //! * [`classic`] — the original greedy minimum-degree ordering, kept as
-//!   the *fill-count oracle* the AMD implementation is tested against.
+//!   the *fill-count oracle* the AMD implementation is tested against
+//!   (public only as [`verify::min_degree_ordering`](crate::verify::min_degree_ordering)).
 //! * [`amd`] — a true approximate-minimum-degree ordering on a quotient
 //!   graph: supervariables (hash-based indistinguishable-node detection),
 //!   element absorption and approximate external degrees. This is the

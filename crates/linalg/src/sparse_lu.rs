@@ -1753,7 +1753,7 @@ mod tests {
             ("identity", BlockOrdering::single_block((0..n).collect())),
             (
                 "min-degree",
-                BlockOrdering::single_block(crate::min_degree_ordering(a)),
+                BlockOrdering::single_block(crate::verify::min_degree_ordering(a)),
             ),
             ("amd", BlockOrdering::single_block(crate::amd_ordering(a))),
             ("scramble", BlockOrdering::single_block(scramble)),

@@ -28,12 +28,17 @@
 //! leaves its block — and assert each is caught under the *right*
 //! invariant name. An auditor that passes corrupt structures is worse than
 //! none.
+//!
+//! [`min_degree_ordering`], the exact-degree fill oracle the tests hold
+//! AMD against, lives here too: no production factorization uses it.
 
 use std::error::Error;
 use std::fmt;
 
 use crate::lowrank::LowRankUpdate;
 use crate::sparse_lu::SymbolicLu;
+
+pub use crate::ordering::min_degree_ordering;
 
 /// A violated structural invariant: which structure, which named
 /// invariant, and where inside the structure it was observed.

@@ -2,9 +2,10 @@
 
 use proptest::prelude::*;
 
+use ohmflow_linalg::verify::min_degree_ordering;
 use ohmflow_linalg::{
-    amd_ordering, min_degree_ordering, BlockOrdering, CscMatrix, DenseMatrix, LowRankUpdate,
-    RankOneTermRef, SparseLu, SparseLuOptions, SymbolicLu, TripletMatrix,
+    amd_ordering, BlockOrdering, CscMatrix, DenseMatrix, LowRankUpdate, RankOneTermRef, SparseLu,
+    SparseLuOptions, SymbolicLu, TripletMatrix,
 };
 
 /// The identity (natural-order) single-block ordering of an `n × n` system.
