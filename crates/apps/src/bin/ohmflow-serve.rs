@@ -7,10 +7,9 @@
 //! Accepts length-prefixed solve requests (DIMACS text or `OFG1` binary
 //! graphs) over TCP and answers with the flow value, per-edge flows and
 //! solver telemetry; see `ohmflow_apps::serve` for the wire protocol.
-//! Requests arriving together are batched through the solver's
-//! fingerprint-grouped `solve_many`, and all workers share one sharded
-//! plan cache, so repeat topologies across tenants pay the symbolic cold
-//! path once.
+//! Every request is solved through the plan cache, which all workers
+//! share, so repeat topologies across tenants pay the symbolic cold path
+//! once.
 
 use ohmflow::SolveOptions;
 use ohmflow_apps::serve::{spawn, ServeConfig};

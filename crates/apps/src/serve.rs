@@ -63,13 +63,13 @@
 //!
 //! One acceptor thread hands each connection to its own reader thread;
 //! readers decode graphs and enqueue jobs on one shared queue. A pool of
-//! worker threads drains the queue in *batches*: each wake-up takes every
-//! queued job at once and pushes the batch through
-//! [`MaxFlowSolver::solve_many`], so a burst of same-topology requests
-//! (the multi-tenant steady state) is fingerprint-grouped through one
-//! shared plan and the sharded plan cache amortizes the symbolic cold
-//! path across tenants. Per-request errors travel back on the job's reply
-//! channel — one bad graph never poisons a batch.
+//! worker threads takes the jobs one at a time and solves each through
+//! [`MaxFlowSolver::solve`], so every request rides the workers' shared
+//! plan cache: a burst of same-topology requests (the multi-tenant steady
+//! state) runs the symbolic cold path once behind the cache's
+//! single-flight gate, and every other request of the burst is a cache
+//! hit. Per-request errors travel back on the job's reply channel — one
+//! bad graph never poisons a worker.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -79,8 +79,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use ohmflow::{
-    AnalogSolution, DeltaBatch, DeltaReport, DeltaSession, GraphDelta, MaxFlowSolver, Problem,
-    SolveOptions,
+    AnalogSolution, DeltaBatch, DeltaReport, DeltaSession, GraphDelta, MaxFlowSolver, SolveOptions,
 };
 use ohmflow_graph::{binfmt, dimacs, FlowNetwork};
 
@@ -203,8 +202,8 @@ struct Job {
     reply: mpsc::Sender<Result<AnalogSolution, String>>,
 }
 
-/// The shared work queue: jobs in, batch-drained by workers, condvar
-/// wake-ups, sticky shutdown flag.
+/// The shared work queue: jobs in, popped one at a time by workers,
+/// condvar wake-ups, sticky shutdown flag.
 struct Queue {
     jobs: Mutex<VecDeque<Job>>,
     ready: Condvar,
@@ -228,16 +227,16 @@ impl Queue {
         self.ready.notify_one();
     }
 
-    /// Blocks until work or shutdown; returns every queued job at once
-    /// (the batching funnel into `solve_many`).
-    fn drain(&self) -> Option<Vec<Job>> {
+    /// Blocks until work or shutdown; returns the oldest queued job
+    /// (queued jobs are still handed out after shutdown).
+    fn pop(&self) -> Option<Job> {
         let mut jobs = self
             .jobs
             .lock()
             .expect("invariant: serve-queue lock is never poisoned");
         loop {
-            if !jobs.is_empty() {
-                return Some(jobs.drain(..).collect());
+            if let Some(job) = jobs.pop_front() {
+                return Some(job);
             }
             if self.shutdown.load(Ordering::SeqCst) {
                 return None;
@@ -351,31 +350,11 @@ pub fn spawn(addr: &str, config: ServeConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-/// One worker: batch-drain the queue, fan the batch through
-/// `solve_many`'s fingerprint grouping, answer every member.
+/// One worker: pop a job, solve it through the plan cache, answer it.
 fn worker_loop(queue: &Queue, solver: &MaxFlowSolver) {
-    while let Some(batch) = queue.drain() {
-        if batch.len() == 1 {
-            // No grouping to exploit; skip the rayon fan-out. Plan
-            // explicitly rather than `solve`: a server's workload is
-            // repeated topologies, which amortize a plan even below the
-            // adaptive small-instance threshold that makes one-shot
-            // `solve` calls skip plan building.
-            let job = batch
-                .into_iter()
-                .next()
-                .expect("invariant: drained batches are nonempty");
-            let result = solver
-                .plan(&job.graph)
-                .and_then(|p| p.instance(&job.graph)?.solve())
-                .map_err(|e| e.to_string());
-            let _ = job.reply.send(result);
-            continue;
-        }
-        let results = solver.solve_many(batch.iter().map(|j| Problem::Graph(&j.graph)));
-        for (job, result) in batch.into_iter().zip(results) {
-            let _ = job.reply.send(result.map_err(|e| e.to_string()));
-        }
+    while let Some(job) = queue.pop() {
+        let result = solver.solve(&job.graph).map_err(|e| e.to_string());
+        let _ = job.reply.send(result);
     }
 }
 

@@ -49,6 +49,8 @@ fn bench_relaxation_transient(c: &mut Criterion) {
 }
 
 /// Batch-parallel throughput: independent instances across all cores.
+/// Both sides solve through the plan cache (`solve_many` solves each
+/// graph with `solve`), so they differ only in parallelism.
 fn bench_solve_batch(c: &mut Criterion) {
     let graphs: Vec<_> = (0..8).map(|s| fig10_instance(96, false, s)).collect();
     let mut cfg = SolveOptions::ideal();
@@ -60,7 +62,7 @@ fn bench_solve_batch(c: &mut Criterion) {
         b.iter(|| {
             graphs
                 .iter()
-                .map(|g| solver.solve_fresh(g).expect("solve").value)
+                .map(|g| solver.solve(g).expect("solve").value)
                 .sum::<f64>()
         })
     });

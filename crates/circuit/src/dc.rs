@@ -268,7 +268,7 @@ impl DcSolver {
     }
 
     /// Enables per-phase wall-clock attribution on sessions created by
-    /// this solver (see [`FrozenDcSession::phase_times`]), on its
+    /// this solver (see [`FrozenDcSession::report`]), on its
     /// operating-point solves ([`SolveReport::phases`]) and on the cold
     /// path of its plans ([`DcTemplate::phases`]). Off by default: clock
     /// reads tax every step of small systems.
@@ -486,8 +486,8 @@ pub struct FrozenDcStats {
 /// regression diagnosable: a slower `stamp` points at element iteration, a
 /// slower `refactor` at the numeric replay, `solve` at
 /// the triangular solves, `woodbury` at the rank-1 update bookkeeping.
-/// Read through [`FrozenDcSession::phase_times`] or
-/// [`SolveReport::phases`].
+/// Read through [`SolveReport::phases`] (a session's
+/// [`FrozenDcSession::report`] carries it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrozenDcPhases {
     /// Re-stamping the MNA matrix and the per-step right-hand sides.
@@ -678,8 +678,8 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
     /// fresh pivoting factorization as fallback; otherwise (or when the
     /// template does not [match](DcTemplate::matches)) the full cold path
     /// runs under `lu_opts`, which every rebase-path fallback
-    /// factorization reuses. `phase_timing` turns on
-    /// [`FrozenDcSession::phase_times`], which then include this open.
+    /// factorization reuses. `phase_timing` turns on the phase times of
+    /// [`FrozenDcSession::report`], which then include this open.
     pub(crate) fn construct(
         ckt: C,
         tpl: Option<&DcTemplate>,
@@ -1283,12 +1283,6 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
     /// Linear-algebra effort counters for this session.
     pub fn stats(&self) -> FrozenDcStats {
         self.stats
-    }
-
-    /// Wall-clock attribution of the solve loop by phase (stamp /
-    /// refactor / triangular solve / Woodbury apply).
-    pub fn phase_times(&self) -> FrozenDcPhases {
-        self.phases
     }
 
     /// Structured accounting of the session so far, in the facade's

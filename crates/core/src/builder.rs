@@ -231,6 +231,26 @@ pub struct SubstrateCircuit {
     delta_meta: DeltaMetadata,
 }
 
+/// The capacity→clamp-voltage map of `mapping` for capacities up to
+/// `c_max`: exact scaling onto `[0, V_dd]` or the §4.1 quantization. The
+/// one definition behind fresh builds, template instantiations and
+/// delta-session restamps.
+pub(crate) fn capacity_volts(
+    mapping: CapacityMapping,
+    v_dd: f64,
+    c_max: f64,
+) -> impl Fn(i64) -> f64 {
+    let exact = ExactScaling::new(v_dd, c_max);
+    let quantizer = match mapping {
+        CapacityMapping::Exact => None,
+        CapacityMapping::Quantized { levels } => Some(Quantizer::new(levels, v_dd, c_max)),
+    };
+    move |capacity| match &quantizer {
+        None => exact.to_volts(capacity as f64),
+        Some(q) => q.quantize(capacity as f64),
+    }
+}
+
 /// Builds the direct-mapped circuit of `g` (Figs. 1–3).
 ///
 /// # Errors
@@ -271,19 +291,8 @@ pub(crate) fn build_with_layout(
     }
 
     let c_max = g.max_capacity() as f64;
-    let exact = ExactScaling::new(params.v_dd, c_max);
-    let quantizer = match opts.capacity_mapping {
-        CapacityMapping::Exact => None,
-        CapacityMapping::Quantized { levels } => Some(Quantizer::new(levels, params.v_dd, c_max)),
-    };
-    let clamp_volts: Vec<f64> = g
-        .edges()
-        .iter()
-        .map(|e| match &quantizer {
-            None => exact.to_volts(e.capacity as f64),
-            Some(q) => q.quantize(e.capacity as f64),
-        })
-        .collect();
+    let to_volts = capacity_volts(opts.capacity_mapping, params.v_dd, c_max);
+    let clamp_volts: Vec<f64> = g.edges().iter().map(|e| to_volts(e.capacity)).collect();
 
     let mut ckt = Circuit::new();
     let r = params.r_unit;
@@ -538,6 +547,18 @@ impl SubstrateCircuit {
     /// per-edge clamp voltages and the flow-readout scale.
     pub(crate) fn set_capacity_values(&mut self, clamp_volts: Vec<f64>, volts_per_flow: f64) {
         self.clamp_volts = clamp_volts;
+        self.volts_per_flow = volts_per_flow;
+    }
+
+    /// Overwrites edge `k`'s clamp voltage (a delta session's value-only
+    /// restamp).
+    pub(crate) fn set_clamp_volts(&mut self, k: usize, clamp_volts: f64) {
+        self.clamp_volts[k] = clamp_volts;
+    }
+
+    /// Overwrites the flow-readout scale (a delta batch that moved the
+    /// session's capacity scale).
+    pub(crate) fn set_volts_per_flow(&mut self, volts_per_flow: f64) {
         self.volts_per_flow = volts_per_flow;
     }
 

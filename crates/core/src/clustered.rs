@@ -96,12 +96,6 @@ impl ClusteredArchitecture {
         self.islands * self.island_vertices
     }
 
-    /// Total crossbar cells across islands — compare against the `n²` of a
-    /// monolithic crossbar covering the same vertex count.
-    pub fn total_island_cells(&self) -> usize {
-        self.islands * self.island_vertices * self.island_vertices
-    }
-
     /// Maps `g` onto the architecture: partitions the vertices into
     /// islands (BFS + refinement, §6.2's "highly connected subgraphs map
     /// to separate islands"), checks island capacity, and routes

@@ -17,7 +17,7 @@
 //! * [`solver`] — one solver type built from one options type:
 //!   [`SolveOptions`] → [`MaxFlowSolver`] → [`Plan`] (topology-keyed
 //!   symbolic work, cached) → [`Instance`] (value-only re-instantiation)
-//!   → solve; `solve_many` batches with automatic same-topology grouping,
+//!   → solve; `solve` and `solve_many` take that path for every graph,
 //!   and [`DeltaSession`] absorbs streaming graph edits,
 //! * [`template`] — topology-keyed [`SubstrateTemplate`]s: the cold path
 //!   (build, MNA structure, ordering, symbolic LU) amortized across every

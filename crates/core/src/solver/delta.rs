@@ -45,12 +45,12 @@ use std::sync::Arc;
 use ohmflow_circuit::{ElementId, FrozenDcSession, FrozenDcStats, SolveReport, SourceValue};
 use ohmflow_graph::FlowNetwork;
 
-use crate::builder::{CapacityMapping, SubstrateCircuit};
-use crate::quantize::{ExactScaling, Quantizer};
+use crate::builder::{capacity_volts, DeltaMetadata, SubstrateCircuit};
+use crate::params::SubstrateParams;
 use crate::template::SubstrateTemplate;
 use crate::AnalogError;
 
-use super::MaxFlowSolver;
+use super::{MaxFlowSolver, SolveOptions};
 
 /// One streaming change to the session's graph. Edge ids are **session
 /// ids**: stable for the lifetime of the session (they survive re-keys
@@ -192,13 +192,11 @@ pub struct DeltaSession {
     /// build of the live graph would use: it is recomputed every batch,
     /// and every level source restamps when it moves (still value-only).
     c_max: f64,
-    /// The owning incremental session over the universe substrate.
+    /// The owning incremental session over the universe substrate; its
+    /// host holds the clamp voltages and readout scale.
     dc: FrozenDcSession<SubstrateCircuit>,
-    /// Per-universe-edge level-source ids (`None` for grounded
-    /// circulation edges).
-    level_sources: Vec<Option<ElementId>>,
-    /// Per-universe-edge clamp voltages (readout metadata mirror).
-    clamp_volts: Vec<f64>,
+    /// The universe's plan; its per-edge level-source ids are what
+    /// capacity restamps write.
     tpl: Arc<SubstrateTemplate>,
     /// Monotone pseudo-time fed to the DC solves.
     clock: f64,
@@ -248,8 +246,6 @@ impl DeltaSession {
             edges: parts.edges,
             c_max,
             dc: parts.dc,
-            level_sources: parts.level_sources,
-            clamp_volts: parts.clamp_volts,
             tpl: parts.tpl,
             clock: 0.0,
             replans: 0,
@@ -261,12 +257,13 @@ impl DeltaSession {
     /// Applies one batch of deltas, solves the resulting graph's
     /// operating point, and reports the new flow assignment.
     ///
-    /// Atomicity: the batch is validated delta-by-delta *before* any
-    /// electrical work; an invalid delta
-    /// ([`AnalogError::InvalidConfig`]) leaves the session exactly as it
-    /// was. A solve failure after a valid batch poisons only the cached
-    /// operating point (the session recovers on the next solvable
-    /// batch), matching the underlying session's recovery semantics.
+    /// Atomicity: the batch is staged delta-by-delta on a copy of the
+    /// edge table, and nothing is committed before the whole batch has
+    /// staged; an invalid delta ([`AnalogError::InvalidConfig`]) or a
+    /// failed re-key leaves the session exactly as it was. A solve failure
+    /// after a valid batch poisons only the cached operating point (the
+    /// session recovers on the next solvable batch), matching the
+    /// underlying session's recovery semantics.
     ///
     /// # Errors
     ///
@@ -274,11 +271,13 @@ impl DeltaSession {
     /// non-positive capacities, or degenerate insertions; circuit errors
     /// propagate from the solve.
     pub fn apply_deltas(&mut self, batch: &DeltaBatch) -> Result<DeltaReport, AnalogError> {
-        self.validate(batch)?;
-
         let retunable = self.dc.host().delta_meta().retunable;
+        let invalid = |what: String| Err(AnalogError::InvalidConfig { what });
 
-        // Stage the batch into the session edge table.
+        // Stage the batch on a copy of the edge table. Ids at or past
+        // `opened` are this batch's novel inserts.
+        let mut edges = self.edges.clone();
+        let opened = edges.len();
         let mut new_edge_ids = Vec::new();
         let mut touched: Vec<usize> = Vec::new();
         let mut flipped: Vec<usize> = Vec::new();
@@ -287,11 +286,33 @@ impl DeltaSession {
         for &delta in batch.deltas() {
             match delta {
                 GraphDelta::SetCapacity { edge, capacity } => {
-                    self.edges[edge].capacity = capacity;
+                    match edges.get(edge) {
+                        None => return invalid(format!("SetCapacity on unknown edge {edge}")),
+                        Some(e) if !e.live => {
+                            return invalid(format!("SetCapacity on removed edge {edge}"))
+                        }
+                        Some(_) => {}
+                    }
+                    if capacity <= 0 {
+                        return invalid(format!("capacity {capacity} must be positive"));
+                    }
+                    edges[edge].capacity = capacity;
                     touched.push(edge);
                 }
                 GraphDelta::RemoveEdge { edge } => {
-                    self.edges[edge].live = false;
+                    match edges.get(edge) {
+                        None => return invalid(format!("RemoveEdge on unknown edge {edge}")),
+                        Some(_) if edge >= opened => {
+                            return invalid(format!(
+                                "RemoveEdge on edge {edge} inserted in the same batch"
+                            ))
+                        }
+                        Some(e) if !e.live => {
+                            return invalid(format!("RemoveEdge on removed edge {edge}"))
+                        }
+                        Some(_) => {}
+                    }
+                    edges[edge].live = false;
                     // `touched` zeroes the level source (see
                     // [`clamp_volts_for`]); `flipped` runs the surgery.
                     touched.push(edge);
@@ -304,28 +325,38 @@ impl DeltaSession {
                     }
                 }
                 GraphDelta::InsertEdge { from, to, capacity } => {
-                    let revivable = self
-                        .edges
+                    if from >= self.vertices || to >= self.vertices {
+                        return invalid(format!(
+                            "InsertEdge {from}->{to} exceeds {} vertices",
+                            self.vertices
+                        ));
+                    }
+                    if from == to {
+                        return invalid(format!("InsertEdge self-loop at {from}"));
+                    }
+                    if capacity <= 0 {
+                        return invalid(format!("capacity {capacity} must be positive"));
+                    }
+                    let revivable = edges
                         .iter()
                         .position(|e| !e.live && e.slot.is_some() && e.from == from && e.to == to);
                     match revivable {
                         Some(id) => {
-                            self.edges[id].live = true;
-                            self.edges[id].capacity = capacity;
+                            edges[id].live = true;
+                            edges[id].capacity = capacity;
                             touched.push(id);
                             flipped.push(id);
                             new_edge_ids.push(id);
                         }
                         None => {
-                            let id = self.edges.len();
-                            self.edges.push(SessionEdge {
+                            new_edge_ids.push(edges.len());
+                            edges.push(SessionEdge {
                                 from,
                                 to,
                                 capacity,
                                 live: true,
                                 slot: None,
                             });
-                            new_edge_ids.push(id);
                             structural = true;
                         }
                     }
@@ -335,52 +366,67 @@ impl DeltaSession {
 
         // The readout scale must track the *live* graph's maximum exactly
         // (see the `c_max` field docs), whichever way it moved.
-        let new_c_max = self
-            .edges
+        let c_max = edges
             .iter()
             .filter(|e| e.live)
             .map(|e| e.capacity)
             .max()
             .unwrap_or(1)
             .max(1) as f64;
-        let scale_changed = new_c_max != self.c_max;
-        self.c_max = new_c_max;
 
         // Route the staged state onto the cheapest mechanism. The
         // structural debt is the removed edges whose widgets are still
         // stamped in the universe.
-        let live = self.edges.iter().filter(|e| e.live).count();
-        let debt = self
-            .edges
-            .iter()
-            .filter(|e| !e.live && e.slot.is_some())
-            .count();
+        let live = edges.iter().filter(|e| e.live).count();
+        let debt = edges.iter().filter(|e| !e.live && e.slot.is_some()).count();
         let compact = force_compact || debt > 16.max(live / 4);
         let replanned = structural || compact;
         if replanned {
-            self.rebuild(!compact)?;
+            let parts = rekey(
+                &self.solver,
+                c_max,
+                self.vertices,
+                self.source,
+                self.sink,
+                &edges,
+                !compact,
+            )?;
+            self.edges = parts.edges;
+            self.dc = parts.dc;
+            self.tpl = parts.tpl;
+            self.c_max = c_max;
             self.replans += 1;
         } else {
             // Liveness flips first (excision/revival surgery), then the
             // level-source restamps — both value-only.
+            let scale_changed = c_max != self.c_max;
+            self.edges = edges;
+            self.c_max = c_max;
             flipped.sort_unstable();
             flipped.dedup();
             if !flipped.is_empty() {
-                self.apply_surgeries(&flipped)?;
+                let changes = excision(
+                    self.dc.host().delta_meta(),
+                    &self.solver.options().params,
+                    (self.source, self.sink),
+                    &self.edges,
+                    &flipped,
+                );
+                self.dc.set_resistances(&changes)?;
             }
             if scale_changed {
-                // The voltage scale moved: every stamped level source gets
-                // the new mapping — still value-only against the standing
-                // factor.
+                // The voltage scale moved: the readout scale and every
+                // stamped level source get the new mapping — still
+                // value-only against the standing factor.
+                let volts_per_flow = self.solver.options().params.v_dd / c_max;
+                self.dc.host_mut().set_volts_per_flow(volts_per_flow);
                 for id in 0..self.edges.len() {
                     self.restamp(id)?;
                 }
-                self.sync_metadata();
-            } else if !touched.is_empty() {
+            } else {
                 for &id in &touched {
                     self.restamp(id)?;
                 }
-                self.sync_metadata();
             }
         }
 
@@ -547,192 +593,22 @@ impl DeltaSession {
         self.dc.report()
     }
 
-    /// Rejects any delta the staged state cannot absorb, before anything
-    /// is mutated.
-    fn validate(&self, batch: &DeltaBatch) -> Result<(), AnalogError> {
-        // Liveness/insert checks must track the batch's own effects
-        // (remove then re-insert then set-capacity is legal in one
-        // batch), so run the staging logic against a shadow liveness map.
-        let mut live: Vec<bool> = self.edges.iter().map(|e| e.live).collect();
-        let mut revived: Vec<usize> = Vec::new();
-        let invalid = |what: String| AnalogError::InvalidConfig { what };
-        let mut pending = 0usize;
-        for &delta in batch.deltas() {
-            match delta {
-                GraphDelta::SetCapacity { edge, capacity } => {
-                    if edge >= live.len() + pending {
-                        return Err(invalid(format!("SetCapacity on unknown edge {edge}")));
-                    }
-                    let is_live = live.get(edge).copied().unwrap_or(true);
-                    if !is_live {
-                        return Err(invalid(format!("SetCapacity on removed edge {edge}")));
-                    }
-                    if capacity <= 0 {
-                        return Err(invalid(format!("capacity {capacity} must be positive")));
-                    }
-                }
-                GraphDelta::RemoveEdge { edge } => {
-                    if edge >= live.len() + pending {
-                        return Err(invalid(format!("RemoveEdge on unknown edge {edge}")));
-                    }
-                    match live.get_mut(edge) {
-                        Some(l) if *l => *l = false,
-                        Some(_) => {
-                            return Err(invalid(format!("RemoveEdge on removed edge {edge}")))
-                        }
-                        // An edge inserted earlier in this batch: the
-                        // staging pass handles it as remove-after-insert.
-                        None => {
-                            return Err(invalid(format!(
-                                "RemoveEdge on edge {edge} inserted in the same batch"
-                            )))
-                        }
-                    }
-                }
-                GraphDelta::InsertEdge { from, to, capacity } => {
-                    if from >= self.vertices || to >= self.vertices {
-                        return Err(invalid(format!(
-                            "InsertEdge {from}->{to} exceeds {} vertices",
-                            self.vertices
-                        )));
-                    }
-                    if from == to {
-                        return Err(invalid(format!("InsertEdge self-loop at {from}")));
-                    }
-                    if capacity <= 0 {
-                        return Err(invalid(format!("capacity {capacity} must be positive")));
-                    }
-                    // Mirror the staging pass's revive-or-append choice so
-                    // later ids validate consistently.
-                    let revivable = self.edges.iter().enumerate().position(|(i, e)| {
-                        !live[i]
-                            && e.slot.is_some()
-                            && e.from == from
-                            && e.to == to
-                            && !revived.contains(&i)
-                    });
-                    match revivable {
-                        Some(i) => {
-                            live[i] = true;
-                            revived.push(i);
-                        }
-                        None => pending += 1,
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies exact excision/revival surgery for the given session edges
-    /// (whose liveness just flipped): couplings cut to open (or restored
-    /// to `r`), ghost anchors closed (or reopened), and every affected
-    /// interior endpoint's star retuned to its live incident degree — all
-    /// landing as one batched rank-k Woodbury push against the standing
-    /// factorization ([`FrozenDcSession::set_resistances`]).
-    fn apply_surgeries(&mut self, edges: &[usize]) -> Result<(), AnalogError> {
-        let mut changes: Vec<(ElementId, f64)> = Vec::new();
-        let mut endpoints: Vec<usize> = Vec::new();
-        {
-            let meta = self.dc.host().delta_meta();
-            let params = &self.solver.options().params;
-            for &id in edges {
-                let e = self.edges[id];
-                let Some(slot) = e.slot else { continue };
-                // Circulation edges stamp nothing: liveness is bookkeeping.
-                let Some(s) = meta.edges[slot] else { continue };
-                let (coupling, anchor) = if e.live {
-                    (meta.r, f64::INFINITY)
-                } else {
-                    (f64::INFINITY, meta.r)
-                };
-                changes.push((s.u_coupling, coupling));
-                if let Some(vc) = s.v_coupling {
-                    changes.push((vc, coupling));
-                }
-                changes.push((s.anchor, anchor));
-                for w in [e.from, e.to] {
-                    if w != self.source && w != self.sink {
-                        endpoints.push(w);
-                    }
-                }
-            }
-            endpoints.sort_unstable();
-            endpoints.dedup();
-            for &w in &endpoints {
-                let Some(star) = meta.stars[w] else { continue };
-                let n_live = self.live_widget_degree(w);
-                // A fully-orphaned widget is electrically isolated; its
-                // star keeps its last value (any nonzero value is fine).
-                if n_live > 0 {
-                    changes.push((star.element, params.star_resistance(n_live)));
-                }
-            }
-        }
-        self.dc.set_resistances(&changes)?;
-        Ok(())
-    }
-
-    /// Live non-circulation edges incident to `w` — the `n` a fresh build
-    /// of the live graph would size `w`'s star negative resistor for.
-    fn live_widget_degree(&self, w: usize) -> usize {
-        self.edges
-            .iter()
-            .filter(|e| {
-                e.live && e.to != self.source && e.from != self.sink && (e.from == w || e.to == w)
-            })
-            .count()
-    }
-
-    /// Restamps one session edge's level source for its current
-    /// capacity/liveness (no-op for circulation edges and compacted-away
-    /// slots).
+    /// Restamps one session edge's clamp voltage (host metadata and, for
+    /// clamped edges, the level source) for its current capacity and
+    /// liveness under the session scale; compacted-away edges have
+    /// nothing to restamp.
     fn restamp(&mut self, id: usize) -> Result<(), AnalogError> {
         let edge = self.edges[id];
         let Some(slot) = edge.slot else {
             return Ok(());
         };
-        let volts = clamp_volts_for(&self.solver, self.c_max, &edge);
-        self.clamp_volts[slot] = volts;
-        if let Some(src) = self.level_sources[slot] {
-            let v_on = self.solver.options().params.diode.v_on;
+        let opts = self.solver.options();
+        let volts = clamp_volts_for(opts, self.c_max, &edge);
+        self.dc.host_mut().set_clamp_volts(slot, volts);
+        if let Some(src) = self.tpl.level_sources()[slot] {
             self.dc
-                .set_source_value(src, SourceValue::dc(volts - v_on))?;
+                .set_source_value(src, SourceValue::dc(volts - opts.params.diode.v_on))?;
         }
-        Ok(())
-    }
-
-    /// Pushes the mirrored clamp voltages and readout scale into the
-    /// substrate metadata after value-only restamps.
-    fn sync_metadata(&mut self) {
-        let volts = self.clamp_volts.clone();
-        let scale = self.solver.options().params.v_dd / self.c_max;
-        self.dc.host_mut().set_capacity_values(volts, scale);
-    }
-
-    /// Re-keys the session: builds the universe graph (live edges, plus
-    /// still-stamped removed edges unless compacting), fetches its plan
-    /// through the sharded cache, restamps every level source under the
-    /// session scale, and swaps in a fresh owning session. All state is
-    /// constructed before anything is committed, so a failure leaves the
-    /// session serving its previous universe.
-    fn rebuild(&mut self, keep_removed: bool) -> Result<(), AnalogError> {
-        let parts = rekey(
-            &self.solver,
-            self.c_max,
-            self.vertices,
-            self.source,
-            self.sink,
-            &self.edges,
-            keep_removed,
-        )?;
-
-        // Commit.
-        self.edges = parts.edges;
-        self.dc = parts.dc;
-        self.level_sources = parts.level_sources;
-        self.clamp_volts = parts.clamp_volts;
-        self.tpl = parts.tpl;
         Ok(())
     }
 }
@@ -741,8 +617,6 @@ impl DeltaSession {
 struct Parts {
     edges: Vec<SessionEdge>,
     dc: FrozenDcSession<SubstrateCircuit>,
-    level_sources: Vec<Option<ElementId>>,
-    clamp_volts: Vec<f64>,
     tpl: Arc<SubstrateTemplate>,
 }
 
@@ -757,18 +631,70 @@ struct Parts {
 /// live graph (where the widgets do not exist) see the same electrical
 /// network to machine precision. Both clamp diodes sit at `v_ak = 0`,
 /// solidly off.
-fn clamp_volts_for(solver: &MaxFlowSolver, c_max: f64, edge: &SessionEdge) -> f64 {
-    let params = &solver.options().params;
-    let v_dd = params.v_dd;
+fn clamp_volts_for(opts: &SolveOptions, c_max: f64, edge: &SessionEdge) -> f64 {
     if !edge.live {
-        return params.diode.v_on;
+        return opts.params.diode.v_on;
     }
-    match solver.options().build.capacity_mapping {
-        CapacityMapping::Exact => ExactScaling::new(v_dd, c_max).to_volts(edge.capacity as f64),
-        CapacityMapping::Quantized { levels } => {
-            Quantizer::new(levels, v_dd, c_max).quantize(edge.capacity as f64)
+    capacity_volts(opts.build.capacity_mapping, opts.params.v_dd, c_max)(edge.capacity)
+}
+
+/// Live non-circulation edges incident to `w` — the `n` a fresh build of
+/// the live graph sizes `w`'s star negative resistor for.
+fn live_degree(edges: &[SessionEdge], (source, sink): (usize, usize), w: usize) -> usize {
+    edges
+        .iter()
+        .filter(|e| e.live && e.to != source && e.from != sink && (e.from == w || e.to == w))
+        .count()
+}
+
+/// The excision surgery for session edges `ids` as resistor values: each
+/// stamped edge's couplings at `r` and ghost anchor open when it is live,
+/// couplings open and anchor at `r` when it is removed, and every
+/// interior endpoint's star at `star_resistance(live degree)` — the
+/// values a fresh build of the live graph stamps. Edges without widgets
+/// (circulation edges, compacted-away slots) contribute nothing, and a
+/// fully-orphaned widget's star keeps its last value (it is electrically
+/// isolated; any nonzero value is fine). Delta batches push the result
+/// as one rank-k update; re-keys stamp it before factoring.
+fn excision(
+    meta: &DeltaMetadata,
+    params: &SubstrateParams,
+    terminals: (usize, usize),
+    edges: &[SessionEdge],
+    ids: &[usize],
+) -> Vec<(ElementId, f64)> {
+    let mut changes: Vec<(ElementId, f64)> = Vec::new();
+    let mut endpoints: Vec<usize> = Vec::new();
+    for &id in ids {
+        let e = edges[id];
+        let Some(slot) = e.slot else { continue };
+        let Some(s) = meta.edges[slot] else { continue };
+        let (coupling, anchor) = if e.live {
+            (meta.r, f64::INFINITY)
+        } else {
+            (f64::INFINITY, meta.r)
+        };
+        changes.push((s.u_coupling, coupling));
+        if let Some(vc) = s.v_coupling {
+            changes.push((vc, coupling));
+        }
+        changes.push((s.anchor, anchor));
+        endpoints.extend(
+            [e.from, e.to]
+                .into_iter()
+                .filter(|&w| w != terminals.0 && w != terminals.1),
+        );
+    }
+    endpoints.sort_unstable();
+    endpoints.dedup();
+    for w in endpoints {
+        let Some(star) = meta.stars[w] else { continue };
+        let n_live = live_degree(edges, terminals, w);
+        if n_live > 0 {
+            changes.push((star.element, params.star_resistance(n_live)));
         }
     }
+    changes
 }
 
 /// Builds the universe graph (live edges, plus still-stamped removed
@@ -797,55 +723,41 @@ fn rekey(
         };
     }
 
+    let opts = solver.options();
     let mut clamp_volts = vec![0.0f64; g.edge_count()];
     for e in &shadow {
         if let Some(u) = e.slot {
-            clamp_volts[u] = clamp_volts_for(solver, c_max, e);
+            clamp_volts[u] = clamp_volts_for(opts, c_max, e);
         }
     }
 
     let (tpl, _) = solver.template_for(&g)?;
     let mut sc = tpl.instantiate(&g)?;
-    let v_on = solver.options().params.diode.v_on;
+    let v_on = opts.params.diode.v_on;
     for (u, src) in tpl.level_sources().iter().enumerate() {
         if let Some(id) = src {
             sc.circuit_mut()
                 .set_source_value(*id, SourceValue::dc(clamp_volts[u] - v_on))?;
         }
     }
-    sc.set_capacity_values(clamp_volts.clone(), solver.options().params.v_dd / c_max);
+    sc.set_capacity_values(clamp_volts, opts.params.v_dd / c_max);
 
-    // The template instantiation stamps every widget live: re-apply the
-    // excision surgery for removed-but-kept edges (and the matching star
-    // retunes) directly on the circuit before it is factored.
-    let meta = sc.delta_meta().clone();
-    let params = &solver.options().params;
-    if meta.retunable {
-        for e in &shadow {
-            if e.live {
-                continue;
-            }
-            let Some(u) = e.slot else { continue };
-            let Some(s) = meta.edges[u] else { continue };
-            sc.circuit_mut()
-                .set_resistance(s.u_coupling, f64::INFINITY)?;
-            if let Some(vc) = s.v_coupling {
-                sc.circuit_mut().set_resistance(vc, f64::INFINITY)?;
-            }
-            sc.circuit_mut().set_resistance(s.anchor, meta.r)?;
-        }
-        for (w, star) in meta.stars.iter().enumerate() {
-            let Some(star) = star else { continue };
-            let n_live = shadow
-                .iter()
-                .filter(|e| {
-                    e.live && e.to != source && e.from != sink && (e.from == w || e.to == w)
-                })
-                .count();
-            if n_live > 0 && n_live != star.n_base {
-                sc.circuit_mut()
-                    .set_resistance(star.element, params.star_resistance(n_live))?;
-            }
+    // The template instantiation stamps every widget live: excise the
+    // removed-but-kept edges (and retune their endpoint stars) on the
+    // circuit before it is factored.
+    if sc.delta_meta().retunable {
+        let removed: Vec<usize> = (0..shadow.len())
+            .filter(|&i| !shadow[i].live && shadow[i].slot.is_some())
+            .collect();
+        let changes = excision(
+            sc.delta_meta(),
+            &opts.params,
+            (source, sink),
+            &shadow,
+            &removed,
+        );
+        for (id, ohms) in changes {
+            sc.circuit_mut().set_resistance(id, ohms)?;
         }
     }
 
@@ -854,12 +766,9 @@ fn rekey(
         .session(sc)?
         .with_max_rank(SESSION_MAX_RANK)
         .with_deferred_consolidation();
-    let level_sources = tpl.level_sources().to_vec();
     Ok(Parts {
         edges: shadow,
         dc,
-        level_sources,
-        clamp_volts,
         tpl,
     })
 }
@@ -900,7 +809,7 @@ mod tests {
         let host = session.dc.host();
         for (w, star) in host.delta_meta().stars.iter().enumerate() {
             let Some(star) = star else { continue };
-            if session.live_widget_degree(w) > 0 {
+            if live_degree(&session.edges, (session.source, session.sink), w) > 0 {
                 let fresh = built.delta_meta().stars[w].unwrap().element;
                 assert_eq!(
                     bits(host, star.element),
@@ -1055,6 +964,10 @@ mod tests {
             DeltaBatch::new().insert_edge(1, 2, -3),
             // Valid prefix, invalid tail: nothing may stick.
             DeltaBatch::new().set_capacity(0, 8).remove_edge(77),
+            // An edge inserted earlier in the same batch cannot be removed.
+            DeltaBatch::new()
+                .insert_edge(1, 3, 3)
+                .remove_edge(g.edge_count()),
         ];
         for (i, batch) in bad.iter().enumerate() {
             let err = session.apply_deltas(batch);
@@ -1069,6 +982,55 @@ mod tests {
             "rejected batches must leave the session untouched"
         );
         assert_eq!(session.replans(), 0);
+    }
+
+    #[test]
+    fn batches_stage_against_their_own_earlier_deltas() {
+        let g = generators::fig5a();
+        let solver = MaxFlowSolver::new(SolveOptions::ideal());
+        let mut session = solver.delta_session(&g).unwrap();
+        let (from, to) = (g.edges()[0].from, g.edges()[0].to);
+
+        // A capacity update on an edge inserted earlier in the batch.
+        let novel = session.edge_count();
+        let report = session
+            .apply_deltas(
+                &DeltaBatch::new()
+                    .insert_edge(1, 3, 3)
+                    .set_capacity(novel, 6),
+            )
+            .unwrap();
+        assert_eq!(report.new_edge_ids, vec![novel]);
+        assert_eq!(session.edges[novel].capacity, 6);
+        agree(&session, &solver, "insert then set capacity");
+
+        // A revival followed by a removal of the same edge leaves it
+        // removed.
+        session
+            .apply_deltas(&DeltaBatch::new().remove_edge(0))
+            .unwrap();
+        let live = session.live_edge_count();
+        let report = session
+            .apply_deltas(&DeltaBatch::new().insert_edge(from, to, 7).remove_edge(0))
+            .unwrap();
+        assert_eq!(report.new_edge_ids, vec![0], "the insert revives edge 0");
+        assert!(!report.replanned, "revive and removal stay value-only");
+        assert_eq!(session.live_edge_count(), live);
+        assert_eq!(report.edge_flows[0], 0.0, "edge 0 stays removed");
+        agree(&session, &solver, "revive then remove");
+
+        // Two inserts of the removed pair: one revival, one novel id.
+        let novel = session.edge_count();
+        let report = session
+            .apply_deltas(
+                &DeltaBatch::new()
+                    .insert_edge(from, to, 4)
+                    .insert_edge(from, to, 5),
+            )
+            .unwrap();
+        assert_eq!(report.new_edge_ids, vec![0, novel]);
+        assert!(report.replanned, "the second insert is novel structure");
+        agree(&session, &solver, "two inserts of one removed pair");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!                        │                   │ (topology-keyed     (quasi-static, relaxation
 //!                        │                   │  symbolic work,      transient or full-MNA
 //!                        │                   │  cached)             ablation)
-//!                        ├── solve / solve_fresh / solve_many (conveniences over the stages)
+//!                        ├── solve / solve_many (every graph: plan cache → instance → solve)
+//!                        ├── solve_fresh (no cache: studies that must not share state)
 //!                        └── delta_session (one live substrate absorbing graph deltas)
 //! ```
 //!
@@ -30,7 +31,6 @@
 //! `ohmflow-serve` binary wraps this solver as a multi-tenant network
 //! service.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use ohmflow_circuit::{
@@ -180,12 +180,6 @@ impl SolveOptions {
             phase_timing: false,
             plan_cache_bytes: DEFAULT_CAPACITY_BYTES,
         }
-    }
-
-    /// Sets the simulation mode.
-    pub fn with_mode(mut self, mode: SolveMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Enables per-phase wall-clock attribution on sessions and on the
@@ -410,60 +404,19 @@ impl MaxFlowSolver {
     /// Solves many independent problems in parallel on all cores (rayon),
     /// preserving input order.
     ///
-    /// Same-topology [`Problem::Graph`] members are detected by the
-    /// streaming topology fingerprint (see [`TemplateKey::fingerprint`])
-    /// and fanned out through one shared plan per
-    /// topology: the cold path runs once per repeated topology and every
-    /// member pays only a value-only instantiation plus numeric-only
-    /// linear algebra (each rayon worker derives its own numeric factor —
-    /// thread-local values, pointer-shared symbolic plan). Members whose
-    /// topology appears once keep the independent cold path.
-    /// [`Problem::Built`] members with one common circuit structure share
-    /// one symbolic factorization the same way.
+    /// Every [`Problem::Graph`] member goes through
+    /// [`MaxFlowSolver::solve`], so same-topology members share one cached
+    /// plan: the plan cache's single-flight gate runs each topology's cold
+    /// path once while the other members wait for it, and every member
+    /// pays only a value-only instantiation plus numeric-only linear
+    /// algebra. [`Problem::Built`] members, which no cache serves, share
+    /// one symbolic factorization when they have one common circuit
+    /// structure.
     pub fn solve_many<'a>(
         &self,
         problems: impl IntoIterator<Item = Problem<'a>>,
     ) -> Vec<Result<AnalogSolution, AnalogError>> {
         let problems: Vec<Problem<'a>> = problems.into_iter().collect();
-        // The full-MNA ablation has no templated path at all.
-        let full_mna = matches!(self.opts.mode, SolveMode::TransientFullMna { .. });
-
-        // Graph grouping: fingerprint every graph member in one streaming
-        // pass each (no intermediate edge Vec), count topologies, then
-        // warm the plan cache — one cold path per repeated topology, all
-        // distinct topologies planned in parallel (the sharded cache's
-        // single-flight gates make concurrent template_for calls safe,
-        // and distinct fingerprints never contend on one gate). The
-        // par_iter below then hits the cache on every member, and a
-        // topology whose plan construction failed falls back to the plain
-        // path without every member re-attempting the expensive failed
-        // build (batch error reporting stays per-member).
-        let fps: Vec<Option<u64>> = problems
-            .iter()
-            .map(|p| match p {
-                Problem::Graph(g) if !full_mna => Some(TemplateKey::fingerprint(g)),
-                _ => None,
-            })
-            .collect();
-        let mut counts: HashMap<u64, usize> = HashMap::new();
-        for fp in fps.iter().flatten() {
-            *counts.entry(*fp).or_insert(0) += 1;
-        }
-        let mut warm: HashMap<u64, &FlowNetwork> = HashMap::new();
-        for (i, fp) in fps.iter().enumerate() {
-            if let (Some(fp), Problem::Graph(g)) = (fp, problems[i]) {
-                if counts[fp] >= 2 {
-                    warm.entry(*fp).or_insert(g);
-                }
-            }
-        }
-        let warm: Vec<(u64, &FlowNetwork)> = warm.into_iter().collect();
-        let planned: HashMap<u64, bool> = warm
-            .par_iter()
-            .map(|&(fp, g)| (fp, self.template_for(g).is_ok()))
-            .collect::<Vec<(u64, bool)>>()
-            .into_iter()
-            .collect();
 
         // Built grouping: when every built member has the same circuit
         // structure (they almost always do: perturbed clones of one
@@ -483,20 +436,10 @@ impl MaxFlowSolver {
         .flatten()
         .and_then(|planned| planned.template().cloned());
 
-        let indices: Vec<usize> = (0..problems.len()).collect();
-        indices
+        problems
             .par_iter()
-            .map(|&i| match problems[i] {
-                Problem::Graph(g) => {
-                    let use_plan = fps[i]
-                        .as_ref()
-                        .is_some_and(|fp| planned.get(fp).copied().unwrap_or(false));
-                    if use_plan {
-                        self.solve(g)
-                    } else {
-                        self.solve_fresh(g)
-                    }
-                }
+            .map(|p| match *p {
+                Problem::Graph(g) => self.solve(g),
                 Problem::Built { circuit, graph } => {
                     self.solve_relaxation(circuit, graph.vertex_count(), shared.as_ref())
                 }
@@ -995,11 +938,6 @@ impl Instance {
         &self.sc
     }
 
-    /// Mutable access to the instantiated substrate circuit.
-    pub fn substrate_mut(&mut self) -> &mut SubstrateCircuit {
-        &mut self.sc
-    }
-
     /// Audits the instance's structures: the shared factorization (as
     /// [`Plan::audit`]) plus the substrate's delta-surgery metadata
     /// checked against the planned topology — element-id uniqueness and
@@ -1247,9 +1185,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_detects_same_topology_and_matches_sequential() {
+    fn batch_plans_each_topology_once_and_matches_sequential() {
         // Mixed batch: four capacity variants of one topology plus one
-        // distinct topology (stays on the independent path).
+        // distinct topology.
         let base = generators::fig5a();
         let mut graphs: Vec<_> = (1..=4)
             .map(|s| base.scaled_capacities(s).unwrap())
@@ -1266,9 +1204,10 @@ mod tests {
                 b.value,
                 seq.value
             );
+            assert!(b.report.templated, "every member rides a cached plan");
         }
-        // Only the repeated topology got a cached plan.
-        assert_eq!(solver.cached_template_count(), 1);
+        // One cached plan per distinct topology.
+        assert_eq!(solver.cached_template_count(), 2);
     }
 
     #[test]

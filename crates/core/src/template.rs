@@ -30,7 +30,7 @@
 //!   so solvability is unchanged).
 //!
 //! [`MaxFlowSolver`](crate::MaxFlowSolver) keeps a topology-keyed
-//! cache of these templates and routes same-topology batches through them;
+//! cache of these templates and routes every graph solve through them;
 //! see `DESIGN.md` for the invalidation rules.
 
 use std::sync::{Arc, Mutex};
@@ -40,10 +40,9 @@ use ohmflow_circuit::{DcSolver, DcTemplate, SourceValue};
 use ohmflow_graph::FlowNetwork;
 
 use crate::builder::{
-    build_with_layout, BuildOptions, CapacityMapping, LevelLayout, SubstrateCircuit,
+    build_with_layout, capacity_volts, BuildOptions, CapacityMapping, LevelLayout, SubstrateCircuit,
 };
 use crate::params::SubstrateParams;
-use crate::quantize::{ExactScaling, Quantizer};
 use crate::AnalogError;
 
 /// Seeded streaming hasher for topology and value fingerprints: an
@@ -395,21 +394,8 @@ impl SubstrateTemplate {
         // Value-only work: map capacities to clamp voltages and restamp the
         // per-edge level sources of a skeleton clone.
         let c_max = g.max_capacity() as f64;
-        let exact = ExactScaling::new(self.params.v_dd, c_max);
-        let quantizer = match mapping {
-            CapacityMapping::Exact => None,
-            CapacityMapping::Quantized { levels } => {
-                Some(Quantizer::new(levels, self.params.v_dd, c_max))
-            }
-        };
-        let clamp_volts: Vec<f64> = g
-            .edges()
-            .iter()
-            .map(|e| match &quantizer {
-                None => exact.to_volts(e.capacity as f64),
-                Some(q) => q.quantize(e.capacity as f64),
-            })
-            .collect();
+        let to_volts = capacity_volts(mapping, self.params.v_dd, c_max);
+        let clamp_volts: Vec<f64> = g.edges().iter().map(|e| to_volts(e.capacity)).collect();
 
         let mut sc = self.skeleton.clone();
         let v_on = self.params.diode.v_on;

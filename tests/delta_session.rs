@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ohmflow::{DeltaBatch, DeltaSession};
+use ohmflow::{DeltaBatch, DeltaSession, GraphDelta};
 use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow_graph::FlowNetwork;
 
@@ -124,115 +124,164 @@ proptest! {
         prop_assert_eq!(session.replans(), 0, "value-only stream must never re-key");
     }
 
-    /// The full mixed walk: capacity drift, chord removals, revivals and
-    /// novel insertions in random proportions, so individual cases land
-    /// on every routing — pure restamps, excision surgery on the standing
-    /// factor, plan-cache re-keys for novel structure, and consolidation
-    /// crossings as the Woodbury rank accumulates.
+    /// The full mixed walk (see [`mixed_delta_walk`]) on random seeds.
     #[test]
     fn mixed_delta_walk_tracks_fresh_solves(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = random_base(&mut rng);
-        let n = g.vertex_count();
-        let spine = n - 1; // ids `0..spine` are never removed
-        let solver = MaxFlowSolver::new(SolveOptions::ideal());
-        let mut session = solver.delta_session(&g).expect("session");
-        session.apply_deltas(&DeltaBatch::new()).expect("opening");
-        let mut shadow: Vec<ShadowEdge> = g
-            .edges()
-            .iter()
-            .map(|e| ShadowEdge { from: e.from, to: e.to, live: true })
-            .collect();
-
-        for round in 0..6 {
-            let mut batch = DeltaBatch::new();
-            let mut staged = shadow.clone();
-            for _ in 0..rng.gen_range(1..=3) {
-                match rng.gen_range(0..4) {
-                    0 => {
-                        let live: Vec<usize> = (0..staged.len())
-                            .filter(|&i| staged[i].live)
-                            .collect();
-                        let edge = live[rng.gen_range(0..live.len())];
-                        batch = batch.set_capacity(edge, rng.gen_range(1..=30));
-                    }
-                    1 => {
-                        // Remove a live chord (spine stays, so the live
-                        // graph keeps a source→sink path).
-                        let chords: Vec<usize> = (spine..staged.len())
-                            .filter(|&i| staged[i].live)
-                            .collect();
-                        if let Some(&edge) = chords.get(rng.gen_range(0..chords.len().max(1))) {
-                            batch = batch.remove_edge(edge);
-                            staged[edge].live = false;
-                        }
-                    }
-                    2 => {
-                        // Revive a removed edge in place (value restamp).
-                        let dead: Vec<usize> = (0..staged.len())
-                            .filter(|&i| !staged[i].live)
-                            .collect();
-                        if let Some(&edge) = dead.get(rng.gen_range(0..dead.len().max(1))) {
-                            let (from, to) = (staged[edge].from, staged[edge].to);
-                            batch = batch.insert_edge(from, to, rng.gen_range(1..=30));
-                            staged[edge].live = true;
-                        }
-                    }
-                    _ => {
-                        // Insert a pair no *live* edge carries: either a
-                        // revival of a dead id or genuinely novel
-                        // structure (the session decides — the shadow
-                        // follows `new_edge_ids` below either way).
-                        for _ in 0..8 {
-                            let a = rng.gen_range(0..n);
-                            let b = rng.gen_range(0..n);
-                            let dup = a == b
-                                || staged.iter().any(|e| e.live && e.from == a && e.to == b);
-                            if !dup {
-                                batch = batch.insert_edge(a, b, rng.gen_range(1..=30));
-                                staged.push(ShadowEdge { from: a, to: b, live: true });
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            if batch.is_empty() {
-                continue;
-            }
-            let inserts: Vec<(usize, usize)> = batch
-                .deltas()
-                .iter()
-                .filter_map(|d| match *d {
-                    ohmflow::GraphDelta::InsertEdge { from, to, .. } => Some((from, to)),
-                    _ => None,
-                })
-                .collect();
-            let report = session.apply_deltas(&batch).expect("mixed batch");
-
-            // Fold the batch into the shadow, using the session's own id
-            // assignments for the insertions.
-            for d in batch.deltas() {
-                if let ohmflow::GraphDelta::RemoveEdge { edge } = *d {
-                    shadow[edge].live = false;
-                }
-            }
-            prop_assert_eq!(report.new_edge_ids.len(), inserts.len());
-            for (&id, &(from, to)) in report.new_edge_ids.iter().zip(&inserts) {
-                if id < shadow.len() {
-                    prop_assert_eq!(
-                        (shadow[id].from, shadow[id].to),
-                        (from, to),
-                        "revived id must keep its endpoints"
-                    );
-                    shadow[id].live = true;
-                } else {
-                    prop_assert_eq!(id, shadow.len(), "novel ids are assigned densely");
-                    shadow.push(ShadowEdge { from, to, live: true });
-                }
-            }
-
-            assert_tracks_fresh(&session, &solver, &shadow, &format!("mixed round {round}"));
-        }
+        mixed_delta_walk(seed);
     }
+}
+
+/// The full mixed walk: capacity drift, chord removals, revivals and
+/// novel insertions in random proportions, so individual walks land on
+/// every routing — pure restamps, excision surgery on the standing
+/// factor, plan-cache re-keys for novel structure, and consolidation
+/// crossings as the Woodbury rank accumulates. Panics on the first
+/// disagreement with a fresh solve, naming the seed.
+fn mixed_delta_walk(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let g = random_base(&mut rng);
+    let n = g.vertex_count();
+    let spine = n - 1; // ids `0..spine` are never removed
+    let solver = MaxFlowSolver::new(SolveOptions::ideal());
+    let mut session = solver
+        .delta_session(&g)
+        .unwrap_or_else(|e| panic!("seed {seed}: session: {e}"));
+    session
+        .apply_deltas(&DeltaBatch::new())
+        .unwrap_or_else(|e| panic!("seed {seed}: opening: {e}"));
+    let mut shadow: Vec<ShadowEdge> = g
+        .edges()
+        .iter()
+        .map(|e| ShadowEdge {
+            from: e.from,
+            to: e.to,
+            live: true,
+        })
+        .collect();
+
+    for round in 0..6 {
+        let mut batch = DeltaBatch::new();
+        let mut staged = shadow.clone();
+        for _ in 0..rng.gen_range(1..=3) {
+            match rng.gen_range(0..4) {
+                0 => {
+                    // Ids this batch inserts are not addressable: the
+                    // session, not the walk, decides between a revival
+                    // and a novel id.
+                    let live: Vec<usize> = (0..shadow.len()).filter(|&i| staged[i].live).collect();
+                    let edge = live[rng.gen_range(0..live.len())];
+                    batch = batch.set_capacity(edge, rng.gen_range(1..=30));
+                }
+                1 => {
+                    // Remove a live chord (spine stays, so the live
+                    // graph keeps a source→sink path) that this batch
+                    // did not insert.
+                    let chords: Vec<usize> =
+                        (spine..shadow.len()).filter(|&i| staged[i].live).collect();
+                    if let Some(&edge) = chords.get(rng.gen_range(0..chords.len().max(1))) {
+                        batch = batch.remove_edge(edge);
+                        staged[edge].live = false;
+                    }
+                }
+                2 => {
+                    // Revive a removed edge in place (value restamp).
+                    let dead: Vec<usize> = (0..staged.len()).filter(|&i| !staged[i].live).collect();
+                    if let Some(&edge) = dead.get(rng.gen_range(0..dead.len().max(1))) {
+                        let (from, to) = (staged[edge].from, staged[edge].to);
+                        batch = batch.insert_edge(from, to, rng.gen_range(1..=30));
+                        staged[edge].live = true;
+                    }
+                }
+                _ => {
+                    // Insert a pair no *live* edge carries: either a
+                    // revival of a dead id or genuinely novel
+                    // structure (the session decides — the shadow
+                    // follows `new_edge_ids` below either way).
+                    for _ in 0..8 {
+                        let a = rng.gen_range(0..n);
+                        let b = rng.gen_range(0..n);
+                        let dup =
+                            a == b || staged.iter().any(|e| e.live && e.from == a && e.to == b);
+                        if !dup {
+                            batch = batch.insert_edge(a, b, rng.gen_range(1..=30));
+                            staged.push(ShadowEdge {
+                                from: a,
+                                to: b,
+                                live: true,
+                            });
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        if batch.is_empty() {
+            continue;
+        }
+        let report = session
+            .apply_deltas(&batch)
+            .unwrap_or_else(|e| panic!("seed {seed}, round {round}: mixed batch: {e}"));
+
+        // Fold the batch into the shadow in batch order (a revival then a
+        // removal of one edge leaves it removed), using the session's own
+        // id assignments for the insertions.
+        let inserts = batch
+            .deltas()
+            .iter()
+            .filter(|d| matches!(d, GraphDelta::InsertEdge { .. }))
+            .count();
+        prop_assert_eq!(report.new_edge_ids.len(), inserts, "seed {}", seed);
+        let mut new_ids = report.new_edge_ids.iter();
+        for d in batch.deltas() {
+            match *d {
+                GraphDelta::SetCapacity { .. } => {}
+                GraphDelta::RemoveEdge { edge } => shadow[edge].live = false,
+                GraphDelta::InsertEdge { from, to, .. } => {
+                    let id = *new_ids.next().expect("one id per insert");
+                    if id < shadow.len() {
+                        prop_assert_eq!(
+                            (shadow[id].from, shadow[id].to),
+                            (from, to),
+                            "seed {}: revived id must keep its endpoints",
+                            seed
+                        );
+                        shadow[id].live = true;
+                    } else {
+                        prop_assert_eq!(
+                            id,
+                            shadow.len(),
+                            "seed {}: novel ids are assigned densely",
+                            seed
+                        );
+                        shadow.push(ShadowEdge {
+                            from,
+                            to,
+                            live: true,
+                        });
+                    }
+                }
+            }
+        }
+
+        assert_tracks_fresh(
+            &session,
+            &solver,
+            &shadow,
+            &format!("seed {seed}, mixed round {round}"),
+        );
+    }
+}
+
+/// The mixed walk over `StdRng` seeds `0..500`, naming every failing
+/// seed. Release only: a debug build takes minutes.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only sweep: cargo test --release --test delta_session"
+)]
+fn mixed_delta_walk_tracks_fresh_solves_on_500_seeds() {
+    let failing: Vec<u64> = (0..500u64)
+        .filter(|&seed| std::panic::catch_unwind(|| mixed_delta_walk(seed)).is_err())
+        .collect();
+    assert!(failing.is_empty(), "failing seeds: {failing:?}");
 }

@@ -74,8 +74,8 @@ proptest! {
     }
 
     /// `MaxFlowSolver::solve_many` vs sequential `solve` on a mixed batch
-    /// (repeated topology + a singleton) — the fingerprint-grouped batch
-    /// fan-out must be value-identical to one-at-a-time solving.
+    /// (repeated topology + a singleton) — the parallel batch fan-out
+    /// must be value-identical to one-at-a-time solving.
     #[test]
     fn solve_many_matches_sequential_solve(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -86,8 +86,8 @@ fn binary_ingest_matches_dimacs_ingest() {
 }
 
 /// Several concurrent clients hammering two topologies all get correct
-/// answers — the worker pool, batching funnel and shared plan cache under
-/// real socket concurrency.
+/// answers, every one from a cached plan — the worker pool and shared
+/// plan cache under real socket concurrency.
 #[test]
 fn concurrent_clients_get_correct_answers() {
     let graphs = [generators::fig5a(), generators::fig15a(12)];
@@ -119,6 +119,10 @@ fn concurrent_clients_get_correct_answers() {
                         "client {c} round {round}: {} vs {}",
                         resp.value,
                         expected[i]
+                    );
+                    assert!(
+                        resp.templated,
+                        "client {c} round {round}: answer must ride a cached plan"
                     );
                 }
             })
