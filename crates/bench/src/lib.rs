@@ -6,9 +6,7 @@
 
 use std::time::Instant;
 
-use ohmflow::builder::{
-    build, BuildOptions, CapacityMapping, Drive, NegativeResistorImpl, SubstrateCircuit,
-};
+use ohmflow::builder::{build, BuildOptions, CapacityMapping, Drive, SubstrateCircuit};
 use ohmflow::SubstrateParams;
 use ohmflow_graph::rmat::RmatConfig;
 use ohmflow_graph::{dimacs, generators, FlowNetwork};
@@ -45,7 +43,7 @@ pub fn fig10_instance(vertices: usize, dense: bool, seed: u64) -> FlowNetwork {
 }
 
 /// The evaluation-shaped substrate build (ideal negative resistors, exact
-/// capacity mapping, step drive, no parasitics) shared by the profile and
+/// capacity mapping, step drive) shared by the profile and
 /// report bins, so every large-graph scaling number refers to the same
 /// circuit configuration.
 pub fn bench_substrate(g: &FlowNetwork) -> SubstrateCircuit {
@@ -53,8 +51,6 @@ pub fn bench_substrate(g: &FlowNetwork) -> SubstrateCircuit {
     params.v_flow = 50.0 * params.v_dd;
     let mut bo = BuildOptions::evaluation(&params);
     bo.capacity_mapping = CapacityMapping::Exact;
-    bo.negative_resistor = NegativeResistorImpl::Ideal;
-    bo.parasitics = false;
     bo.drive = Drive::Step;
     build(g, &params, &bo).expect("substrate build")
 }

@@ -1,6 +1,6 @@
 use std::collections::HashMap;
 
-use crate::element::{DiodeModel, Element, MemristorModel, MemristorState, OpAmpModel};
+use crate::element::{DiodeModel, Element, OpAmpModel};
 use crate::error::CircuitError;
 use crate::ids::{ElementId, NodeId};
 use crate::source::SourceValue;
@@ -9,8 +9,8 @@ use crate::source::SourceValue;
 ///
 /// Nodes are created with [`Circuit::node`] (optionally named); devices are
 /// added with the typed constructors, each returning an [`ElementId`] handle
-/// that can later be used to retune the device (memristor programming,
-/// resistance tuning) or probe its branch current.
+/// that can later be used to retune the device (resistance tuning, source
+/// values) or probe its branch current.
 ///
 /// # Example
 ///
@@ -148,27 +148,9 @@ impl Circuit {
         self.push(Element::Resistor { a, b, resistance })
     }
 
-    /// Adds a capacitor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacitance <= 0.0` or is not finite.
-    pub fn capacitor(&mut self, a: NodeId, b: NodeId, capacitance: f64) -> ElementId {
-        assert!(
-            capacitance > 0.0 && capacitance.is_finite(),
-            "capacitance must be positive and finite, got {capacitance}"
-        );
-        self.push(Element::Capacitor { a, b, capacitance })
-    }
-
     /// Adds an independent voltage source (`V(pos) − V(neg) = value(t)`).
     pub fn voltage_source(&mut self, pos: NodeId, neg: NodeId, value: SourceValue) -> ElementId {
         self.push(Element::VoltageSource { pos, neg, value })
-    }
-
-    /// Adds an independent current source pushing `value(t)` amps into `pos`.
-    pub fn current_source(&mut self, pos: NodeId, neg: NodeId, value: SourceValue) -> ElementId {
-        self.push(Element::CurrentSource { pos, neg, value })
     }
 
     /// Adds a voltage-controlled voltage source.
@@ -205,42 +187,6 @@ impl Circuit {
             inn,
             out,
             model,
-        })
-    }
-
-    /// Adds a grounded negative resistor with first-order settling dynamics
-    /// (exact `−magnitude` Ω in DC; `τ`-lagged current injection in
-    /// transient — the behavioural model of an op-amp NIC).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `magnitude > 0` and `tau >= 0` and both are finite.
-    pub fn negative_resistor_dyn(&mut self, a: NodeId, magnitude: f64, tau: f64) -> ElementId {
-        assert!(
-            magnitude > 0.0 && magnitude.is_finite(),
-            "negative-resistor magnitude must be positive and finite, got {magnitude}"
-        );
-        assert!(
-            tau >= 0.0 && tau.is_finite(),
-            "tau must be nonnegative, got {tau}"
-        );
-        self.push(Element::NegativeResistorDyn { a, magnitude, tau })
-    }
-
-    /// Adds a behavioural memristor in the given initial state.
-    pub fn memristor(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        model: MemristorModel,
-        state: MemristorState,
-    ) -> ElementId {
-        self.push(Element::Memristor {
-            a,
-            b,
-            model,
-            state,
-            tuned_lrs: None,
         })
     }
 
@@ -284,109 +230,7 @@ impl Circuit {
                 *v = value;
                 Ok(())
             }
-            Some(Element::CurrentSource { value: v, .. }) => {
-                *v = value;
-                Ok(())
-            }
             _ => Err(CircuitError::WrongElementKind { expected: "source" }),
-        }
-    }
-
-    /// Sets a memristor's resistance state directly (bypassing the
-    /// threshold-programming model; the crossbar's §3.1 pulse protocol lives
-    /// in the `ohmflow` core crate and calls [`Circuit::program_memristor`]).
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::WrongElementKind`] if `id` is not a memristor.
-    pub fn set_memristor_state(
-        &mut self,
-        id: ElementId,
-        state: MemristorState,
-    ) -> Result<(), CircuitError> {
-        match self.elements.get_mut(id.0) {
-            Some(Element::Memristor { state: s, .. }) => {
-                *s = state;
-                Ok(())
-            }
-            _ => Err(CircuitError::WrongElementKind {
-                expected: "memristor",
-            }),
-        }
-    }
-
-    /// Applies a programming pulse of `volts` across a memristor
-    /// (terminal `a` minus terminal `b`). Positive pulses at or above the
-    /// threshold set LRS; negative pulses at or below `-threshold` reset to
-    /// HRS; sub-threshold pulses are ignored — matching the behaviour relied
-    /// on by the row-by-row crossbar programming protocol of §3.1.
-    ///
-    /// Returns the resulting state.
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::WrongElementKind`] if `id` is not a memristor.
-    pub fn program_memristor(
-        &mut self,
-        id: ElementId,
-        volts: f64,
-    ) -> Result<MemristorState, CircuitError> {
-        match self.elements.get_mut(id.0) {
-            Some(Element::Memristor { state, model, .. }) => {
-                if volts >= model.v_threshold {
-                    *state = MemristorState::Lrs;
-                } else if volts <= -model.v_threshold {
-                    *state = MemristorState::Hrs;
-                }
-                Ok(*state)
-            }
-            _ => Err(CircuitError::WrongElementKind {
-                expected: "memristor",
-            }),
-        }
-    }
-
-    /// Fine-tunes a memristor's LRS resistance (§4.3.2). Pass `None` to
-    /// clear the tuning override.
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::WrongElementKind`] if `id` is not a memristor;
-    /// [`CircuitError::InvalidParameter`] for non-positive values.
-    pub fn tune_memristor(
-        &mut self,
-        id: ElementId,
-        lrs_resistance: Option<f64>,
-    ) -> Result<(), CircuitError> {
-        if let Some(r) = lrs_resistance {
-            if r <= 0.0 || !r.is_finite() {
-                return Err(CircuitError::InvalidParameter {
-                    what: format!("tuned LRS resistance {r}"),
-                });
-            }
-        }
-        match self.elements.get_mut(id.0) {
-            Some(Element::Memristor { tuned_lrs, .. }) => {
-                *tuned_lrs = lrs_resistance;
-                Ok(())
-            }
-            _ => Err(CircuitError::WrongElementKind {
-                expected: "memristor",
-            }),
-        }
-    }
-
-    /// Memristor state of element `id`.
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::WrongElementKind`] if `id` is not a memristor.
-    pub fn memristor_state(&self, id: ElementId) -> Result<MemristorState, CircuitError> {
-        match self.elements.get(id.0) {
-            Some(Element::Memristor { state, .. }) => Ok(*state),
-            _ => Err(CircuitError::WrongElementKind {
-                expected: "memristor",
-            }),
         }
     }
 
@@ -427,52 +271,12 @@ mod tests {
     }
 
     #[test]
-    fn memristor_programming_protocol() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        let m = ckt.memristor(
-            a,
-            Circuit::GROUND,
-            MemristorModel::table1(),
-            MemristorState::Hrs,
-        );
-        // Sub-threshold pulse: no change.
-        assert_eq!(ckt.program_memristor(m, 1.0).unwrap(), MemristorState::Hrs);
-        // Set pulse.
-        assert_eq!(ckt.program_memristor(m, 2.0).unwrap(), MemristorState::Lrs);
-        // Half-selected cell (threshold/2): must not disturb.
-        assert_eq!(
-            ckt.program_memristor(m, -0.75).unwrap(),
-            MemristorState::Lrs
-        );
-        // Reset pulse.
-        assert_eq!(ckt.program_memristor(m, -2.0).unwrap(), MemristorState::Hrs);
-    }
-
-    #[test]
-    fn tuning_validation() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        let m = ckt.memristor(
-            a,
-            Circuit::GROUND,
-            MemristorModel::table1(),
-            MemristorState::Lrs,
-        );
-        assert!(ckt.tune_memristor(m, Some(-1.0)).is_err());
-        ckt.tune_memristor(m, Some(9_500.0)).unwrap();
-        assert_eq!(ckt.element(m).memristance(), Some(9_500.0));
-        ckt.tune_memristor(m, None).unwrap();
-        assert_eq!(ckt.element(m).memristance(), Some(10e3));
-    }
-
-    #[test]
     fn wrong_element_kind_errors() {
         let mut ckt = Circuit::new();
         let a = ckt.node("a");
         let r = ckt.resistor(a, Circuit::GROUND, 1.0);
         assert!(matches!(
-            ckt.program_memristor(r, 2.0),
+            ckt.set_source_value(r, SourceValue::dc(2.0)),
             Err(CircuitError::WrongElementKind { .. })
         ));
         assert!(ckt.set_resistance(r, 2.0).is_ok());

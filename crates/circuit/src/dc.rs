@@ -12,9 +12,7 @@ use crate::circuit::Circuit;
 use crate::element::Element;
 use crate::error::CircuitError;
 use crate::ids::{ElementId, NodeId};
-use crate::mna::{
-    self, DeviceState, History, MnaStructure, Solution, StampMode, StampedMatrix, StateIteration,
-};
+use crate::mna::{self, DeviceState, MnaStructure, Solution, StampedMatrix, StateIteration};
 
 /// One owned rank-1 term `(u, v)` staged for a batched Woodbury push
 /// (the borrowed shape is [`RankOneTermRef`]).
@@ -90,7 +88,7 @@ impl DcTemplate {
             .iter()
             .map(Element::has_branch_current)
             .collect();
-        let mut base = StampedMatrix::mapped(ckt, &st, &states, StampMode::Dc);
+        let mut base = StampedMatrix::mapped(ckt, &st, &states);
         base.forget_pushes();
         // The factor records the matrix it factored, so opening a session
         // on a circuit replays only the columns whose values differ from
@@ -363,7 +361,14 @@ impl DcSolver {
     ///
     /// Same as [`DcSolver::solve`].
     pub fn session<C: Borrow<Circuit>>(&self, host: C) -> Result<FrozenDcSession<C>, CircuitError> {
-        FrozenDcSession::construct(host, self.tpl.as_deref(), self.lu, None, self.phase_timing)
+        FrozenDcSession::construct(
+            host,
+            self.tpl.as_deref(),
+            self.lu,
+            None,
+            false,
+            self.phase_timing,
+        )
     }
 
     /// Stamps `ckt`'s initial-state DC MNA matrix and factors it under
@@ -377,7 +382,7 @@ impl DcSolver {
     pub fn stamp(&self, ckt: &Circuit) -> Result<(CscMatrix, SparseLu), CircuitError> {
         let st = MnaStructure::new(ckt);
         let states = mna::initial_states(ckt);
-        let m = mna::stamp_matrix(ckt, &st, &states, StampMode::Dc).to_csc();
+        let m = mna::stamp_matrix(ckt, &st, &states).to_csc();
         let lu = SparseLu::factor_with(&m, &self.lu)?;
         Ok((m, lu))
     }
@@ -417,13 +422,11 @@ impl DcSolver {
                 tpl,
                 self.lu,
                 Some(states.clone()),
+                at_time.is_none(),
                 self.phase_timing,
             )?
             .with_max_rank(0);
-            match s
-                .set_stamp(StampMode::Dc, at_time.is_none())
-                .and_then(|()| s.operating_point(t, None, states))
-            {
+            match s.operating_point(t, states) {
                 Ok(done) => Ok((s, done)),
                 Err(e) => {
                     spent = s.report();
@@ -643,13 +646,8 @@ pub struct FrozenDcSession<C = Circuit> {
     refinements: usize,
     /// First-repeat iteration of the last operating-point solve.
     cycle_break: Option<usize>,
-    /// How the matrix and RHS are stamped: the DC operating point, or a
-    /// transient step's companion models ([`TransientAnalysis`]).
-    ///
-    /// [`TransientAnalysis`]: crate::TransientAnalysis
-    mode: StampMode,
     /// Whether `Step` sources take their pre-step value (a `0⁻`
-    /// operating point).
+    /// operating point); fixed when the session opens.
     pre_step: bool,
     stats: FrozenDcStats,
     /// Phase timing is opt-in ([`DcSolver::phase_timing`]): clock reads
@@ -670,7 +668,8 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
     const DEFAULT_REBASE_PERIOD: usize = 256;
 
     /// The one session constructor every entry point funnels into: a
-    /// DC stamp at `start` (the initial assignment when `None`). With a
+    /// DC stamp at `start` (the initial assignment when `None`), with
+    /// `Step` sources at their `0⁻` value when `pre_step`. With a
     /// matching template the circuit's base matrix is restamped through
     /// the template's slot map with its *current* values and the
     /// template's factor is numerically replayed (shared symbolic plan,
@@ -685,6 +684,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         tpl: Option<&DcTemplate>,
         lu_opts: LuOptions,
         start: Option<Vec<DeviceState>>,
+        pre_step: bool,
         phase_timing: bool,
     ) -> Result<Self, CircuitError> {
         let c = ckt.borrow();
@@ -696,12 +696,12 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         let (st, base, lu_opts) = match tpl {
             Some(tpl) => {
                 let mut m = tpl.base.clone();
-                m.restamp(c, &tpl.st, &states, StampMode::Dc);
+                m.restamp(c, &tpl.st, &states);
                 (tpl.st.clone(), m, tpl.lu_opts)
             }
             None => {
                 let st = MnaStructure::new(c);
-                let m = StampedMatrix::new(c, &st, &states, StampMode::Dc);
+                let m = StampedMatrix::new(c, &st, &states);
                 (st, m, lu_opts)
             }
         };
@@ -730,9 +730,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             .elements()
             .iter()
             .filter_map(|e| match e {
-                Element::VoltageSource { value, .. } | Element::CurrentSource { value, .. } => {
-                    Some(value.constant_after())
-                }
+                Element::VoltageSource { value, .. } => Some(value.constant_after()),
                 _ => None,
             })
             .fold(f64::NEG_INFINITY, f64::max);
@@ -763,8 +761,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             values_edited: false,
             refinements: 0,
             cycle_break: None,
-            mode: StampMode::Dc,
-            pre_step: false,
+            pre_step,
             stats: FrozenDcStats {
                 refactorizations: usize::from(templated),
                 full_factorizations: usize::from(!templated),
@@ -813,17 +810,15 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
     /// solving, so an error followed by a solvable configuration recovers
     /// cleanly.
     pub fn solve(&mut self, time: f64, diode_on: &[bool]) -> Result<(), CircuitError> {
-        self.solve_frozen(time, diode_on, None, false)
+        self.solve_frozen(time, diode_on, false)
     }
 
-    /// [`FrozenDcSession::solve`] with the transient `history` a
-    /// companion-model stamp reads its RHS from; `keep_rhs` reuses the
-    /// last RHS, which the caller knows to be current.
+    /// [`FrozenDcSession::solve`], reusing the last RHS when `keep_rhs`
+    /// (the caller knows it to be current).
     fn solve_frozen(
         &mut self,
         time: f64,
         diode_on: &[bool],
-        history: Option<&History>,
         keep_rhs: bool,
     ) -> Result<(), CircuitError> {
         if self.poisoned {
@@ -844,7 +839,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             self.rebase()?; // still poisoned if this fails
             self.poisoned = false;
         }
-        let solved = self.solve_impl(time, diode_on, history, keep_rhs);
+        let solved = self.solve_impl(time, diode_on, keep_rhs);
         if solved.is_err() {
             self.poisoned = true;
             self.last_solve_time = None;
@@ -856,7 +851,6 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         &mut self,
         time: f64,
         diode_on: &[bool],
-        history: Option<&History>,
         keep_rhs: bool,
     ) -> Result<(), CircuitError> {
         // Absorb diode flips as rank-1 conductance updates. An unchanged
@@ -934,10 +928,8 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             // is constant, so with an unchanged clamp configuration the
             // operating point is the previous one verbatim — skip the
             // solve. This is the quiescent-tail fast path a per-call
-            // rebuild can never take. A transient history moves the RHS
-            // on every step, so it never takes it.
-            let settled = history.is_none()
-                && time >= self.rhs_const_after
+            // rebuild can never take.
+            let settled = time >= self.rhs_const_after
                 && self
                     .last_solve_time
                     .is_some_and(|tp| tp >= self.rhs_const_after);
@@ -972,8 +964,6 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
                 &self.st,
                 &self.states,
                 time,
-                self.mode,
-                history,
                 self.pre_step,
             );
             self.phases.stamp_ns += elapsed_ns(t0);
@@ -1080,29 +1070,6 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         self.phases.solve_ns += elapsed_ns(t0);
     }
 
-    /// Sets how the following solves stamp: the companion models of
-    /// `mode`, and `Step` sources at their pre-step value when
-    /// `pre_step`. A mode switch restamps every element and replays the
-    /// factor (a fresh pivoting factorization when the replay fails).
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::SingularSystem`] if the restamped configuration is
-    /// unsolvable; the session is then poisoned.
-    pub(crate) fn set_stamp(
-        &mut self,
-        mode: StampMode,
-        pre_step: bool,
-    ) -> Result<(), CircuitError> {
-        self.pre_step = pre_step;
-        self.last_solve_time = None;
-        if mode != self.mode {
-            self.mode = mode;
-            self.rebase().inspect_err(|_| self.poisoned = true)?;
-        }
-        Ok(())
-    }
-
     /// Re-stamps the matrix for the current states (in place while the
     /// pattern holds; only the changed devices when no element value was
     /// edited since the last stamp) and replaces the base factorization:
@@ -1113,10 +1080,9 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         let t0 = self.clock();
         let ckt = self.ckt.borrow();
         if std::mem::take(&mut self.values_edited) {
-            self.base.restamp(ckt, &self.st, &self.states, self.mode);
+            self.base.restamp(ckt, &self.st, &self.states);
         } else {
-            self.base
-                .restamp_states(ckt, &self.st, &self.states, self.mode);
+            self.base.restamp_states(ckt, &self.st, &self.states);
         }
         self.phases.stamp_ns += elapsed_ns(t0);
         let t0 = self.clock();
@@ -1191,25 +1157,23 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
     /// assignment is found within the iteration budget.
     pub fn solve_operating_point(&mut self, time: f64) -> Result<usize, CircuitError> {
         let start = self.states.clone();
-        self.operating_point(time, None, start)
+        self.operating_point(time, start)
             .map(|(iterations, _)| iterations)
     }
 
     /// [`FrozenDcSession::solve_operating_point`] from the assignment
-    /// `start`, with the transient `history` a companion-model stamp reads
-    /// its RHS from. Also returns the accepted assignment, whose solution
-    /// the session holds (see [`StateIteration`]).
+    /// `start`. Also returns the accepted assignment, whose solution the
+    /// session holds (see [`StateIteration`]).
     pub(crate) fn operating_point(
         &mut self,
         time: f64,
-        history: Option<&History>,
         start: Vec<DeviceState>,
     ) -> Result<(usize, Vec<DeviceState>), CircuitError> {
         let mut states = start;
         let mut it = StateIteration::new(self.ckt.borrow(), &states, time);
         let mut diode_on = Vec::with_capacity(self.diode_elems.len());
         self.cycle_break = None;
-        // The time, history and stamp mode hold for the whole iteration:
+        // The time holds for the whole iteration:
         // after the first solve the RHS moves only when a device with a
         // state-dependent RHS term (an op-amp, a diode with a forward
         // drop) changes state.
@@ -1237,7 +1201,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
                     .iter()
                     .map(|&i| states[i] == DeviceState::On),
             );
-            self.solve_frozen(time, &diode_on, history, !rhs_moved)?;
+            self.solve_frozen(time, &diode_on, !rhs_moved)?;
             stamped = true;
             let done = it.advance(self.ckt.borrow(), &mut states, &self.x)?;
             self.cycle_break = it.cycle_break;
@@ -2170,9 +2134,9 @@ mod tests {
                 let mut states = mna::initial_states(&ckt);
                 let diodes: Vec<usize> = ckt.diode_ids().iter().map(|d| d.index()).collect();
                 let opamp = ckt.elements().iter().position(|e| matches!(e, Element::OpAmp { .. }));
-                let mut m = StampedMatrix::mapped(&ckt, &st, &states, StampMode::Dc);
+                let mut m = StampedMatrix::mapped(&ckt, &st, &states);
                 let full = |states: &[DeviceState]| {
-                    mna::stamp_matrix(&ckt, &st, states, StampMode::Dc).to_csc()
+                    mna::stamp_matrix(&ckt, &st, states).to_csc()
                 };
                 let bits = |a: &CscMatrix| {
                     (a.col_ptr().to_vec(), a.row_idx().to_vec(),
@@ -2197,7 +2161,7 @@ mod tests {
                         states[i] = s;
                     }
                     proptest::prop_assert_eq!(
-                        m.restamp_states(&ckt, &st, &states, StampMode::Dc),
+                        m.restamp_states(&ckt, &st, &states),
                         !pattern_moves
                     );
                     proptest::prop_assert_eq!(bits(m.matrix()), bits(&full(&states)));

@@ -48,11 +48,11 @@ impl Default for DiodeModel {
 
 /// Single-pole operational-amplifier macromodel.
 ///
-/// DC behaviour is a finite-gain VCVS (`V_out = A · (V⁺ − V⁻)`); transient
-/// behaviour adds the dominant pole so the closed-loop settling speed is set
-/// by the gain–bandwidth product, matching Table 1 of the paper:
-///
-/// `τ · dV_out/dt = A · (V⁺ − V⁻) − V_out`, with `τ = A / (2π · GBW)`.
+/// It stamps as a finite-gain VCVS (`V_out = A · (V⁺ − V⁻)`) that saturates
+/// at its rails. The dominant pole `τ = A / (2π · GBW)`
+/// ([`OpAmpModel::time_constant`]) sets how fast the substrate settles:
+/// the core crate's relaxation transient lags the edge voltages by it,
+/// matching Table 1 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpAmpModel {
     /// Open-loop DC gain `A` (dimensionless). Table 1 uses `1e4`.
@@ -161,30 +161,11 @@ pub enum Element {
         /// Resistance in Ω (nonzero, possibly negative).
         resistance: f64,
     },
-    /// Linear capacitor between `a` and `b`.
-    Capacitor {
-        /// First terminal.
-        a: NodeId,
-        /// Second terminal.
-        b: NodeId,
-        /// Capacitance in farads (positive).
-        capacitance: f64,
-    },
     /// Independent voltage source: `V(pos) − V(neg) = value(t)`.
     VoltageSource {
         /// Positive terminal.
         pos: NodeId,
         /// Negative terminal.
-        neg: NodeId,
-        /// Source waveform.
-        value: SourceValue,
-    },
-    /// Independent current source driving `value(t)` amps from `neg`
-    /// through the source into `pos` (i.e. into the `pos` node).
-    CurrentSource {
-        /// Terminal receiving the current.
-        pos: NodeId,
-        /// Terminal sourcing the current.
         neg: NodeId,
         /// Source waveform.
         value: SourceValue,
@@ -223,37 +204,6 @@ pub enum Element {
         /// Macromodel parameters.
         model: OpAmpModel,
     },
-    /// Grounded negative resistor with first-order settling dynamics.
-    ///
-    /// DC behaviour is an exact `−magnitude` resistance; in transient the
-    /// injected current follows `τ · di/dt = −V(a)/magnitude − i`, modelling
-    /// an op-amp negative-impedance converter whose loop settles at the
-    /// amplifier's dominant-pole time constant. This is what makes the
-    /// substrate's constraint enforcement *slower* than the parasitic RC —
-    /// the two-time-scale structure that keeps the indefinite network
-    /// dynamically stable (see the `ohmflow` DESIGN notes).
-    NegativeResistorDyn {
-        /// Grounded terminal.
-        a: NodeId,
-        /// Magnitude of the negative resistance (Ω, positive number).
-        magnitude: f64,
-        /// Settling time constant (seconds).
-        tau: f64,
-    },
-    /// Behavioural memristor between `a` and `b`.
-    Memristor {
-        /// First terminal (programming "row" side).
-        a: NodeId,
-        /// Second terminal.
-        b: NodeId,
-        /// Model parameters.
-        model: MemristorModel,
-        /// Current resistance state.
-        state: MemristorState,
-        /// Fine-tuned resistance override (Ω) applied when in LRS; `None`
-        /// uses `model.r_lrs`. Supports §4.3.2 post-fabrication tuning.
-        tuned_lrs: Option<f64>,
-    },
 }
 
 impl Element {
@@ -261,16 +211,11 @@ impl Element {
     /// controlled sources). Useful for connectivity checks.
     pub fn terminals(&self) -> (NodeId, NodeId) {
         match self {
-            Element::Resistor { a, b, .. }
-            | Element::Capacitor { a, b, .. }
-            | Element::Memristor { a, b, .. } => (*a, *b),
-            Element::VoltageSource { pos, neg, .. } | Element::CurrentSource { pos, neg, .. } => {
-                (*pos, *neg)
-            }
+            Element::Resistor { a, b, .. } => (*a, *b),
+            Element::VoltageSource { pos, neg, .. } => (*pos, *neg),
             Element::Vcvs {
                 out_pos, out_neg, ..
             } => (*out_pos, *out_neg),
-            Element::NegativeResistorDyn { a, .. } => (*a, NodeId::GROUND),
             Element::Diode { anode, cathode, .. } => (*anode, *cathode),
             Element::OpAmp { out, .. } => (*out, NodeId::GROUND),
         }
@@ -280,29 +225,8 @@ impl Element {
     pub fn has_branch_current(&self) -> bool {
         matches!(
             self,
-            Element::VoltageSource { .. }
-                | Element::Vcvs { .. }
-                | Element::OpAmp { .. }
-                | Element::NegativeResistorDyn { .. }
+            Element::VoltageSource { .. } | Element::Vcvs { .. } | Element::OpAmp { .. }
         )
-    }
-
-    /// Effective resistance of a memristor element in its present state.
-    ///
-    /// Returns `None` for other element kinds.
-    pub fn memristance(&self) -> Option<f64> {
-        match self {
-            Element::Memristor {
-                model,
-                state,
-                tuned_lrs,
-                ..
-            } => Some(match state {
-                MemristorState::Lrs => tuned_lrs.unwrap_or(model.r_lrs),
-                MemristorState::Hrs => model.r_hrs,
-            }),
-            _ => None,
-        }
     }
 }
 
@@ -324,26 +248,6 @@ mod tests {
         let m = MemristorModel::table1();
         assert_eq!(m.resistance(MemristorState::Lrs), 10e3);
         assert_eq!(m.resistance(MemristorState::Hrs), 1e6);
-    }
-
-    #[test]
-    fn memristance_respects_tuning() {
-        let e = Element::Memristor {
-            a: NodeId(1),
-            b: NodeId(2),
-            model: MemristorModel::table1(),
-            state: MemristorState::Lrs,
-            tuned_lrs: Some(9_900.0),
-        };
-        assert_eq!(e.memristance(), Some(9_900.0));
-        let e_hrs = Element::Memristor {
-            a: NodeId(1),
-            b: NodeId(2),
-            model: MemristorModel::table1(),
-            state: MemristorState::Hrs,
-            tuned_lrs: Some(9_900.0),
-        };
-        assert_eq!(e_hrs.memristance(), Some(1e6), "tuning only affects LRS");
     }
 
     #[test]

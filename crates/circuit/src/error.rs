@@ -7,8 +7,7 @@ use ohmflow_linalg::LinalgError;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum CircuitError {
-    /// A device parameter is invalid (zero resistance, negative capacitance,
-    /// non-positive time step, …).
+    /// A device parameter is invalid (zero or NaN resistance, …).
     InvalidParameter {
         /// Human-readable description of the offending parameter.
         what: String,

@@ -41,7 +41,7 @@ impl fmt::Display for NodeId {
 /// Identifier of an element (device instance) in a [`crate::Circuit`].
 ///
 /// Returned by every device constructor; used to update device parameters
-/// (e.g. memristor programming) and to probe branch currents.
+/// (e.g. resistance tuning, source values) and to probe branch currents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ElementId(pub(crate) usize);
 

@@ -6,38 +6,41 @@
 //! substitute. It provides:
 //!
 //! * a [`Circuit`] netlist builder with the device set the substrate needs —
-//!   resistors (positive **and negative**), capacitors, independent sources,
-//!   VCVS, piecewise-linear diodes, single-pole op-amp macromodels, and
-//!   behavioural memristors ([`MemristorModel`]) with threshold programming,
+//!   resistors (positive **and negative**), independent voltage sources,
+//!   VCVS, piecewise-linear diodes and single-pole op-amp macromodels,
+//!   plus the behavioural memristor model ([`MemristorModel`]) whose
+//!   states the core crate's crossbar programs,
 //! * modified nodal analysis assembly ([`mna`]),
 //! * staged DC solving through one [`DcSolver`] — plan the cold path once
 //!   per circuit structure (a [`DcTemplate`] it carries), then operating-point
 //!   solves with diode/op-amp state (complementarity) iteration, all run
 //!   by one frozen-state engine ([`FrozenDcSession`]) that pays only
 //!   numeric work,
-//! * transient analysis with backward-Euler and trapezoidal integration on
-//!   that engine, reusing the factorization across time steps
-//!   ([`TransientAnalysis`]) — the integrator is hand-written because no
-//!   suitable ODE crate is available,
 //! * waveform recording and settle-time detection ([`Waveform`],
-//!   [`WaveformSet`]).
+//!   [`WaveformSet`]) for the relaxation transient the `ohmflow` core
+//!   crate runs as a sequence of frozen-state DC solves.
 //!
-//! # Example: an RC step response
+//! The substrate is a piecewise-linear resistive network, and its DC
+//! operating point is the object of study; its dynamics are modelled one
+//! level up, so this crate has no time integrator.
+//!
+//! # Example: a diode clamp
 //!
 //! ```
-//! use ohmflow_circuit::{Circuit, SourceValue, TransientAnalysis, TransientOptions};
+//! use ohmflow_circuit::{Circuit, DcSolver, DiodeModel, SourceValue};
 //!
 //! # fn main() -> Result<(), ohmflow_circuit::CircuitError> {
+//! // 3 V through 1 kΩ into a node clamped by a diode to a 1 V level.
 //! let mut ckt = Circuit::new();
 //! let vin = ckt.node("in");
-//! let vout = ckt.node("out");
-//! ckt.voltage_source(vin, Circuit::GROUND, SourceValue::step(0.0, 1.0, 0.0));
-//! ckt.resistor(vin, vout, 1e3);
-//! ckt.capacitor(vout, Circuit::GROUND, 1e-9);
-//! let opts = TransientOptions::to_time(5e-6).with_step(1e-8);
-//! let waves = TransientAnalysis::new(&ckt, opts)?.run()?;
-//! let final_v = waves.voltage(vout).expect("probed").last_value();
-//! assert!((final_v - 1.0).abs() < 1e-2);
+//! let x = ckt.node("x");
+//! let level = ckt.node("level");
+//! ckt.voltage_source(vin, Circuit::GROUND, SourceValue::dc(3.0));
+//! ckt.resistor(vin, x, 1e3);
+//! ckt.voltage_source(level, Circuit::GROUND, SourceValue::dc(1.0));
+//! ckt.diode(x, level, DiodeModel::ideal());
+//! let (sol, _) = DcSolver::new().solve(&ckt)?;
+//! assert!((sol.voltage(x) - 1.0).abs() < 1e-3);
 //! # Ok(())
 //! # }
 //! ```
@@ -52,7 +55,6 @@ mod error;
 mod ids;
 pub mod mna;
 mod source;
-mod transient;
 mod waveform;
 
 pub use circuit::Circuit;
@@ -66,5 +68,4 @@ pub use ids::{ElementId, NodeId};
 pub use mna::DeviceState;
 pub use ohmflow_linalg::SparseLuOptions as LuOptions;
 pub use source::SourceValue;
-pub use transient::{IntegrationMethod, TransientAnalysis, TransientOptions};
 pub use waveform::{Waveform, WaveformSet};

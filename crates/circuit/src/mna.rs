@@ -1,6 +1,6 @@
 //! Modified nodal analysis: unknown indexing, matrix/RHS stamping, and the
-//! piecewise-linear device-state (complementarity) iteration shared by DC
-//! and transient analyses.
+//! piecewise-linear device-state (complementarity) iteration behind every
+//! operating-point solve.
 //!
 //! Unknowns are ordered as `[node voltages (ground excluded) | branch
 //! currents]`, with one branch current per voltage source, VCVS and op-amp.
@@ -38,33 +38,6 @@ pub enum DeviceState {
     SatHigh,
     /// Op-amp clamped at the low rail.
     SatLow,
-}
-
-/// How reactive elements are treated during stamping.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StampMode {
-    /// DC operating point: capacitors open, op-amp poles ignored.
-    Dc,
-    /// Backward-Euler companion models with step `h`.
-    BackwardEuler {
-        /// Time step (seconds).
-        h: f64,
-    },
-    /// Trapezoidal companion models with step `h`.
-    Trapezoidal {
-        /// Time step (seconds).
-        h: f64,
-    },
-}
-
-/// Dynamic history carried between transient steps.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct History {
-    /// Previous solution vector (unknown-indexed).
-    pub solution: Vec<f64>,
-    /// Previous current through each capacitor, element-indexed
-    /// (trapezoidal integration needs it; backward Euler ignores it).
-    pub cap_currents: Vec<f64>,
 }
 
 /// Unknown indexing for a circuit.
@@ -186,19 +159,18 @@ impl<F: FnMut(usize, usize, f64)> Sink<F> {
 }
 
 /// The one stamping walk: calls `push(row, col, value)` for every matrix
-/// contribution of `ckt` under `states` and `mode`, in element order.
+/// contribution of `ckt` under `states`, in element order.
 /// [`stamp_matrix`] collects the calls into triplets; [`StampedMatrix`]
 /// maps them onto a compressed pattern and replays them in place.
 fn for_each_stamp(
     ckt: &Circuit,
     st: &MnaStructure,
     states: &[DeviceState],
-    mode: StampMode,
     push: impl FnMut(usize, usize, f64),
 ) {
     let mut m = Sink(push);
     for idx in 0..ckt.element_count() {
-        stamp_element(ckt, st, idx, states, mode, &mut m);
+        stamp_element(ckt, st, idx, states, &mut m);
     }
 }
 
@@ -209,7 +181,6 @@ fn stamp_element<F: FnMut(usize, usize, f64)>(
     st: &MnaStructure,
     idx: usize,
     states: &[DeviceState],
-    mode: StampMode,
     m: &mut Sink<F>,
 ) {
     let ib = st.branch[idx];
@@ -218,34 +189,12 @@ fn stamp_element<F: FnMut(usize, usize, f64)>(
         Element::Resistor { a, b, resistance } => {
             m.conductance(*a, *b, 1.0 / resistance);
         }
-        Element::Memristor { a, b, .. } => {
-            let r = e
-                .memristance()
-                .expect("invariant: memristor elements carry a memristance");
-            m.conductance(*a, *b, 1.0 / r);
-        }
-        Element::Capacitor { a, b, capacitance } => match mode {
-            StampMode::Dc => {
-                // Open in DC; a tiny conductance keeps otherwise
-                // capacitor-only nodes from floating.
-                m.conductance(*a, *b, 1e-15);
-            }
-            StampMode::BackwardEuler { h } => {
-                m.conductance(*a, *b, capacitance / h);
-            }
-            StampMode::Trapezoidal { h } => {
-                m.conductance(*a, *b, 2.0 * capacitance / h);
-            }
-        },
         Element::VoltageSource { pos, neg, .. } => {
             let ib = ib.expect("invariant: vsource rows were assigned a branch");
             m.add(pos.unknown(), Some(ib), 1.0);
             m.add(neg.unknown(), Some(ib), -1.0);
             m.add(Some(ib), pos.unknown(), 1.0);
             m.add(Some(ib), neg.unknown(), -1.0);
-        }
-        Element::CurrentSource { .. } => {
-            // RHS only.
         }
         Element::Vcvs {
             out_pos,
@@ -273,29 +222,6 @@ fn stamp_element<F: FnMut(usize, usize, f64)>(
             };
             m.conductance(*anode, *cathode, g);
         }
-        Element::NegativeResistorDyn { a, magnitude, tau } => {
-            let ib = ib.expect("invariant: dynamic negative resistors were assigned a branch");
-            // KCL: branch current leaves node a.
-            m.add(a.unknown(), Some(ib), 1.0);
-            // Branch equation: DC  i + V/Rm = 0;
-            // BE  (1 + τ/h) i + V/Rm = (τ/h) i_prev;
-            // TRAP (0.5 + τ/h) i + 0.5 V/Rm = (τ/h − 0.5) i_prev − 0.5 V_prev/Rm.
-            let g = 1.0 / magnitude;
-            match mode {
-                StampMode::Dc => {
-                    m.add(Some(ib), Some(ib), 1.0);
-                    m.add(Some(ib), a.unknown(), g);
-                }
-                StampMode::BackwardEuler { h } => {
-                    m.add(Some(ib), Some(ib), 1.0 + tau / h);
-                    m.add(Some(ib), a.unknown(), g);
-                }
-                StampMode::Trapezoidal { h } => {
-                    m.add(Some(ib), Some(ib), 0.5 + tau / h);
-                    m.add(Some(ib), a.unknown(), 0.5 * g);
-                }
-            }
-        }
         Element::OpAmp {
             inp,
             inn,
@@ -311,21 +237,10 @@ fn stamp_element<F: FnMut(usize, usize, f64)>(
                     m.add(Some(ib), out.unknown(), 1.0);
                 }
                 _ => {
-                    // Linear region.
-                    let (c_out, c_vd) = match mode {
-                        StampMode::Dc => (1.0, model.gain),
-                        StampMode::BackwardEuler { h } => {
-                            let toh = model.time_constant() / h;
-                            (1.0 + toh, model.gain)
-                        }
-                        StampMode::Trapezoidal { h } => {
-                            let toh = model.time_constant() / h;
-                            (0.5 + toh, 0.5 * model.gain)
-                        }
-                    };
-                    m.add(Some(ib), out.unknown(), c_out);
-                    m.add(Some(ib), inp.unknown(), -c_vd);
-                    m.add(Some(ib), inn.unknown(), c_vd);
+                    // Linear region: v_out = A · (v⁺ − v⁻).
+                    m.add(Some(ib), out.unknown(), 1.0);
+                    m.add(Some(ib), inp.unknown(), -model.gain);
+                    m.add(Some(ib), inn.unknown(), model.gain);
                     if model.r_out > 0.0 {
                         m.add(Some(ib), Some(ib), model.r_out);
                     }
@@ -335,17 +250,12 @@ fn stamp_element<F: FnMut(usize, usize, f64)>(
     }
 }
 
-/// Stamps the MNA matrix for the given states and mode (the full path:
-/// triplets, compressed by the caller).
-pub fn stamp_matrix(
-    ckt: &Circuit,
-    st: &MnaStructure,
-    states: &[DeviceState],
-    mode: StampMode,
-) -> TripletMatrix {
+/// Stamps the MNA matrix for the given states (the full path: triplets,
+/// compressed by the caller).
+pub fn stamp_matrix(ckt: &Circuit, st: &MnaStructure, states: &[DeviceState]) -> TripletMatrix {
     let n = st.n_unknowns;
     let mut m = TripletMatrix::with_capacity(n, n, 4 * ckt.element_count() + n);
-    for_each_stamp(ckt, st, states, mode, |r, c, v| m.push(r, c, v));
+    for_each_stamp(ckt, st, states, |r, c, v| m.push(r, c, v));
     m
 }
 
@@ -372,7 +282,6 @@ impl StampMap {
         ckt: &Circuit,
         st: &MnaStructure,
         states: &[DeviceState],
-        mode: StampMode,
         matrix: &CscMatrix,
         pushes: &mut Vec<f64>,
     ) -> Option<Self> {
@@ -391,7 +300,7 @@ impl StampMap {
                 slots.push((cp[c] + at) as u32);
                 pushes.push(v);
             });
-            stamp_element(ckt, st, idx, states, mode, &mut sink);
+            stamp_element(ckt, st, idx, states, &mut sink);
             elem_ptr.push(slots.len() as u32);
         }
         // Every push index and count fits once the last one does.
@@ -443,40 +352,32 @@ pub struct StampedMatrix {
     /// Each push's value at the last stamp; empty without a map, or
     /// until the next full walk once dropped (`forget_pushes`).
     pushes: Vec<f64>,
-    /// The assignment and mode of the last stamp.
+    /// The assignment of the last stamp.
     states: Vec<DeviceState>,
-    mode: StampMode,
 }
 
 impl StampedMatrix {
     /// A full stamp with no slot map: one-shot solves never restamp, so
     /// the map is built lazily by the first [`StampedMatrix::restamp`].
-    pub fn new(ckt: &Circuit, st: &MnaStructure, states: &[DeviceState], mode: StampMode) -> Self {
+    pub fn new(ckt: &Circuit, st: &MnaStructure, states: &[DeviceState]) -> Self {
         StampedMatrix {
-            matrix: stamp_matrix(ckt, st, states, mode).to_csc(),
+            matrix: stamp_matrix(ckt, st, states).to_csc(),
             map: None,
             pushes: Vec::new(),
             states: states.to_vec(),
-            mode,
         }
     }
 
     /// A full stamp with its slot map.
-    pub(crate) fn mapped(
-        ckt: &Circuit,
-        st: &MnaStructure,
-        states: &[DeviceState],
-        mode: StampMode,
-    ) -> Self {
-        let matrix = stamp_matrix(ckt, st, states, mode).to_csc();
+    pub(crate) fn mapped(ckt: &Circuit, st: &MnaStructure, states: &[DeviceState]) -> Self {
+        let matrix = stamp_matrix(ckt, st, states).to_csc();
         let mut pushes = Vec::new();
-        let map = StampMap::build(ckt, st, states, mode, &matrix, &mut pushes).map(Arc::new);
+        let map = StampMap::build(ckt, st, states, &matrix, &mut pushes).map(Arc::new);
         StampedMatrix {
             matrix,
             map,
             pushes,
             states: states.to_vec(),
-            mode,
         }
     }
 
@@ -497,23 +398,17 @@ impl StampedMatrix {
     /// the order in which `to_csc` merges duplicates. Otherwise it stamps
     /// the full way, maps the new pattern for the next call and returns
     /// `false`. Either way it records each contribution's value and the
-    /// states and mode, so a following change of states alone can take
+    /// states, so a following change of states alone can take
     /// the state-only restamp (`restamp_states`), which re-sums only the
     /// slots of the devices that changed.
-    pub fn restamp(
-        &mut self,
-        ckt: &Circuit,
-        st: &MnaStructure,
-        states: &[DeviceState],
-        mode: StampMode,
-    ) -> bool {
+    pub fn restamp(&mut self, ckt: &Circuit, st: &MnaStructure, states: &[DeviceState]) -> bool {
         let in_place = self.map.as_ref().is_some_and(|map| {
             let (cp, ri, values) = self.matrix.pattern_values_mut();
             let pushes = &mut self.pushes;
             pushes.resize(map.slots.len(), 0.0);
             values.fill(-0.0);
             let (mut k, mut same) = (0, true);
-            for_each_stamp(ckt, st, states, mode, |r, c, v| {
+            for_each_stamp(ckt, st, states, |r, c, v| {
                 match map.lands(k, r, c, cp, ri) {
                     Some(s) if same => {
                         values[s] += v;
@@ -528,9 +423,8 @@ impl StampedMatrix {
         if in_place {
             self.states.clear();
             self.states.extend_from_slice(states);
-            self.mode = mode;
         } else {
-            *self = Self::mapped(ckt, st, states, mode);
+            *self = Self::mapped(ckt, st, states);
         }
         in_place
     }
@@ -540,10 +434,9 @@ impl StampedMatrix {
     /// re-stamped, and only their slots are re-summed, each from `-0.0`
     /// over all its pushes in push order — the same sums as the full walk,
     /// so the result is still bitwise equal to `stamp_matrix(..).to_csc()`.
-    /// Returns `true` on that path. Without a map, under another mode, or
-    /// when a changed element's pushes no longer match its slots (an
-    /// op-amp rail move), it runs [`StampedMatrix::restamp`] and returns
-    /// `false`.
+    /// Returns `true` on that path. Without a map, or when a changed
+    /// element's pushes no longer match its slots (an op-amp rail move),
+    /// it runs [`StampedMatrix::restamp`] and returns `false`.
     ///
     /// The caller guarantees that every element *value* (resistances,
     /// models, gains) is the one of the last stamp; value edits take
@@ -553,13 +446,10 @@ impl StampedMatrix {
         ckt: &Circuit,
         st: &MnaStructure,
         states: &[DeviceState],
-        mode: StampMode,
     ) -> bool {
         let state_only = match &self.map {
             Some(map)
-                if mode == self.mode
-                    && states.len() == self.states.len()
-                    && self.pushes.len() == map.slots.len() =>
+                if states.len() == self.states.len() && self.pushes.len() == map.slots.len() =>
             {
                 let (cp, ri, values) = self.matrix.pattern_values_mut();
                 let pushes = &mut self.pushes;
@@ -574,7 +464,7 @@ impl StampedMatrix {
                         }
                         k += 1;
                     });
-                    stamp_element(ckt, st, i, states, mode, &mut sink);
+                    stamp_element(ckt, st, i, states, &mut sink);
                     if !same || k != hi {
                         return false;
                     }
@@ -592,7 +482,7 @@ impl StampedMatrix {
         if state_only {
             self.states.copy_from_slice(states);
         } else {
-            self.restamp(ckt, st, states, mode);
+            self.restamp(ckt, st, states);
         }
         state_only
     }
@@ -603,26 +493,21 @@ impl StampedMatrix {
     }
 }
 
-/// Stamps the RHS vector for the given states, time and mode into a
-/// caller-provided buffer, reusing its allocation.
-#[allow(clippy::too_many_arguments)]
+/// Stamps the RHS vector for the given states and time into a
+/// caller-provided buffer, reusing its allocation. With `dc_pre_step`,
+/// sources take their `0⁻` value ([`SourceValue::dc_value`]).
+///
+/// [`SourceValue::dc_value`]: crate::SourceValue::dc_value
 pub(crate) fn stamp_rhs_into(
     b: &mut Vec<f64>,
     ckt: &Circuit,
     st: &MnaStructure,
     states: &[DeviceState],
     time: f64,
-    mode: StampMode,
-    history: Option<&History>,
     dc_pre_step: bool,
 ) {
     b.clear();
     b.resize(st.n_unknowns, 0.0);
-    let prev_v = |node: NodeId, h: &History| match node.unknown() {
-        Some(u) => h.solution[u],
-        None => 0.0,
-    };
-
     for (idx, e) in ckt.elements().iter().enumerate() {
         let ib = st.branch[idx];
         match e {
@@ -634,52 +519,6 @@ pub(crate) fn stamp_rhs_into(
                 };
                 b[ib.expect("invariant: vsource rows were assigned a branch")] += v;
             }
-            Element::CurrentSource { pos, neg, value } => {
-                let j = if dc_pre_step {
-                    value.dc_value()
-                } else {
-                    value.value_at(time)
-                };
-                if let Some(u) = pos.unknown() {
-                    b[u] += j;
-                }
-                if let Some(u) = neg.unknown() {
-                    b[u] -= j;
-                }
-            }
-            Element::Capacitor {
-                a,
-                b: nb,
-                capacitance,
-            } => {
-                if let Some(h) = history {
-                    match mode {
-                        StampMode::BackwardEuler { h: dt } => {
-                            let g = capacitance / dt;
-                            let vprev = prev_v(*a, h) - prev_v(*nb, h);
-                            if let Some(u) = a.unknown() {
-                                b[u] += g * vprev;
-                            }
-                            if let Some(u) = nb.unknown() {
-                                b[u] -= g * vprev;
-                            }
-                        }
-                        StampMode::Trapezoidal { h: dt } => {
-                            let g = 2.0 * capacitance / dt;
-                            let vprev = prev_v(*a, h) - prev_v(*nb, h);
-                            let iprev = h.cap_currents[idx];
-                            let inj = g * vprev + iprev;
-                            if let Some(u) = a.unknown() {
-                                b[u] += inj;
-                            }
-                            if let Some(u) = nb.unknown() {
-                                b[u] -= inj;
-                            }
-                        }
-                        StampMode::Dc => {}
-                    }
-                }
-            }
             Element::Diode { model, .. } if states[idx] == DeviceState::On && model.v_on != 0.0 => {
                 let g = 1.0 / model.r_on;
                 let (anode, cathode) = e.terminals();
@@ -690,53 +529,12 @@ pub(crate) fn stamp_rhs_into(
                     b[u] -= g * model.v_on;
                 }
             }
-            Element::NegativeResistorDyn { a, magnitude, tau } => {
-                if let Some(hist) = history {
-                    let row =
-                        ib.expect("invariant: dynamic negative resistors were assigned a branch");
-                    let i_prev = hist.solution[row];
-                    let v_prev = match a.unknown() {
-                        Some(u) => hist.solution[u],
-                        None => 0.0,
-                    };
-                    match mode {
-                        StampMode::BackwardEuler { h } => {
-                            b[row] += tau / h * i_prev;
-                        }
-                        StampMode::Trapezoidal { h } => {
-                            b[row] += (tau / h - 0.5) * i_prev - 0.5 * v_prev / magnitude;
-                        }
-                        StampMode::Dc => {}
-                    }
-                }
-            }
-            Element::OpAmp {
-                inp,
-                inn,
-                out,
-                model,
-            } => {
+            Element::OpAmp { model, .. } => {
                 let row = ib.expect("invariant: opamp rows were assigned a branch");
                 match states[idx] {
                     DeviceState::SatHigh => b[row] += model.rails.1,
                     DeviceState::SatLow => b[row] += model.rails.0,
-                    _ => {
-                        if let Some(h) = history {
-                            match mode {
-                                StampMode::BackwardEuler { h: dt } => {
-                                    let toh = model.time_constant() / dt;
-                                    b[row] += toh * prev_v(*out, h);
-                                }
-                                StampMode::Trapezoidal { h: dt } => {
-                                    let toh = model.time_constant() / dt;
-                                    let vd_prev = prev_v(*inp, h) - prev_v(*inn, h);
-                                    b[row] +=
-                                        (toh - 0.5) * prev_v(*out, h) + 0.5 * model.gain * vd_prev;
-                                }
-                                StampMode::Dc => {}
-                            }
-                        }
-                    }
+                    _ => {}
                 }
             }
             _ => {}
@@ -804,10 +602,9 @@ fn wanted_flips(
                 model,
                 ..
             } => {
-                // While linear, saturation is judged on the *actual* output
-                // (the pole keeps it small during transients even when the
-                // input difference is large); while saturated, the desired
-                // open-loop value decides when to re-enter the linear region.
+                // While linear, saturation is judged on the *actual* output;
+                // while saturated, the desired open-loop value decides when
+                // to re-enter the linear region.
                 let desired = model.gain * (volt(*inp) - volt(*inn));
                 let vo = volt(*out);
                 let new = match states[idx] {
@@ -888,8 +685,8 @@ fn most_violated(
 /// ([`FrozenDcSession::solve_operating_point`]), solves the assignment it
 /// holds with every device frozen and hands the solution to
 /// [`StateIteration::advance`], which moves the devices to the states the
-/// solution asks for, until nothing moves. DC operating points, delta
-/// sessions and the full-MNA transient all run through it.
+/// solution asks for, until nothing moves. DC operating points and delta
+/// sessions both run through it.
 ///
 /// [`FrozenDcSession::solve_operating_point`]: crate::FrozenDcSession::solve_operating_point
 ///

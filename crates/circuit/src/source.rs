@@ -33,9 +33,6 @@ pub enum SourceValue {
         /// Value at and after `t1`.
         v1: f64,
     },
-    /// Piecewise-linear waveform given as `(time, value)` breakpoints in
-    /// ascending time order; clamped outside the covered range.
-    Pwl(Vec<(f64, f64)>),
 }
 
 impl SourceValue {
@@ -79,28 +76,6 @@ impl SourceValue {
                     v0 + (v1 - v0) * (t - t0) / (t1 - t0)
                 }
             }
-            SourceValue::Pwl(points) => {
-                if points.is_empty() {
-                    return 0.0;
-                }
-                if t <= points[0].0 {
-                    return points[0].1;
-                }
-                for w in points.windows(2) {
-                    let (ta, va) = w[0];
-                    let (tb, vb) = w[1];
-                    if t <= tb {
-                        if tb == ta {
-                            return vb;
-                        }
-                        return va + (vb - va) * (t - ta) / (tb - ta);
-                    }
-                }
-                points
-                    .last()
-                    .expect("invariant: piecewise sources have at least one point")
-                    .1
-            }
         }
     }
 
@@ -113,7 +88,6 @@ impl SourceValue {
             SourceValue::Dc(_) => f64::NEG_INFINITY,
             SourceValue::Step { at, .. } => *at,
             SourceValue::Ramp { t1, .. } => *t1,
-            SourceValue::Pwl(points) => points.last().map_or(f64::NEG_INFINITY, |&(t, _)| t),
         }
     }
 
@@ -159,19 +133,5 @@ mod tests {
     #[should_panic(expected = "t1 > t0")]
     fn degenerate_ramp_panics() {
         let _ = SourceValue::ramp(1.0, 0.0, 1.0, 4.0);
-    }
-
-    #[test]
-    fn pwl_interpolates_and_clamps() {
-        let s = SourceValue::Pwl(vec![(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)]);
-        assert_eq!(s.value_at(-1.0), 0.0);
-        assert_eq!(s.value_at(0.5), 1.0);
-        assert_eq!(s.value_at(1.5), 1.5);
-        assert_eq!(s.value_at(5.0), 1.0);
-    }
-
-    #[test]
-    fn empty_pwl_is_zero() {
-        assert_eq!(SourceValue::Pwl(Vec::new()).value_at(1.0), 0.0);
     }
 }

@@ -132,7 +132,7 @@ impl<'a> Waveform<'a> {
     }
 }
 
-/// All signals recorded by a transient analysis, sharing one time axis.
+/// All signals recorded by a relaxation transient, sharing one time axis.
 ///
 /// Samples are stored as rows: one contiguous `Vec<f64>` holding, per
 /// sample, the probed node voltages then the probed branch currents (the
@@ -244,13 +244,6 @@ impl WaveformSet {
         self.current_index.get(&element).map(|&c| self.column(c))
     }
 
-    /// Source-current waveform of `element` (current delivered out of the
-    /// positive terminal), materialized as an owned vector.
-    pub fn source_current_values(&self, element: ElementId) -> Option<Vec<f64>> {
-        self.branch_current(element)
-            .map(|w| w.iter().map(|(_, v)| -v).collect())
-    }
-
     /// Probed nodes.
     pub fn probed_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.node_index.keys().copied()
@@ -334,10 +327,6 @@ mod tests {
         assert_eq!(x3, [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]);
         let i7 = set.branch_current(ElementId(7)).unwrap();
         assert_eq!(i7.value(1), -1e-3);
-        assert_eq!(
-            set.source_current_values(ElementId(7)).unwrap(),
-            [0.0, 1e-3, 2e-3, 3e-3]
-        );
         assert!(set.branch_current(ElementId(3)).is_none());
     }
 

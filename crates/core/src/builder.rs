@@ -45,18 +45,13 @@ pub enum CapacityMapping {
 /// How the substrate's negative resistors are realized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NegativeResistorImpl {
-    /// Ideal negative-conductance elements. Exact in DC; **dynamically
-    /// unstable** under transient analysis with parasitic capacitance (the
-    /// constraint nodes have zero net self-conductance), so use this for
-    /// quasi-static solves only.
-    Ideal,
-    /// Behavioural op-amp NIC (default): exact `−R` in DC, first-order
-    /// settling at the op-amp's dominant-pole time constant
-    /// `τ = A/(2π·GBW)` in transient. This slow constraint enforcement is
-    /// the two-time-scale structure that keeps the network stable and gives
-    /// the §5.1 GBW-dependent convergence times.
+    /// Ideal negative-conductance elements (default): exact `−R` at the
+    /// DC operating point, the realization every preset stamps. The
+    /// op-amp NIC's settling enters the relaxation transient as the
+    /// dominant-pole lag `τ = A/(2π·GBW)` of the edge voltages, not as a
+    /// circuit element.
     #[default]
-    Dynamic,
+    Ideal,
     /// Literal op-amp negative-impedance converter per Fig. 9a (three
     /// resistors + op-amp with positive feedback). Retained for the
     /// ablation study that demonstrates NIC latch-up — a grounded NIC
@@ -91,34 +86,30 @@ pub struct BuildOptions {
     pub capacity_mapping: CapacityMapping,
     /// Negative-resistor realization.
     pub negative_resistor: NegativeResistorImpl,
-    /// Add the §5.1 parasitic capacitance to every circuit net.
-    pub parasitics: bool,
     /// `V_flow` drive shape.
     pub drive: Drive,
 }
 
 impl BuildOptions {
     /// Ideal steady-state configuration: exact capacities, ideal negative
-    /// resistors, no parasitics, DC drive.
+    /// resistors, DC drive.
     pub fn ideal() -> Self {
         BuildOptions {
             capacity_mapping: CapacityMapping::Exact,
             negative_resistor: NegativeResistorImpl::Ideal,
-            parasitics: false,
             drive: Drive::Dc,
         }
     }
 
     /// The §5.1 evaluation configuration: quantized levels (Table 1's
-    /// `N = 20` comes from `params` at build time), op-amp NICs,
-    /// parasitics, step drive.
+    /// `N = 20` comes from `params` at build time), ideal negative
+    /// resistors, step drive.
     pub fn evaluation(params: &SubstrateParams) -> Self {
         BuildOptions {
             capacity_mapping: CapacityMapping::Quantized {
                 levels: params.voltage_levels,
             },
-            negative_resistor: NegativeResistorImpl::Dynamic,
-            parasitics: true,
+            negative_resistor: NegativeResistorImpl::Ideal,
             drive: Drive::Step,
         }
     }
@@ -188,9 +179,9 @@ pub(crate) struct StarSurgery {
 
 /// Everything a delta session needs to do exact edge insert/delete
 /// surgery by value-only resistor edits. `retunable` is only set for
-/// [`NegativeResistorImpl::Ideal`] builds — other implementations realize
-/// the star magnitude inside an op-amp subcircuit, and sessions on them
-/// fall back to structural re-keys for topology deltas.
+/// [`NegativeResistorImpl::Ideal`] builds — [`NegativeResistorImpl::OpAmp`]
+/// realizes the star magnitude inside an op-amp subcircuit, and sessions
+/// on it fall back to structural re-keys for topology deltas.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DeltaMetadata {
     /// Per-edge handles (`None` for circulation edges, which stamp
@@ -386,10 +377,6 @@ pub(crate) fn build_with_layout(
         let magnitude = -resistance;
         match opts.negative_resistor {
             NegativeResistorImpl::Ideal => Some(ckt.resistor(node, Circuit::GROUND, resistance)),
-            NegativeResistorImpl::Dynamic => {
-                ckt.negative_resistor_dyn(node, magnitude, params.opamp.time_constant());
-                None
-            }
             NegativeResistorImpl::OpAmp => {
                 // Grounded NIC (Fig. 9a): opamp + R_target feedback to the
                 // non-inverting input, R0/R0 divider to the inverting one.
@@ -454,14 +441,6 @@ pub(crate) fn build_with_layout(
                 n_base: n_incident,
             },
         );
-    }
-
-    // Parasitic capacitance on every net (§5.1 adds 20 fF per net).
-    if opts.parasitics && params.parasitic_cap > 0.0 {
-        let nets: Vec<NodeId> = ckt.node_ids().filter(|n| !n.is_ground()).collect();
-        for n in nets {
-            ckt.capacitor(n, Circuit::GROUND, params.parasitic_cap);
-        }
     }
 
     stats.nodes = ckt.node_count();

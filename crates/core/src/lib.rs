@@ -25,7 +25,8 @@
 //! * [`crossbar`] — the reconfigurable memristor crossbar with the §3.1
 //!   row-by-row programming protocol,
 //! * [`nonideal`] — §4.2/§4.3 non-ideality injection (finite op-amp gain,
-//!   resistor tolerance vs. matched-ratio tolerance, parasitics),
+//!   resistor tolerance vs. matched-ratio tolerance, parasitic series
+//!   resistance),
 //! * [`tuning`] — §4.3.2 post-fabrication memristance tuning,
 //! * [`power`] — §5.2 analytical power/energy model,
 //! * [`mincut`] — §6.3 dual (min-cut) formulation,

@@ -35,7 +35,7 @@ pub struct VariationModel {
 
 impl VariationModel {
     /// The §4.3.1 "well-matched layout" corner: 25 % absolute, 0.1 %
-    /// matching, no parasitics.
+    /// matching, no parasitic series resistance.
     pub fn matched(seed: u64) -> Self {
         VariationModel {
             absolute_tolerance: 0.25,
@@ -207,7 +207,7 @@ mod tests {
         let dirty = solve_with(Some(m));
         assert!(
             (dirty - clean).abs() > 1e-6,
-            "parasitics must move the solution ({clean} vs {dirty})"
+            "parasitic series resistance must move the solution ({clean} vs {dirty})"
         );
     }
 }

@@ -14,8 +14,6 @@ use ohmflow_circuit::{DiodeModel, MemristorModel, OpAmpModel};
 /// | Crossbar rows × columns | 1000 × 1000 |
 /// | Voltage levels `N` | 20 |
 ///
-/// plus the §5.1 evaluation's 20 fF parasitic capacitance per circuit net.
-///
 /// # Example
 ///
 /// ```
@@ -45,9 +43,6 @@ pub struct SubstrateParams {
     pub diode: DiodeModel,
     /// Crossbar side length (rows = columns).
     pub crossbar_dim: usize,
-    /// Parasitic capacitance added to every circuit net during transient
-    /// analysis (farads). §5.1 uses 20 fF.
-    pub parasitic_cap: f64,
 }
 
 impl SubstrateParams {
@@ -62,7 +57,6 @@ impl SubstrateParams {
             opamp: OpAmpModel::table1(),
             diode: DiodeModel::ideal(),
             crossbar_dim: 1000,
-            parasitic_cap: 20e-15,
         }
     }
 
@@ -110,7 +104,6 @@ mod tests {
         assert_eq!(p.opamp.gain, 1e4);
         assert_eq!(p.opamp.gbw_hz, 10e9);
         assert_eq!(p.crossbar_dim, 1000);
-        assert_eq!(p.parasitic_cap, 20e-15);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! ```text
 //!  SolveOptions ──> MaxFlowSolver ──plan──> Plan ──instance──> Instance ──solve──> AnalogSolution
-//!                        │                   │ (topology-keyed     (quasi-static, relaxation
-//!                        │                   │  symbolic work,      transient or full-MNA
-//!                        │                   │  cached)             ablation)
+//!                        │                   │ (topology-keyed     (quasi-static or
+//!                        │                   │  symbolic work,      relaxation transient)
+//!                        │                   │  cached)
 //!                        ├── solve / solve_many (every graph: plan cache → instance → solve)
 //!                        ├── solve_fresh (no cache: studies that must not share state)
 //!                        └── delta_session (one live substrate absorbing graph deltas)
@@ -34,8 +34,7 @@
 use std::sync::Arc;
 
 use ohmflow_circuit::{
-    DcSolver, DcTemplate, LuOptions, NodeId, PlanPhases, SolveReport, TransientAnalysis,
-    TransientOptions, Waveform, WaveformSet,
+    DcSolver, DcTemplate, LuOptions, NodeId, PlanPhases, SolveReport, Waveform, WaveformSet,
 };
 use ohmflow_graph::FlowNetwork;
 use rayon::prelude::*;
@@ -76,26 +75,16 @@ pub enum SolveMode {
     /// are chosen automatically (the window doubles until the circuit has
     /// visibly settled, mirroring the paper's worst-case profiling).
     ///
-    /// Why not integrate the raw MNA dynamics? A reproduction finding of
-    /// this crate (see `DESIGN.md` and the full-MNA ablation mode): the
-    /// literal Fig. 2 network with parasitic capacitance is dynamically
-    /// unstable — every constraint widget is a *pure integrator* of
-    /// constraint violation, and the cascaded integrators ring without
-    /// bound under the op-amp lag.
+    /// Why not integrate the raw circuit dynamics? A reproduction finding
+    /// recorded in `DESIGN.md`: the literal Fig. 2 network with parasitic
+    /// capacitance is dynamically unstable — every constraint widget is a
+    /// *pure integrator* of constraint violation, and the cascaded
+    /// integrators ring without bound under the op-amp lag.
     Transient {
         /// Simulation window in seconds (`None` = auto).
         window: Option<f64>,
         /// Time step in seconds (`None` = auto).
         dt: Option<f64>,
-    },
-    /// The raw full-MNA transient of the literal circuit — retained as the
-    /// instability ablation (expect divergence or clamp-pinned spurious
-    /// states; see [`SolveMode::Transient`]).
-    TransientFullMna {
-        /// Simulation window in seconds.
-        window: f64,
-        /// Time step in seconds.
-        dt: f64,
     },
 }
 
@@ -146,7 +135,8 @@ impl SolveOptions {
     }
 
     /// The §5.1 evaluation configuration: Table 1 parameters with the given
-    /// GBW, quantized capacities, op-amp NICs, parasitics, transient solve.
+    /// GBW, quantized capacities, ideal negative resistors, relaxation
+    /// transient solve (the op-amp enters as the dominant-pole lag).
     pub fn evaluation(gbw_hz: f64) -> Self {
         let mut params = SubstrateParams::with_gbw(gbw_hz);
         params.v_flow = 50.0 * params.v_dd; // see `ideal()` on drive headroom
@@ -159,12 +149,11 @@ impl SolveOptions {
     }
 
     /// Like [`SolveOptions::evaluation`] but solved quasi-statically — same
-    /// solution quality (quantization + finite gain), no transient cost.
-    /// Used by error sweeps over many instances.
+    /// solution quality (quantization), no transient cost. Used by error
+    /// sweeps over many instances.
     pub fn evaluation_quasi_static(gbw_hz: f64) -> Self {
         let mut opts = Self::evaluation(gbw_hz);
         opts.mode = SolveMode::QuasiStatic;
-        opts.build.parasitics = false;
         opts
     }
 
@@ -219,7 +208,6 @@ pub struct AnalogSolution {
     pub waveforms: Option<WaveformSet>,
     /// Structured linear-algebra accounting of the solve (state/step
     /// iterations, `nnz(L+U)`, BTF block count, optional phase times).
-    /// Zeroed for the full-MNA ablation, which has no DC engine behind it.
     pub report: SolveReport,
 }
 
@@ -337,16 +325,11 @@ impl MaxFlowSolver {
     /// first call on a topology pays the cold path, every further call is
     /// a value-only instantiation + numeric-only solve (with the previous
     /// solve's converged clamp states as a warm start).
-    /// [`SolveMode::TransientFullMna`], which has no templated fast path,
-    /// always takes the cold path.
     ///
     /// # Errors
     ///
     /// Same as [`Instance::solve`].
     pub fn solve(&self, g: &FlowNetwork) -> Result<AnalogSolution, AnalogError> {
-        if matches!(self.opts.mode, SolveMode::TransientFullMna { .. }) {
-            return self.solve_fresh(g);
-        }
         let (tpl, _) = self.template_for(g)?;
         let sc = tpl.instantiate(g)?;
         self.solve_instance(&sc, &tpl, g.vertex_count())
@@ -364,9 +347,6 @@ impl MaxFlowSolver {
         match self.opts.mode {
             SolveMode::QuasiStatic => self.solve_quasi_static(&sc, None),
             SolveMode::Transient { .. } => self.solve_relaxation(&sc, g.vertex_count(), None),
-            SolveMode::TransientFullMna { window, dt } => {
-                self.solve_transient_full_mna(&sc, window, dt)
-            }
         }
     }
 
@@ -465,19 +445,16 @@ impl MaxFlowSolver {
     /// user-chosen step or soft-start ramp and only replaces an
     /// incompatible DC drive with the default step), and the relaxation
     /// model solves frozen-state DC points along the way, so it uses ideal
-    /// negative resistors internally (exact in DC).
+    /// negative resistors (exact in DC) whatever the build asks for.
     fn build_options(&self) -> BuildOptions {
         let mut build = self.opts.build;
         build.drive = match (self.opts.mode, build.drive) {
             (SolveMode::QuasiStatic, _) => Drive::Dc,
-            (SolveMode::Transient { .. } | SolveMode::TransientFullMna { .. }, Drive::Dc) => {
-                Drive::Step
-            }
+            (SolveMode::Transient { .. }, Drive::Dc) => Drive::Step,
             (_, d) => d,
         };
         if matches!(self.opts.mode, SolveMode::Transient { .. }) {
             build.negative_resistor = NegativeResistorImpl::Ideal;
-            build.parasitics = false;
         }
         build
     }
@@ -520,9 +497,6 @@ impl MaxFlowSolver {
         match self.opts.mode {
             SolveMode::QuasiStatic => self.solve_quasi_static(sc, Some(tpl)),
             SolveMode::Transient { .. } => self.solve_relaxation(sc, n_vertices, None),
-            SolveMode::TransientFullMna { window, dt } => {
-                self.solve_transient_full_mna(sc, window, dt)
-            }
         }
     }
 
@@ -770,40 +744,6 @@ impl MaxFlowSolver {
             report: eq.report(),
         })
     }
-
-    /// The instability ablation: integrate the literal MNA dynamics.
-    fn solve_transient_full_mna(
-        &self,
-        sc: &SubstrateCircuit,
-        window: f64,
-        dt: f64,
-    ) -> Result<AnalogSolution, AnalogError> {
-        let opts = TransientOptions::to_time(window)
-            .with_step(dt)
-            .probe_nodes(sc.edge_nodes().to_vec())
-            .probe_current(sc.vflow_source());
-        let waves = TransientAnalysis::new(sc.circuit(), opts)
-            .map_err(AnalogError::from)?
-            .run()
-            .map_err(AnalogError::from)?;
-        let flow_series = flow_value_series(sc, &waves);
-        let wf = Waveform::from_slices(waves.times(), &flow_series);
-        let settle = wf.settle_time(self.opts.settle_fraction);
-        let last = |n| waves.voltage(n).map(|w| w.last_value()).unwrap_or(0.0);
-        let i_flow = waves
-            .source_current_values(sc.vflow_source())
-            .and_then(|v| v.last().copied())
-            .unwrap_or(0.0);
-        Ok(AnalogSolution {
-            value: sc.flow_value(last),
-            value_from_current: sc.flow_value_from_current(i_flow, self.opts.params.r_unit),
-            edge_flows: sc.edge_flows(last),
-            convergence_time: settle,
-            stats: sc.stats(),
-            waveforms: Some(waves),
-            report: SolveReport::default(),
-        })
-    }
 }
 
 /// What one [`Plan`] captured — the cold-path observables in one place.
@@ -958,7 +898,7 @@ impl Instance {
     }
 
     /// Solves the instance in the configured mode: one DC solve
-    /// (quasi-static), the relaxation transient, or the full-MNA ablation.
+    /// (quasi-static) or the relaxation transient.
     /// Warm-start state flows through the plan: repeat solves of the same
     /// values skip most of the clamp-engagement cascade.
     ///
@@ -1019,6 +959,7 @@ mod tests {
     use super::{MaxFlowSolver, Problem, SolveOptions};
     use crate::builder::CapacityMapping;
     use ohmflow_graph::generators;
+    use ohmflow_graph::rmat::RmatConfig;
     use ohmflow_maxflow::edmonds_karp;
 
     #[test]
@@ -1091,34 +1032,35 @@ mod tests {
         assert!(sol.waveforms.is_some());
     }
 
-    /// Two edges into the source tie two edge nodes to ground, so the
-    /// full-MNA run probes the ground node twice: every probe keeps its
-    /// own column, the grounded edges read zero flow and the `V_flow`
-    /// current is recorded in the last column.
+    /// `evaluation_quasi_static` answers recorded when its negative
+    /// resistors were still the behavioural NIC element (a branch-current
+    /// unknown per resistor): the ideal resistors that replaced it must
+    /// reproduce them within 1e-12 relative on both solve paths.
     #[test]
-    fn full_mna_keeps_repeated_ground_probes_aligned() {
-        let mut g = ohmflow_graph::FlowNetwork::new(4, 0, 3).unwrap();
-        for (a, b, c) in [
-            (0, 1, 5),
-            (2, 0, 2),
-            (1, 2, 3),
-            (2, 3, 4),
-            (1, 3, 2),
-            (1, 0, 1),
+    fn evaluation_quasi_static_values_are_pinned() {
+        let mut rmat = RmatConfig::sparse(256, 1);
+        rmat.max_capacity = 100;
+        for (name, g, pinned) in [
+            ("fig5a", generators::fig5a(), 2.100272696406902),
+            ("rmat256", rmat.generate().unwrap(), 625.1047096605776),
+            (
+                "grid12",
+                generators::grid(12, 12, 64, 7).unwrap(),
+                249.65690517964202,
+            ),
         ] {
-            g.add_edge(a, b, c).unwrap();
+            let solver = MaxFlowSolver::new(SolveOptions::evaluation_quasi_static(10e9));
+            for (path, sol) in [
+                ("planned", solver.solve(&g)),
+                ("fresh", solver.solve_fresh(&g)),
+            ] {
+                let value = sol.unwrap().value;
+                assert!(
+                    ((value - pinned) / pinned).abs() <= 1e-12,
+                    "{name} {path}: {value} vs pinned {pinned}"
+                );
+            }
         }
-        let mut opts = SolveOptions::evaluation(10e9);
-        let tau = opts.params.opamp.time_constant();
-        opts.mode = super::SolveMode::TransientFullMna {
-            window: 60.0 * tau,
-            dt: tau / 10.0,
-        };
-        let sol = MaxFlowSolver::new(opts).solve_fresh(&g).unwrap();
-        assert_eq!((sol.edge_flows[1], sol.edge_flows[5]), (0.0, 0.0));
-        let waves = sol.waveforms.as_ref().unwrap();
-        assert_eq!((waves.len(), waves.stride()), (601, 7));
-        assert!(waves.row(600)[6] != 0.0, "V_flow current recorded");
     }
 
     #[test]

@@ -280,16 +280,8 @@ pub(crate) fn value_fingerprint(sc: &SubstrateCircuit) -> u64 {
     let mut h = StreamHasher::new();
     for e in sc.circuit().elements() {
         match e {
-            Element::VoltageSource { value, .. } | Element::CurrentSource { value, .. } => {
-                h.mix(value.dc_value().to_bits());
-            }
+            Element::VoltageSource { value, .. } => h.mix(value.dc_value().to_bits()),
             Element::Resistor { resistance, .. } => h.mix(resistance.to_bits()),
-            Element::NegativeResistorDyn { magnitude, .. } => h.mix(magnitude.to_bits()),
-            Element::Memristor { .. } => {
-                if let Some(r) = e.memristance() {
-                    h.mix(r.to_bits());
-                }
-            }
             _ => {}
         }
     }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use ohmflow::builder::{self, BuildOptions, NegativeResistorImpl};
 use ohmflow::SolveOptions;
-use ohmflow_circuit::mna::{self, DeviceState, MnaStructure, StampMode, StampedMatrix};
+use ohmflow_circuit::mna::{self, DeviceState, MnaStructure, StampedMatrix};
 use ohmflow_circuit::{Circuit, Element};
 use ohmflow_graph::rmat::RmatConfig;
 use ohmflow_linalg::CscMatrix;
@@ -88,14 +88,14 @@ proptest! {
             let st = MnaStructure::new(&ckt);
             let (a, b) = (random_states(&ckt, s0), random_states(&ckt, s1));
             // The first restamp has no map yet: it stamps in full and maps.
-            let mut m = StampedMatrix::new(&ckt, &st, &a, StampMode::Dc);
-            prop_assert!(!m.restamp(&ckt, &st, &a, StampMode::Dc));
+            let mut m = StampedMatrix::new(&ckt, &st, &a);
+            prop_assert!(!m.restamp(&ckt, &st, &a));
             // Then it rewrites in place exactly while the pattern holds.
             let mut prev = &a;
             for states in [&b, &a, &a] {
                 let same_pattern = rails(states) == rails(prev);
-                prop_assert_eq!(m.restamp(&ckt, &st, states, StampMode::Dc), same_pattern);
-                let full = mna::stamp_matrix(&ckt, &st, states, StampMode::Dc).to_csc();
+                prop_assert_eq!(m.restamp(&ckt, &st, states), same_pattern);
+                let full = mna::stamp_matrix(&ckt, &st, states).to_csc();
                 assert_bitwise_eq(m.matrix(), &full);
                 prev = states;
             }

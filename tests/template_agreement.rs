@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ohmflow::builder::{self, BuildOptions, CapacityMapping, NegativeResistorImpl};
+use ohmflow::builder::{self, BuildOptions, CapacityMapping};
 use ohmflow::quantize::Quantizer;
 use ohmflow::{AnalogSolution, MaxFlowSolver, SolveOptions};
 use ohmflow_circuit::{DcSolver, DeviceState, Element, ElementId};
@@ -49,8 +49,8 @@ fn redraw_capacities(g: &FlowNetwork, rng: &mut StdRng) -> FlowNetwork {
     map_capacities(g, |_| rng.gen_range(1..=20))
 }
 
-/// Random build options over the value-compatible axes: capacity mapping
-/// (exact or quantized at random `N`) and negative-resistor realization.
+/// Random build options over the value-compatible axis: capacity mapping
+/// (exact or quantized at random `N`).
 fn random_build_options(rng: &mut StdRng) -> BuildOptions {
     let mut opts = BuildOptions::ideal();
     opts.capacity_mapping = if rng.gen_bool(0.5) {
@@ -59,11 +59,6 @@ fn random_build_options(rng: &mut StdRng) -> BuildOptions {
         CapacityMapping::Quantized {
             levels: rng.gen_range(5..=30),
         }
-    };
-    opts.negative_resistor = if rng.gen_bool(0.5) {
-        NegativeResistorImpl::Ideal
-    } else {
-        NegativeResistorImpl::Dynamic
     };
     opts
 }
