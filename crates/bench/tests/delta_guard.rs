@@ -14,7 +14,7 @@
 //! while a real fast-path loss still does. Timing only runs under
 //! `--release`; the correctness tripwire at the bottom runs everywhere.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use ohmflow::DeltaBatch;
@@ -25,7 +25,8 @@ use ohmflow_graph::FlowNetwork;
 use ohmflow_linalg::{LowRankUpdate, RankOneTermRef};
 
 /// The timing tests share one core on small CI machines; serialize them
-/// so neither pollutes the other's clock.
+/// so neither pollutes the other's clock. A guard that panics poisons the
+/// lock; the other still takes it, so each reports only its own result.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// The ideal build: plain-resistor conservation stars, so topology deltas
@@ -71,7 +72,7 @@ fn interior_edges(g: &FlowNetwork) -> Vec<(usize, i64)> {
               optimized builds — run with --release"
 )]
 fn mixed_delta_batch_amortizes_10x_over_cold_solve_on_rmat2048() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let g = fig10_instance(2048, false, 1);
     let solver = session_solver();
 
@@ -117,7 +118,7 @@ fn mixed_delta_batch_amortizes_10x_over_cold_solve_on_rmat2048() {
               builds — run with --release"
 )]
 fn batched_rank8_push_beats_sequential_rank1_pushes() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let g = fig10_instance(1024, false, 1);
     let sc = bench_substrate(&g);
     // The factor production builds: AMD on the diagonal blocks of the
@@ -160,6 +161,31 @@ fn batched_rank8_push_beats_sequential_rank1_pushes() {
         "rank-8 batched push ({bat:.0} ns) is not measurably faster than 8 \
          sequential rank-1 pushes ({seq:.0} ns)"
     );
+}
+
+/// The push-or-replay rule sizes each session's rank budget from its own
+/// factor. A replay costs ~12 solves on rmat256 and ~50 on rmat2048
+/// (measured on a 2-core host), and so does the budget's reach: on
+/// `delta_stream`'s rmat256 a cut batch ran fastest at budgets 0-8 (3.6-3.8
+/// ms, against 6.6 ms at a fixed 64), while rmat2048's mixed batch wants
+/// 32 or more (93 ms at 32, 141 ms at 8).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "opens an rmat2048 session, which takes minutes unoptimized — run with --release"
+)]
+fn rank_budget_follows_the_factor() {
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let solver = session_solver();
+    let budget = |v: usize| {
+        solver
+            .delta_session(&fig10_instance(v, false, 1))
+            .expect("delta session")
+            .rank_budget()
+    };
+    let (small, large) = (budget(256), budget(2048));
+    assert!(small <= 8, "rmat256 budget {small} above 8");
+    assert!(large >= 32, "rmat2048 budget {large} below 32");
 }
 
 /// Correctness tripwire (runs in debug too): a mixed batch through the

@@ -593,7 +593,9 @@ pub struct FrozenDcSession<C = Circuit> {
     /// restamped in place by rebases.
     base: StampedMatrix,
     update: LowRankUpdate,
-    /// Rank budget before the session rebases onto a refactorization.
+    /// Rank budget: the most outstanding Woodbury terms the session
+    /// carries; a flip cascade or a resistor batch that would exceed it
+    /// rebases onto a refactorization instead of pushing.
     max_rank: usize,
     /// Solves since the last rebase; a rebase is forced every
     /// `rebase_period` solves while updates are outstanding (numerical
@@ -658,9 +660,12 @@ pub struct FrozenDcSession<C = Circuit> {
 }
 
 impl<C: Borrow<Circuit>> FrozenDcSession<C> {
-    /// Default rank budget before rebase. Each accumulated rank-1 term adds
-    /// one dense axpy per solve, so a handful of outstanding terms stays
-    /// well below the cost of a refactorization.
+    /// Default rank budget before rebase (the relaxation transient's
+    /// flip-by-flip sessions). Each accumulated rank-1 term adds one dense
+    /// axpy per solve, so a handful of outstanding terms stays well below
+    /// the cost of a refactorization. Delta sessions derive their own
+    /// budget from their factor's costs and set it through
+    /// [`FrozenDcSession::with_max_rank`].
     const DEFAULT_MAX_RANK: usize = 12;
 
     /// Default hygiene period (solves between forced rebases while
@@ -778,8 +783,13 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         phase_clock(self.phase_timing)
     }
 
-    /// Overrides the rank budget (tests and tuning; `0` forces a rebase on
-    /// every flip, which degenerates to the pure-refactorization engine).
+    /// Overrides the rank budget: the most outstanding Woodbury terms the
+    /// session carries before a diode cascade or a
+    /// [`set_resistances`](FrozenDcSession::set_resistances) batch rebases
+    /// instead of pushing. `0` forces a rebase on every flip and every
+    /// resistor edit, which degenerates to the pure-refactorization
+    /// engine ([`DcSolver`] solves run there); delta sessions pass the
+    /// budget their factor's push/replay costs derive.
     pub fn with_max_rank(mut self, max_rank: usize) -> Self {
         self.max_rank = max_rank;
         self
@@ -1292,8 +1302,12 @@ impl<C: BorrowMut<Circuit>> FrozenDcSession<C> {
     /// insert/delete surgery (couplings toggled between a finite value
     /// and `f64::INFINITY`, conservation stars retuned) rides this. The
     /// new values are persisted in the circuit, so later rebases restamp
-    /// them; if the batched push cannot hold the updated matrix the
-    /// session falls back to an immediate rebase, which is exact.
+    /// them. The push honours the rank budget
+    /// ([`FrozenDcSession::with_max_rank`]): when the outstanding rank
+    /// plus the batch's k terms would exceed it, or the batched push
+    /// cannot hold the updated matrix, the session rebases at once,
+    /// which is exact — the circuit already holds the new values, so the
+    /// next solve must not run on the pre-surgery factor.
     ///
     /// # Errors
     ///
@@ -1339,6 +1353,9 @@ impl<C: BorrowMut<Circuit>> FrozenDcSession<C> {
         self.last_solve_time = None;
         if batch.is_empty() {
             return Ok(());
+        }
+        if self.update.rank() + batch.len() > self.max_rank {
+            return self.rebase();
         }
         let terms: Vec<RankOneTermRef<'_>> = batch
             .iter()
@@ -1864,6 +1881,56 @@ mod tests {
         // Consolidation must not perturb the operating point.
         session.solve(1.0, &[true]).unwrap();
         assert!((session.voltage(x) - v).abs() < 1e-12);
+    }
+
+    #[test]
+    fn over_budget_resistor_surgery_rebases_at_once() {
+        // A substrate-shaped ring: couplings between neighbours, a
+        // negative star resistor and a clamp pair per node.
+        let mut ckt = Circuit::new();
+        let drive = ckt.node("drive");
+        ckt.voltage_source(drive, Circuit::GROUND, SourceValue::dc(3.0));
+        let xs: Vec<NodeId> = (0..5).map(|k| ckt.node(format!("x{k}"))).collect();
+        ckt.resistor(drive, xs[0], 1e3);
+        let (mut couplings, mut stars) = (Vec::new(), Vec::new());
+        for (k, &x) in xs.iter().enumerate() {
+            let cap = ckt.node(format!("cap{k}"));
+            ckt.voltage_source(cap, Circuit::GROUND, SourceValue::dc(0.5 + 0.3 * k as f64));
+            ckt.diode(x, cap, DiodeModel::ideal());
+            ckt.diode(Circuit::GROUND, x, DiodeModel::ideal());
+            couplings.push(ckt.resistor(x, xs[(k + 1) % xs.len()], 2e3 + 100.0 * k as f64));
+            stars.push(ckt.resistor(x, Circuit::GROUND, -2e4));
+        }
+        // Only x0's upper clamp conducts: the rest of the ring floats, so
+        // the surgery moves every other voltage.
+        let diode_on: Vec<bool> = (0..10).map(|d| d == 0).collect();
+        let mut session = DcSolver::new()
+            .session(ckt.clone())
+            .unwrap()
+            .with_max_rank(0);
+        session.solve(0.0, &diode_on).unwrap();
+        let before = session.stats().refactorizations;
+
+        // Open one coupling and retune a star: two terms over a budget
+        // of 0, so the circuit's new values must reach the factor now.
+        let surgery = [(couplings[1], f64::INFINITY), (stars[2], -3e4)];
+        session.set_resistances(&surgery).unwrap();
+        assert_eq!(session.outstanding_rank(), 0, "no terms over budget");
+        assert_eq!(session.stats().refactorizations, before + 1);
+        session.solve(0.0, &diode_on).unwrap();
+
+        for &(id, ohms) in &surgery {
+            ckt.set_resistance(id, ohms).unwrap();
+        }
+        let mut fresh = DcSolver::new().session(&ckt).unwrap().with_max_rank(0);
+        fresh.solve(0.0, &diode_on).unwrap();
+        let scale = fresh.values().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (i, (a, b)) in session.values().iter().zip(fresh.values()).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-12 * scale,
+                "unknown {i}: session {a} vs fresh {b}"
+            );
+        }
     }
 
     /// The clamp-ladder circuit used by the template tests: `stages`

@@ -31,8 +31,6 @@ pub enum CircuitError {
         /// Number of state iterations attempted.
         iterations: usize,
     },
-    /// The requested probe does not exist in the recorded waveforms.
-    UnknownProbe,
 }
 
 impl fmt::Display for CircuitError {
@@ -49,7 +47,6 @@ impl fmt::Display for CircuitError {
                 f,
                 "diode/op-amp state iteration diverged at t={time:.3e}s after {iterations} iterations"
             ),
-            CircuitError::UnknownProbe => write!(f, "unknown probe"),
         }
     }
 }

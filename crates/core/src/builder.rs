@@ -53,10 +53,14 @@ pub enum NegativeResistorImpl {
     #[default]
     Ideal,
     /// Literal op-amp negative-impedance converter per Fig. 9a (three
-    /// resistors + op-amp with positive feedback). Retained for the
-    /// ablation study that demonstrates NIC latch-up — a grounded NIC
-    /// loaded with an impedance at or above its magnitude is not
-    /// open-circuit stable, which is exactly the substrate's regime.
+    /// resistors + op-amp with positive feedback). No preset, bin or
+    /// ablation builds it; only the restamp and delta-session tests do.
+    /// A grounded NIC loaded with an impedance at or above its magnitude
+    /// is not open-circuit stable, which is exactly the substrate's
+    /// regime: DC solves of it diverge on most graphs (fig5a, layered,
+    /// fig15a) and answer only on paths and parallel paths. Its star
+    /// magnitudes cannot be retuned by value, so delta sessions excise
+    /// its edges structurally.
     OpAmp,
 }
 

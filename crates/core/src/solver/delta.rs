@@ -25,13 +25,26 @@
 //! cannot retune star magnitudes by value; topology deltas on them fall
 //! back to structural re-keys (capacity updates stay value-only).
 //!
-//! Two consolidation budgets keep the incremental state healthy:
+//! Two budgets keep the incremental state healthy:
 //!
-//! * **numeric**: Woodbury terms are absorbed until the per-solve
-//!   correction cost (outstanding rank × dense reach bound) exceeds a
-//!   multiple of the factorization fill, then the session consolidates
-//!   via a numeric-only refactorization
-//!   ([`FrozenDcSession::consolidate`](ohmflow_circuit::FrozenDcSession));
+//! * **numeric — push or replay**: one cost model, counted once per
+//!   factor from its symbolic structure, prices a triangular solve, a
+//!   full numeric replay (`c³/3` per dense core plus the pre-core
+//!   updates), a pushed Woodbury term (one solve) and the tax outstanding
+//!   terms levy on every later solve (the refinement solve plus two dense
+//!   axpys per term). The session's rank budget
+//!   ([`DeltaSession::rank_budget`]) is the largest rank whose lifetime,
+//!   grown one term per solve, costs no more than one replay: a batch's
+//!   surgery or flip cascade that would exceed it replays the factor
+//!   instead of pushing. After each batch the session consolidates — a
+//!   numeric-only refactorization
+//!   ([`FrozenDcSession::consolidate`](ohmflow_circuit::FrozenDcSession))
+//!   — when the outstanding terms' tax on that batch's solves exceeded
+//!   one replay. No clock enters either decision. The budget reads 3 on
+//!   rmat256, where a replay costs ~12 solves, and 36 on rmat2048, where
+//!   it costs ~50; measured on a 2-core host, rmat256 cut batches run
+//!   fastest at budgets 0–8 and rmat2048 mixed batches at 32–64
+//!   (`DESIGN.md` has the sweep);
 //! * **structural**: removed edges stay stamped (excised but ready to
 //!   revive for free) until they outnumber a quarter of the live edges,
 //!   then the next re-key compacts them out of the universe.
@@ -44,6 +57,7 @@ use std::sync::Arc;
 
 use ohmflow_circuit::{ElementId, FrozenDcSession, FrozenDcStats, SolveReport, SourceValue};
 use ohmflow_graph::FlowNetwork;
+use ohmflow_linalg::SymbolicLu;
 
 use crate::builder::{capacity_volts, DeltaMetadata, SubstrateCircuit};
 use crate::params::SubstrateParams;
@@ -198,22 +212,83 @@ pub struct DeltaSession {
     /// The universe's plan; its per-edge level-source ids are what
     /// capacity restamps write.
     tpl: Arc<SubstrateTemplate>,
+    /// The universe factor's push-or-replay costs.
+    costs: FactorCosts,
     /// Monotone pseudo-time fed to the DC solves.
     clock: f64,
     replans: u64,
     consolidations: u64,
 }
 
-/// Numeric consolidation budget: consolidate once the outstanding
-/// Woodbury correction (rank × dense reach bound per solve) exceeds this
-/// multiple of the factorization fill — past that point a numeric-only
-/// refactorization pays for itself within a few solves.
-const CONSOLIDATION_FILL_FACTOR: f64 = 4.0;
+/// The push-or-replay cost model of one factor, in multiply-adds counted
+/// from its symbolic structure once per factor. No clock enters it, so
+/// the decisions it drives — the rank budget and the end-of-batch
+/// consolidation — are the same on every run and every machine.
+#[derive(Debug, Clone, Copy)]
+struct FactorCosts {
+    /// Unknowns: one outstanding term's dense axpy per correction.
+    n: u64,
+    /// One triangular solve: every stored factor entry once, plus a pass
+    /// over the unknowns. A pushed term pays one (its column of
+    /// `Z = A⁻¹U`), and so does the refinement each solve makes while any
+    /// term is outstanding.
+    solve: u64,
+    /// One full numeric replay: each step's updates by the `L` columns
+    /// its `U` column names (`Σₖ Σ_{j∈U(k)} |L(j)|`, which is `c³/3` for
+    /// a dense core of `c` steps, plus the pre-core updates), and a write
+    /// of every stored entry.
+    replay: u64,
+}
 
-/// Rank headroom handed to the underlying session so the delta-session
-/// budget (not the session's flip-oriented default of 12) governs
-/// consolidation.
-const SESSION_MAX_RANK: usize = 64;
+impl FactorCosts {
+    fn of(sym: &SymbolicLu) -> Self {
+        let n = sym.dim();
+        let updates: usize = (0..n)
+            .flat_map(|k| sym.u_column_steps(k))
+            .map(|j| sym.l_column_rows(j).len())
+            .sum();
+        let stored = sym.pattern_nnz() as u64;
+        FactorCosts {
+            n: n as u64,
+            solve: stored + n as u64,
+            replay: stored + updates as u64,
+        }
+    }
+
+    /// What every solve pays while `rank` terms are outstanding: the
+    /// refinement solve, plus `rank` dense axpys in each of the two
+    /// corrections (solution and refinement step).
+    fn solve_tax(&self, rank: usize) -> u64 {
+        self.solve + 2 * rank as u64 * self.n
+    }
+
+    /// The rank budget handed to the session: the largest `B` whose
+    /// lifetime costs no more than one replay, when the rank grows one
+    /// term per solve — each term pays its push solve, and the solve at
+    /// rank `r` pays [`FactorCosts::solve_tax`]`(r)`:
+    /// `Σ_{r=1..B} (solve + tax(r)) = 2B·solve + n·B(B+1) ≤ replay`.
+    /// Beyond it a replay absorbs the same flips for less. On the ideal
+    /// universes of `fig10_instance(v, false, 1)` this gives 3 at
+    /// `v = 256` (`delta_stream`'s fabric), 17 at 1024 and 36 at 2048; 1
+    /// on grid40.
+    fn rank_budget(&self) -> usize {
+        let mut lifetime = 0;
+        (1..)
+            .take_while(|&r| {
+                lifetime += self.solve + self.solve_tax(r);
+                lifetime <= self.replay
+            })
+            .count()
+    }
+
+    /// End-of-batch consolidation: fold the outstanding `rank` terms into
+    /// the factor when the tax they levied on the batch's `solves` would
+    /// have paid for a replay — the next batch, solving as often, would
+    /// pay it again.
+    fn consolidate(&self, rank: usize, solves: usize) -> bool {
+        rank > 0 && solves as u64 * self.solve_tax(rank) > self.replay
+    }
+}
 
 impl DeltaSession {
     /// Opens a session on `g` (used by [`MaxFlowSolver::delta_session`]).
@@ -247,6 +322,7 @@ impl DeltaSession {
             c_max,
             dc: parts.dc,
             tpl: parts.tpl,
+            costs: parts.costs,
             clock: 0.0,
             replans: 0,
             consolidations: 0,
@@ -394,6 +470,7 @@ impl DeltaSession {
             self.edges = parts.edges;
             self.dc = parts.dc;
             self.tpl = parts.tpl;
+            self.costs = parts.costs;
             self.c_max = c_max;
             self.replans += 1;
         } else {
@@ -435,21 +512,15 @@ impl DeltaSession {
         self.clock += 1.0;
         let state_iterations = self.dc.solve_operating_point(self.clock)?;
 
-        // Numeric consolidation budget: rank × reach vs. factor fill.
-        let rank = self.dc.outstanding_rank();
-        let consolidated = if rank > 0 {
-            let n = self.dc.host().circuit().node_count() as f64;
-            let fill = self.dc.report().factor_nnz as f64;
-            if rank as f64 * n > CONSOLIDATION_FILL_FACTOR * fill {
-                self.dc.consolidate()?;
-                self.consolidations += 1;
-                true
-            } else {
-                false
-            }
-        } else {
-            false
-        };
+        // Numeric consolidation: the outstanding terms' tax on this
+        // batch's solves against one replay.
+        let consolidated = self
+            .costs
+            .consolidate(self.dc.outstanding_rank(), state_iterations);
+        if consolidated {
+            self.dc.consolidate()?;
+            self.consolidations += 1;
+        }
 
         // Delta-apply seam auto-audit: surgery just rewired handles, so a
         // metadata desync would first become visible here.
@@ -583,6 +654,14 @@ impl DeltaSession {
         self.dc.outstanding_rank()
     }
 
+    /// The most outstanding Woodbury terms the session carries before a
+    /// batch's surgery or flip cascade replays the factor instead of
+    /// pushing — derived from the universe factor's structure (see the
+    /// module docs).
+    pub fn rank_budget(&self) -> usize {
+        self.costs.rank_budget()
+    }
+
     /// Linear-algebra effort counters of the underlying session.
     pub fn stats(&self) -> FrozenDcStats {
         self.dc.stats()
@@ -618,6 +697,7 @@ struct Parts {
     edges: Vec<SessionEdge>,
     dc: FrozenDcSession<SubstrateCircuit>,
     tpl: Arc<SubstrateTemplate>,
+    costs: FactorCosts,
 }
 
 /// The clamp voltage an edge's widgets should hold under the session
@@ -761,15 +841,17 @@ fn rekey(
         }
     }
 
+    let costs = FactorCosts::of(tpl.dc_template().factor().symbolic());
     let dc = solver
         .dc_solver(Some(tpl.dc_template()))
         .session(sc)?
-        .with_max_rank(SESSION_MAX_RANK)
+        .with_max_rank(costs.rank_budget())
         .with_deferred_consolidation();
     Ok(Parts {
         edges: shadow,
         dc,
         tpl,
+        costs,
     })
 }
 
