@@ -77,11 +77,7 @@ fn pr9_report() {
         let g = fig10_instance(2048, false, 1);
         // The ideal build: its conservation stars are plain resistors, so
         // edge removal/insertion rides the value-only surgery + rank-k
-        // Woodbury fast path. Op-amp NIC builds
-        // (`NegativeResistorImpl::OpAmp`) realize star magnitudes inside
-        // subcircuits the session cannot retune by value and fall back to
-        // structural re-keys — the slow path by design, not what this
-        // section measures.
+        // Woodbury fast path.
         let solver = MaxFlowSolver::new(SolveOptions::ideal());
 
         // What the same stream costs without a session: every batch pays

@@ -1,6 +1,6 @@
 use std::collections::HashMap;
 
-use crate::element::{DiodeModel, Element, OpAmpModel};
+use crate::element::{DiodeModel, Element};
 use crate::error::CircuitError;
 use crate::ids::{ElementId, NodeId};
 use crate::source::SourceValue;
@@ -25,8 +25,8 @@ use crate::source::SourceValue;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Circuit {
-    /// Node names, index = NodeId.0 (entry 0 is ground).
-    node_names: Vec<String>,
+    /// Node count including ground (node ids are `0..nodes`).
+    nodes: usize,
     name_index: HashMap<String, NodeId>,
     elements: Vec<Element>,
 }
@@ -38,7 +38,7 @@ impl Circuit {
     /// Creates an empty circuit containing only the ground node.
     pub fn new() -> Self {
         Circuit {
-            node_names: vec!["gnd".to_owned()],
+            nodes: 1,
             name_index: HashMap::new(),
             elements: Vec::new(),
         }
@@ -53,34 +53,18 @@ impl Circuit {
         if let Some(&id) = self.name_index.get(&name) {
             return id;
         }
-        let id = NodeId(self.node_names.len());
-        self.node_names.push(name.clone());
+        let id = self.anon_node();
         self.name_index.insert(name, id);
         id
     }
 
-    /// Creates an anonymous node. Anonymous nodes carry no name string and
-    /// no lookup entry, so bulk circuit construction (a substrate builder
-    /// emitting thousands of internal nets) pays no allocation per node;
-    /// [`Circuit::node_name`] renders them as `_{index}`.
+    /// Creates an anonymous node. Anonymous nodes carry no lookup entry,
+    /// so bulk circuit construction (a substrate builder emitting
+    /// thousands of internal nets) pays no allocation per node.
     pub fn anon_node(&mut self) -> NodeId {
-        let id = NodeId(self.node_names.len());
-        self.node_names.push(String::new());
+        let id = NodeId(self.nodes);
+        self.nodes += 1;
         id
-    }
-
-    /// Name of a node (ground is `"gnd"`, anonymous nodes are `_{index}`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to this circuit.
-    pub fn node_name(&self, id: NodeId) -> std::borrow::Cow<'_, str> {
-        let name = &self.node_names[id.0];
-        if name.is_empty() && !id.is_ground() {
-            std::borrow::Cow::Owned(format!("_{}", id.0))
-        } else {
-            std::borrow::Cow::Borrowed(name)
-        }
     }
 
     /// Looks a node up by name.
@@ -93,17 +77,12 @@ impl Circuit {
 
     /// Total number of nodes including ground.
     pub fn node_count(&self) -> usize {
-        self.node_names.len()
+        self.nodes
     }
 
     /// Number of elements.
     pub fn element_count(&self) -> usize {
         self.elements.len()
-    }
-
-    /// Iterator over every node id, ground first.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.node_names.len()).map(NodeId)
     }
 
     /// Iterator over every element id, insertion order.
@@ -176,16 +155,6 @@ impl Circuit {
         self.push(Element::Diode {
             anode,
             cathode,
-            model,
-        })
-    }
-
-    /// Adds a single-pole op-amp (output referenced to ground).
-    pub fn opamp(&mut self, inp: NodeId, inn: NodeId, out: NodeId, model: OpAmpModel) -> ElementId {
-        self.push(Element::OpAmp {
-            inp,
-            inn,
-            out,
             model,
         })
     }

@@ -1147,11 +1147,9 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
     /// [`DcSolver::solve`] runs it on a session with a rank budget of 0,
     /// and delta sessions run it on their live session. Diode toggles are
     /// absorbed as batched Woodbury rank-k updates against the standing
-    /// factorization while the rank budget holds; op-amp rail moves, which
-    /// reshape matrix values beyond a symmetric conductance bump, rebase,
-    /// and the diode flips of the same iteration ride that one rebase.
-    /// Returns the number of state iterations; the first-repeat iteration
-    /// is [`SolveReport::cycle_break`] of [`FrozenDcSession::report`].
+    /// factorization while the rank budget holds. Returns the number of
+    /// state iterations; the first-repeat iteration is
+    /// [`SolveReport::cycle_break`] of [`FrozenDcSession::report`].
     ///
     /// The switching band escalates (1e-9 → 1e-6 → 1e-3) from the first
     /// repeated assignment or half the budget, late iterations flip only
@@ -1184,27 +1182,18 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         let mut diode_on = Vec::with_capacity(self.diode_elems.len());
         self.cycle_break = None;
         // The time holds for the whole iteration:
-        // after the first solve the RHS moves only when a device with a
-        // state-dependent RHS term (an op-amp, a diode with a forward
-        // drop) changes state.
+        // after the first solve the RHS moves only when a diode with a
+        // forward drop changes state.
         let mut stamped = false;
         loop {
-            let (mut rails_moved, mut rhs_moved) = (false, !stamped);
             let elements = self.ckt.borrow().elements();
-            for (i, (cur, want)) in self.states.iter().zip(&states).enumerate() {
-                if cur != want {
-                    rails_moved |= self.diode_elems.binary_search(&i).is_err();
-                    rhs_moved |= mna::rhs_depends_on_state(&elements[i]);
-                }
-            }
-            if rails_moved {
-                // Apply every move of this iteration, then rebase once
-                // and drop the cached operating point; `solve` then finds
-                // no diode flips left.
-                self.states.clone_from(&states);
-                self.last_solve_time = None;
-                self.rebase().inspect_err(|_| self.poisoned = true)?;
-            }
+            let rhs_moved = !stamped
+                || self
+                    .states
+                    .iter()
+                    .zip(&states)
+                    .enumerate()
+                    .any(|(i, (cur, want))| cur != want && mna::rhs_depends_on_state(&elements[i]));
             diode_on.clear();
             diode_on.extend(
                 self.diode_elems
@@ -1446,7 +1435,7 @@ impl DcSolution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::{DiodeModel, OpAmpModel};
+    use crate::element::DiodeModel;
     use crate::source::SourceValue;
 
     #[test]
@@ -1534,86 +1523,15 @@ mod tests {
     }
 
     #[test]
-    fn opamp_buffer() {
-        // Unity-gain follower: out tied to inverting input.
+    fn diode_moves_take_one_refactorization_per_iteration() {
+        // A drive above the clamp: the first iteration turns the upper
+        // clamp on, and at rank 0 each iteration that moved states pays
+        // exactly one replay.
         let mut ckt = Circuit::new();
-        let inp = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.voltage_source(inp, Circuit::GROUND, SourceValue::dc(1.5));
-        ckt.opamp(inp, out, out, OpAmpModel::table1());
-        ckt.resistor(out, Circuit::GROUND, 1e4);
-        let (sol, _) = DcSolver::new().solve(&ckt).unwrap();
-        // Finite gain A=1e4: error ~ 1/A.
-        assert!((sol.voltage(out) - 1.5).abs() < 1e-3);
-    }
-
-    #[test]
-    fn opamp_inverting_amplifier() {
-        // Gain -2 inverting amp: Rf = 2k, Rin = 1k.
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let sum = ckt.node("sum");
-        let out = ckt.node("out");
-        ckt.voltage_source(vin, Circuit::GROUND, SourceValue::dc(1.0));
-        ckt.resistor(vin, sum, 1e3);
-        ckt.resistor(sum, out, 2e3);
-        ckt.opamp(Circuit::GROUND, sum, out, OpAmpModel::table1());
-        let (sol, _) = DcSolver::new().solve(&ckt).unwrap();
-        assert!(
-            (sol.voltage(out) + 2.0).abs() < 2e-3,
-            "v={}",
-            sol.voltage(out)
-        );
-    }
-
-    #[test]
-    fn opamp_saturates_open_loop() {
-        let mut ckt = Circuit::new();
-        let inp = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.voltage_source(inp, Circuit::GROUND, SourceValue::dc(0.5));
-        let mut model = OpAmpModel::table1();
-        model.rails = (-10.0, 10.0);
-        ckt.opamp(inp, Circuit::GROUND, out, model);
-        ckt.resistor(out, Circuit::GROUND, 1e4);
-        let (sol, _) = DcSolver::new().solve(&ckt).unwrap();
-        // Desired output 0.5 * 1e4 = 5000 V; clamps at the 10 V rail.
-        assert!((sol.voltage(out) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rail_move_restamps_the_rhs_within_one_solve() {
-        // The rail value lives in the RHS: the state iteration's own last
-        // solve, before any refinement, must already sit on the rail.
-        let mut ckt = Circuit::new();
-        let inp = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.voltage_source(inp, Circuit::GROUND, SourceValue::dc(0.5));
-        let mut model = OpAmpModel::table1();
-        model.rails = (-10.0, 10.0);
-        ckt.opamp(inp, Circuit::GROUND, out, model);
-        ckt.resistor(out, Circuit::GROUND, 1e4);
-        let mut session = DcSolver::new().session(&ckt).unwrap().with_max_rank(0);
-        let iterations = session.solve_operating_point(0.0).unwrap();
-        assert!(iterations >= 2, "the op-amp never left its linear region");
-        let v_out = session.voltage(out);
-        assert!((v_out - 10.0).abs() < 1e-9, "v_out = {v_out}");
-    }
-
-    #[test]
-    fn rail_and_diode_moves_share_one_refactorization() {
-        // An open-loop op-amp drives a clamped node: the first iteration
-        // both saturates the op-amp and turns the upper clamp on, and the
-        // two moves must ride one rebase.
-        let mut ckt = Circuit::new();
-        let inp = ckt.node("in");
         let out = ckt.node("out");
         let x = ckt.node("x");
         let cap = ckt.node("cap");
-        ckt.voltage_source(inp, Circuit::GROUND, SourceValue::dc(0.5));
-        let mut model = OpAmpModel::table1();
-        model.rails = (-10.0, 10.0);
-        ckt.opamp(inp, Circuit::GROUND, out, model);
+        ckt.voltage_source(out, Circuit::GROUND, SourceValue::dc(10.0));
         ckt.resistor(out, x, 1e3);
         ckt.voltage_source(cap, Circuit::GROUND, SourceValue::dc(2.0));
         ckt.diode(x, cap, DiodeModel::ideal());
@@ -2162,8 +2080,7 @@ mod tests {
 
     /// A small substrate-shaped circuit: a ring of nodes coupled by
     /// resistors, each clamped between ground and a level source by ideal
-    /// diodes, with negative resistors to ground, one silicon diode and
-    /// one op-amp follower.
+    /// diodes, with negative resistors to ground and one silicon diode.
     fn mini_substrate() -> Circuit {
         let mut ckt = Circuit::new();
         let drive = ckt.node("drive");
@@ -2179,19 +2096,14 @@ mod tests {
             ckt.resistor(x, Circuit::GROUND, -2e4);
         }
         ckt.diode(xs[1], xs[3], DiodeModel::silicon());
-        let out = ckt.node("out");
-        ckt.opamp(xs[2], out, out, OpAmpModel::table1());
-        ckt.resistor(out, xs[4], 5e3);
         ckt
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
-        /// Random diode flip sets: the state-only restamp must equal the
-        /// full stamp bit for bit; an op-amp rail move falls back to the
-        /// full walk (and still equals it), after which flips ride the
-        /// state-only path again.
+        /// Random diode flip sets: the state-only restamp must take the
+        /// state-only path and equal the full stamp bit for bit.
         #[test]
         fn state_only_restamp_matches_full_stamp(
             masks in proptest::collection::vec(proptest::prelude::any::<u64>(), 4..5),
@@ -2200,7 +2112,6 @@ mod tests {
                 let st = MnaStructure::new(&ckt);
                 let mut states = mna::initial_states(&ckt);
                 let diodes: Vec<usize> = ckt.diode_ids().iter().map(|d| d.index()).collect();
-                let opamp = ckt.elements().iter().position(|e| matches!(e, Element::OpAmp { .. }));
                 let mut m = StampedMatrix::mapped(&ckt, &st, &states);
                 let full = |states: &[DeviceState]| {
                     mna::stamp_matrix(&ckt, &st, states).to_csc()
@@ -2209,7 +2120,7 @@ mod tests {
                     (a.col_ptr().to_vec(), a.row_idx().to_vec(),
                      a.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
                 };
-                for (round, &mask) in masks.iter().enumerate() {
+                for &mask in &masks {
                     for (j, &d) in diodes.iter().enumerate() {
                         if mask >> (j % 64) & 1 == 1 {
                             states[d] = match states[d] {
@@ -2218,19 +2129,7 @@ mod tests {
                             };
                         }
                     }
-                    let rail = match (round, opamp) {
-                        (1, Some(i)) => Some((i, DeviceState::SatHigh)),
-                        (2, Some(i)) => Some((i, DeviceState::SatLow)),
-                        _ => None,
-                    };
-                    let pattern_moves = round == 1 && rail.is_some();
-                    if let Some((i, s)) = rail {
-                        states[i] = s;
-                    }
-                    proptest::prop_assert_eq!(
-                        m.restamp_states(&ckt, &st, &states),
-                        !pattern_moves
-                    );
+                    proptest::prop_assert!(m.restamp_states(&ckt, &st, &states));
                     proptest::prop_assert_eq!(bits(m.matrix()), bits(&full(&states)));
                 }
             }

@@ -46,35 +46,27 @@ impl Default for DiodeModel {
     }
 }
 
-/// Single-pole operational-amplifier macromodel.
+/// Single-pole operational-amplifier parameters.
 ///
-/// It stamps as a finite-gain VCVS (`V_out = A · (V⁺ − V⁻)`) that saturates
-/// at its rails. The dominant pole `τ = A / (2π · GBW)`
-/// ([`OpAmpModel::time_constant`]) sets how fast the substrate settles:
-/// the core crate's relaxation transient lags the edge voltages by it,
-/// matching Table 1 of the paper.
+/// No element stamps it: the substrate's negative resistors are ideal, and
+/// the op-amp NICs that realize them in hardware enter only through the
+/// dominant pole `τ = A / (2π · GBW)` ([`OpAmpModel::time_constant`]),
+/// which sets how fast the substrate settles. The core crate's relaxation
+/// transient lags the edge voltages by it, matching Table 1 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpAmpModel {
     /// Open-loop DC gain `A` (dimensionless). Table 1 uses `1e4`.
     pub gain: f64,
     /// Gain–bandwidth product in Hz. Table 1 sweeps 10–50 GHz.
     pub gbw_hz: f64,
-    /// Output saturation rails `(low, high)` in volts.
-    pub rails: (f64, f64),
-    /// Output resistance (Ω); a small nonzero value keeps MNA well posed
-    /// when the output drives another source-like branch.
-    pub r_out: f64,
 }
 
 impl OpAmpModel {
-    /// The paper's Table 1 op-amp: gain 1e4, GBW 10 GHz, ±100 V rails
-    /// (effectively unsaturated for the voltage levels involved).
+    /// The paper's Table 1 op-amp: gain 1e4, GBW 10 GHz.
     pub fn table1() -> Self {
         OpAmpModel {
             gain: 1e4,
             gbw_hz: 10e9,
-            rails: (-100.0, 100.0),
-            r_out: 0.0,
         }
     }
 
@@ -193,17 +185,6 @@ pub enum Element {
         /// PWL model parameters.
         model: DiodeModel,
     },
-    /// Single-pole op-amp; output referenced to ground.
-    OpAmp {
-        /// Non-inverting input.
-        inp: NodeId,
-        /// Inverting input.
-        inn: NodeId,
-        /// Output node.
-        out: NodeId,
-        /// Macromodel parameters.
-        model: OpAmpModel,
-    },
 }
 
 impl Element {
@@ -217,16 +198,12 @@ impl Element {
                 out_pos, out_neg, ..
             } => (*out_pos, *out_neg),
             Element::Diode { anode, cathode, .. } => (*anode, *cathode),
-            Element::OpAmp { out, .. } => (*out, NodeId::GROUND),
         }
     }
 
     /// `true` if the element introduces a branch-current unknown in MNA.
     pub fn has_branch_current(&self) -> bool {
-        matches!(
-            self,
-            Element::VoltageSource { .. } | Element::Vcvs { .. } | Element::OpAmp { .. }
-        )
+        matches!(self, Element::VoltageSource { .. } | Element::Vcvs { .. })
     }
 }
 

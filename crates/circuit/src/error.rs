@@ -23,7 +23,7 @@ pub enum CircuitError {
         /// Underlying factorization failure.
         source: LinalgError,
     },
-    /// Diode/op-amp state iteration failed to reach a consistent state
+    /// Diode state iteration failed to reach a consistent state
     /// assignment.
     StateIterationDiverged {
         /// Simulation time at which iteration gave up (seconds; `0.0` for DC).
@@ -41,11 +41,14 @@ impl fmt::Display for CircuitError {
                 write!(f, "element is not a {expected}")
             }
             CircuitError::SingularSystem { source } => {
-                write!(f, "singular MNA system ({source}); check for floating nodes")
+                write!(
+                    f,
+                    "singular MNA system ({source}); check for floating nodes"
+                )
             }
             CircuitError::StateIterationDiverged { time, iterations } => write!(
                 f,
-                "diode/op-amp state iteration diverged at t={time:.3e}s after {iterations} iterations"
+                "diode state iteration diverged at t={time:.3e}s after {iterations} iterations"
             ),
         }
     }

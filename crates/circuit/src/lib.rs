@@ -7,13 +7,14 @@
 //!
 //! * a [`Circuit`] netlist builder with the device set the substrate needs —
 //!   resistors (positive **and negative**), independent voltage sources,
-//!   VCVS, piecewise-linear diodes and single-pole op-amp macromodels,
-//!   plus the behavioural memristor model ([`MemristorModel`]) whose
+//!   VCVS and piecewise-linear diodes, the single-pole op-amp parameters
+//!   ([`OpAmpModel`]) that set the relaxation transient's lag, plus the
+//!   behavioural memristor model ([`MemristorModel`]) whose
 //!   states the core crate's crossbar programs,
 //! * modified nodal analysis assembly ([`mna`]),
 //! * staged DC solving through one [`DcSolver`] — plan the cold path once
 //!   per circuit structure (a [`DcTemplate`] it carries), then operating-point
-//!   solves with diode/op-amp state (complementarity) iteration, all run
+//!   solves with diode state (complementarity) iteration, all run
 //!   by one frozen-state engine ([`FrozenDcSession`]) that pays only
 //!   numeric work,
 //! * waveform recording and settle-time detection ([`Waveform`],

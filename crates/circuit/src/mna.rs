@@ -3,11 +3,10 @@
 //! operating-point solve.
 //!
 //! Unknowns are ordered as `[node voltages (ground excluded) | branch
-//! currents]`, with one branch current per voltage source, VCVS and op-amp.
-//! All devices are linear *given* a conduction-state assignment for diodes
-//! and a saturation-state assignment for op-amps; analyses iterate those
-//! states to a consistent fixed point, which is exact for PWL models (no
-//! Newton damping heuristics required).
+//! currents]`, with one branch current per voltage source and VCVS. All
+//! devices are linear *given* a conduction-state assignment for diodes;
+//! analyses iterate those states to a consistent fixed point, which is
+//! exact for PWL models (no Newton damping heuristics required).
 
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -19,11 +18,12 @@ use crate::element::Element;
 use crate::error::CircuitError;
 use crate::ids::{ElementId, NodeId};
 
-/// Conduction/saturation state of one element.
+/// Conduction state of one element.
 ///
-/// Diodes use [`DeviceState::Off`] / [`DeviceState::On`]; op-amps use
-/// [`DeviceState::Linear`] / [`DeviceState::SatHigh`] / [`DeviceState::SatLow`];
-/// all other elements stay [`DeviceState::Stateless`].
+/// Diodes use [`DeviceState::Off`] / [`DeviceState::On`]; all other
+/// elements stay [`DeviceState::Stateless`]. The discriminants (0, 1, 2)
+/// enter the state-assignment fingerprint, so the declaration order is
+/// part of every cycle break's bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceState {
     /// Element has no switching state.
@@ -32,12 +32,6 @@ pub enum DeviceState {
     Off,
     /// Diode conducting.
     On,
-    /// Op-amp in its linear region.
-    Linear,
-    /// Op-amp clamped at the high rail.
-    SatHigh,
-    /// Op-amp clamped at the low rail.
-    SatLow,
 }
 
 /// Unknown indexing for a circuit.
@@ -126,13 +120,12 @@ impl Solution {
     }
 }
 
-/// Initial state assignment: diodes off, op-amps linear.
+/// Initial state assignment: diodes off.
 pub(crate) fn initial_states(ckt: &Circuit) -> Vec<DeviceState> {
     ckt.elements()
         .iter()
         .map(|e| match e {
             Element::Diode { .. } => DeviceState::Off,
-            Element::OpAmp { .. } => DeviceState::Linear,
             _ => DeviceState::Stateless,
         })
         .collect()
@@ -221,31 +214,6 @@ fn stamp_element<F: FnMut(usize, usize, f64)>(
                 _ => 1.0 / model.r_off,
             };
             m.conductance(*anode, *cathode, g);
-        }
-        Element::OpAmp {
-            inp,
-            inn,
-            out,
-            model,
-        } => {
-            let ib = ib.expect("invariant: opamp rows were assigned a branch");
-            // Output behaves as a grounded voltage source carrying ib.
-            m.add(out.unknown(), Some(ib), 1.0);
-            match states[idx] {
-                DeviceState::SatHigh | DeviceState::SatLow => {
-                    // v_out = rail (RHS carries the rail value).
-                    m.add(Some(ib), out.unknown(), 1.0);
-                }
-                _ => {
-                    // Linear region: v_out = A · (v⁺ − v⁻).
-                    m.add(Some(ib), out.unknown(), 1.0);
-                    m.add(Some(ib), inp.unknown(), -model.gain);
-                    m.add(Some(ib), inn.unknown(), model.gain);
-                    if model.r_out > 0.0 {
-                        m.add(Some(ib), Some(ib), model.r_out);
-                    }
-                }
-            }
         }
     }
 }
@@ -342,8 +310,8 @@ impl StampMap {
 /// A stamped MNA matrix, plus (once built) its slot map: the value slot of
 /// each contribution of the stamping walk, in push order, and the value of
 /// each contribution. Diode flips and value edits keep the push sequence,
-/// so [`StampedMatrix::restamp`] can rewrite the values in place; op-amp
-/// rail moves change it, and the restamp falls back to a full stamp that
+/// so [`StampedMatrix::restamp`] can rewrite the values in place; a
+/// circuit whose push sequence differs falls back to a full stamp that
 /// maps the new pattern. Clones share the map.
 #[derive(Debug, Clone)]
 pub struct StampedMatrix {
@@ -389,8 +357,9 @@ impl StampedMatrix {
     }
 
     /// Re-stamps for `states`, walking every element: the path for value
-    /// edits (resistances, capacities, models). With a map and an
-    /// unchanged push sequence the values are rewritten in place (no
+    /// edits (resistances, capacities, models). With a map, the same
+    /// unknown count and an unchanged push sequence the values are
+    /// rewritten in place (no
     /// triplets, no sort, no allocation) and this returns `true`. The
     /// result is bitwise equal to `stamp_matrix(..).to_csc()`: every slot
     /// starts at `-0.0`, the additive identity that keeps the first
@@ -402,7 +371,8 @@ impl StampedMatrix {
     /// the state-only restamp (`restamp_states`), which re-sums only the
     /// slots of the devices that changed.
     pub fn restamp(&mut self, ckt: &Circuit, st: &MnaStructure, states: &[DeviceState]) -> bool {
-        let in_place = self.map.as_ref().is_some_and(|map| {
+        let same_size = self.matrix.cols() == st.n_unknowns;
+        let in_place = self.map.as_ref().filter(|_| same_size).is_some_and(|map| {
             let (cp, ri, values) = self.matrix.pattern_values_mut();
             let pushes = &mut self.pushes;
             pushes.resize(map.slots.len(), 0.0);
@@ -435,8 +405,8 @@ impl StampedMatrix {
     /// over all its pushes in push order — the same sums as the full walk,
     /// so the result is still bitwise equal to `stamp_matrix(..).to_csc()`.
     /// Returns `true` on that path. Without a map, or when a changed
-    /// element's pushes no longer match its slots (an op-amp rail move),
-    /// it runs [`StampedMatrix::restamp`] and returns `false`.
+    /// element's pushes no longer match its slots, it runs
+    /// [`StampedMatrix::restamp`] and returns `false`.
     ///
     /// The caller guarantees that every element *value* (resistances,
     /// models, gains) is the one of the last stamp; value edits take
@@ -529,32 +499,20 @@ pub(crate) fn stamp_rhs_into(
                     b[u] -= g * model.v_on;
                 }
             }
-            Element::OpAmp { model, .. } => {
-                let row = ib.expect("invariant: opamp rows were assigned a branch");
-                match states[idx] {
-                    DeviceState::SatHigh => b[row] += model.rails.1,
-                    DeviceState::SatLow => b[row] += model.rails.0,
-                    _ => {}
-                }
-            }
             _ => {}
         }
     }
 }
 
 /// Whether `e`'s term in [`stamp_rhs_into`] depends on its device state: a
-/// diode with a forward drop, or an op-amp. Ideal diodes (`v_on = 0`)
-/// flip without touching the RHS.
+/// diode with a forward drop. Ideal diodes (`v_on = 0`) flip without
+/// touching the RHS.
 pub(crate) fn rhs_depends_on_state(e: &Element) -> bool {
-    match e {
-        Element::Diode { model, .. } => model.v_on != 0.0,
-        Element::OpAmp { .. } => true,
-        _ => false,
-    }
+    matches!(e, Element::Diode { model, .. } if model.v_on != 0.0)
 }
 
-/// Writes into `flips`, in element order, every stateful device whose
-/// consistent state under the candidate solution `x` differs from
+/// Writes into `flips`, in element order, every diode whose consistent
+/// state under the candidate solution `x` differs from
 /// `states`, with that state. Candidate diode flips whose boundary
 /// violation is within `band` volts are suppressed; [`StateIteration`]
 /// widens the band in its anti-cycling regime, since near the boundary
@@ -572,71 +530,29 @@ fn wanted_flips(
     };
     flips.clear();
     for (idx, e) in ckt.elements().iter().enumerate() {
-        match e {
-            Element::Diode {
-                anode,
-                cathode,
-                model,
-            } => {
-                let vak = volt(*anode) - volt(*cathode);
-                // Hysteresis avoids chattering at complementarity
-                // boundaries (where the exact solution has zero diode
-                // current and both states are physically equivalent).
-                let want = match states[idx] {
-                    DeviceState::On => vak > model.v_on - band,
-                    _ => vak > model.v_on + band,
-                };
-                let new = if want {
-                    DeviceState::On
-                } else {
-                    DeviceState::Off
-                };
-                if new != states[idx] {
-                    flips.push((idx, new));
-                }
-            }
-            Element::OpAmp {
-                inp,
-                inn,
-                out,
-                model,
-                ..
-            } => {
-                // While linear, saturation is judged on the *actual* output;
-                // while saturated, the desired open-loop value decides when
-                // to re-enter the linear region.
-                let desired = model.gain * (volt(*inp) - volt(*inn));
-                let vo = volt(*out);
-                let new = match states[idx] {
-                    DeviceState::SatHigh => {
-                        if desired < model.rails.1 {
-                            DeviceState::Linear
-                        } else {
-                            DeviceState::SatHigh
-                        }
-                    }
-                    DeviceState::SatLow => {
-                        if desired > model.rails.0 {
-                            DeviceState::Linear
-                        } else {
-                            DeviceState::SatLow
-                        }
-                    }
-                    _ => {
-                        if vo > model.rails.1 + 1e-9 {
-                            DeviceState::SatHigh
-                        } else if vo < model.rails.0 - 1e-9 {
-                            DeviceState::SatLow
-                        } else {
-                            DeviceState::Linear
-                        }
-                    }
-                };
-                if new != states[idx] {
-                    flips.push((idx, new));
-                }
-            }
-            _ => {}
+        let Element::Diode {
+            anode,
+            cathode,
+            model,
+        } = e
+        else {
+            continue;
+        };
+        let vak = volt(*anode) - volt(*cathode);
+        // Hysteresis avoids chattering at complementarity boundaries
+        // (where the exact solution has zero diode current and both
+        // states are physically equivalent).
+        let want = match states[idx] {
+            DeviceState::On => vak > model.v_on - band,
+            _ => vak > model.v_on + band,
+        };
+        let new = if want {
+            DeviceState::On
+        } else {
+            DeviceState::Off
+        };
+        if new != states[idx] {
+            flips.push((idx, new));
         }
     }
 }
@@ -653,7 +569,7 @@ fn state_key(i: usize, s: DeviceState) -> u64 {
 }
 
 /// The flip with the largest boundary violation under solution `x`, the
-/// first on ties; op-amp saturation moves rank above every diode.
+/// first on ties. Every flip names a diode ([`wanted_flips`]).
 fn most_violated(
     ckt: &Circuit,
     flips: &[(usize, DeviceState)],
@@ -665,14 +581,15 @@ fn most_violated(
     };
     let mut best: Option<((usize, DeviceState), f64)> = None;
     for &(i, s) in flips {
-        let violation = match &ckt.elements()[i] {
-            Element::Diode {
-                anode,
-                cathode,
-                model,
-            } => (volt(*anode) - volt(*cathode) - model.v_on).abs(),
-            _ => f64::MAX,
+        let Element::Diode {
+            anode,
+            cathode,
+            model,
+        } = &ckt.elements()[i]
+        else {
+            continue;
         };
+        let violation = (volt(*anode) - volt(*cathode) - model.v_on).abs();
         if best.is_none_or(|(_, v)| violation > v) {
             best = Some(((i, s), violation));
         }

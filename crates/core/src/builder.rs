@@ -14,9 +14,10 @@
 //!   edge node through an `r` resistor; Eq. (7a) recovers the flow value
 //!   from the source current.
 //!
-//! Negative resistors are realized either as ideal negative-conductance
-//! elements or as op-amp negative-impedance converters (Fig. 9a), whose
-//! finite gain-bandwidth product gives the substrate its §5.1 convergence
+//! Negative resistors are ideal negative-conductance elements. The op-amp
+//! negative-impedance converters that realize them in hardware (Fig. 9a)
+//! enter only through the relaxation transient's dominant-pole lag
+//! `τ = A/(2π·GBW)`, which gives the substrate its §5.1 convergence
 //! dynamics.
 
 use std::sync::Arc;
@@ -42,28 +43,6 @@ pub enum CapacityMapping {
     },
 }
 
-/// How the substrate's negative resistors are realized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NegativeResistorImpl {
-    /// Ideal negative-conductance elements (default): exact `−R` at the
-    /// DC operating point, the realization every preset stamps. The
-    /// op-amp NIC's settling enters the relaxation transient as the
-    /// dominant-pole lag `τ = A/(2π·GBW)` of the edge voltages, not as a
-    /// circuit element.
-    #[default]
-    Ideal,
-    /// Literal op-amp negative-impedance converter per Fig. 9a (three
-    /// resistors + op-amp with positive feedback). No preset, bin or
-    /// ablation builds it; only the restamp and delta-session tests do.
-    /// A grounded NIC loaded with an impedance at or above its magnitude
-    /// is not open-circuit stable, which is exactly the substrate's
-    /// regime: DC solves of it diverge on most graphs (fig5a, layered,
-    /// fig15a) and answer only on paths and parallel paths. Its star
-    /// magnitudes cannot be retuned by value, so delta sessions excise
-    /// its edges structurally.
-    OpAmp,
-}
-
 /// Shape of the `V_flow` drive.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Drive {
@@ -81,39 +60,34 @@ pub enum Drive {
 
 /// Build options for [`build`].
 ///
-/// Every negative resistor is stamped at its exact Fig. 2 value, `−r/2` or
-/// `−r/n`. The §4.2 finite-gain over-sizing is studied by injection only
-/// ([`finite_gain_reff`](crate::nonideal::finite_gain_reff), Ablation 2).
+/// Every negative resistor is an ideal element stamped at its exact Fig. 2
+/// value, `−r/2` or `−r/n`. The §4.2 finite-gain over-sizing is studied by
+/// injection only ([`finite_gain_reff`](crate::nonideal::finite_gain_reff),
+/// Ablation 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BuildOptions {
     /// Capacity→voltage mapping.
     pub capacity_mapping: CapacityMapping,
-    /// Negative-resistor realization.
-    pub negative_resistor: NegativeResistorImpl,
     /// `V_flow` drive shape.
     pub drive: Drive,
 }
 
 impl BuildOptions {
-    /// Ideal steady-state configuration: exact capacities, ideal negative
-    /// resistors, DC drive.
+    /// Ideal steady-state configuration: exact capacities, DC drive.
     pub fn ideal() -> Self {
         BuildOptions {
             capacity_mapping: CapacityMapping::Exact,
-            negative_resistor: NegativeResistorImpl::Ideal,
             drive: Drive::Dc,
         }
     }
 
     /// The §5.1 evaluation configuration: quantized levels (Table 1's
-    /// `N = 20` comes from `params` at build time), ideal negative
-    /// resistors, step drive.
+    /// `N = 20` comes from `params` at build time), step drive.
     pub fn evaluation(params: &SubstrateParams) -> Self {
         BuildOptions {
             capacity_mapping: CapacityMapping::Quantized {
                 levels: params.voltage_levels,
             },
-            negative_resistor: NegativeResistorImpl::Ideal,
             drive: Drive::Step,
         }
     }
@@ -128,9 +102,7 @@ pub struct BuildStats {
     pub elements: usize,
     /// Clamp diodes.
     pub diodes: usize,
-    /// Realized op-amps (0 with ideal negative resistors).
-    pub opamps: usize,
-    /// Negative resistors (ideal or NIC), `= |E'| + |V'|` where the primes
+    /// Negative resistors, `= |E'| + |V'|` where the primes
     /// count negation widgets and conservation stars actually built.
     pub negative_resistors: usize,
     /// Independent voltage sources (V_flow + capacity levels).
@@ -174,18 +146,15 @@ pub(crate) struct EdgeSurgery {
 /// when the vertex's live incident-edge count changes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StarSurgery {
-    /// The `-r/n` star element at the widget's summing node (Ideal
-    /// implementation: a plain resistor).
+    /// The `-r/n` star element at the widget's summing node (a plain
+    /// resistor).
     pub element: ElementId,
     /// Incident (non-circulation) edge count the build stamped for.
     pub n_base: usize,
 }
 
 /// Everything a delta session needs to do exact edge insert/delete
-/// surgery by value-only resistor edits. `retunable` is only set for
-/// [`NegativeResistorImpl::Ideal`] builds — [`NegativeResistorImpl::OpAmp`]
-/// realizes the star magnitude inside an op-amp subcircuit, and sessions
-/// on it fall back to structural re-keys for topology deltas.
+/// surgery by value-only resistor edits.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DeltaMetadata {
     /// Per-edge handles (`None` for circulation edges, which stamp
@@ -194,8 +163,6 @@ pub(crate) struct DeltaMetadata {
     /// Per-vertex star handles (`None` for source/sink and widget-less
     /// vertices).
     pub stars: Vec<Option<StarSurgery>>,
-    /// Whether star retuning (and thus fast removal) is supported.
-    pub retunable: bool,
     /// Unit resistance the couplings were stamped with.
     pub r: f64,
 }
@@ -372,29 +339,11 @@ pub(crate) fn build_with_layout(
     }
 
     // Negative-resistor factory: a grounded `resistance` (< 0) at `node`.
-    let neg_resistor = |ckt: &mut Circuit,
-                        stats: &mut BuildStats,
-                        node: NodeId,
-                        resistance: f64|
-     -> Option<ElementId> {
-        stats.negative_resistors += 1;
-        let magnitude = -resistance;
-        match opts.negative_resistor {
-            NegativeResistorImpl::Ideal => Some(ckt.resistor(node, Circuit::GROUND, resistance)),
-            NegativeResistorImpl::OpAmp => {
-                // Grounded NIC (Fig. 9a): opamp + R_target feedback to the
-                // non-inverting input, R0/R0 divider to the inverting one.
-                let out = ckt.anon_node();
-                let inv = ckt.anon_node();
-                ckt.opamp(node, inv, out, params.opamp);
-                ckt.resistor(out, node, magnitude);
-                ckt.resistor(out, inv, r);
-                ckt.resistor(inv, Circuit::GROUND, r);
-                stats.opamps += 1;
-                None
-            }
-        }
-    };
+    let neg_resistor =
+        |ckt: &mut Circuit, stats: &mut BuildStats, node: NodeId, resistance: f64| -> ElementId {
+            stats.negative_resistors += 1;
+            ckt.resistor(node, Circuit::GROUND, resistance)
+        };
 
     // Objective widget (Fig. 3): V_flow through r to each source-out edge.
     let source_out: Vec<usize> = g.out_edges(g.source()).map(|e| e.0).collect();
@@ -439,12 +388,10 @@ pub(crate) fn build_with_layout(
             neg_resistor(&mut ckt, &mut stats, p, params.negation_resistance());
             edge_v_coupling[k] = Some(ckt.resistor(xneg, nv, r));
         }
-        *star = neg_resistor(&mut ckt, &mut stats, nv, params.star_resistance(n_incident)).map(
-            |element| StarSurgery {
-                element,
-                n_base: n_incident,
-            },
-        );
+        *star = Some(StarSurgery {
+            element: neg_resistor(&mut ckt, &mut stats, nv, params.star_resistance(n_incident)),
+            n_base: n_incident,
+        });
     }
 
     stats.nodes = ckt.node_count();
@@ -464,7 +411,6 @@ pub(crate) fn build_with_layout(
             })
             .collect(),
         stars,
-        retunable: matches!(opts.negative_resistor, NegativeResistorImpl::Ideal),
         r,
     };
 

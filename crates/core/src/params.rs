@@ -37,7 +37,8 @@ pub struct SubstrateParams {
     pub v_dd: f64,
     /// Number of quantization voltage levels `N`.
     pub voltage_levels: u32,
-    /// Op-amp macromodel (gain, GBW, rails).
+    /// Op-amp parameters (gain, GBW); [`OpAmpModel::time_constant`] sets
+    /// the relaxation transient's τ.
     pub opamp: OpAmpModel,
     /// Clamp-diode model.
     pub diode: DiodeModel,

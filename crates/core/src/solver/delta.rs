@@ -20,10 +20,6 @@
 //! builder's own [`SubstrateParams::star_resistance`](crate::SubstrateParams::star_resistance)),
 //! so session results agree with fresh solves to solver precision — not
 //! to a soft-clamp tolerance.
-//! Builds whose negative resistors are op-amp subcircuits
-//! ([`NegativeResistorImpl::OpAmp`](crate::builder::NegativeResistorImpl::OpAmp))
-//! cannot retune star magnitudes by value; topology deltas on them fall
-//! back to structural re-keys (capacity updates stay value-only).
 //!
 //! Two budgets keep the incremental state healthy:
 //!
@@ -347,7 +343,6 @@ impl DeltaSession {
     /// non-positive capacities, or degenerate insertions; circuit errors
     /// propagate from the solve.
     pub fn apply_deltas(&mut self, batch: &DeltaBatch) -> Result<DeltaReport, AnalogError> {
-        let retunable = self.dc.host().delta_meta().retunable;
         let invalid = |what: String| Err(AnalogError::InvalidConfig { what });
 
         // Stage the batch on a copy of the edge table. Ids at or past
@@ -358,7 +353,6 @@ impl DeltaSession {
         let mut touched: Vec<usize> = Vec::new();
         let mut flipped: Vec<usize> = Vec::new();
         let mut structural = false;
-        let mut force_compact = false;
         for &delta in batch.deltas() {
             match delta {
                 GraphDelta::SetCapacity { edge, capacity } => {
@@ -392,13 +386,7 @@ impl DeltaSession {
                     // `touched` zeroes the level source (see
                     // [`clamp_volts_for`]); `flipped` runs the surgery.
                     touched.push(edge);
-                    if retunable {
-                        flipped.push(edge);
-                    } else {
-                        // Op-amp star magnitudes live inside subcircuits the
-                        // session cannot retune by value: excise structurally.
-                        force_compact = true;
-                    }
+                    flipped.push(edge);
                 }
                 GraphDelta::InsertEdge { from, to, capacity } => {
                     if from >= self.vertices || to >= self.vertices {
@@ -455,7 +443,7 @@ impl DeltaSession {
         // stamped in the universe.
         let live = edges.iter().filter(|e| e.live).count();
         let debt = edges.iter().filter(|e| !e.live && e.slot.is_some()).count();
-        let compact = force_compact || debt > 16.max(live / 4);
+        let compact = debt > 16.max(live / 4);
         let replanned = structural || compact;
         if replanned {
             let parts = rekey(
@@ -825,20 +813,18 @@ fn rekey(
     // The template instantiation stamps every widget live: excise the
     // removed-but-kept edges (and retune their endpoint stars) on the
     // circuit before it is factored.
-    if sc.delta_meta().retunable {
-        let removed: Vec<usize> = (0..shadow.len())
-            .filter(|&i| !shadow[i].live && shadow[i].slot.is_some())
-            .collect();
-        let changes = excision(
-            sc.delta_meta(),
-            &opts.params,
-            (source, sink),
-            &shadow,
-            &removed,
-        );
-        for (id, ohms) in changes {
-            sc.circuit_mut().set_resistance(id, ohms)?;
-        }
+    let removed: Vec<usize> = (0..shadow.len())
+        .filter(|&i| !shadow[i].live && shadow[i].slot.is_some())
+        .collect();
+    let changes = excision(
+        sc.delta_meta(),
+        &opts.params,
+        (source, sink),
+        &shadow,
+        &removed,
+    );
+    for (id, ohms) in changes {
+        sc.circuit_mut().set_resistance(id, ohms)?;
     }
 
     let costs = FactorCosts::of(tpl.dc_template().factor().symbolic());
@@ -858,7 +844,6 @@ fn rekey(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::NegativeResistorImpl;
     use crate::solver::SolveOptions;
     use ohmflow_circuit::Element;
     use ohmflow_graph::generators;
@@ -881,8 +866,7 @@ mod tests {
             "{tag}: session flows infeasible"
         );
         // Every star with live edges, retuned or not, holds the bits a
-        // fresh build of the live graph stamps (op-amp builds keep no
-        // star handles).
+        // fresh build of the live graph stamps.
         let opts = solver.options();
         let built = crate::builder::build(&g, &opts.params, &opts.build).unwrap();
         let bits = |sc: &SubstrateCircuit, id| match *sc.circuit().element(id) {
@@ -1008,21 +992,17 @@ mod tests {
     }
 
     #[test]
-    fn remove_then_revive_on_an_op_amp_build() {
-        // Op-amp negative resistors are not retunable, so the removal
-        // compacts structurally; the revive in the same batch must not
-        // drive the structural debt below zero. (The op-amp NIC latches
-        // up on fig5a; a path converges.)
+    fn remove_then_revive_in_one_batch() {
+        // The removal and the revive of the same edge stage in one batch:
+        // the revive reuses the id and the surgery stays value-only.
         let g = generators::path(&[5, 2, 9]).unwrap();
-        let mut opts = SolveOptions::evaluation_quasi_static(10e9);
-        opts.build.negative_resistor = NegativeResistorImpl::OpAmp;
-        let solver = MaxFlowSolver::new(opts);
+        let solver = MaxFlowSolver::new(SolveOptions::ideal());
         let mut session = solver.delta_session(&g).unwrap();
         let (from, to) = (g.edges()[0].from, g.edges()[0].to);
         let report = session
             .apply_deltas(&DeltaBatch::new().remove_edge(0).insert_edge(from, to, 3))
             .unwrap();
-        assert!(report.replanned, "op-amp removals re-key");
+        assert!(!report.replanned, "remove + revive is value-only surgery");
         assert_eq!(report.new_edge_ids, vec![0], "revive reuses the id");
         let fresh = solver.solve_fresh(&session.live_graph().unwrap()).unwrap();
         assert!(

@@ -39,9 +39,7 @@ use ohmflow_circuit::{
 use ohmflow_graph::FlowNetwork;
 use rayon::prelude::*;
 
-use crate::builder::{
-    self, BuildOptions, BuildStats, CapacityMapping, Drive, NegativeResistorImpl, SubstrateCircuit,
-};
+use crate::builder::{self, BuildOptions, BuildStats, CapacityMapping, Drive, SubstrateCircuit};
 use crate::params::SubstrateParams;
 use crate::template::{self, SubstrateTemplate, TemplateKey};
 use crate::AnalogError;
@@ -443,9 +441,7 @@ impl MaxFlowSolver {
     /// The build options every path actually uses: the solve mode
     /// constrains the drive shape (quasi-static needs DC; transient keeps a
     /// user-chosen step or soft-start ramp and only replaces an
-    /// incompatible DC drive with the default step), and the relaxation
-    /// model solves frozen-state DC points along the way, so it uses ideal
-    /// negative resistors (exact in DC) whatever the build asks for.
+    /// incompatible DC drive with the default step).
     fn build_options(&self) -> BuildOptions {
         let mut build = self.opts.build;
         build.drive = match (self.opts.mode, build.drive) {
@@ -453,9 +449,6 @@ impl MaxFlowSolver {
             (SolveMode::Transient { .. }, Drive::Dc) => Drive::Step,
             (_, d) => d,
         };
-        if matches!(self.opts.mode, SolveMode::Transient { .. }) {
-            build.negative_resistor = NegativeResistorImpl::Ideal;
-        }
         build
     }
 

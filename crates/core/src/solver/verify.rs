@@ -135,7 +135,7 @@ pub(crate) fn audit_delta_metadata(
                     ),
                 ));
             }
-            None if interior && incident[v] > 0 && meta.retunable => {
+            None if interior && incident[v] > 0 => {
                 return Err(fail(
                     "star-membership-closure",
                     format!(
@@ -160,8 +160,8 @@ mod tests {
     use crate::builder::{build, BuildOptions};
     use crate::params::SubstrateParams;
 
-    /// A 4-vertex diamond with every edge non-circulation, built on the
-    /// retunable (ideal) substrate, plus its audit inputs.
+    /// A 4-vertex diamond with every edge non-circulation, plus its audit
+    /// inputs.
     fn built_meta() -> (DeltaMetadata, Vec<(usize, usize)>, usize) {
         let mut g = FlowNetwork::new(4, 0, 3).expect("graph");
         g.add_edge(0, 1, 3).expect("edge");
@@ -192,7 +192,6 @@ mod tests {
     #[test]
     fn mutation_dropped_star_handle() {
         let (mut meta, edges, n) = built_meta();
-        assert!(meta.retunable, "ideal build supports retuning");
         meta.stars[1] = None;
         let err = audit_delta_metadata(&meta, &edges, n, 0, 3).expect_err("caught");
         assert_eq!(err.invariant, "star-membership-closure");
